@@ -39,7 +39,7 @@
 //	               full; 200 with "degraded" reasons on partial trouble
 //	GET  /metrics  Prometheus text-format exposition: counters, gauges,
 //	               and per-stage latency histograms (engine wait/plan/
-//	               apply, fabric VOQ wait/match/plane/verify/fault-check,
+//	               apply, fabric VOQ wait/match/plane/verify,
 //	               collective round/end-to-end) for every layer, plus
 //	               per-stage benes_switch_* flight-recorder series
 //	GET  /debug/heatmap  gate-level utilization heatmap: per-switch
@@ -55,9 +55,9 @@
 //	               /send packets and /collective rounds), JSON
 //	POST /debug/faults  {"plane":1,"faults":[{"stage":3,"switch":5,
 //	               "stuck_crossed":true}]} freezes switches of one
-//	               fabric plane in their stuck states (gate-level
-//	               simulation); the plane leaves rotation while still
-//	               answering probes. An empty fault list repairs it
+//	               fabric plane in their stuck states; the plane leaves
+//	               rotation before the faults take effect and still
+//	               answers probes. An empty fault list repairs it
 //	POST /debug/diagnose  {"plane":1,"budget":12,"max_faults":1,
 //	               "seed":7} runs a fault-localization session against
 //	               the plane: crafted probe permutations, contradiction-
@@ -74,8 +74,6 @@
 //	               fresh network and reports every divergence between
 //	               the recorded deliveries and the re-execution
 //	GET  /debug/pprof/  standard net/http/pprof profiles
-//	GET  /debug/vars  standard expvar, with the engine and fabric
-//	               published under "engine" and "fabric"
 //
 // benesd shuts down gracefully: SIGINT/SIGTERM stops accepting
 // connections, drains in-flight requests via http.Server.Shutdown with
@@ -94,7 +92,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -788,7 +785,7 @@ type diagnoseResponse struct {
 
 // handleDebugDiagnose runs one fault-localization session against a
 // fabric plane: crafted probe permutations go through the plane (live
-// engine or fault simulator — no payload moves, no VOQ is touched),
+// engine or core's fault model — no payload moves, no VOQ is touched),
 // and the posterior over stuck-switch hypotheses comes back ranked.
 // Works on planes already out of rotation — that is the point.
 func (s *server) handleDebugDiagnose(w http.ResponseWriter, r *http.Request) {
@@ -875,7 +872,6 @@ func newMux(eng *engine.Engine[int], fab *fabric.Fabric[int], col *collective.Se
 	mux.HandleFunc("GET /debug/journal/verify", s.handleDebugJournalVerify)
 	mux.HandleFunc("POST /debug/replay", s.traced("/debug/replay", s.handleDebugReplay))
 	mux.Handle("GET /debug/history", o.hist.Handler())
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
@@ -920,7 +916,6 @@ func main() {
 		n       = flag.Int("n", 10, "network size exponent: B(n) routes N=2^n terminals")
 		workers = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		cache   = flag.Int("cache", engine.DefaultCacheCapacity, "plan cache capacity (plans)")
-		replay  = flag.Bool("replay", false, "replay cached states gate-by-gate instead of applying the mapping")
 		psetup  = flag.Bool("parallel-setup", true, "route non-F(n) cache misses through the multicore cold setup")
 		pswork  = flag.Int("setup-workers", 0, "goroutines per parallel cold setup (0 = GOMAXPROCS)")
 		psmemo  = flag.Bool("setup-memo", true, "memoize half-network sub-plans in the plan cache")
@@ -970,7 +965,6 @@ func main() {
 		ParallelSetup: *psetup,
 		SetupWorkers:  *pswork,
 		SetupMemo:     *psetup && *psmemo,
-		ReplayStates:  *replay,
 		Recorder:      rec,
 		Journal:       jw,
 	})
@@ -1019,9 +1013,6 @@ func main() {
 	col := collective.New[int](fab, collective.Options{})
 	o := newObsState(eng, fab, col, jr, ring, *hcap, *hival, logger)
 	o.hist.Start()
-	expvar.Publish("engine", expvar.Func(func() any { return eng.Stats() }))
-	expvar.Publish("fabric", fab.Var())
-	expvar.Publish("collective", col.Var())
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -33,13 +33,12 @@
 //   - every collective carries a context-cancellable Handle with
 //     per-round progress, and the service aggregates rounds,
 //     self-routed vs fallback counts, bytes moved, and per-plane
-//     occupancy into an expvar-style snapshot.
+//     occupancy into one JSON snapshot.
 package collective
 
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -385,7 +384,7 @@ func (s *Service[T]) observeRounds(t *roundTally, meanRound time.Duration) {
 	}
 }
 
-// Stats is the expvar-style snapshot of a collective service.
+// Stats is the JSON snapshot of a collective service.
 type Stats struct {
 	Submitted        int64 `json:"submitted"`
 	Completed        int64 `json:"completed"`
@@ -457,11 +456,6 @@ func (s *Service[T]) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// Var adapts the service to an expvar.Var for /debug/vars publishing.
-func (s *Service[T]) Var() expvar.Var {
-	return expvar.Func(func() any { return s.Stats() })
 }
 
 // Register exports the service's counters and latency histograms into

@@ -86,28 +86,6 @@ func BenchmarkCacheWarm(b *testing.B) {
 	reportHitRate(b, eng)
 }
 
-// BenchmarkCacheWarmReplay is the warm path under full gate-level
-// replay (Config.ReplayStates): it still skips Setup, but pays the
-// stage-by-stage traversal.
-func BenchmarkCacheWarmReplay(b *testing.B) {
-	eng, err := New[int](Config{LogN: benchLogN, ReplayStates: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	d := perm.Random(1<<benchLogN, rand.New(rand.NewSource(3)))
-	data := benchPayload(1 << benchLogN)
-	eng.Route(d, data)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if resp := eng.Route(d, data); resp.Err != nil {
-			b.Fatal(resp.Err)
-		}
-	}
-	b.StopTimer()
-	reportHitRate(b, eng)
-}
-
 // BenchmarkWorkers sweeps the worker pool from 1 to GOMAXPROCS under a
 // mixed warm workload submitted in flights, measuring batch throughput.
 func BenchmarkWorkers(b *testing.B) {

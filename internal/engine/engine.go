@@ -19,9 +19,7 @@
 //     switch, and the payload traverses the network at wire speed. In
 //     software we apply the plan's end-to-end mapping directly
 //     (Section IV's point that a configured network moves a new vector
-//     every clock period); Config.ReplayStates instead replays the
-//     cached core.States through core.ExternalRoute switch by switch
-//     for full-fidelity simulation.
+//     every clock period).
 //
 // Batching follows Section IV's pipelining result: requests that share
 // a permutation inside one worker batch are served by a single plan
@@ -88,10 +86,6 @@ type Config struct {
 	// half-network share recursion subtrees across requests. Ignored
 	// unless ParallelSetup.
 	SetupMemo bool
-	// ReplayStates makes cache hits replay the cached switch states
-	// through core.ExternalRoute (full gate-level fidelity) instead of
-	// applying the plan's end-to-end mapping directly.
-	ReplayStates bool
 	// Recorder, when non-nil, receives gate-level accounting for every
 	// served request: per-switch traversals and state flips. Full
 	// permutation vectors cost one atomic add plus a word-compare sweep;
@@ -444,16 +438,17 @@ func (e *Engine[T]) serve(batch []*pending[T], sh *netsim.RecorderShard) {
 			p.done <- Response[T]{Err: ent.err}
 			continue
 		}
+		// Apply the plan's end-to-end mapping: the software equivalent of
+		// a data pass through pinned switches.
 		t0 := time.Now()
-		out := e.applyPlan(ent.plan, p.req.Data)
+		out := perm.Apply(ent.plan.Dest, p.req.Data)
 		e.met.Apply.Observe(time.Since(t0))
 		if sh != nil {
 			e.record(sh, ent.plan, p.req.Real)
 		}
 		if e.jrn.Enabled() {
-			// The plan realizes exactly its permutation (applyPlan either
-			// maps by Dest or replays states verified to realize it), so
-			// the delivery digest is DigestPerm of the destination vector.
+			// The plan realizes exactly its permutation, so the delivery
+			// digest is DigestPerm of the destination vector.
 			e.jrn.Route(ent.plan.Dest, journal.DigestPerm(ent.plan.Dest))
 		}
 		p.done <- Response[T]{Data: out, Kind: ent.plan.Kind, CacheHit: ent.cached || reused}
@@ -540,16 +535,4 @@ func (e *Engine[T]) coldSetup(d perm.Perm) (core.States, PlanKind) {
 	}
 	e.met.parSetups.Add(1)
 	return st, PlanParallel
-}
-
-// applyPlan routes data through the configured network. The default
-// path applies the plan's end-to-end mapping — the software equivalent
-// of a data pass through pinned switches. With ReplayStates the cached
-// states are replayed through the gate-level evaluator instead.
-func (e *Engine[T]) applyPlan(pl *Plan, data []T) []T {
-	if e.cfg.ReplayStates {
-		res := e.net.ExternalRoute(pl.Dest, pl.States)
-		return perm.Apply(res.Realized, data)
-	}
-	return perm.Apply(pl.Dest, data)
 }

@@ -70,21 +70,25 @@ func TestExhaustiveN8(t *testing.T) {
 }
 
 // TestRandomizedN256 routes random permutations (mostly outside F) and
-// structured F members at N=256, each twice, comparing the fast path,
-// the states-replay path, and direct application.
+// structured F members at N=256, each twice, through a serial-setup
+// engine and a parallel-setup one (benesd's default: ParallelSetup with
+// SetupMemo). Besides checking the payload, it replays every resolved
+// plan's switch states gate by gate through core.ExternalRoute: the
+// states must realize the plan's Dest, for self-routed, looped and
+// parallel plans alike.
 func TestRandomizedN256(t *testing.T) {
 	const n = 8 // N = 256
 	rng := rand.New(rand.NewSource(42))
-	fast, err := New[int](Config{LogN: n})
+	serial, err := New[int](Config{LogN: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fast.Close()
-	replay, err := New[int](Config{LogN: n, ReplayStates: true})
+	defer serial.Close()
+	par, err := New[int](Config{LogN: n, ParallelSetup: true, SetupMemo: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer replay.Close()
+	defer par.Close()
 
 	var cases []perm.Perm
 	for i := 0; i < 60; i++ {
@@ -97,21 +101,32 @@ func TestRandomizedN256(t *testing.T) {
 	cases = append(cases, perm.Identity(256), perm.BitReversal(n))
 
 	data := payload(256)
+	kinds := map[PlanKind]int{}
 	for round := 0; round < 2; round++ {
 		for _, d := range cases {
-			r1 := fast.Route(d, data)
-			checkRouted(t, d, r1)
-			r2 := replay.Route(d, data)
-			checkRouted(t, d, r2)
-			if r1.Kind != r2.Kind {
-				t.Fatalf("fast/replay disagree on plan kind for %v: %v vs %v", d, r1.Kind, r2.Kind)
-			}
-			if round == 1 && !r1.CacheHit {
-				t.Fatalf("second round must hit the cache for %v", d)
+			for _, eng := range []*Engine[int]{serial, par} {
+				resp := eng.Route(d, data)
+				checkRouted(t, d, resp)
+				if round == 1 && !resp.CacheHit {
+					t.Fatalf("second round must hit the cache for %v", d)
+				}
+				pl := eng.cache.get(hashPerm(d), d)
+				if pl == nil || pl.Kind != resp.Kind {
+					t.Fatalf("plan for %v not cached as kind %v: %+v", d, resp.Kind, pl)
+				}
+				if res := eng.net.ExternalRoute(pl.Dest, pl.States); !res.OK() || !res.Realized.Equal(d) {
+					t.Fatalf("%v plan states for %v realize %v", pl.Kind, d, res.Realized)
+				}
+				kinds[pl.Kind]++
 			}
 		}
 	}
-	s := fast.Stats()
+	for _, k := range []PlanKind{PlanSelfRouted, PlanLooped, PlanParallel} {
+		if kinds[k] == 0 {
+			t.Fatalf("no %v plan resolved; kinds seen %v", k, kinds)
+		}
+	}
+	s := serial.Stats()
 	if s.Hits == 0 || s.Misses == 0 {
 		t.Fatalf("expected both hits and misses, got %+v", s)
 	}

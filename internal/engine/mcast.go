@@ -8,7 +8,6 @@ import (
 	"repro/internal/bits"
 	"repro/internal/mcast"
 	"repro/internal/netsim"
-	"repro/internal/perm"
 )
 
 // ErrEmptyMapping rejects multicast requests with no assigned outputs.
@@ -22,10 +21,7 @@ type McastResponse[T any] struct {
 	Data []T
 	// CacheHit is true when the copy-network plan came from the LRU.
 	CacheHit bool
-	// Plan is the resolved plan (Kind PlanMulticast, Mcast non-nil),
-	// exposed so the fabric can fault-check its two B(n) phases.
-	Plan *Plan
-	Err  error
+	Err      error
 }
 
 // RouteMulticast serves one fan-out mapping synchronously in the
@@ -61,14 +57,6 @@ func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 	}
 
 	t0 := time.Now()
-	if e.cfg.ReplayStates {
-		// Full-fidelity mode: evaluate the whole plan gate by gate and
-		// insist on exact multiset delivery before touching the payload.
-		if res := pl.Mcast.Route(e.net); !res.OK() {
-			e.met.errors.Add(1)
-			return McastResponse[T]{Err: fmt.Errorf("engine: multicast replay misrouted sources %v", res.Misrouted)}
-		}
-	}
 	out := mcast.Apply(pl.Mcast, data, nil)
 	e.met.Apply.Observe(time.Since(t0))
 
@@ -83,7 +71,7 @@ func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 		return McastResponse[T]{Err: err}
 	}
 	e.met.mcastCopies.Add(int64(copies))
-	return McastResponse[T]{Data: out, CacheHit: hit, Plan: pl}
+	return McastResponse[T]{Data: out, CacheHit: hit}
 }
 
 // PrewarmMulticast resolves and caches the copy-network plan for m
@@ -204,11 +192,10 @@ func (e *Engine[T]) walkMcastOutputs(sh, ladSh *netsim.RecorderShard, mp *mcast.
 // and memoizes the one repeat that does happen — a hot flow producing
 // the same frame repeatedly.
 //
-// The two-step Prepare/ServePrepared split exists for the fabric's
-// fault check: Prepare compiles the plan and exposes its two B(n)
-// permutations, the plane simulates them against its injected faults,
-// and only then does ServePrepared commit the accounting and the
-// per-output verification walks.
+// The two-step Prepare/ServePrepared split separates a property of the
+// mapping from a property of the plane: a Prepare error means the
+// mapping cannot compile anywhere, a ServePrepared error means this
+// plane misdelivered an output.
 type McastFrameServer[T any] struct {
 	e        *Engine[T]
 	comp     *mcast.Compiler
@@ -278,15 +265,6 @@ func (fs *McastFrameServer[T]) Prepare(m mcast.Mapping) error {
 	fs.prepared = true
 	return nil
 }
-
-// DistPerm returns the prepared plan's distribute-phase permutation;
-// PermPerm the permute-phase one. Valid after a successful Prepare,
-// and only until the next Prepare call — the fabric fault-checks them
-// between the two steps.
-func (fs *McastFrameServer[T]) DistPerm() perm.Perm { return fs.plan.Dist }
-
-// PermPerm returns the prepared plan's permute-phase permutation.
-func (fs *McastFrameServer[T]) PermPerm() perm.Perm { return fs.plan.Perm }
 
 // ServePrepared commits the prepared frame: folds the three phase
 // settings into the flight recorder and walks each listed output

@@ -53,8 +53,8 @@ func TestRouteMulticast(t *testing.T) {
 	if resp.CacheHit {
 		t.Fatal("first route reported a cache hit")
 	}
-	if resp.Plan == nil || resp.Plan.Kind != PlanMulticast || resp.Plan.Mcast == nil {
-		t.Fatalf("plan not multicast: %+v", resp.Plan)
+	if pl := e.cache.getMapping(hashMapping(m), m); pl == nil || pl.Kind != PlanMulticast || pl.Mcast == nil {
+		t.Fatalf("plan not cached as multicast: %+v", pl)
 	}
 	checkMcastData(t, m, resp.Data)
 
@@ -79,12 +79,11 @@ func TestRouteMulticast(t *testing.T) {
 	}
 }
 
+// TestRouteMulticastReplay serves a full broadcast, then replays the
+// cached copy-network plan gate by gate: every source must reach
+// exactly the outputs the mapping assigns it.
 func TestRouteMulticastReplay(t *testing.T) {
-	e, err := New[int](Config{LogN: 3, Workers: 1, ReplayStates: true})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer e.Close()
+	e := newMcastEngine(t, 3, nil)
 	n := e.Network().N()
 	m := make(mcast.Mapping, n)
 	for out := range m {
@@ -92,9 +91,16 @@ func TestRouteMulticastReplay(t *testing.T) {
 	}
 	resp := e.RouteMulticast(m, identityData(n))
 	if resp.Err != nil {
-		t.Fatalf("RouteMulticast with replay: %v", resp.Err)
+		t.Fatalf("RouteMulticast: %v", resp.Err)
 	}
 	checkMcastData(t, m, resp.Data)
+	pl := e.cache.getMapping(hashMapping(m), m)
+	if pl == nil {
+		t.Fatal("broadcast plan not cached")
+	}
+	if res := pl.Mcast.Route(e.net); !res.OK() {
+		t.Fatalf("replayed plan misrouted sources %v", res.Misrouted)
+	}
 }
 
 func TestRouteMulticastRandom(t *testing.T) {
@@ -165,12 +171,6 @@ func TestMcastFrameServer(t *testing.T) {
 	m := mcast.Mapping{1, 1, 1, 4, -1, 4, 6, -1}
 	if err := fs.Prepare(m); err != nil {
 		t.Fatalf("Prepare: %v", err)
-	}
-	if got := fs.DistPerm(); len(got) != n {
-		t.Fatalf("DistPerm length %d, want %d", len(got), n)
-	}
-	if got := fs.PermPerm(); len(got) != n {
-		t.Fatalf("PermPerm length %d, want %d", len(got), n)
 	}
 	outs := []int{0, 1, 2, 3, 5, 6}
 	if err := fs.ServePrepared(outs); err != nil {

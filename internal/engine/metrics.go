@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"expvar"
 	"strconv"
 
 	"repro/internal/obs"
@@ -121,8 +120,8 @@ func (m *Metrics) Probes() int64 { return m.probes.Value() }
 // worker.
 func (m *Metrics) QueueDepth() int64 { return m.queueDepth.Load() }
 
-// Snapshot is the expvar-style export of Metrics: a plain value that
-// marshals to JSON, suitable for expvar.Func or an HTTP stats handler.
+// Snapshot is the JSON export of Metrics: a plain value an HTTP stats
+// handler marshals directly.
 type Snapshot struct {
 	Requests      int64   `json:"requests"`
 	Batches       int64   `json:"batches"`
@@ -188,12 +187,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		s.HitRate = float64(s.Hits) / float64(lookups)
 	}
 	return s
-}
-
-// Var adapts the metrics to an expvar.Var so callers can
-// expvar.Publish them under /debug/vars.
-func (m *Metrics) Var() expvar.Var {
-	return expvar.Func(func() any { return m.Snapshot() })
 }
 
 // Register exports the engine's counters, gauges, and per-stage

@@ -53,8 +53,8 @@ func TestHistogramEdges(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSON checks the expvar-style export is valid JSON with
-// the advertised fields.
+// TestSnapshotJSON checks the snapshot marshals to JSON with the
+// advertised fields.
 func TestSnapshotJSON(t *testing.T) {
 	eng, err := New[int](Config{LogN: 3})
 	if err != nil {
@@ -65,10 +65,13 @@ func TestSnapshotJSON(t *testing.T) {
 	eng.Route(d, payload(8))
 	eng.Route(d, payload(8))
 
-	raw := eng.Metrics().Var().String() // expvar.Func renders JSON
+	raw, err := json.Marshal(eng.Metrics().Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var decoded map[string]any
-	if err := json.Unmarshal([]byte(raw), &decoded); err != nil {
-		t.Fatalf("expvar output is not JSON: %v\n%s", err, raw)
+	if err := json.Unmarshal(raw, &decoded); err != nil {
+		t.Fatalf("snapshot is not JSON: %v\n%s", err, raw)
 	}
 	for _, field := range []string{"requests", "hits", "misses", "fallbacks", "queue_depth", "wait", "plan", "apply"} {
 		if _, ok := decoded[field]; !ok {

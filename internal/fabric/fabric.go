@@ -83,9 +83,9 @@ type frame[T any] struct {
 	pkts       []Packet[T]
 	srcs, dsts []int
 
-	outSrc []int
-	mcast  bool
-	mpkts  int
+	outSrc  []int
+	mcast   bool
+	mpkts   int
 	mcopies int
 }
 
@@ -173,9 +173,9 @@ type Config struct {
 	// per-switch traversal, flip, and fault-hit counters, served by
 	// PlaneRecorder and exported per stage by Register. Frames count
 	// traversals for their real packets only (filler assignments pin
-	// switches but move nothing), and a damaged plane's per-frame
-	// fault-check simulation contributes fault hits without double
-	// counting traversals.
+	// switches but move nothing). A probe of a damaged plane counts
+	// fault hits only: one per stuck switch its tags wanted the other
+	// way.
 	Record bool
 	// Journal, when enabled, receives one hash-chained record per
 	// verified frame (unicast and multicast), collective round, fault
@@ -441,13 +441,12 @@ func (f *Fabric[T]) Send(p Packet[T]) error {
 	return nil
 }
 
-// InjectFaults freezes switches of plane id in their stuck states,
-// simulated through the gate-level concurrent fabric of
-// internal/netsim, and takes the plane out of rotation immediately:
-// it holds no queued frames beyond its channel window, its shard's
-// frames fail over at dispatch, and new flows rehash to the surviving
-// planes. (Frames racing the injection are caught by the per-frame
-// fault-check pass.) The damaged plane still answers ProbePlane — that
+// InjectFaults freezes switches of plane id in their stuck states and
+// takes the plane out of rotation before the faults take effect: every
+// frame or round dispatched after InjectFaults returns fails over to a
+// surviving plane, and new flows rehash away from it. One already past
+// the health check finishes on the plane's fault-free engine, exactly
+// as with FailPlane. The damaged plane still answers ProbePlane — that
 // is how a diagnosis session localizes the stuck switch while traffic
 // routes around it. Injecting an empty fault set repairs and restores
 // the plane.
@@ -457,7 +456,7 @@ func (f *Fabric[T]) InjectFaults(id int, faults []core.Fault) error {
 	}
 	for _, flt := range faults {
 		// Operator input: reject out-of-range coordinates here rather than
-		// panic in the gate-level simulator rebuild.
+		// panic in core's fault model at probe time.
 		if err := f.planes[id].eng.Network().CheckFault(flt); err != nil {
 			return err
 		}
@@ -470,10 +469,12 @@ func (f *Fabric[T]) InjectFaults(id int, faults []core.Fault) error {
 // ProbePlane runs one diagnosis probe through plane id and returns the
 // realized permutation — the fabric's Oracle hook for package diagnose
 // (wrap it in a diagnose.OracleFunc). The pass moves no payload and
-// touches no VOQ: a damaged plane answers from its gate-level fault
-// simulator, a healthy one from its engine's ProbeRoute, and both
-// bypass the plan cache and the looping fallback so the observation
-// reflects the self-setting switch logic alone. Probing works on
+// touches no VOQ: a damaged plane answers from core.RouteWithFaults
+// over its injected faults, recording a fault hit for each stuck switch
+// the probe's tags wanted the other way; a healthy one answers from its
+// engine's ProbeRoute. Both bypass the plan cache and the looping
+// fallback, so the observation reflects the self-setting switch logic
+// alone. Probing works on
 // planes that are out of rotation — that is the point: diagnosis
 // localizes the stuck switch while production traffic routes around
 // the plane.

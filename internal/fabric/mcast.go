@@ -202,11 +202,9 @@ func (v *voqShard[T]) claimMulticast(fr *frame[T], partial []int, taken []bool, 
 }
 
 // routeMcastFrame serves one mapping frame synchronously: compile the
-// copy-network plan, fault-check its two B(n) phases against the
-// plane's injected damage (the ladder section is not part of the
-// plane's binary gate model), then commit the accounting and verify
-// every listed output. As with routeFrame, any error means nothing was
-// delivered and the caller fails the frame over.
+// copy-network plan, then commit the accounting and verify every listed
+// output. As with routeFrame, any error means nothing was delivered and
+// the caller fails the frame over.
 func (p *plane) routeMcastFrame(fs *engine.McastFrameServer[int], m mcast.Mapping, outs []int) error {
 	if !p.healthy.Load() {
 		p.failovers.Add(1)
@@ -217,11 +215,6 @@ func (p *plane) routeMcastFrame(fs *engine.McastFrameServer[int], m mcast.Mappin
 		// plane: count the refusal but leave the plane in rotation.
 		p.failovers.Add(1)
 		return fmt.Errorf("fabric: plane %d: %w", p.id, err)
-	}
-	if !p.checkFaults(fs.DistPerm()) || !p.checkFaults(fs.PermPerm()) {
-		p.healthy.Store(false)
-		p.failovers.Add(1)
-		return fmt.Errorf("fabric: plane %d misroutes mapping frame: %w", p.id, errPlaneDown)
 	}
 	rtt := time.Now()
 	err := fs.ServePrepared(outs)
@@ -286,8 +279,8 @@ func (f *Fabric[T]) dispatchMcast(home int, servers []*engine.McastFrameServer[i
 // routeMcastRound serves one whole-mapping collective round on this
 // plane: the engine resolves (or reuses) the cached copy-network plan,
 // fans the identity payload out, and verifies every assigned output by
-// its backward walk; the plane then fault-checks the plan's two B(n)
-// phases and re-verifies the delivered payload port by port.
+// its backward walk; the plane then re-verifies the delivered payload
+// port by port.
 func (p *plane) routeMcastRound(m mcast.Mapping) (bool, error) {
 	if !p.healthy.Load() {
 		p.failovers.Add(1)
@@ -302,13 +295,6 @@ func (p *plane) routeMcastRound(m mcast.Mapping) (bool, error) {
 		p.healthy.Store(false)
 		p.failovers.Add(1)
 		return false, fmt.Errorf("fabric: plane %d: %w", p.id, resp.Err)
-	}
-	if !p.checkFaults(resp.Plan.Mcast.Dist) || !p.checkFaults(resp.Plan.Mcast.Perm) {
-		// Rounds move only the identity payload, so a post-route fault
-		// check loses nothing: the round simply retries elsewhere.
-		p.healthy.Store(false)
-		p.failovers.Add(1)
-		return false, fmt.Errorf("fabric: plane %d misroutes multicast round: %w", p.id, errPlaneDown)
 	}
 	verify := time.Now()
 	for out, src := range m {

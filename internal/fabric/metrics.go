@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"expvar"
 	"strconv"
 	"sync/atomic"
 
@@ -38,15 +37,12 @@ type metrics struct {
 	// backpressured slow path), scheduling (Match), transmission
 	// (PlaneRTT), and the exactly-once check (Verify, populated by the
 	// round path; frames verify inside the plane serve, timed by the
-	// engine's Apply histogram). FaultCheck times the gate-level
-	// simulator pass a damaged plane runs per frame, fed by netsim's
-	// timing hook.
+	// engine's Apply histogram).
 	VOQWait     obs.Histogram // packet enqueue -> extraction into a frame
 	EnqueueWait obs.Histogram // time a Block-policy sender spent parked on a full ring
 	Match       obs.Histogram // one matching extraction (buildFrame)
 	PlaneRTT    obs.Histogram // plane round-trip: engine route of a frame or round
 	Verify      obs.Histogram // output-port verification of a round
-	FaultCheck  obs.Histogram // gate-level fault-check simulation per frame
 
 	// Size histograms (fed by ObserveValue, not durations): how many
 	// real packets each scheduler→router handoff carried, and how many
@@ -93,14 +89,13 @@ type StageSnapshot struct {
 	Match       obs.HistogramSnapshot `json:"match"`
 	PlaneRTT    obs.HistogramSnapshot `json:"plane_rtt"`
 	Verify      obs.HistogramSnapshot `json:"verify"`
-	FaultCheck  obs.HistogramSnapshot `json:"fault_check"`
 
 	HandoffBatch obs.HistogramSnapshot `json:"handoff_batch"`
 	Coalesce     obs.HistogramSnapshot `json:"coalesce"`
 }
 
 // Snapshot is a point-in-time, JSON-friendly view of a running fabric,
-// in the same expvar style as engine.Snapshot. Counters are read
+// in the same style as engine.Snapshot. Counters are read
 // atomically but independently: a snapshot taken mid-flight may be a
 // few packets out of phase between fields (e.g. Accepted vs Delivered),
 // which is inherent to lock-free stitching and harmless for
@@ -159,7 +154,6 @@ func (f *Fabric[T]) Stats() Snapshot {
 			Match:       f.met.Match.Snapshot(),
 			PlaneRTT:    f.met.PlaneRTT.Snapshot(),
 			Verify:      f.met.Verify.Snapshot(),
-			FaultCheck:  f.met.FaultCheck.Snapshot(),
 
 			HandoffBatch: f.met.HandoffBatch.Snapshot(),
 			Coalesce:     f.met.Coalesce.Snapshot(),
@@ -194,11 +188,6 @@ func (f *Fabric[T]) Stats() Snapshot {
 		s.VOQ.Occupied += c.Occupied
 	}
 	return s
-}
-
-// Var adapts the fabric to an expvar.Var for /debug/vars publishing.
-func (f *Fabric[T]) Var() expvar.Var {
-	return expvar.Func(func() any { return f.Stats() })
 }
 
 // Register exports the fabric into reg: fabric counters, queue and
@@ -243,7 +232,6 @@ func (f *Fabric[T]) Register(reg *obs.Registry) {
 	reg.RegisterHistogram("benes_fabric_match_seconds", "Matching extraction (one scheduler tick).", nil, &m.Match)
 	reg.RegisterHistogram("benes_fabric_plane_seconds", "Plane round-trip for one frame or round.", nil, &m.PlaneRTT)
 	reg.RegisterHistogram("benes_fabric_verify_seconds", "Output-port verification of a round.", nil, &m.Verify)
-	reg.RegisterHistogram("benes_fabric_faultcheck_seconds", "Gate-level fault-check simulation per frame on a damaged plane.", nil, &m.FaultCheck)
 	reg.RegisterSizeHistogram("benes_fabric_handoff_batch_size", "Real packets per frame handed from a scheduler to its router.", nil, &m.HandoffBatch)
 	reg.RegisterSizeHistogram("benes_fabric_coalesce_size", "Packets delivered per coalesced frame drain.", nil, &m.Coalesce)
 	for _, p := range f.planes {

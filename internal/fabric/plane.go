@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/netsim"
 	"repro/internal/perm"
 )
 
@@ -37,12 +36,12 @@ type plane struct {
 	rounds    atomic.Int64 // collective rounds this plane routed successfully
 	failovers atomic.Int64 // frames or rounds this plane rejected or misrouted
 
-	// Injected damage: stuck switches simulated through the concurrent
-	// gate-level fabric of internal/netsim. Guarded by mu; sim is
-	// rebuilt whenever the fault set changes.
+	// Injected damage: the stuck switches probes route through. Guarded
+	// by mu and replaced, never mutated, so a reader may keep the slice.
+	// A plane with faults is never healthy (see inject), so traffic
+	// never meets them; only probes do.
 	mu     sync.Mutex
 	faults []core.Fault
-	sim    *netsim.Engine
 }
 
 func newPlane(id int, cfg engine.Config, met *metrics) (*plane, error) {
@@ -58,41 +57,23 @@ func newPlane(id int, cfg engine.Config, met *metrics) (*plane, error) {
 	return p, nil
 }
 
-// inject sets the plane's stuck-switch faults. An empty set heals the
-// plane and brings it back into rotation.
+// inject sets the plane's stuck-switch faults. A non-empty set takes
+// the plane out of rotation before it is published, so every frame or
+// round dispatched after inject returns fails over; one already past
+// the health check finishes on the fault-free engine, as with
+// FailPlane. An empty set heals the plane: the faults are cleared
+// before the plane rejoins the rotation. Holding mu across both steps
+// keeps concurrent injections from leaving a healthy plane with faults.
 func (p *plane) inject(faults []core.Fault) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(faults) > 0 {
+		p.healthy.Store(false)
+	}
 	p.faults = append([]core.Fault(nil), faults...)
 	if len(faults) == 0 {
-		p.sim = nil
-	} else {
-		p.sim = netsim.NewWithFaults(p.eng.Network(), faults)
-		if p.met != nil {
-			p.sim.SetTimingHook(p.met.FaultCheck.Observe)
-		}
-		// The fault-check pass contributes only fault-hit coordinates:
-		// the serving engine already accounts traversals and flips, and
-		// a check pass moves no payload.
-		p.sim.SetFaultRecorder(p.eng.Recorder())
+		p.healthy.Store(true)
 	}
-	p.mu.Unlock()
-	p.healthy.Store(len(faults) == 0)
-}
-
-// checkFaults runs a frame's destination vector through the damaged
-// gate-level simulator and reports whether it still self-routes
-// cleanly. A misroute means the plane's hardware would deliver at least
-// one tag to the wrong port — the output-port tag check every frame
-// carries — so the frame must be re-routed elsewhere.
-func (p *plane) checkFaults(dest perm.Perm) bool {
-	p.mu.Lock()
-	sim := p.sim
-	p.mu.Unlock()
-	if sim == nil {
-		return true
-	}
-	res, _ := sim.RouteOne(dest)
-	return res.OK()
 }
 
 // routeFrame serves one frame synchronously in the caller's goroutine:
@@ -106,13 +87,6 @@ func (p *plane) routeFrame(fs *engine.FrameServer[int], dest perm.Perm, srcs []i
 	if !p.healthy.Load() {
 		p.failovers.Add(1)
 		return errPlaneDown
-	}
-	if !p.checkFaults(dest) {
-		// First misroute detected: take the plane out of rotation. Its
-		// engine keeps running so a later inject(nil) can restore it.
-		p.healthy.Store(false)
-		p.failovers.Add(1)
-		return fmt.Errorf("fabric: plane %d misroutes frame: %w", p.id, errPlaneDown)
 	}
 	rtt := time.Now()
 	err := fs.Serve(dest, srcs)
@@ -138,11 +112,6 @@ func (p *plane) routeRound(dest perm.Perm) (engine.PlanKind, bool, error) {
 	if !p.healthy.Load() {
 		p.failovers.Add(1)
 		return 0, false, errPlaneDown
-	}
-	if !p.checkFaults(dest) {
-		p.healthy.Store(false)
-		p.failovers.Add(1)
-		return 0, false, fmt.Errorf("fabric: plane %d misroutes round: %w", p.id, errPlaneDown)
 	}
 	rtt := time.Now()
 	resp := p.eng.Route(dest, p.ident)
@@ -202,12 +171,6 @@ func (p *plane) routeRoundBatch(dests []perm.Perm, out []RoundResult) (int, erro
 	next := 0
 	for done := 0; done < len(dests); done++ {
 		for next < len(dests) && next-done < roundWindow {
-			if !p.checkFaults(dests[next]) {
-				// Stop feeding the pipeline; submitted-but-uncollected
-				// rounds are abandoned (their buffered responses are
-				// simply dropped) and retried elsewhere.
-				return fail(done, fmt.Errorf("fabric: plane %d misroutes round: %w", p.id, errPlaneDown))
-			}
 			subAt[next%roundWindow] = time.Now()
 			ring[next%roundWindow] = p.eng.Submit(engine.Request[int]{Dest: dests[next], Data: p.ident})
 			next++
@@ -237,26 +200,36 @@ func (p *plane) routeRoundBatch(dests []perm.Perm, out []RoundResult) (int, erro
 
 // probe answers one diagnosis probe on this plane: load d's tags, let
 // the switches set themselves, report where every tag landed. On a
-// damaged plane the pass runs through the gate-level simulator carrying
-// the injected faults — the realized permutation then bears the fault's
-// misroute fingerprint; on a healthy plane it is the engine's
-// gate-faithful ProbeRoute. Either way the serving path's plan cache
-// and looping fallback are bypassed: a probe reports what the
-// self-setting hardware does, not what a corrected setup would do.
+// damaged plane the pass is core.RouteWithFaults over the injected
+// faults — the realized permutation then bears the fault's misroute
+// fingerprint — and every stuck switch whose upper-input tag wanted
+// the other state counts one fault hit in the plane recorder. On a
+// healthy plane it is the engine's gate-faithful ProbeRoute. Either way
+// the serving path's plan cache and looping fallback are bypassed: a
+// probe reports what the self-setting hardware does, not what a
+// corrected setup would do.
 func (p *plane) probe(d perm.Perm) (perm.Perm, error) {
 	p.mu.Lock()
-	sim := p.sim
+	faults := p.faults
 	p.mu.Unlock()
-	if sim == nil {
+	if len(faults) == 0 {
 		return p.eng.ProbeRoute(d)
 	}
-	if len(d) != p.eng.Network().N() {
-		return nil, fmt.Errorf("fabric: probe size %d does not match N=%d", len(d), p.eng.Network().N())
+	net := p.eng.Network()
+	if len(d) != net.N() {
+		return nil, fmt.Errorf("fabric: probe size %d does not match N=%d", len(d), net.N())
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	res, _ := sim.RouteOne(d)
+	res := net.RouteWithFaults(d, faults)
+	sh := p.eng.Recorder().Shard()
+	for _, f := range faults {
+		upper := res.TagTrace[f.Stage][2*f.Switch]
+		if wantCrossed := upper>>uint(net.ControlBit(f.Stage))&1 == 1; wantCrossed != f.StuckCrossed {
+			sh.FaultHit(f.Stage, f.Switch)
+		}
+	}
 	return res.Realized, nil
 }
 

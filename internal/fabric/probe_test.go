@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diagnose"
+	"repro/internal/netsim"
 	"repro/internal/perm"
 )
 
@@ -41,29 +42,68 @@ func TestProbePlaneHealthy(t *testing.T) {
 	}
 }
 
-// TestProbePlaneFaulty: with injected damage, probes must answer from
-// the gate-level fault simulator — realized permutations carrying the
-// fault's misroute fingerprint, matching core.RouteWithFaults exactly.
+// TestProbePlaneFaulty covers every single stuck fault at N=8 (2·5·4 =
+// 40) over 64 seeded permutations each. Probes of the damaged plane
+// must match core.RouteWithFaults and the netsim hardware view
+// (diagnose.NewSimOracle) exactly, and the plane recorder's fault hits
+// at the stuck coordinate must equal the number of probes whose tag
+// wanted the other state — counted independently by a recording netsim
+// pass over the same vectors.
 func TestProbePlaneFaulty(t *testing.T) {
-	f, err := New[int](Config{LogN: 3, Planes: 2}, func(Packet[int]) {})
+	const logN, probes = 3, 64
+	f, err := New[int](Config{LogN: logN, Planes: 2, Record: true}, func(Packet[int]) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	faults := []core.Fault{{Stage: 2, Switch: 1, StuckCrossed: true}}
-	if err := f.InjectFaults(1, faults); err != nil {
-		t.Fatal(err)
-	}
-	net := core.New(3)
+	net := core.New(logN)
 	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 20; trial++ {
-		d := perm.Random(net.N(), rng)
-		got, err := f.ProbePlane(1, d)
-		if err != nil {
-			t.Fatal(err)
+	rec := f.PlaneRecorder(1)
+	faults := 0
+	for stage := 0; stage < net.Stages(); stage++ {
+		for sw := 0; sw < net.SwitchesPerStage(); sw++ {
+			for _, crossed := range []bool{false, true} {
+				fault := []core.Fault{{Stage: stage, Switch: sw, StuckCrossed: crossed}}
+				if err := f.InjectFaults(1, fault); err != nil {
+					t.Fatal(err)
+				}
+				faults++
+				sim := diagnose.NewSimOracle(net, fault)
+				vectors := make([]perm.Perm, probes)
+				before := rec.Snapshot().Counts[stage].FaultHits[sw]
+				for k := range vectors {
+					d := perm.Random(net.N(), rng)
+					vectors[k] = d
+					got, err := f.ProbePlane(1, d)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := net.RouteWithFaults(d, fault).Realized; !got.Equal(want) {
+						t.Fatalf("fault %+v: probe %v realized %v, core says %v", fault[0], d, got, want)
+					}
+					if want, _ := sim.Probe(d); !got.Equal(want) {
+						t.Fatalf("fault %+v: probe %v realized %v, netsim says %v", fault[0], d, got, want)
+					}
+				}
+				hw := netsim.NewWithFaults(net, fault)
+				hwRec := netsim.NewRecorder(net, 1)
+				hw.SetRecorder(hwRec)
+				hw.Run(vectors)
+				want := hwRec.StageTotals(stage).FaultHits
+				if got := rec.Snapshot().Counts[stage].FaultHits[sw] - before; got != want {
+					t.Fatalf("fault %+v: %d fault hits recorded over %d probes, hardware view says %d",
+						fault[0], got, probes, want)
+				}
+			}
 		}
-		if want := net.RouteWithFaults(d, faults).Realized; !got.Equal(want) {
-			t.Fatalf("probe %v realized %v, fault model says %v", d, got, want)
+	}
+	if faults != 40 {
+		t.Fatalf("covered %d single faults, want 40", faults)
+	}
+	// Probes move no payload: the damaged plane recorded no traversals.
+	for s := 0; s < net.Stages(); s++ {
+		if tot := rec.StageTotals(s); tot.Traversed != 0 {
+			t.Fatalf("probes added %d traversals at stage %d", tot.Traversed, s)
 		}
 	}
 	// The undamaged sibling keeps answering healthily.
@@ -74,6 +114,9 @@ func TestProbePlaneFaulty(t *testing.T) {
 	}
 	if want := net.SelfRoute(d).Realized; !got.Equal(want) {
 		t.Fatalf("healthy plane 0 contaminated: %v vs %v", got, want)
+	}
+	if tot := f.PlaneRecorder(0).StageTotals(0); tot.FaultHits != 0 {
+		t.Fatalf("healthy plane 0 recorded fault hits: %+v", tot)
 	}
 }
 
@@ -102,8 +145,8 @@ func TestProbePlaneErrors(t *testing.T) {
 }
 
 // TestInjectFaultsValidates: out-of-range fault coordinates are
-// operator input and must come back as errors, not reach the
-// gate-level simulator's constructor panic; a rejected injection must
+// operator input and must come back as errors, not reach the panic in
+// core's fault model at probe time; a rejected injection must
 // leave the plane healthy and undamaged.
 func TestInjectFaultsValidates(t *testing.T) {
 	f, err := New[int](Config{LogN: 3, Planes: 1}, func(Packet[int]) {})

@@ -70,8 +70,8 @@ func TestFabricRecorderFrames(t *testing.T) {
 	}
 }
 
-// TestFabricRecorderFaultHits injects a stuck switch and checks the
-// per-frame fault-check pass lands fault hits at exactly the damaged
+// TestFabricRecorderFaultHits injects a stuck switch and checks a probe
+// of the damaged plane lands its fault hit at exactly the damaged
 // coordinate, without contributing traversals the serving engine would
 // then double count.
 func TestFabricRecorderFaultHits(t *testing.T) {
@@ -86,12 +86,11 @@ func TestFabricRecorderFaultHits(t *testing.T) {
 	if err := f.InjectFaults(0, []core.Fault{fault}); err != nil {
 		t.Fatal(err)
 	}
-	// Identity demands switch (0,0) straight: a fault-check pass over it
-	// must record the hit at exactly the damaged coordinate. (Injection
-	// takes the plane out of rotation immediately, so the check pass is
-	// normally reached only by frames racing the injection — drive it
-	// directly here.)
-	f.planes[0].checkFaults(perm.Identity(1 << logN))
+	// Identity demands switch (0,0) straight: a probe of plane 0 must
+	// record the hit at exactly the damaged coordinate.
+	if _, err := f.ProbePlane(0, perm.Identity(1<<logN)); err != nil {
+		t.Fatal(err)
+	}
 	// Rounds offered to the damaged plane fail over to plane 1.
 	res, err := f.RouteRound(perm.Identity(1<<logN), 0)
 	if err != nil {
@@ -102,8 +101,8 @@ func TestFabricRecorderFaultHits(t *testing.T) {
 	}
 
 	rec0 := f.PlaneRecorder(0)
-	if got := rec0.StageTotals(fault.Stage).FaultHits; got < 1 {
-		t.Fatalf("fault hits at stage %d = %d, want >= 1", fault.Stage, got)
+	if got := rec0.StageTotals(fault.Stage).FaultHits; got != 1 {
+		t.Fatalf("fault hits at stage %d = %d, want 1", fault.Stage, got)
 	}
 	snap := rec0.Snapshot()
 	for s := 0; s < snap.Stages; s++ {
@@ -112,9 +111,9 @@ func TestFabricRecorderFaultHits(t *testing.T) {
 				t.Fatalf("fault hit recorded at (%d,%d), only (%d,%d) is damaged", s, i, fault.Stage, fault.Switch)
 			}
 		}
-		// Plane 0 served nothing: the check pass must not add traversals.
+		// Plane 0 served nothing: the probe must not add traversals.
 		if tot := rec0.StageTotals(s); tot.Traversed != 0 {
-			t.Fatalf("fault-check pass added %d traversals at stage %d", tot.Traversed, s)
+			t.Fatalf("probe added %d traversals at stage %d", tot.Traversed, s)
 		}
 	}
 	rec1 := f.PlaneRecorder(1)

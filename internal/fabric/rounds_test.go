@@ -109,38 +109,31 @@ func TestRouteRoundFailover(t *testing.T) {
 	}
 }
 
-// TestRouteRoundFaultyPlane injects a stuck switch that damages the
-// requested permutation: the round must fail over and the plane must
-// drop out of rotation.
+// TestRouteRoundFaultyPlane injects a stuck switch on plane 0:
+// injection takes the plane out of rotation before the fault takes
+// effect, so the round fails over to plane 1 until the plane is
+// repaired.
 func TestRouteRoundFaultyPlane(t *testing.T) {
 	f := newRoundFabric(t, 3, 2)
 	d := perm.BitReversal(3)
-	// Find a fault that breaks bit reversal on plane 0: stuck-through
-	// on a switch the self-route needs crossed, scanning until one
-	// actually misroutes.
-	damaged := false
-	for stage := 0; stage < 5 && !damaged; stage++ {
-		for sw := 0; sw < 4 && !damaged; sw++ {
-			for _, crossed := range []bool{false, true} {
-				if err := f.InjectFaults(0, []core.Fault{{Stage: stage, Switch: sw, StuckCrossed: crossed}}); err != nil {
-					t.Fatal(err)
-				}
-				res, err := f.RouteRound(d, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Plane == 1 {
-					damaged = true
-					break
-				}
-				if err := f.RestorePlane(0); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
+	if err := f.InjectFaults(0, []core.Fault{{Stage: 2, Switch: 1, StuckCrossed: true}}); err != nil {
+		t.Fatal(err)
 	}
-	if !damaged {
-		t.Fatal("no injected fault damaged bit reversal; fault check never fired")
+	res, err := f.RouteRound(d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Plane != 1 {
+		t.Fatalf("round served by damaged plane %d, want failover to 1", res.Plane)
+	}
+	if h := f.Health(); h.PlanesHealthy != 1 {
+		t.Fatalf("planes healthy = %d after injection, want 1", h.PlanesHealthy)
+	}
+	if err := f.RestorePlane(0); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := f.RouteRound(d, 0); err != nil || res.Plane != 0 {
+		t.Fatalf("repaired plane 0 not back in rotation: plane %d, err %v", res.Plane, err)
 	}
 }
 

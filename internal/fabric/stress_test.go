@@ -16,7 +16,8 @@ import (
 // TestFabricConcurrentStress is the data-race audit for the stats and
 // control plane: while senders offer packet traffic and round clients
 // drive RouteRound, other goroutines concurrently snapshot Stats,
-// scrape the metrics registry, inject faults, and fail/restore planes.
+// scrape the metrics registry, probe planes, inject faults, and
+// fail/restore planes.
 // The test asserts no operation errors unexpectedly and, under
 // `go test -race`, that every counter, histogram, and health bit on
 // those paths is accessed atomically.
@@ -100,6 +101,31 @@ func TestFabricConcurrentStress(t *testing.T) {
 			reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 			if rec.Code != 200 {
 				t.Errorf("scrape: %d", rec.Code)
+			}
+		}
+	}()
+
+	// Diagnosis probes racing the chaos below on the planes it churns:
+	// whether a probe sees the plane damaged, healed or failed, it must
+	// answer with a valid permutation of N.
+	background.Add(1)
+	go func() {
+		defer background.Done()
+		rng := rand.New(rand.NewSource(11))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			got, err := f.ProbePlane(1+rng.Intn(planes-1), perm.Random(1<<logN, rng))
+			if err != nil {
+				t.Errorf("probe: %v", err)
+				return
+			}
+			if len(got) != 1<<logN || got.Validate() != nil {
+				t.Errorf("probe realized %v, not a permutation of %d", got, 1<<logN)
+				return
 			}
 		}
 	}()

@@ -135,16 +135,16 @@ type Checkpoint struct {
 // fresh network. Digest is the record's chain digest: SHA-256 over the
 // predecessor's digest followed by this record's encoded body.
 type Record struct {
-	Seq       uint64
-	Kind      Kind
-	Plane     int // -1 when the event is not plane-scoped
-	TimeNs    int64
-	Dest      []int
-	Srcs      []int
-	Faults    []core.Fault
-	Delivered uint64
+	Seq        uint64
+	Kind       Kind
+	Plane      int // -1 when the event is not plane-scoped
+	TimeNs     int64
+	Dest       []int
+	Srcs       []int
+	Faults     []core.Fault
+	Delivered  uint64
 	Checkpoint *Checkpoint
-	Digest    [DigestSize]byte
+	Digest     [DigestSize]byte
 }
 
 // Encoding constants. A record on the wire is a fixed header, a

@@ -34,8 +34,8 @@ type Plan struct {
 	// line slot, -1 for idle slots.
 	SlotSrc []int
 
-	Sources  int // distinct requested sources
-	Copies   int // assigned outputs (total fan-out)
+	Sources       int // distinct requested sources
+	Copies        int // assigned outputs (total fan-out)
 	BcastSwitches int // ladder switches in a broadcast state
 }
 

@@ -15,7 +15,6 @@ package netsim
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/bits"
 	"repro/internal/core"
@@ -39,39 +38,23 @@ func (v *VectorResult) OK() bool { return len(v.Misrouted) == 0 }
 
 // Engine is a concurrent instantiation of a Benes network.
 type Engine struct {
-	net    *core.Network
-	stuck  map[switchID]bool // injected faults: switch -> frozen state
-	timing func(time.Duration)
-
-	rec        *Recorder // gate-level flight recorder; nil = disabled
-	faultsOnly bool      // record only fault hits (fabric's per-frame checks)
-	omega      bool      // omega bit asserted: stages 0..n-2 forced straight
+	net   *core.Network
+	stuck map[switchID]bool // injected faults: switch -> frozen state
+	rec   *Recorder         // gate-level flight recorder; nil = disabled
+	omega bool              // omega bit asserted: stages 0..n-2 forced straight
 }
 
 // SetRecorder enables full gate-level accounting: every switch records
 // traversals, flips, forced settings, and fault hits into r. A nil r
 // disables recording; the per-message cost is then a single nil check.
-// Not safe to call concurrently with Run or Start.
-func (e *Engine) SetRecorder(r *Recorder) { e.rec, e.faultsOnly = r, false }
-
-// SetFaultRecorder enables fault-hit-only accounting: the one counter
-// a per-frame fault-check pass should contribute without also double
-// counting traversals the serving engine already records.
-func (e *Engine) SetFaultRecorder(r *Recorder) { e.rec, e.faultsOnly = r, true }
+// Not safe to call concurrently with Run.
+func (e *Engine) SetRecorder(r *Recorder) { e.rec = r }
 
 // SetOmega asserts or clears the omega bit (Section II): with it set,
 // switches in stages 0..n-2 are forced straight instead of reading
 // their control bit, so every Omega(n) permutation self-routes. Not
-// safe to call concurrently with Run or Start.
+// safe to call concurrently with Run.
 func (e *Engine) SetOmega(on bool) { e.omega = on }
-
-// SetTimingHook installs a callback invoked after every Run/RouteOne
-// with the wall-clock time the gate-level pass took — the hook the
-// observability layer uses to histogram simulator latency (e.g. the
-// fabric's per-frame fault checks). The hook runs in the caller's
-// goroutine and must be safe for concurrent use if the engine is.
-// A nil hook disables timing.
-func (e *Engine) SetTimingHook(h func(time.Duration)) { e.timing = h }
 
 type switchID struct{ stage, sw int }
 
@@ -102,10 +85,6 @@ func NewWithFaults(net *core.Network, faults []core.Fault) *Engine {
 // decided for the first vector so callers can compare against the
 // synchronous engine.
 func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
-	if e.timing != nil {
-		start := time.Now()
-		defer func() { e.timing(time.Since(start)) }()
-	}
 	N := e.net.N()
 	stages := e.net.Stages()
 	depth := len(vectors)
@@ -135,7 +114,6 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 		for i := 0; i < N/2; i++ {
 			frozen, isStuck := e.stuck[switchID{s, i}]
 			sh := e.rec.shardFor(s, i)
-			recordAll := sh != nil && !e.faultsOnly
 			wg.Add(1)
 			go func(s, i, cb int) {
 				defer wg.Done()
@@ -159,14 +137,12 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 						crossed = frozen
 					}
 					if sh != nil {
-						if recordAll {
-							sh.Traverse(s, i)
-							if forced {
-								sh.Forced(s, i)
-							}
-							if crossed != prev {
-								sh.Flip(s, i)
-							}
+						sh.Traverse(s, i)
+						if forced {
+							sh.Forced(s, i)
+						}
+						if crossed != prev {
+							sh.Flip(s, i)
 						}
 						if isStuck && desired != frozen {
 							sh.FaultHit(s, i)
@@ -182,9 +158,7 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 						upOut <- u
 					}
 					l := <-loIn
-					if recordAll {
-						sh.Traverse(s, i)
-					}
+					sh.Traverse(s, i)
 					if crossed {
 						upOut <- l
 					} else {

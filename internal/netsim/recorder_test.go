@@ -194,47 +194,16 @@ func TestRecorderFaultHits(t *testing.T) {
 		}
 	}
 
-	// Fault-only mode must contribute nothing but fault hits.
-	eng2 := NewWithFaults(net, []core.Fault{fault})
-	rec2 := NewRecorder(net, 1)
-	eng2.SetFaultRecorder(rec2)
-	eng2.RouteOne(id)
-	snap2 := rec2.Snapshot()
-	for s := 0; s < net.Stages(); s++ {
-		tot := rec2.StageTotals(s)
-		if tot.Traversed != 0 || tot.Flips != 0 || tot.Forced != 0 {
-			t.Fatalf("fault-only mode recorded extra counters at stage %d: %+v", s, tot)
-		}
-		_ = snap2
-	}
-	if got := rec2.StageTotals(fault.Stage).FaultHits; got != 1 {
-		t.Fatalf("fault-only mode fault hits = %d, want 1", got)
+	// A second pass through the same recorder adds exactly one more hit.
+	eng.RouteOne(id)
+	if got := rec.StageTotals(fault.Stage).FaultHits; got != 2 {
+		t.Fatalf("fault hits after two passes = %d, want 2", got)
 	}
 }
 
-// TestRecorderStream checks the persistent stream records the same
-// counts as one-shot runs, and that a nil recorder stays silent.
-func TestRecorderStream(t *testing.T) {
-	const n = 3
-	net := core.New(n)
-	eng := New(net)
-	rec := NewRecorder(net, 3)
-	eng.SetRecorder(rec)
-	st := eng.Start(2)
-	vectors := []perm.Perm{perm.BitReversal(n), perm.PerfectShuffle(n)}
-	for _, res := range st.RouteAll(vectors) {
-		if !res.OK() {
-			t.Fatalf("stream misrouted: %v", res.Misrouted)
-		}
-	}
-	st.Close()
-	for s := 0; s < net.Stages(); s++ {
-		if tot := rec.StageTotals(s); tot.Traversed != int64(len(vectors))*int64(net.N()) {
-			t.Fatalf("stream stage %d traversed %d, want %d", s, tot.Traversed, len(vectors)*net.N())
-		}
-	}
-
-	// Disabled path: a nil recorder must not panic anywhere.
+// TestRecorderNilInert checks a nil recorder stays silent: every
+// accessor and record call is a no-op rather than a panic.
+func TestRecorderNilInert(t *testing.T) {
 	var nilRec *Recorder
 	if nilRec.Shard() != nil || nilRec.Stages() != 0 || nilRec.SwitchesPerStage() != 0 {
 		t.Fatal("nil recorder accessors must be inert")
