@@ -405,7 +405,9 @@ type Health struct {
 // atomic read per plane plus the VOQ occupancy sums — and safe to call
 // from a probe handler on every scrape. VOQCapacity is the logical
 // bound N²·depth: under flow-hash affinity each (src, dst) flow owns
-// exactly one ring across all shards.
+// exactly one queue across all shards, which may grow to depth. It is
+// an admission bound, not allocated memory: queues allocate slots only
+// as they fill.
 func (f *Fabric[T]) Health() Health {
 	h := Health{
 		PlanesTotal: len(f.planes),
@@ -580,7 +582,7 @@ func (f *Fabric[T]) scheduler(i int) {
 }
 
 // drainShard seals plane i's shard — after which every accepted packet
-// is observable in its rings — and schedules the remainder.
+// is observable in its queues — and schedules the remainder.
 func (f *Fabric[T]) drainShard(i int) {
 	sh := f.shards[i]
 	sh.seal()

@@ -24,7 +24,7 @@ type MulticastPacket[T any] struct {
 // mpayload is the ring payload a multicast packet travels as: the
 // destination set rides inside a regular Packet (Dst holds the first
 // destination, which doubles as the flow-hash key), so the multicast
-// ingress reuses the same lock-free ring as the unicast VOQs.
+// ingress reuses the same queue type as the unicast VOQs.
 type mpayload[T any] struct {
 	dsts []int
 	data T
@@ -79,55 +79,21 @@ func (f *Fabric[T]) SendMulticast(p MulticastPacket[T]) error {
 	return nil
 }
 
-// mring returns input in's multicast ring, allocating it on first use.
-func (v *voqShard[T]) mring(in int) *voqRing[mpayload[T]] {
-	if r := v.mrings[in].Load(); r != nil {
-		return r
-	}
-	fresh := newVOQRing[mpayload[T]](v.depth)
-	if v.mrings[in].CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return v.mrings[in].Load()
-}
-
 // enqueueMcast publishes a wrapped multicast packet into its input's
-// ring, honouring the drop policy — the multicast twin of enqueue,
-// sharing the seal protocol, the Block parking lot, and the scheduler
-// wakeup.
+// queue, honouring the drop policy — the multicast twin of enqueue,
+// sharing the seal protocol, admit's Block parking lot, and the
+// scheduler wakeup.
 func (v *voqShard[T]) enqueueMcast(p Packet[mpayload[T]], policy DropPolicy) error {
 	v.inflight.Add(1)
 	defer v.inflight.Add(-1)
 	if v.sealed.Load() {
 		return ErrClosed
 	}
-	r := v.mring(p.Src)
-	if !r.push(p, time.Now().UnixNano()) {
-		if policy == DropNew {
-			v.counts[p.Src].dropped.Add(1)
-			return ErrBackpressure
-		}
-		t0 := time.Now()
-		v.blockMu.Lock()
-		parked := true
-		for parked {
-			if v.sealed.Load() {
-				v.blockMu.Unlock()
-				return ErrClosed
-			}
-			v.waiters.Add(1)
-			if r.push(p, time.Now().UnixNano()) {
-				v.waiters.Add(-1)
-				parked = false
-				break
-			}
-			v.space.Wait()
-			v.waiters.Add(-1)
-		}
-		v.blockMu.Unlock()
-		if v.met != nil {
-			v.met.EnqueueWait.ObserveSince(t0)
-		}
+	r := loadOrInit(&v.mrings[p.Src], func() *voqRing[mpayload[T]] {
+		return newVOQRing[mpayload[T]](v.depth)
+	})
+	if err := admit(v, r, p, policy); err != nil {
+		return err
 	}
 	v.mcastQueued.Add(1)
 	select {
@@ -137,16 +103,18 @@ func (v *voqShard[T]) enqueueMcast(p Packet[mpayload[T]], policy DropPolicy) err
 	return nil
 }
 
-// peek exposes the oldest published packet without consuming it.
-// Single consumer only; the returned pointer is valid until the next
-// pop.
+// peek exposes the oldest packet without consuming it. Single consumer
+// only; the returned pointer is valid until the next pop (a concurrent
+// grow copies the slot into a new buffer but never rewrites the old
+// one).
 func (r *voqRing[T]) peek() (*Packet[T], bool) {
-	pos := r.head.Load()
-	s := &r.slots[pos&r.mask]
-	if s.turn.Load() != pos>>r.shift<<1+1 {
+	if r.count.Load() == 0 {
 		return nil, false
 	}
-	return &s.pkt, true
+	r.mu.Lock()
+	p := &r.slots[r.head].pkt
+	r.mu.Unlock()
+	return p, true
 }
 
 // claimMulticast folds claimable multicast heads into the frame under

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -176,101 +177,156 @@ func TestFabricConcurrentStress(t *testing.T) {
 }
 
 // TestVOQShardConcurrentStress hammers one ingress shard directly —
-// the lock-free rings, nonempty bitmap, parking lot, and seal protocol
+// the per-flow queues, nonempty bitmap, parking lot, and seal protocol
 // — with concurrent producers (both policies), a consumer running
 // buildFrame, and a snapshot reader, so `go test -race` audits the
 // whole producer/consumer protocol without the planes in the way. The
-// invariant: after seal and final drain, every accepted packet was
-// extracted exactly once.
+// invariants: after seal and final drain, every accepted packet was
+// extracted exactly once, and each producer's packets left every flow
+// in the order it sent them.
+//
+// The uniform case spreads traffic over all 64 flows of a depth-4
+// shard. The hot case aims every producer at two flows of a depth-64
+// shard and holds the consumer back until both queues are full, so
+// each queue grows 2→64 under producer contention and the Block
+// producers then park on it while the consumer drains.
 func TestVOQShardConcurrentStress(t *testing.T) {
 	const (
 		n         = 8
-		depth     = 4
 		producers = 4
 		perProd   = 3000
 	)
-	v := newVOQShard[int](n, depth, nil)
+	hot := [2][2]int{{1, 6}, {3, 2}}
+	for _, tc := range []struct {
+		name  string
+		depth int
+		hot   bool
+	}{
+		{"uniform-depth4", 4, false},
+		{"hot-depth64", 64, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := newVOQShard[int](n, tc.depth, nil)
+			bound := ringDepth(tc.depth)
 
-	var accepted, consumed atomic.Int64
-	stop := make(chan struct{})
-	consumerDone := make(chan struct{})
-	go func() {
-		defer close(consumerDone)
-		fr := newFrame[int](n)
-		drain := func() {
-			for v.buildFrame(fr) {
-				consumed.Add(int64(len(fr.pkts)))
-			}
-		}
-		for {
-			if v.buildFrame(fr) {
-				consumed.Add(int64(len(fr.pkts)))
-				continue
-			}
-			select {
-			case <-v.notify:
-			case <-stop:
-				drain()
-				return
-			}
-		}
-	}()
+			// accepted[id] is written only by the producer that owns id;
+			// seen only by the consumer.
+			accepted := make([]bool, producers*perProd)
+			seen := make([]bool, producers*perProd)
+			stop := make(chan struct{})
+			consumerDone := make(chan struct{})
+			go func() {
+				defer close(consumerDone)
+				if tc.hot {
+					for v.occupancy() < int64(2*bound) {
+						runtime.Gosched()
+					}
+				}
+				last := make(map[[3]int]int) // (src, dst, producer) → last id
+				fr := newFrame[int](n)
+				take := func() bool {
+					if !v.buildFrame(fr) {
+						return false
+					}
+					for _, p := range fr.pkts {
+						if seen[p.Payload] {
+							t.Errorf("packet %d extracted twice", p.Payload)
+						}
+						seen[p.Payload] = true
+						key := [3]int{p.Src, p.Dst, p.Payload / perProd}
+						if prev, ok := last[key]; ok && prev >= p.Payload {
+							t.Errorf("flow %d→%d: producer %d's packet %d left after %d",
+								p.Src, p.Dst, key[2], p.Payload, prev)
+						}
+						last[key] = p.Payload
+					}
+					return true
+				}
+				for {
+					if take() {
+						continue
+					}
+					select {
+					case <-v.notify:
+					case <-stop:
+						for take() {
+						}
+						return
+					}
+				}
+			}()
 
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+			readerDone := make(chan struct{})
+			go func() {
+				defer close(readerDone)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if occ := v.occupancy(); occ < 0 {
+						t.Errorf("negative occupancy %d", occ)
+					}
+					for _, c := range v.snapshot() {
+						if c.Occupied < 0 || c.Enqueued < c.Occupied {
+							t.Errorf("inconsistent counters: %+v", c)
+						}
+					}
+				}
+			}()
+
+			var wg sync.WaitGroup
+			for s := 0; s < producers; s++ {
+				wg.Add(1)
+				go func(s int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(40 + s)))
+					policy := DropNew
+					if s%2 == 1 {
+						policy = Block
+					}
+					for k := 0; k < perProd; k++ {
+						src, dst := rng.Intn(n), rng.Intn(n)
+						if tc.hot {
+							f := hot[rng.Intn(2)]
+							src, dst = f[0], f[1]
+						}
+						id := s*perProd + k
+						switch err := v.enqueue(Packet[int]{Src: src, Dst: dst, Payload: id}, policy); {
+						case err == nil:
+							accepted[id] = true
+						case errors.Is(err, ErrBackpressure) && policy == DropNew:
+						default:
+							t.Errorf("enqueue: %v", err)
+						}
+					}
+				}(s)
 			}
-			if occ := v.occupancy(); occ < 0 {
-				t.Errorf("negative occupancy %d", occ)
-			}
-			for _, c := range v.snapshot() {
-				if c.Occupied < 0 || c.Enqueued < c.Occupied {
-					t.Errorf("inconsistent counters: %+v", c)
+			wg.Wait()
+			v.seal()
+			close(stop)
+			<-consumerDone
+			<-readerDone
+
+			for id := range accepted {
+				if accepted[id] != seen[id] {
+					t.Fatalf("packet %d: accepted %v but extracted %v", id, accepted[id], seen[id])
 				}
 			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for s := 0; s < producers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(40 + s)))
-			policy := DropNew
-			if s%2 == 1 {
-				policy = Block
+			if occ := v.occupancy(); occ != 0 {
+				t.Fatalf("shard should be empty after drain, occupancy %d", occ)
 			}
-			for k := 0; k < perProd; k++ {
-				p := Packet[int]{Src: rng.Intn(n), Dst: rng.Intn(n), Payload: k}
-				switch err := v.enqueue(p, policy); {
-				case err == nil:
-					accepted.Add(1)
-				case errors.Is(err, ErrBackpressure) && policy == DropNew:
-				default:
-					t.Errorf("enqueue: %v", err)
+			if tc.hot {
+				for _, f := range hot {
+					if got := len(v.ring(f[0], f[1]).slots); got != bound {
+						t.Fatalf("hot flow %d→%d grew to %d slots, want %d", f[0], f[1], got, bound)
+					}
 				}
 			}
-		}(s)
-	}
-	wg.Wait()
-	v.seal()
-	close(stop)
-	<-consumerDone
-	<-readerDone
-
-	if consumed.Load() != accepted.Load() {
-		t.Fatalf("accepted %d packets but consumed %d", accepted.Load(), consumed.Load())
-	}
-	if occ := v.occupancy(); occ != 0 {
-		t.Fatalf("shard should be empty after drain, occupancy %d", occ)
-	}
-	if err := v.enqueue(Packet[int]{Src: 0, Dst: 0}, DropNew); err != ErrClosed {
-		t.Fatalf("sealed shard must refuse senders, got %v", err)
+			if err := v.enqueue(Packet[int]{Src: 0, Dst: 0}, DropNew); !errors.Is(err, ErrClosed) {
+				t.Fatalf("sealed shard must refuse senders, got %v", err)
+			}
+		})
 	}
 }

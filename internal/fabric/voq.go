@@ -32,43 +32,34 @@ func (p DropPolicy) String() string {
 	return "unknown"
 }
 
-// voqSlot is one ring slot. turn is the slot's lap word: ticket pos
-// (lap = pos >> shift) may push when turn == 2·lap, the packet is
-// published to the consumer by storing 2·lap+1, and the consumer frees
-// the slot for the next lap by storing 2·lap+2. The encoding starts at
-// zero — "free for lap 0" — so a freshly allocated ring needs no
-// initialization pass beyond Go's zeroing, which keeps the lazy
-// per-flow allocation in ring() cheap. enq is the enqueue wall clock in
-// UnixNano (an int64, not a time.Time, to keep slots small: rings exist
-// per (input, output) flow and their footprint is the fabric's memory
+// voqSlot is one queue slot. enq is the enqueue wall clock in UnixNano
+// (an int64, not a time.Time, to keep slots small: queues exist per
+// (input, output) flow and their footprint is the fabric's memory
 // bill).
 type voqSlot[T any] struct {
-	turn atomic.Uint64
-	pkt  Packet[T]
-	enq  int64
+	pkt Packet[T]
+	enq int64
 }
 
-// voqRing is one (input, output) virtual output queue: a bounded
-// lock-free ring in the style of Vyukov's bounded MPMC queue, used here
+// voqRing is one (input, output) virtual output queue: a bounded FIFO
 // with many producers (senders) and a single consumer (the owning
-// shard's scheduler goroutine). Producers claim a ticket with one CAS
-// on tail and publish with one store to the slot's turn word; the
-// consumer needs no CAS at all. Capacity is rounded up to a power of
-// two so slot indexing is a mask.
+// shard's scheduler goroutine), guarded by a per-flow mutex. It holds
+// no slots until its first push, then starts at 2 and doubles on
+// demand up to max, so memory follows the flow's occupancy instead of
+// its bound; the buffer never shrinks. Uncontended, a push or pop costs
+// the lock's CAS plus the unlock — as many atomic read-modify-writes as
+// a lock-free ticket ring — and a flow's producers rarely collide.
+// count mirrors the occupancy so size needs no lock.
 type voqRing[T any] struct {
-	mask  uint64
-	shift uint
-	slots []voqSlot[T]
-	_     [32]byte // keep head off the producers' tail line
-	head  atomic.Uint64
-	_     [56]byte
-	tail  atomic.Uint64
+	mu    sync.Mutex
+	slots []voqSlot[T] // power-of-two length; nil until the first push
+	head  int          // slot index of the oldest packet
+	max   int          // bound on len(slots)
+	count atomic.Int64
 }
 
-// ringDepth rounds depth up to the power of two the ring actually
-// allocates, minimum 2: with a single slot the sequence value that
-// marks "free for ticket t" equals the one that marks "published by
-// ticket t-1", so the ring cannot tell a full slot from an empty one.
+// ringDepth rounds depth up to the power of two a queue may grow to,
+// minimum 2 (its first allocation).
 func ringDepth(depth int) int {
 	size := 2
 	for size < depth {
@@ -78,59 +69,68 @@ func ringDepth(depth int) int {
 }
 
 func newVOQRing[T any](depth int) *voqRing[T] {
-	size := ringDepth(depth)
-	return &voqRing[T]{
-		mask:  uint64(size - 1),
-		shift: uint(bits.TrailingZeros(uint(size))),
-		slots: make([]voqSlot[T], size),
-	}
+	return &voqRing[T]{max: ringDepth(depth)}
 }
 
-// push publishes one packet; false means the ring is full.
+// push appends one packet; false means the queue is at its bound.
 func (r *voqRing[T]) push(p Packet[T], enq int64) bool {
-	for {
-		pos := r.tail.Load()
-		s := &r.slots[pos&r.mask]
-		switch d := int64(s.turn.Load()) - int64(pos>>r.shift<<1); {
-		case d == 0:
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				s.pkt, s.enq = p, enq
-				s.turn.Store((pos>>r.shift)<<1 + 1)
-				return true
-			}
-		case d < 0:
-			// The slot still holds the previous lap's packet: full.
+	r.mu.Lock()
+	n := int(r.count.Load())
+	if n == len(r.slots) {
+		if n == r.max {
+			r.mu.Unlock()
 			return false
 		}
-		// d > 0 or a lost CAS: another producer advanced tail; retry.
+		r.grow()
 	}
+	r.slots[(r.head+n)&(len(r.slots)-1)] = voqSlot[T]{pkt: p, enq: enq}
+	r.count.Add(1)
+	r.mu.Unlock()
+	return true
+}
+
+// grow doubles a full buffer (or makes the first one), unwrapping it so
+// the oldest packet lands at index 0. Caller holds mu.
+func (r *voqRing[T]) grow() {
+	slots := make([]voqSlot[T], max(2, 2*len(r.slots)))
+	n := copy(slots, r.slots[r.head:])
+	copy(slots[n:], r.slots[:r.head])
+	r.slots, r.head = slots, 0
 }
 
 // pop takes the oldest packet; enq is its enqueue UnixNano. Single
 // consumer only.
 func (r *voqRing[T]) pop() (Packet[T], int64, bool) {
-	pos := r.head.Load()
-	s := &r.slots[pos&r.mask]
-	lap := pos >> r.shift << 1
-	if s.turn.Load() != lap+1 {
+	if r.count.Load() == 0 {
 		var zero Packet[T]
 		return zero, 0, false
 	}
+	r.mu.Lock()
+	s := &r.slots[r.head]
 	p, enq := s.pkt, s.enq
-	var zero Packet[T]
-	s.pkt = zero // release payload and trace references
-	s.turn.Store(lap + 2)
-	r.head.Store(pos + 1)
+	*s = voqSlot[T]{} // release payload and trace references
+	r.head = (r.head + 1) & (len(r.slots) - 1)
+	r.count.Add(-1)
+	r.mu.Unlock()
 	return p, enq, true
 }
 
-// size is the approximate occupancy; exact when producers are quiescent.
+// size is the occupancy; exact when producers are quiescent.
 func (r *voqRing[T]) size() int64 {
-	t, h := r.tail.Load(), r.head.Load()
-	if t < h {
-		return 0
+	return r.count.Load()
+}
+
+// loadOrInit returns *p, installing fresh() first when it is nil. CAS
+// losers discard their allocation, so every pointer settles on one
+// value.
+func loadOrInit[E any](p *atomic.Pointer[E], fresh func() *E) *E {
+	if e := p.Load(); e != nil {
+		return e
 	}
-	return int64(t - h)
+	if e := fresh(); p.CompareAndSwap(nil, e) {
+		return e
+	}
+	return p.Load()
 }
 
 // voqInputCounters is the per-input slice of VOQ accounting, exported
@@ -143,28 +143,33 @@ type voqInputCounters struct {
 	maxDepth atomic.Int64 // high-water mark of occupied
 }
 
-// voqShard is one switching plane's slice of the fabric ingress: a
-// lazily allocated N² grid of lock-free rings, a per-input nonempty
-// bitmap, and the iSLIP-style rotating pointers of its scheduler. Flow
-// hashing assigns every (src, dst) flow to exactly one shard, so across
-// shards only N² rings are ever in use; rings materialize on a flow's
-// first packet (a CAS on the grid pointer), which keeps an idle shard's
-// footprint at one pointer per pair instead of a full ring.
+// voqRow is one input's slice of a shard's grid: a queue pointer per
+// output.
+type voqRow[T any] []atomic.Pointer[voqRing[T]]
+
+// voqShard is one switching plane's slice of the fabric ingress: a grid
+// of per-flow queues, a per-input nonempty bitmap, and the iSLIP-style
+// rotating pointers of its scheduler. Flow hashing assigns every
+// (src, dst) flow to exactly one shard, so across shards only N² queues
+// are ever in use. Memory follows traffic: an input's row of N queue
+// pointers is installed by CAS on its first packet, a flow's queue on
+// the flow's first packet, and the queue's slots grow with its
+// occupancy. An idle shard holds one nil pointer per input.
 //
-// Producers (Send) touch only lock-free state: ring push, counter adds,
-// bitmap set. The single consumer — the shard's scheduler goroutine —
-// owns pop, bitmap clearing, and the rotating pointers. The only lock
-// is the Block-policy parking lot, paid exclusively by senders that
-// found their ring full.
+// Producers (Send) take no shard-wide lock: queue push under the flow's
+// own mutex, counter adds, bitmap set. The single consumer — the
+// shard's scheduler goroutine — owns pop, bitmap clearing, and the
+// rotating pointers. The Block-policy parking lot is paid only by
+// senders that found their queue full.
 type voqShard[T any] struct {
 	n     int
-	depth int // per-ring bound (power of two)
+	depth int // per-flow bound (power of two)
 	words int // bitmap words per input
 	met   *metrics
 
-	rings    []atomic.Pointer[voqRing[T]] // rings[in*n+out], lazily allocated
-	nonempty []atomic.Uint64              // nonempty[in*words+out/64]
-	counts   []voqInputCounters           // per input
+	rows     []atomic.Pointer[voqRow[T]] // rows[in], allocated on the input's first packet
+	nonempty []atomic.Uint64             // nonempty[in*words+out/64]
+	counts   []voqInputCounters          // per input
 
 	// Multicast ingress: one lazily allocated ring per input (a fan-out
 	// packet targets many outputs, so the per-(input, output) grid does
@@ -211,24 +216,21 @@ func newVOQShard[T any](n, depth int, met *metrics) *voqShard[T] {
 		partial: make([]int, n),
 		taken:   make([]bool, n),
 	}
-	v.rings = make([]atomic.Pointer[voqRing[T]], n*n)
+	v.rows = make([]atomic.Pointer[voqRow[T]], n)
 	v.mrings = make([]atomic.Pointer[voqRing[mpayload[T]]], n)
 	v.nonempty = make([]atomic.Uint64, n*v.words)
 	v.space = sync.NewCond(&v.blockMu)
 	return v
 }
 
-// ring returns the (src, dst) ring, allocating it on first use. CAS
-// losers discard their allocation, so every index settles on one ring.
-func (v *voqShard[T]) ring(idx int) *voqRing[T] {
-	if r := v.rings[idx].Load(); r != nil {
-		return r
-	}
-	fresh := newVOQRing[T](v.depth)
-	if v.rings[idx].CompareAndSwap(nil, fresh) {
-		return fresh
-	}
-	return v.rings[idx].Load()
+// ring returns the (src, dst) queue, allocating its row and the queue
+// itself on first use.
+func (v *voqShard[T]) ring(src, dst int) *voqRing[T] {
+	row := loadOrInit(&v.rows[src], func() *voqRow[T] {
+		r := make(voqRow[T], v.n)
+		return &r
+	})
+	return loadOrInit(&(*row)[dst], func() *voqRing[T] { return newVOQRing[T](v.depth) })
 }
 
 // setBit / clearBit are CAS loops because the go.mod language version
@@ -258,15 +260,8 @@ func (v *voqShard[T]) enqueue(p Packet[T], policy DropPolicy) error {
 	if v.sealed.Load() {
 		return ErrClosed
 	}
-	r := v.ring(p.Src*v.n + p.Dst)
-	if !r.push(p, time.Now().UnixNano()) {
-		if policy == DropNew {
-			v.counts[p.Src].dropped.Add(1)
-			return ErrBackpressure
-		}
-		if err := v.pushBlocking(r, p); err != nil {
-			return err
-		}
+	if err := admit(v, v.ring(p.Src, p.Dst), p, policy); err != nil {
+		return err
 	}
 	c := &v.counts[p.Src]
 	c.enqueued.Add(1)
@@ -285,11 +280,20 @@ func (v *voqShard[T]) enqueue(p Packet[T], policy DropPolicy) error {
 	return nil
 }
 
-// pushBlocking parks the sender until the ring has room or the shard
-// seals. The waiter count is raised before each retry so the consumer's
-// post-pop check cannot miss a sender that observed the ring full just
-// before the pop freed a slot.
-func (v *voqShard[T]) pushBlocking(r *voqRing[T], p Packet[T]) error {
+// admit pushes p into r, honouring the drop policy: DropNew tail-drops
+// when r is full, Block parks the sender until the scheduler frees a
+// slot or the shard seals. The waiter count is raised before each retry
+// so the consumer's post-pop check cannot miss a sender that observed
+// the queue full just before the pop freed a slot. It serves unicast
+// and multicast queues alike, whose element types differ.
+func admit[T, E any](v *voqShard[T], r *voqRing[E], p Packet[E], policy DropPolicy) error {
+	if r.push(p, time.Now().UnixNano()) {
+		return nil
+	}
+	if policy == DropNew {
+		v.counts[p.Src].dropped.Add(1)
+		return ErrBackpressure
+	}
 	t0 := time.Now()
 	v.blockMu.Lock()
 	defer v.blockMu.Unlock()
@@ -406,6 +410,7 @@ func (v *voqShard[T]) buildFrame(fr *frame[T]) bool {
 		if v.counts[in].occupied.Load() == 0 {
 			continue
 		}
+		row := *v.rows[in].Load() // installed before the input's first push
 		bm := v.nonempty[in*v.words : (in+1)*v.words]
 		// Scan candidate outputs from the rotating pointer, wrapping
 		// once: non-empty per the bitmap and not yet claimed.
@@ -420,9 +425,9 @@ func (v *voqShard[T]) buildFrame(fr *frame[T]) bool {
 				if taken[j] {
 					continue
 				}
-				r := v.rings[in*n+j].Load()
+				r := row[j].Load()
 				if r == nil {
-					// A bit with no ring cannot happen (the bit is set
+					// A bit with no queue cannot happen (the bit is set
 					// after the push); clear defensively.
 					andNotBit(&bm[j>>6], 1<<uint(j&63))
 					continue

@@ -1,9 +1,10 @@
 package fabric
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
-	"time"
 )
 
 // drainOne extracts one frame from the shard, or nil when it is empty.
@@ -16,34 +17,143 @@ func drainOne(t *testing.T, v *voqShard[int]) *frame[int] {
 	return fr
 }
 
-// TestVOQRingWraps pushes and pops through several times the ring's
-// capacity, checking FIFO order and the full/empty edges across the
-// sequence-number wraparound of slot reuse.
+// footprint counts the grid rows, per-flow queues and queue slots a
+// shard has allocated. Producers must be quiescent.
+func (v *voqShard[T]) footprint() (rows, rings, slots int) {
+	for i := range v.rows {
+		row := v.rows[i].Load()
+		if row == nil {
+			continue
+		}
+		rows++
+		for j := range *row {
+			if r := (*row)[j].Load(); r != nil {
+				rings++
+				slots += len(r.slots)
+			}
+		}
+	}
+	return rows, rings, slots
+}
+
+// TestVOQRingWraps drives one depth-64 queue from empty to its bound
+// with pushes and pops interleaved so the oldest packet sits mid-buffer
+// at every doubling (2→4→…→64), then wraps it at the bound. FIFO order,
+// the refused push past the bound, and zeroed slots behind the consumer
+// must hold throughout; a grow that copied from index 0 instead of from
+// head would reorder packets.
 func TestVOQRingWraps(t *testing.T) {
-	r := newVOQRing[int](4)
-	next := 0
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 4; i++ {
-			if !r.push(Packet[int]{Payload: next + i}, time.Now().UnixNano()) {
-				t.Fatalf("round %d: push %d refused below capacity", round, i)
+	const depth = 64
+	r := newVOQRing[int](depth)
+	if r.slots != nil {
+		t.Fatal("a fresh queue must hold no slots")
+	}
+	pushed, popped := 0, 0
+	push := func() {
+		t.Helper()
+		if !r.push(Packet[int]{Payload: pushed}, int64(pushed)) {
+			t.Fatalf("push %d refused at occupancy %d, below the bound", pushed, r.size())
+		}
+		pushed++
+	}
+	pop := func() {
+		t.Helper()
+		h := r.head
+		p, enq, ok := r.pop()
+		if !ok {
+			t.Fatalf("pop %d found the queue empty", popped)
+		}
+		if p.Payload != popped || enq != int64(popped) {
+			t.Fatalf("popped %d (enq %d), want %d: FIFO broken", p.Payload, enq, popped)
+		}
+		if r.slots[h] != (voqSlot[int]{}) {
+			t.Fatalf("slot %d not zeroed after pop: %+v", h, r.slots[h])
+		}
+		popped++
+	}
+	push()
+	push()
+	for size := 2; size < depth; size *= 2 {
+		// Rotate the full buffer by half: head moves mid-buffer and the
+		// newest packets wrap around to index 0.
+		for i := 0; i < size/2; i++ {
+			pop()
+			push()
+		}
+		if len(r.slots) != size || r.head != size/2 {
+			t.Fatalf("before growing: %d slots, head %d; want %d, %d", len(r.slots), r.head, size, size/2)
+		}
+		for r.size() < int64(2*size) {
+			push()
+		}
+		if len(r.slots) != 2*size {
+			t.Fatalf("%d packets queued in %d slots, want %d slots", r.size(), len(r.slots), 2*size)
+		}
+	}
+	// At the bound: wrap twice around the full buffer, then the 65th
+	// packet is refused.
+	for i := 0; i < 2*depth; i++ {
+		pop()
+		push()
+	}
+	if r.push(Packet[int]{Payload: -1}, 0) {
+		t.Fatalf("push beyond the bound of %d accepted", depth)
+	}
+	if len(r.slots) != depth {
+		t.Fatalf("queue grew to %d slots past its bound %d", len(r.slots), depth)
+	}
+	for r.size() > 0 {
+		pop()
+	}
+	if _, _, ok := r.pop(); ok {
+		t.Fatal("pop from an empty queue succeeded")
+	}
+	if popped != pushed {
+		t.Fatalf("pushed %d packets but popped %d", pushed, popped)
+	}
+}
+
+// TestVOQFootprint pins ingress memory to traffic rather than to
+// N²·depth: a fabric allocates no grid rows before its first packet,
+// and one packet on each of the N² flows leaves exactly N² queues of
+// two slots each once drained.
+func TestVOQFootprint(t *testing.T) {
+	idle, err := New[int](Config{LogN: 10, Planes: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range idle.shards {
+		if rows, rings, slots := sh.footprint(); rows != 0 || rings != 0 || slots != 0 {
+			t.Errorf("idle shard %d holds %d rows, %d queues, %d slots", i, rows, rings, slots)
+		}
+	}
+	idle.Close()
+
+	const n = 256
+	f, err := New[int](Config{LogN: 8, Planes: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if err := f.Send(Packet[int]{Src: src, Dst: dst}); err != nil {
+				t.Fatalf("send %d→%d: %v", src, dst, err)
 			}
 		}
-		if r.push(Packet[int]{Payload: -1}, time.Now().UnixNano()) {
-			t.Fatalf("round %d: push beyond capacity accepted", round)
-		}
-		for i := 0; i < 4; i++ {
-			p, _, ok := r.pop()
-			if !ok {
-				t.Fatalf("round %d: pop %d found ring empty", round, i)
-			}
-			if p.Payload != next+i {
-				t.Fatalf("round %d: popped %d, want %d (FIFO broken)", round, p.Payload, next+i)
-			}
-		}
-		if _, _, ok := r.pop(); ok {
-			t.Fatalf("round %d: pop from empty ring succeeded", round)
-		}
-		next += 4
+	}
+	f.Close()
+	if s := f.Stats(); s.Delivered != n*n || s.Lost != 0 {
+		t.Fatalf("delivered %d, lost %d of %d packets", s.Delivered, s.Lost, n*n)
+	}
+	rings, slots := 0, 0
+	for _, sh := range f.shards {
+		_, r, s := sh.footprint()
+		rings += r
+		slots += s
+	}
+	if rings != n*n || slots != 2*n*n {
+		t.Fatalf("%d one-packet flows left %d queues holding %d slots, want %d queues of 2 slots",
+			n*n, rings, slots, n*n)
 	}
 }
 
@@ -95,26 +205,32 @@ func TestBuildFrameConflictFree(t *testing.T) {
 	}
 }
 
-// TestVOQTailDrop fills one ring to its bound and checks the drop
-// accounting.
+// TestVOQTailDrop fills one queue to its bound and checks the drop
+// accounting, and that a queue at its bound holds exactly bound slots.
 func TestVOQTailDrop(t *testing.T) {
-	v := newVOQShard[int](4, 2, nil)
-	p := Packet[int]{Src: 1, Dst: 3}
-	for i := 0; i < 2; i++ {
-		if err := v.enqueue(p, DropNew); err != nil {
-			t.Fatalf("enqueue %d: %v", i, err)
+	for _, depth := range []int{2, 64} {
+		v := newVOQShard[int](4, depth, nil)
+		p := Packet[int]{Src: 1, Dst: 3}
+		for i := 0; i < depth; i++ {
+			if err := v.enqueue(p, DropNew); err != nil {
+				t.Fatalf("depth %d: enqueue %d: %v", depth, i, err)
+			}
 		}
-	}
-	if err := v.enqueue(p, DropNew); err != ErrBackpressure {
-		t.Fatalf("third enqueue should tail-drop, got %v", err)
-	}
-	// A different output from the same input still has room.
-	if err := v.enqueue(Packet[int]{Src: 1, Dst: 0}, DropNew); err != nil {
-		t.Fatalf("other VOQ of the same input must be independent: %v", err)
-	}
-	s := v.snapshot()
-	if s[1].Enqueued != 3 || s[1].Dropped != 1 || s[1].Occupied != 3 || s[1].MaxDepth != 3 {
-		t.Fatalf("input 1 counters wrong: %+v", s[1])
+		if err := v.enqueue(p, DropNew); !errors.Is(err, ErrBackpressure) {
+			t.Fatalf("depth %d: enqueue past the bound should tail-drop, got %v", depth, err)
+		}
+		// A different output from the same input still has room.
+		if err := v.enqueue(Packet[int]{Src: 1, Dst: 0}, DropNew); err != nil {
+			t.Fatalf("depth %d: other VOQ of the same input must be independent: %v", depth, err)
+		}
+		want := int64(depth + 1)
+		s := v.snapshot()
+		if s[1].Enqueued != want || s[1].Dropped != 1 || s[1].Occupied != want || s[1].MaxDepth != want {
+			t.Fatalf("depth %d: input 1 counters wrong: %+v", depth, s[1])
+		}
+		if rows, rings, slots := v.footprint(); rows != 1 || rings != 2 || slots != depth+2 {
+			t.Fatalf("depth %d: %d rows, %d queues, %d slots; want 1, 2, %d", depth, rows, rings, slots, depth+2)
+		}
 	}
 }
 
@@ -162,5 +278,51 @@ func TestVOQSealRefusesSenders(t *testing.T) {
 	}
 	if drainOne(t, v) != nil {
 		t.Fatal("shard should be empty after the drain")
+	}
+}
+
+// TestVOQMcastBlockedSender parks a Block sender on a full multicast
+// queue and checks both ways out: the scheduler freeing a slot admits
+// its packet, and seal releases the next parked sender with ErrClosed.
+func TestVOQMcastBlockedSender(t *testing.T) {
+	v := newVOQShard[int](4, 2, nil)
+	send := func(id int) error {
+		return v.enqueueMcast(Packet[mpayload[int]]{
+			Src: 0, Dst: 1, Payload: mpayload[int]{dsts: []int{1, 2}, data: id},
+		}, Block)
+	}
+	park := func(id int) <-chan error {
+		res := make(chan error, 1)
+		go func() { res <- send(id) }()
+		for v.waiters.Load() == 0 {
+			runtime.Gosched()
+		}
+		return res
+	}
+	for id := 0; id < 2; id++ {
+		if err := send(id); err != nil {
+			t.Fatalf("send %d: %v", id, err)
+		}
+	}
+	res := park(2)
+	fr := newFrame[int](v.n)
+	if !v.buildFrame(fr) || fr.mpkts != 1 || fr.pkts[0].Payload != 0 {
+		t.Fatalf("first frame should carry multicast packet 0, got %+v", fr.pkts)
+	}
+	if err := <-res; err != nil {
+		t.Fatalf("a freed slot should admit the parked sender, got %v", err)
+	}
+	res = park(3)
+	v.seal()
+	if err := <-res; !errors.Is(err, ErrClosed) {
+		t.Fatalf("seal should release the parked sender with ErrClosed, got %v", err)
+	}
+	for _, want := range []int{1, 2} {
+		if !v.buildFrame(fr) || fr.pkts[0].Payload != want {
+			t.Fatalf("drain: want multicast packet %d, got %+v", want, fr.pkts)
+		}
+	}
+	if v.buildFrame(fr) {
+		t.Fatal("queue should be empty after the drain")
 	}
 }
