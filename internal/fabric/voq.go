@@ -491,15 +491,18 @@ func (v *voqShard[T]) occupancy() int64 {
 	return total
 }
 
-// snapshot copies the per-input counters.
+// snapshot copies the per-input counters. enqueue bumps enqueued
+// before occupied, so loading occupied first keeps Occupied <=
+// Enqueued in every copy while traffic runs.
 func (v *voqShard[T]) snapshot() []VOQInputCounters {
 	out := make([]VOQInputCounters, v.n)
 	for i := range v.counts {
 		c := &v.counts[i]
+		occupied := c.occupied.Load()
 		out[i] = VOQInputCounters{
 			Enqueued: c.enqueued.Load(),
 			Dropped:  c.dropped.Load(),
-			Occupied: c.occupied.Load(),
+			Occupied: occupied,
 			MaxDepth: c.maxDepth.Load(),
 		}
 	}

@@ -3,6 +3,8 @@ package journal
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzJournalDecode hardens the record decoder against arbitrary bytes:
@@ -13,6 +15,12 @@ func FuzzJournalDecode(f *testing.F) {
 	for _, r := range sampleRecords() {
 		f.Add(Encode(r))
 	}
+	// Start next to the vector codec's width boundaries and the
+	// Inject record's stuck byte.
+	for _, tc := range packedVectors {
+		f.Add(Encode(&Record{Seq: 1, Kind: KindMcastFrame, Dest: tc.vals, Srcs: []int{0}}))
+	}
+	f.Add(Encode(&Record{Seq: 2, Kind: KindInject, Faults: []core.Fault{{Stage: 3, Switch: 5, StuckCrossed: true}}}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, headerSize+DigestSize))
 	f.Fuzz(func(t *testing.T, b []byte) {

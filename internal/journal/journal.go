@@ -3,6 +3,7 @@ package journal
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"os"
@@ -397,7 +398,8 @@ func readSpill(path string) (*segment, error) {
 	for off < len(seg.buf) {
 		_, n, err := Decode(seg.buf[off:])
 		if err != nil {
-			return nil, fmt.Errorf("journal: %s at offset %d: %w", path, off, err)
+			seq := seg.firstSeq + uint64(len(seg.offs))
+			return nil, fmt.Errorf("journal: %s at offset %d: %w", path, off, &seqError{seq, err})
 		}
 		seg.offs = append(seg.offs, off)
 		off += n
@@ -408,6 +410,15 @@ func readSpill(path string) (*segment, error) {
 	}
 	return seg, nil
 }
+
+// seqError names the record that failed to decode.
+type seqError struct {
+	seq uint64
+	err error
+}
+
+func (e *seqError) Error() string { return fmt.Sprintf("seq %d: %v", e.seq, e.err) }
+func (e *seqError) Unwrap() error { return e.err }
 
 // records decodes the segment's records with seq in [from, to].
 func (seg *segment) records(from, to uint64, out []*Record) ([]*Record, error) {
@@ -421,7 +432,7 @@ func (seg *segment) records(from, to uint64, out []*Record) ([]*Record, error) {
 		}
 		r, _, err := Decode(seg.buf[off:])
 		if err != nil {
-			return out, fmt.Errorf("journal: seq %d: %w", seq, err)
+			return out, fmt.Errorf("journal: %w", &seqError{seq, err})
 		}
 		out = append(out, r)
 	}
@@ -466,7 +477,9 @@ func recordSize(buf []byte, off int) int {
 
 // Read returns the decoded records with sequence numbers in [from, to],
 // in order, from disk and memory combined. Records outside the
-// retained window are simply absent from the result.
+// retained window are simply absent from the result. When a record
+// fails to decode, Read returns the records read before it along with
+// the error.
 func (j *Journal) Read(from, to uint64) ([]*Record, error) {
 	if from == 0 {
 		from = 1
@@ -484,10 +497,10 @@ func (j *Journal) Read(from, to uint64) ([]*Record, error) {
 		}
 		seg, err := readSpill(sf.path)
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		if out, err = seg.records(from, to, out); err != nil {
-			return nil, err
+			return out, err
 		}
 	}
 	memFrom := from
@@ -497,7 +510,7 @@ func (j *Journal) Read(from, to uint64) ([]*Record, error) {
 	for _, seg := range j.memSegments(memFrom, to) {
 		var err error
 		if out, err = seg.records(memFrom, to, out); err != nil {
-			return nil, err
+			return out, err
 		}
 	}
 	return out, nil
@@ -510,8 +523,8 @@ type VerifyResult struct {
 	Records int    `json:"records"`
 	OK      bool   `json:"ok"`
 	// FirstBadSeq is the sequence number of the first record whose
-	// recomputed chain digest does not match its stored digest (0 when
-	// the chain is intact).
+	// recomputed chain digest does not match its stored digest, or that
+	// no longer decodes (0 when the chain is intact).
 	FirstBadSeq uint64 `json:"first_bad_seq,omitempty"`
 	Detail      string `json:"detail,omitempty"`
 	// Head is the stored digest of the last verified record, hex.
@@ -520,11 +533,12 @@ type VerifyResult struct {
 
 // Verify walks the hash chain over [from, to]: each record's body is
 // re-encoded from its decoded form (the layout is canonical) and hashed
-// against its predecessor's digest; the first mismatch names the exact
-// tampered or corrupted record. The walk is anchored at the
-// predecessor record when it is still retained, at the segment start
-// digest when from is a retention boundary, and at the zero digest for
-// seq 1.
+// against its predecessor's digest; the first mismatch, or the first
+// record that no longer decodes, names the exact tampered or corrupted
+// record. The walk is anchored at the predecessor record when it is
+// still retained, at the segment start digest when from is a retention
+// boundary, and at the zero digest for seq 1. It hashes with its own
+// hasher, so a long walk never holds the append lock.
 func (j *Journal) Verify(from, to uint64) VerifyResult {
 	j.met.chainVerifies.Add(1)
 	if from == 0 {
@@ -544,16 +558,12 @@ func (j *Journal) Verify(from, to uint64) VerifyResult {
 			anchored = true
 		}
 	}
-	recs, err := j.Read(from, to)
-	if err != nil {
-		res.Detail = err.Error()
-		return res
-	}
-	if len(recs) == 0 {
+	recs, readErr := j.Read(from, to)
+	if len(recs) == 0 && readErr == nil {
 		res.Detail = "no records in range"
 		return res
 	}
-	if !anchored {
+	if !anchored && len(recs) > 0 {
 		// from is older than retention or sits at its boundary: anchor
 		// at the containing segment's start digest when the first read
 		// record opens a segment; otherwise the first record can only be
@@ -563,6 +573,8 @@ func (j *Journal) Verify(from, to uint64) VerifyResult {
 			anchored = true
 		}
 	}
+	h := sha256.New()
+	var want [DigestSize]byte
 	body := make([]byte, 0, 256)
 	for i, r := range recs {
 		if i > 0 && r.Seq != recs[i-1].Seq+1 {
@@ -575,20 +587,25 @@ func (j *Journal) Verify(from, to uint64) VerifyResult {
 			continue
 		}
 		body = appendBody(body[:0], r)
-		j.mu.Lock()
-		j.hasher.Reset()
-		j.hasher.Write(prev[:])
-		j.hasher.Write(body)
-		j.scratch = j.hasher.Sum(j.scratch[:0])
-		var want [DigestSize]byte
-		copy(want[:], j.scratch)
-		j.mu.Unlock()
+		h.Reset()
+		h.Write(prev[:])
+		h.Write(body)
+		h.Sum(want[:0])
 		if want != r.Digest {
 			res.FirstBadSeq = r.Seq
 			res.Detail = fmt.Sprintf("chain digest mismatch at seq %d", r.Seq)
 			return res
 		}
 		prev = r.Digest
+	}
+	if readErr != nil {
+		// Read stopped at a record that no longer decodes; name it.
+		var se *seqError
+		if errors.As(readErr, &se) {
+			res.FirstBadSeq = se.seq
+		}
+		res.Detail = readErr.Error()
+		return res
 	}
 	res.OK = true
 	res.Records = len(recs)

@@ -74,34 +74,84 @@ func TestJournalAppendReadVerify(t *testing.T) {
 	}
 }
 
-// TestJournalTamper is the tamper-evidence guarantee: flipping one
-// payload byte of record k makes Verify fail at exactly seq k.
+// TestJournalTamper is the tamper-evidence guarantee: flipping bits in
+// one record makes Verify fail at exactly that record's seq, whether
+// the record still decodes (its digest no longer matches) or not, and
+// leaves the chain before it intact.
 func TestJournalTamper(t *testing.T) {
-	j, err := New(Config{})
+	const victim = 5
+	route := func(w *Writer) { w.Route([]int{4, 5, 6, 7}, 0x55) }
+	inject := func(w *Writer) { w.Inject(1, []core.Fault{{Stage: 1, Switch: 0, StuckCrossed: true}}) }
+	// The victim route's Dest packs as base 4, width 1, entries 0 1 2 3;
+	// its count sits at headerSize, base at +4, width at +8, entries at
+	// +9. The victim Inject's stuck byte follows count, stage and switch.
+	cases := []struct {
+		name   string
+		victim func(*Writer)
+		at     int
+		xor    byte
+	}{
+		{"dest entry", route, headerSize + 10, 0x01}, // entry 1 -> 0: still decodes
+		{"width byte", route, headerSize + 8, 0x03},  // width 1 -> 2
+		{"base", route, headerSize + 4, 0x01},        // base 4 -> 5: still decodes
+		{"kind byte", route, 3, byte(KindRoute) ^ 0x7f},
+		{"stuck byte", inject, headerSize + 12, 0x02}, // 0x01 -> 0x03
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			j, err := New(Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			w := j.Writer()
+			fill(w, victim-1)
+			tc.victim(w)
+			fill(w, 5)
+
+			j.mu.Lock()
+			j.cur.buf[j.cur.offs[victim-1]+tc.at] ^= tc.xor
+			j.mu.Unlock()
+
+			vr := j.Verify(1, 10)
+			if vr.OK {
+				t.Fatal("Verify accepted a tampered journal")
+			}
+			if vr.FirstBadSeq != victim {
+				t.Fatalf("FirstBadSeq = %d, want %d: %s", vr.FirstBadSeq, victim, vr.Detail)
+			}
+			if vr := j.Verify(1, victim-1); !vr.OK {
+				t.Fatalf("prefix before tamper point fails: %+v", vr)
+			}
+		})
+	}
+}
+
+// TestJournalVerifyConcurrentAppend walks the chain while appends run,
+// as /debug/journal/verify does under traffic; run it under -race.
+func TestJournalVerifyConcurrentAppend(t *testing.T) {
+	j, err := New(Config{SegmentRecords: 16, CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	fill(j.Writer(), 10)
-
-	const victim = 5
-	j.mu.Lock()
-	off := j.cur.offs[victim-1]
-	// Flip the low byte of Dest[0]: the record still decodes, but its
-	// content no longer matches the chained digest.
-	j.cur.buf[off+headerSize+4] ^= 0x01
-	j.mu.Unlock()
-
-	vr := j.Verify(1, 10)
-	if vr.OK {
-		t.Fatal("Verify accepted a tampered journal")
-	}
-	if vr.FirstBadSeq != victim {
-		t.Fatalf("FirstBadSeq = %d, want %d: %s", vr.FirstBadSeq, victim, vr.Detail)
-	}
-	// The chain before the flipped record is still intact.
-	if vr := j.Verify(1, victim-1); !vr.OK {
-		t.Fatalf("prefix before tamper point fails: %+v", vr)
+	w := j.Writer()
+	fill(w, 16)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fill(w, 2000)
+	}()
+	for walking := true; walking; {
+		select {
+		case <-done:
+			walking = false
+		default:
+		}
+		_, newest, _ := j.Bounds()
+		if vr := j.Verify(1, newest); !vr.OK || vr.Records != int(newest) {
+			t.Fatalf("Verify(1, %d) during appends: %+v", newest, vr)
+		}
 	}
 }
 

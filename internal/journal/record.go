@@ -2,7 +2,7 @@
 // low-overhead event journal that records every admission-side event —
 // engine /route requests, fabric frames (unicast and multicast),
 // collective rounds, fault injections, plane fail/restore — as
-// fixed-layout binary records carrying a monotone sequence number and a
+// canonical binary records carrying a monotone sequence number and a
 // chained hash: each record's digest is SHA-256 over its predecessor's
 // digest and its own body, so flipping one byte anywhere breaks the
 // chain at exactly that record.
@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -151,7 +152,7 @@ type Record struct {
 // kind-specific payload, and the 32-byte chain digest.
 const (
 	recordMagic   = 0x424a // "JB" little-endian
-	recordVersion = 1
+	recordVersion = 2
 	headerSize    = 28
 	// DigestSize is the chain digest length (SHA-256).
 	DigestSize = 32
@@ -169,8 +170,8 @@ var (
 
 // appendBody appends the record's header and payload (everything the
 // chain digest covers — not the digest itself) to dst and returns the
-// extended slice. The layout is fixed and canonical: encoding a decoded
-// record reproduces the original bytes bit for bit.
+// extended slice. The layout is canonical: encoding a decoded record
+// reproduces the original bytes bit for bit.
 func appendBody(dst []byte, r *Record) []byte {
 	start := len(dst)
 	dst = append(dst,
@@ -228,12 +229,66 @@ func appendBody(dst []byte, r *Record) []byte {
 	return dst
 }
 
+// appendInts packs an int vector at its value width: u32 count, then,
+// when count > 0, i32 base (the vector's minimum), u8 width (the fewest
+// of 1, 2 or 4 bytes that hold max − base) and count little-endian
+// entries of v − base. A permutation of up to 256 ports thus costs one
+// byte per entry, and a mapping with idle (−1) outputs two. The values
+// alone fix base and width, so the layout stays canonical; decoder.ints
+// rejects every other choice. Each value is taken as an int32.
 func appendInts(dst []byte, vals []int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vals)))
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(v)))
+	if len(vals) == 0 {
+		return dst
+	}
+	lo, hi := int32(vals[0]), int32(vals[0])
+	for _, v := range vals[1:] {
+		lo = min(lo, int32(v))
+		hi = max(hi, int32(v))
+	}
+	w := packWidth(uint32(hi) - uint32(lo))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(lo))
+	dst = append(dst, byte(w))
+	at := len(dst)
+	dst = append(dst, make([]byte, w*len(vals))...)
+	for i, v := range vals {
+		putPacked(dst[at:], w, i, uint32(int32(v))-uint32(lo))
 	}
 	return dst
+}
+
+// packWidth is the fewest bytes, of 1, 2 or 4, that hold span.
+func packWidth(span uint32) int {
+	switch {
+	case span <= 0xff:
+		return 1
+	case span <= 0xffff:
+		return 2
+	}
+	return 4
+}
+
+// putPacked writes entry i of a packed vector of width w.
+func putPacked(raw []byte, w, i int, x uint32) {
+	switch w {
+	case 1:
+		raw[i] = byte(x)
+	case 2:
+		binary.LittleEndian.PutUint16(raw[2*i:], uint16(x))
+	default:
+		binary.LittleEndian.PutUint32(raw[4*i:], x)
+	}
+}
+
+// packedAt reads entry i of a packed vector of width w.
+func packedAt(raw []byte, w, i int) uint32 {
+	switch w {
+	case 1:
+		return uint32(raw[i])
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(raw[2*i:]))
+	}
+	return binary.LittleEndian.Uint32(raw[4*i:])
 }
 
 func appendUints(dst []byte, vals []uint64) []byte {
@@ -288,20 +343,42 @@ func (d *decoder) u8() byte {
 	return v
 }
 
-// ints reads a length-prefixed int32 vector. The length is validated
-// against the remaining payload before any allocation, so a hostile
-// length can never balloon memory.
+// ints reads one packed int vector (see appendInts). The count, width,
+// base and entries are all checked against the remaining payload and
+// the canonical rules before the output is allocated, so a hostile
+// count can never balloon memory and every accepted vector re-encodes
+// to the same bytes.
 func (d *decoder) ints() []int {
 	n := int(d.u32())
-	if d.err || n < 0 || d.off+4*n > len(d.b) {
+	if d.err || n < 0 {
+		d.err = true
+		return nil
+	}
+	if n == 0 {
+		return []int{}
+	}
+	base := int64(int32(d.u32()))
+	w := int(d.u8())
+	if d.err || (w != 1 && w != 2 && w != 4) || n > (len(d.b)-d.off)/w {
+		d.err = true
+		return nil
+	}
+	raw := d.b[d.off : d.off+n*w]
+	lo, hi := uint32(math.MaxUint32), uint32(0)
+	for i := 0; i < n; i++ {
+		x := packedAt(raw, w, i)
+		lo = min(lo, x)
+		hi = max(hi, x)
+	}
+	if lo != 0 || packWidth(hi) != w || base+int64(hi) > math.MaxInt32 {
 		d.err = true
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = int(int32(binary.LittleEndian.Uint32(d.b[d.off:])))
-		d.off += 4
+		out[i] = int(base + int64(packedAt(raw, w, i)))
 	}
+	d.off += n * w
 	return out
 }
 
@@ -373,7 +450,11 @@ func Decode(b []byte) (*Record, int, error) {
 		for i := range r.Faults {
 			r.Faults[i].Stage = int(int32(d.u32()))
 			r.Faults[i].Switch = int(int32(d.u32()))
-			r.Faults[i].StuckCrossed = d.u8() != 0
+			stuck := d.u8()
+			if stuck > 1 {
+				return nil, 0, fmt.Errorf("%w: stuck byte %d", ErrBadRecord, stuck)
+			}
+			r.Faults[i].StuckCrossed = stuck == 1
 		}
 	case KindFail, KindRestore:
 	case KindCheckpoint:

@@ -2,6 +2,8 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -164,10 +166,147 @@ func TestDecodeErrors(t *testing.T) {
 			b[24], b[25], b[26], b[27] = 0xff, 0xff, 0xff, 0x7f
 			return b
 		}()},
+		{"stuck byte 2", func() []byte {
+			// sampleRecords()[5] is an Inject; its first fault's stuck
+			// byte follows the fault count, stage and switch.
+			b := Encode(sampleRecords()[5])
+			b[headerSize+12] = 2
+			return b
+		}()},
 	}
 	for _, tc := range cases {
 		if _, _, err := Decode(tc.buf); err == nil {
 			t.Errorf("%s: Decode accepted malformed input", tc.name)
+		}
+	}
+}
+
+// packedVectors spans the vector codec's boundaries: the empty vector,
+// one entry, the spans where the width switches (255/256 and
+// 65535/65536), idle (-1) mapping entries, and the full int32 range.
+var packedVectors = []struct {
+	name  string
+	vals  []int
+	width int // 0 for the empty vector, which has no width byte
+}{
+	{"empty", []int{}, 0},
+	{"single", []int{7}, 1},
+	{"span 255", []int{300, 45, 46}, 1},
+	{"span 256", []int{300, 44, 46}, 2},
+	{"span 65535", []int{65535, 0, 9}, 2},
+	{"span 65536", []int{65536, 0, 9}, 4},
+	{"idle outputs", []int{-1, 255, -1, 0, 3}, 2},
+	{"int32 extremes", []int{math.MaxInt32, 0, math.MinInt32}, 4},
+}
+
+// TestPackedVectors pins the vector codec at its boundaries: each
+// vector takes the fewest bytes per entry, round-trips, and re-encodes
+// byte for byte.
+func TestPackedVectors(t *testing.T) {
+	for _, tc := range packedVectors {
+		r := &Record{Seq: 1, Kind: KindRoute, Plane: -1, Dest: tc.vals, Delivered: 3}
+		b := Encode(r)
+		vec := 4
+		if len(tc.vals) > 0 {
+			vec += 5 + tc.width*len(tc.vals)
+			if got := int(b[headerSize+8]); got != tc.width {
+				t.Errorf("%s: width byte %d, want %d", tc.name, got, tc.width)
+			}
+		}
+		if want := headerSize + vec + 8 + DigestSize; len(b) != want {
+			t.Errorf("%s: record is %d B, want %d", tc.name, len(b), want)
+		}
+		got, _, err := Decode(b)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if !recordsEqual(r, got) {
+			t.Fatalf("%s: round trip mismatch: in %v, out %v", tc.name, r.Dest, got.Dest)
+		}
+		if !bytes.Equal(b, Encode(got)) {
+			t.Fatalf("%s: re-encode is not canonical", tc.name)
+		}
+	}
+}
+
+// packedVec lays out one vector field by hand, canonical or not:
+// count, base, width, then the raw entry bytes.
+func packedVec(count uint32, base int32, width byte, entries ...byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, count)
+	b = binary.LittleEndian.AppendUint32(b, uint32(base))
+	b = append(b, width)
+	return append(b, entries...)
+}
+
+// routeWith frames vec as the Dest of a route record, followed by the
+// delivery digest and a zero chain digest.
+func routeWith(vec []byte) []byte {
+	b := Encode(&Record{Seq: 1, Kind: KindRoute, Plane: -1})[:headerSize]
+	binary.LittleEndian.PutUint32(b[24:], uint32(len(vec)+8))
+	b = append(b, vec...)
+	return append(b, make([]byte, 8+DigestSize)...)
+}
+
+// TestPackedVectorRejects pins canonical decoding: each way of
+// spelling a vector other than appendInts's is rejected, and a hostile
+// count never reaches an allocation.
+func TestPackedVectorRejects(t *testing.T) {
+	if _, _, err := Decode(routeWith(packedVec(2, 0, 1, 0, 255))); err != nil {
+		t.Fatalf("canonical hand-built vector rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		vec  []byte
+	}{
+		{"width 0", packedVec(1, 5, 0)},
+		{"width 3", packedVec(2, 0, 3, 0, 0, 0, 1, 0, 0)},
+		{"width 2 for span 255", packedVec(2, 0, 2, 0, 0, 255, 0)},
+		{"width 4 for span 65535", packedVec(2, 0, 4, 0, 0, 0, 0, 255, 255, 0, 0)},
+		{"base below every entry", packedVec(2, 0, 1, 1, 2)},
+		{"entry overflows int32", packedVec(2, math.MaxInt32-1, 1, 0, 2)},
+		{"wide entry overflows int32", packedVec(2, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0x80)},
+		{"count beyond payload", packedVec(1000, 0, 1, 0, 1)},
+		{"count at the uint32 limit", packedVec(math.MaxUint32, 0, 4, 0, 0, 0, 0)},
+		{"count without base", binary.LittleEndian.AppendUint32(nil, 1)},
+	}
+	for _, tc := range cases {
+		if _, _, err := Decode(routeWith(tc.vec)); err == nil {
+			t.Errorf("%s: Decode accepted a non-canonical vector", tc.name)
+		}
+	}
+}
+
+// TestRecordFootprint pins the bytes one record costs at N=256, digest
+// included: the permutation's entries are one byte each, and a mapping
+// with idle outputs is two.
+func TestRecordFootprint(t *testing.T) {
+	const n = 256
+	dest := make([]int, n)
+	for i := range dest {
+		dest[i] = n - 1 - i
+	}
+	mapping := append([]int(nil), dest...)
+	mapping[5], mapping[9] = -1, -1
+	j, err := New(Config{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	w := j.Writer()
+	cases := []struct {
+		name   string
+		append func()
+		want   int64
+	}{
+		{"route", func() { w.Route(dest, 1) }, 333},
+		{"frame, 3 real inputs", func() { w.Frame(0, dest, []int{0, 7, 200}, 1) }, 342 + 3},
+		{"mcast round, idle outputs", func() { w.McastRound(0, mapping, 1) }, 589},
+	}
+	for _, tc := range cases {
+		before := j.Metrics().Bytes()
+		tc.append()
+		if got := j.Metrics().Bytes() - before; got != tc.want {
+			t.Errorf("%s: record is %d B, want %d", tc.name, got, tc.want)
 		}
 	}
 }
