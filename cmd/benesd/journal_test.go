@@ -86,7 +86,7 @@ func TestJournalEndpoints(t *testing.T) {
 	srv, _ := newJournalTestServer(t)
 
 	for i := 0; i < 3; i++ {
-		if resp, rr := postRoute(t, srv.URL, routeRequest{Dest: perm.BitReversal(4)}); resp.StatusCode != http.StatusOK || rr.Kind != "self-routed" {
+		if resp, rr := postRoute(t, srv.URL, routeRequest{Dest: intList(perm.BitReversal(4))}); resp.StatusCode != http.StatusOK || rr.Kind != "self-routed" {
 			t.Fatalf("route %d: status %d, %+v", i, resp.StatusCode, rr)
 		}
 	}
@@ -202,7 +202,7 @@ func TestJournalEndpointValidation(t *testing.T) {
 	}
 
 	// Journal one record so range validation is reachable.
-	if resp, _ := postRoute(t, srv.URL, routeRequest{Dest: perm.BitReversal(4)}); resp.StatusCode != http.StatusOK {
+	if resp, _ := postRoute(t, srv.URL, routeRequest{Dest: intList(perm.BitReversal(4))}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("route: status %d", resp.StatusCode)
 	}
 	rangeCases := []struct {

@@ -198,8 +198,8 @@ func (s *server) traced(name string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 type routeRequest struct {
-	Dest []int `json:"dest"`
-	Data []int `json:"data,omitempty"`
+	Dest intList `json:"dest"`
+	Data intList `json:"data,omitempty"`
 }
 
 type routeResponse struct {
@@ -299,14 +299,14 @@ func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 // multicastEntry is one fan-out unit: source port Src copied to every
 // port in Dsts.
 type multicastEntry struct {
-	Src  int   `json:"src"`
-	Dsts []int `json:"dsts"`
+	Src  int     `json:"src"`
+	Dsts intList `json:"dsts"`
 }
 
 type multicastRequest struct {
 	// Map is the output-major mapping: Map[out] names the source port
 	// whose value lands at output out, -1 for outputs left idle.
-	Map []int `json:"map,omitempty"`
+	Map intList `json:"map,omitempty"`
 	// Entries is the fan-out form, converted to a mapping (round mode)
 	// or sent as individual fan-out packets (packet mode).
 	Entries []multicastEntry `json:"entries,omitempty"`
@@ -428,8 +428,8 @@ func (s *server) handleMulticast(w http.ResponseWriter, r *http.Request) {
 }
 
 type collectiveRequest struct {
-	Op   string  `json:"op"`
-	Data [][]int `json:"data"`
+	Op   string    `json:"op"`
+	Data []intList `json:"data"`
 	// Root selects the root port for broadcast, gather, and scatter.
 	Root int `json:"root,omitempty"`
 	// Rows and Cols tile the ports for op "transpose".
@@ -438,7 +438,7 @@ type collectiveRequest struct {
 	// Dests is the per-port, per-chunk destination matrix for op
 	// "exchange" (-1 = keep in place), or the per-source subscriber
 	// lists for op "fanout".
-	Dests [][]int `json:"dests,omitempty"`
+	Dests []intList `json:"dests,omitempty"`
 	// DeadlineMs arms deadline-aware admission: if the compiled
 	// schedule's estimated time exceeds it, the request is rejected
 	// with 503 before any round is routed.
@@ -470,29 +470,30 @@ func (s *server) handleCollective(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMs)*time.Millisecond)
 		defer cancel()
 	}
+	data, dests := intRows(req.Data), intRows(req.Dests)
 	var h *collective.Handle[int]
 	var err error
 	switch req.Op {
 	case "alltoall":
-		h, err = s.col.AllToAll(ctx, req.Data)
+		h, err = s.col.AllToAll(ctx, data)
 	case "exchange":
-		h, err = s.col.Exchange(ctx, req.Dests, req.Data)
+		h, err = s.col.Exchange(ctx, dests, data)
 	case "transpose":
-		h, err = s.col.Transpose(ctx, req.Rows, req.Cols, req.Data)
+		h, err = s.col.Transpose(ctx, req.Rows, req.Cols, data)
 	case "shuffle":
-		h, err = s.col.Shuffle(ctx, req.Data)
+		h, err = s.col.Shuffle(ctx, data)
 	case "bitreversal":
-		h, err = s.col.BitReversal(ctx, req.Data)
+		h, err = s.col.BitReversal(ctx, data)
 	case "broadcast":
-		h, err = s.col.Broadcast(ctx, req.Root, req.Data)
+		h, err = s.col.Broadcast(ctx, req.Root, data)
 	case "gather":
-		h, err = s.col.Gather(ctx, req.Root, req.Data)
+		h, err = s.col.Gather(ctx, req.Root, data)
 	case "scatter":
-		h, err = s.col.Scatter(ctx, req.Root, req.Data)
+		h, err = s.col.Scatter(ctx, req.Root, data)
 	case "allgather":
-		h, err = s.col.AllGather(ctx, req.Data)
+		h, err = s.col.AllGather(ctx, data)
 	case "fanout":
-		h, err = s.col.FanOut(ctx, req.Dests, req.Data)
+		h, err = s.col.FanOut(ctx, dests, data)
 	default:
 		s.httpError(w, http.StatusBadRequest, fmt.Sprintf("unknown collective op %q", req.Op))
 		return

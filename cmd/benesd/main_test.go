@@ -96,7 +96,7 @@ func TestRouteEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
 	d := perm.BitReversal(4)
 
-	resp, rr := postRoute(t, srv.URL, routeRequest{Dest: d})
+	resp, rr := postRoute(t, srv.URL, routeRequest{Dest: intList(d)})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -110,7 +110,7 @@ func TestRouteEndpoint(t *testing.T) {
 		}
 	}
 
-	_, rr = postRoute(t, srv.URL, routeRequest{Dest: d})
+	_, rr = postRoute(t, srv.URL, routeRequest{Dest: intList(d)})
 	if !rr.CacheHit {
 		t.Fatal("second identical request must be a cache hit")
 	}
@@ -130,7 +130,7 @@ func TestRoutePayloadAndFallback(t *testing.T) {
 	for i := range data {
 		data[i] = 100 + i
 	}
-	resp, rr := postRoute(t, srv.URL, routeRequest{Dest: d, Data: data})
+	resp, rr := postRoute(t, srv.URL, routeRequest{Dest: intList(d), Data: data})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -171,8 +171,8 @@ func TestRouteErrors(t *testing.T) {
 func TestStatsAndHealth(t *testing.T) {
 	srv, _ := newTestServer(t)
 	d := perm.PerfectShuffle(4)
-	postRoute(t, srv.URL, routeRequest{Dest: d})
-	postRoute(t, srv.URL, routeRequest{Dest: d})
+	postRoute(t, srv.URL, routeRequest{Dest: intList(d)})
+	postRoute(t, srv.URL, routeRequest{Dest: intList(d)})
 
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -360,7 +360,7 @@ func TestMulticastEndpointMap(t *testing.T) {
 
 	// A full permutation is a legal (fan-out 1) mapping too.
 	d := perm.BitReversal(4)
-	resp, mr = postMulticast(t, srv.URL, multicastRequest{Map: d})
+	resp, mr = postMulticast(t, srv.URL, multicastRequest{Map: intList(d)})
 	if resp.StatusCode != http.StatusOK || mr.Class != "permutation" || mr.MaxFanout != 1 {
 		t.Fatalf("permutation map: status %d %+v", resp.StatusCode, mr)
 	}
@@ -470,7 +470,7 @@ func postCollective(t *testing.T, url string, body any) (*http.Response, collect
 func TestCollectiveEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
 	const n = 16
-	data := make([][]int, n)
+	data := make([]intList, n)
 	for p := range data {
 		data[p] = make([]int, n)
 		for c := range data[p] {
@@ -513,7 +513,7 @@ func TestCollectiveEndpoint(t *testing.T) {
 // through the HTTP layer.
 func TestCollectiveBroadcastAndTranspose(t *testing.T) {
 	srv, _ := newTestServer(t)
-	data := make([][]int, 16)
+	data := make([]intList, 16)
 	data[6] = []int{41, 43}
 	resp, cr := postCollective(t, srv.URL, collectiveRequest{Op: "broadcast", Root: 6, Data: data})
 	if resp.StatusCode != http.StatusOK {
@@ -525,7 +525,7 @@ func TestCollectiveBroadcastAndTranspose(t *testing.T) {
 		}
 	}
 
-	tdata := make([][]int, 16)
+	tdata := make([]intList, 16)
 	for p := range tdata {
 		tdata[p] = []int{p}
 	}
@@ -547,7 +547,7 @@ func TestCollectiveBroadcastAndTranspose(t *testing.T) {
 func TestCollectiveAllGatherAndFanOut(t *testing.T) {
 	srv, _ := newTestServer(t)
 	const n = 16
-	data := make([][]int, n)
+	data := make([]intList, n)
 	for p := range data {
 		data[p] = []int{p * 10}
 	}
@@ -563,10 +563,10 @@ func TestCollectiveAllGatherAndFanOut(t *testing.T) {
 		}
 	}
 
-	dests := make([][]int, n)
+	dests := make([]intList, n)
 	dests[0] = []int{4, 5}
 	dests[1] = []int{4}
-	fdata := make([][]int, n)
+	fdata := make([]intList, n)
 	fdata[0] = []int{100}
 	fdata[1] = []int{200}
 	resp, cr = postCollective(t, srv.URL, collectiveRequest{Op: "fanout", Dests: dests, Data: fdata})
@@ -592,8 +592,8 @@ func TestCollectiveAllGatherAndFanOut(t *testing.T) {
 // specs must be rejected with a JSON error before any round is routed.
 func TestCollectiveValidation(t *testing.T) {
 	srv, _ := newTestServer(t)
-	mk := func(ports, chunks int) [][]int {
-		d := make([][]int, ports)
+	mk := func(ports, chunks int) []intList {
+		d := make([]intList, ports)
 		for p := range d {
 			d[p] = make([]int, chunks)
 		}
@@ -606,9 +606,9 @@ func TestCollectiveValidation(t *testing.T) {
 		{"unknown op", collectiveRequest{Op: "reduce", Data: mk(16, 16)}},
 		{"allgather wrong chunk width", collectiveRequest{Op: "allgather", Data: mk(16, 16)}},
 		{"fanout subscriber out of range", collectiveRequest{Op: "fanout",
-			Dests: append([][]int{{16}}, mk(15, 0)...), Data: append([][]int{{7}}, mk(15, 0)...)}},
+			Dests: append([]intList{{16}}, mk(15, 0)...), Data: append([]intList{{7}}, mk(15, 0)...)}},
 		{"fanout duplicate subscriber", collectiveRequest{Op: "fanout",
-			Dests: append([][]int{{3, 3}}, mk(15, 0)...), Data: append([][]int{{7}}, mk(15, 0)...)}},
+			Dests: append([]intList{{3, 3}}, mk(15, 0)...), Data: append([]intList{{7}}, mk(15, 0)...)}},
 		{"empty op", collectiveRequest{Op: "", Data: mk(16, 16)}},
 		{"non-power-of-two ports", collectiveRequest{Op: "alltoall", Data: mk(10, 10)}},
 		{"wrong port count", collectiveRequest{Op: "alltoall", Data: mk(8, 8)}},
@@ -621,9 +621,9 @@ func TestCollectiveValidation(t *testing.T) {
 		{"gather negative root", collectiveRequest{Op: "gather", Root: -1, Data: mk(16, 1)}},
 		{"scatter root out of range", collectiveRequest{Op: "scatter", Root: 99, Data: mk(16, 0)}},
 		{"exchange dest out of range", collectiveRequest{Op: "exchange",
-			Dests: append([][]int{{16}}, mk(15, 0)...), Data: append([][]int{{7}}, mk(15, 0)...)}},
+			Dests: append([]intList{{16}}, mk(15, 0)...), Data: append([]intList{{7}}, mk(15, 0)...)}},
 		{"exchange duplicate dest", collectiveRequest{Op: "exchange",
-			Dests: append([][]int{{3, 3}}, mk(15, 0)...), Data: append([][]int{{7, 8}}, mk(15, 0)...)}},
+			Dests: append([]intList{{3, 3}}, mk(15, 0)...), Data: append([]intList{{7, 8}}, mk(15, 0)...)}},
 		{"exchange wrong spec size", collectiveRequest{Op: "exchange", Dests: mk(4, 1), Data: mk(16, 1)}},
 	}
 	for _, tc := range cases {
@@ -650,7 +650,7 @@ func TestCollectiveValidation(t *testing.T) {
 // estimate: a tight deadline_ms must be rejected with 503.
 func TestCollectiveDeadline(t *testing.T) {
 	srv, _ := newTestServerOpts(t, collective.Options{RoundEstimate: time.Hour})
-	data := make([][]int, 16)
+	data := make([]intList, 16)
 	for p := range data {
 		data[p] = make([]int, 16)
 	}
@@ -664,7 +664,7 @@ func TestCollectiveDeadline(t *testing.T) {
 // record, then a done record carrying the result.
 func TestCollectiveStream(t *testing.T) {
 	srv, _ := newTestServer(t)
-	data := make([][]int, 16)
+	data := make([]intList, 16)
 	for p := range data {
 		data[p] = make([]int, 16)
 		for c := range data[p] {
@@ -741,7 +741,7 @@ func TestGracefulShutdown(t *testing.T) {
 
 	url := "http://" + ln.Addr().String()
 	// Traffic through both layers while the server is up.
-	resp, rr := postRoute(t, url, routeRequest{Dest: perm.BitReversal(4)})
+	resp, rr := postRoute(t, url, routeRequest{Dest: intList(perm.BitReversal(4))})
 	if resp.StatusCode != http.StatusOK || rr.Kind != "self-routed" {
 		t.Fatalf("route before shutdown: status %d, %+v", resp.StatusCode, rr)
 	}
@@ -806,7 +806,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
 
 	// Engine traffic.
-	postRoute(t, srv.URL, routeRequest{Dest: perm.BitReversal(4)})
+	postRoute(t, srv.URL, routeRequest{Dest: intList(perm.BitReversal(4))})
 	// Fabric traffic, delivered before we scrape.
 	if _, sr := postSend(t, srv.URL, map[string]any{"src": 2, "dst": 11}); sr.Accepted != 1 {
 		t.Fatal("send not accepted")
@@ -831,7 +831,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	// Collective traffic.
-	data := make([][]int, 16)
+	data := make([]intList, 16)
 	for p := range data {
 		data[p] = make([]int, 16)
 	}
@@ -930,7 +930,7 @@ func spanStages(tr obs.TraceSnapshot) map[string]int {
 func TestTracesEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
 	const n = 16
-	data := make([][]int, n)
+	data := make([]intList, n)
 	for p := range data {
 		data[p] = make([]int, n)
 	}
@@ -1084,7 +1084,7 @@ func TestHeatmapEndpointExact(t *testing.T) {
 		eng.Close()
 	})
 
-	if resp, rr := postRoute(t, srv.URL, routeRequest{Dest: perm.BitReversal(2)}); resp.StatusCode != http.StatusOK || rr.Kind != "self-routed" {
+	if resp, rr := postRoute(t, srv.URL, routeRequest{Dest: intList(perm.BitReversal(2))}); resp.StatusCode != http.StatusOK || rr.Kind != "self-routed" {
 		t.Fatalf("route: status %d, %+v", resp.StatusCode, rr)
 	}
 
@@ -1128,7 +1128,7 @@ func TestHeatmapEndpointExact(t *testing.T) {
 // every plane.
 func TestHeatmapEndpointShape(t *testing.T) {
 	srv, _ := newTestServer(t)
-	postRoute(t, srv.URL, routeRequest{Dest: perm.BitReversal(4)})
+	postRoute(t, srv.URL, routeRequest{Dest: intList(perm.BitReversal(4))})
 
 	resp, err := http.Get(srv.URL + "/debug/heatmap")
 	if err != nil {

@@ -121,8 +121,64 @@ func (b *Network) route(d perm.Perm, mode Mode, ext States) *Result {
 // SelfRoute routes the permutation d with the self-setting switch logic
 // and reports the outcome. The routing always completes (switches always
 // resolve a state); d was realized iff Result.OK().
+//
+// SelfRoute is the reference evaluator: it records the full Fig. 4 tag
+// trace and the realized mapping, allocating a fresh N-int slice per
+// stage. Serving paths that only need the verdict and the states use
+// SelfRouteInto.
 func (b *Network) SelfRoute(d perm.Perm) *Result {
 	return b.route(d, SelfRouting, nil)
+}
+
+// SelfRouteInto is the serving-path kernel of SelfRoute: it applies the
+// Fig. 3 switch rule stage by stage, writes each self-set state into st,
+// and reports whether d is realized. It keeps no trace and allocates
+// nothing; its two tag buffers are sc's loop-resolution arrays.
+//
+// From stage n-1 on, each stage fixes one bit of the output a tag
+// reaches (stage s its control bit), whichever line the tag entered
+// stage n-1 on. So a tag arrives at its destination exactly when, at
+// every switch in stages n-1..2n-2, it leaves on the output its bit
+// asks for, and a switch there misroutes one of its two tags exactly
+// when both ask for the same output. SelfRouteInto returns false at
+// the first such switch (stage by stage, lowest switch first), leaving
+// st partly written; SetupInto overwrites every switch.
+//
+// d must be a permutation of length N; only the length is checked.
+// For such d the verdict equals SelfRoute(d).OK(), and on true st
+// equals SelfRoute(d).States.
+func (b *Network) SelfRouteInto(d perm.Perm, st States, sc *SetupScratch) bool {
+	if len(d) != b.size {
+		panic(fmt.Sprintf("core: SelfRouteInto: permutation length %d != N %d", len(d), b.size))
+	}
+	half := b.size / 2
+	tags, next := sc.invDest[:b.size], sc.up[:b.size]
+	copy(tags, d)
+	for s := 0; s < b.stages; s++ {
+		cb := uint(b.ControlBit(s))
+		checked := s >= b.n-1
+		var link []int
+		if s < b.stages-1 {
+			link = b.link[s]
+		}
+		row := st[s][:half]
+		for i := range row {
+			up, lo := tags[2*i], tags[2*i+1]
+			bit := (up >> cb) & 1
+			if checked && (lo>>cb)&1 == bit {
+				return false
+			}
+			row[i] = bit == 1
+			if link != nil {
+				// The upper tag leaves on output 2i+bit, the lower on
+				// the other one.
+				next[link[2*i+bit]] = up
+				next[link[2*i+1-bit]] = lo
+			}
+		}
+		tags, next = next, tags
+	}
+	return true
 }
 
 // OmegaRoute routes d with the omega bit asserted: stages 0..n-2 forced

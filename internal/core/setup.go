@@ -29,6 +29,9 @@ func (b *Network) Setup(d perm.Perm) States {
 // arrays. A scratch belongs to one goroutine at a time; reusing it
 // across calls makes SetupInto allocation-free, which matters on hot
 // paths that set up a fresh permutation per frame (the packet fabric).
+// SelfRouteInto borrows the two loop-resolution arrays as its tag
+// buffers, so one scratch serves a self-routing attempt and the looping
+// fallback after it.
 type SetupScratch struct {
 	invDest []int   // destination -> block-local input, reused per block
 	up      []int   // loop-resolution direction per input, reused per block

@@ -42,17 +42,31 @@ func BenchmarkCacheBaselinePerCallSetup(b *testing.B) {
 }
 
 // BenchmarkCacheCold forces a miss on every request by cycling far more
-// distinct permutations than the cache holds.
+// distinct permutations than the cache holds. Uniform permutations are
+// essentially never in F(n), so every miss takes the looping fallback
+// after the self-routing kernel's first conflict.
 func BenchmarkCacheCold(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	benchColdMisses(b, func() perm.Perm { return perm.Random(1<<benchLogN, rng) })
+}
+
+// BenchmarkCacheColdSelfRouted is BenchmarkCacheCold over F(n)
+// members: every miss is settled by the self-routing kernel alone.
+func BenchmarkCacheColdSelfRouted(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	benchColdMisses(b, func() perm.Perm { return perm.RandomF(benchLogN, rng) })
+}
+
+func benchColdMisses(b *testing.B, draw func() perm.Perm) {
+	b.ReportAllocs()
 	eng, err := New[int](Config{LogN: benchLogN, CacheCapacity: 16})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer eng.Close()
-	rng := rand.New(rand.NewSource(2))
 	perms := make([]perm.Perm, 128)
 	for i := range perms {
-		perms[i] = perm.Random(1<<benchLogN, rng)
+		perms[i] = draw()
 	}
 	data := benchPayload(1 << benchLogN)
 	b.ResetTimer()

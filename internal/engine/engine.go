@@ -87,10 +87,9 @@ type Config struct {
 	// unless ParallelSetup.
 	SetupMemo bool
 	// Recorder, when non-nil, receives gate-level accounting for every
-	// served request: per-switch traversals and state flips. Full
-	// permutation vectors cost one atomic add plus a word-compare sweep;
-	// partially filled frames (Request.Real set) walk only the real
-	// packets' paths. Nil disables accounting entirely.
+	// served request: per-switch traversals and state flips. A served
+	// vector costs one atomic add plus a word-compare sweep. Nil
+	// disables accounting entirely.
 	Recorder *netsim.Recorder
 	// Journal, when enabled, receives one hash-chained admission record
 	// per served request (the permutation plus its delivery digest),
@@ -129,13 +128,6 @@ func (c Config) withDefaults() Config {
 type Request[T any] struct {
 	Dest perm.Perm
 	Data []T
-	// Real, when non-nil, lists the input terminals carrying real
-	// packets; the rest of the vector is filler completing the
-	// permutation (the fabric's partially filled frames). The flight
-	// recorder then counts traversals along only the real packets'
-	// paths, while switch flips still reflect the full setting. Nil
-	// means every input is real — a full permutation pass.
-	Real []int
 }
 
 // Response reports one served request.
@@ -176,8 +168,11 @@ type Engine[T any] struct {
 	ladRec *netsim.Recorder
 	// mpool holds per-call mcast compilers for the RouteMulticast path.
 	mpool sync.Pool
-	reqs  chan *pending[T]
-	wg    sync.WaitGroup
+	// scpool holds *core.SetupScratch for cache misses: the self-routing
+	// kernel's tag buffers and the serial looping fallback's memory.
+	scpool sync.Pool
+	reqs   chan *pending[T]
+	wg     sync.WaitGroup
 
 	mu     sync.RWMutex // guards closed vs. sends on reqs
 	closed bool
@@ -214,6 +209,7 @@ func New[T any](cfg Config) (*Engine[T], error) {
 		})
 	}
 	e.mpool.New = func() any { return mcast.NewCompiler(e.net) }
+	e.scpool.New = func() any { return core.NewSetupScratch(e.net) }
 	e.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go e.worker()
@@ -443,9 +439,9 @@ func (e *Engine[T]) serve(batch []*pending[T], sh *netsim.RecorderShard) {
 		t0 := time.Now()
 		out := perm.Apply(ent.plan.Dest, p.req.Data)
 		e.met.Apply.Observe(time.Since(t0))
-		if sh != nil {
-			e.record(sh, ent.plan, p.req.Real)
-		}
+		// One full-vector pass: an atomic add plus a word-compare flip
+		// sweep that is all loads while the cached setting is unchanged.
+		sh.RecordVector(ent.plan.mask)
 		if e.jrn.Enabled() {
 			// The plan realizes exactly its permutation, so the delivery
 			// digest is DigestPerm of the destination vector.
@@ -455,39 +451,11 @@ func (e *Engine[T]) serve(batch []*pending[T], sh *netsim.RecorderShard) {
 	}
 }
 
-// record accounts one served pass into the flight recorder. A full
-// permutation vector (real == nil) is one RecordVector — an atomic add
-// plus a word-compare flip sweep that is all loads while the cached
-// setting is unchanged. A partially filled frame records the flip sweep
-// for the full setting (every switch is physically pinned) but walks
-// only the real packets' paths for traversal counts.
-func (e *Engine[T]) record(sh *netsim.RecorderShard, pl *Plan, real []int) {
-	if real == nil {
-		sh.RecordVector(pl.mask)
-		return
-	}
-	sh.RecordFlips(pl.mask)
-	stages := e.net.Stages()
-	for _, src := range real {
-		y := src
-		for s := 0; s < stages; s++ {
-			sw := y >> 1
-			sh.Traverse(s, sw)
-			out := 2 * sw
-			if crossed := pl.States[s][sw]; crossed != (y&1 == 1) {
-				out++ // straight keeps the line parity; crossed swaps it
-			}
-			if s < stages-1 {
-				y = e.net.Link(s, out)
-			}
-		}
-	}
-}
-
 // acquire returns the plan for d, consulting the cache first. On a
-// miss it tries the paper's self-routing path (valid for F(n) members)
-// and falls back to the looping algorithm otherwise, then caches the
-// result.
+// miss it allocates the plan's States once and runs the self-routing
+// kernel into them (valid for F(n) members); at the kernel's first
+// conflict it sets up the same States with the looping algorithm
+// instead, then caches the result.
 func (e *Engine[T]) acquire(key uint64, d perm.Perm) (*Plan, bool, error) {
 	t0 := time.Now()
 	defer func() { e.met.Plan.Observe(time.Since(t0)) }()
@@ -499,14 +467,13 @@ func (e *Engine[T]) acquire(key uint64, d perm.Perm) (*Plan, bool, error) {
 		return nil, false, err
 	}
 	e.met.misses.Add(1)
-	var pl *Plan
-	if res := e.net.SelfRoute(d); res.OK() {
-		pl = &Plan{Kind: PlanSelfRouted, States: res.States, Dest: d.Clone(), key: key}
-	} else {
+	pl := &Plan{Kind: PlanSelfRouted, States: e.net.NewStates(), Dest: d.Clone(), key: key}
+	sc := e.scpool.Get().(*core.SetupScratch)
+	if !e.net.SelfRouteInto(d, pl.States, sc) {
 		e.met.fallbacks.Add(1)
-		st, kind := e.coldSetup(d)
-		pl = &Plan{Kind: kind, States: st, Dest: d.Clone(), key: key}
+		pl.Kind = e.coldSetup(d, pl.States, sc)
 	}
+	e.scpool.Put(sc)
 	// Pack the setting once at plan-build time so recording a cached
 	// pass is a word sweep, not a boolean matrix walk.
 	pl.mask = e.rec.PackStates(pl.States)
@@ -514,25 +481,27 @@ func (e *Engine[T]) acquire(key uint64, d perm.Perm) (*Plan, bool, error) {
 	return pl, false, nil
 }
 
-// coldSetup computes states for a validated non-F(n) permutation — the
-// external-setup cliff the plan cache cannot hide on first sight of d.
-// With ParallelSetup on it runs the worker-pool looping recursion
-// (states bit-identical to the serial algorithm, enforced by the
-// psetup differential battery); the serial path remains both the
-// default and the fallback should the parallel router report an error.
-func (e *Engine[T]) coldSetup(d perm.Perm) (core.States, PlanKind) {
+// coldSetup writes into st the states of a validated non-F(n)
+// permutation — the external-setup cliff the plan cache cannot hide on
+// first sight of d. With ParallelSetup on it runs the worker-pool
+// looping recursion (states bit-identical to the serial algorithm,
+// enforced by the psetup differential battery); the serial path, on
+// the caller's scratch, remains both the default and the fallback
+// should the parallel router report an error.
+func (e *Engine[T]) coldSetup(d perm.Perm, st core.States, sc *core.SetupScratch) PlanKind {
 	if e.psr == nil {
-		return e.net.Setup(d), PlanLooped
+		e.net.SetupInto(d, st, sc)
+		return PlanLooped
 	}
 	t0 := time.Now()
 	defer func() { e.met.SetupPar.Observe(time.Since(t0)) }()
-	st, err := e.psr.Setup(d)
-	if err != nil {
+	if err := e.psr.SetupInto(d, st); err != nil {
 		// d was validated by acquire, so this is unreachable in
 		// practice; keep the serial algorithm as the safety net anyway.
 		e.met.parFallbacks.Add(1)
-		return e.net.Setup(d), PlanLooped
+		e.net.SetupInto(d, st, sc)
+		return PlanLooped
 	}
 	e.met.parSetups.Add(1)
-	return st, PlanParallel
+	return PlanParallel
 }

@@ -19,8 +19,12 @@ import (
 //   - a frame's destination vector is a random completed matching, so
 //     consecutive frames essentially never repeat — every cache lookup
 //     misses, every insert churns a useful plan out of the LRU;
-//   - random permutations are essentially never in F(n), so the
-//     self-routing attempt is O(N log N) work thrown away per frame;
+//   - random permutations are essentially never in F(n). The
+//     self-routing kernel (core.Network.SelfRouteInto) stops at its
+//     first conflict, but for a random permutation that conflict sits
+//     in the first few switches of stage n-1, after the n-1 stages that
+//     cannot conflict — about half a full setting's switch decisions,
+//     thrown away per frame;
 //   - the channel handoff costs two goroutine wakeups and a response
 //     allocation per frame.
 //

@@ -74,75 +74,6 @@ func TestEngineRecorderFullVectors(t *testing.T) {
 	}
 }
 
-// TestEngineRecorderRealPaths serves a partially filled frame
-// (Request.Real set) and checks traversals are counted along exactly
-// the real packets' gate-level paths — derived independently from the
-// synchronous evaluator's tag trace, where each unique destination tag
-// appears on exactly one line per stage.
-func TestEngineRecorderRealPaths(t *testing.T) {
-	const logN = 3
-	net := core.New(logN)
-	rec := netsim.NewRecorder(net, 1)
-	eng, err := New[int](Config{LogN: logN, Workers: 1, Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	d := perm.BitReversal(logN)
-	real := []int{0, 3, 5}
-	resp := <-eng.Submit(Request[int]{Dest: d, Data: benchPayload(1 << logN), Real: real})
-	if resp.Err != nil {
-		t.Fatal(resp.Err)
-	}
-
-	res := net.SelfRoute(d)
-	stages, switches := net.Stages(), net.SwitchesPerStage()
-	want := make([][]int64, stages)
-	for s := range want {
-		want[s] = make([]int64, switches)
-		for _, src := range real {
-			tag := d[src]
-			hit := -1
-			for y, tr := range res.TagTrace[s] {
-				if tr == tag {
-					hit = y
-					break
-				}
-			}
-			if hit < 0 {
-				t.Fatalf("tag %d missing from stage %d trace", tag, s)
-			}
-			want[s][hit/2]++
-		}
-	}
-
-	snap := rec.Snapshot()
-	if snap.FullVectors != 0 {
-		t.Fatalf("a Real frame must not count as a full vector, got %d", snap.FullVectors)
-	}
-	for s := 0; s < stages; s++ {
-		var stageSum int64
-		for i := 0; i < switches; i++ {
-			if got := snap.Counts[s].Traversed[i]; got != want[s][i] {
-				t.Errorf("traversed[%d][%d] = %d, want %d", s, i, got, want[s][i])
-			}
-			stageSum += snap.Counts[s].Traversed[i]
-		}
-		if stageSum != int64(len(real)) {
-			t.Errorf("stage %d carries %d traversals, want one per real packet = %d", s, stageSum, len(real))
-		}
-	}
-	// Flips still reflect the full pinned setting.
-	flips := int64(0)
-	for s := 0; s < stages; s++ {
-		flips += rec.StageTotals(s).Flips
-	}
-	if want := int64(res.States.CountCrossed()); flips != want {
-		t.Fatalf("flips from power-on = %d, want crossed switch count %d", flips, want)
-	}
-}
-
 // TestEngineWarmRouteAllocs is the allocation guard: the warm-cache
 // serving path — Submit, worker pickup, cached plan, payload apply —
 // must stay at 5 allocations per request with gate-level accounting

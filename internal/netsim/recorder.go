@@ -194,20 +194,28 @@ func (r *Recorder) PackStates(st core.States) []uint64 {
 }
 
 // PackStatesInto is PackStates writing into a caller-owned mask buffer
-// of length MaskWords, clearing it first. RecordVector and RecordFlips
-// copy out of the mask, so the buffer is safe to reuse across passes —
-// the allocation-free path for callers that set up a fresh permutation
-// per frame. Nil on a nil recorder.
+// of length MaskWords; every word is overwritten, so a dirty buffer is
+// fine. RecordVector and RecordFlips copy out of the mask, so the
+// buffer is safe to reuse across passes — the allocation-free path for
+// callers that set up a fresh permutation per frame. Nil on a nil
+// recorder.
 func (r *Recorder) PackStatesInto(st core.States, mask []uint64) []uint64 {
 	if r == nil {
 		return nil
 	}
-	clear(mask)
-	for s := range st {
-		for i, crossed := range st[s] {
-			if crossed {
-				mask[s*r.words+i/64] |= 1 << uint(i%64)
+	for s, row := range st {
+		words := mask[s*r.words : (s+1)*r.words]
+		for w := range words {
+			// Build the word in a register and store it once.
+			var word uint64
+			for i, crossed := range row[w*64 : min(w*64+64, len(row))] {
+				var bit uint64
+				if crossed {
+					bit = 1
+				}
+				word |= bit << uint(i)
 			}
+			words[w] = word
 		}
 	}
 	return mask

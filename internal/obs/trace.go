@@ -283,9 +283,12 @@ func (r *TraceRing) Snapshot() RingSnapshot {
 		held = append(held, r.buf[idx])
 	}
 	r.mu.Unlock()
+	// Load kept before seen: Observe bumps seen before kept, so every
+	// trace counted in this kept is already counted in the seen below.
+	kept := r.kept.Load()
 	s := RingSnapshot{
 		Seen:   r.seen.Load(),
-		Kept:   r.kept.Load(),
+		Kept:   kept,
 		SlowNs: r.slow.Nanoseconds(),
 		Traces: make([]TraceSnapshot, len(held)),
 	}
