@@ -101,7 +101,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -881,14 +880,34 @@ func newMux(eng *engine.Engine[int], fab *fabric.Fabric[int], col *collective.Se
 	return mux
 }
 
+// Connection timeouts: a client that stops mid-header, or parks an idle
+// keep-alive connection, loses the connection instead of holding it and
+// its goroutine forever. Neither bounds a request once its header is
+// in, so long collectives and streamed replies are unaffected.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// timeouts are serve's connection and shutdown bounds.
+type timeouts struct {
+	readHeader time.Duration // until a request's header is read
+	idle       time.Duration // a keep-alive connection waiting for its next request
+	shutdown   time.Duration // draining in-flight requests on shutdown
+}
+
 // serve runs the HTTP server on ln until ctx is cancelled, then shuts
 // down gracefully: stop accepting, drain in-flight requests within
-// shutdownTimeout, close the fabric (which delivers everything already
+// to.shutdown, close the fabric (which delivers everything already
 // accepted), the engine, and last the journal (nil OK) so the final
 // deliveries are recorded and the spill queue drains. Split from main
 // so tests can drive the full lifecycle without signals.
-func serve(ctx context.Context, ln net.Listener, eng *engine.Engine[int], fab *fabric.Fabric[int], col *collective.Service[int], o *obsState, jr *journal.Journal, shutdownTimeout time.Duration) error {
-	srv := &http.Server{Handler: newMux(eng, fab, col, o, jr)}
+func serve(ctx context.Context, ln net.Listener, eng *engine.Engine[int], fab *fabric.Fabric[int], col *collective.Service[int], o *obsState, jr *journal.Journal, to timeouts) error {
+	srv := &http.Server{
+		Handler:           newMux(eng, fab, col, o, jr),
+		ReadHeaderTimeout: to.readHeader,
+		IdleTimeout:       to.idle,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -896,7 +915,7 @@ func serve(ctx context.Context, ln net.Listener, eng *engine.Engine[int], fab *f
 		return err // listener failed before any shutdown request
 	case <-ctx.Done():
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), to.shutdown)
 	defer cancel()
 	err := srv.Shutdown(sctx)
 	o.hist.Stop()
@@ -944,11 +963,7 @@ func main() {
 
 	var rec *netsim.Recorder
 	if *record {
-		w := *workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		rec = netsim.NewRecorder(core.New(*n), w+1)
+		rec = netsim.NewRecorder(core.New(*n), 1)
 	}
 	var jr *journal.Journal
 	var jw *journal.Writer
@@ -1025,7 +1040,8 @@ func main() {
 	logger.Info("benesd: serving", "log_n", *n, "terminals", eng.Network().N(), "planes", fab.Planes(),
 		"affinity", affinity.String(), "addr", *addr, "record", *record,
 		"parallel_setup", *psetup, "setup_memo", *psetup && *psmemo, "journal", *jflag)
-	if err := serve(ctx, ln, eng, fab, col, o, jr, *drain); err != nil {
+	to := timeouts{readHeader: readHeaderTimeout, idle: idleTimeout, shutdown: *drain}
+	if err := serve(ctx, ln, eng, fab, col, o, jr, to); err != nil {
 		fatal(err)
 	}
 	logger.Info("benesd: drained and stopped")

@@ -736,7 +736,7 @@ func TestGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- serve(ctx, ln, eng, fab, col, o, nil, 5*time.Second)
+		done <- serve(ctx, ln, eng, fab, col, o, nil, timeouts{readHeader: readHeaderTimeout, idle: idleTimeout, shutdown: 5 * time.Second})
 	}()
 
 	url := "http://" + ln.Addr().String()
@@ -774,6 +774,63 @@ func TestGracefulShutdown(t *testing.T) {
 	// dropped.
 	if s := fab.Stats(); s.Delivered != 1 || s.Lost != 0 {
 		t.Fatalf("accepted packet must survive the drain: %+v", s)
+	}
+}
+
+// TestServeClosesStalledHeader holds one connection open mid-header on
+// a server with a short header timeout: the server must close it, while
+// a normal /route on the same server still succeeds.
+func TestServeClosesStalledHeader(t *testing.T) {
+	eng, err := engine.New[int](engine.Config{LogN: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab, err := fabric.New[int](fabric.Config{LogN: 4, Planes: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := collective.New[int](fab, collective.Options{})
+	o := newObsState(eng, fab, col, nil, obs.NewTraceRing(4, 0), 4, time.Second, testLogger())
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- serve(ctx, ln, eng, fab, col, o, nil, timeouts{readHeader: 200 * time.Millisecond, idle: time.Second, shutdown: 5 * time.Second})
+	}()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if _, err := io.WriteString(stalled, "POST /route HTTP/1.1\r\nHost: benesd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	url := "http://" + ln.Addr().String()
+	resp, rr := postRoute(t, url, routeRequest{Dest: intList(perm.BitReversal(4))})
+	if resp.StatusCode != http.StatusOK || rr.Kind != "self-routed" {
+		t.Fatalf("route beside a stalled connection: status %d, %+v", resp.StatusCode, rr)
+	}
+
+	// The server closes the stalled connection without a reply; the
+	// read deadline only bounds the test if it does not.
+	if err := stalled.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := io.ReadAll(stalled)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("stalled connection still open after 10s (header timeout 200ms), read %q", reply)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/perm"
 )
 
@@ -98,6 +99,48 @@ func BenchmarkCacheWarm(b *testing.B) {
 	}
 	b.StopTimer()
 	reportHitRate(b, eng)
+}
+
+// BenchmarkCacheWarmCycle serves a working set of 64 cached plans in
+// rotation, the route-warm traffic shape: every request is a cache hit
+// whose setting differs from the previous one, so with the flight
+// recorder on each pass flips about half the switches. The
+// recorder=off row is the floor the recorder's cost is read against.
+func BenchmarkCacheWarmCycle(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	perms := make([]perm.Perm, 64)
+	for i := range perms {
+		perms[i] = perm.Random(1<<benchLogN, rng)
+	}
+	data := benchPayload(1 << benchLogN)
+	for _, on := range []bool{false, true} {
+		name := "recorder=off"
+		var rec *netsim.Recorder
+		if on {
+			name = "recorder=on"
+			rec = netsim.NewRecorder(core.New(benchLogN), 2)
+		}
+		b.Run(name, func(b *testing.B) {
+			eng, err := New[int](Config{LogN: benchLogN, Recorder: rec})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			for _, d := range perms {
+				eng.Route(d, data) // warm every plan
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if resp := eng.Route(perms[i%len(perms)], data); resp.Err != nil {
+					b.Fatal(resp.Err)
+				}
+			}
+			b.StopTimer()
+			reportHitRate(b, eng)
+		})
+	}
 }
 
 // BenchmarkWorkers sweeps the worker pool from 1 to GOMAXPROCS under a

@@ -88,8 +88,10 @@ type Config struct {
 	SetupMemo bool
 	// Recorder, when non-nil, receives gate-level accounting for every
 	// served request: per-switch traversals and state flips. A served
-	// vector costs one atomic add plus a word-compare sweep. Nil
-	// disables accounting entirely.
+	// vector takes the recorder's lock once, compares the plan's packed
+	// setting with the last one word by word, and ripple-carries each
+	// changed word into the flip bit-planes; a repeated setting is all
+	// compares. Nil disables accounting entirely.
 	Recorder *netsim.Recorder
 	// Journal, when enabled, receives one hash-chained admission record
 	// per served request (the permutation plus its delivery digest),
@@ -195,7 +197,7 @@ func New[T any](cfg Config) (*Engine[T], error) {
 		reqs:  make(chan *pending[T], cfg.QueueDepth),
 	}
 	if e.rec != nil {
-		e.ladRec = netsim.NewRecorderGeom(cfg.LogN, e.net.SwitchesPerStage(), cfg.Workers+2)
+		e.ladRec = netsim.NewRecorderGeom(cfg.LogN, e.net.SwitchesPerStage())
 	}
 	if cfg.ParallelSetup {
 		var memo psetup.SubPlanCache
@@ -439,8 +441,8 @@ func (e *Engine[T]) serve(batch []*pending[T], sh *netsim.RecorderShard) {
 		t0 := time.Now()
 		out := perm.Apply(ent.plan.Dest, p.req.Data)
 		e.met.Apply.Observe(time.Since(t0))
-		// One full-vector pass: an atomic add plus a word-compare flip
-		// sweep that is all loads while the cached setting is unchanged.
+		// One full-vector pass: a vector count plus a word-compare flip
+		// sweep, whose changed words ripple into the flip bit-planes.
 		sh.RecordVector(ent.plan.mask)
 		if e.jrn.Enabled() {
 			// The plan realizes exactly its permutation, so the delivery

@@ -39,12 +39,13 @@ import (
 // A FrameServer belongs to one goroutine; create one per serving
 // goroutine via NewFrameServer. Concurrent FrameServers over the same
 // engine are safe — they share only the network wiring (read-only), the
-// metrics atomics, and the recorder (internally sharded).
+// metrics atomics, and the recorder (internally locked).
 type FrameServer[T any] struct {
 	e        *Engine[T]
 	st       core.States
 	sc       *core.SetupScratch
 	mask     []uint64
+	paths    *netsim.Paths
 	sh       *netsim.RecorderShard
 	last     perm.Perm // previously served dest; valid when haveLast
 	haveLast bool
@@ -54,11 +55,12 @@ type FrameServer[T any] struct {
 // goroutine's exclusive use.
 func (e *Engine[T]) NewFrameServer() *FrameServer[T] {
 	fs := &FrameServer[T]{
-		e:    e,
-		st:   e.net.NewStates(),
-		sc:   core.NewSetupScratch(e.net),
-		sh:   e.rec.Shard(), // nil (and inert) when accounting is off
-		last: make(perm.Perm, e.net.N()),
+		e:     e,
+		st:    e.net.NewStates(),
+		sc:    core.NewSetupScratch(e.net),
+		sh:    e.rec.Shard(), // nil (and inert) when accounting is off
+		paths: e.rec.NewPaths(),
+		last:  make(perm.Perm, e.net.N()),
 	}
 	if words := e.rec.MaskWords(); words > 0 {
 		fs.mask = make([]uint64, words)
@@ -73,10 +75,11 @@ func (e *Engine[T]) NewFrameServer() *FrameServer[T] {
 // algorithm, then walks each real packet's path gate by gate and
 // verifies it exits at dest[src] — the output-port tag check frames
 // carry — before reporting success. With a flight recorder attached the
-// walk doubles as traversal accounting and the setting's flips are
-// folded in, exactly like the Submit path's partially-filled-frame
-// accounting. The frame's filler assignments pin switches but are
-// neither walked nor verified.
+// walk doubles as traversal accounting: it marks each packet's path in
+// per-stage bit words, and a verified frame adds those words and the
+// setting's flips to the recorder in one call. The frame's filler
+// assignments pin switches but are neither walked nor verified, and a
+// frame that fails verification records nothing.
 func (fs *FrameServer[T]) Serve(dest perm.Perm, real []int) error {
 	e := fs.e
 	if len(dest) != e.net.N() {
@@ -96,14 +99,12 @@ func (fs *FrameServer[T]) Serve(dest perm.Perm, real []int) error {
 	// anywhere on the path surfaces as a misdelivered tag here.
 	t1 := time.Now()
 	stages := e.net.Stages()
-	rec := fs.sh != nil
+	fs.paths.Reset()
 	for _, src := range real {
 		y := src
 		for s := 0; s < stages; s++ {
 			sw := y >> 1
-			if rec {
-				fs.sh.Traverse(s, sw)
-			}
+			fs.paths.Mark(s, sw)
 			out := 2 * sw
 			if crossed := fs.st[s][sw]; crossed != (y&1 == 1) {
 				out++ // straight keeps the line parity; crossed swaps it
@@ -120,8 +121,8 @@ func (fs *FrameServer[T]) Serve(dest perm.Perm, real []int) error {
 		}
 	}
 	e.met.Apply.Observe(time.Since(t1))
-	if rec {
-		fs.sh.RecordFlips(e.rec.PackStatesInto(fs.st, fs.mask))
+	if fs.sh != nil {
+		fs.sh.RecordFrame(e.rec.PackStatesInto(fs.st, fs.mask), fs.paths)
 	}
 	e.met.frames.Add(1)
 	return nil

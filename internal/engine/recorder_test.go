@@ -77,9 +77,10 @@ func TestEngineRecorderFullVectors(t *testing.T) {
 // TestEngineWarmRouteAllocs is the allocation guard: the warm-cache
 // serving path — Submit, worker pickup, cached plan, payload apply —
 // must stay at 5 allocations per request with gate-level accounting
-// enabled. The flight recorder's RecordVector is an atomic add plus a
-// word sweep; if it (or anything else on the warm path) starts
-// allocating, this fails before a benchmark ever notices.
+// enabled. The flight recorder's RecordVector is a locked word sweep
+// that ripple-carries changed words into preallocated bit-planes; if
+// it (or anything else on the warm path) starts allocating, this fails
+// before a benchmark ever notices.
 func TestEngineWarmRouteAllocs(t *testing.T) {
 	const logN = 6
 	rec := netsim.NewRecorder(core.New(logN), 2)

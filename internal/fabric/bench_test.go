@@ -14,7 +14,14 @@ import (
 // at N=256 with K=1 versus K=GOMAXPROCS planes, demonstrating
 // multi-plane scaling. The Block policy keeps every offered packet in
 // play so each iteration counts a delivered packet.
-func BenchmarkFabricThroughput(b *testing.B) {
+func BenchmarkFabricThroughput(b *testing.B) { benchFabricThroughput(b, false) }
+
+// BenchmarkFabricThroughputRecord is BenchmarkFabricThroughput with the
+// planes' flight recorders on, as benesd runs by default: the gap to
+// the recorder-off rows is the per-frame recording cost.
+func BenchmarkFabricThroughputRecord(b *testing.B) { benchFabricThroughput(b, true) }
+
+func benchFabricThroughput(b *testing.B, record bool) {
 	multi := runtime.GOMAXPROCS(0)
 	if multi < 2 {
 		multi = 2 // still exercise the multi-plane path on one core
@@ -30,6 +37,7 @@ func BenchmarkFabricThroughput(b *testing.B) {
 				Planes:   k,
 				VOQDepth: 16,
 				Policy:   Block,
+				Record:   record,
 			}, func(Packet[int]) {
 				if delivered.Add(1) == target {
 					close(done)
@@ -39,6 +47,8 @@ func BenchmarkFabricThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			senders := runtime.GOMAXPROCS(0)
+			b.ReportAllocs()
+			b.SetBytes(8) // one int payload per packet
 			b.ResetTimer()
 			var wg sync.WaitGroup
 			for s := 0; s < senders; s++ {

@@ -275,8 +275,7 @@ func newFabric[T any](cfg Config, deliver func(Packet[T]), deliverBatch func(int
 	for i := range f.planes {
 		var rec *netsim.Recorder
 		if cfg.Record {
-			// Workers plus the frame routers that may fail over here.
-			rec = netsim.NewRecorder(geo, cfg.PlaneWorkers+cfg.Planes)
+			rec = netsim.NewRecorder(geo, 1)
 		}
 		p, err := newPlane(i, engine.Config{
 			LogN:          cfg.LogN,

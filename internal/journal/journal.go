@@ -298,7 +298,12 @@ func (j *Journal) rotateLocked() {
 	}
 	if len(j.ring)+1 > j.maxRing {
 		old := j.ring[0]
-		j.ring = j.ring[1:]
+		// Shift in place: reslicing to j.ring[1:] would leave old in the
+		// backing array, reachable until an append reallocates it, so the
+		// window would hold up to twice Cap records.
+		n := copy(j.ring, j.ring[1:])
+		j.ring[n] = nil
+		j.ring = j.ring[:n]
 		j.evict(old)
 	}
 	// append has already claimed this record's sequence number, so the

@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 )
@@ -226,6 +228,32 @@ func TestJournalAgeOut(t *testing.T) {
 	}
 	if vr := j.Verify(oldest, 20); !vr.OK {
 		t.Fatalf("Verify over retained window: %+v", vr)
+	}
+}
+
+// TestJournalAgeOutReleasesSegments checks that a segment aging out of
+// a full window becomes garbage at once, so the memory ring holds Cap
+// records and not up to twice as many until its array is reallocated.
+func TestJournalAgeOutReleasesSegments(t *testing.T) {
+	j, err := New(Config{Cap: 64, SegmentRecords: 4, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	w := j.Writer()
+	fill(w, 64)
+	for i := 0; i < 3*j.maxRing; i++ {
+		j.mu.Lock()
+		oldest := weak.Make(j.ring[0])
+		j.mu.Unlock()
+		fill(w, 4) // one rotation: the oldest segment ages out
+		runtime.GC()
+		if oldest.Value() != nil {
+			t.Fatalf("rotation %d: the aged-out segment is still reachable", i)
+		}
+	}
+	if oldest, newest, _ := j.Bounds(); newest-oldest+1 != 64 {
+		t.Fatalf("window holds %d records, want 64", newest-oldest+1)
 	}
 }
 

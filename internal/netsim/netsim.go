@@ -107,13 +107,13 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 	link := e.net.Wiring()
 
 	firstStates := e.net.NewStates()
+	sh := e.rec.Shard()
 	var wg sync.WaitGroup
 	for s := 0; s < stages; s++ {
 		cb := e.net.ControlBit(s)
 		forced := e.omega && s <= e.net.LogN()-2
 		for i := 0; i < N/2; i++ {
 			frozen, isStuck := e.stuck[switchID{s, i}]
-			sh := e.rec.shardFor(s, i)
 			wg.Add(1)
 			go func(s, i, cb int) {
 				defer wg.Done()

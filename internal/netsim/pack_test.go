@@ -15,7 +15,7 @@ func TestPackStatesInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, switches := range []int{1, 2, 64, 512} {
 		const stages = 5
-		r := NewRecorderGeom(stages, switches, 1)
+		r := NewRecorderGeom(stages, switches)
 		st := make(core.States, stages)
 		for s := range st {
 			st[s] = make([]bool, switches)
@@ -63,5 +63,32 @@ func BenchmarkPackStatesInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.PackStatesInto(st, mask)
+	}
+}
+
+// BenchmarkRecordVector records full vectors at N=1024 (19 stages of
+// 512 switches), alternating between two random settings so every call
+// flips about half the switches: the per-route recording cost of a
+// warm cache that cycles through its working set.
+func BenchmarkRecordVector(b *testing.B) {
+	net := core.New(10)
+	r := NewRecorder(net, 1)
+	rng := rand.New(rand.NewSource(2))
+	var masks [2][]uint64
+	for j := range masks {
+		st := net.NewStates()
+		for s := range st {
+			for i := range st[s] {
+				st[s][i] = rng.Intn(2) == 1
+			}
+		}
+		masks[j] = r.PackStates(st)
+	}
+	sh := r.Shard()
+	b.ReportAllocs()
+	b.SetBytes(int64(8 * r.MaskWords()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sh.RecordVector(masks[i&1])
 	}
 }

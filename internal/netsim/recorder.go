@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -12,7 +13,7 @@ import (
 // 2·log N − 1 stages, and per-switch load balance — not aggregate
 // throughput — is what determines packet-mode Benes performance
 // (Huang & Walrand). The Recorder is the gate-level flight recorder
-// behind that claim: per-switch, per-stage atomic counters of
+// behind that claim: per-switch, per-stage counters of
 //
 //   - traversals: destination tags that physically passed through the
 //     switch (two per switch per full permutation vector);
@@ -25,13 +26,24 @@ import (
 //   - fault hits: vectors that demanded the opposite state from a
 //     stuck switch — the exact coordinates where injected damage bites.
 //
-// Counter storage is sharded so concurrent writers (engine workers,
-// fabric dispatchers) do not contend on the same cache lines; readers
-// sum across shards. A nil *Recorder (and a nil *RecorderShard) is the
-// disabled state: every method no-ops after a nil check, so the hot
-// path pays nothing when accounting is off.
+// Storage is bit-sliced. Whole-vector records (a switch setting, or a
+// frame's traversal words) touch up to 64 switches per word operation:
+// each 64-switch word of each stage owns planeBits bit-planes, plane k
+// holding bit k of every switch's pending count, and adding a word is a
+// ripple carry up the planes. A switch whose pending count reaches
+// 2^planeBits spills it into its int64 cell, one cell per (switch,
+// kind) for the whole recorder, and a reader's count is cell plus
+// decoded planes. One mutex orders the previous-state update, the
+// plane adds and the spills against each other and against readers,
+// so counts are exact and a snapshot never splits a vector record.
+// Single-switch calls (Traverse, Flip, ...) skip the planes and the
+// lock: they are atomic adds on the same cells.
+//
+// A nil *Recorder (and a nil *RecorderShard) is the disabled state:
+// every method no-ops after a nil check, so the hot path pays nothing
+// when accounting is off.
 
-// counter kinds, interleaved per switch inside a shard.
+// counter kinds, interleaved per switch in the cell array.
 const (
 	kindTraversed = iota // tags through the switch (beyond full-vector passes)
 	kindFlips            // state transitions between consecutive vectors
@@ -41,6 +53,11 @@ const (
 	recKinds
 )
 
+// planeBits is the number of bit-planes per (stage, word): a switch's
+// pending count wraps, spilling 2^planeBits into its cell, once every
+// 2^planeBits counts. Eight planes fill one 64-byte cache line.
+const planeBits = 8
+
 // Recorder accumulates per-switch gate-level counters for one network
 // geometry. All methods are safe for concurrent use; all methods are
 // no-ops on a nil receiver.
@@ -48,55 +65,59 @@ type Recorder struct {
 	stages   int // 2n - 1
 	switches int // N/2
 	words    int // uint64 words per stage in a state bitmask
-	shards   []RecorderShard
-	next     atomic.Uint64 // round-robin Shard() assignment
+	handle   RecorderShard
 
-	// prev is the last recorded state bitmask, shared by every shard so
-	// flip counts reflect the physical switch flipping between
-	// consecutively applied vectors, not one count per writer. prevHi is
-	// the second state bit of the four-state (multicast) encoding: a set
-	// bit means the switch last sat in a broadcast state. Binary vectors
-	// clear it, so flip counts stay exact when unicast and multicast
-	// passes interleave on the same hardware.
-	prev   []atomic.Uint64
-	prevHi []atomic.Uint64
+	// c holds one cell per (switch, kind): atomic because single-switch
+	// calls add to it without taking mu.
+	c []atomic.Int64
+
+	mu sync.Mutex
+	// full counts full-permutation vectors; each contributes two
+	// traversals to every switch, folded in at read time.
+	full int64
+	// prev is the last recorded state bitmask, so a flip means the
+	// physical switch changed between consecutively applied vectors.
+	// prevHi is the second state bit of the four-state (multicast)
+	// encoding: a set bit means the switch last sat in a broadcast
+	// state. Binary vectors clear it, so flip counts stay exact when
+	// unicast and multicast passes interleave on the same hardware.
+	prev, prevHi []uint64
+	// flipPl and travPl are the bit-planes of the flip and traversal
+	// counts: plane k of word i is element i*planeBits+k.
+	flipPl, travPl []uint64
 }
 
-// RecorderShard is one writer's slice of a Recorder. A shard may be
-// used concurrently, but writers get the least contention by holding
-// their own (Engine workers acquire one each via Shard).
+// RecorderShard is the handle writers record through. It carries no
+// storage of its own: records land in the recorder's shared cells and
+// planes under its lock, so any number of goroutines may record through
+// one handle. A nil handle no-ops.
 type RecorderShard struct {
-	rec  *Recorder
-	full atomic.Int64 // full-permutation vectors recorded via RecordVector
-	c    []atomic.Int64
-	_    [40]byte // keep neighbouring shards off one cache line
+	rec *Recorder
 }
 
-// NewRecorder builds a recorder for net's geometry with the given
-// number of writer shards (values < 1 are treated as 1).
+// NewRecorder builds a recorder for net's geometry. shards is ignored:
+// every writer records into the same storage. It stays in the
+// signature for callers outside this module.
 func NewRecorder(net *core.Network, shards int) *Recorder {
-	return NewRecorderGeom(net.Stages(), net.SwitchesPerStage(), shards)
+	return NewRecorderGeom(net.Stages(), net.SwitchesPerStage())
 }
 
 // NewRecorderGeom builds a recorder for an arbitrary stages x switches
 // grid — the copy ladder of a multicast plan is log N stages of N/2
 // four-state switches, a geometry no *core.Network describes.
-func NewRecorderGeom(stages, switches, shards int) *Recorder {
-	if shards < 1 {
-		shards = 1
-	}
+func NewRecorderGeom(stages, switches int) *Recorder {
+	words := (switches + 63) / 64
 	r := &Recorder{
 		stages:   stages,
 		switches: switches,
-		shards:   make([]RecorderShard, shards),
+		words:    words,
+		c:        make([]atomic.Int64, stages*switches*recKinds),
+		prev:     make([]uint64, stages*words),
+		prevHi:   make([]uint64, stages*words),
+		flipPl:   make([]uint64, stages*words*planeBits),
+		travPl:   make([]uint64, stages*words*planeBits),
 	}
-	r.words = (r.switches + 63) / 64
-	r.prev = make([]atomic.Uint64, r.stages*r.words)
-	r.prevHi = make([]atomic.Uint64, r.stages*r.words)
-	for i := range r.shards {
-		r.shards[i].rec = r
-		r.shards[i].c = make([]atomic.Int64, r.stages*r.switches*recKinds)
-	}
+	r.handle.rec = r
 	return r
 }
 
@@ -116,27 +137,18 @@ func (r *Recorder) SwitchesPerStage() int {
 	return r.switches
 }
 
-// Shard hands out writer shards round-robin. Each writer goroutine
-// should hold its own. Shard on a nil recorder returns nil, and a nil
-// shard no-ops on every record call — the disabled fast path.
+// Shard returns the recorder's writer handle. Shard on a nil recorder
+// returns nil, and a nil shard no-ops on every record call — the
+// disabled fast path.
 func (r *Recorder) Shard() *RecorderShard {
 	if r == nil {
 		return nil
 	}
-	return &r.shards[r.next.Add(1)%uint64(len(r.shards))]
+	return &r.handle
 }
 
-// shardFor deterministically spreads per-switch writers (one goroutine
-// per switch in the concurrent engine) across shards.
-func (r *Recorder) shardFor(stage, sw int) *RecorderShard {
-	if r == nil {
-		return nil
-	}
-	return &r.shards[(stage*r.switches+sw)%len(r.shards)]
-}
-
-func (sh *RecorderShard) at(stage, sw, kind int) *atomic.Int64 {
-	return &sh.c[(stage*sh.rec.switches+sw)*recKinds+kind]
+func (r *Recorder) at(stage, sw, kind int) *atomic.Int64 {
+	return &r.c[(stage*r.switches+sw)*recKinds+kind]
 }
 
 // Traverse counts one tag through switch (stage, sw).
@@ -144,7 +156,7 @@ func (sh *RecorderShard) Traverse(stage, sw int) {
 	if sh == nil {
 		return
 	}
-	sh.at(stage, sw, kindTraversed).Add(1)
+	sh.rec.at(stage, sw, kindTraversed).Add(1)
 }
 
 // Flip counts one state transition at switch (stage, sw).
@@ -152,7 +164,7 @@ func (sh *RecorderShard) Flip(stage, sw int) {
 	if sh == nil {
 		return
 	}
-	sh.at(stage, sw, kindFlips).Add(1)
+	sh.rec.at(stage, sw, kindFlips).Add(1)
 }
 
 // Forced counts one omega-bit forced setting at switch (stage, sw).
@@ -160,7 +172,7 @@ func (sh *RecorderShard) Forced(stage, sw int) {
 	if sh == nil {
 		return
 	}
-	sh.at(stage, sw, kindForced).Add(1)
+	sh.rec.at(stage, sw, kindForced).Add(1)
 }
 
 // FaultHit counts one vector that demanded the opposite of switch
@@ -169,7 +181,7 @@ func (sh *RecorderShard) FaultHit(stage, sw int) {
 	if sh == nil {
 		return
 	}
-	sh.at(stage, sw, kindFaultHits).Add(1)
+	sh.rec.at(stage, sw, kindFaultHits).Add(1)
 }
 
 // Bcast counts one broadcast-state transition at switch (stage, sw):
@@ -179,7 +191,7 @@ func (sh *RecorderShard) Bcast(stage, sw int) {
 	if sh == nil {
 		return
 	}
-	sh.at(stage, sw, kindBcast).Add(1)
+	sh.rec.at(stage, sw, kindBcast).Add(1)
 }
 
 // PackStates renders a full switch setting as the flat bitmask
@@ -255,55 +267,73 @@ func (r *Recorder) MaskWords() int {
 	return r.stages * r.words
 }
 
+// addWord adds one to the pending count of every switch set in inc, in
+// mask word i of the given planes, rippling the carry up the planes;
+// switches whose count wraps spill 2^planeBits into their kind cell.
+// The caller holds mu.
+func (r *Recorder) addWord(planes []uint64, i int, inc uint64, kind int) {
+	p := planes[i*planeBits : (i+1)*planeBits]
+	for k := range p {
+		if inc == 0 {
+			return
+		}
+		p[k], inc = p[k]^inc, p[k]&inc
+	}
+	r.addCells(i, inc, kind, 1<<planeBits)
+}
+
+// addCells adds n to the kind cell of every switch set in mask word i.
+func (r *Recorder) addCells(i int, set uint64, kind int, n int64) {
+	stage, base := i/r.words, i%r.words*64
+	for set != 0 {
+		r.at(stage, base+bits.TrailingZeros64(set), kind).Add(n)
+		set &= set - 1
+	}
+}
+
 // RecordVector accounts one full-permutation pass whose switch setting
 // is mask (from PackStates): every switch carried two tags, and every
 // switch whose state differs from the previously recorded vector
-// flipped. The traversal increment is kept as a per-shard vector count
-// and folded in at read time, so the per-vector cost is one atomic add
-// plus a word-compare sweep that is all loads while the setting is
-// unchanged — the warm-cache case.
+// flipped. The traversals are one vector count folded in at read
+// time; the flips cost a word compare per 64 switches and, where the
+// setting changed, a ripple-carry add of the diff word into the flip
+// planes — about two word operations per changed word.
 func (sh *RecorderShard) RecordVector(mask []uint64) {
 	if sh == nil {
 		return
 	}
-	sh.full.Add(1)
-	sh.RecordFlips(mask)
+	r := sh.rec
+	r.mu.Lock()
+	r.full++
+	r.recordFlips(mask)
+	r.mu.Unlock()
 }
 
 // RecordFlips folds only the state-transition half of a pass into the
-// counters: used directly for partially filled frames, whose traversal
-// counts follow the real packets' paths instead of every port.
+// counters, for settings whose traversals are accounted elsewhere (the
+// multicast walk counts its own).
 func (sh *RecorderShard) RecordFlips(mask []uint64) {
 	if sh == nil {
 		return
 	}
 	r := sh.rec
-	for s := 0; s < r.stages; s++ {
-		base := s * r.words
-		for w := 0; w < r.words; w++ {
-			have := r.prev[base+w].Load()
-			hiHave := r.prevHi[base+w].Load()
-			want := mask[base+w]
-			if have == want && hiHave == 0 {
-				continue
-			}
-			r.prev[base+w].Store(want)
-			if hiHave != 0 {
-				// A binary vector leaves every broadcast state: count
-				// those transitions and clear the high plane.
-				r.prevHi[base+w].Store(0)
-			}
-			diff := (have ^ want) | hiHave
-			for diff != 0 {
-				b := bits.TrailingZeros64(diff)
-				bit := uint64(1) << uint(b)
-				diff &^= bit
-				sh.Flip(s, w*64+b)
-				if hiHave&bit != 0 {
-					sh.Bcast(s, w*64+b)
-				}
-			}
+	r.mu.Lock()
+	r.recordFlips(mask)
+	r.mu.Unlock()
+}
+
+// recordFlips diffs mask against the previous setting. A binary vector
+// leaves every broadcast state: those transitions are counted and the
+// high plane is cleared. The caller holds mu.
+func (r *Recorder) recordFlips(mask []uint64) {
+	for i, want := range mask[:len(r.prev)] {
+		have, hiHave := r.prev[i], r.prevHi[i]
+		if have == want && hiHave == 0 {
+			continue
 		}
+		r.prev[i], r.prevHi[i] = want, 0
+		r.addWord(r.flipPl, i, (have^want)|hiHave, kindFlips)
+		r.addCells(i, hiHave, kindBcast, 1)
 	}
 }
 
@@ -316,30 +346,76 @@ func (sh *RecorderShard) RecordMcastFlips(lo, hi []uint64) {
 		return
 	}
 	r := sh.rec
-	for s := 0; s < r.stages; s++ {
-		base := s * r.words
-		for w := 0; w < r.words; w++ {
-			loHave := r.prev[base+w].Load()
-			hiHave := r.prevHi[base+w].Load()
-			loWant, hiWant := lo[base+w], hi[base+w]
-			if loHave == loWant && hiHave == hiWant {
-				continue
-			}
-			r.prev[base+w].Store(loWant)
-			r.prevHi[base+w].Store(hiWant)
-			diff := (loHave ^ loWant) | (hiHave ^ hiWant)
-			bdiff := hiHave ^ hiWant
-			for diff != 0 {
-				b := bits.TrailingZeros64(diff)
-				bit := uint64(1) << uint(b)
-				diff &^= bit
-				sh.Flip(s, w*64+b)
-				if bdiff&bit != 0 {
-					sh.Bcast(s, w*64+b)
-				}
-			}
+	r.mu.Lock()
+	for i := range r.prev {
+		loHave, hiHave := r.prev[i], r.prevHi[i]
+		loWant, hiWant := lo[i], hi[i]
+		if loHave == loWant && hiHave == hiWant {
+			continue
 		}
+		r.prev[i], r.prevHi[i] = loWant, hiWant
+		r.addWord(r.flipPl, i, (loHave^loWant)|(hiHave^hiWant), kindFlips)
+		r.addCells(i, hiHave^hiWant, kindBcast, 1)
 	}
+	r.mu.Unlock()
+}
+
+// Paths collects one frame's switch traversals as bit words laid out
+// like a state bitmask: a switch has two inputs, so a frame's tags
+// cross it at most twice, and two words per (stage, word) — switches
+// crossed at least once, switches crossed twice — hold the frame's
+// whole traversal count. Marking costs two ORs; RecordFrame adds the
+// words to the recorder once per frame. A Paths belongs to one
+// goroutine. Every method no-ops on a nil Paths.
+type Paths struct {
+	words    int
+	one, two []uint64
+}
+
+// NewPaths returns an empty traversal collector for r's geometry, nil
+// on a nil recorder.
+func (r *Recorder) NewPaths() *Paths {
+	if r == nil {
+		return nil
+	}
+	return &Paths{words: r.words, one: make([]uint64, r.MaskWords()), two: make([]uint64, r.MaskWords())}
+}
+
+// Reset empties p for the next frame.
+func (p *Paths) Reset() {
+	if p == nil {
+		return
+	}
+	clear(p.one)
+	clear(p.two)
+}
+
+// Mark counts one tag through switch (stage, sw). At most two marks
+// per switch between Resets are counted.
+func (p *Paths) Mark(stage, sw int) {
+	if p == nil {
+		return
+	}
+	i, bit := stage*p.words+sw>>6, uint64(1)<<uint(sw&63)
+	p.two[i] |= p.one[i] & bit
+	p.one[i] |= bit
+}
+
+// RecordFrame accounts one frame: the flips of its switch setting mask
+// (as RecordFlips) and the traversals p collected, under one lock. p
+// is left as it was.
+func (sh *RecorderShard) RecordFrame(mask []uint64, p *Paths) {
+	if sh == nil {
+		return
+	}
+	r := sh.rec
+	r.mu.Lock()
+	r.recordFlips(mask)
+	for i, one := range p.one {
+		r.addWord(r.travPl, i, one, kindTraversed)
+		r.addWord(r.travPl, i, p.two[i], kindTraversed)
+	}
+	r.mu.Unlock()
 }
 
 // StageTotals is one stage's counter sums across all switches.
@@ -351,26 +427,45 @@ type StageTotals struct {
 	Bcast     int64 `json:"bcast_flips"`
 }
 
-// fullVectors sums the full-permutation passes across shards; each
-// contributes two traversals to every switch.
-func (r *Recorder) fullVectors() int64 {
+// kindRow loads one counter kind's cells for every switch of one stage
+// into dst.
+func (r *Recorder) kindRow(stage, kind int, dst []int64) {
+	base := stage * r.switches
+	for i := range dst {
+		dst[i] = r.c[(base+i)*recKinds+kind].Load()
+	}
+}
+
+// addPlaneRow adds the pending plane counts of one stage to row. The
+// caller holds mu.
+func (r *Recorder) addPlaneRow(planes []uint64, stage int, row []int64) {
+	for w := 0; w < r.words; w++ {
+		i := stage*r.words + w
+		for k, word := range planes[i*planeBits : (i+1)*planeBits] {
+			for ; word != 0; word &= word - 1 {
+				row[w*64+bits.TrailingZeros64(word)] += 1 << k
+			}
+		}
+	}
+}
+
+// planeTotal sums the pending plane counts of one stage. The caller
+// holds mu.
+func (r *Recorder) planeTotal(planes []uint64, stage int) int64 {
 	total := int64(0)
-	for i := range r.shards {
-		total += r.shards[i].full.Load()
+	for k, word := range planes[stage*r.words*planeBits : (stage+1)*r.words*planeBits] {
+		total += int64(bits.OnesCount64(word)) << (k % planeBits)
 	}
 	return total
 }
 
-// kindRow sums one counter kind for every switch of one stage into dst.
-func (r *Recorder) kindRow(stage, kind int, dst []int64) {
+// traversedRow fills dst with stage's per-switch traversal counts. The
+// caller holds mu.
+func (r *Recorder) traversedRow(stage int, dst []int64) {
+	r.kindRow(stage, kindTraversed, dst)
+	r.addPlaneRow(r.travPl, stage, dst)
 	for i := range dst {
-		dst[i] = 0
-	}
-	for sh := range r.shards {
-		base := stage * r.switches
-		for i := 0; i < r.switches; i++ {
-			dst[i] += r.shards[sh].c[(base+i)*recKinds+kind].Load()
-		}
+		dst[i] += 2 * r.full
 	}
 }
 
@@ -381,15 +476,13 @@ func (r *Recorder) TraversedRow(stage int) []int64 {
 		return nil
 	}
 	row := make([]int64, r.switches)
-	r.kindRow(stage, kindTraversed, row)
-	full := 2 * r.fullVectors()
-	for i := range row {
-		row[i] += full
-	}
+	r.mu.Lock()
+	r.traversedRow(stage, row)
+	r.mu.Unlock()
 	return row
 }
 
-// StageTotals sums one stage's counters across switches and shards.
+// StageTotals sums one stage's counters across switches.
 func (r *Recorder) StageTotals(stage int) StageTotals {
 	if r == nil {
 		return StageTotals{}
@@ -398,17 +491,18 @@ func (r *Recorder) StageTotals(stage int) StageTotals {
 		panic(fmt.Sprintf("netsim: stage %d out of range [0,%d)", stage, r.stages))
 	}
 	var t StageTotals
-	for sh := range r.shards {
-		base := stage * r.switches
-		for i := 0; i < r.switches; i++ {
-			t.Traversed += r.shards[sh].c[(base+i)*recKinds+kindTraversed].Load()
-			t.Flips += r.shards[sh].c[(base+i)*recKinds+kindFlips].Load()
-			t.Forced += r.shards[sh].c[(base+i)*recKinds+kindForced].Load()
-			t.FaultHits += r.shards[sh].c[(base+i)*recKinds+kindFaultHits].Load()
-			t.Bcast += r.shards[sh].c[(base+i)*recKinds+kindBcast].Load()
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := stage * r.switches; i < (stage+1)*r.switches; i++ {
+		c := r.c[i*recKinds : (i+1)*recKinds]
+		t.Traversed += c[kindTraversed].Load()
+		t.Flips += c[kindFlips].Load()
+		t.Forced += c[kindForced].Load()
+		t.FaultHits += c[kindFaultHits].Load()
+		t.Bcast += c[kindBcast].Load()
 	}
-	t.Traversed += 2 * r.fullVectors() * int64(r.switches)
+	t.Traversed += r.planeTotal(r.travPl, stage) + 2*r.full*int64(r.switches)
+	t.Flips += r.planeTotal(r.flipPl, stage)
 	return t
 }
 
@@ -422,9 +516,12 @@ type StageCounts struct {
 	Bcast     []int64 `json:"bcast_flips"`
 }
 
-// RecorderSnapshot is a point-in-time copy of every counter,
-// stage-major. Concurrent recording may straddle the capture; each
-// individual counter is read atomically.
+// RecorderSnapshot is a copy of every counter, stage-major. It is
+// taken under the recorder's lock, so every vector-level record
+// (RecordVector, RecordFlips, RecordMcastFlips, RecordFrame) is wholly
+// in it or wholly out; single-switch calls made during the capture may
+// land in some cells and not others. No counter in a later snapshot is
+// lower than in an earlier one.
 type RecorderSnapshot struct {
 	Stages           int           `json:"stages"`
 	SwitchesPerStage int           `json:"switches_per_stage"`
@@ -441,12 +538,10 @@ func (r *Recorder) Snapshot() RecorderSnapshot {
 	s := RecorderSnapshot{
 		Stages:           r.stages,
 		SwitchesPerStage: r.switches,
-		FullVectors:      r.fullVectors(),
 		Counts:           make([]StageCounts, r.stages),
 	}
-	full := 2 * s.FullVectors
-	for st := 0; st < r.stages; st++ {
-		sc := StageCounts{
+	for st := range s.Counts {
+		s.Counts[st] = StageCounts{
 			Stage:     st,
 			Traversed: make([]int64, r.switches),
 			Flips:     make([]int64, r.switches),
@@ -454,15 +549,18 @@ func (r *Recorder) Snapshot() RecorderSnapshot {
 			FaultHits: make([]int64, r.switches),
 			Bcast:     make([]int64, r.switches),
 		}
-		r.kindRow(st, kindTraversed, sc.Traversed)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s.FullVectors = r.full
+	for st := range s.Counts {
+		sc := &s.Counts[st]
+		r.traversedRow(st, sc.Traversed)
 		r.kindRow(st, kindFlips, sc.Flips)
+		r.addPlaneRow(r.flipPl, st, sc.Flips)
 		r.kindRow(st, kindForced, sc.Forced)
 		r.kindRow(st, kindFaultHits, sc.FaultHits)
 		r.kindRow(st, kindBcast, sc.Bcast)
-		for i := range sc.Traversed {
-			sc.Traversed[i] += full
-		}
-		s.Counts[st] = sc
 	}
 	return s
 }

@@ -11,7 +11,7 @@ import (
 // broadcast state; interleaved binary vectors must clear the broadcast
 // plane so the counts stay exact.
 func TestRecordMcastFlips(t *testing.T) {
-	r := NewRecorderGeom(2, 3, 2)
+	r := NewRecorderGeom(2, 3)
 	sh := r.Shard()
 	words := r.MaskWords()
 	lo, hi := make([]uint64, words), make([]uint64, words)
@@ -68,12 +68,12 @@ func TestRecordMcastFlips(t *testing.T) {
 func TestNewRecorderGeom(t *testing.T) {
 	net := core.New(3)
 	a := NewRecorder(net, 1)
-	b := NewRecorderGeom(net.Stages(), net.SwitchesPerStage(), 1)
+	b := NewRecorderGeom(net.Stages(), net.SwitchesPerStage())
 	if a.Stages() != b.Stages() || a.SwitchesPerStage() != b.SwitchesPerStage() {
 		t.Fatalf("geometry mismatch: (%d,%d) vs (%d,%d)",
 			a.Stages(), a.SwitchesPerStage(), b.Stages(), b.SwitchesPerStage())
 	}
-	lad := NewRecorderGeom(3, 4, 1)
+	lad := NewRecorderGeom(3, 4)
 	if lad.Stages() != 3 || lad.SwitchesPerStage() != 4 || lad.MaskWords() != 3 {
 		t.Fatalf("ladder recorder geometry: stages=%d switches=%d words=%d",
 			lad.Stages(), lad.SwitchesPerStage(), lad.MaskWords())

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -212,5 +215,319 @@ func TestRecorderNilInert(t *testing.T) {
 	nilRec.Shard().RecordVector(nil)
 	if s := nilRec.Snapshot(); s.Counts != nil {
 		t.Fatal("nil recorder snapshot must be empty")
+	}
+}
+
+// refRecorder is the plain model the bit-sliced recorder must match:
+// one int64 per (switch, kind), a full-vector count, and the previous
+// four-state setting as two bit rows.
+type refRecorder struct {
+	c      [][][recKinds]int64
+	full   int64
+	lo, hi [][]bool
+}
+
+func newRefRecorder(stages, switches int) *refRecorder {
+	m := &refRecorder{
+		c:  make([][][recKinds]int64, stages),
+		lo: make([][]bool, stages),
+		hi: make([][]bool, stages),
+	}
+	for s := range m.c {
+		m.c[s] = make([][recKinds]int64, switches)
+		m.lo[s] = make([]bool, switches)
+		m.hi[s] = make([]bool, switches)
+	}
+	return m
+}
+
+// apply records one four-state setting: a switch flips when either
+// state bit changed and counts a broadcast transition when the high
+// bit changed. A binary setting is the same with every high bit clear.
+func (m *refRecorder) apply(lo, hi [][]bool) {
+	for s := range lo {
+		for i := range lo[s] {
+			if lo[s][i] != m.lo[s][i] || hi[s][i] != m.hi[s][i] {
+				m.c[s][i][kindFlips]++
+			}
+			if hi[s][i] != m.hi[s][i] {
+				m.c[s][i][kindBcast]++
+			}
+			m.lo[s][i], m.hi[s][i] = lo[s][i], hi[s][i]
+		}
+	}
+}
+
+// check compares every counter of r with the model through Snapshot,
+// StageTotals and TraversedRow.
+func (m *refRecorder) check(t *testing.T, r *Recorder, when string) {
+	t.Helper()
+	snap := r.Snapshot()
+	if snap.FullVectors != m.full {
+		t.Fatalf("%s: full vectors = %d, want %d", when, snap.FullVectors, m.full)
+	}
+	for s := range m.c {
+		var want StageTotals
+		row := r.TraversedRow(s)
+		for i, c := range m.c[s] {
+			trav := c[kindTraversed] + 2*m.full
+			got := [recKinds]int64{
+				kindTraversed: snap.Counts[s].Traversed[i],
+				kindFlips:     snap.Counts[s].Flips[i],
+				kindForced:    snap.Counts[s].Forced[i],
+				kindFaultHits: snap.Counts[s].FaultHits[i],
+				kindBcast:     snap.Counts[s].Bcast[i],
+			}
+			c[kindTraversed] = trav
+			if got != c {
+				t.Fatalf("%s: switch (%d,%d) = %v, want %v (traversed, flips, forced, fault hits, bcast)", when, s, i, got, c)
+			}
+			if row[i] != trav {
+				t.Fatalf("%s: TraversedRow(%d)[%d] = %d, want %d", when, s, i, row[i], trav)
+			}
+			want.Traversed += trav
+			want.Flips += c[kindFlips]
+			want.Forced += c[kindForced]
+			want.FaultHits += c[kindFaultHits]
+			want.Bcast += c[kindBcast]
+		}
+		if got := r.StageTotals(s); got != want {
+			t.Fatalf("%s: StageTotals(%d) = %+v, want %+v", when, s, got, want)
+		}
+	}
+}
+
+// TestRecorderMatchesReference drives the bit-sliced recorder and the
+// plain model with one seeded single-writer sequence of every record
+// kind — binary vectors and flips, four-state flips with broadcast
+// transitions, frame traversals, and single-switch traversals, flips,
+// forced settings, fault hits and broadcast transitions — and checks
+// every counter at intervals. The geometry has a partial second word,
+// and the sequence is long enough that flips and frame traversals
+// cross at least three spill boundaries.
+func TestRecorderMatchesReference(t *testing.T) {
+	const stages, switches = 3, 70
+	rng := rand.New(rand.NewSource(16))
+	r := NewRecorderGeom(stages, switches)
+	sh := r.Shard()
+	m := newRefRecorder(stages, switches)
+	paths := r.NewPaths()
+	lo, hi := make([]uint64, r.MaskWords()), make([]uint64, r.MaskWords())
+	frameTrav := make([][]int64, stages)
+	for s := range frameTrav {
+		frameTrav[s] = make([]int64, switches)
+	}
+
+	randomBinary := func() (core.States, [][]bool) {
+		st := make(core.States, stages)
+		none := make([][]bool, stages)
+		for s := range st {
+			st[s] = make([]bool, switches)
+			none[s] = make([]bool, switches)
+			for i := range st[s] {
+				st[s][i] = rng.Intn(2) == 1
+			}
+		}
+		return st, none
+	}
+	for op := 1; op <= 4000; op++ {
+		switch k := rng.Intn(20); {
+		case k < 5: // full vector
+			st, none := randomBinary()
+			sh.RecordVector(r.PackStates(st))
+			m.full++
+			m.apply(st, none)
+		case k < 8: // binary flips only
+			st, none := randomBinary()
+			sh.RecordFlips(r.PackStates(st))
+			m.apply(st, none)
+		case k < 11: // four-state flips
+			st := make(core.McastStates, stages)
+			stLo, stHi := make([][]bool, stages), make([][]bool, stages)
+			for s := range st {
+				st[s] = make([]core.McastState, switches)
+				stLo[s], stHi[s] = make([]bool, switches), make([]bool, switches)
+				for i := range st[s] {
+					st[s][i] = core.McastState(rng.Intn(4))
+					stLo[s][i], stHi[s][i] = st[s][i]&1 != 0, st[s][i].Broadcast()
+				}
+			}
+			r.PackMcastStatesInto(st, lo, hi)
+			sh.RecordMcastFlips(lo, hi)
+			m.apply(stLo, stHi)
+		case k < 18: // frame: flips plus up to two marks per switch
+			st, none := randomBinary()
+			paths.Reset()
+			for s := 0; s < stages; s++ {
+				for i := 0; i < switches; i++ {
+					marks := []int{0, 1, 2, 2}[rng.Intn(4)]
+					for j := 0; j < marks; j++ {
+						paths.Mark(s, i)
+					}
+					m.c[s][i][kindTraversed] += int64(marks)
+					frameTrav[s][i] += int64(marks)
+				}
+			}
+			sh.RecordFrame(r.PackStates(st), paths)
+			m.apply(st, none)
+		default: // single-switch calls
+			s, i := rng.Intn(stages), rng.Intn(switches)
+			calls := []func(int, int){sh.Traverse, sh.Flip, sh.Forced, sh.FaultHit, sh.Bcast}
+			kind := rng.Intn(recKinds)
+			calls[kind](s, i)
+			m.c[s][i][kind]++
+		}
+		if op%500 == 0 {
+			m.check(t, r, fmt.Sprintf("after %d ops", op))
+		}
+	}
+
+	// The premise: planes wrapped at least three times somewhere.
+	var maxFlips, maxFrame int64
+	for s := range m.c {
+		for i := range m.c[s] {
+			maxFlips = max(maxFlips, m.c[s][i][kindFlips])
+			maxFrame = max(maxFrame, frameTrav[s][i])
+		}
+	}
+	if maxFlips < 3<<planeBits || maxFrame < 3<<planeBits {
+		t.Fatalf("premise: max flips %d, max frame traversals %d; want both >= %d", maxFlips, maxFrame, 3<<planeBits)
+	}
+}
+
+// TestRecorderFlipParityConcurrent records random settings from four
+// writers at once. Whatever order the recorder applies them in, a
+// switch's flip count is the number of state changes along that order,
+// so its parity must equal the switch's last recorded state (from the
+// all-straight power-on state). One more setting recorded alone at
+// quiescence is every switch's last state.
+func TestRecorderFlipParityConcurrent(t *testing.T) {
+	net := core.New(6) // N=64: 11 stages of 32 switches
+	r := NewRecorder(net, 4)
+	random := func(rng *rand.Rand) core.States {
+		st := net.NewStates()
+		for s := range st {
+			for i := range st[s] {
+				st[s][i] = rng.Intn(2) == 1
+			}
+		}
+		return st
+	}
+	const writers, vectors = 4, 2000
+	// Pack every setting first, so the writers' records overlap.
+	masks := make([][][]uint64, writers)
+	for w := range masks {
+		rng := rand.New(rand.NewSource(int64(w + 1)))
+		masks[w] = make([][]uint64, vectors)
+		for k := range masks[w] {
+			masks[w][k] = r.PackStates(random(rng))
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range masks {
+		wg.Add(1)
+		go func(mine [][]uint64) {
+			defer wg.Done()
+			sh := r.Shard()
+			<-start
+			for _, mask := range mine {
+				sh.RecordFlips(mask)
+			}
+		}(masks[w])
+	}
+	close(start)
+	wg.Wait()
+	last := random(rand.New(rand.NewSource(99)))
+	r.Shard().RecordFlips(r.PackStates(last))
+
+	snap := r.Snapshot()
+	wrong, total := 0, 0
+	for s := range last {
+		for i, crossed := range last[s] {
+			total++
+			if (snap.Counts[s].Flips[i]%2 == 1) != crossed {
+				wrong++
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Fatalf("%d of %d switches have a flip count whose parity disagrees with their last recorded state", wrong, total)
+	}
+}
+
+// TestRecorderReadersMonotonic races readers of StageTotals and
+// Snapshot against writers of every path that touches the planes and
+// the cells: no counter a reader sees may be lower than one it saw
+// before, even while pending plane counts spill into their cells.
+func TestRecorderReadersMonotonic(t *testing.T) {
+	net := core.New(4) // N=16: 7 stages of 8 switches, spills every 256 counts
+	r := NewRecorder(net, 3)
+	var writers sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			sh, paths := r.Shard(), r.NewPaths()
+			st := net.NewStates()
+			for k := 0; k < 3000; k++ {
+				for s := range st {
+					for i := range st[s] {
+						st[s][i] = rng.Intn(2) == 1
+					}
+				}
+				switch w {
+				case 0:
+					sh.RecordVector(r.PackStates(st))
+				case 1:
+					paths.Reset()
+					for s := range st {
+						for i := range st[s] {
+							for j := rng.Intn(3); j > 0; j-- {
+								paths.Mark(s, i)
+							}
+						}
+					}
+					sh.RecordFrame(r.PackStates(st), paths)
+				default:
+					s, i := rng.Intn(len(st)), rng.Intn(len(st[0]))
+					sh.Traverse(s, i)
+					sh.Flip(s, i)
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		writers.Wait()
+		close(done)
+	}()
+
+	totals := make([]StageTotals, r.Stages())
+	prev := r.Snapshot()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for s := range totals {
+			got := r.StageTotals(s)
+			if got.Traversed < totals[s].Traversed || got.Flips < totals[s].Flips {
+				t.Fatalf("stage %d totals went back: %+v after %+v", s, got, totals[s])
+			}
+			totals[s] = got
+		}
+		snap := r.Snapshot()
+		for s, c := range snap.Counts {
+			for i := range c.Traversed {
+				if c.Traversed[i] < prev.Counts[s].Traversed[i] || c.Flips[i] < prev.Counts[s].Flips[i] {
+					t.Fatalf("switch (%d,%d) went back: traversed %d -> %d, flips %d -> %d", s, i,
+						prev.Counts[s].Traversed[i], c.Traversed[i], prev.Counts[s].Flips[i], c.Flips[i])
+				}
+			}
+		}
+		prev = snap
 	}
 }
