@@ -51,8 +51,10 @@
 //	GET  /debug/history?window=30s  rate-over-time report from the
 //	               snapshot ring: counter deltas/rates and windowed
 //	               histogram p50/p99 over the requested window
-//	GET  /debug/traces  recent slow request traces (per-stage spans for
-//	               /send packets and /collective rounds), JSON
+//	GET  /debug/traces  recent slow request traces, JSON: per-stage
+//	               spans, one per /collective round, and for /send and
+//	               /multicast packets one span per stage (and plane)
+//	               folding every packet's count, sum and max
 //	POST /debug/faults  {"plane":1,"faults":[{"stage":3,"switch":5,
 //	               "stuck_crossed":true}]} freezes switches of one
 //	               fabric plane in their stuck states; the plane leaves
@@ -248,7 +250,8 @@ type sendResponse struct {
 
 // handleSend offers packets to the fabric. Backpressure rejections are
 // reported per packet: a fully rejected request gets 429, a mixed or
-// fully accepted one 200. Malformed packets get 400.
+// fully accepted one 200. A malformed packet gets the whole batch a 400
+// before any packet is admitted.
 func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 	var req sendRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -265,6 +268,10 @@ func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(pkts) == 0 {
 		s.httpError(w, http.StatusBadRequest, "no packets")
+		return
+	}
+	if err := checkPackets(pkts, s.fab.N()); err != nil {
+		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	// Each accepted packet carries the request trace and one reference
@@ -293,6 +300,42 @@ func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusTooManyRequests
 	}
 	s.writeJSON(w, code, resp)
+}
+
+// checkPackets rejects a /send batch holding a packet outside [0, n),
+// so a malformed packet never leaves the batch's valid prefix admitted.
+func checkPackets(pkts []sendPacket, n int) error {
+	for _, p := range pkts {
+		if p.Src < 0 || p.Src >= n || p.Dst < 0 || p.Dst >= n {
+			return fmt.Errorf("packet (%d -> %d) out of range [0,%d)", p.Src, p.Dst, n)
+		}
+	}
+	return nil
+}
+
+// checkEntries is checkPackets for packet-mode /multicast: every entry
+// needs its source and destinations in [0, n), at least one
+// destination, and none listed twice.
+func checkEntries(entries []multicastEntry, n int) error {
+	last := make([]int, n) // last[d] = 1 + index of the last entry listing d
+	for i, e := range entries {
+		if e.Src < 0 || e.Src >= n {
+			return fmt.Errorf("source %d out of range [0,%d)", e.Src, n)
+		}
+		if len(e.Dsts) == 0 {
+			return fmt.Errorf("entry from source %d has no destinations", e.Src)
+		}
+		for _, d := range e.Dsts {
+			if d < 0 || d >= n {
+				return fmt.Errorf("destination %d out of range [0,%d)", d, n)
+			}
+			if last[d] == i+1 {
+				return fmt.Errorf("destination %d listed twice in the entry from source %d", d, e.Src)
+			}
+			last[d] = i + 1
+		}
+	}
+	return nil
 }
 
 // multicastEntry is one fan-out unit: source port Src copied to every
@@ -332,7 +375,8 @@ type multicastResponse struct {
 // the request into one output-major mapping, classifies it, and routes
 // it as a whole copy-network round with plane failover; packet mode
 // offers each entry to the fabric as a multicast packet, reporting
-// admission like /send. Spec errors are 400s, full backpressure 429.
+// admission like /send (a malformed entry rejects the whole batch
+// before any is admitted). Spec errors are 400s, full backpressure 429.
 func (s *server) handleMulticast(w http.ResponseWriter, r *http.Request) {
 	var req multicastRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -346,6 +390,10 @@ func (s *server) handleMulticast(w http.ResponseWriter, r *http.Request) {
 	if req.Packet {
 		if req.Entries == nil {
 			s.httpError(w, http.StatusBadRequest, "packet mode needs entries")
+			return
+		}
+		if err := checkEntries(req.Entries, s.fab.N()); err != nil {
+			s.httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		tr := obs.FromContext(r.Context())

@@ -1039,6 +1039,105 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 }
 
+// TestSendTraceFolds sends one 256-packet /send and reads its trace
+// back: the request's spans follow its stages, not its packets — one
+// admit, one voq_wait folding all 256 waits, and at most one
+// plane_transit per plane, whose counts sum to 256.
+func TestSendTraceFolds(t *testing.T) {
+	srv, _ := newTestServer(t)
+	const n = 16
+	var batch sendRequest
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			batch.Packets = append(batch.Packets, sendPacket{Src: src, Dst: dst})
+		}
+	}
+	if resp, sr := postSend(t, srv.URL, batch); resp.StatusCode != http.StatusOK || sr.Accepted != n*n {
+		t.Fatalf("send: status %d, %+v", resp.StatusCode, sr)
+	}
+	// The trace lands once the last packet is delivered.
+	var send *obs.TraceSnapshot
+	for deadline := time.Now().Add(5 * time.Second); send == nil; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("/send trace not observed in time")
+		}
+		rs := getTraces(t, srv.URL)
+		for i := range rs.Traces {
+			if rs.Traces[i].Name == "/send" {
+				send = &rs.Traces[i]
+			}
+		}
+	}
+	st := spanStages(*send)
+	if st["admit"] != 1 || st["voq_wait"] != 1 || len(st) != 3 {
+		t.Fatalf("/send trace stages %v, want one admit, one voq_wait and plane_transit only: %+v", st, send.Spans)
+	}
+	transits := 0
+	planes := map[string]bool{}
+	for _, sp := range send.Spans {
+		switch sp.Stage {
+		case "voq_wait":
+			if sp.Count != n*n || sp.MaxNs > sp.SumNs || sp.MaxNs > sp.DurNs {
+				t.Fatalf("voq_wait span %+v, want count %d with max <= sum and max <= dur", sp, n*n)
+			}
+		case "plane_transit":
+			if planes[sp.Note] || (sp.Note != "plane 0" && sp.Note != "plane 1") {
+				t.Fatalf("plane_transit note %q repeated or not a plane: %+v", sp.Note, send.Spans)
+			}
+			planes[sp.Note] = true
+			transits += int(sp.Count)
+		}
+	}
+	if transits != n*n {
+		t.Fatalf("plane_transit counts sum to %d, want %d: %+v", transits, n*n, send.Spans)
+	}
+}
+
+// fabricAccepted reads the accepted-packet total from /fabric/stats.
+func fabricAccepted(t *testing.T, url string) int64 {
+	t.Helper()
+	resp, err := http.Get(url + "/fabric/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fs fabric.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&fs); err != nil {
+		t.Fatal(err)
+	}
+	return fs.Accepted
+}
+
+// TestMalformedBatchAdmitsNothing sends batches whose valid packets or
+// entries come before a malformed one: each must be a 400 that leaves
+// the fabric's accepted count where it was, so no valid prefix is
+// admitted and later delivered.
+func TestMalformedBatchAdmitsNothing(t *testing.T) {
+	srv, _ := newTestServer(t)
+	if resp, sr := postSend(t, srv.URL, map[string]any{"src": 3, "dst": 9}); resp.StatusCode != http.StatusOK || sr.Accepted != 1 {
+		t.Fatalf("baseline send: status %d, %+v", resp.StatusCode, sr)
+	}
+	before := fabricAccepted(t, srv.URL)
+	resp, _ := postSend(t, srv.URL, sendRequest{Packets: []sendPacket{{Src: 0, Dst: 5}, {Src: 1, Dst: 6}, {Src: 2, Dst: 99}}})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/send with an out-of-range last packet: status %d, want 400", resp.StatusCode)
+	}
+	for name, entries := range map[string][]multicastEntry{
+		"source out of range":    {{Src: 0, Dsts: []int{1, 2}}, {Src: 99, Dsts: []int{3}}},
+		"destination repeated":   {{Src: 0, Dsts: []int{1, 2}}, {Src: 1, Dsts: []int{4, 4}}},
+		"no destinations":        {{Src: 0, Dsts: []int{1, 2}}, {Src: 1}},
+		"destination past n - 1": {{Src: 0, Dsts: []int{1, 2}}, {Src: 1, Dsts: []int{16}}},
+	} {
+		resp, _ := postMulticast(t, srv.URL, multicastRequest{Packet: true, Entries: entries})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("packet-mode /multicast, %s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if after := fabricAccepted(t, srv.URL); after != before {
+		t.Fatalf("rejected batches admitted %d packets", after-before)
+	}
+}
+
 // TestComputeReadiness covers the pure readiness rules: hard outages
 // flip ready off, partial trouble only adds degraded reasons.
 func TestComputeReadiness(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // BenchmarkFabricThroughput measures end-to-end packets/sec through the
@@ -72,6 +74,44 @@ func benchFabricThroughput(b *testing.B, record bool) {
 			f.Close()
 		})
 	}
+}
+
+// BenchmarkSendTraced is benesd's /send path at the fabric: N=256, two
+// planes, uniform 256-packet batches whose packets share one request
+// trace, each batch waited out until delivered. One op is one packet,
+// so B/op and allocs/op read the per-packet cost of tracing and
+// queueing; with folded spans a trace's size follows its stages, not
+// its batch.
+func BenchmarkSendTraced(b *testing.B) {
+	const batch = 256
+	var pending sync.WaitGroup
+	f, err := New[int](Config{LogN: 8, Planes: 2, VOQDepth: 16, Policy: Block}, func(p Packet[int]) {
+		p.Trace.Release()
+		pending.Done()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	rng := rand.New(rand.NewSource(1))
+	n := f.N()
+	b.ReportAllocs()
+	b.SetBytes(8) // one int payload per packet
+	b.ResetTimer()
+	for sent := 0; sent < b.N; sent += batch {
+		k := min(batch, b.N-sent)
+		tr := obs.NewTrace("/send")
+		pending.Add(k)
+		for i := 0; i < k; i++ {
+			tr.Ref()
+			if err := f.Send(Packet[int]{Src: rng.Intn(n), Dst: rng.Intn(n), Payload: i, Trace: tr}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tr.Release()
+		pending.Wait()
+	}
+	b.StopTimer()
 }
 
 // BenchmarkFrameScheduler isolates the matchmaking hot path: enqueue

@@ -33,7 +33,6 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,9 +56,11 @@ var (
 
 // Packet is one unit of traffic: deliver Payload from input port Src to
 // output port Dst. Trace, when non-nil, accumulates per-stage spans
-// (VOQ wait, plane transit) as the packet moves through the fabric;
-// the fabric never releases the trace's reference — whoever attached
-// it (e.g. benesd's request middleware) owns its lifecycle.
+// (VOQ wait, plane transit) as the packet moves through the fabric,
+// folded with those of every other packet sharing the trace into one
+// span per stage (and plane); the fabric never releases the trace's
+// reference — whoever attached it (e.g. benesd's request middleware)
+// owns its lifecycle.
 type Packet[T any] struct {
 	Src     int
 	Dst     int
@@ -643,9 +644,8 @@ func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], fr *f
 			f.jrn.Frame(p.id, fr.dest, fr.srcs, journal.DigestPairs(fr.srcs, fr.dsts))
 		}
 		transit := time.Since(start)
-		note := "plane " + strconv.Itoa(p.id)
 		for _, pkt := range fr.pkts {
-			pkt.Trace.SpanDur("plane_transit", start, transit, note)
+			pkt.Trace.Fold("plane_transit", start, transit, p.transitNote)
 		}
 		f.met.Coalesce.ObserveValue(int64(len(fr.pkts)))
 		switch {
@@ -662,6 +662,6 @@ func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], fr *f
 	// undeliverable. Account for them so the books still balance.
 	f.met.lost.Add(int64(len(fr.pkts)))
 	for _, pkt := range fr.pkts {
-		pkt.Trace.SpanDur("lost", time.Now(), 0, "no healthy plane")
+		pkt.Trace.Fold("lost", time.Now(), 0, "no healthy plane")
 	}
 }

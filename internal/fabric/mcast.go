@@ -21,10 +21,10 @@ type MulticastPacket[T any] struct {
 	Trace   *obs.Trace
 }
 
-// mpayload is the ring payload a multicast packet travels as: the
-// destination set rides inside a regular Packet (Dst holds the first
-// destination, which doubles as the flow-hash key), so the multicast
-// ingress reuses the same queue type as the unicast VOQs.
+// mpayload is the queue payload a multicast packet travels as: its
+// destination set and its data. The multicast ingress reuses the
+// unicast VOQs' queue type with one queue per input, which implies the
+// packet's source.
 type mpayload[T any] struct {
 	dsts []int
 	data T
@@ -64,13 +64,8 @@ func (f *Fabric[T]) SendMulticast(p MulticastPacket[T]) error {
 		return ErrClosed
 	}
 	sh := f.shards[f.shardFor(p.Src, dsts[0])]
-	wrapped := Packet[mpayload[T]]{
-		Src:     p.Src,
-		Dst:     dsts[0],
-		Payload: mpayload[T]{dsts: dsts, data: p.Payload},
-		Trace:   p.Trace,
-	}
-	if err := sh.enqueueMcast(wrapped, f.cfg.Policy); err != nil {
+	slot := voqSlot[mpayload[T]]{payload: mpayload[T]{dsts: dsts, data: p.Payload}, tr: p.Trace}
+	if err := sh.enqueueMcast(p.Src, slot, f.cfg.Policy); err != nil {
 		f.met.rejected.Add(1)
 		return err
 	}
@@ -79,20 +74,18 @@ func (f *Fabric[T]) SendMulticast(p MulticastPacket[T]) error {
 	return nil
 }
 
-// enqueueMcast publishes a wrapped multicast packet into its input's
-// queue, honouring the drop policy — the multicast twin of enqueue,
-// sharing the seal protocol, admit's Block parking lot, and the
-// scheduler wakeup.
-func (v *voqShard[T]) enqueueMcast(p Packet[mpayload[T]], policy DropPolicy) error {
+// enqueueMcast publishes input src's multicast packet s into the
+// input's queue, honouring the drop policy — the multicast twin of
+// enqueue, sharing the seal protocol, admit's Block parking lot, and
+// the scheduler wakeup.
+func (v *voqShard[T]) enqueueMcast(src int, s voqSlot[mpayload[T]], policy DropPolicy) error {
 	v.inflight.Add(1)
 	defer v.inflight.Add(-1)
 	if v.sealed.Load() {
 		return ErrClosed
 	}
-	r := loadOrInit(&v.mrings[p.Src], func() *voqRing[mpayload[T]] {
-		return newVOQRing[mpayload[T]](v.depth)
-	})
-	if err := admit(v, r, p, policy); err != nil {
+	r := loadOrInit(&v.mrings[src], func() *voqRing[mpayload[T]] { return new(voqRing[mpayload[T]]) })
+	if err := admit(v, r, src, s, policy); err != nil {
 		return err
 	}
 	v.mcastQueued.Add(1)
@@ -103,16 +96,16 @@ func (v *voqShard[T]) enqueueMcast(p Packet[mpayload[T]], policy DropPolicy) err
 	return nil
 }
 
-// peek exposes the oldest packet without consuming it. Single consumer
-// only; the returned pointer is valid until the next pop (a concurrent
-// grow copies the slot into a new buffer but never rewrites the old
-// one).
-func (r *voqRing[T]) peek() (*Packet[T], bool) {
+// peek exposes the oldest payload without consuming it. Single
+// consumer only; the returned pointer is valid until the next pop (a
+// concurrent grow copies the slot into a new buffer but never rewrites
+// the old one).
+func (r *voqRing[T]) peek() (*T, bool) {
 	if r.count.Load() == 0 {
 		return nil, false
 	}
 	r.mu.Lock()
-	p := &r.slots[r.head].pkt
+	p := &r.slots[r.head].payload
 	r.mu.Unlock()
 	return p, true
 }
@@ -140,7 +133,7 @@ func (v *voqShard[T]) claimMulticast(fr *frame[T], partial []int, taken []bool, 
 			continue
 		}
 		blocked := false
-		for _, d := range head.Payload.dsts {
+		for _, d := range head.dsts {
 			if taken[d] {
 				blocked = true
 				break
@@ -149,19 +142,19 @@ func (v *voqShard[T]) claimMulticast(fr *frame[T], partial []int, taken []bool, 
 		if blocked {
 			continue
 		}
-		pkt, enq, _ := r.pop()
+		s, _ := r.pop()
 		v.mcastQueued.Add(-1)
-		wait := time.Duration(tickNano - enq)
+		wait := time.Duration(tickNano - s.enq)
 		if v.met != nil {
 			v.met.VOQWait.Observe(wait)
 		}
-		pkt.Trace.SpanDur("voq_wait", time.Unix(0, enq), wait, "")
-		partial[in] = pkt.Payload.dsts[0]
+		s.tr.Fold("voq_wait", time.Unix(0, s.enq), wait, "")
+		partial[in] = s.payload.dsts[0]
 		fr.mcast = true
 		fr.mpkts++
-		for _, d := range pkt.Payload.dsts {
+		for _, d := range s.payload.dsts {
 			taken[d] = true
-			fr.pkts = append(fr.pkts, Packet[T]{Src: in, Dst: d, Payload: pkt.Payload.data, Trace: pkt.Trace})
+			fr.pkts = append(fr.pkts, Packet[T]{Src: in, Dst: d, Payload: s.payload.data, Trace: s.tr})
 			fr.srcs = append(fr.srcs, in)
 			fr.dsts = append(fr.dsts, d)
 			fr.mcopies++
@@ -223,9 +216,8 @@ func (f *Fabric[T]) dispatchMcast(home int, servers []*engine.McastFrameServer[i
 			f.jrn.McastFrame(p.id, fr.outSrc, fr.dsts, journal.DigestPairs(fr.srcs, fr.dsts))
 		}
 		transit := time.Since(start)
-		note := "plane " + fmt.Sprint(p.id)
 		for _, pkt := range fr.pkts {
-			pkt.Trace.SpanDur("plane_transit", start, transit, note)
+			pkt.Trace.Fold("plane_transit", start, transit, p.transitNote)
 		}
 		f.met.Coalesce.ObserveValue(int64(len(fr.pkts)))
 		switch {
@@ -240,7 +232,7 @@ func (f *Fabric[T]) dispatchMcast(home int, servers []*engine.McastFrameServer[i
 	}
 	f.met.lost.Add(int64(len(fr.pkts)))
 	for _, pkt := range fr.pkts {
-		pkt.Trace.SpanDur("lost", time.Now(), 0, "no healthy plane")
+		pkt.Trace.Fold("lost", time.Now(), 0, "no healthy plane")
 	}
 }
 

@@ -3,6 +3,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,6 +32,8 @@ type plane struct {
 	met     *metrics // fabric-level stage histograms; nil in bare unit tests
 	healthy atomic.Bool
 
+	transitNote string // "plane <id>", the note on its frames' plane_transit spans
+
 	frames    atomic.Int64 // frames this plane routed successfully
 	packets   atomic.Int64 // payload packets inside those frames
 	rounds    atomic.Int64 // collective rounds this plane routed successfully
@@ -49,7 +52,7 @@ func newPlane(id int, cfg engine.Config, met *metrics) (*plane, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: plane %d: %w", id, err)
 	}
-	p := &plane{id: id, eng: eng, ident: make([]int, eng.Network().N()), met: met}
+	p := &plane{id: id, eng: eng, ident: make([]int, eng.Network().N()), met: met, transitNote: "plane " + strconv.Itoa(id)}
 	for i := range p.ident {
 		p.ident[i] = i
 	}

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // DropPolicy selects what Send does when a packet's virtual output
@@ -32,29 +34,32 @@ func (p DropPolicy) String() string {
 	return "unknown"
 }
 
-// voqSlot is one queue slot. enq is the enqueue wall clock in UnixNano
-// (an int64, not a time.Time, to keep slots small: queues exist per
-// (input, output) flow and their footprint is the fabric's memory
-// bill).
+// voqSlot is one queue slot. It holds only what its flow does not
+// imply: the queue's (input, output) pair is the packet's (Src, Dst),
+// which the scheduler rebuilds from the pair it popped. enq is the
+// enqueue wall clock in UnixNano (an int64, not a time.Time). Queues
+// exist per flow and their footprint is the fabric's memory bill, which
+// TestVOQMemoryBill pins.
 type voqSlot[T any] struct {
-	pkt Packet[T]
-	enq int64
+	payload T
+	tr      *obs.Trace
+	enq     int64
 }
 
 // voqRing is one (input, output) virtual output queue: a bounded FIFO
 // with many producers (senders) and a single consumer (the owning
 // shard's scheduler goroutine), guarded by a per-flow mutex. It holds
 // no slots until its first push, then starts at 2 and doubles on
-// demand up to max, so memory follows the flow's occupancy instead of
-// its bound; the buffer never shrinks. Uncontended, a push or pop costs
-// the lock's CAS plus the unlock — as many atomic read-modify-writes as
-// a lock-free ticket ring — and a flow's producers rarely collide.
-// count mirrors the occupancy so size needs no lock.
+// demand up to the bound its shard passes to push, so memory follows
+// the flow's occupancy instead of its bound; the buffer never shrinks.
+// Uncontended, a push or pop costs the lock's CAS plus the unlock — as
+// many atomic read-modify-writes as a lock-free ticket ring — and a
+// flow's producers rarely collide. count mirrors the occupancy so size
+// needs no lock. The zero value is an empty queue.
 type voqRing[T any] struct {
 	mu    sync.Mutex
 	slots []voqSlot[T] // power-of-two length; nil until the first push
 	head  int          // slot index of the oldest packet
-	max   int          // bound on len(slots)
 	count atomic.Int64
 }
 
@@ -68,22 +73,19 @@ func ringDepth(depth int) int {
 	return size
 }
 
-func newVOQRing[T any](depth int) *voqRing[T] {
-	return &voqRing[T]{max: ringDepth(depth)}
-}
-
-// push appends one packet; false means the queue is at its bound.
-func (r *voqRing[T]) push(p Packet[T], enq int64) bool {
+// push appends one slot; false means the queue already holds bound
+// packets, a power of two from ringDepth.
+func (r *voqRing[T]) push(s voqSlot[T], bound int) bool {
 	r.mu.Lock()
 	n := int(r.count.Load())
 	if n == len(r.slots) {
-		if n == r.max {
+		if n == bound {
 			r.mu.Unlock()
 			return false
 		}
 		r.grow()
 	}
-	r.slots[(r.head+n)&(len(r.slots)-1)] = voqSlot[T]{pkt: p, enq: enq}
+	r.slots[(r.head+n)&(len(r.slots)-1)] = s
 	r.count.Add(1)
 	r.mu.Unlock()
 	return true
@@ -98,21 +100,18 @@ func (r *voqRing[T]) grow() {
 	r.slots, r.head = slots, 0
 }
 
-// pop takes the oldest packet; enq is its enqueue UnixNano. Single
-// consumer only.
-func (r *voqRing[T]) pop() (Packet[T], int64, bool) {
+// pop takes the oldest slot. Single consumer only.
+func (r *voqRing[T]) pop() (voqSlot[T], bool) {
 	if r.count.Load() == 0 {
-		var zero Packet[T]
-		return zero, 0, false
+		return voqSlot[T]{}, false
 	}
 	r.mu.Lock()
-	s := &r.slots[r.head]
-	p, enq := s.pkt, s.enq
-	*s = voqSlot[T]{} // release payload and trace references
+	s := r.slots[r.head]
+	r.slots[r.head] = voqSlot[T]{} // release payload and trace references
 	r.head = (r.head + 1) & (len(r.slots) - 1)
 	r.count.Add(-1)
 	r.mu.Unlock()
-	return p, enq, true
+	return s, true
 }
 
 // size is the occupancy; exact when producers are quiescent.
@@ -163,7 +162,7 @@ type voqRow[T any] []atomic.Pointer[voqRing[T]]
 // senders that found their queue full.
 type voqShard[T any] struct {
 	n     int
-	depth int // per-flow bound (power of two)
+	depth int // per-flow bound (power of two), shared by every queue
 	words int // bitmap words per input
 	met   *metrics
 
@@ -230,7 +229,7 @@ func (v *voqShard[T]) ring(src, dst int) *voqRing[T] {
 		r := make(voqRow[T], v.n)
 		return &r
 	})
-	return loadOrInit(&(*row)[dst], func() *voqRing[T] { return newVOQRing[T](v.depth) })
+	return loadOrInit(&(*row)[dst], func() *voqRing[T] { return new(voqRing[T]) })
 }
 
 // setBit / clearBit are CAS loops because the go.mod language version
@@ -260,7 +259,7 @@ func (v *voqShard[T]) enqueue(p Packet[T], policy DropPolicy) error {
 	if v.sealed.Load() {
 		return ErrClosed
 	}
-	if err := admit(v, v.ring(p.Src, p.Dst), p, policy); err != nil {
+	if err := admit(v, v.ring(p.Src, p.Dst), p.Src, voqSlot[T]{payload: p.Payload, tr: p.Trace}, policy); err != nil {
 		return err
 	}
 	c := &v.counts[p.Src]
@@ -280,18 +279,20 @@ func (v *voqShard[T]) enqueue(p Packet[T], policy DropPolicy) error {
 	return nil
 }
 
-// admit pushes p into r, honouring the drop policy: DropNew tail-drops
-// when r is full, Block parks the sender until the scheduler frees a
-// slot or the shard seals. The waiter count is raised before each retry
-// so the consumer's post-pop check cannot miss a sender that observed
-// the queue full just before the pop freed a slot. It serves unicast
-// and multicast queues alike, whose element types differ.
-func admit[T, E any](v *voqShard[T], r *voqRing[E], p Packet[E], policy DropPolicy) error {
-	if r.push(p, time.Now().UnixNano()) {
+// admit pushes s, input src's packet, into r, stamping its enqueue
+// time and honouring the drop policy: DropNew tail-drops when r is
+// full, Block parks the sender until the scheduler frees a slot or the
+// shard seals. The waiter count is raised before each retry so the
+// consumer's post-pop check cannot miss a sender that observed the
+// queue full just before the pop freed a slot. It serves unicast and
+// multicast queues alike, whose element types differ.
+func admit[T, E any](v *voqShard[T], r *voqRing[E], src int, s voqSlot[E], policy DropPolicy) error {
+	s.enq = time.Now().UnixNano()
+	if r.push(s, v.depth) {
 		return nil
 	}
 	if policy == DropNew {
-		v.counts[p.Src].dropped.Add(1)
+		v.counts[src].dropped.Add(1)
 		return ErrBackpressure
 	}
 	t0 := time.Now()
@@ -302,7 +303,8 @@ func admit[T, E any](v *voqShard[T], r *voqRing[E], p Packet[E], policy DropPoli
 			return ErrClosed
 		}
 		v.waiters.Add(1)
-		if r.push(p, time.Now().UnixNano()) {
+		s.enq = time.Now().UnixNano()
+		if r.push(s, v.depth) {
 			v.waiters.Add(-1)
 			break
 		}
@@ -432,7 +434,7 @@ func (v *voqShard[T]) buildFrame(fr *frame[T]) bool {
 					andNotBit(&bm[j>>6], 1<<uint(j&63))
 					continue
 				}
-				pkt, enq, ok := r.pop()
+				s, ok := r.pop()
 				if !ok {
 					v.clearIfEmpty(in, j, r)
 					continue
@@ -441,14 +443,14 @@ func (v *voqShard[T]) buildFrame(fr *frame[T]) bool {
 					v.clearIfEmpty(in, j, r)
 				}
 				v.counts[in].occupied.Add(-1)
-				wait := time.Duration(tickNano - enq)
+				wait := time.Duration(tickNano - s.enq)
 				if v.met != nil {
 					v.met.VOQWait.Observe(wait)
 				}
-				pkt.Trace.SpanDur("voq_wait", time.Unix(0, enq), wait, "")
+				s.tr.Fold("voq_wait", time.Unix(0, s.enq), wait, "")
 				partial[in] = j
 				taken[j] = true
-				fr.pkts = append(fr.pkts, pkt)
+				fr.pkts = append(fr.pkts, Packet[T]{Src: in, Dst: j, Payload: s.payload, Trace: s.tr})
 				fr.srcs = append(fr.srcs, in)
 				fr.dsts = append(fr.dsts, j)
 				v.rrOut[in] = (j + 1) % n

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // drainOne extracts one frame from the shard, or nil when it is empty.
@@ -44,14 +45,14 @@ func (v *voqShard[T]) footprint() (rows, rings, slots int) {
 // head would reorder packets.
 func TestVOQRingWraps(t *testing.T) {
 	const depth = 64
-	r := newVOQRing[int](depth)
+	r := new(voqRing[int])
 	if r.slots != nil {
 		t.Fatal("a fresh queue must hold no slots")
 	}
 	pushed, popped := 0, 0
 	push := func() {
 		t.Helper()
-		if !r.push(Packet[int]{Payload: pushed}, int64(pushed)) {
+		if !r.push(voqSlot[int]{payload: pushed, enq: int64(pushed)}, depth) {
 			t.Fatalf("push %d refused at occupancy %d, below the bound", pushed, r.size())
 		}
 		pushed++
@@ -59,12 +60,12 @@ func TestVOQRingWraps(t *testing.T) {
 	pop := func() {
 		t.Helper()
 		h := r.head
-		p, enq, ok := r.pop()
+		s, ok := r.pop()
 		if !ok {
 			t.Fatalf("pop %d found the queue empty", popped)
 		}
-		if p.Payload != popped || enq != int64(popped) {
-			t.Fatalf("popped %d (enq %d), want %d: FIFO broken", p.Payload, enq, popped)
+		if s.payload != popped || s.enq != int64(popped) {
+			t.Fatalf("popped %d (enq %d), want %d: FIFO broken", s.payload, s.enq, popped)
 		}
 		if r.slots[h] != (voqSlot[int]{}) {
 			t.Fatalf("slot %d not zeroed after pop: %+v", h, r.slots[h])
@@ -96,7 +97,7 @@ func TestVOQRingWraps(t *testing.T) {
 		pop()
 		push()
 	}
-	if r.push(Packet[int]{Payload: -1}, 0) {
+	if r.push(voqSlot[int]{payload: -1}, depth) {
 		t.Fatalf("push beyond the bound of %d accepted", depth)
 	}
 	if len(r.slots) != depth {
@@ -105,11 +106,38 @@ func TestVOQRingWraps(t *testing.T) {
 	for r.size() > 0 {
 		pop()
 	}
-	if _, _, ok := r.pop(); ok {
+	if _, ok := r.pop(); ok {
 		t.Fatal("pop from an empty queue succeeded")
 	}
 	if popped != pushed {
 		t.Fatalf("pushed %d packets but popped %d", pushed, popped)
+	}
+}
+
+// TestVOQMemoryBill pins what one flow's queue costs at T=int: a slot
+// holds only what the flow does not imply (payload, trace, enqueue
+// time), and a queue header carries no bound of its own (its shard
+// holds the one every queue shares). A field added to either fails
+// here instead of quietly raising resident memory.
+func TestVOQMemoryBill(t *testing.T) {
+	slot, mslot := unsafe.Sizeof(voqSlot[int]{}), unsafe.Sizeof(voqSlot[mpayload[int]]{})
+	var r voqRing[int]
+	header := unsafe.Sizeof(r)
+	// A flow that has seen one packet holds its header and a first
+	// buffer of two slots.
+	perFlow := header + 2*slot
+	for _, c := range []struct {
+		what      string
+		got, want uintptr
+	}{
+		{"unicast slot voqSlot[int]", slot, 24},
+		{"multicast slot voqSlot[mpayload[int]]", mslot, 48},
+		{"queue header voqRing[int]", header, 48},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d B, want %d: a flow's first packet now costs %d B (header + 2 slots), pinned at 96 B",
+				c.what, c.got, c.want, perFlow)
+		}
 	}
 }
 
@@ -287,9 +315,7 @@ func TestVOQSealRefusesSenders(t *testing.T) {
 func TestVOQMcastBlockedSender(t *testing.T) {
 	v := newVOQShard[int](4, 2, nil)
 	send := func(id int) error {
-		return v.enqueueMcast(Packet[mpayload[int]]{
-			Src: 0, Dst: 1, Payload: mpayload[int]{dsts: []int{1, 2}, data: id},
-		}, Block)
+		return v.enqueueMcast(0, voqSlot[mpayload[int]]{payload: mpayload[int]{dsts: []int{1, 2}, data: id}}, Block)
 	}
 	park := func(id int) <-chan error {
 		res := make(chan error, 1)

@@ -12,11 +12,20 @@ import (
 
 // Span is one recorded stage of a trace: what happened, when it
 // started relative to the trace start, and how long it took.
+//
+// A folded span (see Fold) stands for Count occurrences of one stage:
+// StartNs and DurNs then cover the earliest start to the latest end,
+// and SumNs and MaxNs total and bound the occurrences' own durations.
+// Count is 0 on a span recorded by Span or SpanDur, and the three
+// fields are omitted from its JSON.
 type Span struct {
 	Stage   string `json:"stage"`
 	StartNs int64  `json:"start_ns"` // offset from the trace start
 	DurNs   int64  `json:"dur_ns"`
 	Note    string `json:"note,omitempty"`
+	Count   int64  `json:"count,omitempty"`
+	SumNs   int64  `json:"sum_ns,omitempty"`
+	MaxNs   int64  `json:"max_ns,omitempty"`
 }
 
 // maxSpans bounds a single trace's span list; a collective at N=4096
@@ -110,6 +119,38 @@ func (t *Trace) SpanDur(stage string, start time.Time, d time.Duration, note str
 		})
 	}
 	t.mu.Unlock()
+}
+
+// Fold records one occurrence of a fan-out stage — one of many packets
+// a request put in flight — into the trace's single span for (stage,
+// note), so the trace's size follows its stages, not its packet count.
+// A fold into an existing span is never dropped, whatever the span
+// count.
+func (t *Trace) Fold(stage string, start time.Time, d time.Duration, note string) {
+	if t == nil {
+		return
+	}
+	s, dn := start.Sub(t.start).Nanoseconds(), d.Nanoseconds()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range t.spans {
+		sp := &t.spans[i]
+		if sp.Count == 0 || sp.Stage != stage || sp.Note != note {
+			continue
+		}
+		end := max(sp.StartNs+sp.DurNs, s+dn)
+		sp.StartNs = min(sp.StartNs, s)
+		sp.DurNs = end - sp.StartNs
+		sp.Count++
+		sp.SumNs += dn
+		sp.MaxNs = max(sp.MaxNs, dn)
+		return
+	}
+	if len(t.spans) >= maxSpans {
+		t.dropped++
+		return
+	}
+	t.spans = append(t.spans, Span{Stage: stage, StartNs: s, DurNs: dn, Note: note, Count: 1, SumNs: dn, MaxNs: dn})
 }
 
 // Ref adds one reference for an asynchronous continuation of the

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -37,6 +39,7 @@ func TestTraceSpansAndContext(t *testing.T) {
 	// The nil trace accepts every call and reports zero values.
 	var nilTr *Trace
 	nilTr.Span("x", t0, "")
+	nilTr.Fold("x", t0, time.Millisecond, "")
 	nilTr.Ref()
 	if nilTr.Release() {
 		t.Fatal("nil Release must report false")
@@ -134,5 +137,93 @@ func TestTraceRingHandler(t *testing.T) {
 	}
 	if len(snap.Traces) != 1 || snap.Traces[0].Name != "GET /x" || len(snap.Traces[0].Spans) != 1 {
 		t.Fatalf("unexpected ring JSON: %+v", snap)
+	}
+	// An unfolded span keeps its pre-fold JSON shape.
+	for _, field := range []string{`"count"`, `"sum_ns"`, `"max_ns"`} {
+		if strings.Contains(rec.Body.String(), field) {
+			t.Fatalf("unfolded span marshals %s:\n%s", field, rec.Body.String())
+		}
+	}
+}
+
+// TestTraceFold has 4 writers fold interleaved occurrences of three
+// (stage, note) keys into one trace at once (run it under -race). Each
+// key must end as one span whose count, sum, max, earliest start and
+// latest end are exact, and that span must survive the span cap: a
+// fold into an existing key is never dropped, a new key past the cap
+// is.
+func TestTraceFold(t *testing.T) {
+	type key struct{ stage, note string }
+	keys := []key{{"voq_wait", ""}, {"plane_transit", "plane 0"}, {"plane_transit", "plane 1"}}
+	const writers, per = 4, 600
+	occurrence := func(w, i int) (k key, off, d time.Duration) {
+		return keys[(w+i)%len(keys)], time.Duration(1000 + 37*i + 5*w), time.Duration(10 + (7*i+13*w)%101)
+	}
+	tr := NewTrace("POST /send")
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				k, off, d := occurrence(w, i)
+				tr.Fold(k.stage, tr.Start().Add(off), d, k.note)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	want := map[key]Span{}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < per; i++ {
+			k, off, d := occurrence(w, i)
+			start, dn := off.Nanoseconds(), d.Nanoseconds()
+			sp, ok := want[k]
+			if !ok {
+				sp = Span{Stage: k.stage, Note: k.note, StartNs: start, DurNs: dn}
+			}
+			end := max(sp.StartNs+sp.DurNs, start+dn)
+			sp.StartNs = min(sp.StartNs, start)
+			sp.DurNs = end - sp.StartNs
+			sp.Count++
+			sp.SumNs += dn
+			sp.MaxNs = max(sp.MaxNs, dn)
+			want[k] = sp
+		}
+	}
+	s := tr.Snapshot()
+	if len(s.Spans) != len(keys) || s.DroppedSpans != 0 {
+		t.Fatalf("%d folds over %d keys left %d spans (%d dropped), want %d: %+v",
+			writers*per, len(keys), len(s.Spans), s.DroppedSpans, len(keys), s.Spans)
+	}
+	for _, sp := range s.Spans {
+		if w := want[key{sp.Stage, sp.Note}]; sp != w {
+			t.Errorf("folded span %+v, want %+v", sp, w)
+		}
+	}
+	raw, err := json.Marshal(s.Spans[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{`"count":`, `"sum_ns":`, `"max_ns":`} {
+		if !strings.Contains(string(raw), field) {
+			t.Errorf("folded span JSON lacks %s: %s", field, raw)
+		}
+	}
+
+	full := NewTrace("full")
+	t0 := full.Start()
+	full.Fold("voq_wait", t0, time.Microsecond, "")
+	for i := 1; i < maxSpans; i++ {
+		full.SpanDur("round", t0, 0, "")
+	}
+	full.Fold("voq_wait", t0.Add(2*time.Microsecond), 3*time.Microsecond, "")
+	full.Fold("lost", t0, 0, "no healthy plane")
+	s = full.Snapshot()
+	if s.DroppedSpans != 1 {
+		t.Fatalf("at the cap: %d spans dropped, want 1 (the new key only)", s.DroppedSpans)
+	}
+	if got, w := s.Spans[0], (Span{Stage: "voq_wait", StartNs: 0, DurNs: 5000, Count: 2, SumNs: 4000, MaxNs: 3000}); got != w {
+		t.Fatalf("fold into an existing key at the cap: got %+v, want %+v", got, w)
 	}
 }
