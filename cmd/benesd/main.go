@@ -1,8 +1,8 @@
-// Command benesd is a demo routing server over the batched engine of
-// internal/engine and the packet-mode fabric of internal/fabric: it
+// Command benesd is a demo routing server over the plan-caching engine
+// of internal/engine and the packet-mode fabric of internal/fabric: it
 // accepts whole-permutation requests and individual packets over HTTP,
-// serves them through the sharded worker pool / multi-plane frame
-// scheduler, and exposes metrics for both layers.
+// serves /route in the handler goroutine and packets through the
+// multi-plane frame scheduler, and exposes metrics for both layers.
 //
 // Endpoints:
 //
@@ -30,16 +30,16 @@
 //	GET  /collective/stats  collective-layer snapshot (rounds,
 //	               self-route ratio, per-plane occupancy, per-op counts)
 //	GET  /stats    full engine metrics snapshot (hits, misses,
-//	               fallbacks, per-stage latency histograms, queue depth)
+//	               fallbacks, per-stage latency histograms)
 //	GET  /fabric/stats  fabric snapshot (accepted/rejected/delivered,
 //	               frame fill, per-plane engines, per-VOQ counters)
 //	GET  /healthz  pure liveness probe ("ok" while the process is up)
 //	GET  /readyz   readiness probe: 503 with reasons when no plane is
-//	               healthy, VOQs are saturated, or the engine queue is
-//	               full; 200 with "degraded" reasons on partial trouble
+//	               healthy or the VOQs are saturated; 200 with
+//	               "degraded" reasons on partial trouble
 //	GET  /metrics  Prometheus text-format exposition: counters, gauges,
-//	               and per-stage latency histograms (engine wait/plan/
-//	               apply, fabric VOQ wait/match/plane/verify,
+//	               and per-stage latency histograms (engine plan/apply,
+//	               fabric VOQ wait/match/plane/verify,
 //	               collective round/end-to-end) for every layer, plus
 //	               per-stage benes_switch_* flight-recorder series
 //	GET  /debug/heatmap  gate-level utilization heatmap: per-switch
@@ -624,11 +624,11 @@ type readiness struct {
 }
 
 // computeReadiness derives the /readyz verdict from live signals:
-// plane rotation, VOQ occupancy, and engine queue depth. Not ready
-// when no plane can serve, the VOQs are full (every Send would drop or
-// block), or the engine queue is at capacity; degraded-but-ready when
-// any plane is out of rotation or either queue crosses half full.
-func computeReadiness(h fabric.Health, queueDepth int64, queueCap int) readiness {
+// plane rotation and VOQ occupancy. Not ready when no plane can serve
+// or the VOQs are full (every Send would drop or block);
+// degraded-but-ready when any plane is out of rotation or the VOQs
+// cross half full.
+func computeReadiness(h fabric.Health) readiness {
 	r := readiness{Ready: true}
 	switch {
 	case h.PlanesHealthy == 0:
@@ -644,22 +644,15 @@ func computeReadiness(h fabric.Health, queueDepth int64, queueCap int) readiness
 	case 2*h.VOQOccupied >= h.VOQCapacity:
 		r.Degraded = append(r.Degraded, fmt.Sprintf("VOQs %d/%d occupied", h.VOQOccupied, h.VOQCapacity))
 	}
-	switch {
-	case queueDepth >= int64(queueCap):
-		r.Ready = false
-		r.Degraded = append(r.Degraded, "engine queue full")
-	case 2*queueDepth >= int64(queueCap):
-		r.Degraded = append(r.Degraded, fmt.Sprintf("engine queue %d/%d", queueDepth, queueCap))
-	}
 	return r
 }
 
-// handleReadyz is the readiness probe: 200 while the fabric and engine
-// can absorb traffic, 503 once they cannot. /healthz stays a pure
-// liveness check — the process is up — so an orchestrator restarts on
-// /healthz failures but only sheds traffic on /readyz ones.
+// handleReadyz is the readiness probe: 200 while the fabric can absorb
+// traffic, 503 once it cannot. /healthz stays a pure liveness check —
+// the process is up — so an orchestrator restarts on /healthz failures
+// but only sheds traffic on /readyz ones.
 func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	r := computeReadiness(s.fab.Health(), s.eng.Metrics().QueueDepth(), s.eng.QueueCapacity())
+	r := computeReadiness(s.fab.Health())
 	if s.jrn != nil {
 		// Journal trouble degrades but never sheds traffic: the data path
 		// is fine, only the audit trail has holes.
@@ -980,26 +973,25 @@ func serve(ctx context.Context, ln net.Listener, eng *engine.Engine[int], fab *f
 
 func main() {
 	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		n       = flag.Int("n", 10, "network size exponent: B(n) routes N=2^n terminals")
-		workers = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		cache   = flag.Int("cache", engine.DefaultCacheCapacity, "plan cache capacity (plans)")
-		psetup  = flag.Bool("parallel-setup", true, "route non-F(n) cache misses through the multicore cold setup")
-		pswork  = flag.Int("setup-workers", 0, "goroutines per parallel cold setup (0 = GOMAXPROCS)")
-		psmemo  = flag.Bool("setup-memo", true, "memoize half-network sub-plans in the plan cache")
-		planes  = flag.Int("planes", 2, "parallel switching planes in the packet fabric")
-		voq     = flag.Int("voq-depth", fabric.DefaultVOQDepth, "per-(input,output) virtual output queue bound")
-		block   = flag.Bool("block", false, "block /send on full queues instead of tail-dropping")
-		affin   = flag.String("affinity", "flow-hash", "plane affinity: flow-hash pins each (src,dst) flow to one plane, spray round-robins packets")
-		drain   = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
-		tring   = flag.Int("trace-ring", 64, "recent request traces kept for /debug/traces")
-		tslow   = flag.Duration("trace-slow", 0, "keep only traces at least this slow (0 keeps all)")
-		record  = flag.Bool("record", true, "gate-level flight recorder (per-switch counters behind /debug/heatmap)")
-		hcap    = flag.Int("history", 120, "snapshot samples kept for /debug/history")
-		hival   = flag.Duration("history-interval", time.Second, "interval between /debug/history snapshot samples")
-		jflag   = flag.Bool("journal", false, "hash-chained traffic journal (/debug/journal, /debug/replay)")
-		jcap    = flag.Int("journal-cap", journal.DefaultCap, "journal memory ring capacity (records)")
-		jspill  = flag.String("journal-spill", "", "directory receiving evicted journal segments (empty = age out in memory)")
+		addr   = flag.String("addr", ":8080", "listen address")
+		n      = flag.Int("n", 10, "network size exponent: B(n) routes N=2^n terminals")
+		cache  = flag.Int("cache", engine.DefaultCacheCapacity, "plan cache capacity (plans)")
+		psetup = flag.Bool("parallel-setup", true, "route non-F(n) cache misses through the multicore cold setup")
+		pswork = flag.Int("setup-workers", 0, "goroutines per parallel cold setup (0 = GOMAXPROCS)")
+		psmemo = flag.Bool("setup-memo", true, "memoize half-network sub-plans in the plan cache")
+		planes = flag.Int("planes", 2, "parallel switching planes in the packet fabric")
+		voq    = flag.Int("voq-depth", fabric.DefaultVOQDepth, "per-(input,output) virtual output queue bound")
+		block  = flag.Bool("block", false, "block /send on full queues instead of tail-dropping")
+		affin  = flag.String("affinity", "flow-hash", "plane affinity: flow-hash pins each (src,dst) flow to one plane, spray round-robins packets")
+		drain  = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
+		tring  = flag.Int("trace-ring", 64, "recent request traces kept for /debug/traces")
+		tslow  = flag.Duration("trace-slow", 0, "keep only traces at least this slow (0 keeps all)")
+		record = flag.Bool("record", true, "gate-level flight recorder (per-switch counters behind /debug/heatmap)")
+		hcap   = flag.Int("history", 120, "snapshot samples kept for /debug/history")
+		hival  = flag.Duration("history-interval", time.Second, "interval between /debug/history snapshot samples")
+		jflag  = flag.Bool("journal", false, "hash-chained traffic journal (/debug/journal, /debug/replay)")
+		jcap   = flag.Int("journal-cap", journal.DefaultCap, "journal memory ring capacity (records)")
+		jspill = flag.String("journal-spill", "", "directory receiving evicted journal segments (empty = age out in memory)")
 	)
 	flag.Parse()
 
@@ -1024,7 +1016,6 @@ func main() {
 	}
 	eng, err := engine.New[int](engine.Config{
 		LogN:          *n,
-		Workers:       *workers,
 		CacheCapacity: *cache,
 		ParallelSetup: *psetup,
 		SetupWorkers:  *pswork,

@@ -932,7 +932,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// One histogram per pipeline stage, each populated by the traffic
 	// above.
 	populated := []string{
-		"benes_engine_wait_seconds", "benes_engine_plan_seconds", "benes_engine_apply_seconds",
+		"benes_engine_plan_seconds", "benes_engine_apply_seconds",
 		"benes_fabric_voq_wait_seconds", "benes_fabric_match_seconds",
 		"benes_fabric_plane_seconds", "benes_fabric_verify_seconds",
 		"benes_collective_round_seconds", "benes_collective_op_seconds",
@@ -1145,23 +1145,19 @@ func TestComputeReadiness(t *testing.T) {
 	cases := []struct {
 		name      string
 		h         fabric.Health
-		depth     int64
-		cap_      int
 		ready     bool
 		nDegraded int
 	}{
-		{"all clear", healthy, 0, 16, true, 0},
-		{"one plane down", fabric.Health{PlanesTotal: 2, PlanesHealthy: 1, VOQCapacity: 64}, 0, 16, true, 1},
-		{"no planes", fabric.Health{PlanesTotal: 2, PlanesHealthy: 0, VOQCapacity: 64}, 0, 16, false, 1},
-		{"voq half", fabric.Health{PlanesTotal: 2, PlanesHealthy: 2, VOQOccupied: 32, VOQCapacity: 64}, 0, 16, true, 1},
-		{"voq full", fabric.Health{PlanesTotal: 2, PlanesHealthy: 2, VOQOccupied: 64, VOQCapacity: 64}, 0, 16, false, 1},
-		{"queue half", healthy, 8, 16, true, 1},
-		{"queue full", healthy, 16, 16, false, 1},
-		{"everything wrong", fabric.Health{PlanesTotal: 2, PlanesHealthy: 0, VOQOccupied: 64, VOQCapacity: 64}, 16, 16, false, 3},
+		{"all clear", healthy, true, 0},
+		{"one plane down", fabric.Health{PlanesTotal: 2, PlanesHealthy: 1, VOQCapacity: 64}, true, 1},
+		{"no planes", fabric.Health{PlanesTotal: 2, PlanesHealthy: 0, VOQCapacity: 64}, false, 1},
+		{"voq half", fabric.Health{PlanesTotal: 2, PlanesHealthy: 2, VOQOccupied: 32, VOQCapacity: 64}, true, 1},
+		{"voq full", fabric.Health{PlanesTotal: 2, PlanesHealthy: 2, VOQOccupied: 64, VOQCapacity: 64}, false, 1},
+		{"everything wrong", fabric.Health{PlanesTotal: 2, PlanesHealthy: 0, VOQOccupied: 64, VOQCapacity: 64}, false, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := computeReadiness(tc.h, tc.depth, tc.cap_)
+			r := computeReadiness(tc.h)
 			if r.Ready != tc.ready || len(r.Degraded) != tc.nDegraded {
 				t.Fatalf("computeReadiness = %+v, want ready=%v with %d reasons", r, tc.ready, tc.nDegraded)
 			}
@@ -1211,7 +1207,7 @@ func TestReadyzEndpoint(t *testing.T) {
 }
 
 // TestHeatmapEndpointExact pins the full /debug/heatmap body, byte for
-// byte, for a fully deterministic B(2) server: one worker, one plane,
+// byte, for a fully deterministic B(2) server: one plane,
 // exactly one bit-reversal routed. The self-routed setting for
 // (0,2,1,3) is switch 1 crossed in all three stages, so against the
 // all-straight power-on state the recorder must show one flip at
@@ -1220,7 +1216,6 @@ func TestReadyzEndpoint(t *testing.T) {
 func TestHeatmapEndpointExact(t *testing.T) {
 	eng, err := engine.New[int](engine.Config{
 		LogN:     2,
-		Workers:  1,
 		Recorder: netsim.NewRecorder(core.New(2), 1),
 	})
 	if err != nil {

@@ -19,14 +19,12 @@
 //     all-to-all compiles to the cyclic-shift ring (Table II), and
 //     arbitrary exchanges are decomposed by König edge coloring into
 //     at most max-degree rounds;
-//   - the executor (handle.go) pipelines the rounds across the
-//     fabric's K planes and through each plane's request queue:
-//     data-parallel programs keep K rounds in flight across planes
-//     and a window of rounds queued behind each one, so successor
-//     plans are being set up while the current round is still
-//     transmitting (Section IV's pipelining); serial programs fall
-//     back to a one-round double buffer, prewarming round r+1's plan
-//     while round r is in flight;
+//   - the executor (handle.go) spreads the rounds across the fabric's
+//     K planes: data-parallel programs keep K rounds in flight, one
+//     per plane, and each plane's plan cache serves repeated rounds at
+//     hit cost; serial programs use a one-round double buffer,
+//     prewarming round r+1's plan while round r is in flight
+//     (Section IV's pipelining);
 //   - admission is deadline-aware: a collective whose estimated
 //     rounds x round-time exceeds the caller's context deadline is
 //     rejected up front instead of timing out halfway;
@@ -57,15 +55,13 @@ var (
 )
 
 // Rounder is the slice of the packet fabric the collective layer
-// drives: whole-permutation rounds dispatched to a preferred plane —
-// one at a time with plan prewarm for the serial double buffer, or as
-// a pipelined run through the plane's request queue. *fabric.Fabric
-// implements it.
+// drives: whole-permutation rounds dispatched one at a time to a
+// preferred plane, with plan prewarm for the serial double buffer.
+// *fabric.Fabric implements it.
 type Rounder interface {
 	N() int
 	Planes() int
 	RouteRound(dest perm.Perm, prefer int) (fabric.RoundResult, error)
-	RouteRounds(dests []perm.Perm, prefer int) ([]fabric.RoundResult, error)
 	PrewarmRound(dest perm.Perm, prefer int)
 	// RouteMulticastRound serves one copy-network round: m[out] names
 	// the source whose value lands at output out (fabric.Idle for
@@ -119,9 +115,8 @@ type Service[T any] struct {
 	planeRounds []atomic.Int64
 
 	// roundHist is the per-round service time (route + move
-	// application); pipelined batches contribute their amortized
-	// per-round time, the same sample the admission EWMA consumes.
-	// opHist is the end-to-end collective latency, submit to settle.
+	// application). opHist is the end-to-end collective latency,
+	// submit to settle.
 	roundHist obs.Histogram
 	opHist    obs.Histogram
 

@@ -128,10 +128,9 @@ type Program struct {
 	Rounds []Round
 	Serial bool
 	// Multicast is true when the schedule contains copy-network (map)
-	// rounds. The executor then serves rounds individually through
-	// RouteMulticastRound — map rounds cannot ride the pipelined
-	// permutation batches — relying on the engine's plan cache to keep
-	// repeated mappings cheap.
+	// rounds, which the executor serves through RouteMulticastRound,
+	// relying on the engine's plan cache to keep repeated mappings
+	// cheap.
 	Multicast bool
 	// SelfRoutable counts the rounds whose classification needs no
 	// looping setup.

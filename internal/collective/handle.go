@@ -132,12 +132,9 @@ func (h *Handle[T]) fail(err error) {
 
 // run executes the schedule and settles the handle.
 func (h *Handle[T]) run() {
-	switch {
-	case h.prog.Serial:
+	if h.prog.Serial {
 		h.runSerial()
-	case h.prog.Multicast:
-		h.runMulticast()
-	default:
+	} else {
 		h.runParallel()
 	}
 	s := h.svc
@@ -233,26 +230,24 @@ func (h *Handle[T]) serveRound(r *Round, idx, prefer int, vals []T, t *roundTall
 		h.state[m.DstPort][m.DstChunk] = vals[j]
 	}
 	h.svc.roundHist.ObserveSince(start)
-	h.tr.Span("round", start, "round "+strconv.Itoa(idx)+" plane "+strconv.Itoa(res.Plane))
+	// Build the note only when traced: untraced rounds allocate nothing
+	// for it.
+	if h.tr != nil {
+		h.tr.Span("round", start, "round "+strconv.Itoa(idx)+" plane "+strconv.Itoa(res.Plane))
+	}
 	h.completed.Add(1)
 	t.add(res, len(r.Moves))
 	return nil
 }
 
-// batchRounds is how many of a worker's rounds one RouteRounds call
-// pipelines through its plane's queue. It bounds how stale the
-// progress counter and the cancellation check can get, not throughput.
-const batchRounds = 64
-
-// runParallel pipelines a data-parallel schedule across the fabric's K
-// planes and through each plane's request queue: worker w serves
-// rounds w, w+K, w+2K, ... on plane w, submitting them in pipelined
-// batches (Rounder.RouteRounds) so the next rounds' plan setup is
-// already queued while the current round is traversing the plane —
-// Section IV's pipelining, one level deeper than the serial path's
-// one-round double buffer. Safe because non-serial programs read only
-// the immutable input and write pairwise-disjoint state cells
-// (Program.Validate's invariant).
+// runParallel spreads a data-parallel schedule across the fabric's K
+// planes: worker w serves rounds w, w+K, w+2K, ... on plane w, one at a
+// time, so K rounds traverse the fabric concurrently. Permutation and
+// copy-network (map) rounds take the same loop, and each plane's plan
+// cache keeps repeated rounds (a broadcast's identical per-chunk rounds,
+// re-run all-to-alls) at cache-hit cost. Safe because non-serial
+// programs read only the immutable input and write pairwise-disjoint
+// state cells (Program.Validate's invariant).
 func (h *Handle[T]) runParallel() {
 	rounds := h.prog.Rounds
 	workers := h.svc.fab.Planes()
@@ -267,105 +262,7 @@ func (h *Handle[T]) runParallel() {
 			defer wg.Done()
 			t := newRoundTally(len(h.svc.planeRounds))
 			defer h.flush(t)
-			mine := make([]int, 0, (len(rounds)+workers-1)/workers)
-			for idx := w; idx < len(rounds); idx += workers {
-				mine = append(mine, idx)
-			}
-			if h.tr != nil {
-				// Traced requests forgo batching so every round gets a
-				// real start/duration span instead of an amortized share
-				// of a pipelined batch — the point of a trace is seeing
-				// where the time went, round by round.
-				for _, idx := range mine {
-					if abort.Load() {
-						return
-					}
-					if err := h.ctx.Err(); err != nil {
-						h.fail(err)
-						abort.Store(true)
-						return
-					}
-					r := &rounds[idx]
-					vals := make([]T, len(r.Moves))
-					for j, m := range r.Moves {
-						vals[j] = h.in[m.SrcPort][m.SrcChunk]
-					}
-					if err := h.serveRound(r, idx, w, vals, t); err != nil {
-						h.fail(err)
-						abort.Store(true)
-						return
-					}
-				}
-				return
-			}
-			dests := make([]perm.Perm, 0, batchRounds)
-			for base := 0; base < len(mine); base += batchRounds {
-				if abort.Load() {
-					return
-				}
-				if err := h.ctx.Err(); err != nil {
-					h.fail(err)
-					abort.Store(true)
-					return
-				}
-				end := base + batchRounds
-				if end > len(mine) {
-					end = len(mine)
-				}
-				dests = dests[:0]
-				for _, idx := range mine[base:end] {
-					dests = append(dests, rounds[idx].Dest)
-				}
-				batchStart := time.Now()
-				results, err := h.svc.fab.RouteRounds(dests, w)
-				if err != nil {
-					h.fail(err)
-					abort.Store(true)
-					return
-				}
-				// Each pipelined round contributes its amortized share of
-				// the batch's wall time — the same per-round service time
-				// the admission EWMA consumes.
-				perRound := time.Since(batchStart) / time.Duration(end-base)
-				for i, idx := range mine[base:end] {
-					r := &rounds[idx]
-					for _, m := range r.Moves {
-						h.state[m.DstPort][m.DstChunk] = h.in[m.SrcPort][m.SrcChunk]
-					}
-					h.svc.roundHist.Observe(perRound)
-					h.completed.Add(1)
-					t.add(results[i], len(r.Moves))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-// runMulticast pipelines a data-parallel multicast schedule across the
-// fabric's K planes: worker w serves rounds w, w+K, w+2K, ... on plane
-// w, one at a time. Map rounds cannot ride RouteRounds' pipelined
-// permutation batches — each presents a mapping, not a permutation —
-// so the workers serve them individually through RouteMulticastRound;
-// the engine's plan cache keeps repeated mappings (a broadcast's
-// identical per-chunk rounds, re-run all-gathers) at cache-hit cost.
-// Safe for the same reason runParallel is: multicast programs are
-// non-serial, reading only the immutable input and writing
-// pairwise-disjoint state cells.
-func (h *Handle[T]) runMulticast() {
-	rounds := h.prog.Rounds
-	workers := h.svc.fab.Planes()
-	if workers > len(rounds) {
-		workers = len(rounds)
-	}
-	var abort atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			t := newRoundTally(len(h.svc.planeRounds))
-			defer h.flush(t)
+			var vals []T
 			for idx := w; idx < len(rounds); idx += workers {
 				if abort.Load() {
 					return
@@ -376,9 +273,9 @@ func (h *Handle[T]) runMulticast() {
 					return
 				}
 				r := &rounds[idx]
-				vals := make([]T, len(r.Moves))
-				for j, m := range r.Moves {
-					vals[j] = h.in[m.SrcPort][m.SrcChunk]
+				vals = vals[:0]
+				for _, m := range r.Moves {
+					vals = append(vals, h.in[m.SrcPort][m.SrcChunk])
 				}
 				if err := h.serveRound(r, idx, w, vals, t); err != nil {
 					h.fail(err)

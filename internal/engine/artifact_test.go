@@ -91,7 +91,7 @@ func TestBenchEngineArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s: %s", path, out)
-	if warm.AllocsPerOp() > 5 {
-		t.Fatalf("warm path allocates %d objects/op with accounting enabled, budget is 5", warm.AllocsPerOp())
+	if warm.AllocsPerOp() > 1 {
+		t.Fatalf("warm path allocates %d objects/op with accounting enabled, budget is 1", warm.AllocsPerOp())
 	}
 }

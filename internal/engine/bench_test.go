@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -139,42 +137,6 @@ func BenchmarkCacheWarmCycle(b *testing.B) {
 			}
 			b.StopTimer()
 			reportHitRate(b, eng)
-		})
-	}
-}
-
-// BenchmarkWorkers sweeps the worker pool from 1 to GOMAXPROCS under a
-// mixed warm workload submitted in flights, measuring batch throughput.
-func BenchmarkWorkers(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	perms := make([]perm.Perm, 32)
-	for i := range perms {
-		perms[i] = perm.Random(1<<benchLogN, rng)
-	}
-	data := benchPayload(1 << benchLogN)
-	const flight = 256
-	for w := 1; w <= runtime.GOMAXPROCS(0); w *= 2 {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			eng, err := New[int](Config{LogN: benchLogN, Workers: w, QueueDepth: flight})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer eng.Close()
-			reqs := make([]Request[int], flight)
-			for i := range reqs {
-				reqs[i] = Request[int]{Dest: perms[i%len(perms)], Data: data}
-			}
-			eng.RouteBatch(reqs) // warm all plans
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, resp := range eng.RouteBatch(reqs) {
-					if resp.Err != nil {
-						b.Fatal(resp.Err)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(flight), "vectors/op")
 		})
 	}
 }

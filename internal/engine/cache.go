@@ -144,7 +144,7 @@ func (s *subPlanCache) Put(m int, dests []int, st core.States) {
 
 // planCache is a sharded LRU cache of routing plans. Each shard owns an
 // independent lock, recency list, and capacity slice, so concurrent
-// workers rarely contend on the same mutex.
+// callers rarely contend on the same mutex.
 type planCache struct {
 	shards     []cacheShard
 	mask       uint64

@@ -102,7 +102,6 @@ func TestEngineColdMissRaceStress(t *testing.T) {
 	)
 	eng, err := New[int](Config{
 		LogN:          logN,
-		Workers:       runtime.GOMAXPROCS(0),
 		CacheCapacity: 4096,
 		ParallelSetup: true,
 		SetupWorkers:  runtime.GOMAXPROCS(0),

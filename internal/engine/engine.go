@@ -1,8 +1,8 @@
 // Package engine is the serving layer over the self-routing Benes
-// network of package core: a concurrent routing engine that accepts
-// streams of route requests (permutation + payload vector), batches
-// them, and serves them through a sharded worker pool with an LRU plan
-// cache keyed by permutation hash.
+// network of package core: a concurrent routing engine that serves
+// route requests (permutation + payload vector) in the caller's
+// goroutine through a sharded LRU plan cache keyed by permutation
+// hash.
 //
 // The paper's headline result is that setup is the expensive part of
 // permutation routing: the looping algorithm costs O(N log N) serial
@@ -21,10 +21,12 @@
 //     (Section IV's point that a configured network moves a new vector
 //     every clock period).
 //
-// Batching follows Section IV's pipelining result: requests that share
-// a permutation inside one worker batch are served by a single plan
-// acquisition, the software analogue of streaming many vectors through
-// one switch setting.
+// Section IV's pipelining result — the next vector's switch setting is
+// ready while the current vector moves — is the plan cache's job:
+// requests that share a permutation are served by one cached plan, the
+// software analogue of streaming many vectors through one switch
+// setting, and Prewarm computes a setting ahead of the vector that
+// needs it.
 package engine
 
 import (
@@ -42,7 +44,7 @@ import (
 	"repro/internal/psetup"
 )
 
-// ErrClosed is returned for requests submitted after Close.
+// ErrClosed is returned for requests made after Close.
 var ErrClosed = errors.New("engine: closed")
 
 // Config parameterizes New. The zero value of every field selects a
@@ -50,21 +52,13 @@ var ErrClosed = errors.New("engine: closed")
 type Config struct {
 	// LogN is n = log2(N), the size of the Benes network B(n).
 	LogN int
-	// Workers is the number of goroutines serving requests.
-	// Defaults to runtime.GOMAXPROCS(0).
-	Workers int
 	// CacheCapacity is the total number of plans the LRU cache holds
 	// across all shards. Defaults to DefaultCacheCapacity.
 	CacheCapacity int
 	// CacheShards is the number of independently locked cache shards,
-	// rounded up to a power of two. Defaults to 2*Workers.
+	// rounded up to a power of two. Defaults to 2*GOMAXPROCS, so
+	// concurrent callers rarely contend on one shard's lock.
 	CacheShards int
-	// QueueDepth is the buffered request queue length. Submit blocks
-	// once this many requests are in flight. Defaults to 4*Workers.
-	QueueDepth int
-	// MaxBatch caps how many queued requests one worker drains and
-	// serves as a single batch. Defaults to DefaultMaxBatch.
-	MaxBatch int
 	// ParallelSetup routes cache misses outside F(n) — the serving
 	// path's worst-case latency, since nothing but the plan cache hides
 	// the looping algorithm's O(N log N) serial cost — through the
@@ -101,35 +95,18 @@ type Config struct {
 	Journal *journal.Writer
 }
 
-// Defaults for Config fields left zero.
-const (
-	DefaultCacheCapacity = 1024
-	DefaultMaxBatch      = 16
-)
+// DefaultCacheCapacity is the plan-cache capacity when Config leaves
+// it zero.
+const DefaultCacheCapacity = 1024
 
 func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = DefaultCacheCapacity
 	}
 	if c.CacheShards <= 0 {
-		c.CacheShards = 2 * c.Workers
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.Workers
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
+		c.CacheShards = 2 * runtime.GOMAXPROCS(0)
 	}
 	return c
-}
-
-// Request is one unit of work: deliver Data[i] to position Dest[i].
-type Request[T any] struct {
-	Dest perm.Perm
-	Data []T
 }
 
 // Response reports one served request.
@@ -139,26 +116,17 @@ type Response[T any] struct {
 	Data []T
 	// Kind records which setup path produced the plan.
 	Kind PlanKind
-	// CacheHit is true when the plan was served from the cache (or
-	// reused from an earlier request in the same batch).
+	// CacheHit is true when the plan was served from the cache.
 	CacheHit bool
 	Err      error
 }
 
-// pending is a request in flight through the worker pool.
-type pending[T any] struct {
-	req  Request[T]
-	done chan Response[T]
-	enq  time.Time
-}
-
-// Engine routes streams of permutation requests over a shared Benes
-// network. All methods are safe for concurrent use.
+// Engine routes permutation requests over a shared Benes network. All
+// methods are safe for concurrent use.
 type Engine[T any] struct {
 	net   *core.Network
-	cfg   Config
 	cache *planCache
-	met   *Metrics
+	met   *metrics
 	rec   *netsim.Recorder
 	jrn   *journal.Writer
 	// psr is the multicore cold-setup router for non-F(n) misses, nil
@@ -173,28 +141,27 @@ type Engine[T any] struct {
 	// scpool holds *core.SetupScratch for cache misses: the self-routing
 	// kernel's tag buffers and the serial looping fallback's memory.
 	scpool sync.Pool
-	reqs   chan *pending[T]
-	wg     sync.WaitGroup
 
-	mu     sync.RWMutex // guards closed vs. sends on reqs
+	// mu guards closed. Route holds the read side for its whole serve,
+	// so Close, which takes the write side, returns only after every
+	// in-flight route has been recorded and journaled.
+	mu     sync.RWMutex
 	closed bool
 }
 
-// New builds and starts an engine for B(cfg.LogN).
+// New builds an engine for B(cfg.LogN).
 func New[T any](cfg Config) (*Engine[T], error) {
 	if cfg.LogN < 1 {
 		return nil, fmt.Errorf("engine: Config.LogN must be >= 1, got %d", cfg.LogN)
 	}
 	cfg = cfg.withDefaults()
-	met := &Metrics{}
+	met := &metrics{}
 	e := &Engine[T]{
 		net:   core.New(cfg.LogN),
-		cfg:   cfg,
 		cache: newPlanCache(cfg.CacheCapacity, cfg.CacheShards, &met.evictions, &met.collisions),
 		met:   met,
 		rec:   cfg.Recorder,
 		jrn:   cfg.Journal,
-		reqs:  make(chan *pending[T], cfg.QueueDepth),
 	}
 	if e.rec != nil {
 		e.ladRec = netsim.NewRecorderGeom(cfg.LogN, e.net.SwitchesPerStage())
@@ -212,10 +179,6 @@ func New[T any](cfg Config) (*Engine[T], error) {
 	}
 	e.mpool.New = func() any { return mcast.NewCompiler(e.net) }
 	e.scpool.New = func() any { return core.NewSetupScratch(e.net) }
-	e.wg.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		go e.worker()
-	}
 	return e, nil
 }
 
@@ -230,57 +193,50 @@ func (e *Engine[T]) Recorder() *netsim.Recorder { return e.rec }
 // of four-state switches), nil when accounting is disabled.
 func (e *Engine[T]) LadderRecorder() *netsim.Recorder { return e.ladRec }
 
-// QueueCapacity returns the request queue's depth limit — the
-// denominator readiness probes compare QueueDepth against.
-func (e *Engine[T]) QueueCapacity() int { return e.cfg.QueueDepth }
-
-// Metrics returns the engine's live counters.
-func (e *Engine[T]) Metrics() *Metrics { return e.met }
-
-// Stats captures a complete metrics snapshot, including the current
-// plan-cache occupancy.
-func (e *Engine[T]) Stats() Snapshot {
-	s := e.met.Snapshot()
-	s.PlansCached = e.cache.len()
-	return s
-}
-
-// Submit enqueues one request and returns a channel that receives
-// exactly one Response. Length errors are reported without entering
-// the queue; Submit blocks only when the queue is full.
-func (e *Engine[T]) Submit(req Request[T]) <-chan Response[T] {
-	done := make(chan Response[T], 1)
-	if len(req.Dest) != e.net.N() || len(req.Data) != e.net.N() {
+// Route serves one request synchronously in the caller's goroutine:
+// deliver data[i] to position dest[i]. It resolves the plan (cache
+// first), applies the plan's end-to-end mapping to the payload — the
+// software equivalent of a data pass through pinned switches — records
+// the pass and journals it, all under the engine's read lock, so a
+// concurrent Close waits for it to finish.
+func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
+	if len(dest) != e.net.N() || len(data) != e.net.N() {
 		e.met.errors.Add(1)
-		done <- Response[T]{Err: fmt.Errorf("engine: request size (dest %d, data %d) does not match N=%d",
-			len(req.Dest), len(req.Data), e.net.N())}
-		return done
+		return Response[T]{Err: fmt.Errorf("engine: request size (dest %d, data %d) does not match N=%d",
+			len(dest), len(data), e.net.N())}
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		e.met.errors.Add(1)
-		done <- Response[T]{Err: ErrClosed}
-		return done
+		return Response[T]{Err: ErrClosed}
 	}
 	e.met.requests.Add(1)
-	e.met.queueDepth.Add(1)
-	e.reqs <- &pending[T]{req: req, done: done, enq: time.Now()}
-	return done
-}
-
-// Route serves one request synchronously.
-func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
-	return <-e.Submit(Request[T]{Dest: dest, Data: data})
+	pl, hit, err := e.acquire(hashPerm(dest), dest)
+	if err != nil {
+		e.met.errors.Add(1)
+		return Response[T]{Err: err}
+	}
+	t0 := time.Now()
+	out := perm.Apply(pl.Dest, data)
+	e.met.Apply.Observe(time.Since(t0))
+	// One full-vector pass: a vector count plus a word-compare flip
+	// sweep, whose changed words ripple into the flip bit-planes.
+	e.rec.RecordVector(pl.mask)
+	if e.jrn.Enabled() {
+		// The plan realizes exactly its permutation, so the delivery
+		// digest is DigestPerm of the destination vector.
+		e.jrn.Route(pl.Dest, journal.DigestPerm(pl.Dest))
+	}
+	return Response[T]{Data: out, Kind: pl.Kind, CacheHit: hit}
 }
 
 // Prewarm resolves and caches the routing plan for dest without moving
 // any payload, so a later Route of the same permutation is a cache
 // hit. This is the setup half of Section IV's pipelining: the next
 // vector's switch setting is computed while the current vector is
-// still in flight. It runs in the caller's goroutine — it does not
-// enter the request queue — and reports the plan kind and whether the
-// plan was already cached.
+// still in flight. It reports the plan kind and whether the plan was
+// already cached.
 func (e *Engine[T]) Prewarm(dest perm.Perm) (PlanKind, bool, error) {
 	if len(dest) != e.net.N() {
 		e.met.errors.Add(1)
@@ -316,9 +272,6 @@ func (e *Engine[T]) Prewarm(dest perm.Perm) (PlanKind, bool, error) {
 //     d *correctly*, which is the wrong contract — a probe must report
 //     what the self-setting switches actually do with d's tags, even
 //     (especially) when that misroutes.
-//
-// It runs in the caller's goroutine and does not enter the request
-// queue.
 func (e *Engine[T]) ProbeRoute(d perm.Perm) (perm.Perm, error) {
 	if len(d) != e.net.N() {
 		e.met.errors.Add(1)
@@ -339,118 +292,12 @@ func (e *Engine[T]) ProbeRoute(d perm.Perm) (perm.Perm, error) {
 	return e.net.SelfRoute(d).Realized, nil
 }
 
-// RouteBatch submits all requests before collecting any response, so
-// the worker pool serves them concurrently. Responses are returned in
-// request order.
-func (e *Engine[T]) RouteBatch(reqs []Request[T]) []Response[T] {
-	chans := make([]<-chan Response[T], len(reqs))
-	for i, r := range reqs {
-		chans[i] = e.Submit(r)
-	}
-	out := make([]Response[T], len(reqs))
-	for i, ch := range chans {
-		out[i] = <-ch
-	}
-	return out
-}
-
-// Close stops accepting requests, waits for queued work to drain, and
-// stops the workers. Close is idempotent.
+// Close stops accepting requests and returns once every in-flight
+// Route has finished. Close is idempotent.
 func (e *Engine[T]) Close() {
 	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.reqs)
-	}
+	e.closed = true
 	e.mu.Unlock()
-	e.wg.Wait()
-}
-
-// worker drains the queue in batches: one blocking receive, then an
-// opportunistic non-blocking drain up to MaxBatch, so light load stays
-// low-latency while heavy load amortizes plan lookups across a batch.
-func (e *Engine[T]) worker() {
-	defer e.wg.Done()
-	sh := e.rec.Shard() // nil (and inert) when accounting is off
-	batch := make([]*pending[T], 0, e.cfg.MaxBatch)
-	for {
-		p, ok := <-e.reqs
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], p)
-	drain:
-		for len(batch) < e.cfg.MaxBatch {
-			select {
-			case q, ok := <-e.reqs:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, q)
-			default:
-				break drain
-			}
-		}
-		e.serve(batch, sh)
-	}
-}
-
-// batchPlan is one resolved plan within a batch, shared by every
-// request in the batch with the same permutation.
-type batchPlan struct {
-	dest   perm.Perm
-	plan   *Plan
-	err    error
-	cached bool // plan came from the cache (vs. computed for this batch)
-}
-
-// serve resolves plans for a batch and answers every request. Requests
-// sharing a permutation are served by one plan acquisition (Section IV
-// pipelining: one switch setting, many vectors).
-func (e *Engine[T]) serve(batch []*pending[T], sh *netsim.RecorderShard) {
-	now := time.Now()
-	for _, p := range batch {
-		e.met.queueDepth.Add(-1)
-		e.met.Wait.Observe(now.Sub(p.enq))
-	}
-	e.met.batches.Add(1)
-	plans := make(map[uint64]*batchPlan, len(batch))
-	for _, p := range batch {
-		key := hashPerm(p.req.Dest)
-		ent := plans[key]
-		reused := false
-		if ent != nil && ent.dest.Equal(p.req.Dest) {
-			// Batch-local reuse: the plan is already in hand, which is
-			// a hit as far as setup cost is concerned.
-			reused = true
-			if ent.err == nil {
-				e.met.hits.Add(1)
-			}
-		} else {
-			pl, hit, err := e.acquire(key, p.req.Dest)
-			ent = &batchPlan{dest: p.req.Dest, plan: pl, err: err, cached: hit}
-			plans[key] = ent
-		}
-		if ent.err != nil {
-			e.met.errors.Add(1)
-			p.done <- Response[T]{Err: ent.err}
-			continue
-		}
-		// Apply the plan's end-to-end mapping: the software equivalent of
-		// a data pass through pinned switches.
-		t0 := time.Now()
-		out := perm.Apply(ent.plan.Dest, p.req.Data)
-		e.met.Apply.Observe(time.Since(t0))
-		// One full-vector pass: a vector count plus a word-compare flip
-		// sweep, whose changed words ripple into the flip bit-planes.
-		sh.RecordVector(ent.plan.mask)
-		if e.jrn.Enabled() {
-			// The plan realizes exactly its permutation, so the delivery
-			// digest is DigestPerm of the destination vector.
-			e.jrn.Route(ent.plan.Dest, journal.DigestPerm(ent.plan.Dest))
-		}
-		p.done <- Response[T]{Data: out, Kind: ent.plan.Kind, CacheHit: ent.cached || reused}
-	}
 }
 
 // acquire returns the plan for d, consulting the cache first. On a

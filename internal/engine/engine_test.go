@@ -1,11 +1,17 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/journal"
+	"repro/internal/netsim"
 	"repro/internal/perm"
 )
 
@@ -41,7 +47,7 @@ func checkRouted(t *testing.T, d perm.Perm, resp Response[int]) {
 // (b) the plan kind agrees with the Theorem 1 characterization of F(n).
 // A deliberately tiny cache forces constant eviction churn.
 func TestExhaustiveN8(t *testing.T) {
-	eng, err := New[int](Config{LogN: 3, Workers: 2, CacheCapacity: 8, CacheShards: 2})
+	eng, err := New[int](Config{LogN: 3, CacheCapacity: 8, CacheShards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,39 +196,6 @@ func TestConcurrentHitMiss(t *testing.T) {
 	if s.Hits == 0 || s.Misses == 0 || s.Evictions == 0 {
 		t.Fatalf("expected hits, misses and evictions under churn, got %+v", s)
 	}
-	if s.QueueDepth != 0 {
-		t.Fatalf("queue depth should return to 0 when idle, got %d", s.QueueDepth)
-	}
-}
-
-// TestBatchGrouping verifies that RouteBatch serves duplicate
-// permutations in one batch correctly and reports them as cache hits.
-func TestBatchGrouping(t *testing.T) {
-	const n = 4
-	// One worker with a large MaxBatch makes batching deterministic
-	// enough to observe grouping through the metrics.
-	eng, err := New[int](Config{LogN: n, Workers: 1, MaxBatch: 64, QueueDepth: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	d := perm.BitReversal(n)
-	data := payload(16)
-	reqs := make([]Request[int], 32)
-	for i := range reqs {
-		reqs[i] = Request[int]{Dest: d, Data: data}
-	}
-	resps := eng.RouteBatch(reqs)
-	for _, r := range resps {
-		checkRouted(t, d, r)
-	}
-	s := eng.Stats()
-	if s.Misses != 1 {
-		t.Fatalf("32 identical requests should compute exactly one plan, got %+v", s)
-	}
-	if s.Hits != 31 {
-		t.Fatalf("31 requests should reuse the plan, got %+v", s)
-	}
 }
 
 // TestErrors covers the rejection paths: length mismatch, invalid
@@ -256,14 +229,84 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestSubmitAsync checks the asynchronous API end to end.
-func TestSubmitAsync(t *testing.T) {
-	eng, err := New[int](Config{LogN: 4})
+// TestCloseDrainsInFlightRoutes checks that Close returns only after
+// every in-flight Route has finished: goroutines loop Route over cached
+// permutations on an engine with a journal and a recorder while the
+// test calls Close, and once Close returns neither the journal nor the
+// recorder may move again. Every response must be a correctly routed
+// vector or ErrClosed.
+func TestCloseDrainsInFlightRoutes(t *testing.T) {
+	const logN, goroutines = 8, 8
+	j, err := journal.New(journal.Config{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
-	d := perm.PerfectShuffle(4)
-	ch := eng.Submit(Request[int]{Dest: d, Data: payload(16)})
-	checkRouted(t, d, <-ch)
+	defer j.Close()
+	net := core.New(logN)
+	rec := netsim.NewRecorder(net, 1)
+	eng, err := New[int](Config{LogN: logN, Recorder: rec, Journal: j.Writer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perms := []perm.Perm{perm.BitReversal(logN), perm.PerfectShuffle(logN), perm.CyclicShift(logN, 5), perm.Identity(1 << logN)}
+	data := payload(1 << logN)
+	for _, d := range perms {
+		checkRouted(t, d, eng.Route(d, data))
+	}
+	totals := func() []netsim.StageTotals {
+		out := make([]netsim.StageTotals, rec.Stages())
+		for s := range out {
+			out[s] = rec.StageTotals(s)
+		}
+		return out
+	}
+
+	var served atomic.Int64
+	errs := make(chan error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				d := perms[i%len(perms)]
+				resp := eng.Route(d, data)
+				if errors.Is(resp.Err, ErrClosed) {
+					return
+				}
+				if resp.Err != nil {
+					errs <- resp.Err
+					return
+				}
+				for k, v := range perm.Apply(d, data) {
+					if resp.Data[k] != v {
+						errs <- fmt.Errorf("goroutine %d: wrong routing for %v", g, d)
+						return
+					}
+				}
+				served.Add(1)
+			}
+		}(g)
+	}
+	for served.Load() < 4*goroutines && len(errs) == 0 {
+		runtime.Gosched()
+	}
+	eng.Close()
+	appended, after := j.Metrics().Appended(), totals()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := j.Metrics().Appended(); got != appended {
+		t.Fatalf("journal appended %d records after Close returned (%d at Close)", got-appended, appended)
+	}
+	for s, now := range totals() {
+		if now != after[s] {
+			t.Fatalf("stage %d recorder totals moved after Close returned: %+v, then %+v", s, after[s], now)
+		}
+	}
+	if want := int64(len(perms)) + served.Load(); appended != want {
+		t.Fatalf("journal holds %d route records, want one per served route (%d)", appended, want)
+	}
 }

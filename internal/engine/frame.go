@@ -10,11 +10,10 @@ import (
 )
 
 // FrameServer is the engine's synchronous frame-serving path, built for
-// the packet fabric's hot loop. The general Submit path is shaped for
-// arbitrary clients: it hands the request to a worker pool through a
-// channel, consults the plan cache, and on a miss first attempts the
-// paper's self-routing check before falling back to the looping
-// algorithm. All three of those are wrong for frames:
+// the packet fabric's hot loop. The general Route path is shaped for
+// arbitrary clients: it consults the plan cache, and on a miss first
+// attempts the paper's self-routing check before falling back to the
+// looping algorithm. Both are wrong for frames:
 //
 //   - a frame's destination vector is a random completed matching, so
 //     consecutive frames essentially never repeat — every cache lookup
@@ -24,17 +23,14 @@ import (
 //     first conflict, but for a random permutation that conflict sits
 //     in the first few switches of stage n-1, after the n-1 stages that
 //     cannot conflict — about half a full setting's switch decisions,
-//     thrown away per frame;
-//   - the channel handoff costs two goroutine wakeups and a response
-//     allocation per frame.
+//     thrown away per frame.
 //
-// A FrameServer therefore runs in the caller's goroutine and goes
-// straight to the looping algorithm, reusing one States buffer, one
-// setup scratch, and one recorder mask across calls — the steady-state
-// frame costs zero allocations. The one repeat that does happen in
-// practice (a single hot flow producing the same completed matching
-// frame after frame) is caught by an O(N) last-destination memo instead
-// of the cache.
+// A FrameServer therefore skips the cache and goes straight to the
+// looping algorithm, reusing one States buffer, one setup scratch, and
+// one recorder mask across calls — the steady-state frame costs zero
+// allocations. The one repeat that does happen in practice (a single
+// hot flow producing the same completed matching frame after frame) is
+// caught by an O(N) last-destination memo instead of the cache.
 //
 // A FrameServer belongs to one goroutine; create one per serving
 // goroutine via NewFrameServer. Concurrent FrameServers over the same
@@ -46,7 +42,6 @@ type FrameServer[T any] struct {
 	sc       *core.SetupScratch
 	mask     []uint64
 	paths    *netsim.Paths
-	sh       *netsim.RecorderShard
 	last     perm.Perm // previously served dest; valid when haveLast
 	haveLast bool
 }
@@ -58,8 +53,7 @@ func (e *Engine[T]) NewFrameServer() *FrameServer[T] {
 		e:     e,
 		st:    e.net.NewStates(),
 		sc:    core.NewSetupScratch(e.net),
-		sh:    e.rec.Shard(), // nil (and inert) when accounting is off
-		paths: e.rec.NewPaths(),
+		paths: e.rec.NewPaths(), // nil (and inert) when accounting is off
 		last:  make(perm.Perm, e.net.N()),
 	}
 	if words := e.rec.MaskWords(); words > 0 {
@@ -121,8 +115,8 @@ func (fs *FrameServer[T]) Serve(dest perm.Perm, real []int) error {
 		}
 	}
 	e.met.Apply.Observe(time.Since(t1))
-	if fs.sh != nil {
-		fs.sh.RecordFrame(e.rec.PackStatesInto(fs.st, fs.mask), fs.paths)
+	if e.rec != nil {
+		e.rec.RecordFrame(e.rec.PackStatesInto(fs.st, fs.mask), fs.paths)
 	}
 	e.met.frames.Add(1)
 	return nil

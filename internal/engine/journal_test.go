@@ -15,7 +15,7 @@ func TestEngineJournalRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	eng, err := New[int](Config{LogN: 3, Workers: 1, Journal: j.Writer()})
+	eng, err := New[int](Config{LogN: 3, Journal: j.Writer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +45,12 @@ func TestEngineJournalRoute(t *testing.T) {
 
 // TestEngineJournalDisabledRouteAllocs proves the disabled hot path
 // pays nothing for the journal hook: a warm Route with no journal
-// configured stays within the 5 allocs/op budget TestEngineWarmRouteAllocs
+// configured stays within the 1 alloc/op budget TestEngineWarmRouteAllocs
 // pins, because the nil-safe Writer guard short-circuits before any
 // digest work.
 func TestEngineJournalDisabledRouteAllocs(t *testing.T) {
 	const logN = 6
-	eng, err := New[int](Config{LogN: logN, Workers: 1})
+	eng, err := New[int](Config{LogN: logN})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestEngineJournalDisabledRouteAllocs(t *testing.T) {
 			t.Fatal(resp.Err)
 		}
 	})
-	if allocs > 5 {
-		t.Fatalf("journal-disabled warm Route allocates %.1f objects/op, budget is 5", allocs)
+	if allocs > 1 {
+		t.Fatalf("journal-disabled warm Route allocates %.1f objects/op, budget is 1", allocs)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bits"
 	"repro/internal/mcast"
-	"repro/internal/netsim"
 )
 
 // ErrEmptyMapping rejects multicast requests with no assigned outputs.
@@ -60,13 +59,12 @@ func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 	out := mcast.Apply(pl.Mcast, data, nil)
 	e.met.Apply.Observe(time.Since(t0))
 
-	sh, ladSh := e.rec.Shard(), e.ladRec.Shard() // nil (inert) when accounting is off
-	if sh != nil {
-		sh.RecordFlips(pl.distMask)
-		ladSh.RecordMcastFlips(pl.ladLo, pl.ladHi)
-		sh.RecordFlips(pl.permMask)
+	if e.rec != nil {
+		e.rec.RecordFlips(pl.distMask)
+		e.ladRec.RecordMcastFlips(pl.ladLo, pl.ladHi)
+		e.rec.RecordFlips(pl.permMask)
 	}
-	if err := e.walkMcastOutputs(sh, ladSh, pl.Mcast, nil); err != nil {
+	if err := e.walkMcastOutputs(pl.Mcast, nil); err != nil {
 		e.met.errors.Add(1)
 		return McastResponse[T]{Err: err}
 	}
@@ -128,8 +126,8 @@ func (e *Engine[T]) acquireMulticast(key uint64, m mcast.Mapping) (*Plan, bool, 
 // Because every assigned output is walked to its unique feeding input,
 // success proves the delivered output multiset equals the requested
 // fan-out multiset exactly.
-func (e *Engine[T]) walkMcastOutputs(sh, ladSh *netsim.RecorderShard, mp *mcast.Plan, outs []int) error {
-	net := e.net
+func (e *Engine[T]) walkMcastOutputs(mp *mcast.Plan, outs []int) error {
+	net, rec, ladRec := e.net, e.rec, e.ladRec
 	stages, n := net.Stages(), net.LogN()
 	walk := func(out int) error {
 		src := mp.Map[out]
@@ -139,7 +137,7 @@ func (e *Engine[T]) walkMcastOutputs(sh, ladSh *netsim.RecorderShard, mp *mcast.
 		y := out
 		for s := stages - 1; s >= 0; s-- {
 			sw := y >> 1
-			sh.Traverse(s, sw)
+			rec.Traverse(s, sw)
 			if mp.PermStates[s][sw] {
 				y ^= 1
 			}
@@ -149,12 +147,12 @@ func (e *Engine[T]) walkMcastOutputs(sh, ladSh *netsim.RecorderShard, mp *mcast.
 		}
 		for j := n - 1; j >= 0; j-- {
 			sw := y >> 1
-			ladSh.Traverse(j, sw)
+			ladRec.Traverse(j, sw)
 			y = bits.RotRight(mp.Ladder[j][sw].FeedLine(y), n)
 		}
 		for s := stages - 1; s >= 0; s-- {
 			sw := y >> 1
-			sh.Traverse(s, sw)
+			rec.Traverse(s, sw)
 			if mp.DistStates[s][sw] {
 				y ^= 1
 			}
@@ -200,8 +198,6 @@ type McastFrameServer[T any] struct {
 	e        *Engine[T]
 	comp     *mcast.Compiler
 	plan     *mcast.Plan
-	sh       *netsim.RecorderShard
-	ladSh    *netsim.RecorderShard
 	distMask []uint64
 	permMask []uint64
 	ladLo    []uint64
@@ -215,12 +211,10 @@ type McastFrameServer[T any] struct {
 // for one goroutine's exclusive use.
 func (e *Engine[T]) NewMcastFrameServer() *McastFrameServer[T] {
 	fs := &McastFrameServer[T]{
-		e:     e,
-		comp:  mcast.NewCompiler(e.net),
-		plan:  mcast.NewPlan(e.net),
-		sh:    e.rec.Shard(),
-		ladSh: e.ladRec.Shard(),
-		last:  make(mcast.Mapping, e.net.N()),
+		e:    e,
+		comp: mcast.NewCompiler(e.net),
+		plan: mcast.NewPlan(e.net),
+		last: make(mcast.Mapping, e.net.N()),
 	}
 	if words := e.rec.MaskWords(); words > 0 {
 		fs.distMask = make([]uint64, words)
@@ -255,7 +249,7 @@ func (fs *McastFrameServer[T]) Prepare(m mcast.Mapping) error {
 		fs.haveLast = true
 		e.met.McastDist.Observe(fs.comp.DistTime)
 		e.met.McastCopy.Observe(fs.comp.CopyTime)
-		if fs.sh != nil {
+		if e.rec != nil {
 			e.rec.PackStatesInto(fs.plan.DistStates, fs.distMask)
 			e.rec.PackStatesInto(fs.plan.PermStates, fs.permMask)
 			e.ladRec.PackMcastStatesInto(fs.plan.Ladder, fs.ladLo, fs.ladHi)
@@ -277,12 +271,12 @@ func (fs *McastFrameServer[T]) ServePrepared(outs []int) error {
 		return errors.New("engine: ServePrepared without a successful Prepare")
 	}
 	t0 := time.Now()
-	if fs.sh != nil {
-		fs.sh.RecordFlips(fs.distMask)
-		fs.ladSh.RecordMcastFlips(fs.ladLo, fs.ladHi)
-		fs.sh.RecordFlips(fs.permMask)
+	if e.rec != nil {
+		e.rec.RecordFlips(fs.distMask)
+		e.ladRec.RecordMcastFlips(fs.ladLo, fs.ladHi)
+		e.rec.RecordFlips(fs.permMask)
 	}
-	err := e.walkMcastOutputs(fs.sh, fs.ladSh, fs.plan, outs)
+	err := e.walkMcastOutputs(fs.plan, outs)
 	e.met.Apply.Observe(time.Since(t0))
 	if err != nil {
 		e.met.errors.Add(1)

@@ -11,7 +11,7 @@ import (
 
 func newMcastEngine(t *testing.T, logn int, rec *netsim.Recorder) *Engine[int] {
 	t.Helper()
-	e, err := New[int](Config{LogN: logn, Workers: 2, Recorder: rec})
+	e, err := New[int](Config{LogN: logn, Recorder: rec})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -258,7 +258,7 @@ func TestMulticastCacheKeying(t *testing.T) {
 
 	// A mapping that is also a valid permutation must not collide with
 	// the unicast plan for the same vector: route the permutation via
-	// the mapping path and via Submit, then re-check both still serve.
+	// the mapping path and via Route, then re-check both still serve.
 	m := make(mcast.Mapping, n)
 	for i := range m {
 		m[i] = n - 1 - i
@@ -270,7 +270,7 @@ func TestMulticastCacheKeying(t *testing.T) {
 	for i := range dest {
 		dest[i] = n - 1 - i
 	}
-	resp := <-e.Submit(Request[int]{Dest: dest, Data: identityData(n)})
+	resp := e.Route(dest, identityData(n))
 	if resp.Err != nil {
 		t.Fatalf("unicast route: %v", resp.Err)
 	}

@@ -17,14 +17,12 @@ type HistogramSnapshot = obs.HistogramSnapshot
 // BucketCount is one non-empty histogram bucket.
 type BucketCount = obs.BucketCount
 
-// Metrics aggregates everything observable about a running engine:
-// plan-cache traffic, per-stage latency, and instantaneous queue depth.
-// All fields are updated atomically; a Metrics value must not be
-// copied.
-type Metrics struct {
-	requests     obs.Counter // vectors accepted by Submit
-	batches      obs.Counter // worker batches served
-	hits         obs.Counter // plan served from cache (or reused within a batch)
+// metrics aggregates everything observable about a running engine:
+// plan-cache traffic and per-stage latency. All fields are updated
+// atomically; a metrics value must not be copied.
+type metrics struct {
+	requests     obs.Counter // vectors accepted by Route
+	hits         obs.Counter // plan served from cache
 	misses       obs.Counter // plan had to be computed
 	fallbacks    obs.Counter // misses outside F(n) that ran the looping algorithm
 	parSetups    obs.Counter // non-F(n) misses served by the parallel worker-pool setup
@@ -40,10 +38,8 @@ type Metrics struct {
 	mcastFrames  obs.Counter // mapping frames served via McastFrameServer.Serve
 	mcastCopies  obs.Counter // output copies delivered by multicast plans
 	probes       obs.Counter // diagnostic passes served via ProbeRoute
-	queueDepth   obs.Gauge   // requests submitted but not yet picked up by a worker
 
 	// Per-stage latency histograms.
-	Wait  Histogram // submit -> worker pickup
 	Plan  Histogram // plan acquisition (cache lookup, plus setup on a miss)
 	Apply Histogram // payload application (or states replay)
 	// SetupPar is the setup_parallel stage: wall time of the multicore
@@ -57,74 +53,10 @@ type Metrics struct {
 	McastCopy Histogram // mcast_copy: interval-splitting ladder compile
 }
 
-// Hits returns the number of requests whose plan came from the cache.
-func (m *Metrics) Hits() int64 { return m.hits.Value() }
-
-// Misses returns the number of requests that computed a fresh plan.
-func (m *Metrics) Misses() int64 { return m.misses.Value() }
-
-// Fallbacks returns the number of misses that needed the looping
-// algorithm because the permutation is outside F(n).
-func (m *Metrics) Fallbacks() int64 { return m.fallbacks.Value() }
-
-// ParallelSetups returns the number of non-F(n) misses whose plan was
-// computed by the multicore worker-pool setup.
-func (m *Metrics) ParallelSetups() int64 { return m.parSetups.Value() }
-
-// ParallelFallbacks returns the number of parallel setups that errored
-// and were retried on the serial looping path.
-func (m *Metrics) ParallelFallbacks() int64 { return m.parFallbacks.Value() }
-
-// SubplanHits returns the number of half-network sub-plans served from
-// the memo cache instead of solving the recursion subtree.
-func (m *Metrics) SubplanHits() int64 { return m.subHits.Value() }
-
-// SubplanMisses returns the number of half-network sub-plan lookups
-// that missed and solved (then memoized) the subtree.
-func (m *Metrics) SubplanMisses() int64 { return m.subMisses.Value() }
-
-// Evictions returns the number of plans displaced from the cache.
-func (m *Metrics) Evictions() int64 { return m.evictions.Value() }
-
-// CollisionMisses returns the number of cache lookups that found a plan
-// under the same 64-bit key but for a different permutation — misses
-// forced by hash collisions rather than genuine absence.
-func (m *Metrics) CollisionMisses() int64 { return m.collisions.Value() }
-
-// Prewarms returns the number of plans resolved ahead of traffic via
-// Engine.Prewarm.
-func (m *Metrics) Prewarms() int64 { return m.prewarms.Value() }
-
-// FramesServed returns the number of frames served synchronously
-// through the FrameServer path, which bypasses the request queue and
-// the plan cache entirely.
-func (m *Metrics) FramesServed() int64 { return m.frames.Value() }
-
-// Mcasts returns the number of multicast mappings served through
-// RouteMulticast (the cached whole-mapping path).
-func (m *Metrics) Mcasts() int64 { return m.mcasts.Value() }
-
-// McastFramesServed returns the number of mapping frames served
-// through the McastFrameServer path.
-func (m *Metrics) McastFramesServed() int64 { return m.mcastFrames.Value() }
-
-// McastCopies returns the total output copies delivered by multicast
-// plans — the numerator of the fan-out amplification ratio.
-func (m *Metrics) McastCopies() int64 { return m.mcastCopies.Value() }
-
-// Probes returns the number of diagnostic passes served via
-// Engine.ProbeRoute.
-func (m *Metrics) Probes() int64 { return m.probes.Value() }
-
-// QueueDepth returns the number of requests currently waiting for a
-// worker.
-func (m *Metrics) QueueDepth() int64 { return m.queueDepth.Load() }
-
-// Snapshot is the JSON export of Metrics: a plain value an HTTP stats
-// handler marshals directly.
+// Snapshot is the JSON export of an engine's metrics: a plain value an
+// HTTP stats handler marshals directly.
 type Snapshot struct {
 	Requests      int64   `json:"requests"`
-	Batches       int64   `json:"batches"`
 	Hits          int64   `json:"hits"`
 	Misses        int64   `json:"misses"`
 	Fallbacks     int64   `json:"fallbacks"`
@@ -142,10 +74,8 @@ type Snapshot struct {
 	McastCopies   int64   `json:"mcast_copies"`
 	Probes        int64   `json:"probes"`
 	HitRate       float64 `json:"hit_rate"`
-	QueueDepth    int64   `json:"queue_depth"`
 	PlansCached   int     `json:"plans_cached"`
 
-	Wait      HistogramSnapshot `json:"wait"`
 	Plan      HistogramSnapshot `json:"plan"`
 	Apply     HistogramSnapshot `json:"apply"`
 	SetupPar  HistogramSnapshot `json:"setup_parallel"`
@@ -153,12 +83,12 @@ type Snapshot struct {
 	McastCopy HistogramSnapshot `json:"mcast_copy"`
 }
 
-// Snapshot captures all counters and histograms. PlansCached is not
-// known to Metrics itself; Engine.Stats fills it in.
-func (m *Metrics) Snapshot() Snapshot {
+// Stats captures a complete metrics snapshot: every counter and
+// histogram, plus the current plan-cache occupancy.
+func (e *Engine[T]) Stats() Snapshot {
+	m := e.met
 	s := Snapshot{
 		Requests:      m.requests.Value(),
-		Batches:       m.batches.Value(),
 		Hits:          m.hits.Value(),
 		Misses:        m.misses.Value(),
 		Fallbacks:     m.fallbacks.Value(),
@@ -175,8 +105,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		McastFrames:   m.mcastFrames.Value(),
 		McastCopies:   m.mcastCopies.Value(),
 		Probes:        m.probes.Value(),
-		QueueDepth:    m.queueDepth.Load(),
-		Wait:          m.Wait.Snapshot(),
+		PlansCached:   e.cache.len(),
 		Plan:          m.Plan.Snapshot(),
 		Apply:         m.Apply.Snapshot(),
 		SetupPar:      m.SetupPar.Snapshot(),
@@ -197,9 +126,8 @@ func (m *Metrics) Snapshot() Snapshot {
 // cost to the serving path.
 func (e *Engine[T]) Register(reg *obs.Registry, labels obs.Labels) {
 	m := e.met
-	reg.CounterFunc("benes_engine_requests_total", "Vectors accepted by Submit.", labels, m.requests.Value)
-	reg.CounterFunc("benes_engine_batches_total", "Worker batches served.", labels, m.batches.Value)
-	reg.CounterFunc("benes_engine_plan_cache_hits_total", "Plans served from the cache or reused within a batch.", labels, m.hits.Value)
+	reg.CounterFunc("benes_engine_requests_total", "Vectors accepted by Route.", labels, m.requests.Value)
+	reg.CounterFunc("benes_engine_plan_cache_hits_total", "Plans served from the cache.", labels, m.hits.Value)
 	reg.CounterFunc("benes_engine_plan_cache_misses_total", "Plans computed fresh.", labels, m.misses.Value)
 	reg.CounterFunc("benes_engine_loop_fallbacks_total", "Misses outside F(n) that ran the looping algorithm.", labels, m.fallbacks.Value)
 	reg.CounterFunc("benes_engine_parallel_setups_total", "Non-F(n) misses served by the multicore worker-pool setup.", labels, m.parSetups.Value)
@@ -215,9 +143,7 @@ func (e *Engine[T]) Register(reg *obs.Registry, labels obs.Labels) {
 	reg.CounterFunc("benes_engine_mcast_frames_total", "Mapping frames served via McastFrameServer.", labels, m.mcastFrames.Value)
 	reg.CounterFunc("benes_engine_mcast_copies_total", "Output copies delivered by multicast plans.", labels, m.mcastCopies.Value)
 	reg.CounterFunc("benes_engine_probes_total", "Diagnostic passes served via ProbeRoute.", labels, m.probes.Value)
-	reg.GaugeFunc("benes_engine_queue_depth", "Requests waiting for a worker.", labels, func() float64 { return float64(m.queueDepth.Load()) })
 	reg.GaugeFunc("benes_engine_plans_cached", "Plans currently held by the cache.", labels, func() float64 { return float64(e.cache.len()) })
-	reg.RegisterHistogram("benes_engine_wait_seconds", "Queue wait: Submit to worker pickup.", labels, &m.Wait)
 	reg.RegisterHistogram("benes_engine_plan_seconds", "Plan acquisition: cache lookup plus setup on a miss.", labels, &m.Plan)
 	reg.RegisterHistogram("benes_engine_apply_seconds", "Payload application (or gate-level states replay).", labels, &m.Apply)
 	reg.RegisterHistogram("benes_engine_setup_parallel_seconds", "Multicore cold setup on non-F(n) misses, serial retry included.", labels, &m.SetupPar)

@@ -65,7 +65,7 @@ func TestSnapshotJSON(t *testing.T) {
 	eng.Route(d, payload(8))
 	eng.Route(d, payload(8))
 
-	raw, err := json.Marshal(eng.Metrics().Snapshot())
+	raw, err := json.Marshal(eng.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &decoded); err != nil {
 		t.Fatalf("snapshot is not JSON: %v\n%s", err, raw)
 	}
-	for _, field := range []string{"requests", "hits", "misses", "fallbacks", "queue_depth", "wait", "plan", "apply"} {
+	for _, field := range []string{"requests", "hits", "misses", "fallbacks", "plan", "apply"} {
 		if _, ok := decoded[field]; !ok {
 			t.Fatalf("snapshot JSON missing %q: %s", field, raw)
 		}
@@ -86,7 +86,7 @@ func TestSnapshotJSON(t *testing.T) {
 	if s.PlansCached != 1 {
 		t.Fatalf("one plan should be cached, got %d", s.PlansCached)
 	}
-	if s.Wait.Count != 2 || s.Plan.Count != 2 || s.Apply.Count != 2 {
+	if s.Plan.Count != 2 || s.Apply.Count != 2 {
 		t.Fatalf("per-stage histograms should see both requests: %+v", s)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // TestPrewarm resolves a plan ahead of traffic and checks the
 // following Route is a cache hit, for both setup paths.
 func TestPrewarm(t *testing.T) {
-	e, err := New[int](Config{LogN: 3, Workers: 1})
+	e, err := New[int](Config{LogN: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPrewarm(t *testing.T) {
 // TestPrewarmErrors covers the reject paths: wrong length, invalid
 // permutation, closed engine.
 func TestPrewarmErrors(t *testing.T) {
-	e, err := New[int](Config{LogN: 3, Workers: 1})
+	e, err := New[int](Config{LogN: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPrewarmMissBytes(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg
-			cfg.LogN, cfg.Workers = logN, 1
+			cfg.LogN = logN
 			cfg.Recorder = netsim.NewRecorder(core.New(logN), 2)
 			eng, err := New[int](cfg)
 			if err != nil {

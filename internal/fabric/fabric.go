@@ -156,10 +156,6 @@ type Config struct {
 	Policy DropPolicy
 	// Affinity selects flow-hash plane pinning (default) or spray.
 	Affinity Affinity
-	// PlaneWorkers is the engine worker count per plane, serving the
-	// collective-round path; frames bypass the workers entirely.
-	// Defaults to 1.
-	PlaneWorkers int
 	// PlaneCache is the plan-cache capacity per plane. Defaults to the
 	// engine's DefaultCacheCapacity.
 	PlaneCache int
@@ -199,9 +195,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FrameQueue <= 0 {
 		c.FrameQueue = 2
-	}
-	if c.PlaneWorkers <= 0 {
-		c.PlaneWorkers = 1
 	}
 	return c
 }
@@ -280,7 +273,6 @@ func newFabric[T any](cfg Config, deliver func(Packet[T]), deliverBatch func(int
 		}
 		p, err := newPlane(i, engine.Config{
 			LogN:          cfg.LogN,
-			Workers:       cfg.PlaneWorkers,
 			CacheCapacity: cfg.PlaneCache,
 			ParallelSetup: cfg.ParallelSetup,
 			SetupMemo:     cfg.ParallelSetup,

@@ -22,7 +22,7 @@ var ErrPlaneDown = errors.New("fabric: plane unhealthy")
 var errPlaneDown = ErrPlaneDown
 
 // plane is one switching plane: an independent engine instance (its own
-// worker pool and plan cache) over its own copy of B(n). Planes share
+// plan cache and recorder) over its own copy of B(n). Planes share
 // nothing, so K planes route K frames concurrently — the packet-switch
 // analogue of a multi-plane fabric card.
 type plane struct {
@@ -142,65 +142,6 @@ func (p *plane) routeRound(dest perm.Perm) (engine.PlanKind, bool, error) {
 	return resp.Kind, resp.CacheHit, nil
 }
 
-// roundWindow is how many pipelined round submissions a plane keeps in
-// flight in its engine queue during routeRoundBatch.
-const roundWindow = 32
-
-// routeRoundBatch serves a run of collective rounds with submissions
-// pipelined through the engine's request queue: up to roundWindow
-// rounds are in flight at once, so the engine worker drains them in
-// batches and consecutive rounds amortize the sleep/wake handoff a
-// synchronous routeRound pays per round. out[i] receives dests[i]'s
-// verified result. On the first failure the plane is taken out of
-// rotation and the number of rounds verified so far is returned; the
-// caller re-routes the rest on another plane (rounds carry only the
-// identity payload, so a round abandoned in flight moves nothing a
-// retry could duplicate).
-func (p *plane) routeRoundBatch(dests []perm.Perm, out []RoundResult) (int, error) {
-	if !p.healthy.Load() {
-		p.failovers.Add(1)
-		return 0, errPlaneDown
-	}
-	fail := func(done int, err error) (int, error) {
-		p.healthy.Store(false)
-		p.failovers.Add(1)
-		p.rounds.Add(int64(done))
-		return done, err
-	}
-	var ring [roundWindow]<-chan engine.Response[int]
-	// subAt[k] is when round k's submission entered the engine queue;
-	// the receive side turns it into the round's pipelined sojourn.
-	var subAt [roundWindow]time.Time
-	next := 0
-	for done := 0; done < len(dests); done++ {
-		for next < len(dests) && next-done < roundWindow {
-			subAt[next%roundWindow] = time.Now()
-			ring[next%roundWindow] = p.eng.Submit(engine.Request[int]{Dest: dests[next], Data: p.ident})
-			next++
-		}
-		resp := <-ring[done%roundWindow]
-		if p.met != nil {
-			p.met.PlaneRTT.ObserveSince(subAt[done%roundWindow])
-		}
-		if resp.Err != nil {
-			return fail(done, fmt.Errorf("fabric: plane %d: %w", p.id, resp.Err))
-		}
-		verify := time.Now()
-		for i, d := range dests[done] {
-			if resp.Data[d] != i {
-				return fail(done, fmt.Errorf("fabric: plane %d delivered port %d to the wrong source: %w",
-					p.id, d, errPlaneDown))
-			}
-		}
-		if p.met != nil {
-			p.met.Verify.ObserveSince(verify)
-		}
-		out[done] = RoundResult{Plane: p.id, Kind: resp.Kind, CacheHit: resp.CacheHit}
-	}
-	p.rounds.Add(int64(len(dests)))
-	return len(dests), nil
-}
-
 // probe answers one diagnosis probe on this plane: load d's tags, let
 // the switches set themselves, report where every tag landed. On a
 // damaged plane the pass is core.RouteWithFaults over the injected
@@ -226,11 +167,11 @@ func (p *plane) probe(d perm.Perm) (perm.Perm, error) {
 		return nil, err
 	}
 	res := net.RouteWithFaults(d, faults)
-	sh := p.eng.Recorder().Shard()
+	rec := p.eng.Recorder()
 	for _, f := range faults {
 		upper := res.TagTrace[f.Stage][2*f.Switch]
 		if wantCrossed := upper>>uint(net.ControlBit(f.Stage))&1 == 1; wantCrossed != f.StuckCrossed {
-			sh.FaultHit(f.Stage, f.Switch)
+			rec.FaultHit(f.Stage, f.Switch)
 		}
 	}
 	return res.Realized, nil

@@ -32,14 +32,19 @@ type RoundResult struct {
 // RouteRound serves one whole-permutation round synchronously on a
 // healthy plane. prefer selects the plane to try first; an unhealthy
 // or misrouting plane fails the round over to the next healthy one,
-// exactly like frame dispatch. Every output port of the round is
-// verified before RouteRound returns nil.
+// exactly like frame dispatch. dest is validated before any plane is
+// touched, so a bad round can never take a plane out of rotation.
+// Every output port of the round is verified before RouteRound returns
+// nil.
 func (f *Fabric[T]) RouteRound(dest perm.Perm, prefer int) (RoundResult, error) {
 	if f.closed.Load() {
 		return RoundResult{}, ErrClosed
 	}
 	if len(dest) != f.n {
 		return RoundResult{}, fmt.Errorf("fabric: round size %d does not match N=%d", len(dest), f.n)
+	}
+	if err := dest.Validate(); err != nil {
+		return RoundResult{}, fmt.Errorf("fabric: round: %w", err)
 	}
 	k := len(f.planes)
 	prefer = ((prefer % k) + k) % k
@@ -61,51 +66,6 @@ func (f *Fabric[T]) RouteRound(dest perm.Perm, prefer int) (RoundResult, error) 
 		return RoundResult{Plane: p.id, Kind: kind, CacheHit: hit}, nil
 	}
 	return RoundResult{}, fmt.Errorf("fabric: no healthy plane for round: %w", errPlaneDown)
-}
-
-// RouteRounds serves a sequence of whole-permutation rounds with
-// submissions pipelined through one plane's engine queue — the deep
-// version of RouteRound's one-at-a-time handoff, and the execution
-// half of Section IV's pipelining: while round r is traversing the
-// plane, rounds r+1..r+w are already queued behind it with their plan
-// setup underway. prefer selects the plane; if it fails mid-sequence,
-// the unserved tail fails over to the next healthy plane, exactly like
-// RouteRound. Results are in round order and every output port of
-// every round is verified before RouteRounds returns nil.
-func (f *Fabric[T]) RouteRounds(dests []perm.Perm, prefer int) ([]RoundResult, error) {
-	if f.closed.Load() {
-		return nil, ErrClosed
-	}
-	for _, d := range dests {
-		if len(d) != f.n {
-			return nil, fmt.Errorf("fabric: round size %d does not match N=%d", len(d), f.n)
-		}
-	}
-	out := make([]RoundResult, len(dests))
-	k := len(f.planes)
-	prefer = ((prefer % k) + k) % k
-	start, failed := 0, false
-	for attempt := 0; attempt < k && start < len(dests); attempt++ {
-		p := f.planes[(prefer+attempt)%k]
-		n, err := p.routeRoundBatch(dests[start:], out[start:])
-		if f.jrn.Enabled() {
-			for i := start; i < start+n; i++ {
-				f.jrn.Round(out[i].Plane, dests[i], journal.DigestPerm(dests[i]))
-			}
-		}
-		start += n
-		if err != nil {
-			failed = true
-		}
-	}
-	if start < len(dests) {
-		return nil, fmt.Errorf("fabric: no healthy plane for round: %w", errPlaneDown)
-	}
-	if failed {
-		f.met.roundFailovers.Add(1)
-	}
-	f.met.rounds.Add(int64(len(dests)))
-	return out, nil
 }
 
 // PrewarmRound resolves and caches dest's routing plan on the plane a

@@ -137,12 +137,26 @@ func TestRouteRoundFaultyPlane(t *testing.T) {
 	}
 }
 
-// TestRouteRoundErrors covers the reject paths: wrong size, no healthy
-// plane, closed fabric.
+// TestRouteRoundErrors covers the reject paths: wrong size, invalid
+// permutation, no healthy plane, closed fabric.
 func TestRouteRoundErrors(t *testing.T) {
 	f := newRoundFabric(t, 3, 1)
 	if _, err := f.RouteRound(perm.Identity(4), 0); err == nil {
 		t.Fatal("size-4 round on an N=8 fabric must be rejected")
+	}
+
+	// A duplicate destination is the caller's error, not a plane
+	// fault: it must be rejected without taking any plane out of
+	// rotation.
+	two := newRoundFabric(t, 3, 2)
+	if _, err := two.RouteRound(perm.Perm{0, 0, 1, 2, 3, 4, 5, 6}, 0); err == nil {
+		t.Fatal("round with a duplicate destination must be rejected")
+	}
+	if h := two.Health(); h.PlanesHealthy != 2 {
+		t.Fatalf("planes healthy = %d after an invalid round, want 2", h.PlanesHealthy)
+	}
+	if _, err := two.RouteRound(perm.Identity(8), 0); err != nil {
+		t.Fatalf("valid round after an invalid one: %v", err)
 	}
 	if err := f.FailPlane(0); err != nil {
 		t.Fatal(err)
@@ -160,90 +174,4 @@ func TestRouteRoundErrors(t *testing.T) {
 		t.Fatalf("round on closed fabric: %v, want ErrClosed", err)
 	}
 	g.PrewarmRound(perm.Identity(8), 0) // must not panic
-}
-
-// TestRouteRounds pipelines a run of rounds through one plane's queue
-// and checks ordering, verification, cache hits on repeats, and the
-// counters — the batch analogue of TestRouteRound.
-func TestRouteRounds(t *testing.T) {
-	f := newRoundFabric(t, 4, 2)
-	n := 1 << 4
-	dests := make([]perm.Perm, 0, n+2)
-	for k := 0; k < n; k++ {
-		dests = append(dests, perm.CyclicShift(4, k))
-	}
-	// Two repeats of the first shift: served from the plan cache.
-	dests = append(dests, perm.CyclicShift(4, 0), perm.CyclicShift(4, 1))
-
-	out, err := f.RouteRounds(dests, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(dests) {
-		t.Fatalf("got %d results, want %d", len(out), len(dests))
-	}
-	for i, res := range out {
-		if res.Plane != 1 {
-			t.Fatalf("round %d served by plane %d, want 1", i, res.Plane)
-		}
-		if res.Kind != engine.PlanSelfRouted {
-			t.Fatalf("round %d kind %v, want self-routed (cyclic shifts are inverse-omega)", i, res.Kind)
-		}
-	}
-	if !out[n].CacheHit || !out[n+1].CacheHit {
-		t.Fatalf("repeated shifts must hit the plan cache: %+v %+v", out[n], out[n+1])
-	}
-	s := f.Stats()
-	if s.Rounds != int64(len(dests)) || s.RoundFailovers != 0 {
-		t.Fatalf("stats rounds=%d failovers=%d, want %d/0", s.Rounds, s.RoundFailovers, len(dests))
-	}
-	if s.Planes[1].Rounds != int64(len(dests)) {
-		t.Fatalf("plane 1 rounds = %d, want %d", s.Planes[1].Rounds, len(dests))
-	}
-}
-
-// TestRouteRoundsFailover fails the preferred plane and checks the
-// whole run lands on the survivor, in order.
-func TestRouteRoundsFailover(t *testing.T) {
-	f := newRoundFabric(t, 3, 2)
-	if err := f.FailPlane(0); err != nil {
-		t.Fatal(err)
-	}
-	dests := []perm.Perm{perm.BitReversal(3), perm.PerfectShuffle(3), perm.CyclicShift(3, 5)}
-	out, err := f.RouteRounds(dests, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range out {
-		if res.Plane != 1 {
-			t.Fatalf("round %d served by plane %d, want failover to 1", i, res.Plane)
-		}
-	}
-	if s := f.Stats(); s.RoundFailovers != 1 {
-		t.Fatalf("round failovers = %d, want 1 (one batched handoff)", s.RoundFailovers)
-	}
-}
-
-// TestRouteRoundsErrors covers the reject paths: wrong size anywhere in
-// the run, no healthy plane, closed fabric, empty run.
-func TestRouteRoundsErrors(t *testing.T) {
-	f := newRoundFabric(t, 3, 1)
-	if _, err := f.RouteRounds([]perm.Perm{perm.Identity(8), perm.Identity(4)}, 0); err == nil {
-		t.Fatal("a size-4 round anywhere in the run must be rejected")
-	}
-	if out, err := f.RouteRounds(nil, 0); err != nil || len(out) != 0 {
-		t.Fatalf("empty run: %v (%d results), want clean no-op", err, len(out))
-	}
-	if err := f.FailPlane(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.RouteRounds([]perm.Perm{perm.Identity(8)}, 0); err == nil {
-		t.Fatal("run with no healthy plane must fail")
-	}
-
-	g := newRoundFabric(t, 3, 1)
-	g.Close()
-	if _, err := g.RouteRounds([]perm.Perm{perm.Identity(8)}, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("run on closed fabric: %v, want ErrClosed", err)
-	}
 }

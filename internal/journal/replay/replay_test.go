@@ -38,7 +38,7 @@ func TestReplayEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.SetCheckpointSource(fab.JournalCheckpoint)
-	eng, err := engine.New[int](engine.Config{LogN: logN, Workers: 1, Journal: jw})
+	eng, err := engine.New[int](engine.Config{LogN: logN, Journal: jw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +97,14 @@ func TestReplayEndToEnd(t *testing.T) {
 	if _, err := fab.RouteMulticastRound(mapping, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Collective rounds, single and pipelined.
+	// Collective rounds on both planes.
 	if _, err := fab.RouteRound(perm.BitReversal(logN), 0); err != nil {
 		t.Fatal(err)
 	}
-	rounds := []perm.Perm{perm.Random(n, rng), perm.Random(n, rng), perm.BitReversal(logN)}
-	if _, err := fab.RouteRounds(rounds, 1); err != nil {
-		t.Fatal(err)
+	for _, d := range []perm.Perm{perm.Random(n, rng), perm.Random(n, rng), perm.BitReversal(logN)} {
+		if _, err := fab.RouteRound(d, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fab.Close() // flush every queued frame into the journal
 	eng.Close()

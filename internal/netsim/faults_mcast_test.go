@@ -17,7 +17,6 @@ import (
 func TestFaultHitsCoexistWithMcastCounters(t *testing.T) {
 	net := core.New(2)
 	rec := NewRecorder(net, 2)
-	sh := rec.Shard()
 
 	// A four-state setting with one broadcast: flips and bcast_flips.
 	st := core.McastStates{
@@ -28,7 +27,7 @@ func TestFaultHitsCoexistWithMcastCounters(t *testing.T) {
 	words := rec.MaskWords()
 	lo, hi := make([]uint64, words), make([]uint64, words)
 	rec.PackMcastStatesInto(st, lo, hi)
-	sh.RecordMcastFlips(lo, hi)
+	rec.RecordMcastFlips(lo, hi)
 	base0 := rec.StageTotals(0)
 	if base0.Flips != 1 || base0.Bcast != 1 || base0.FaultHits != 0 {
 		t.Fatalf("stage 0 after mcast vector: %+v", base0)
@@ -62,7 +61,7 @@ func TestFaultHitsCoexistWithMcastCounters(t *testing.T) {
 	// and broadcast columns move, the fault-hit column does not.
 	st[0][0] = core.McCross
 	rec.PackMcastStatesInto(st, lo, hi)
-	sh.RecordMcastFlips(lo, hi)
+	rec.RecordMcastFlips(lo, hi)
 	final0 := rec.StageTotals(0)
 	if final0.Flips != after0.Flips+1 || final0.Bcast != base0.Bcast+1 {
 		t.Fatalf("stage 0 after second mcast vector: %+v", final0)

@@ -107,7 +107,7 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 	link := e.net.Wiring()
 
 	firstStates := e.net.NewStates()
-	sh := e.rec.Shard()
+	rec := e.rec
 	var wg sync.WaitGroup
 	for s := 0; s < stages; s++ {
 		cb := e.net.ControlBit(s)
@@ -136,16 +136,16 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 					if isStuck {
 						crossed = frozen
 					}
-					if sh != nil {
-						sh.Traverse(s, i)
+					if rec != nil {
+						rec.Traverse(s, i)
 						if forced {
-							sh.Forced(s, i)
+							rec.Forced(s, i)
 						}
 						if crossed != prev {
-							sh.Flip(s, i)
+							rec.Flip(s, i)
 						}
 						if isStuck && desired != frozen {
-							sh.FaultHit(s, i)
+							rec.FaultHit(s, i)
 						}
 					}
 					prev = crossed
@@ -158,7 +158,7 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 						upOut <- u
 					}
 					l := <-loIn
-					sh.Traverse(s, i)
+					rec.Traverse(s, i)
 					if crossed {
 						upOut <- l
 					} else {

@@ -84,11 +84,10 @@ func BenchmarkRecordVector(b *testing.B) {
 		}
 		masks[j] = r.PackStates(st)
 	}
-	sh := r.Shard()
 	b.ReportAllocs()
 	b.SetBytes(int64(8 * r.MaskWords()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.RecordVector(masks[i&1])
+		r.RecordVector(masks[i&1])
 	}
 }

@@ -39,9 +39,8 @@ import (
 // Single-switch calls (Traverse, Flip, ...) skip the planes and the
 // lock: they are atomic adds on the same cells.
 //
-// A nil *Recorder (and a nil *RecorderShard) is the disabled state:
-// every method no-ops after a nil check, so the hot path pays nothing
-// when accounting is off.
+// A nil *Recorder is the disabled state: every method no-ops after a
+// nil check, so the hot path pays nothing when accounting is off.
 
 // counter kinds, interleaved per switch in the cell array.
 const (
@@ -65,7 +64,6 @@ type Recorder struct {
 	stages   int // 2n - 1
 	switches int // N/2
 	words    int // uint64 words per stage in a state bitmask
-	handle   RecorderShard
 
 	// c holds one cell per (switch, kind): atomic because single-switch
 	// calls add to it without taking mu.
@@ -85,14 +83,6 @@ type Recorder struct {
 	// flipPl and travPl are the bit-planes of the flip and traversal
 	// counts: plane k of word i is element i*planeBits+k.
 	flipPl, travPl []uint64
-}
-
-// RecorderShard is the handle writers record through. It carries no
-// storage of its own: records land in the recorder's shared cells and
-// planes under its lock, so any number of goroutines may record through
-// one handle. A nil handle no-ops.
-type RecorderShard struct {
-	rec *Recorder
 }
 
 // NewRecorder builds a recorder for net's geometry. shards is ignored:
@@ -117,7 +107,6 @@ func NewRecorderGeom(stages, switches int) *Recorder {
 		flipPl:   make([]uint64, stages*words*planeBits),
 		travPl:   make([]uint64, stages*words*planeBits),
 	}
-	r.handle.rec = r
 	return r
 }
 
@@ -137,61 +126,51 @@ func (r *Recorder) SwitchesPerStage() int {
 	return r.switches
 }
 
-// Shard returns the recorder's writer handle. Shard on a nil recorder
-// returns nil, and a nil shard no-ops on every record call — the
-// disabled fast path.
-func (r *Recorder) Shard() *RecorderShard {
-	if r == nil {
-		return nil
-	}
-	return &r.handle
-}
-
 func (r *Recorder) at(stage, sw, kind int) *atomic.Int64 {
 	return &r.c[(stage*r.switches+sw)*recKinds+kind]
 }
 
 // Traverse counts one tag through switch (stage, sw).
-func (sh *RecorderShard) Traverse(stage, sw int) {
-	if sh == nil {
+func (r *Recorder) Traverse(stage, sw int) {
+	if r == nil {
 		return
 	}
-	sh.rec.at(stage, sw, kindTraversed).Add(1)
+	r.at(stage, sw, kindTraversed).Add(1)
 }
 
 // Flip counts one state transition at switch (stage, sw).
-func (sh *RecorderShard) Flip(stage, sw int) {
-	if sh == nil {
+func (r *Recorder) Flip(stage, sw int) {
+	if r == nil {
 		return
 	}
-	sh.rec.at(stage, sw, kindFlips).Add(1)
+	r.at(stage, sw, kindFlips).Add(1)
 }
 
 // Forced counts one omega-bit forced setting at switch (stage, sw).
-func (sh *RecorderShard) Forced(stage, sw int) {
-	if sh == nil {
+func (r *Recorder) Forced(stage, sw int) {
+	if r == nil {
 		return
 	}
-	sh.rec.at(stage, sw, kindForced).Add(1)
+	r.at(stage, sw, kindForced).Add(1)
 }
 
 // FaultHit counts one vector that demanded the opposite of switch
 // (stage, sw)'s stuck state.
-func (sh *RecorderShard) FaultHit(stage, sw int) {
-	if sh == nil {
+func (r *Recorder) FaultHit(stage, sw int) {
+	if r == nil {
 		return
 	}
-	sh.rec.at(stage, sw, kindFaultHits).Add(1)
+	r.at(stage, sw, kindFaultHits).Add(1)
 }
 
 // Bcast counts one broadcast-state transition at switch (stage, sw):
 // the switch entered or left an upper/lower broadcast setting between
 // consecutive vectors.
-func (sh *RecorderShard) Bcast(stage, sw int) {
-	if sh == nil {
+func (r *Recorder) Bcast(stage, sw int) {
+	if r == nil {
 		return
 	}
-	sh.rec.at(stage, sw, kindBcast).Add(1)
+	r.at(stage, sw, kindBcast).Add(1)
 }
 
 // PackStates renders a full switch setting as the flat bitmask
@@ -298,11 +277,10 @@ func (r *Recorder) addCells(i int, set uint64, kind int, n int64) {
 // time; the flips cost a word compare per 64 switches and, where the
 // setting changed, a ripple-carry add of the diff word into the flip
 // planes — about two word operations per changed word.
-func (sh *RecorderShard) RecordVector(mask []uint64) {
-	if sh == nil {
+func (r *Recorder) RecordVector(mask []uint64) {
+	if r == nil {
 		return
 	}
-	r := sh.rec
 	r.mu.Lock()
 	r.full++
 	r.recordFlips(mask)
@@ -312,11 +290,10 @@ func (sh *RecorderShard) RecordVector(mask []uint64) {
 // RecordFlips folds only the state-transition half of a pass into the
 // counters, for settings whose traversals are accounted elsewhere (the
 // multicast walk counts its own).
-func (sh *RecorderShard) RecordFlips(mask []uint64) {
-	if sh == nil {
+func (r *Recorder) RecordFlips(mask []uint64) {
+	if r == nil {
 		return
 	}
-	r := sh.rec
 	r.mu.Lock()
 	r.recordFlips(mask)
 	r.mu.Unlock()
@@ -341,11 +318,10 @@ func (r *Recorder) recordFlips(mask []uint64) {
 // PackMcastStatesInto: a switch flips when either state bit changed,
 // and additionally counts a broadcast transition when the broadcast
 // bit changed — the copy network's reconfiguration cost metric.
-func (sh *RecorderShard) RecordMcastFlips(lo, hi []uint64) {
-	if sh == nil {
+func (r *Recorder) RecordMcastFlips(lo, hi []uint64) {
+	if r == nil {
 		return
 	}
-	r := sh.rec
 	r.mu.Lock()
 	for i := range r.prev {
 		loHave, hiHave := r.prev[i], r.prevHi[i]
@@ -404,11 +380,10 @@ func (p *Paths) Mark(stage, sw int) {
 // RecordFrame accounts one frame: the flips of its switch setting mask
 // (as RecordFlips) and the traversals p collected, under one lock. p
 // is left as it was.
-func (sh *RecorderShard) RecordFrame(mask []uint64, p *Paths) {
-	if sh == nil {
+func (r *Recorder) RecordFrame(mask []uint64, p *Paths) {
+	if r == nil {
 		return
 	}
-	r := sh.rec
 	r.mu.Lock()
 	r.recordFlips(mask)
 	for i, one := range p.one {

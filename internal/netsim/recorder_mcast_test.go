@@ -12,7 +12,6 @@ import (
 // plane so the counts stay exact.
 func TestRecordMcastFlips(t *testing.T) {
 	r := NewRecorderGeom(2, 3)
-	sh := r.Shard()
 	words := r.MaskWords()
 	lo, hi := make([]uint64, words), make([]uint64, words)
 
@@ -22,7 +21,7 @@ func TestRecordMcastFlips(t *testing.T) {
 		{core.McStraight, core.McStraight, core.McCross},
 	}
 	r.PackMcastStatesInto(st, lo, hi)
-	sh.RecordMcastFlips(lo, hi)
+	r.RecordMcastFlips(lo, hi)
 	if got := r.StageTotals(0); got.Flips != 1 || got.Bcast != 1 {
 		t.Fatalf("stage 0 after vector 1: %+v", got)
 	}
@@ -31,7 +30,7 @@ func TestRecordMcastFlips(t *testing.T) {
 	}
 
 	// Same vector again: no change, no counts.
-	sh.RecordMcastFlips(lo, hi)
+	r.RecordMcastFlips(lo, hi)
 	if got := r.StageTotals(0); got.Flips != 1 || got.Bcast != 1 {
 		t.Fatalf("stage 0 after repeat: %+v", got)
 	}
@@ -40,7 +39,7 @@ func TestRecordMcastFlips(t *testing.T) {
 	// (2 -> 3), hi unchanged: a flip but not a broadcast transition.
 	st[0][0] = core.McBcastLower
 	r.PackMcastStatesInto(st, lo, hi)
-	sh.RecordMcastFlips(lo, hi)
+	r.RecordMcastFlips(lo, hi)
 	if got := r.StageTotals(0); got.Flips != 2 || got.Bcast != 1 {
 		t.Fatalf("stage 0 after upper->lower: %+v", got)
 	}
@@ -49,7 +48,7 @@ func TestRecordMcastFlips(t *testing.T) {
 	// flip and the broadcast transition must both be counted.
 	bin := core.States{{false, false, false}, {false, false, false}}
 	mask := r.PackStates(bin)
-	sh.RecordFlips(mask)
+	r.RecordFlips(mask)
 	if got := r.StageTotals(0); got.Flips != 3 || got.Bcast != 2 {
 		t.Fatalf("stage 0 after binary vector: %+v", got)
 	}

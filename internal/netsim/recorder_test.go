@@ -208,11 +208,11 @@ func TestRecorderFaultHits(t *testing.T) {
 // accessor and record call is a no-op rather than a panic.
 func TestRecorderNilInert(t *testing.T) {
 	var nilRec *Recorder
-	if nilRec.Shard() != nil || nilRec.Stages() != 0 || nilRec.SwitchesPerStage() != 0 {
+	if nilRec.Stages() != 0 || nilRec.SwitchesPerStage() != 0 {
 		t.Fatal("nil recorder accessors must be inert")
 	}
-	nilRec.Shard().Traverse(0, 0)
-	nilRec.Shard().RecordVector(nil)
+	nilRec.Traverse(0, 0)
+	nilRec.RecordVector(nil)
 	if s := nilRec.Snapshot(); s.Counts != nil {
 		t.Fatal("nil recorder snapshot must be empty")
 	}
@@ -309,7 +309,6 @@ func TestRecorderMatchesReference(t *testing.T) {
 	const stages, switches = 3, 70
 	rng := rand.New(rand.NewSource(16))
 	r := NewRecorderGeom(stages, switches)
-	sh := r.Shard()
 	m := newRefRecorder(stages, switches)
 	paths := r.NewPaths()
 	lo, hi := make([]uint64, r.MaskWords()), make([]uint64, r.MaskWords())
@@ -334,12 +333,12 @@ func TestRecorderMatchesReference(t *testing.T) {
 		switch k := rng.Intn(20); {
 		case k < 5: // full vector
 			st, none := randomBinary()
-			sh.RecordVector(r.PackStates(st))
+			r.RecordVector(r.PackStates(st))
 			m.full++
 			m.apply(st, none)
 		case k < 8: // binary flips only
 			st, none := randomBinary()
-			sh.RecordFlips(r.PackStates(st))
+			r.RecordFlips(r.PackStates(st))
 			m.apply(st, none)
 		case k < 11: // four-state flips
 			st := make(core.McastStates, stages)
@@ -353,7 +352,7 @@ func TestRecorderMatchesReference(t *testing.T) {
 				}
 			}
 			r.PackMcastStatesInto(st, lo, hi)
-			sh.RecordMcastFlips(lo, hi)
+			r.RecordMcastFlips(lo, hi)
 			m.apply(stLo, stHi)
 		case k < 18: // frame: flips plus up to two marks per switch
 			st, none := randomBinary()
@@ -368,11 +367,11 @@ func TestRecorderMatchesReference(t *testing.T) {
 					frameTrav[s][i] += int64(marks)
 				}
 			}
-			sh.RecordFrame(r.PackStates(st), paths)
+			r.RecordFrame(r.PackStates(st), paths)
 			m.apply(st, none)
 		default: // single-switch calls
 			s, i := rng.Intn(stages), rng.Intn(switches)
-			calls := []func(int, int){sh.Traverse, sh.Flip, sh.Forced, sh.FaultHit, sh.Bcast}
+			calls := []func(int, int){r.Traverse, r.Flip, r.Forced, r.FaultHit, r.Bcast}
 			kind := rng.Intn(recKinds)
 			calls[kind](s, i)
 			m.c[s][i][kind]++
@@ -429,17 +428,16 @@ func TestRecorderFlipParityConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(mine [][]uint64) {
 			defer wg.Done()
-			sh := r.Shard()
 			<-start
 			for _, mask := range mine {
-				sh.RecordFlips(mask)
+				r.RecordFlips(mask)
 			}
 		}(masks[w])
 	}
 	close(start)
 	wg.Wait()
 	last := random(rand.New(rand.NewSource(99)))
-	r.Shard().RecordFlips(r.PackStates(last))
+	r.RecordFlips(r.PackStates(last))
 
 	snap := r.Snapshot()
 	wrong, total := 0, 0
@@ -469,7 +467,7 @@ func TestRecorderReadersMonotonic(t *testing.T) {
 		go func(w int) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			sh, paths := r.Shard(), r.NewPaths()
+			paths := r.NewPaths()
 			st := net.NewStates()
 			for k := 0; k < 3000; k++ {
 				for s := range st {
@@ -479,7 +477,7 @@ func TestRecorderReadersMonotonic(t *testing.T) {
 				}
 				switch w {
 				case 0:
-					sh.RecordVector(r.PackStates(st))
+					r.RecordVector(r.PackStates(st))
 				case 1:
 					paths.Reset()
 					for s := range st {
@@ -489,11 +487,11 @@ func TestRecorderReadersMonotonic(t *testing.T) {
 							}
 						}
 					}
-					sh.RecordFrame(r.PackStates(st), paths)
+					r.RecordFrame(r.PackStates(st), paths)
 				default:
 					s, i := rng.Intn(len(st)), rng.Intn(len(st[0]))
-					sh.Traverse(s, i)
-					sh.Flip(s, i)
+					r.Traverse(s, i)
+					r.Flip(s, i)
 				}
 			}
 		}(w)
