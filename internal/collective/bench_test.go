@@ -11,8 +11,8 @@ import (
 
 // The acceptance benchmark pair: the compiled/pipelined collective
 // path versus the naive alternative — the same N permutations
-// submitted to the fabric one at a time, no plane parallelism, no
-// prewarmed double buffer. Run with
+// submitted to the fabric one at a time, no plane parallelism. Run
+// with
 //
 //	go test ./internal/collective/ -bench AllToAll -benchtime 2x
 //
@@ -96,15 +96,12 @@ func BenchmarkNaiveAllToAll(b *testing.B) {
 	}
 }
 
-// benchBroadcast drives root-0 broadcasts at N=256; the legacy flag
-// selects the serial recursive-doubling compiler so the pair measures
-// the copy-network rewrite head to head. The copy network pays one
-// (3-pass) round per chunk while recursive doubling always pays log N
-// serial (1-pass) rounds, so the crossover sits near chunks = log N/3.
-func benchBroadcast(b *testing.B, legacy bool, chunks int) {
+// benchBroadcast drives root-0 broadcasts of chunks chunks at N=256:
+// one copy-network round per chunk.
+func benchBroadcast(b *testing.B, chunks int) {
 	const logN, n = 8, 256
 	planes := runtime.GOMAXPROCS(0)
-	s := New[int](benchFabric(b, logN, planes), Options{LegacyBroadcast: legacy})
+	s := New[int](benchFabric(b, logN, planes), Options{})
 	data := make([][]int, n)
 	data[0] = make([]int, chunks)
 	for c := range data[0] {
@@ -124,20 +121,13 @@ func benchBroadcast(b *testing.B, legacy bool, chunks int) {
 	b.ReportMetric(float64(s.Stats().Rounds)/float64(b.N), "rounds/op")
 }
 
-// BenchmarkCollectiveBroadcast measures the multicast-backed broadcast
-// of one chunk: a single copy-network round instead of log N.
-func BenchmarkCollectiveBroadcast(b *testing.B) { benchBroadcast(b, false, 1) }
+// BenchmarkCollectiveBroadcast measures the broadcast of one chunk: a
+// single copy-network round.
+func BenchmarkCollectiveBroadcast(b *testing.B) { benchBroadcast(b, 1) }
 
-// BenchmarkCollectiveBroadcastLegacy measures the recursive-doubling
-// compiler it replaced on the same one-chunk payload: log N serial
-// whole-permutation rounds.
-func BenchmarkCollectiveBroadcastLegacy(b *testing.B) { benchBroadcast(b, true, 1) }
-
-// BenchmarkCollectiveBroadcastWide repeats the pair at 8 chunks —
-// past the crossover, where the per-chunk copy rounds outnumber the
-// payload-oblivious log N of recursive doubling.
-func BenchmarkCollectiveBroadcastWide(b *testing.B)       { benchBroadcast(b, false, 8) }
-func BenchmarkCollectiveBroadcastWideLegacy(b *testing.B) { benchBroadcast(b, true, 8) }
+// BenchmarkCollectiveBroadcastWide repeats it at 8 chunks: eight
+// rounds of one mapping, spread across the planes.
+func BenchmarkCollectiveBroadcastWide(b *testing.B) { benchBroadcast(b, 8) }
 
 // BenchmarkCollectiveTranspose measures the column-collective path —
 // one plan, k rounds — at N=256 with 8 chunk columns.

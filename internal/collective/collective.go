@@ -20,17 +20,17 @@
 //     arbitrary exchanges are decomposed by König edge coloring into
 //     at most max-degree rounds;
 //   - the executor (handle.go) spreads the rounds across the fabric's
-//     K planes: data-parallel programs keep K rounds in flight, one
-//     per plane, and each plane's plan cache serves repeated rounds at
-//     hit cost; serial programs use a one-round double buffer,
-//     prewarming round r+1's plan while round r is in flight
-//     (Section IV's pipelining);
+//     K planes: every program's rounds read only the immutable input
+//     and write disjoint result cells, so K rounds are in flight at
+//     once, one per plane, and each plane's plan cache serves repeated
+//     rounds at hit cost (Section IV's pipelining: a repeated round
+//     pays its setup once);
 //   - admission is deadline-aware: a collective whose estimated
 //     rounds x round-time exceeds the caller's context deadline is
 //     rejected up front instead of timing out halfway;
 //   - every collective carries a context-cancellable Handle with
 //     per-round progress, and the service aggregates rounds,
-//     self-routed vs fallback counts, bytes moved, and per-plane
+//     self-routed vs fallback counts, chunks moved, and per-plane
 //     occupancy into one JSON snapshot.
 package collective
 
@@ -56,13 +56,11 @@ var (
 
 // Rounder is the slice of the packet fabric the collective layer
 // drives: whole-permutation rounds dispatched one at a time to a
-// preferred plane, with plan prewarm for the serial double buffer.
-// *fabric.Fabric implements it.
+// preferred plane. *fabric.Fabric implements it.
 type Rounder interface {
 	N() int
 	Planes() int
 	RouteRound(dest perm.Perm, prefer int) (fabric.RoundResult, error)
-	PrewarmRound(dest perm.Perm, prefer int)
 	// RouteMulticastRound serves one copy-network round: m[out] names
 	// the source whose value lands at output out (fabric.Idle for
 	// unassigned outputs), and fan-out — one source feeding many
@@ -72,20 +70,11 @@ type Rounder interface {
 
 // Options parameterizes New. The zero value is usable.
 type Options struct {
-	// BytesPerChunk scales the bytes-moved counter: every chunk a
-	// round moves accounts for this many bytes. Zero disables byte
-	// accounting.
-	BytesPerChunk int64
 	// RoundEstimate seeds the admission controller's per-round service
 	// time before any round has been measured. Zero means "no
 	// estimate": until the first rounds complete, every deadline is
 	// admitted.
 	RoundEstimate time.Duration
-	// LegacyBroadcast compiles Broadcast with the permutation-only
-	// recursive-doubling schedule (log2 N serial BPC rounds) instead
-	// of the copy network's one fan-out round per chunk. Kept for
-	// fabrics without multicast support and for A/B measurement.
-	LegacyBroadcast bool
 }
 
 // Service compiles and executes collectives over one fabric. All
@@ -93,7 +82,6 @@ type Options struct {
 // be in flight at once (they share the fabric's planes).
 type Service[T any] struct {
 	fab  Rounder
-	opts Options
 	n    int
 	logN int
 
@@ -154,6 +142,52 @@ func (s *Service[T]) cachedProgram(key progKey, compile func() (*Program, error)
 	return prog, nil
 }
 
+// start checks data against the input shape in — N ports, port p
+// holding in(p) chunks — before it fetches or compiles key's program
+// and submits it. Checking first means a rejected payload compiles and
+// caches nothing: the column collectives and broadcast size their
+// programs by the payload's own row widths, and the program cache
+// never evicts.
+func (s *Service[T]) start(ctx context.Context, key progKey, in func(p int) int, data [][]T, compile func() (*Program, error)) (*Handle[T], error) {
+	if err := checkShape(key.op, s.n, data, in); err != nil {
+		return nil, err
+	}
+	prog, err := s.cachedProgram(key, compile)
+	if err != nil {
+		return nil, err
+	}
+	return s.submit(ctx, prog, data)
+}
+
+// checkShape rejects a payload unless it has n ports and port p holds
+// in(p) chunks.
+func checkShape[T any](op Op, n int, data [][]T, in func(p int) int) error {
+	if len(data) != n {
+		return fmt.Errorf("collective: %s payload has %d ports, want N=%d", op, len(data), n)
+	}
+	for p := range data {
+		if want := in(p); len(data[p]) != want {
+			return fmt.Errorf("collective: %s payload port %d has %d chunks, want %d",
+				op, p, len(data[p]), want)
+		}
+	}
+	return nil
+}
+
+// uniformIn is the input shape in which every port holds w chunks.
+func uniformIn(w int) func(int) int { return func(int) int { return w } }
+
+// rootIn is the input shape in which root holds w chunks and every
+// other port none.
+func rootIn(root, w int) func(int) int {
+	return func(p int) int {
+		if p == root {
+			return w
+		}
+		return 0
+	}
+}
+
 // New builds a collective service over fab. The fabric's port count
 // must be a power of two (it always is — planes are B(n) networks).
 func New[T any](fab Rounder, opts Options) *Service[T] {
@@ -164,7 +198,6 @@ func New[T any](fab Rounder, opts Options) *Service[T] {
 	}
 	s := &Service[T]{
 		fab:         fab,
-		opts:        opts,
 		n:           n,
 		logN:        logN,
 		planeRounds: make([]atomic.Int64, fab.Planes()),
@@ -182,13 +215,9 @@ func (s *Service[T]) N() int { return s.n }
 // lands at port j as its chunk i (the result is the transpose of the
 // port x chunk matrix). data must be N rows of N chunks.
 func (s *Service[T]) AllToAll(ctx context.Context, data [][]T) (*Handle[T], error) {
-	prog, err := s.cachedProgram(progKey{op: OpAllToAll}, func() (*Program, error) {
+	return s.start(ctx, progKey{op: OpAllToAll}, uniformIn(s.n), data, func() (*Program, error) {
 		return CompileAllToAll(s.logN)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.submit(ctx, prog, data)
 }
 
 // Exchange starts an arbitrary all-to-all: dests[p][c] names the
@@ -206,74 +235,49 @@ func (s *Service[T]) Exchange(ctx context.Context, dests [][]int, data [][]T) (*
 // every chunk column of data (N rows of equal width >= 1).
 func (s *Service[T]) Transpose(ctx context.Context, rows, cols int, data [][]T) (*Handle[T], error) {
 	w := width(data)
-	prog, err := s.cachedProgram(progKey{op: OpTranspose, rows: rows, cols: cols, chunks: w}, func() (*Program, error) {
+	return s.start(ctx, progKey{op: OpTranspose, rows: rows, cols: cols, chunks: w}, uniformIn(w), data, func() (*Program, error) {
 		return CompileTranspose(s.logN, rows, cols, w)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.submit(ctx, prog, data)
 }
 
 // Shuffle starts the perfect shuffle of Table I over every chunk
 // column of data.
 func (s *Service[T]) Shuffle(ctx context.Context, data [][]T) (*Handle[T], error) {
 	w := width(data)
-	prog, err := s.cachedProgram(progKey{op: OpShuffle, chunks: w}, func() (*Program, error) {
+	return s.start(ctx, progKey{op: OpShuffle, chunks: w}, uniformIn(w), data, func() (*Program, error) {
 		return CompileShuffle(s.logN, w)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.submit(ctx, prog, data)
 }
 
 // BitReversal starts the bit-reversal permutation of Table I (Fig. 4)
 // over every chunk column of data.
 func (s *Service[T]) BitReversal(ctx context.Context, data [][]T) (*Handle[T], error) {
 	w := width(data)
-	prog, err := s.cachedProgram(progKey{op: OpBitReversal, chunks: w}, func() (*Program, error) {
+	return s.start(ctx, progKey{op: OpBitReversal, chunks: w}, uniformIn(w), data, func() (*Program, error) {
 		return CompileBitReversal(s.logN, w)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.submit(ctx, prog, data)
 }
 
 // Broadcast starts a copy-broadcast of the root's chunks to every
 // port. data[root] supplies the chunks; every other row must be empty.
-// By default each chunk rides one copy-network fan-out round; with
-// Options.LegacyBroadcast the schedule is the recursive-doubling
-// permutation ladder instead.
+// Each chunk rides one copy-network fan-out round.
 func (s *Service[T]) Broadcast(ctx context.Context, root int, data [][]T) (*Handle[T], error) {
 	chunks := 0
 	if root >= 0 && root < len(data) {
 		chunks = len(data[root])
 	}
-	prog, err := s.cachedProgram(progKey{op: OpBroadcast, root: root, chunks: chunks}, func() (*Program, error) {
-		if s.opts.LegacyBroadcast {
-			return CompileBroadcastLegacy(s.logN, root, chunks)
-		}
+	return s.start(ctx, progKey{op: OpBroadcast, root: root, chunks: chunks}, rootIn(root, chunks), data, func() (*Program, error) {
 		return CompileBroadcast(s.logN, root, chunks)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.submit(ctx, prog, data)
 }
 
 // AllGather starts the all-gather: every port contributes exactly one
 // chunk and ends holding all N in port order — out[p][j] = data[j][0].
 // Each contribution rides one copy-network fan-out round.
 func (s *Service[T]) AllGather(ctx context.Context, data [][]T) (*Handle[T], error) {
-	prog, err := s.cachedProgram(progKey{op: OpAllGather}, func() (*Program, error) {
+	return s.start(ctx, progKey{op: OpAllGather}, uniformIn(1), data, func() (*Program, error) {
 		return CompileAllGather(s.logN)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.submit(ctx, prog, data)
 }
 
 // FanOut starts a pub/sub fan-out: dests[s] lists the subscribers of
@@ -292,31 +296,23 @@ func (s *Service[T]) FanOut(ctx context.Context, dests [][]int, data [][]T) (*Ha
 // data[p] must hold exactly one chunk, and the result's root row holds
 // chunk p at slot p.
 func (s *Service[T]) Gather(ctx context.Context, root int, data [][]T) (*Handle[T], error) {
-	prog, err := s.cachedProgram(progKey{op: OpGather, root: root}, func() (*Program, error) {
+	return s.start(ctx, progKey{op: OpGather, root: root}, uniformIn(1), data, func() (*Program, error) {
 		return CompileGather(s.logN, root)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.submit(ctx, prog, data)
 }
 
 // Scatter starts the distribution of the root's N chunks: chunk j of
 // data[root] lands at port j as its only chunk. Every non-root row
 // must be empty.
 func (s *Service[T]) Scatter(ctx context.Context, root int, data [][]T) (*Handle[T], error) {
-	prog, err := s.cachedProgram(progKey{op: OpScatter, root: root}, func() (*Program, error) {
+	return s.start(ctx, progKey{op: OpScatter, root: root}, rootIn(root, s.n), data, func() (*Program, error) {
 		return CompileScatter(s.logN, root)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.submit(ctx, prog, data)
 }
 
 // width returns the chunk width the compiler should target for a
-// column-uniform payload: the first row's length (ragged rows are then
-// rejected by submit's shape check).
+// column-uniform payload: the first row's length (start's shape check
+// then rejects ragged rows before anything compiles).
 func width[T any](data [][]T) int {
 	if len(data) == 0 {
 		return 0
@@ -327,14 +323,8 @@ func width[T any](data [][]T) int {
 // submit validates the payload shape against the compiled program,
 // runs deadline admission, and starts the executor.
 func (s *Service[T]) submit(ctx context.Context, prog *Program, data [][]T) (*Handle[T], error) {
-	if len(data) != prog.N {
-		return nil, fmt.Errorf("collective: %s payload has %d ports, want N=%d", prog.Op, len(data), prog.N)
-	}
-	for p := range data {
-		if len(data[p]) != prog.InChunks[p] {
-			return nil, fmt.Errorf("collective: %s payload port %d has %d chunks, want %d",
-				prog.Op, p, len(data[p]), prog.InChunks[p])
-		}
+	if err := checkShape(prog.Op, prog.N, data, func(p int) int { return prog.InChunks[p] }); err != nil {
+		return nil, err
 	}
 	if deadline, ok := ctx.Deadline(); ok {
 		if est := s.ewmaRoundNs.Load(); est > 0 {
@@ -397,7 +387,6 @@ type Stats struct {
 	McastRounds    int64 `json:"mcast_rounds"`
 	RoundCacheHits int64 `json:"round_cache_hits"`
 	ChunksMoved    int64 `json:"chunks_moved"`
-	BytesMoved     int64 `json:"bytes_moved"`
 
 	// Round is the per-round service-time histogram; EndToEnd the
 	// submit-to-settle latency of whole collectives.
@@ -438,7 +427,6 @@ func (s *Service[T]) Stats() Stats {
 		PlaneRounds:      make([]int64, len(s.planeRounds)),
 		PerOp:            make(map[string]int64, numOps),
 	}
-	st.BytesMoved = st.ChunksMoved * s.opts.BytesPerChunk
 	if st.Rounds > 0 {
 		st.SelfRouteRatio = float64(st.SelfRouted) / float64(st.Rounds)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // newService builds a collective service over a real fabric.
-func newService(t *testing.T, logN, planes int, opts Options) *Service[int] {
+func newService(t testing.TB, logN, planes int, opts Options) *Service[int] {
 	t.Helper()
 	f, err := fabric.New[int](fabric.Config{LogN: logN, Planes: planes}, nil)
 	if err != nil {
@@ -159,9 +159,8 @@ func TestShuffleAndBitReversal(t *testing.T) {
 	}
 }
 
-// TestBroadcast checks the default copy-network broadcast: every port
-// ends with the root's chunks, in one fan-out round per chunk instead
-// of the legacy path's log2(N) serial rounds.
+// TestBroadcast checks the copy-network broadcast: every port ends
+// with the root's chunks, in one fan-out round per chunk.
 func TestBroadcast(t *testing.T) {
 	const logN, n, root, chunks = 3, 8, 5, 2
 	s := newService(t, logN, 2, Options{})
@@ -186,33 +185,6 @@ func TestBroadcast(t *testing.T) {
 	}
 	if st := s.Stats(); st.McastRounds != chunks {
 		t.Fatalf("mcast rounds = %d, want %d", st.McastRounds, chunks)
-	}
-}
-
-// TestBroadcastLegacy flips Options.LegacyBroadcast: same delivery
-// through the recursive-doubling permutation ladder, log2(N) rounds,
-// no multicast rounds.
-func TestBroadcastLegacy(t *testing.T) {
-	const logN, n, root = 3, 8, 5
-	s := newService(t, logN, 2, Options{LegacyBroadcast: true})
-	in := make([][]int, n)
-	in[root] = []int{42, 77}
-	h, err := s.Broadcast(context.Background(), root, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := wait(t, h)
-	for p := 0; p < n; p++ {
-		if out[p][0] != 42 || out[p][1] != 77 {
-			t.Fatalf("port %d received %v, want [42 77]", p, out[p])
-		}
-	}
-	requireAllSelfRouted(t, h)
-	if st := h.Stats(); st.Rounds != logN {
-		t.Fatalf("legacy broadcast rounds = %d, want log2(N) = %d", st.Rounds, logN)
-	}
-	if st := s.Stats(); st.McastRounds != 0 {
-		t.Fatalf("legacy broadcast took %d multicast rounds, want 0", st.McastRounds)
 	}
 }
 
@@ -407,10 +379,34 @@ func TestDeadlineAdmission(t *testing.T) {
 	}
 }
 
-// TestSubmitShapeErrors covers the payload shape rejects.
+// programCount is the number of programs s has compiled and cached.
+func programCount(s *Service[int]) int {
+	n := 0
+	s.progCache.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
+// TestSubmitShapeErrors covers the payload shape rejects. A rejected
+// payload must compile and cache nothing: the column collectives and
+// broadcast size their programs by the payload's row widths, so a
+// one-row payload 4,096 chunks wide would otherwise cache a program of
+// 4,096 rounds that no valid request can use.
 func TestSubmitShapeErrors(t *testing.T) {
 	s := newService(t, 3, 1, Options{})
 	ctx := context.Background()
+	wide := [][]int{make([]int, 4096)}
+	if _, err := s.Transpose(ctx, 2, 4, wide); err == nil {
+		t.Fatal("one-row transpose payload must be rejected")
+	}
+	if _, err := s.Shuffle(ctx, wide); err == nil {
+		t.Fatal("one-row shuffle payload must be rejected")
+	}
+	if _, err := s.BitReversal(ctx, wide); err == nil {
+		t.Fatal("one-row bit-reversal payload must be rejected")
+	}
+	if _, err := s.Broadcast(ctx, 0, wide); err == nil {
+		t.Fatal("one-row broadcast payload must be rejected")
+	}
 	if _, err := s.AllToAll(ctx, fill(4, 8)); err == nil {
 		t.Fatal("wrong port count must be rejected")
 	}
@@ -426,11 +422,14 @@ func TestSubmitShapeErrors(t *testing.T) {
 	if _, err := s.Scatter(ctx, -1, fill(8, 0)); err == nil {
 		t.Fatal("negative scatter root must be rejected")
 	}
+	if n := programCount(s); n != 0 {
+		t.Fatalf("rejected payloads left %d programs in the cache, want 0", n)
+	}
 }
 
-// TestPipelineCacheReuse checks the double buffer pays off where it
-// should: a column collective presents one permutation k times, so at
-// most one round per plane can miss the plan cache.
+// TestPipelineCacheReuse checks the per-plane plan caches pay off
+// where they should: a column collective presents one permutation k
+// times, so at most one round per plane can miss the plan cache.
 func TestPipelineCacheReuse(t *testing.T) {
 	const logN, chunks, planes = 4, 8, 2
 	s := newService(t, logN, planes, Options{})

@@ -30,10 +30,8 @@ const (
 	// OpBitReversal moves chunk columns through the bit-reversal
 	// permutation of Table I (Fig. 4).
 	OpBitReversal
-	// OpBroadcast copies the root's chunks to every port. The default
-	// compiler emits one copy-network fan-out round per chunk; the
-	// legacy compiler (behind Options.LegacyBroadcast) uses recursive
-	// doubling — log2(N) serial single-bit-complement BPC rounds.
+	// OpBroadcast copies the root's chunks to every port: one
+	// copy-network fan-out round per chunk.
 	OpBroadcast
 	// OpGather collects one chunk from every port at the root.
 	OpGather
@@ -118,15 +116,11 @@ type Program struct {
 	// executor initializes state[p][c] = in[p][c] for the cells both
 	// shapes cover, then applies the rounds' moves.
 	StateChunks []int
-	// Rounds is the schedule. When Serial is false the rounds touch
-	// pairwise-disjoint cells — every move reads the immutable input
-	// and every state cell is written at most once — so the executor
-	// runs them concurrently across the fabric's planes. When Serial
-	// is true (broadcast) later rounds read earlier rounds' writes and
-	// the executor runs them in order, overlapping only round r+1's
-	// plan setup with round r's transmission.
+	// Rounds is the schedule. The rounds touch pairwise-disjoint
+	// cells — every move reads the immutable input and every state
+	// cell is written at most once — so the executor runs them
+	// concurrently across the fabric's planes.
 	Rounds []Round
-	Serial bool
 	// Multicast is true when the schedule contains copy-network (map)
 	// rounds, which the executor serves through RouteMulticastRound,
 	// relying on the engine's plan cache to keep repeated mappings
@@ -159,16 +153,13 @@ func (p *Program) finish() *Program {
 			p.SelfRoutable++
 		}
 	}
-	// Non-serial programs write each state cell at most once
-	// (Validate's invariant), so move count == state size means full
-	// coverage.
-	if !p.Serial {
-		cells := 0
-		for _, w := range p.StateChunks {
-			cells += w
-		}
-		p.covered = p.TotalMoves() == cells
+	// Programs write each state cell at most once (Validate's
+	// invariant), so move count == state size means full coverage.
+	cells := 0
+	for _, w := range p.StateChunks {
+		cells += w
 	}
+	p.covered = p.TotalMoves() == cells
 	return p
 }
 
@@ -188,9 +179,8 @@ func newRound(dest perm.Perm, moves []Move) Round {
 
 // newRoundClass wraps a round whose class is known a priori from the
 // pattern itself — every cyclic shift is a Table II inverse-omega
-// member, every single-bit complement a Table I BPC member — skipping
-// the O(N log N) classifier per round. The claims are cross-checked
-// against perm.Classify in the compiler tests.
+// member — skipping the O(N log N) classifier per round. The claims
+// are cross-checked against perm.Classify in the compiler tests.
 func newRoundClass(dest perm.Perm, class perm.Class, moves []Move) Round {
 	return Round{Dest: dest, Class: class, Moves: moves}
 }
@@ -320,10 +310,9 @@ func compileColumns(op Op, logN, chunks int, gen func(int) perm.Perm) (*Program,
 // CompileBroadcast compiles a copy-broadcast of the root's k chunks
 // through the copy network: chunk c rides one full-fan-out round
 // (Map[out] = root for every out), so the schedule is k data-parallel
-// rounds instead of the legacy compiler's log2(N) serial
-// recursive-doubling rounds — and because every round reads only the
-// immutable input, the rounds pipeline across planes instead of each
-// waiting on the previous round's delivery.
+// rounds. Every round reads only the immutable input, so the rounds
+// pipeline across planes, and the k identical mappings share one
+// cached plan per plane.
 func CompileBroadcast(logN, root, chunks int) (*Program, error) {
 	if logN < 1 {
 		return nil, fmt.Errorf("collective: logN must be >= 1, got %d", logN)
@@ -352,54 +341,6 @@ func CompileBroadcast(logN, root, chunks int) (*Program, error) {
 			moves[o] = Move{SrcPort: root, SrcChunk: c, DstPort: o, DstChunk: c}
 		}
 		p.Rounds[c] = newMapRound(uniform(N, root), moves)
-	}
-	return p.finish(), nil
-}
-
-// CompileBroadcastLegacy compiles the permutation-only copy-broadcast
-// by recursive doubling: after round r the holder set is root XOR
-// {0, ..., 2^(r+1)-1}. Each round's port permutation complements one
-// index bit in place — a BPC member — and the holders' chunks ride it
-// while every other port carries filler. The rounds are serial: round
-// r reads what round r-1 delivered. Kept behind Options.LegacyBroadcast
-// for fabrics without a copy network and for A/B measurement against
-// CompileBroadcast.
-func CompileBroadcastLegacy(logN, root, chunks int) (*Program, error) {
-	if logN < 1 {
-		return nil, fmt.Errorf("collective: logN must be >= 1, got %d", logN)
-	}
-	N := 1 << uint(logN)
-	if root < 0 || root >= N {
-		return nil, fmt.Errorf("collective: root %d out of range [0,%d)", root, N)
-	}
-	if chunks < 1 {
-		return nil, fmt.Errorf("collective: chunks must be >= 1, got %d", chunks)
-	}
-	in := uniform(N, 0)
-	in[root] = chunks
-	p := &Program{
-		Op:          OpBroadcast,
-		LogN:        logN,
-		N:           N,
-		InChunks:    in,
-		StateChunks: uniform(N, chunks),
-		Rounds:      make([]Round, logN),
-		Serial:      true,
-	}
-	for r := 0; r < logN; r++ {
-		bit := 1 << uint(r)
-		dest := make(perm.Perm, N)
-		for i := range dest {
-			dest[i] = i ^ bit
-		}
-		var moves []Move
-		for m := 0; m < bit; m++ {
-			h := root ^ m
-			for c := 0; c < chunks; c++ {
-				moves = append(moves, Move{SrcPort: h, SrcChunk: c, DstPort: h ^ bit, DstChunk: c})
-			}
-		}
-		p.Rounds[r] = newRoundClass(dest, perm.ClassBPC, moves)
 	}
 	return p.finish(), nil
 }
@@ -585,8 +526,7 @@ func CompileFanOut(logN int, dests [][]int) (*Program, error) {
 
 // Validate checks the compiled program's structural invariants: every
 // move's ports agree with its round's permutation or mapping, every
-// read is in shape, and — for concurrent (non-serial) programs — no
-// state cell is written twice. The compilers are tested to emit only
+// read is in shape, and no state cell is written twice. The compilers are tested to emit only
 // valid programs; Validate exists so tests (and the fuzzer) can prove
 // it.
 func (p *Program) Validate() error {
@@ -642,26 +582,20 @@ func (p *Program) Validate() error {
 				return fmt.Errorf("collective: round %d moves %d->%d but routes %d->%d",
 					ri, m.SrcPort, m.DstPort, m.SrcPort, r.Dest[m.SrcPort])
 			}
-			readBound := p.InChunks[m.SrcPort]
-			if p.Serial {
-				readBound = p.StateChunks[m.SrcPort]
-			}
-			if m.SrcChunk < 0 || m.SrcChunk >= readBound {
+			if m.SrcChunk < 0 || m.SrcChunk >= p.InChunks[m.SrcPort] {
 				return fmt.Errorf("collective: round %d reads chunk %d of port %d (width %d)",
-					ri, m.SrcChunk, m.SrcPort, readBound)
+					ri, m.SrcChunk, m.SrcPort, p.InChunks[m.SrcPort])
 			}
 			if m.DstChunk < 0 || m.DstChunk >= p.StateChunks[m.DstPort] {
 				return fmt.Errorf("collective: round %d writes chunk %d of port %d (width %d)",
 					ri, m.DstChunk, m.DstPort, p.StateChunks[m.DstPort])
 			}
-			if !p.Serial {
-				cell := [2]int{m.DstPort, m.DstChunk}
-				if written[cell] {
-					return fmt.Errorf("collective: concurrent program writes cell (%d,%d) twice",
-						m.DstPort, m.DstChunk)
-				}
-				written[cell] = true
+			cell := [2]int{m.DstPort, m.DstChunk}
+			if written[cell] {
+				return fmt.Errorf("collective: program writes cell (%d,%d) twice",
+					m.DstPort, m.DstChunk)
 			}
+			written[cell] = true
 		}
 	}
 	return nil

@@ -32,8 +32,8 @@ func TestCompileAllToAllProgram(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if len(p.Rounds) != n || p.Serial {
-			t.Fatalf("logN=%d: %d rounds serial=%v, want %d concurrent", logN, len(p.Rounds), p.Serial, n)
+		if len(p.Rounds) != n {
+			t.Fatalf("logN=%d: %d rounds, want %d", logN, len(p.Rounds), n)
 		}
 		if p.SelfRoutable != n {
 			t.Fatalf("logN=%d: %d/%d rounds self-routable, want all (Table II)", logN, p.SelfRoutable, n)
@@ -99,9 +99,9 @@ func TestCompileBroadcastProgram(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Serial || !p.Multicast || len(p.Rounds) != chunks || p.SelfRoutable != chunks {
-		t.Fatalf("serial=%v multicast=%v rounds=%d selfRoutable=%d, want false/true/%d/%d",
-			p.Serial, p.Multicast, len(p.Rounds), p.SelfRoutable, chunks, chunks)
+	if !p.Multicast || len(p.Rounds) != chunks || p.SelfRoutable != chunks {
+		t.Fatalf("multicast=%v rounds=%d selfRoutable=%d, want true/%d/%d",
+			p.Multicast, len(p.Rounds), p.SelfRoutable, chunks, chunks)
 	}
 	for r := range p.Rounds {
 		rd := &p.Rounds[r]
@@ -119,32 +119,6 @@ func TestCompileBroadcastProgram(t *testing.T) {
 	}
 }
 
-// TestCompileBroadcastLegacyProgram pins the recursive-doubling
-// fallback: log2(N) serial BPC rounds whose holder set doubles every
-// round.
-func TestCompileBroadcastLegacyProgram(t *testing.T) {
-	const logN, root, chunks = 3, 5, 2
-	p, err := CompileBroadcastLegacy(logN, root, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Serial || p.Multicast || len(p.Rounds) != logN || p.SelfRoutable != logN {
-		t.Fatalf("serial=%v multicast=%v rounds=%d selfRoutable=%d, want true/false/%d/%d",
-			p.Serial, p.Multicast, len(p.Rounds), p.SelfRoutable, logN, logN)
-	}
-	for r := range p.Rounds {
-		if p.Rounds[r].Class != perm.ClassBPC {
-			t.Fatalf("round %d classified %v, want BPC (bit complement)", r, p.Rounds[r].Class)
-		}
-		if got, want := len(p.Rounds[r].Moves), (1<<uint(r))*chunks; got != want {
-			t.Fatalf("round %d moves %d chunks, want %d (holder set doubles)", r, got, want)
-		}
-	}
-}
-
 // TestCompileAllGatherProgram pins the all-gather schedule: N
 // data-parallel map rounds, round j a full fan-out of port j landing
 // in column j, covering every state cell exactly once.
@@ -157,9 +131,9 @@ func TestCompileAllGatherProgram(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Serial || !p.Multicast || len(p.Rounds) != n || p.SelfRoutable != n {
-		t.Fatalf("serial=%v multicast=%v rounds=%d selfRoutable=%d, want false/true/%d/%d",
-			p.Serial, p.Multicast, len(p.Rounds), p.SelfRoutable, n, n)
+	if !p.Multicast || len(p.Rounds) != n || p.SelfRoutable != n {
+		t.Fatalf("multicast=%v rounds=%d selfRoutable=%d, want true/%d/%d",
+			p.Multicast, len(p.Rounds), p.SelfRoutable, n, n)
 	}
 	if p.TotalMoves() != n*n {
 		t.Fatalf("%d moves, want N^2=%d", p.TotalMoves(), n*n)
@@ -202,8 +176,8 @@ func TestCompileFanOutProgram(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if p.Serial || !p.Multicast {
-		t.Fatalf("serial=%v multicast=%v, want false/true", p.Serial, p.Multicast)
+	if !p.Multicast {
+		t.Fatal("fan-out program not marked multicast")
 	}
 	// First-fit: sources 0, 2, 3 pack into round 0; source 1 conflicts
 	// on port 4 and opens round 1.
@@ -283,17 +257,8 @@ func simulate(p *Program, in [][]int) [][]int {
 		copy(state[i], in[i])
 	}
 	for ri := range p.Rounds {
-		moves := p.Rounds[ri].Moves
-		vals := make([]int, len(moves))
-		for j, m := range moves {
-			if p.Serial {
-				vals[j] = state[m.SrcPort][m.SrcChunk]
-			} else {
-				vals[j] = in[m.SrcPort][m.SrcChunk]
-			}
-		}
-		for j, m := range moves {
-			state[m.DstPort][m.DstChunk] = vals[j]
+		for _, m := range p.Rounds[ri].Moves {
+			state[m.DstPort][m.DstChunk] = in[m.SrcPort][m.SrcChunk]
 		}
 	}
 	return state
@@ -421,7 +386,6 @@ func TestCompiledRoundClassesHonest(t *testing.T) {
 		must(CompileShuffle(logN, 3)),
 		must(CompileBitReversal(logN, 1)),
 		must(CompileBroadcast(logN, 3, 2)),
-		must(CompileBroadcastLegacy(logN, 3, 2)),
 		must(CompileGather(logN, 5)),
 		must(CompileScatter(logN, 5)),
 		must(CompileAllGather(logN)),

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"context"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -11,15 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/perm"
 )
-
-// overlapPrewarm reports whether the double-buffered prewarm can
-// actually overlap a round in flight: it needs a second execution
-// resource. On a single-CPU process the prewarm goroutine would just
-// time-slice against the round it is meant to hide behind, turning the
-// double buffer into pure per-round overhead.
-func overlapPrewarm() bool { return runtime.GOMAXPROCS(0) > 1 }
 
 // Handle tracks one in-flight collective. It is returned immediately
 // by the Service entry points; the schedule executes in the background
@@ -37,8 +28,8 @@ type Handle[T any] struct {
 
 	// in aliases the caller's payload (MPI-style ownership: the
 	// caller must not modify the buffers until the handle is done).
-	// Non-serial rounds read only from it; serial programs read state
-	// instead (later rounds consume earlier rounds' deliveries).
+	// Every round reads only from it, never from state, which is what
+	// lets rounds run in any order on any plane.
 	in [][]T
 	// state is the result: row p sized prog.StateChunks[p],
 	// initialized from the input where the shapes overlap, then
@@ -64,8 +55,9 @@ type HandleStats struct {
 	// looping setup; Fallbacks counts the rest.
 	SelfRouted int64 `json:"self_routed"`
 	Fallbacks  int64 `json:"fallbacks"`
-	// CacheHits counts rounds whose plan was already resolved when
-	// they arrived — the prewarm double buffer working.
+	// CacheHits counts rounds whose plan was already in the serving
+	// plane's cache when they arrived: a repeated round paying no
+	// setup.
 	CacheHits int64 `json:"cache_hits"`
 }
 
@@ -84,8 +76,8 @@ func newHandle[T any](svc *Service[T], prog *Program, ctx context.Context, data 
 		h.state[p] = make([]T, prog.StateChunks[p])
 		// Covered programs overwrite every state cell, so seeding
 		// state from the input would be N*k wasted copies. The rest
-		// (gather, exchange with Keep, serial broadcast) need the
-		// untouched cells to carry the input through.
+		// (gather, exchange with Keep) need the untouched cells to
+		// carry the input through.
 		if !prog.covered {
 			copy(h.state[p], data[p])
 		}
@@ -132,11 +124,7 @@ func (h *Handle[T]) fail(err error) {
 
 // run executes the schedule and settles the handle.
 func (h *Handle[T]) run() {
-	if h.prog.Serial {
-		h.runSerial()
-	} else {
-		h.runParallel()
-	}
+	h.runParallel()
 	s := h.svc
 	s.opHist.ObserveSince(h.begin)
 	h.tr.Span("collective_"+h.prog.Op.String(), h.begin,
@@ -210,11 +198,10 @@ func (h *Handle[T]) flush(t *roundTally) {
 }
 
 // serveRound routes one round on the preferred plane and applies its
-// moves into state from the pre-read snapshot vals (serial programs
-// permute state in place, so reads must precede writes). Map rounds go
-// through the copy network; the rest present their permutation. idx is
-// the round's position in the schedule, for the trace span.
-func (h *Handle[T]) serveRound(r *Round, idx, prefer int, vals []T, t *roundTally) error {
+// moves from the input into state. Map rounds go through the copy
+// network; the rest present their permutation. idx is the round's
+// position in the schedule, for the trace span.
+func (h *Handle[T]) serveRound(r *Round, idx, prefer int, t *roundTally) error {
 	start := time.Now()
 	var res fabric.RoundResult
 	var err error
@@ -226,8 +213,8 @@ func (h *Handle[T]) serveRound(r *Round, idx, prefer int, vals []T, t *roundTall
 	if err != nil {
 		return err
 	}
-	for j, m := range r.Moves {
-		h.state[m.DstPort][m.DstChunk] = vals[j]
+	for _, m := range r.Moves {
+		h.state[m.DstPort][m.DstChunk] = h.in[m.SrcPort][m.SrcChunk]
 	}
 	h.svc.roundHist.ObserveSince(start)
 	// Build the note only when traced: untraced rounds allocate nothing
@@ -245,9 +232,9 @@ func (h *Handle[T]) serveRound(r *Round, idx, prefer int, vals []T, t *roundTall
 // time, so K rounds traverse the fabric concurrently. Permutation and
 // copy-network (map) rounds take the same loop, and each plane's plan
 // cache keeps repeated rounds (a broadcast's identical per-chunk rounds,
-// re-run all-to-alls) at cache-hit cost. Safe because non-serial
-// programs read only the immutable input and write pairwise-disjoint
-// state cells (Program.Validate's invariant).
+// re-run all-to-alls) at cache-hit cost. Safe because every program
+// reads only the immutable input and writes pairwise-disjoint state
+// cells (Program.Validate's invariant).
 func (h *Handle[T]) runParallel() {
 	rounds := h.prog.Rounds
 	workers := h.svc.fab.Planes()
@@ -262,7 +249,6 @@ func (h *Handle[T]) runParallel() {
 			defer wg.Done()
 			t := newRoundTally(len(h.svc.planeRounds))
 			defer h.flush(t)
-			var vals []T
 			for idx := w; idx < len(rounds); idx += workers {
 				if abort.Load() {
 					return
@@ -272,12 +258,7 @@ func (h *Handle[T]) runParallel() {
 					abort.Store(true)
 					return
 				}
-				r := &rounds[idx]
-				vals = vals[:0]
-				for _, m := range r.Moves {
-					vals = append(vals, h.in[m.SrcPort][m.SrcChunk])
-				}
-				if err := h.serveRound(r, idx, w, vals, t); err != nil {
+				if err := h.serveRound(&rounds[idx], idx, w, t); err != nil {
 					h.fail(err)
 					abort.Store(true)
 					return
@@ -286,44 +267,4 @@ func (h *Handle[T]) runParallel() {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// runSerial executes a dependent schedule (broadcast) in order: round
-// r reads the state round r-1 left behind, so only the plan setup of
-// round r+1 — prewarmed on the plane it will use — overlaps round r's
-// transmission. Reads are snapshotted before writes so a round may
-// safely permute in place.
-func (h *Handle[T]) runSerial() {
-	rounds := h.prog.Rounds
-	k := h.svc.fab.Planes()
-	overlap := overlapPrewarm()
-	t := newRoundTally(len(h.svc.planeRounds))
-	defer h.flush(t)
-	for idx := range rounds {
-		if err := h.ctx.Err(); err != nil {
-			h.fail(err)
-			return
-		}
-		r := &rounds[idx]
-		var warmed chan struct{}
-		if next := idx + 1; overlap && next < len(rounds) {
-			warmed = make(chan struct{})
-			go func(d perm.Perm, prefer int) {
-				h.svc.fab.PrewarmRound(d, prefer)
-				close(warmed)
-			}(rounds[next].Dest, next%k)
-		}
-		vals := make([]T, len(r.Moves))
-		for j, m := range r.Moves {
-			vals[j] = h.state[m.SrcPort][m.SrcChunk]
-		}
-		err := h.serveRound(r, idx, idx%k, vals, t)
-		if warmed != nil {
-			<-warmed
-		}
-		if err != nil {
-			h.fail(err)
-			return
-		}
-	}
 }

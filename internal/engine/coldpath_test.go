@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/perm"
 )
 
@@ -184,5 +185,67 @@ func TestEngineColdMissRaceStress(t *testing.T) {
 	}
 	if snap.PlansCached > 4096 {
 		t.Errorf("plans cached %d exceeds capacity", snap.PlansCached)
+	}
+}
+
+// TestMissBytes is the cold-path allocation guard: a plan-cache miss at
+// N=1024 with a flight recorder allocates little beyond the plan the
+// cache keeps (~20 KB of States, Dest and packed mask). The
+// self-routing kernel and the serial looping fallback run on pooled
+// scratch; a parallel setup with SetupMemo also keeps its two
+// half-network sub-plans. It measures acquire, not Route, so the
+// routed output vector (8 KB at N=1024) stays out of the budget.
+func TestMissBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random")
+	}
+	const logN = 10
+	rng := rand.New(rand.NewSource(15))
+	member := func() perm.Perm { return perm.RandomF(logN, rng) }
+	random := func() perm.Perm { return perm.Random(1<<logN, rng) }
+	cases := []struct {
+		name     string
+		cfg      Config
+		draw     func() perm.Perm
+		kind     PlanKind
+		maxBytes uint64
+	}{
+		{"self-routed", Config{}, member, PlanSelfRouted, 40 << 10},
+		{"looped", Config{}, random, PlanLooped, 40 << 10},
+		{"parallel-memo", Config{ParallelSetup: true, SetupMemo: true}, random, PlanParallel, 80 << 10},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.LogN = logN
+			cfg.Recorder = netsim.NewRecorder(core.New(logN), 2)
+			eng, err := New[int](cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			const misses = 32
+			perms := make([]perm.Perm, misses+1)
+			for i := range perms {
+				perms[i] = c.draw()
+			}
+			// The first miss fills the scratch pools.
+			if _, _, err := eng.acquire(hashPerm(perms[0]), perms[0]); err != nil {
+				t.Fatal(err)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for _, d := range perms[1:] {
+				if pl, hit, err := eng.acquire(hashPerm(d), d); err != nil || hit || pl.Kind != c.kind {
+					t.Fatalf("acquire: plan=%+v hit=%v err=%v, want a %v miss", pl, hit, err, c.kind)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			perMiss := (m1.TotalAlloc - m0.TotalAlloc) / misses
+			t.Logf("%s miss at N=1024: %d B allocated", c.name, perMiss)
+			if perMiss > c.maxBytes {
+				t.Fatalf("%s miss allocates %d B, budget %d B", c.name, perMiss, c.maxBytes)
+			}
+		})
 	}
 }

@@ -25,8 +25,7 @@
 // ready while the current vector moves — is the plan cache's job:
 // requests that share a permutation are served by one cached plan, the
 // software analogue of streaming many vectors through one switch
-// setting, and Prewarm computes a setting ahead of the vector that
-// needs it.
+// setting, so a repeated permutation or mapping pays its setup once.
 package engine
 
 import (
@@ -142,9 +141,10 @@ type Engine[T any] struct {
 	// kernel's tag buffers and the serial looping fallback's memory.
 	scpool sync.Pool
 
-	// mu guards closed. Route holds the read side for its whole serve,
-	// so Close, which takes the write side, returns only after every
-	// in-flight route has been recorded and journaled.
+	// mu guards closed. Route and RouteMulticast hold the read side
+	// for their whole serve, so Close, which takes the write side,
+	// returns only after every in-flight route has been recorded and
+	// journaled.
 	mu     sync.RWMutex
 	closed bool
 }
@@ -231,33 +231,6 @@ func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
 	return Response[T]{Data: out, Kind: pl.Kind, CacheHit: hit}
 }
 
-// Prewarm resolves and caches the routing plan for dest without moving
-// any payload, so a later Route of the same permutation is a cache
-// hit. This is the setup half of Section IV's pipelining: the next
-// vector's switch setting is computed while the current vector is
-// still in flight. It reports the plan kind and whether the plan was
-// already cached.
-func (e *Engine[T]) Prewarm(dest perm.Perm) (PlanKind, bool, error) {
-	if len(dest) != e.net.N() {
-		e.met.errors.Add(1)
-		return 0, false, fmt.Errorf("engine: prewarm size %d does not match N=%d", len(dest), e.net.N())
-	}
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if closed {
-		e.met.errors.Add(1)
-		return 0, false, ErrClosed
-	}
-	e.met.prewarms.Add(1)
-	pl, hit, err := e.acquire(hashPerm(dest), dest)
-	if err != nil {
-		e.met.errors.Add(1)
-		return 0, false, err
-	}
-	return pl.Kind, hit, nil
-}
-
 // ProbeRoute is the diagnosis oracle hook: it self-routes d through
 // the gate-level switch logic — tags decide every state, faults and
 // all — and returns the realized permutation, exactly what package
@@ -293,7 +266,7 @@ func (e *Engine[T]) ProbeRoute(d perm.Perm) (perm.Perm, error) {
 }
 
 // Close stops accepting requests and returns once every in-flight
-// Route has finished. Close is idempotent.
+// Route and RouteMulticast has finished. Close is idempotent.
 func (e *Engine[T]) Close() {
 	e.mu.Lock()
 	e.closed = true

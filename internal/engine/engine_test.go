@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/mcast"
 	"repro/internal/netsim"
 	"repro/internal/perm"
 )
@@ -230,13 +231,14 @@ func TestErrors(t *testing.T) {
 }
 
 // TestCloseDrainsInFlightRoutes checks that Close returns only after
-// every in-flight Route has finished: goroutines loop Route over cached
-// permutations on an engine with a journal and a recorder while the
-// test calls Close, and once Close returns neither the journal nor the
-// recorder may move again. Every response must be a correctly routed
-// vector or ErrClosed.
+// every in-flight Route and RouteMulticast has finished: goroutines
+// loop both over cached permutations and mappings on an engine with a
+// journal and a recorder while the test calls Close, and once Close
+// returns neither the journal, the recorder nor the ladder recorder
+// may move again. Every response must be a correctly routed vector or
+// ErrClosed.
 func TestCloseDrainsInFlightRoutes(t *testing.T) {
-	const logN, goroutines = 8, 8
+	const logN, routers, mcasters = 8, 8, 4
 	j, err := journal.New(journal.Config{CheckpointEvery: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -249,22 +251,39 @@ func TestCloseDrainsInFlightRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	perms := []perm.Perm{perm.BitReversal(logN), perm.PerfectShuffle(logN), perm.CyclicShift(logN, 5), perm.Identity(1 << logN)}
+	maps := make([]mcast.Mapping, 2)
+	for i := range maps {
+		maps[i] = make(mcast.Mapping, 1<<logN)
+	}
+	for out := range maps[0] {
+		maps[0][out] = out / 2 * 2 // pairwise fan-out from even sources
+		maps[1][out] = 7           // broadcast from input 7
+	}
 	data := payload(1 << logN)
 	for _, d := range perms {
 		checkRouted(t, d, eng.Route(d, data))
 	}
-	totals := func() []netsim.StageTotals {
-		out := make([]netsim.StageTotals, rec.Stages())
-		for s := range out {
-			out[s] = rec.StageTotals(s)
+	for _, m := range maps {
+		if resp := eng.RouteMulticast(m, data); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	recorders := []*netsim.Recorder{rec, eng.LadderRecorder()}
+	totals := func() [][]netsim.StageTotals {
+		out := make([][]netsim.StageTotals, len(recorders))
+		for r, rr := range recorders {
+			out[r] = make([]netsim.StageTotals, rr.Stages())
+			for s := range out[r] {
+				out[r][s] = rr.StageTotals(s)
+			}
 		}
 		return out
 	}
 
-	var served atomic.Int64
-	errs := make(chan error, goroutines)
+	var routes, mcasts atomic.Int64
+	errs := make(chan error, routers+mcasters)
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for g := 0; g < routers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -284,11 +303,35 @@ func TestCloseDrainsInFlightRoutes(t *testing.T) {
 						return
 					}
 				}
-				served.Add(1)
+				routes.Add(1)
 			}
 		}(g)
 	}
-	for served.Load() < 4*goroutines && len(errs) == 0 {
+	for g := 0; g < mcasters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				m := maps[i%len(maps)]
+				resp := eng.RouteMulticast(m, data)
+				if errors.Is(resp.Err, ErrClosed) {
+					return
+				}
+				if resp.Err != nil {
+					errs <- resp.Err
+					return
+				}
+				for out, src := range m {
+					if resp.Data[out] != data[src] {
+						errs <- fmt.Errorf("multicast goroutine %d: output %d holds %d, want %d", g, out, resp.Data[out], data[src])
+						return
+					}
+				}
+				mcasts.Add(1)
+			}
+		}(g)
+	}
+	for (routes.Load() < 4*routers || mcasts.Load() < 4*mcasters) && len(errs) == 0 {
 		runtime.Gosched()
 	}
 	eng.Close()
@@ -301,12 +344,14 @@ func TestCloseDrainsInFlightRoutes(t *testing.T) {
 	if got := j.Metrics().Appended(); got != appended {
 		t.Fatalf("journal appended %d records after Close returned (%d at Close)", got-appended, appended)
 	}
-	for s, now := range totals() {
-		if now != after[s] {
-			t.Fatalf("stage %d recorder totals moved after Close returned: %+v, then %+v", s, after[s], now)
+	for r, now := range totals() {
+		for s := range now {
+			if now[s] != after[r][s] {
+				t.Fatalf("recorder %d stage %d totals moved after Close returned: %+v, then %+v", r, s, after[r][s], now[s])
+			}
 		}
 	}
-	if want := int64(len(perms)) + served.Load(); appended != want {
+	if want := int64(len(perms)) + routes.Load(); appended != want {
 		t.Fatalf("journal holds %d route records, want one per served route (%d)", appended, want)
 	}
 }

@@ -29,7 +29,9 @@ type McastResponse[T any] struct {
 // rounds repeat them), apply the fan-out to the payload, then verify
 // delivery by walking every assigned output backward through the
 // three-phase switch program — the multiset check: each output's walk
-// must end at exactly the source the mapping requests.
+// must end at exactly the source the mapping requests. Like Route it
+// serves under the engine's read lock, so a concurrent Close waits
+// until the recorders hold the whole pass.
 func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 	if len(m) != e.net.N() || len(data) != e.net.N() {
 		e.met.errors.Add(1)
@@ -37,9 +39,8 @@ func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 			len(m), len(data), e.net.N())}
 	}
 	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if closed {
+	defer e.mu.RUnlock()
+	if e.closed {
 		e.met.errors.Add(1)
 		return McastResponse[T]{Err: ErrClosed}
 	}
@@ -70,21 +71,6 @@ func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 	}
 	e.met.mcastCopies.Add(int64(copies))
 	return McastResponse[T]{Data: out, CacheHit: hit}
-}
-
-// PrewarmMulticast resolves and caches the copy-network plan for m
-// without moving any payload.
-func (e *Engine[T]) PrewarmMulticast(m mcast.Mapping) (bool, error) {
-	if len(m) != e.net.N() {
-		e.met.errors.Add(1)
-		return false, fmt.Errorf("engine: multicast prewarm size %d does not match N=%d", len(m), e.net.N())
-	}
-	e.met.prewarms.Add(1)
-	_, hit, err := e.acquireMulticast(hashMapping(m), m)
-	if err != nil {
-		e.met.errors.Add(1)
-	}
-	return hit, err
 }
 
 // acquireMulticast resolves the copy-network plan for m, consulting

@@ -141,22 +141,6 @@ func TestRouteMulticastErrors(t *testing.T) {
 	}
 }
 
-func TestPrewarmMulticast(t *testing.T) {
-	e := newMcastEngine(t, 3, nil)
-	n := e.Network().N()
-	m := make(mcast.Mapping, n)
-	for out := range m {
-		m[out] = out / 2 * 2 // pairwise fan-out from even sources
-	}
-	if hit, err := e.PrewarmMulticast(m); err != nil || hit {
-		t.Fatalf("prewarm: hit=%v err=%v", hit, err)
-	}
-	resp := e.RouteMulticast(m, identityData(n))
-	if resp.Err != nil || !resp.CacheHit {
-		t.Fatalf("post-prewarm route: hit=%v err=%v", resp.CacheHit, resp.Err)
-	}
-}
-
 func TestMcastFrameServer(t *testing.T) {
 	net := core.New(3)
 	rec := netsim.NewRecorder(net, 2)

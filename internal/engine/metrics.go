@@ -32,7 +32,6 @@ type metrics struct {
 	errors       obs.Counter // requests rejected (bad length, invalid permutation, closed)
 	evictions    obs.Counter // plans displaced from the LRU cache
 	collisions   obs.Counter // lookups whose hash matched a plan for a different permutation
-	prewarms     obs.Counter // plans resolved ahead of traffic via Prewarm
 	frames       obs.Counter // frames served synchronously via FrameServer.Serve
 	mcasts       obs.Counter // multicast mappings served via RouteMulticast
 	mcastFrames  obs.Counter // mapping frames served via McastFrameServer.Serve
@@ -67,7 +66,6 @@ type Snapshot struct {
 	Errors        int64   `json:"errors"`
 	Evictions     int64   `json:"evictions"`
 	Collisions    int64   `json:"collision_misses"`
-	Prewarms      int64   `json:"prewarms"`
 	Frames        int64   `json:"frames"`
 	Mcasts        int64   `json:"mcasts"`
 	McastFrames   int64   `json:"mcast_frames"`
@@ -99,7 +97,6 @@ func (e *Engine[T]) Stats() Snapshot {
 		Errors:        m.errors.Value(),
 		Evictions:     m.evictions.Value(),
 		Collisions:    m.collisions.Value(),
-		Prewarms:      m.prewarms.Value(),
 		Frames:        m.frames.Value(),
 		Mcasts:        m.mcasts.Value(),
 		McastFrames:   m.mcastFrames.Value(),
@@ -137,7 +134,6 @@ func (e *Engine[T]) Register(reg *obs.Registry, labels obs.Labels) {
 	reg.CounterFunc("benes_engine_errors_total", "Requests rejected (bad length, invalid permutation, closed).", labels, m.errors.Value)
 	reg.CounterFunc("benes_engine_plan_cache_evictions_total", "Plans displaced from the LRU cache.", labels, m.evictions.Value)
 	reg.CounterFunc("benes_engine_plan_cache_collisions_total", "Lookups that collided with a plan for a different permutation.", labels, m.collisions.Value)
-	reg.CounterFunc("benes_engine_prewarms_total", "Plans resolved ahead of traffic via Prewarm.", labels, m.prewarms.Value)
 	reg.CounterFunc("benes_engine_frames_total", "Frames served synchronously via FrameServer.", labels, m.frames.Value)
 	reg.CounterFunc("benes_engine_mcasts_total", "Multicast mappings served via RouteMulticast.", labels, m.mcasts.Value)
 	reg.CounterFunc("benes_engine_mcast_frames_total", "Mapping frames served via McastFrameServer.", labels, m.mcastFrames.Value)

@@ -149,16 +149,10 @@ type Config struct {
 	// VOQDepth bounds each (input, output) queue, rounded up to a power
 	// of two. Defaults to DefaultVOQDepth.
 	VOQDepth int
-	// FrameQueue is the buffered depth of each plane's scheduler →
-	// router channel. Defaults to 2.
-	FrameQueue int
 	// Policy selects what Send does when a VOQ is full.
 	Policy DropPolicy
 	// Affinity selects flow-hash plane pinning (default) or spray.
 	Affinity Affinity
-	// PlaneCache is the plan-cache capacity per plane. Defaults to the
-	// engine's DefaultCacheCapacity.
-	PlaneCache int
 	// ParallelSetup routes each plane engine's non-F(n) cache misses
 	// (collective rounds and RouteRound permutations outside F(n))
 	// through the multicore cold setup of internal/psetup, with
@@ -193,11 +187,17 @@ func (c Config) withDefaults() Config {
 	if c.VOQDepth <= 0 {
 		c.VOQDepth = DefaultVOQDepth
 	}
-	if c.FrameQueue <= 0 {
-		c.FrameQueue = 2
-	}
 	return c
 }
+
+// handoffDepth is the depth of each plane's scheduler → router channel.
+// Two frames keep the router busy: the scheduler builds the next
+// matching while the router serves the current one, and the second
+// slot absorbs jitter between the two goroutines. A deeper queue adds
+// no throughput once the router is the bottleneck; it only freezes
+// more matchings early, holding packets in built frames instead of
+// letting the VOQs fill the next, fuller frame.
+const handoffDepth = 2
 
 // Fabric is a multi-plane packet switch. All methods are safe for
 // concurrent use.
@@ -273,7 +273,6 @@ func newFabric[T any](cfg Config, deliver func(Packet[T]), deliverBatch func(int
 		}
 		p, err := newPlane(i, engine.Config{
 			LogN:          cfg.LogN,
-			CacheCapacity: cfg.PlaneCache,
 			ParallelSetup: cfg.ParallelSetup,
 			SetupMemo:     cfg.ParallelSetup,
 			Recorder:      rec,
@@ -287,8 +286,10 @@ func newFabric[T any](cfg Config, deliver func(Packet[T]), deliverBatch func(int
 		f.planes[i] = p
 		f.shards[i] = newVOQShard[T](n, cfg.VOQDepth, &f.met)
 		f.planeSeed[i] = mix64(uint64(i) + 0x9e3779b97f4a7c15)
-		f.frames[i] = make(chan *frame[T], cfg.FrameQueue)
-		f.freelist[i] = make(chan *frame[T], cfg.FrameQueue+2)
+		f.frames[i] = make(chan *frame[T], handoffDepth)
+		// Room for every frame in circulation: the queued ones, the one
+		// the scheduler is building and the one the router is serving.
+		f.freelist[i] = make(chan *frame[T], handoffDepth+2)
 	}
 	for i := range f.planes {
 		f.wg.Add(2)
@@ -564,12 +565,7 @@ func (f *Fabric[T]) scheduler(i int) {
 			}
 			continue
 		}
-		f.met.frames.Add(1)
-		if fr.mcast {
-			f.met.mcastFrames.Add(1)
-		}
-		f.met.HandoffBatch.ObserveValue(int64(len(fr.pkts)))
-		f.frames[i] <- fr
+		f.handoff(i, fr)
 	}
 }
 
@@ -584,13 +580,19 @@ func (f *Fabric[T]) drainShard(i int) {
 			f.putFrame(i, fr)
 			return
 		}
-		f.met.frames.Add(1)
-		if fr.mcast {
-			f.met.mcastFrames.Add(1)
-		}
-		f.met.HandoffBatch.ObserveValue(int64(len(fr.pkts)))
-		f.frames[i] <- fr
+		f.handoff(i, fr)
 	}
+}
+
+// handoff counts a built frame and passes it to plane i's router,
+// blocking while the router is behind.
+func (f *Fabric[T]) handoff(i int, fr *frame[T]) {
+	f.met.frames.Add(1)
+	if fr.mcast {
+		f.met.mcastFrames.Add(1)
+	}
+	f.met.HandoffBatch.ObserveValue(int64(len(fr.pkts)))
+	f.frames[i] <- fr
 }
 
 // router serves plane i's frames synchronously through per-plane
@@ -606,25 +608,29 @@ func (f *Fabric[T]) router(i int) {
 		mservers[j] = p.eng.NewMcastFrameServer()
 	}
 	for fr := range f.frames[i] {
-		if fr.mcast {
-			f.dispatchMcast(i, mservers, fr)
-		} else {
-			f.dispatch(i, servers, fr)
-		}
+		f.dispatch(i, servers, mservers, fr)
 		f.putFrame(i, fr)
 	}
 }
 
 // dispatch serves one frame, preferring the home plane and failing over
-// to the next healthy plane when it is down or misroutes. Delivery is
+// to the next healthy plane when it is down or misroutes. A frame
+// carrying multicast copies is served through the plane's
+// McastFrameServer, and its books also track the fan-out. Delivery is
 // coalesced: one deliverBatch call (or a tight deliver loop) per frame.
-func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], fr *frame[T]) {
+func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], mservers []*engine.McastFrameServer[int], fr *frame[T]) {
 	failed := false
 	for attempt := 0; attempt < len(f.planes); attempt++ {
 		id := (home + attempt) % len(f.planes)
 		p := f.planes[id]
 		start := time.Now()
-		if err := p.routeFrame(servers[id], fr.dest, fr.srcs); err != nil {
+		var err error
+		if fr.mcast {
+			err = p.routeMcastFrame(mservers[id], fr.outSrc, fr.dsts)
+		} else {
+			err = p.routeFrame(servers[id], fr.dest, fr.srcs)
+		}
+		if err != nil {
 			failed = true
 			continue
 		}
@@ -632,8 +638,17 @@ func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], fr *f
 			f.met.failovers.Add(1)
 		}
 		f.met.delivered.Add(int64(len(fr.pkts)))
+		if fr.mcast {
+			f.met.mcastDelivered.Add(int64(fr.mpkts))
+			f.met.mcastCopies.Add(int64(fr.mcopies))
+		}
 		if f.jrn.Enabled() {
-			f.jrn.Frame(p.id, fr.dest, fr.srcs, journal.DigestPairs(fr.srcs, fr.dsts))
+			digest := journal.DigestPairs(fr.srcs, fr.dsts)
+			if fr.mcast {
+				f.jrn.McastFrame(p.id, fr.outSrc, fr.dsts, digest)
+			} else {
+				f.jrn.Frame(p.id, fr.dest, fr.srcs, digest)
+			}
 		}
 		transit := time.Since(start)
 		for _, pkt := range fr.pkts {

@@ -192,50 +192,6 @@ func (p *plane) routeMcastFrame(fs *engine.McastFrameServer[int], m mcast.Mappin
 	return nil
 }
 
-// dispatchMcast is dispatch for mapping frames: same failover walk,
-// same coalesced delivery, but the plane serves the frame through its
-// McastFrameServer and the books additionally track fan-out copies.
-func (f *Fabric[T]) dispatchMcast(home int, servers []*engine.McastFrameServer[int], fr *frame[T]) {
-	m := mcast.Mapping(fr.outSrc)
-	failed := false
-	for attempt := 0; attempt < len(f.planes); attempt++ {
-		id := (home + attempt) % len(f.planes)
-		p := f.planes[id]
-		start := time.Now()
-		if err := p.routeMcastFrame(servers[id], m, fr.dsts); err != nil {
-			failed = true
-			continue
-		}
-		if failed {
-			f.met.failovers.Add(1)
-		}
-		f.met.delivered.Add(int64(len(fr.pkts)))
-		f.met.mcastDelivered.Add(int64(fr.mpkts))
-		f.met.mcastCopies.Add(int64(fr.mcopies))
-		if f.jrn.Enabled() {
-			f.jrn.McastFrame(p.id, fr.outSrc, fr.dsts, journal.DigestPairs(fr.srcs, fr.dsts))
-		}
-		transit := time.Since(start)
-		for _, pkt := range fr.pkts {
-			pkt.Trace.Fold("plane_transit", start, transit, p.transitNote)
-		}
-		f.met.Coalesce.ObserveValue(int64(len(fr.pkts)))
-		switch {
-		case f.deliverBatch != nil:
-			f.deliverBatch(p.id, fr.pkts)
-		case f.deliver != nil:
-			for _, pkt := range fr.pkts {
-				f.deliver(pkt)
-			}
-		}
-		return
-	}
-	f.met.lost.Add(int64(len(fr.pkts)))
-	for _, pkt := range fr.pkts {
-		pkt.Trace.Fold("lost", time.Now(), 0, "no healthy plane")
-	}
-}
-
 // routeMcastRound serves one whole-mapping collective round on this
 // plane: the engine resolves (or reuses) the cached copy-network plan,
 // fans the identity payload out, and verifies every assigned output by

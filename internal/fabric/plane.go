@@ -177,13 +177,6 @@ func (p *plane) probe(d perm.Perm) (perm.Perm, error) {
 	return res.Realized, nil
 }
 
-// prewarm resolves and caches dest's plan on this plane's engine so
-// the round that follows is a cache hit; errors are ignored — a failed
-// prewarm only costs the round its overlap, not its correctness.
-func (p *plane) prewarm(dest perm.Perm) {
-	_, _, _ = p.eng.Prewarm(dest)
-}
-
 func (p *plane) close() { p.eng.Close() }
 
 // PlaneSnapshot is the per-plane slice of a fabric Snapshot.

@@ -14,8 +14,8 @@ import (
 // bypass the VOQ/frame scheduler entirely — the permutation is already
 // decided — and go straight to a switching plane. The collective
 // executor round-robins its rounds across planes (the `prefer` hint)
-// so K rounds traverse the fabric concurrently, and prewarms round
-// r+1's plan on its plane while round r is still in flight.
+// so K rounds traverse the fabric concurrently, and each plane's plan
+// cache serves a repeated round without setup.
 
 // RoundResult reports one collective round served by RouteRound.
 type RoundResult struct {
@@ -24,8 +24,8 @@ type RoundResult struct {
 	// Kind records the setup path: PlanSelfRouted rounds paid no
 	// looping setup, PlanLooped rounds fell back to it.
 	Kind engine.PlanKind
-	// CacheHit is true when the plan was already resolved — by an
-	// earlier round or a PrewarmRound overlap.
+	// CacheHit is true when an earlier round on the serving plane had
+	// already resolved the plan.
 	CacheHit bool
 }
 
@@ -66,26 +66,4 @@ func (f *Fabric[T]) RouteRound(dest perm.Perm, prefer int) (RoundResult, error) 
 		return RoundResult{Plane: p.id, Kind: kind, CacheHit: hit}, nil
 	}
 	return RoundResult{}, fmt.Errorf("fabric: no healthy plane for round: %w", errPlaneDown)
-}
-
-// PrewarmRound resolves and caches dest's routing plan on the plane a
-// subsequent RouteRound with the same prefer would pick, so that round
-// starts as a cache hit. This is the collective layer's double buffer:
-// round r+1's setup runs here while round r's payload is still
-// traversing the fabric. Best effort — if the preferred plane goes
-// down in between, the round simply pays its own setup after failover.
-func (f *Fabric[T]) PrewarmRound(dest perm.Perm, prefer int) {
-	if f.closed.Load() || len(dest) != f.n {
-		return
-	}
-	k := len(f.planes)
-	prefer = ((prefer % k) + k) % k
-	for attempt := 0; attempt < k; attempt++ {
-		p := f.planes[(prefer+attempt)%k]
-		if !p.healthy.Load() {
-			continue
-		}
-		p.prewarm(dest)
-		return
-	}
 }

@@ -20,7 +20,9 @@ func newRoundFabric(t *testing.T, logN, planes int) *Fabric[int] {
 }
 
 // TestRouteRound routes a named permutation round and checks the
-// result plumbing: self-routed kind, miss then hit, counters.
+// result plumbing: self-routed kind, miss then hit on one plane, a
+// miss on the other plane (each plane keeps its own plan cache),
+// counters.
 func TestRouteRound(t *testing.T) {
 	f := newRoundFabric(t, 4, 2)
 	d := perm.BitReversal(4)
@@ -39,12 +41,19 @@ func TestRouteRound(t *testing.T) {
 	if !res.CacheHit {
 		t.Fatalf("second identical round on the same plane must hit the cache: %+v", res)
 	}
-	s := f.Stats()
-	if s.Rounds != 2 || s.RoundFailovers != 0 {
-		t.Fatalf("stats rounds=%d failovers=%d, want 2/0", s.Rounds, s.RoundFailovers)
+	res, err = f.RouteRound(d, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Planes[0].Rounds != 2 || s.Planes[1].Rounds != 0 {
-		t.Fatalf("plane round counters %d/%d, want 2/0", s.Planes[0].Rounds, s.Planes[1].Rounds)
+	if res.Plane != 1 || res.CacheHit {
+		t.Fatalf("same round on plane 1: %+v, want a plane 1 miss", res)
+	}
+	s := f.Stats()
+	if s.Rounds != 3 || s.RoundFailovers != 0 {
+		t.Fatalf("stats rounds=%d failovers=%d, want 3/0", s.Rounds, s.RoundFailovers)
+	}
+	if s.Planes[0].Rounds != 2 || s.Planes[1].Rounds != 1 {
+		t.Fatalf("plane round counters %d/%d, want 2/1", s.Planes[0].Rounds, s.Planes[1].Rounds)
 	}
 }
 
@@ -61,32 +70,6 @@ func TestRouteRoundPrefer(t *testing.T) {
 		if res.Plane != want {
 			t.Fatalf("prefer %d served by plane %d, want %d", prefer, res.Plane, want)
 		}
-	}
-}
-
-// TestPrewarmRound warms a plan on plane 1 and checks the next round
-// there is a cache hit while plane 0 still misses.
-func TestPrewarmRound(t *testing.T) {
-	f := newRoundFabric(t, 4, 2)
-	d := perm.MatrixTranspose(4)
-	f.PrewarmRound(d, 1)
-
-	res, err := f.RouteRound(d, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CacheHit {
-		t.Fatal("round after PrewarmRound on the same plane must be a cache hit")
-	}
-	res, err = f.RouteRound(d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
-		t.Fatal("plane 0 was never warmed; its round must miss")
-	}
-	if pw := f.Stats().Planes[1].Engine.Prewarms; pw != 1 {
-		t.Fatalf("plane 1 prewarms = %d, want 1", pw)
 	}
 }
 
@@ -173,5 +156,4 @@ func TestRouteRoundErrors(t *testing.T) {
 	if _, err := g.RouteRound(perm.Identity(8), 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("round on closed fabric: %v, want ErrClosed", err)
 	}
-	g.PrewarmRound(perm.Identity(8), 0) // must not panic
 }
