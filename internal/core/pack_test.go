@@ -1,0 +1,82 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestPackStates checks the word-at-a-time packer against a bit-by-bit
+// reference, on a buffer left dirty with every bit set, at 1, 2, 64
+// and 512 switches per stage: one partial word, one word exactly, and
+// several words. Unpacking the words into a dirty setting must give
+// back the original.
+func TestPackStates(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for _, switches := range []int{1, 2, 64, 512} {
+		const stages = 5
+		st := make(States, stages)
+		for s := range st {
+			st[s] = make([]bool, switches)
+			for i := range st[s] {
+				st[s][i] = rng.Intn(2) == 1
+			}
+		}
+		st[0][switches-1] = true // a top bit in every geometry
+		words := (switches + 63) / 64
+		want := make([]uint64, stages*words)
+		for s := range st {
+			for i, crossed := range st[s] {
+				if crossed {
+					want[s*words+i/64] |= 1 << uint(i%64)
+				}
+			}
+		}
+		if st.PackedLen() != len(want) {
+			t.Fatalf("switches=%d: PackedLen %d, want %d", switches, st.PackedLen(), len(want))
+		}
+		dirty := make([]uint64, len(want)+1)
+		for i := range dirty {
+			dirty[i] = ^uint64(0)
+		}
+		got := st.Pack(dirty)
+		if len(got) != len(want) {
+			t.Fatalf("switches=%d: Pack returned %d words, want %d", switches, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("switches=%d: word %d = %#x, want %#x", switches, i, got[i], want[i])
+			}
+		}
+		back := make(States, stages)
+		for s := range back {
+			back[s] = make([]bool, switches)
+			for i := range back[s] {
+				back[s][i] = true
+			}
+		}
+		back.Unpack(got)
+		if back.String() != st.String() {
+			t.Fatalf("switches=%d: Unpack(Pack(st)) differs from st", switches)
+		}
+	}
+}
+
+// BenchmarkPackStates packs a random B(10) setting (19 stages of 512
+// switches), the per-miss and per-frame cost at N=1024.
+func BenchmarkPackStates(b *testing.B) {
+	net := New(10)
+	st := net.NewStates()
+	rng := rand.New(rand.NewSource(1))
+	for s := range st {
+		for i := range st[s] {
+			st[s][i] = rng.Intn(2) == 1
+		}
+	}
+	dst := make([]uint64, st.PackedLen())
+	b.ReportAllocs()
+	b.SetBytes(int64(net.SwitchCount() / 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.Pack(dst)
+	}
+}

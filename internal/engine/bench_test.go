@@ -78,6 +78,48 @@ func benchColdMisses(b *testing.B, draw func() perm.Perm) {
 	reportHitRate(b, eng)
 }
 
+// BenchmarkCacheColdServed is the miss path in benesd's configuration:
+// parallel setup with the sub-plan memo, the default cache and a flight
+// recorder. As in the bench's route-cold workload, three requests in
+// four are uniform random permutations (the looping fallback) and one
+// is an F(n) member. It cycles 1,024 distinct permutations through the
+// 1,024-entry cache; every miss inserts a plan and, outside F(n), two
+// sub-plans, so a permutation and its halves are evicted before it
+// comes round again and every request misses as a never-seen one does.
+func BenchmarkCacheColdServed(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	perms := make([]perm.Perm, DefaultCacheCapacity)
+	for i := range perms {
+		if i%4 == 3 {
+			perms[i] = perm.RandomF(benchLogN, rng)
+		} else {
+			perms[i] = perm.Random(1<<benchLogN, rng)
+		}
+	}
+	eng, err := New[int](Config{
+		LogN:          benchLogN,
+		ParallelSetup: true,
+		SetupMemo:     true,
+		Recorder:      netsim.NewRecorder(core.New(benchLogN), 2),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	data := benchPayload(1 << benchLogN)
+	b.ReportAllocs()
+	b.SetBytes(int64(8 * len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if resp := eng.Route(perms[i%len(perms)], data); resp.Err != nil {
+			b.Fatal(resp.Err)
+		}
+	}
+	b.StopTimer()
+	reportHitRate(b, eng)
+	b.ReportMetric(float64(eng.Stats().SubplanHits)/float64(b.N), "subplan-hits/op")
+}
+
 // BenchmarkCacheWarm serves one permutation repeatedly: after the first
 // miss, every request replays the cached plan.
 func BenchmarkCacheWarm(b *testing.B) {

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"container/list"
+	"math/bits"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/mcast"
 	"repro/internal/obs"
+	"repro/internal/packed"
 	"repro/internal/perm"
 )
 
@@ -53,23 +55,46 @@ func (k PlanKind) String() string {
 
 // Plan is a fully resolved switch setting for one permutation. Once
 // cached, serving the same permutation again needs neither the looping
-// algorithm nor a self-routing pass: the states pin every switch, so
+// algorithm nor a self-routing pass: the setting pins every switch, so
 // the data pass is a wire-speed traversal whose end-to-end effect is
-// exactly Dest.
+// exactly the plan's destination vector.
+//
+// A unicast plan is one switch setting of N log N − N/2 bits plus its
+// destination vector, and it stores both at that size: the setting as
+// the stage-major bit words core.States.Pack writes (and the flight
+// recorder diffs), the destination vector at the width package packed
+// picks for N−1 (two bytes an entry at N=1024). A half-network
+// sub-plan (PlanSubBlock) stores its B(m) block the same way.
 type Plan struct {
-	Kind   PlanKind
-	States core.States // switch setting realizing Dest on B(n)
-	Dest   perm.Perm   // the permutation the plan realizes (input i -> Dest[i])
-	key    uint64      // hashPerm(Dest) or hashMapping(Map), the cache key
-	mask   []uint64    // States packed for the flight recorder; nil when accounting is off
+	Kind    PlanKind
+	setting []uint64 // switch setting realizing dest, packed by core.States.Pack
+	dest    []byte   // the permutation the plan realizes (input i -> dest[i]), packed by packPerm
+	key     uint64   // hashPerm(dest), hashSub or hashMapping(Map): the cache key
 
 	// Multicast plans (Kind == PlanMulticast) carry the three-phase
-	// copy-network program instead of States/Dest, plus its packed
+	// copy-network program instead of setting/dest, plus its packed
 	// recorder masks: the two B(n) phases in the binary mask format and
 	// the four-state ladder as a lo/hi pair.
 	Mcast              *mcast.Plan
 	distMask, permMask []uint64
 	ladLo, ladHi       []uint64
+}
+
+// packPerm stores a permutation at the narrowest width that holds its
+// largest possible entry, len(d)−1.
+func packPerm(d []int) []byte {
+	w := packed.Width(uint32(len(d) - 1))
+	raw := make([]byte, w*len(d))
+	for i, v := range d {
+		packed.Put(raw, w, i, uint32(v))
+	}
+	return raw
+}
+
+// realizes reports whether the plan is the unicast plan for d: a
+// full-vector compare, so a hash collision reads as a miss.
+func (pl *Plan) realizes(d []int) bool {
+	return pl.Mcast == nil && packed.Equal(pl.dest, packed.Width(uint32(len(d)-1)), d)
 }
 
 // hashPerm returns the 64-bit plan-cache key for a destination vector:
@@ -122,32 +147,53 @@ func hashSub(m int, dests []int) uint64 {
 // same cache that holds full routing plans, sharing its capacity,
 // recency order, and eviction/collision accounting — the partial-plan
 // reuse half of ROADMAP item 2. Hits and misses are tallied on their
-// own counters so the books of the serving cache stay separable.
+// own counters so the books of the serving cache stay separable. A
+// sub-plan is stored packed like a full plan: Put packs the block psetup
+// hands over and drops it, and a hit unpacks the words into a fresh
+// block for psetup to copy.
 type subPlanCache struct {
 	c            *planCache
 	hits, misses *obs.Counter
 }
 
 func (s *subPlanCache) Get(m int, dests []int) core.States {
-	if pl := s.c.get(hashSub(m, dests), perm.Perm(dests)); pl != nil {
-		s.hits.Add(1)
-		return pl.States
+	pl := s.c.get(hashSub(m, dests), dests)
+	if pl == nil {
+		s.misses.Add(1)
+		return nil
 	}
-	s.misses.Add(1)
-	return nil
+	s.hits.Add(1)
+	half := 1 << uint(m-1)
+	cells := make([]bool, (2*m-1)*half)
+	st := make(core.States, 2*m-1)
+	for t := range st {
+		st[t] = cells[t*half : (t+1)*half]
+	}
+	st.Unpack(pl.setting)
+	return st
 }
 
 func (s *subPlanCache) Put(m int, dests []int, st core.States) {
-	key := hashSub(m, dests)
-	s.c.put(&Plan{Kind: PlanSubBlock, States: st, Dest: perm.Perm(dests).Clone(), key: key})
+	s.c.put(&Plan{
+		Kind:    PlanSubBlock,
+		setting: st.Pack(make([]uint64, st.PackedLen())),
+		dest:    packPerm(dests),
+		key:     hashSub(m, dests),
+	})
 }
 
 // planCache is a sharded LRU cache of routing plans. Each shard owns an
 // independent lock, recency list, and capacity slice, so concurrent
 // callers rarely contend on the same mutex.
 type planCache struct {
-	shards     []cacheShard
-	mask       uint64
+	shards []cacheShard
+	// shift is 64 − log2(len(shards)): key>>shift, a key's top bits, is
+	// its shard index. The low bits will not do: every hashPerm or
+	// hashSub key of a permutation of N >= 4 entries is odd, because
+	// FNV-1a's odd multiplier keeps bit 0 and XOR-ing in d+1 flips it
+	// once per even d, N/2 times. The last multiply mixes every bit
+	// into the top ones.
+	shift      uint
 	evictions  *obs.Counter
 	collisions *obs.Counter
 }
@@ -176,7 +222,12 @@ func newPlanCache(capacity, shards int, evictions, collisions *obs.Counter) *pla
 		n <<= 1
 	}
 	perShard := (capacity + n - 1) / n
-	c := &planCache{shards: make([]cacheShard, n), mask: uint64(n - 1), evictions: evictions, collisions: collisions}
+	c := &planCache{
+		shards:     make([]cacheShard, n),
+		shift:      uint(65 - bits.Len(uint(n))),
+		evictions:  evictions,
+		collisions: collisions,
+	}
 	for i := range c.shards {
 		c.shards[i].cap = perShard
 		c.shards[i].ll = list.New()
@@ -185,11 +236,17 @@ func newPlanCache(capacity, shards int, evictions, collisions *obs.Counter) *pla
 	return c
 }
 
+// shard returns the shard that holds key. A one-shard cache shifts by
+// 64, which Go defines as 0.
+func (c *planCache) shard(key uint64) *cacheShard {
+	return &c.shards[key>>c.shift]
+}
+
 // get returns the cached plan for d, or nil on a miss. The stored
 // permutation is compared in full, so a hash collision reads as a miss
 // rather than a wrong answer.
-func (c *planCache) get(key uint64, d perm.Perm) *Plan {
-	sh := &c.shards[key&c.mask]
+func (c *planCache) get(key uint64, d []int) *Plan {
+	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.items[key]
@@ -197,7 +254,7 @@ func (c *planCache) get(key uint64, d perm.Perm) *Plan {
 		return nil
 	}
 	pl := e.Value.(*Plan)
-	if pl.Mcast != nil || !pl.Dest.Equal(d) {
+	if !pl.realizes(d) {
 		if c.collisions != nil {
 			c.collisions.Add(1)
 		}
@@ -211,7 +268,7 @@ func (c *planCache) get(key uint64, d perm.Perm) *Plan {
 // compared in full, and a unicast plan under the same key reads as a
 // collision miss.
 func (c *planCache) getMapping(key uint64, m mcast.Mapping) *Plan {
-	sh := &c.shards[key&c.mask]
+	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.items[key]
@@ -232,7 +289,7 @@ func (c *planCache) getMapping(key uint64, m mcast.Mapping) *Plan {
 // put inserts (or replaces) a plan and evicts the shard's least
 // recently used entry when over capacity.
 func (c *planCache) put(pl *Plan) {
-	sh := &c.shards[pl.key&c.mask]
+	sh := c.shard(pl.key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if e, ok := sh.items[pl.key]; ok {

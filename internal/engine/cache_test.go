@@ -11,7 +11,7 @@ import (
 )
 
 func mkPlan(d perm.Perm) *Plan {
-	return &Plan{Kind: PlanLooped, Dest: d.Clone(), key: hashPerm(d)}
+	return &Plan{Kind: PlanLooped, dest: packPerm(d), key: hashPerm(d)}
 }
 
 // TestCacheEvictionLRU fills a single-shard cache past capacity and
@@ -61,7 +61,7 @@ func TestCacheCollision(t *testing.T) {
 	d1 := perm.Identity(8)
 	d2 := perm.BitReversal(3)
 	key := hashPerm(d1)
-	c.put(&Plan{Kind: PlanSelfRouted, Dest: d1, key: key})
+	c.put(&Plan{Kind: PlanSelfRouted, dest: packPerm(d1), key: key})
 	if c.get(key, d2) != nil {
 		t.Fatal("colliding key with different permutation must miss")
 	}
@@ -69,7 +69,7 @@ func TestCacheCollision(t *testing.T) {
 		t.Fatalf("collision miss must be counted, got %d", col.Value())
 	}
 	// Overwriting under the same key keeps exactly one entry.
-	c.put(&Plan{Kind: PlanLooped, Dest: d2, key: key})
+	c.put(&Plan{Kind: PlanLooped, dest: packPerm(d2), key: key})
 	if c.len() != 1 {
 		t.Fatalf("replacement should keep one entry, have %d", c.len())
 	}
@@ -124,8 +124,8 @@ func TestEvictionsSurfacedUnderChurn(t *testing.T) {
 	}
 }
 
-// TestCacheSharding checks shard rounding and that capacity is spread
-// across shards.
+// TestCacheSharding checks shard rounding, that capacity is spread
+// across shards, and that plans spread over every shard.
 func TestCacheSharding(t *testing.T) {
 	var ev, col obs.Counter
 	c := newPlanCache(16, 3, &ev, &col) // shards round up to 4
@@ -139,6 +139,29 @@ func TestCacheSharding(t *testing.T) {
 	}
 	if c := newPlanCache(0, 0, &ev, &col); len(c.shards) != 1 || c.shards[0].cap != 1 {
 		t.Fatal("degenerate config should clamp to one single-entry shard")
+	}
+
+	// Routing plans of random permutations reach every shard of a
+	// default-config cache, so churning four times its capacity through
+	// it leaves it holding exactly CacheCapacity plans.
+	eng, err := New[int](Config{LogN: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 4*DefaultCacheCapacity; i++ {
+		if resp := eng.Route(perm.Random(64, rng), payload(64)); resp.Err != nil {
+			t.Fatal(resp.Err)
+		}
+	}
+	for i := range eng.cache.shards {
+		if n := eng.cache.shards[i].ll.Len(); n == 0 {
+			t.Errorf("shard %d of %d holds no plan", i, len(eng.cache.shards))
+		}
+	}
+	if got := eng.Stats().PlansCached; got != DefaultCacheCapacity {
+		t.Fatalf("cache filled past capacity holds %d plans, want %d", got, DefaultCacheCapacity)
 	}
 }
 
@@ -163,7 +186,7 @@ func TestCacheConcurrent(t *testing.T) {
 				key := hashPerm(d)
 				if pl := c.get(key, d); pl == nil {
 					c.put(mkPlan(d))
-				} else if !pl.Dest.Equal(d) {
+				} else if !pl.realizes(d) {
 					t.Error("cache returned a plan for the wrong permutation")
 					return
 				}

@@ -190,11 +190,14 @@ func TestEngineColdMissRaceStress(t *testing.T) {
 
 // TestMissBytes is the cold-path allocation guard: a plan-cache miss at
 // N=1024 with a flight recorder allocates little beyond the plan the
-// cache keeps (~20 KB of States, Dest and packed mask). The
-// self-routing kernel and the serial looping fallback run on pooled
-// scratch; a parallel setup with SetupMemo also keeps its two
-// half-network sub-plans. It measures acquire, not Route, so the
-// routed output vector (8 KB at N=1024) stays out of the budget.
+// cache keeps (~3.5 KB: 1,216 B of packed setting, a 2 KB destination
+// vector) and the 8 KB of scratch Validate allocates. The
+// self-routing kernel and the serial looping fallback set up into a
+// pooled working setting on pooled scratch; a parallel setup with
+// SetupMemo also validates again, hands psetup's two unpacked
+// half-network blocks to the memo and keeps them packed. It measures
+// acquire, not Route, so the routed output vector (8 KB at N=1024)
+// stays out of the budget.
 func TestMissBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratch at random")
@@ -210,9 +213,9 @@ func TestMissBytes(t *testing.T) {
 		kind     PlanKind
 		maxBytes uint64
 	}{
-		{"self-routed", Config{}, member, PlanSelfRouted, 40 << 10},
-		{"looped", Config{}, random, PlanLooped, 40 << 10},
-		{"parallel-memo", Config{ParallelSetup: true, SetupMemo: true}, random, PlanParallel, 80 << 10},
+		{"self-routed", Config{}, member, PlanSelfRouted, 16 << 10},
+		{"looped", Config{}, random, PlanLooped, 16 << 10},
+		{"parallel-memo", Config{ParallelSetup: true, SetupMemo: true}, random, PlanParallel, 48 << 10},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -248,4 +251,90 @@ func TestMissBytes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPlanBytes holds the live heap one cached plan costs at N=1024,
+// read as HeapAlloc after a collection with the plans held by the
+// cache, so working memory a miss drops does not count: under 4 KB for
+// a routing plan (its packed setting of 19 stages × 8 words, its
+// two-byte destination vector, the Plan, and the LRU's list element
+// and map slot) and under 2.5 KB for a half-network sub-plan SetupMemo
+// keeps (17 stages × 4 words and 512 two-byte entries).
+func TestPlanBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random")
+	}
+	const logN, plans = 10, 128
+	rng := rand.New(rand.NewSource(20))
+	// Two collections around fill empty every sync.Pool (the first
+	// moves pooled scratch to the victim cache, the second drops it), so
+	// what stays live is what the cache keeps.
+	liveBytes := func(fill func()) int64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		fill()
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		return (int64(m1.HeapAlloc) - int64(m0.HeapAlloc)) / plans
+	}
+	t.Run("plan", func(t *testing.T) {
+		eng, err := New[int](Config{LogN: logN, Recorder: netsim.NewRecorder(core.New(logN), 2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		perms := make([]perm.Perm, plans)
+		for i := range perms {
+			perms[i] = perm.Random(1<<logN, rng)
+		}
+		per := liveBytes(func() {
+			for _, d := range perms {
+				if _, _, err := eng.acquire(hashPerm(d), d); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		runtime.KeepAlive(perms)
+		if got := eng.cache.len(); got != plans {
+			t.Fatalf("cache holds %d plans, want %d", got, plans)
+		}
+		t.Logf("cached plan at N=1024: %d B live", per)
+		if per > 4<<10 {
+			t.Fatalf("a cached plan holds %d B, budget %d B", per, 4<<10)
+		}
+	})
+	t.Run("sub-plan", func(t *testing.T) {
+		eng, err := New[int](Config{LogN: logN})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		memo := &subPlanCache{c: eng.cache, hits: &eng.met.subHits, misses: &eng.met.subMisses}
+		const m = logN - 1
+		dests := make([]perm.Perm, plans)
+		for i := range dests {
+			dests[i] = perm.Random(1<<m, rng)
+		}
+		block := core.New(m)
+		per := liveBytes(func() {
+			// Each block is allocated here, as psetup allocates the
+			// block it hands to Put, so a memo that keeps it counts it.
+			for _, d := range dests {
+				memo.Put(m, d, block.Setup(d))
+			}
+		})
+		if got := eng.cache.len(); got != plans {
+			t.Fatalf("cache holds %d sub-plans, want %d", got, plans)
+		}
+		if got := memo.Get(m, dests[0]); got.String() != block.Setup(dests[0]).String() {
+			t.Fatal("a sub-plan hit must unpack the block that was put")
+		}
+		t.Logf("cached sub-plan at N=1024: %d B live", per)
+		if per > 5<<9 {
+			t.Fatalf("a cached sub-plan holds %d B, budget %d B", per, 5<<9)
+		}
+	})
 }

@@ -81,10 +81,12 @@ type Config struct {
 	SetupMemo bool
 	// Recorder, when non-nil, receives gate-level accounting for every
 	// served request: per-switch traversals and state flips. A served
-	// vector takes the recorder's lock once, compares the plan's packed
-	// setting with the last one word by word, and ripple-carries each
-	// changed word into the flip bit-planes; a repeated setting is all
-	// compares. Nil disables accounting entirely.
+	// vector takes the recorder's lock once, compares the plan's setting
+	// (which the cache keeps packed in the recorder's word layout, with
+	// or without a recorder) with the last one word by word, and
+	// ripple-carries each changed word into the flip bit-planes; a
+	// repeated setting is all compares. Nil disables accounting
+	// entirely.
 	Recorder *netsim.Recorder
 	// Journal, when enabled, receives one hash-chained admission record
 	// per served request (the permutation plus its delivery digest),
@@ -137,7 +139,8 @@ type Engine[T any] struct {
 	ladRec *netsim.Recorder
 	// mpool holds per-call mcast compilers for the RouteMulticast path.
 	mpool sync.Pool
-	// scpool holds *core.SetupScratch for cache misses: the self-routing
+	// scpool holds *missScratch for cache misses: the working setting
+	// a miss sets up before packing it into the plan, the self-routing
 	// kernel's tag buffers and the serial looping fallback's memory.
 	scpool sync.Pool
 
@@ -178,7 +181,9 @@ func New[T any](cfg Config) (*Engine[T], error) {
 		})
 	}
 	e.mpool.New = func() any { return mcast.NewCompiler(e.net) }
-	e.scpool.New = func() any { return core.NewSetupScratch(e.net) }
+	e.scpool.New = func() any {
+		return &missScratch{st: e.net.NewStates(), sc: core.NewSetupScratch(e.net)}
+	}
 	return e, nil
 }
 
@@ -217,16 +222,18 @@ func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
 		e.met.errors.Add(1)
 		return Response[T]{Err: err}
 	}
+	// From here on dest is the plan's permutation: a hit compared the
+	// two in full, and a miss validated dest and built the plan from it.
 	t0 := time.Now()
-	out := perm.Apply(pl.Dest, data)
+	out := perm.Apply(dest, data)
 	e.met.Apply.Observe(time.Since(t0))
 	// One full-vector pass: a vector count plus a word-compare flip
 	// sweep, whose changed words ripple into the flip bit-planes.
-	e.rec.RecordVector(pl.mask)
+	e.rec.RecordVector(pl.setting)
 	if e.jrn.Enabled() {
 		// The plan realizes exactly its permutation, so the delivery
 		// digest is DigestPerm of the destination vector.
-		e.jrn.Route(pl.Dest, journal.DigestPerm(pl.Dest))
+		e.jrn.Route(dest, journal.DigestPerm(dest))
 	}
 	return Response[T]{Data: out, Kind: pl.Kind, CacheHit: hit}
 }
@@ -273,11 +280,18 @@ func (e *Engine[T]) Close() {
 	e.mu.Unlock()
 }
 
+// missScratch is one cache miss's pooled working memory.
+type missScratch struct {
+	st core.States
+	sc *core.SetupScratch
+}
+
 // acquire returns the plan for d, consulting the cache first. On a
-// miss it allocates the plan's States once and runs the self-routing
-// kernel into them (valid for F(n) members); at the kernel's first
-// conflict it sets up the same States with the looping algorithm
-// instead, then caches the result.
+// miss it runs the self-routing kernel into a pooled working setting
+// (valid for F(n) members); at the kernel's first conflict it sets up
+// the same setting with the looping algorithm instead. It then packs
+// the setting and d into the plan, so the plan holds N log N − N/2 bits
+// and a value-width vector, and caches the result.
 func (e *Engine[T]) acquire(key uint64, d perm.Perm) (*Plan, bool, error) {
 	t0 := time.Now()
 	defer func() { e.met.Plan.Observe(time.Since(t0)) }()
@@ -289,16 +303,14 @@ func (e *Engine[T]) acquire(key uint64, d perm.Perm) (*Plan, bool, error) {
 		return nil, false, err
 	}
 	e.met.misses.Add(1)
-	pl := &Plan{Kind: PlanSelfRouted, States: e.net.NewStates(), Dest: d.Clone(), key: key}
-	sc := e.scpool.Get().(*core.SetupScratch)
-	if !e.net.SelfRouteInto(d, pl.States, sc) {
+	pl := &Plan{Kind: PlanSelfRouted, dest: packPerm(d), key: key}
+	ms := e.scpool.Get().(*missScratch)
+	if !e.net.SelfRouteInto(d, ms.st, ms.sc) {
 		e.met.fallbacks.Add(1)
-		pl.Kind = e.coldSetup(d, pl.States, sc)
+		pl.Kind = e.coldSetup(d, ms.st, ms.sc)
 	}
-	e.scpool.Put(sc)
-	// Pack the setting once at plan-build time so recording a cached
-	// pass is a word sweep, not a boolean matrix walk.
-	pl.mask = e.rec.PackStates(pl.States)
+	pl.setting = ms.st.Pack(make([]uint64, ms.st.PackedLen()))
+	e.scpool.Put(ms)
 	e.cache.put(pl)
 	return pl, false, nil
 }

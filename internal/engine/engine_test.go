@@ -13,6 +13,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/mcast"
 	"repro/internal/netsim"
+	"repro/internal/packed"
 	"repro/internal/perm"
 )
 
@@ -76,13 +77,96 @@ func TestExhaustiveN8(t *testing.T) {
 	}
 }
 
+// TestExhaustiveN8Memo routes every permutation of N=8 through an
+// engine in benesd's cold-setup configuration (ParallelSetup with
+// SetupMemo) with a serial cutoff of 2 lines, so every miss outside
+// F(3) splits the top block and looks both B(2) halves up in the memo.
+// Only 24 half permutations exist, so sub-plan hits unpack packed
+// blocks into live setups. Every payload must equal the serial
+// engine's, and every cached plan and sub-plan, unpacked, must realize
+// its destination vector gate by gate.
+func TestExhaustiveN8Memo(t *testing.T) {
+	serial, err := New[int](Config{LogN: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serial.Close()
+	par, err := New[int](Config{LogN: 3, ParallelSetup: true, SetupMemo: true, SetupCutoff: 2, CacheCapacity: 1 << 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.Close()
+	data := payload(8)
+	perm.ForEach(8, func(p perm.Perm) bool {
+		d := p.Clone() // ForEach reuses the slice
+		want, got := serial.Route(d, data), par.Route(d, data)
+		if want.Err != nil || got.Err != nil {
+			t.Fatalf("route %v: serial %v, parallel %v", d, want.Err, got.Err)
+		}
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("route %v: output %d = %d, serial engine %d", d, i, got.Data[i], want.Data[i])
+			}
+		}
+		return true
+	})
+	s := par.Stats()
+	if s.SubplanHits == 0 || s.Evictions != 0 {
+		t.Fatalf("want sub-plan hits and no evictions over S_8, got %+v", s)
+	}
+	nets := map[PlanKind]*core.Network{PlanSelfRouted: par.net, PlanParallel: par.net, PlanSubBlock: core.New(2)}
+	kinds := map[PlanKind]int{}
+	for _, pl := range cachedPlans(par) {
+		net := nets[pl.Kind]
+		if net == nil {
+			t.Fatalf("unexpected %v plan in the cache", pl.Kind)
+		}
+		d, st := unpackPlan(net, pl)
+		if res := net.ExternalRoute(d, st); !res.OK() || !res.Realized.Equal(d) {
+			t.Fatalf("%v plan for %v realizes %v", pl.Kind, d, res.Realized)
+		}
+		kinds[pl.Kind]++
+	}
+	if kinds[PlanSelfRouted]+kinds[PlanParallel] != 40320 || kinds[PlanSubBlock] != 24 {
+		t.Fatalf("cached plans by kind %v, want 40320 routing plans and 24 sub-plans", kinds)
+	}
+}
+
+// unpackPlan decodes a cached routing plan or sub-plan on net, the
+// network of its size: the destination vector and switch setting the
+// plan keeps packed.
+func unpackPlan(net *core.Network, pl *Plan) (perm.Perm, core.States) {
+	d := make(perm.Perm, net.N())
+	w := packed.Width(uint32(net.N() - 1))
+	for i := range d {
+		d[i] = int(packed.At(pl.dest, w, i))
+	}
+	st := net.NewStates()
+	st.Unpack(pl.setting)
+	return d, st
+}
+
+// cachedPlans returns every plan e's cache holds.
+func cachedPlans(e *Engine[int]) []*Plan {
+	var out []*Plan
+	for i := range e.cache.shards {
+		sh := &e.cache.shards[i]
+		sh.mu.Lock()
+		for el := sh.ll.Front(); el != nil; el = el.Next() {
+			out = append(out, el.Value.(*Plan))
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
 // TestRandomizedN256 routes random permutations (mostly outside F) and
 // structured F members at N=256, each twice, through a serial-setup
 // engine and a parallel-setup one (benesd's default: ParallelSetup with
-// SetupMemo). Besides checking the payload, it replays every resolved
-// plan's switch states gate by gate through core.ExternalRoute: the
-// states must realize the plan's Dest, for self-routed, looped and
-// parallel plans alike.
+// SetupMemo). Besides checking the payload, it unpacks every resolved
+// plan and replays its switch setting gate by gate through
+// core.ExternalRoute: the setting must realize the plan's destination
+// vector, for self-routed, looped and parallel plans alike.
 func TestRandomizedN256(t *testing.T) {
 	const n = 8 // N = 256
 	rng := rand.New(rand.NewSource(42))
@@ -121,7 +205,8 @@ func TestRandomizedN256(t *testing.T) {
 				if pl == nil || pl.Kind != resp.Kind {
 					t.Fatalf("plan for %v not cached as kind %v: %+v", d, resp.Kind, pl)
 				}
-				if res := eng.net.ExternalRoute(pl.Dest, pl.States); !res.OK() || !res.Realized.Equal(d) {
+				dest, st := unpackPlan(eng.net, pl)
+				if res := eng.net.ExternalRoute(dest, st); !res.OK() || !res.Realized.Equal(d) {
 					t.Fatalf("%v plan states for %v realize %v", pl.Kind, d, res.Realized)
 				}
 				kinds[pl.Kind]++

@@ -116,7 +116,7 @@ func (fs *FrameServer[T]) Serve(dest perm.Perm, real []int) error {
 	}
 	e.met.Apply.Observe(time.Since(t1))
 	if e.rec != nil {
-		e.rec.RecordFrame(e.rec.PackStatesInto(fs.st, fs.mask), fs.paths)
+		e.rec.RecordFrame(fs.st.Pack(fs.mask), fs.paths)
 	}
 	e.met.frames.Add(1)
 	return nil

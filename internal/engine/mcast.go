@@ -95,8 +95,8 @@ func (e *Engine[T]) acquireMulticast(key uint64, m mcast.Mapping) (*Plan, bool, 
 	e.met.McastCopy.Observe(copyT)
 	pl := &Plan{Kind: PlanMulticast, Mcast: mp, key: key}
 	if e.rec != nil {
-		pl.distMask = e.rec.PackStates(mp.DistStates)
-		pl.permMask = e.rec.PackStates(mp.PermStates)
+		pl.distMask = mp.DistStates.Pack(make([]uint64, e.rec.MaskWords()))
+		pl.permMask = mp.PermStates.Pack(make([]uint64, e.rec.MaskWords()))
 		pl.ladLo = make([]uint64, e.ladRec.MaskWords())
 		pl.ladHi = make([]uint64, e.ladRec.MaskWords())
 		e.ladRec.PackMcastStatesInto(mp.Ladder, pl.ladLo, pl.ladHi)
@@ -236,8 +236,8 @@ func (fs *McastFrameServer[T]) Prepare(m mcast.Mapping) error {
 		e.met.McastDist.Observe(fs.comp.DistTime)
 		e.met.McastCopy.Observe(fs.comp.CopyTime)
 		if e.rec != nil {
-			e.rec.PackStatesInto(fs.plan.DistStates, fs.distMask)
-			e.rec.PackStatesInto(fs.plan.PermStates, fs.permMask)
+			fs.plan.DistStates.Pack(fs.distMask)
+			fs.plan.PermStates.Pack(fs.permMask)
 			e.ladRec.PackMcastStatesInto(fs.plan.Ladder, fs.ladLo, fs.ladHi)
 		}
 	}

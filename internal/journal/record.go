@@ -27,6 +27,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/packed"
 )
 
 // Kind names one record type.
@@ -232,7 +233,8 @@ func appendBody(dst []byte, r *Record) []byte {
 // appendInts packs an int vector at its value width: u32 count, then,
 // when count > 0, i32 base (the vector's minimum), u8 width (the fewest
 // of 1, 2 or 4 bytes that hold max − base) and count little-endian
-// entries of v − base. A permutation of up to 256 ports thus costs one
+// entries of v − base, laid out by package packed, which the engine's
+// plan cache shares. A permutation of up to 256 ports thus costs one
 // byte per entry, and a mapping with idle (−1) outputs two. The values
 // alone fix base and width, so the layout stays canonical; decoder.ints
 // rejects every other choice. Each value is taken as an int32.
@@ -246,49 +248,15 @@ func appendInts(dst []byte, vals []int) []byte {
 		lo = min(lo, int32(v))
 		hi = max(hi, int32(v))
 	}
-	w := packWidth(uint32(hi) - uint32(lo))
+	w := packed.Width(uint32(hi) - uint32(lo))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(lo))
 	dst = append(dst, byte(w))
 	at := len(dst)
 	dst = append(dst, make([]byte, w*len(vals))...)
 	for i, v := range vals {
-		putPacked(dst[at:], w, i, uint32(int32(v))-uint32(lo))
+		packed.Put(dst[at:], w, i, uint32(int32(v))-uint32(lo))
 	}
 	return dst
-}
-
-// packWidth is the fewest bytes, of 1, 2 or 4, that hold span.
-func packWidth(span uint32) int {
-	switch {
-	case span <= 0xff:
-		return 1
-	case span <= 0xffff:
-		return 2
-	}
-	return 4
-}
-
-// putPacked writes entry i of a packed vector of width w.
-func putPacked(raw []byte, w, i int, x uint32) {
-	switch w {
-	case 1:
-		raw[i] = byte(x)
-	case 2:
-		binary.LittleEndian.PutUint16(raw[2*i:], uint16(x))
-	default:
-		binary.LittleEndian.PutUint32(raw[4*i:], x)
-	}
-}
-
-// packedAt reads entry i of a packed vector of width w.
-func packedAt(raw []byte, w, i int) uint32 {
-	switch w {
-	case 1:
-		return uint32(raw[i])
-	case 2:
-		return uint32(binary.LittleEndian.Uint16(raw[2*i:]))
-	}
-	return binary.LittleEndian.Uint32(raw[4*i:])
 }
 
 func appendUints(dst []byte, vals []uint64) []byte {
@@ -366,17 +334,17 @@ func (d *decoder) ints() []int {
 	raw := d.b[d.off : d.off+n*w]
 	lo, hi := uint32(math.MaxUint32), uint32(0)
 	for i := 0; i < n; i++ {
-		x := packedAt(raw, w, i)
+		x := packed.At(raw, w, i)
 		lo = min(lo, x)
 		hi = max(hi, x)
 	}
-	if lo != 0 || packWidth(hi) != w || base+int64(hi) > math.MaxInt32 {
+	if lo != 0 || packed.Width(hi) != w || base+int64(hi) > math.MaxInt32 {
 		d.err = true
 		return nil
 	}
 	out := make([]int, n)
 	for i := range out {
-		out[i] = int(base + int64(packedAt(raw, w, i)))
+		out[i] = int(base + int64(packed.At(raw, w, i)))
 	}
 	d.off += n * w
 	return out

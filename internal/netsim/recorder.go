@@ -173,45 +173,6 @@ func (r *Recorder) Bcast(stage, sw int) {
 	r.at(stage, sw, kindBcast).Add(1)
 }
 
-// PackStates renders a full switch setting as the flat bitmask
-// RecordVector consumes: bit i of word stage*words + i/64 is switch
-// (stage, i)'s crossed state. Plans precompute this once so the warm
-// serving path diffs words instead of booleans. Nil on a nil recorder.
-func (r *Recorder) PackStates(st core.States) []uint64 {
-	if r == nil {
-		return nil
-	}
-	return r.PackStatesInto(st, make([]uint64, r.stages*r.words))
-}
-
-// PackStatesInto is PackStates writing into a caller-owned mask buffer
-// of length MaskWords; every word is overwritten, so a dirty buffer is
-// fine. RecordVector and RecordFlips copy out of the mask, so the
-// buffer is safe to reuse across passes — the allocation-free path for
-// callers that set up a fresh permutation per frame. Nil on a nil
-// recorder.
-func (r *Recorder) PackStatesInto(st core.States, mask []uint64) []uint64 {
-	if r == nil {
-		return nil
-	}
-	for s, row := range st {
-		words := mask[s*r.words : (s+1)*r.words]
-		for w := range words {
-			// Build the word in a register and store it once.
-			var word uint64
-			for i, crossed := range row[w*64 : min(w*64+64, len(row))] {
-				var bit uint64
-				if crossed {
-					bit = 1
-				}
-				word |= bit << uint(i)
-			}
-			words[w] = word
-		}
-	}
-	return mask
-}
-
 // PackMcastStatesInto packs a four-state setting into the caller's
 // lo/hi bitmask pair (each of length MaskWords, cleared first): bit i
 // of lo word stage*words + i/64 is the low bit of switch (stage, i)'s
@@ -271,7 +232,8 @@ func (r *Recorder) addCells(i int, set uint64, kind int, n int64) {
 }
 
 // RecordVector accounts one full-permutation pass whose switch setting
-// is mask (from PackStates): every switch carried two tags, and every
+// is mask, packed by core.States.Pack (the form the engine caches
+// plans in; MaskWords words): every switch carried two tags, and every
 // switch whose state differs from the previously recorded vector
 // flipped. The traversals are one vector count folded in at read
 // time; the flips cost a word compare per 64 switches and, where the

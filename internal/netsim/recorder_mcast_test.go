@@ -47,7 +47,7 @@ func TestRecordMcastFlips(t *testing.T) {
 	// A binary vector (all straight) leaves the broadcast state: the
 	// flip and the broadcast transition must both be counted.
 	bin := core.States{{false, false, false}, {false, false, false}}
-	mask := r.PackStates(bin)
+	mask := pack(bin)
 	r.RecordFlips(mask)
 	if got := r.StageTotals(0); got.Flips != 3 || got.Bcast != 2 {
 		t.Fatalf("stage 0 after binary vector: %+v", got)

@@ -333,12 +333,12 @@ func TestRecorderMatchesReference(t *testing.T) {
 		switch k := rng.Intn(20); {
 		case k < 5: // full vector
 			st, none := randomBinary()
-			r.RecordVector(r.PackStates(st))
+			r.RecordVector(pack(st))
 			m.full++
 			m.apply(st, none)
 		case k < 8: // binary flips only
 			st, none := randomBinary()
-			r.RecordFlips(r.PackStates(st))
+			r.RecordFlips(pack(st))
 			m.apply(st, none)
 		case k < 11: // four-state flips
 			st := make(core.McastStates, stages)
@@ -367,7 +367,7 @@ func TestRecorderMatchesReference(t *testing.T) {
 					frameTrav[s][i] += int64(marks)
 				}
 			}
-			r.RecordFrame(r.PackStates(st), paths)
+			r.RecordFrame(pack(st), paths)
 			m.apply(st, none)
 		default: // single-switch calls
 			s, i := rng.Intn(stages), rng.Intn(switches)
@@ -419,7 +419,7 @@ func TestRecorderFlipParityConcurrent(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(w + 1)))
 		masks[w] = make([][]uint64, vectors)
 		for k := range masks[w] {
-			masks[w][k] = r.PackStates(random(rng))
+			masks[w][k] = pack(random(rng))
 		}
 	}
 	start := make(chan struct{})
@@ -437,7 +437,7 @@ func TestRecorderFlipParityConcurrent(t *testing.T) {
 	close(start)
 	wg.Wait()
 	last := random(rand.New(rand.NewSource(99)))
-	r.RecordFlips(r.PackStates(last))
+	r.RecordFlips(pack(last))
 
 	snap := r.Snapshot()
 	wrong, total := 0, 0
@@ -477,7 +477,7 @@ func TestRecorderReadersMonotonic(t *testing.T) {
 				}
 				switch w {
 				case 0:
-					r.RecordVector(r.PackStates(st))
+					r.RecordVector(pack(st))
 				case 1:
 					paths.Reset()
 					for s := range st {
@@ -487,7 +487,7 @@ func TestRecorderReadersMonotonic(t *testing.T) {
 							}
 						}
 					}
-					r.RecordFrame(r.PackStates(st), paths)
+					r.RecordFrame(pack(st), paths)
 				default:
 					s, i := rng.Intn(len(st)), rng.Intn(len(st[0]))
 					r.Traverse(s, i)
