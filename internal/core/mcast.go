@@ -70,28 +70,6 @@ func (st States) Mcast() McastStates {
 	return out
 }
 
-// Clone deep-copies a setting.
-func (st McastStates) Clone() McastStates {
-	out := make(McastStates, len(st))
-	for s := range st {
-		out[s] = append([]McastState(nil), st[s]...)
-	}
-	return out
-}
-
-// CountBroadcast returns the number of switches in a broadcast state.
-func (st McastStates) CountBroadcast() int {
-	c := 0
-	for _, stage := range st {
-		for _, s := range stage {
-			if s.Broadcast() {
-				c++
-			}
-		}
-	}
-	return c
-}
-
 // Apply produces a switch's two output values from its two input
 // values under the state. Idle lines carry -1 and broadcast states
 // replicate whatever is on the chosen input, idle or not.
@@ -230,22 +208,4 @@ func CheckMulticast(req, delivered []int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// WalkBack follows output line out of the last stage backward to the
-// network input line that drives it under the binary setting st — the
-// unicast specialization of the copy network's backward verification
-// walk.
-func (b *Network) WalkBack(st States, out int) int {
-	y := out
-	for s := b.stages - 1; s >= 0; s-- {
-		sw := y >> 1
-		if st[s][sw] {
-			y ^= 1
-		}
-		if s > 0 {
-			y = b.linkInv[s-1][y]
-		}
-	}
-	return y
 }

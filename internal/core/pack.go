@@ -6,6 +6,11 @@ package core
 // N log N − N/2 switches takes that many bits, rounded up to whole
 // words per stage. The engine's plan cache keeps every plan in this
 // form, and the flight recorder diffs it word against word.
+//
+// A four-state (copy ladder) setting packs into two such word slices:
+// lo holds each switch's state&1 and hi its broadcast bit, so
+// McStraight, McCross, McBcastUpper and McBcastLower are (lo, hi) =
+// (0,0), (1,0), (0,1) and (1,1).
 
 // PackedLen returns the number of words Pack writes for st.
 func (st States) PackedLen() int {
@@ -46,6 +51,31 @@ func (st States) Unpack(src []uint64) {
 		words := src[s*stageWords(len(row)) : (s+1)*stageWords(len(row))]
 		for i := range row {
 			row[i] = words[i/64]>>(uint(i)&63)&1 == 1
+		}
+	}
+}
+
+// PackedLen returns the number of words McastStates.Pack writes into
+// each of lo and hi.
+func (st McastStates) PackedLen() int {
+	if len(st) == 0 {
+		return 0
+	}
+	return len(st) * stageWords(len(st[0]))
+}
+
+// Pack writes st into lo[:st.PackedLen()] and hi[:st.PackedLen()],
+// overwriting every word, one word of each built in a register.
+func (st McastStates) Pack(lo, hi []uint64) {
+	for s, row := range st {
+		base := s * stageWords(len(row))
+		for w := 0; w*64 < len(row); w++ {
+			var l, h uint64
+			for i, state := range row[w*64 : min(w*64+64, len(row))] {
+				l |= uint64(state&1) << (uint(i) & 63)
+				h |= uint64(state>>1) << (uint(i) & 63)
+			}
+			lo[base+w], hi[base+w] = l, h
 		}
 	}
 }

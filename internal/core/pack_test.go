@@ -61,6 +61,51 @@ func TestPackStates(t *testing.T) {
 	}
 }
 
+// TestPackMcastStates checks the four-state packer against a
+// switch-by-switch reference of the lo/hi layout, on buffers left dirty
+// with every bit set, at 1, 2, 64 and 512 switches per stage.
+func TestPackMcastStates(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, switches := range []int{1, 2, 64, 512} {
+		const stages = 4
+		st := make(McastStates, stages)
+		for s := range st {
+			st[s] = make([]McastState, switches)
+			for i := range st[s] {
+				st[s][i] = McastState(rng.Intn(4))
+			}
+		}
+		st[0][switches-1] = McBcastLower // both top bits in every geometry
+		words := (switches + 63) / 64
+		wantLo, wantHi := make([]uint64, stages*words), make([]uint64, stages*words)
+		for s := range st {
+			for i, state := range st[s] {
+				bit := uint64(1) << uint(i%64)
+				if state == McCross || state == McBcastLower {
+					wantLo[s*words+i/64] |= bit
+				}
+				if state.Broadcast() {
+					wantHi[s*words+i/64] |= bit
+				}
+			}
+		}
+		if st.PackedLen() != len(wantLo) {
+			t.Fatalf("switches=%d: PackedLen %d, want %d", switches, st.PackedLen(), len(wantLo))
+		}
+		lo, hi := make([]uint64, len(wantLo)), make([]uint64, len(wantHi))
+		for i := range lo {
+			lo[i], hi[i] = ^uint64(0), ^uint64(0)
+		}
+		st.Pack(lo, hi)
+		for i := range wantLo {
+			if lo[i] != wantLo[i] || hi[i] != wantHi[i] {
+				t.Fatalf("switches=%d: word %d = (%#x, %#x), want (%#x, %#x)",
+					switches, i, lo[i], hi[i], wantLo[i], wantHi[i])
+			}
+		}
+	}
+}
+
 // BenchmarkPackStates packs a random B(10) setting (19 stages of 512
 // switches), the per-miss and per-frame cost at N=1024.
 func BenchmarkPackStates(b *testing.B) {

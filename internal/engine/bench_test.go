@@ -183,6 +183,46 @@ func BenchmarkCacheWarmCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkRouteMulticastWarm serves 16 cached copy-network plans in
+// rotation at N=256, broadcasts from distinct roots alternating with
+// fan-out maps (32 sources feeding three quarters of the outputs):
+// every request is a cache hit, so an op is the mapping compare, the
+// payload fan-out, the three phases' flips and the backward walk of
+// every assigned output, with the recorder off and on.
+func BenchmarkRouteMulticastWarm(b *testing.B) {
+	const logN = 8
+	maps := mixedMappings(1<<logN, 16, rand.New(rand.NewSource(8)))
+	data := benchPayload(1 << logN)
+	for _, on := range []bool{false, true} {
+		name := "recorder=off"
+		var rec *netsim.Recorder
+		if on {
+			name = "recorder=on"
+			rec = netsim.NewRecorder(core.New(logN), 2)
+		}
+		b.Run(name, func(b *testing.B) {
+			eng, err := New[int](Config{LogN: logN, Recorder: rec})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			for _, m := range maps {
+				eng.RouteMulticast(m, data) // warm every plan
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if resp := eng.RouteMulticast(maps[i%len(maps)], data); resp.Err != nil {
+					b.Fatal(resp.Err)
+				}
+			}
+			b.StopTimer()
+			reportHitRate(b, eng)
+		})
+	}
+}
+
 func reportHitRate(b *testing.B, eng *Engine[int]) {
 	b.Helper()
 	s := eng.Stats()

@@ -59,34 +59,31 @@ func (k PlanKind) String() string {
 // the data pass is a wire-speed traversal whose end-to-end effect is
 // exactly the plan's destination vector.
 //
-// A unicast plan is one switch setting of N log N − N/2 bits plus its
-// destination vector, and it stores both at that size: the setting as
-// the stage-major bit words core.States.Pack writes (and the flight
-// recorder diffs), the destination vector at the width package packed
-// picks for N−1 (two bytes an entry at N=1024). A half-network
-// sub-plan (PlanSubBlock) stores its B(m) block the same way.
+// Every plan kind stores its switch setting and the vector it realizes
+// at their own size: the setting as the stage-major bit words the
+// flight recorder diffs, the vector at the width package packed picks
+// for its largest entry. A unicast plan's setting is the N log N − N/2
+// bits core.States.Pack writes and its vector the destination vector
+// (two bytes an entry at N=1024); a half-network sub-plan
+// (PlanSubBlock) stores its B(m) block the same way. A multicast plan's
+// setting is the copy network's three phases as mcast.Plan.Pack writes
+// them (736 B at N=256) and its vector the mapping, entry out holding
+// m[out]+1 so an idle output stores 0.
 type Plan struct {
 	Kind    PlanKind
-	setting []uint64 // switch setting realizing dest, packed by core.States.Pack
-	dest    []byte   // the permutation the plan realizes (input i -> dest[i]), packed by packPerm
-	key     uint64   // hashPerm(dest), hashSub or hashMapping(Map): the cache key
-
-	// Multicast plans (Kind == PlanMulticast) carry the three-phase
-	// copy-network program instead of setting/dest, plus its packed
-	// recorder masks: the two B(n) phases in the binary mask format and
-	// the four-state ladder as a lo/hi pair.
-	Mcast              *mcast.Plan
-	distMask, permMask []uint64
-	ladLo, ladHi       []uint64
+	setting []uint64 // switch setting realizing dest, packed
+	dest    []byte   // the permutation (input i -> dest[i]) or mapping the plan realizes, packed by packVec
+	key     uint64   // hashPerm, hashSub or hashMapping of dest: the cache key
 }
 
-// packPerm stores a permutation at the narrowest width that holds its
-// largest possible entry, len(d)−1.
-func packPerm(d []int) []byte {
-	w := packed.Width(uint32(len(d) - 1))
-	raw := make([]byte, w*len(d))
-	for i, v := range d {
-		packed.Put(raw, w, i, uint32(v))
+// packVec stores v[i]+bias at the narrowest width that holds the
+// largest possible entry, len(v)−1+bias: bias 0 for a permutation, 1
+// for a mapping.
+func packVec(v []int, bias int) []byte {
+	w := packed.Width(uint32(len(v) - 1 + bias))
+	raw := make([]byte, w*len(v))
+	for i, x := range v {
+		packed.Put(raw, w, i, uint32(x+bias))
 	}
 	return raw
 }
@@ -94,7 +91,21 @@ func packPerm(d []int) []byte {
 // realizes reports whether the plan is the unicast plan for d: a
 // full-vector compare, so a hash collision reads as a miss.
 func (pl *Plan) realizes(d []int) bool {
-	return pl.Mcast == nil && packed.Equal(pl.dest, packed.Width(uint32(len(d)-1)), d)
+	return pl.Kind != PlanMulticast && packed.Equal(pl.dest, packed.Width(uint32(len(d)-1)), d)
+}
+
+// realizesMapping is realizes for the multicast plan of m.
+func (pl *Plan) realizesMapping(m mcast.Mapping) bool {
+	w := packed.Width(uint32(len(m)))
+	if pl.Kind != PlanMulticast || len(pl.dest) != w*len(m) {
+		return false
+	}
+	for out, src := range m {
+		if packed.At(pl.dest, w, out) != uint32(src+1) {
+			return false
+		}
+	}
+	return true
 }
 
 // hashPerm returns the 64-bit plan-cache key for a destination vector:
@@ -177,7 +188,7 @@ func (s *subPlanCache) Put(m int, dests []int, st core.States) {
 	s.c.put(&Plan{
 		Kind:    PlanSubBlock,
 		setting: st.Pack(make([]uint64, st.PackedLen())),
-		dest:    packPerm(dests),
+		dest:    packVec(dests, 0),
 		key:     hashSub(m, dests),
 	})
 }
@@ -276,7 +287,7 @@ func (c *planCache) getMapping(key uint64, m mcast.Mapping) *Plan {
 		return nil
 	}
 	pl := e.Value.(*Plan)
-	if pl.Mcast == nil || !pl.Mcast.Map.Equal(m) {
+	if !pl.realizesMapping(m) {
 		if c.collisions != nil {
 			c.collisions.Add(1)
 		}

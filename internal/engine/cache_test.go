@@ -11,7 +11,7 @@ import (
 )
 
 func mkPlan(d perm.Perm) *Plan {
-	return &Plan{Kind: PlanLooped, dest: packPerm(d), key: hashPerm(d)}
+	return &Plan{Kind: PlanLooped, dest: packVec(d, 0), key: hashPerm(d)}
 }
 
 // TestCacheEvictionLRU fills a single-shard cache past capacity and
@@ -61,7 +61,7 @@ func TestCacheCollision(t *testing.T) {
 	d1 := perm.Identity(8)
 	d2 := perm.BitReversal(3)
 	key := hashPerm(d1)
-	c.put(&Plan{Kind: PlanSelfRouted, dest: packPerm(d1), key: key})
+	c.put(&Plan{Kind: PlanSelfRouted, dest: packVec(d1, 0), key: key})
 	if c.get(key, d2) != nil {
 		t.Fatal("colliding key with different permutation must miss")
 	}
@@ -69,7 +69,7 @@ func TestCacheCollision(t *testing.T) {
 		t.Fatalf("collision miss must be counted, got %d", col.Value())
 	}
 	// Overwriting under the same key keeps exactly one entry.
-	c.put(&Plan{Kind: PlanLooped, dest: packPerm(d2), key: key})
+	c.put(&Plan{Kind: PlanLooped, dest: packVec(d2, 0), key: key})
 	if c.len() != 1 {
 		t.Fatalf("replacement should keep one entry, have %d", c.len())
 	}

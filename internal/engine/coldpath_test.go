@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -253,13 +254,16 @@ func TestMissBytes(t *testing.T) {
 	}
 }
 
-// TestPlanBytes holds the live heap one cached plan costs at N=1024,
-// read as HeapAlloc after a collection with the plans held by the
-// cache, so working memory a miss drops does not count: under 4 KB for
+// TestPlanBytes holds the live heap one cached plan costs, read as
+// HeapAlloc after a collection with the plans held by the cache, so
+// working memory a miss drops does not count. At N=1024: under 4 KB for
 // a routing plan (its packed setting of 19 stages × 8 words, its
 // two-byte destination vector, the Plan, and the LRU's list element
 // and map slot) and under 2.5 KB for a half-network sub-plan SetupMemo
-// keeps (17 stages × 4 words and 512 two-byte entries).
+// keeps (17 stages × 4 words and 512 two-byte entries). A multicast
+// plan, over a mix of broadcasts and fan-out maps with a recorder
+// attached, holds its three packed phases and its two-byte mapping:
+// under 2 KB at N=256 (92 words) and under 8 KB at N=1024 (464 words).
 func TestPlanBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratch at random")
@@ -337,4 +341,32 @@ func TestPlanBytes(t *testing.T) {
 			t.Fatalf("a cached sub-plan holds %d B, budget %d B", per, 5<<9)
 		}
 	})
+	for _, tc := range []struct {
+		logN   int
+		budget int64
+	}{{8, 2 << 10}, {10, 8 << 10}} {
+		t.Run(fmt.Sprintf("multicast-%d", 1<<tc.logN), func(t *testing.T) {
+			eng, err := New[int](Config{LogN: tc.logN, Recorder: netsim.NewRecorder(core.New(tc.logN), 2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			maps := mixedMappings(1<<tc.logN, plans, rng)
+			per := liveBytes(func() {
+				for _, m := range maps {
+					if _, _, err := eng.acquireMulticast(hashMapping(m), m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			runtime.KeepAlive(maps)
+			if got := eng.cache.len(); got != plans {
+				t.Fatalf("cache holds %d plans, want %d", got, plans)
+			}
+			t.Logf("cached multicast plan at N=%d: %d B live", 1<<tc.logN, per)
+			if per > tc.budget {
+				t.Fatalf("a cached multicast plan holds %d B, budget %d B", per, tc.budget)
+			}
+		})
+	}
 }

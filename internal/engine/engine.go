@@ -303,7 +303,7 @@ func (e *Engine[T]) acquire(key uint64, d perm.Perm) (*Plan, bool, error) {
 		return nil, false, err
 	}
 	e.met.misses.Add(1)
-	pl := &Plan{Kind: PlanSelfRouted, dest: packPerm(d), key: key}
+	pl := &Plan{Kind: PlanSelfRouted, dest: packVec(d, 0), key: key}
 	ms := e.scpool.Get().(*missScratch)
 	if !e.net.SelfRouteInto(d, ms.st, ms.sc) {
 		e.met.fallbacks.Add(1)

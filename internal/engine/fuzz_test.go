@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mcast"
 	"repro/internal/netsim"
 	"repro/internal/perm"
 )
@@ -75,6 +77,99 @@ func FuzzPackedPlan(f *testing.F) {
 			if repacked[i] != pl.setting[i] {
 				t.Fatalf("plan for %v: word %d = %#x, repacked %#x", d, i, pl.setting[i], repacked[i])
 			}
+		}
+	})
+}
+
+// FuzzPackedMcastPlan builds a mapping of N = 2^n, n in 1..6, from the
+// fuzz bytes: each byte, taken mod N+1, names an output's source or
+// (at N) leaves it idle, and at least one output is assigned. It
+// serves the mapping twice through RouteMulticast (a miss, then a hit)
+// and once through a McastFrameServer listing every assigned output,
+// each engine with its recorders. Both payloads must equal mcast.Apply; the
+// walk of the cached packed plan must return m[out] on every assigned
+// output; the packed words must unpack to the settings mcast.Compile
+// produces; and the miss and the frame must add equal recorder counts.
+func FuzzPackedMcastPlan(f *testing.F) {
+	f.Add(uint8(1), []byte{1})
+	f.Add(uint8(3), []byte{3, 3, 0, 3, 5, 0, 8, 5})
+	f.Add(uint8(6), []byte{0xde, 0xad, 0xbe, 0xef})
+	f.Fuzz(func(t *testing.T, logN uint8, seed []byte) {
+		n := int(logN%6) + 1
+		net := core.New(n)
+		size := net.N()
+		m := make(mcast.Mapping, size)
+		for out := range m {
+			m[out] = -1
+			if len(seed) > 0 {
+				if src := int(seed[out%len(seed)]) % (size + 1); src < size {
+					m[out] = src
+				}
+			}
+		}
+		if m.Assigned() == 0 {
+			m[0] = 0
+		}
+		newEngine := func() *Engine[int] {
+			eng, err := New[int](Config{LogN: n, Recorder: netsim.NewRecorder(net, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(eng.Close)
+			return eng
+		}
+		route, frame := newEngine(), newEngine()
+		data := payload(size)
+		want := mcast.Apply(m, data, nil)
+		var missRec, missLad netsim.RecorderSnapshot
+		for pass, wantHit := range []bool{false, true} {
+			resp := route.RouteMulticast(m, data)
+			if resp.Err != nil || resp.CacheHit != wantHit {
+				t.Fatalf("pass %d for %v: hit=%v err=%v, want hit=%v", pass, m, resp.CacheHit, resp.Err, wantHit)
+			}
+			if !reflect.DeepEqual(resp.Data, want) {
+				t.Fatalf("pass %d for %v: payload %v, want %v", pass, m, resp.Data, want)
+			}
+			if pass == 0 {
+				missRec, missLad = route.Recorder().Snapshot(), route.LadderRecorder().Snapshot()
+			}
+		}
+		pl := route.cache.getMapping(hashMapping(m), m)
+		if pl == nil {
+			t.Fatalf("no cached plan for %v", m)
+		}
+		var outs []int
+		for out, src := range m {
+			if src >= 0 {
+				outs = append(outs, out)
+			}
+		}
+		srcs := make([]int, len(outs))
+		mcast.Walk(net, pl.setting, outs, srcs, nil, nil)
+		for k, out := range outs {
+			if srcs[k] != m[out] {
+				t.Fatalf("plan for %v: Walk(%d) = %d, want %d", m, out, srcs[k], m[out])
+			}
+		}
+		p, err := mcast.Compile(net, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := unpackMcastPlan(net, pl)
+		if !got.Map.Equal(m) || got.DistStates.String() != p.DistStates.String() ||
+			got.PermStates.String() != p.PermStates.String() || !reflect.DeepEqual(got.Ladder, p.Ladder) {
+			t.Fatalf("plan for %v does not unpack to its compiled settings", m)
+		}
+		fs := frame.NewMcastFrameServer()
+		if err := fs.Prepare(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.ServePrepared(outs); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(frame.Recorder().Snapshot(), missRec) ||
+			!reflect.DeepEqual(frame.LadderRecorder().Snapshot(), missLad) {
+			t.Fatalf("mapping %v: the frame and the miss recorded different counts", m)
 		}
 	})
 }

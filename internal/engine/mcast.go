@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bits"
 	"repro/internal/mcast"
 )
 
@@ -26,12 +25,11 @@ type McastResponse[T any] struct {
 // RouteMulticast serves one fan-out mapping synchronously in the
 // caller's goroutine: resolve a copy-network plan (cache first — the
 // whole point of keying mappings in the shared LRU is that collective
-// rounds repeat them), apply the fan-out to the payload, then verify
-// delivery by walking every assigned output backward through the
-// three-phase switch program — the multiset check: each output's walk
-// must end at exactly the source the mapping requests. Like Route it
-// serves under the engine's read lock, so a concurrent Close waits
-// until the recorders hold the whole pass.
+// rounds repeat them), apply the fan-out to the payload, then serve
+// the plan: record its three phases and verify delivery by walking
+// every assigned output backward through the packed switch words. Like
+// Route it serves under the engine's read lock, so a concurrent Close
+// waits until the recorders hold the whole pass.
 func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 	if len(m) != e.net.N() || len(data) != e.net.N() {
 		e.met.errors.Add(1)
@@ -44,8 +42,7 @@ func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 		e.met.errors.Add(1)
 		return McastResponse[T]{Err: ErrClosed}
 	}
-	copies := m.Assigned()
-	if copies == 0 {
+	if m.Assigned() == 0 {
 		e.met.errors.Add(1)
 		return McastResponse[T]{Err: ErrEmptyMapping}
 	}
@@ -55,27 +52,22 @@ func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 		e.met.errors.Add(1)
 		return McastResponse[T]{Err: err}
 	}
-
+	// From here on m is the plan's mapping: a hit compared the two in
+	// full, and a miss compiled the plan from m.
 	t0 := time.Now()
-	out := mcast.Apply(pl.Mcast, data, nil)
+	out := mcast.Apply(m, data, nil)
 	e.met.Apply.Observe(time.Since(t0))
-
-	if e.rec != nil {
-		e.rec.RecordFlips(pl.distMask)
-		e.ladRec.RecordMcastFlips(pl.ladLo, pl.ladHi)
-		e.rec.RecordFlips(pl.permMask)
-	}
-	if err := e.walkMcastOutputs(pl.Mcast, nil); err != nil {
+	if err := e.serveMcast(pl.setting, m, nil); err != nil {
 		e.met.errors.Add(1)
 		return McastResponse[T]{Err: err}
 	}
-	e.met.mcastCopies.Add(int64(copies))
 	return McastResponse[T]{Data: out, CacheHit: hit}
 }
 
 // acquireMulticast resolves the copy-network plan for m, consulting
 // the shared LRU first so repeated fan-out patterns skip the two
-// looping setups and the ladder compile entirely.
+// looping setups and the ladder compile entirely. A miss keeps only
+// the packed switch words and the packed mapping.
 func (e *Engine[T]) acquireMulticast(key uint64, m mcast.Mapping) (*Plan, bool, error) {
 	t0 := time.Now()
 	defer func() { e.met.Plan.Observe(time.Since(t0)) }()
@@ -84,86 +76,74 @@ func (e *Engine[T]) acquireMulticast(key uint64, m mcast.Mapping) (*Plan, bool, 
 		return pl, true, nil
 	}
 	e.met.misses.Add(1)
+	words := make([]uint64, mcast.PackedLen(e.net))
 	comp := e.mpool.Get().(*mcast.Compiler)
-	mp, err := comp.Compile(m)
-	distT, copyT := comp.DistTime, comp.CopyTime
+	err := e.compileMcast(comp, m, words)
 	e.mpool.Put(comp)
 	if err != nil {
 		return nil, false, err
 	}
-	e.met.McastDist.Observe(distT)
-	e.met.McastCopy.Observe(copyT)
-	pl := &Plan{Kind: PlanMulticast, Mcast: mp, key: key}
-	if e.rec != nil {
-		pl.distMask = mp.DistStates.Pack(make([]uint64, e.rec.MaskWords()))
-		pl.permMask = mp.PermStates.Pack(make([]uint64, e.rec.MaskWords()))
-		pl.ladLo = make([]uint64, e.ladRec.MaskWords())
-		pl.ladHi = make([]uint64, e.ladRec.MaskWords())
-		e.ladRec.PackMcastStatesInto(mp.Ladder, pl.ladLo, pl.ladHi)
-	}
+	pl := &Plan{Kind: PlanMulticast, setting: words, dest: packVec(m, 1), key: key}
 	e.cache.put(pl)
 	return pl, false, nil
 }
 
-// walkMcastOutputs walks outputs backward through a compiled plan —
-// permute B(n), copy ladder, distribute B(n) — verifying each ends at
-// the mapping's requested source and accounting traversals when a
-// recorder is attached. outs == nil walks every assigned output.
-// Because every assigned output is walked to its unique feeding input,
-// success proves the delivered output multiset equals the requested
-// fan-out multiset exactly.
-func (e *Engine[T]) walkMcastOutputs(mp *mcast.Plan, outs []int) error {
-	net, rec, ladRec := e.net, e.rec, e.ladRec
-	stages, n := net.Stages(), net.LogN()
-	walk := func(out int) error {
-		src := mp.Map[out]
-		if src < 0 {
-			return nil
-		}
-		y := out
-		for s := stages - 1; s >= 0; s-- {
-			sw := y >> 1
-			rec.Traverse(s, sw)
-			if mp.PermStates[s][sw] {
-				y ^= 1
-			}
-			if s > 0 {
-				y = net.LinkInv(s-1, y)
-			}
-		}
-		for j := n - 1; j >= 0; j-- {
-			sw := y >> 1
-			ladRec.Traverse(j, sw)
-			y = bits.RotRight(mp.Ladder[j][sw].FeedLine(y), n)
-		}
-		for s := stages - 1; s >= 0; s-- {
-			sw := y >> 1
-			rec.Traverse(s, sw)
-			if mp.DistStates[s][sw] {
-				y ^= 1
-			}
-			if s > 0 {
-				y = net.LinkInv(s-1, y)
-			}
-		}
-		if y != src {
-			return fmt.Errorf("engine: multicast delivered output %d from input %d, want %d", out, y, src)
-		}
-		return nil
+// compileMcast compiles m with comp and packs the plan into words,
+// observing the distribute and copy phase histograms.
+func (e *Engine[T]) compileMcast(comp *mcast.Compiler, m mcast.Mapping, words []uint64) error {
+	if err := comp.CompilePacked(m, words); err != nil {
+		return err
 	}
+	e.met.McastDist.Observe(comp.DistTime)
+	e.met.McastCopy.Observe(comp.CopyTime)
+	return nil
+}
+
+// walkBatch is how many outputs serveMcast walks at once: enough for
+// the walks' loads to overlap, few enough for two stack arrays.
+const walkBatch = 64
+
+// serveMcast commits one pass of the packed copy-network plan words
+// for mapping m: it records the three phases' flips, walks each
+// assigned output in outs (every assigned output when outs is nil)
+// back through the plan, checking that the source m assigns it feeds
+// it, and counts the walked outputs as copies. A failed walk returns
+// before any copy is counted.
+func (e *Engine[T]) serveMcast(words []uint64, m mcast.Mapping, outs []int) error {
+	if e.rec != nil {
+		dist, perm, lo, hi := mcast.Phases(e.net, words)
+		e.rec.RecordFlips(dist)
+		e.ladRec.RecordMcastFlips(lo, hi)
+		e.rec.RecordFlips(perm)
+	}
+	end := len(outs)
 	if outs == nil {
-		for out := range mp.Map {
-			if err := walk(out); err != nil {
-				return err
+		end = len(m)
+	}
+	var outBuf, srcBuf [walkBatch]int
+	copies := 0
+	for next := 0; next < end; {
+		batch := outBuf[:0]
+		for ; next < end && len(batch) < walkBatch; next++ {
+			out := next
+			if outs != nil {
+				out = outs[next]
+			}
+			if m[out] >= 0 {
+				batch = append(batch, out)
 			}
 		}
-		return nil
-	}
-	for _, out := range outs {
-		if err := walk(out); err != nil {
-			return err
+		srcs := srcBuf[:len(batch)]
+		mcast.Walk(e.net, words, batch, srcs, e.rec, e.ladRec)
+		for k, out := range batch {
+			if srcs[k] != m[out] {
+				return fmt.Errorf("engine: multicast delivered output %d from input %d, want %d",
+					out, srcs[k], m[out])
+			}
 		}
+		copies += len(batch)
 	}
+	e.met.mcastCopies.Add(int64(copies))
 	return nil
 }
 
@@ -172,9 +152,9 @@ func (e *Engine[T]) walkMcastOutputs(mp *mcast.Plan, outs []int) error {
 // multicast head-of-line packets, and the resulting output->source
 // assignment is a mapping, not a permutation. Like FrameServer it runs
 // in the caller's goroutine, skips the plan cache (completed matchings
-// essentially never repeat), reuses one plan's storage across calls,
-// and memoizes the one repeat that does happen — a hot flow producing
-// the same frame repeatedly.
+// essentially never repeat), reuses one compiler and one packed plan
+// across calls, and memoizes the one repeat that does happen — a hot
+// flow producing the same frame repeatedly.
 //
 // The two-step Prepare/ServePrepared split separates a property of the
 // mapping from a property of the plane: a Prepare error means the
@@ -183,38 +163,24 @@ func (e *Engine[T]) walkMcastOutputs(mp *mcast.Plan, outs []int) error {
 type McastFrameServer[T any] struct {
 	e        *Engine[T]
 	comp     *mcast.Compiler
-	plan     *mcast.Plan
-	distMask []uint64
-	permMask []uint64
-	ladLo    []uint64
-	ladHi    []uint64
-	last     mcast.Mapping
-	haveLast bool
-	prepared bool
+	words    []uint64      // the prepared plan, packed
+	last     mcast.Mapping // the mapping words realizes; valid when prepared
+	prepared bool          // the last Prepare succeeded
 }
 
 // NewMcastFrameServer builds a mapping-frame serving context over e
 // for one goroutine's exclusive use.
 func (e *Engine[T]) NewMcastFrameServer() *McastFrameServer[T] {
-	fs := &McastFrameServer[T]{
-		e:    e,
-		comp: mcast.NewCompiler(e.net),
-		plan: mcast.NewPlan(e.net),
-		last: make(mcast.Mapping, e.net.N()),
+	return &McastFrameServer[T]{
+		e:     e,
+		comp:  mcast.NewCompiler(e.net),
+		words: make([]uint64, mcast.PackedLen(e.net)),
+		last:  make(mcast.Mapping, e.net.N()),
 	}
-	if words := e.rec.MaskWords(); words > 0 {
-		fs.distMask = make([]uint64, words)
-		fs.permMask = make([]uint64, words)
-	}
-	if words := e.ladRec.MaskWords(); words > 0 {
-		fs.ladLo = make([]uint64, words)
-		fs.ladHi = make([]uint64, words)
-	}
-	return fs
 }
 
 // Prepare compiles the mapping frame's copy-network plan into the
-// server's reused storage (memoizing consecutive identical mappings)
+// server's packed plan (memoizing consecutive identical mappings)
 // without committing any accounting.
 func (fs *McastFrameServer[T]) Prepare(m mcast.Mapping) error {
 	e := fs.e
@@ -224,22 +190,13 @@ func (fs *McastFrameServer[T]) Prepare(m mcast.Mapping) error {
 		return fmt.Errorf("engine: mapping frame size %d does not match N=%d", len(m), e.net.N())
 	}
 	t0 := time.Now()
-	if !(fs.haveLast && fs.last.Equal(m)) {
-		if err := fs.comp.CompileInto(m, fs.plan); err != nil {
+	if !(fs.prepared && fs.last.Equal(m)) {
+		if err := e.compileMcast(fs.comp, m, fs.words); err != nil {
 			e.met.errors.Add(1)
-			fs.haveLast = false
 			fs.prepared = false
 			return err
 		}
 		copy(fs.last, m)
-		fs.haveLast = true
-		e.met.McastDist.Observe(fs.comp.DistTime)
-		e.met.McastCopy.Observe(fs.comp.CopyTime)
-		if e.rec != nil {
-			fs.plan.DistStates.Pack(fs.distMask)
-			fs.plan.PermStates.Pack(fs.permMask)
-			e.ladRec.PackMcastStatesInto(fs.plan.Ladder, fs.ladLo, fs.ladHi)
-		}
 	}
 	e.met.Plan.Observe(time.Since(t0))
 	fs.prepared = true
@@ -257,18 +214,12 @@ func (fs *McastFrameServer[T]) ServePrepared(outs []int) error {
 		return errors.New("engine: ServePrepared without a successful Prepare")
 	}
 	t0 := time.Now()
-	if e.rec != nil {
-		e.rec.RecordFlips(fs.distMask)
-		e.ladRec.RecordMcastFlips(fs.ladLo, fs.ladHi)
-		e.rec.RecordFlips(fs.permMask)
-	}
-	err := e.walkMcastOutputs(fs.plan, outs)
+	err := e.serveMcast(fs.words, fs.last, outs)
 	e.met.Apply.Observe(time.Since(t0))
 	if err != nil {
 		e.met.errors.Add(1)
 		return err
 	}
 	e.met.mcastFrames.Add(1)
-	e.met.mcastCopies.Add(int64(len(outs)))
 	return nil
 }

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/bits"
 	"repro/internal/core"
 	"repro/internal/mcast"
 	"repro/internal/netsim"
+	"repro/internal/packed"
 )
 
 func newMcastEngine(t *testing.T, logn int, rec *netsim.Recorder) *Engine[int] {
@@ -53,7 +56,8 @@ func TestRouteMulticast(t *testing.T) {
 	if resp.CacheHit {
 		t.Fatal("first route reported a cache hit")
 	}
-	if pl := e.cache.getMapping(hashMapping(m), m); pl == nil || pl.Kind != PlanMulticast || pl.Mcast == nil {
+	if pl := e.cache.getMapping(hashMapping(m), m); pl == nil || pl.Kind != PlanMulticast ||
+		len(pl.setting) != mcast.PackedLen(net) {
 		t.Fatalf("plan not cached as multicast: %+v", pl)
 	}
 	checkMcastData(t, m, resp.Data)
@@ -79,9 +83,32 @@ func TestRouteMulticast(t *testing.T) {
 	}
 }
 
-// TestRouteMulticastReplay serves a full broadcast, then replays the
-// cached copy-network plan gate by gate: every source must reach
-// exactly the outputs the mapping assigns it.
+// unpackMcastPlan rebuilds a cached multicast plan's mapping and three
+// switch settings from its packed form, for gate-level replay through
+// mcast.Plan.Route.
+func unpackMcastPlan(net *core.Network, pl *Plan) *mcast.Plan {
+	p := mcast.NewPlan(net)
+	w := packed.Width(uint32(net.N()))
+	for out := range p.Map {
+		p.Map[out] = int(packed.At(pl.dest, w, out)) - 1
+	}
+	dist, perm, lo, hi := mcast.Phases(net, pl.setting)
+	p.DistStates.Unpack(dist)
+	p.PermStates.Unpack(perm)
+	words := (net.SwitchesPerStage() + 63) / 64
+	for j := range p.Ladder {
+		for i := range p.Ladder[j] {
+			w, b := j*words+i/64, uint(i%64)
+			p.Ladder[j][i] = core.McastState(lo[w]>>b&1 | hi[w]>>b&1<<1)
+		}
+	}
+	return p
+}
+
+// TestRouteMulticastReplay serves a full broadcast, then unpacks the
+// cached copy-network plan and replays it gate by gate: it must hold
+// the mapping, and every source must reach exactly the outputs the
+// mapping assigns it.
 func TestRouteMulticastReplay(t *testing.T) {
 	e := newMcastEngine(t, 3, nil)
 	n := e.Network().N()
@@ -98,7 +125,11 @@ func TestRouteMulticastReplay(t *testing.T) {
 	if pl == nil {
 		t.Fatal("broadcast plan not cached")
 	}
-	if res := pl.Mcast.Route(e.net); !res.OK() {
+	p := unpackMcastPlan(e.net, pl)
+	if !p.Map.Equal(m) {
+		t.Fatalf("cached plan holds mapping %v, want %v", p.Map, m)
+	}
+	if res := p.Route(e.net); !res.OK() {
 		t.Fatalf("replayed plan misrouted sources %v", res.Misrouted)
 	}
 }
@@ -260,5 +291,170 @@ func TestMulticastCacheKeying(t *testing.T) {
 	}
 	if r2 := e.RouteMulticast(m, identityData(n)); r2.Err != nil || !r2.CacheHit {
 		t.Fatalf("mapping re-route: hit=%v err=%v", r2.CacheHit, r2.Err)
+	}
+}
+
+// fanoutMapping draws the benchmark's fan-out shape: 32 sources (all of
+// them when N < 32) feed about three quarters of the outputs, the rest
+// stay idle.
+func fanoutMapping(n int, rng *rand.Rand) mcast.Mapping {
+	srcs := rng.Perm(n)[:min(32, n)]
+	m := make(mcast.Mapping, n)
+	for out := range m {
+		m[out] = -1
+		if rng.Intn(4) != 0 {
+			m[out] = srcs[rng.Intn(len(srcs))]
+		}
+	}
+	m[rng.Intn(n)] = srcs[0] // never empty
+	return m
+}
+
+// broadcastMapping sends root to every output.
+func broadcastMapping(n, root int) mcast.Mapping {
+	m := make(mcast.Mapping, n)
+	for out := range m {
+		m[out] = root
+	}
+	return m
+}
+
+// mixedMappings returns count mappings of N=n, alternating broadcasts
+// from distinct roots (while roots last) and fan-out maps.
+func mixedMappings(n, count int, rng *rand.Rand) []mcast.Mapping {
+	roots := rng.Perm(n)
+	maps := make([]mcast.Mapping, count)
+	for i := range maps {
+		if i%2 == 0 && i/2 < n {
+			maps[i] = broadcastMapping(n, roots[i/2])
+		} else {
+			maps[i] = fanoutMapping(n, rng)
+		}
+	}
+	return maps
+}
+
+// refMcastPass replays one copy-network pass of the compiled plan p
+// into rec and lad the way the engine did before plans were kept
+// packed: flips from core.States.Pack and a switch-by-switch four-state
+// pack, then each output in outs walked backward through the [][]bool
+// settings with one Traverse per hop.
+func refMcastPass(net *core.Network, rec, lad *netsim.Recorder, p *mcast.Plan, outs []int) {
+	rec.RecordFlips(p.DistStates.Pack(make([]uint64, p.DistStates.PackedLen())))
+	words := (net.SwitchesPerStage() + 63) / 64
+	lo, hi := make([]uint64, lad.MaskWords()), make([]uint64, lad.MaskWords())
+	for s := range p.Ladder {
+		for i, st := range p.Ladder[s] {
+			bit := uint64(1) << uint(i%64)
+			if st&1 != 0 {
+				lo[s*words+i/64] |= bit
+			}
+			if st.Broadcast() {
+				hi[s*words+i/64] |= bit
+			}
+		}
+	}
+	lad.RecordMcastFlips(lo, hi)
+	rec.RecordFlips(p.PermStates.Pack(make([]uint64, p.PermStates.PackedLen())))
+	back := func(st core.States, y int) int {
+		for s := net.Stages() - 1; s >= 0; s-- {
+			rec.Traverse(s, y>>1)
+			if st[s][y>>1] {
+				y ^= 1
+			}
+			if s > 0 {
+				y = net.LinkInv(s-1, y)
+			}
+		}
+		return y
+	}
+	for _, out := range outs {
+		y := back(p.PermStates, out)
+		for j := net.LogN() - 1; j >= 0; j-- {
+			lad.Traverse(j, y>>1)
+			y = bits.RotRight(p.Ladder[j][y>>1].FeedLine(y), net.LogN())
+		}
+		back(p.DistStates, y)
+	}
+}
+
+// TestMcastCountsMatchReference serves a seeded sequence of 96
+// mappings at N=8 to 64 (broadcasts, partial broadcasts, fan-outs,
+// partial and full permutations, and back-to-back repeats) through
+// RouteMulticast and through a McastFrameServer, each engine with its
+// own recorders. After every mapping each recorder's Snapshot must
+// equal that of a reference replaying the same passes with the
+// unpacked [][]bool algorithm (refMcastPass). The frame server lists
+// every assigned output on even steps and the first half of them on
+// odd ones.
+func TestMcastCountsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for logN := 3; logN <= 6; logN++ {
+		net := core.New(logN)
+		n := net.N()
+		route := newMcastEngine(t, logN, netsim.NewRecorder(net, 1))
+		frame := newMcastEngine(t, logN, netsim.NewRecorder(net, 1))
+		fs := frame.NewMcastFrameServer()
+		refRec := [2]*netsim.Recorder{netsim.NewRecorder(net, 1), netsim.NewRecorder(net, 1)}
+		refLad := [2]*netsim.Recorder{netsim.NewRecorderGeom(logN, n/2), netsim.NewRecorderGeom(logN, n/2)}
+		var m mcast.Mapping
+		for step := 0; step < 24; step++ {
+			switch step % 6 {
+			case 0:
+				m = broadcastMapping(n, rng.Intn(n))
+			case 1:
+				m = broadcastMapping(n, rng.Intn(n))
+				for out := range m {
+					if rng.Intn(2) == 0 && out > 0 {
+						m[out] = -1
+					}
+				}
+			case 2:
+				m = fanoutMapping(n, rng)
+			case 3:
+				m = mcast.Mapping(rng.Perm(n))
+			case 4:
+				m = mcast.Mapping(rng.Perm(n))
+				for out := range m {
+					if rng.Intn(3) == 0 && out > 0 {
+						m[out] = -1
+					}
+				}
+			case 5: // repeat the previous mapping: a cache hit and a frame memo hit
+			}
+			p, err := mcast.Compile(net, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var outs []int
+			for out, src := range m {
+				if src >= 0 {
+					outs = append(outs, out)
+				}
+			}
+			if resp := route.RouteMulticast(m, identityData(n)); resp.Err != nil {
+				t.Fatalf("N=%d step %d: RouteMulticast: %v", n, step, resp.Err)
+			}
+			refMcastPass(net, refRec[0], refLad[0], p, outs)
+			if step%2 == 1 {
+				outs = outs[:(len(outs)+1)/2]
+			}
+			if err := fs.Prepare(m); err != nil {
+				t.Fatalf("N=%d step %d: Prepare: %v", n, step, err)
+			}
+			if err := fs.ServePrepared(outs); err != nil {
+				t.Fatalf("N=%d step %d: ServePrepared: %v", n, step, err)
+			}
+			refMcastPass(net, refRec[1], refLad[1], p, outs)
+			for i, e := range []*Engine[int]{route, frame} {
+				path := []string{"route", "frame"}[i]
+				if got, want := e.Recorder().Snapshot(), refRec[i].Snapshot(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("N=%d step %d, %s path: recorder %+v, reference %+v", n, step, path, got, want)
+				}
+				if got, want := e.LadderRecorder().Snapshot(), refLad[i].Snapshot(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("N=%d step %d, %s path: ladder %+v, reference %+v", n, step, path, got, want)
+				}
+			}
+		}
 	}
 }

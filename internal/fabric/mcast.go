@@ -192,42 +192,6 @@ func (p *plane) routeMcastFrame(fs *engine.McastFrameServer[int], m mcast.Mappin
 	return nil
 }
 
-// routeMcastRound serves one whole-mapping collective round on this
-// plane: the engine resolves (or reuses) the cached copy-network plan,
-// fans the identity payload out, and verifies every assigned output by
-// its backward walk; the plane then re-verifies the delivered payload
-// port by port.
-func (p *plane) routeMcastRound(m mcast.Mapping) (bool, error) {
-	if !p.healthy.Load() {
-		p.failovers.Add(1)
-		return false, errPlaneDown
-	}
-	rtt := time.Now()
-	resp := p.eng.RouteMulticast(m, p.ident)
-	if p.met != nil {
-		p.met.PlaneRTT.ObserveSince(rtt)
-	}
-	if resp.Err != nil {
-		p.healthy.Store(false)
-		p.failovers.Add(1)
-		return false, fmt.Errorf("fabric: plane %d: %w", p.id, resp.Err)
-	}
-	verify := time.Now()
-	for out, src := range m {
-		if src >= 0 && resp.Data[out] != src {
-			p.healthy.Store(false)
-			p.failovers.Add(1)
-			return false, fmt.Errorf("fabric: plane %d delivered port %d to the wrong source: %w",
-				p.id, out, errPlaneDown)
-		}
-	}
-	if p.met != nil {
-		p.met.Verify.ObserveSince(verify)
-	}
-	p.rounds.Add(1)
-	return resp.CacheHit, nil
-}
-
 // RouteMulticastRound serves one whole-mapping collective round
 // synchronously on a healthy plane: m[out] names the source whose
 // chunk output out must receive, -1 leaves the output idle. prefer
@@ -244,29 +208,26 @@ func (f *Fabric[T]) RouteMulticastRound(m []int, prefer int) (RoundResult, error
 	if err := mm.Validate(f.n); err != nil {
 		return RoundResult{}, fmt.Errorf("fabric: multicast round: %w", err)
 	}
-	assigned := mm.Assigned()
-	if assigned == 0 {
+	if mm.Assigned() == 0 {
 		return RoundResult{}, fmt.Errorf("fabric: multicast round assigns no outputs")
 	}
-	k := len(f.planes)
-	prefer = ((prefer % k) + k) % k
-	failed := false
-	for attempt := 0; attempt < k; attempt++ {
-		p := f.planes[(prefer+attempt)%k]
-		hit, err := p.routeMcastRound(mm)
-		if err != nil {
-			failed = true
-			continue
+	res, err := f.round(prefer, func(eng *engine.Engine[int], ident []int) (engine.PlanKind, bool, []int, error) {
+		resp := eng.RouteMulticast(mm, ident)
+		return engine.PlanMulticast, resp.CacheHit, resp.Data, resp.Err
+	}, func(data []int) int {
+		for out, src := range mm {
+			if src >= 0 && data[out] != src {
+				return out
+			}
 		}
-		if failed {
-			f.met.roundFailovers.Add(1)
-		}
-		f.met.rounds.Add(1)
-		f.met.mcastRounds.Add(1)
-		if f.jrn.Enabled() {
-			f.jrn.McastRound(p.id, mm, journal.DigestMapping(mm))
-		}
-		return RoundResult{Plane: p.id, Kind: engine.PlanMulticast, CacheHit: hit}, nil
+		return -1
+	})
+	if err != nil {
+		return RoundResult{}, fmt.Errorf("fabric: no healthy plane for multicast round: %w", err)
 	}
-	return RoundResult{}, fmt.Errorf("fabric: no healthy plane for multicast round: %w", errPlaneDown)
+	f.met.mcastRounds.Add(1)
+	if f.jrn.Enabled() {
+		f.jrn.McastRound(res.Plane, mm, journal.DigestMapping(mm))
+	}
+	return res, nil
 }

@@ -106,40 +106,46 @@ func (p *plane) routeFrame(fs *engine.FrameServer[int], dest perm.Perm, srcs []i
 	return nil
 }
 
-// routeRound serves one whole-permutation collective round: every port
-// carries a real chunk, so every output is verified. The returned plan
-// kind and cache-hit flag feed the collective layer's self-routed /
-// fallback accounting. As with route, any error means nothing moved
-// and the caller fails the round over to another plane.
-func (p *plane) routeRound(dest perm.Perm) (engine.PlanKind, bool, error) {
+// roundServe runs one collective round on a plane's engine with the
+// identity payload ident: it returns the plan kind, the cache-hit flag
+// and the delivered payload.
+type roundServe func(eng *engine.Engine[int], ident []int) (engine.PlanKind, bool, []int, error)
+
+// round serves one collective round on this plane: serve runs it, and
+// wrong names the first output of the delivered payload that does not
+// carry the source the round assigns it (-1 when every output does).
+// Every port carries a real chunk, so every output is verified. The
+// returned plan kind and cache-hit flag feed the collective layer's
+// self-routed / fallback accounting. As with routeFrame, any error
+// means nothing moved and the caller fails the round over to another
+// plane.
+func (p *plane) round(serve roundServe, wrong func(data []int) int) (engine.PlanKind, bool, error) {
 	if !p.healthy.Load() {
 		p.failovers.Add(1)
 		return 0, false, errPlaneDown
 	}
 	rtt := time.Now()
-	resp := p.eng.Route(dest, p.ident)
+	kind, hit, data, err := serve(p.eng, p.ident)
 	if p.met != nil {
 		p.met.PlaneRTT.ObserveSince(rtt)
 	}
-	if resp.Err != nil {
+	if err != nil {
 		p.healthy.Store(false)
 		p.failovers.Add(1)
-		return 0, false, fmt.Errorf("fabric: plane %d: %w", p.id, resp.Err)
+		return 0, false, fmt.Errorf("fabric: plane %d: %w", p.id, err)
 	}
 	verify := time.Now()
-	for i, d := range dest {
-		if resp.Data[d] != i {
-			p.healthy.Store(false)
-			p.failovers.Add(1)
-			return 0, false, fmt.Errorf("fabric: plane %d delivered port %d to the wrong source: %w",
-				p.id, d, errPlaneDown)
-		}
+	if out := wrong(data); out >= 0 {
+		p.healthy.Store(false)
+		p.failovers.Add(1)
+		return 0, false, fmt.Errorf("fabric: plane %d delivered port %d to the wrong source: %w",
+			p.id, out, errPlaneDown)
 	}
 	if p.met != nil {
 		p.met.Verify.ObserveSince(verify)
 	}
 	p.rounds.Add(1)
-	return resp.Kind, resp.CacheHit, nil
+	return kind, hit, nil
 }
 
 // probe answers one diagnosis probe on this plane: load d's tags, let

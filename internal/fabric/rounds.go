@@ -46,12 +46,40 @@ func (f *Fabric[T]) RouteRound(dest perm.Perm, prefer int) (RoundResult, error) 
 	if err := dest.Validate(); err != nil {
 		return RoundResult{}, fmt.Errorf("fabric: round: %w", err)
 	}
+	res, err := f.round(prefer, func(eng *engine.Engine[int], ident []int) (engine.PlanKind, bool, []int, error) {
+		resp := eng.Route(dest, ident)
+		return resp.Kind, resp.CacheHit, resp.Data, resp.Err
+	}, func(data []int) int {
+		for i, d := range dest {
+			if data[d] != i {
+				return d
+			}
+		}
+		return -1
+	})
+	if err != nil {
+		return RoundResult{}, fmt.Errorf("fabric: no healthy plane for round: %w", err)
+	}
+	if f.jrn.Enabled() {
+		f.jrn.Round(res.Plane, dest, journal.DigestPerm(dest))
+	}
+	return res, nil
+}
+
+// round serves one validated collective round on a healthy plane,
+// starting at prefer and failing over plane by plane. serve runs the
+// round on a plane's engine with the identity payload and returns the
+// plan kind, the cache-hit flag and the delivered payload; wrong
+// returns the first output of that payload not carrying the source the
+// round assigns it, or -1. The error, when every plane refused, is
+// errPlaneDown.
+func (f *Fabric[T]) round(prefer int, serve roundServe, wrong func(data []int) int) (RoundResult, error) {
 	k := len(f.planes)
 	prefer = ((prefer % k) + k) % k
 	failed := false
 	for attempt := 0; attempt < k; attempt++ {
 		p := f.planes[(prefer+attempt)%k]
-		kind, hit, err := p.routeRound(dest)
+		kind, hit, err := p.round(serve, wrong)
 		if err != nil {
 			failed = true
 			continue
@@ -60,10 +88,7 @@ func (f *Fabric[T]) RouteRound(dest perm.Perm, prefer int) (RoundResult, error) 
 			f.met.roundFailovers.Add(1)
 		}
 		f.met.rounds.Add(1)
-		if f.jrn.Enabled() {
-			f.jrn.Round(p.id, dest, journal.DigestPerm(dest))
-		}
 		return RoundResult{Plane: p.id, Kind: kind, CacheHit: hit}, nil
 	}
-	return RoundResult{}, fmt.Errorf("fabric: no healthy plane for round: %w", errPlaneDown)
+	return RoundResult{}, errPlaneDown
 }

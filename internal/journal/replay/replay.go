@@ -100,6 +100,7 @@ type replayer struct {
 	cfg     Config
 	net     *core.Network
 	comp    *mcast.Compiler
+	words   []uint64 // the current mapping's packed copy-network plan
 	rep     *Report
 	counts  [journal.KindMax]uint64
 	lastCp  []uint64 // KindCounts at the window's previous checkpoint
@@ -118,6 +119,7 @@ func Run(cfg Config, recs []*journal.Record) (*Report, error) {
 		cfg:     cfg,
 		net:     net,
 		comp:    mcast.NewCompiler(net),
+		words:   make([]uint64, mcast.PackedLen(net)),
 		rep:     &Report{ChainOK: true},
 		planeOK: cfg.Planes > 0,
 	}
@@ -221,41 +223,43 @@ func pairsDigest(srcs []int, realized perm.Perm) uint64 {
 }
 
 // replayMcast recompiles one mapping through the copy network and
-// audits each delivered output by the plan's backward walk.
+// audits each delivered output by the packed plan's backward walk.
 func (r *replayer) replayMcast(rec *journal.Record) {
 	m := mcast.Mapping(rec.Dest)
 	if err := m.Validate(r.net.N()); err != nil {
 		r.diverge(rec, fmt.Sprintf("invalid mapping: %v", err))
 		return
 	}
-	plan, err := r.comp.Compile(m)
-	if err != nil {
+	if err := r.comp.CompilePacked(m, r.words); err != nil {
 		r.diverge(rec, fmt.Sprintf("mapping no longer compiles: %v", err))
 		return
 	}
-	var got uint64
+	// A frame digests the outputs it delivered, a round every assigned
+	// output, each as (walked source, output).
+	outs := rec.Srcs
 	if rec.Kind == journal.KindMcastFrame {
-		h := journal.NewHash64()
-		for _, out := range rec.Srcs {
+		for _, out := range outs {
 			if out < 0 || out >= r.net.N() {
 				r.diverge(rec, fmt.Sprintf("delivered output %d out of range", out))
 				return
 			}
-			h.Int(int64(plan.WalkOutput(r.net, out)))
-			h.Int(int64(out))
 		}
-		got = h.Sum()
 	} else {
-		h := journal.NewHash64()
+		outs = nil
 		for out, src := range m {
 			if src >= 0 {
-				h.Int(int64(plan.WalkOutput(r.net, out)))
-				h.Int(int64(out))
+				outs = append(outs, out)
 			}
 		}
-		got = h.Sum()
 	}
-	if got != rec.Delivered {
+	srcs := make([]int, len(outs))
+	mcast.Walk(r.net, r.words, outs, srcs, nil, nil)
+	h := journal.NewHash64()
+	for k, out := range outs {
+		h.Int(int64(srcs[k]))
+		h.Int(int64(out))
+	}
+	if got := h.Sum(); got != rec.Delivered {
 		r.diverge(rec, fmt.Sprintf("delivery digest %016x, journal recorded %016x", got, rec.Delivered))
 	}
 }

@@ -30,10 +30,6 @@ type Plan struct {
 	Perm       perm.Perm
 	PermStates core.States
 
-	// SlotSrc[slot] is the source whose copies occupy ladder output
-	// line slot, -1 for idle slots.
-	SlotSrc []int
-
 	Sources       int // distinct requested sources
 	Copies        int // assigned outputs (total fan-out)
 	BcastSwitches int // ladder switches in a broadcast state
@@ -45,12 +41,13 @@ type interval struct {
 	lo, hi, src int
 }
 
-// Compiler compiles mappings for one network geometry without
-// per-call allocation beyond the produced Plan. A Compiler belongs to
-// one goroutine.
+// Compiler compiles mappings for one network geometry into one plan it
+// owns, without per-call allocation. A Compiler belongs to one
+// goroutine.
 type Compiler struct {
-	net *core.Network
-	sc  *core.SetupScratch
+	net  *core.Network
+	sc   *core.SetupScratch
+	plan *Plan // the plan compile writes
 
 	fan   []int // per-source fan-out
 	start []int // per-source first destination slot (prefix sums)
@@ -58,9 +55,9 @@ type Compiler struct {
 	cur   []interval
 	nxt   []interval
 
-	// Phase timings of the last CompileInto call, for the serving
-	// layer's mcast_distribute / mcast_copy stage histograms: DistTime
-	// covers the two B(n) looping setups, CopyTime the ladder.
+	// Phase timings of the last compile, for the serving layer's
+	// mcast_distribute / mcast_copy stage histograms: DistTime covers
+	// the two B(n) looping setups, CopyTime the ladder.
 	DistTime time.Duration
 	CopyTime time.Duration
 }
@@ -71,6 +68,7 @@ func NewCompiler(net *core.Network) *Compiler {
 	return &Compiler{
 		net:   net,
 		sc:    core.NewSetupScratch(net),
+		plan:  NewPlan(net),
 		fan:   make([]int, n),
 		start: make([]int, n),
 		used:  make([]int, n),
@@ -79,7 +77,7 @@ func NewCompiler(net *core.Network) *Compiler {
 	}
 }
 
-// NewPlan allocates an empty plan sized for net, for CompileInto reuse.
+// NewPlan allocates an empty plan sized for net.
 func NewPlan(net *core.Network) *Plan {
 	n := net.N()
 	return &Plan{
@@ -89,7 +87,6 @@ func NewPlan(net *core.Network) *Plan {
 		Ladder:     newLadder(net),
 		Perm:       make(perm.Perm, n),
 		PermStates: net.NewStates(),
-		SlotSrc:    make([]int, n),
 	}
 }
 
@@ -103,23 +100,27 @@ func newLadder(net *core.Network) core.McastStates {
 
 // Compile validates m and produces a fresh plan.
 func Compile(net *core.Network, m Mapping) (*Plan, error) {
-	return NewCompiler(net).Compile(m)
-}
-
-// Compile validates m and produces a fresh plan.
-func (c *Compiler) Compile(m Mapping) (*Plan, error) {
-	p := NewPlan(c.net)
-	if err := c.CompileInto(m, p); err != nil {
+	c := NewCompiler(net)
+	if err := c.compile(m); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return c.plan, nil
 }
 
-// CompileInto compiles m into the caller-owned plan storage,
-// overwriting every field. It allocates nothing, making it the entry
-// point for per-frame compilation on the fabric's serving path.
-func (c *Compiler) CompileInto(m Mapping, p *Plan) error {
-	net := c.net
+// CompilePacked validates and compiles m, then packs the plan into
+// dst[:PackedLen(net)]. It allocates nothing, making it the entry
+// point for compiles on the serving path.
+func (c *Compiler) CompilePacked(m Mapping, dst []uint64) error {
+	if err := c.compile(m); err != nil {
+		return err
+	}
+	c.plan.Pack(dst)
+	return nil
+}
+
+// compile compiles m into c.plan, overwriting every field.
+func (c *Compiler) compile(m Mapping) error {
+	net, p := c.net, c.plan
 	size := net.N()
 	if err := m.Validate(size); err != nil {
 		return err
@@ -195,13 +196,13 @@ func (c *Compiler) CompileInto(m Mapping, p *Plan) error {
 	return nil
 }
 
-// compileLadder programs the omega copy section and fills SlotSrc. An
-// active line carries an interval; a switch whose interval spans both
-// halves of the current address bit broadcasts and splits it. With
-// concentrated, monotone, disjoint intervals no two inputs of a switch
-// ever demand overlapping output sides, so the internal conflict
-// errors are unreachable for plans built by CompileInto — they guard
-// the invariant, not a caller-visible failure mode.
+// compileLadder programs the omega copy section. An active line
+// carries an interval; a switch whose interval spans both halves of the
+// current address bit broadcasts and splits it. With concentrated,
+// monotone, disjoint intervals no two inputs of a switch ever demand
+// overlapping output sides, so the internal conflict errors are
+// unreachable for plans built by compile — they guard the invariant,
+// not a caller-visible failure mode.
 func (c *Compiler) compileLadder(p *Plan) error {
 	net := c.net
 	size, n := net.N(), net.LogN()
@@ -246,7 +247,6 @@ func (c *Compiler) compileLadder(p *Plan) error {
 			return fmt.Errorf("mcast: internal: ladder left interval [%d,%d] of source %d on line %d",
 				iv.lo, iv.hi, iv.src, a)
 		}
-		p.SlotSrc[a] = iv.src
 	}
 	return nil
 }

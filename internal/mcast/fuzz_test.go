@@ -79,8 +79,9 @@ func FuzzMulticastMapping(f *testing.F) {
 		if !res.OK() {
 			t.Fatalf("mapping %v misrouted %v (delivered %v)", m, res.Misrouted, res.Delivered)
 		}
-		for out, src := range m {
-			if src >= 0 && p.WalkOutput(net, out) != src {
+		outs, srcs := walkAssigned(net, p, m)
+		for k, out := range outs {
+			if srcs[k] != m[out] {
 				t.Fatalf("mapping %v: backward walk disagrees at output %d", m, out)
 			}
 		}

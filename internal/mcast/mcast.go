@@ -28,8 +28,9 @@
 //
 // The three phases cost 2(N log N - N/2) + (N/2) log N switches and
 // 2(2 log N - 1) + log N gate delays. Both B(n) phases reuse the
-// looping-algorithm setup and the existing flight-recorder masks; the
-// ladder records through the four-state extension of the recorder.
+// looping-algorithm setup. A compiled plan packs into those switch
+// bits (Pack): the form the serving layer caches, the flight recorder
+// diffs, and Walk verifies delivery on.
 package mcast
 
 import (
@@ -67,9 +68,6 @@ func (m Mapping) Validate(n int) error {
 	return nil
 }
 
-// Clone deep-copies the mapping.
-func (m Mapping) Clone() Mapping { return append(Mapping(nil), m...) }
-
 // Equal reports entry-wise equality.
 func (m Mapping) Equal(o Mapping) bool {
 	if len(m) != len(o) {
@@ -83,20 +81,8 @@ func (m Mapping) Equal(o Mapping) bool {
 	return true
 }
 
-// ActiveSources returns the number of distinct sources with fan-out
-// >= 1, and Assigned the number of assigned outputs (the total copy
-// count).
-func (m Mapping) ActiveSources() int {
-	seen := map[int]bool{}
-	for _, src := range m {
-		if src >= 0 {
-			seen[src] = true
-		}
-	}
-	return len(seen)
-}
-
-// Assigned returns the number of outputs with a source assigned.
+// Assigned returns the number of outputs with a source assigned (the
+// total copy count).
 func (m Mapping) Assigned() int {
 	c := 0
 	for _, src := range m {
@@ -105,21 +91,6 @@ func (m Mapping) Assigned() int {
 		}
 	}
 	return c
-}
-
-// MaxFanout returns the largest per-source copy count.
-func (m Mapping) MaxFanout() int {
-	fan := map[int]int{}
-	max := 0
-	for _, src := range m {
-		if src >= 0 {
-			fan[src]++
-			if fan[src] > max {
-				max = fan[src]
-			}
-		}
-	}
-	return max
 }
 
 // Entry is one source's destination set in input-major form.

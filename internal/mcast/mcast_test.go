@@ -9,7 +9,8 @@ import (
 )
 
 // checkPlan compiles m, routes it at gate level, and checks multiset
-// delivery plus the backward walk on every assigned output.
+// delivery plus the backward walk of the packed plan on every assigned
+// output.
 func checkPlan(t *testing.T, net *core.Network, m Mapping) *Plan {
 	t.Helper()
 	p, err := Compile(net, m)
@@ -20,14 +21,26 @@ func checkPlan(t *testing.T, net *core.Network, m Mapping) *Plan {
 	if !res.OK() {
 		t.Fatalf("mapping %v: misrouted sources %v (delivered %v)", m, res.Misrouted, res.Delivered)
 	}
-	for out, src := range m {
-		if src >= 0 {
-			if got := p.WalkOutput(net, out); got != src {
-				t.Fatalf("mapping %v: WalkOutput(%d) = %d, want %d", m, out, got, src)
-			}
+	outs, srcs := walkAssigned(net, p, m)
+	for k, out := range outs {
+		if srcs[k] != m[out] {
+			t.Fatalf("mapping %v: Walk(%d) = %d, want %d", m, out, srcs[k], m[out])
 		}
 	}
 	return p
+}
+
+// walkAssigned packs p and walks every output m assigns back through
+// the packed plan, returning the outputs and the sources Walk found.
+func walkAssigned(net *core.Network, p *Plan, m Mapping) (outs, srcs []int) {
+	for out, src := range m {
+		if src >= 0 {
+			outs = append(outs, out)
+		}
+	}
+	srcs = make([]int, len(outs))
+	Walk(net, p.Pack(make([]uint64, PackedLen(net))), outs, srcs, nil, nil)
+	return outs, srcs
 }
 
 // compositions enumerates every ordered sequence of positive fan-outs
@@ -215,7 +228,7 @@ func TestCrossValidateGCNRandom(t *testing.T) {
 				data[i] = 1000 + i
 			}
 			carried := gcn.Carry(gp, data)
-			applied := Apply(p, data, nil)
+			applied := Apply(p.Map, data, nil)
 			for out := range m {
 				if applied[out] != carried[out] {
 					t.Fatalf("n=%d req=%v: mcast %d vs gcn %d at output %d",

@@ -1,0 +1,100 @@
+package mcast
+
+import (
+	"repro/internal/bits"
+	"repro/internal/core"
+	"repro/internal/netsim"
+)
+
+// A compiled plan's control state is its three switch settings, and
+// the serving layer keeps only those: Pack writes them into one word
+// slice, the distribute and permute B(n) settings as core.States.Pack
+// lays them out and the ladder as core.McastStates.Pack does, in the
+// order
+//
+//	dist | perm | ladder lo | ladder hi
+//
+// (2(2n−1) + 2n)·⌈N/128⌉ words, 92 at N=256 and 464 at N=1024. The
+// flight recorder diffs each phase's words as they are (Phases), and
+// Walk verifies delivery on them.
+
+// stageWords is the number of words one stage of N/2 switches packs
+// into.
+func stageWords(net *core.Network) int { return (net.SwitchesPerStage() + 63) / 64 }
+
+// PackedLen returns the number of words Pack writes for a plan over
+// net.
+func PackedLen(net *core.Network) int {
+	return (2*net.Stages() + 2*net.LogN()) * stageWords(net)
+}
+
+// Phases splits words, a plan packed for net, into its distribute and
+// permute settings and its ladder's lo and hi words.
+func Phases(net *core.Network, words []uint64) (dist, perm, lo, hi []uint64) {
+	b, l := net.Stages()*stageWords(net), net.LogN()*stageWords(net)
+	return words[:b], words[b : 2*b], words[2*b : 2*b+l], words[2*b+l : 2*b+2*l]
+}
+
+// Pack writes p's three switch settings into dst[:PackedLen(net)],
+// overwriting every word, and returns that slice.
+func (p *Plan) Pack(dst []uint64) []uint64 {
+	b, l := p.DistStates.PackedLen(), p.Ladder.PackedLen()
+	dst = dst[:2*b+2*l]
+	p.DistStates.Pack(dst[:b])
+	p.PermStates.Pack(dst[b : 2*b])
+	p.Ladder.Pack(dst[2*b:2*b+l], dst[2*b+l:])
+	return dst
+}
+
+// Walk follows each output outs[k] backward through words, a plan
+// packed for net, and writes the input that feeds it to srcs[k]:
+// permute B(n), then the copy ladder (whose backward direction stays a
+// function through broadcast states), then distribute B(n). It walks
+// all the outputs a stage at a time, so their independent chains of
+// loads overlap. Every hop counts one traversal of its switch, in rec
+// for the two B(n) phases and in lad for the ladder; a nil recorder
+// counts nothing. For a correct plan of mapping m, srcs[k] is
+// m[outs[k]] on every assigned output, so walking every assigned
+// output proves the delivered output multiset is the requested one.
+func Walk(net *core.Network, words []uint64, outs, srcs []int, rec, lad *netsim.Recorder) {
+	dist, perm, lo, hi := Phases(net, words)
+	srcs = srcs[:len(outs)]
+	copy(srcs, outs)
+	walkBenes(net, perm, srcs, rec)
+	w, n := stageWords(net), net.LogN()
+	for j := n - 1; j >= 0; j-- {
+		loRow, hiRow := lo[j*w:(j+1)*w], hi[j*w:(j+1)*w]
+		for k, y := range srcs {
+			sw := y >> 1
+			lad.Traverse(j, sw)
+			// The state's low bit crosses a binary switch; on a
+			// broadcast switch it names the input both outputs copy.
+			i, b := sw>>6, uint(sw)&63
+			if low := int(loRow[i] >> b & 1); hiRow[i]>>b&1 == 0 {
+				y ^= low
+			} else {
+				y = y&^1 | low
+			}
+			srcs[k] = bits.RotRight(y, n)
+		}
+	}
+	walkBenes(net, dist, srcs, rec)
+}
+
+// walkBenes is Walk's pass through one packed B(n) setting: it moves
+// every line in lines back to the input line driving it.
+func walkBenes(net *core.Network, st []uint64, lines []int, rec *netsim.Recorder) {
+	w := stageWords(net)
+	for s := net.Stages() - 1; s >= 0; s-- {
+		row := st[s*w : (s+1)*w]
+		for k, y := range lines {
+			sw := y >> 1
+			rec.Traverse(s, sw)
+			y ^= int(row[sw>>6] >> (uint(sw) & 63) & 1)
+			if s > 0 {
+				y = net.LinkInv(s-1, y)
+			}
+			lines[k] = y
+		}
+	}
+}

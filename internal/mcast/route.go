@@ -28,7 +28,7 @@ func (p *Plan) LadderRoute(net *core.Network, in []int) []int {
 // B(n), copy through the ladder, permute through B(n) — with source
 // tags on the requested inputs, and returns the multiset-checked
 // result. This is the plan's end-to-end proof obligation; the serving
-// paths use the cheaper WalkOutput spot checks instead.
+// paths use the cheaper Walk on the packed plan instead.
 func (p *Plan) Route(net *core.Network) *core.McastResult {
 	size := net.N()
 	tags := make([]int, size)
@@ -52,38 +52,16 @@ func (p *Plan) Route(net *core.Network) *core.McastResult {
 	}
 }
 
-// WalkOutput follows one network output backward through the plan to
-// the input that feeds it: permute B(n) backward, then the ladder
-// (whose backward direction stays a function even through broadcast
-// states), then distribute B(n) backward. For a correct plan,
-// WalkOutput(out) == Map[out] for every assigned output — the per-path
-// verification the fabric runs on live frames.
-func (p *Plan) WalkOutput(net *core.Network, out int) int {
-	slot := net.WalkBack(p.PermStates, out)
-	rank := p.walkLadderBack(net, slot)
-	return net.WalkBack(p.DistStates, rank) // dist input feeding line rank
-}
-
-// walkLadderBack follows ladder output line y backward to the ladder
-// input line driving it.
-func (p *Plan) walkLadderBack(net *core.Network, y int) int {
-	n := net.LogN()
-	for j := n - 1; j >= 0; j-- {
-		y = bits.RotRight(p.Ladder[j][y>>1].FeedLine(y), n)
-	}
-	return y
-}
-
-// Apply carries a payload vector through the plan without gate
-// simulation: out[o] = in[Map[o]] for assigned outputs, the zero value
-// elsewhere. The plan itself is the proof that the switch program
-// realizes this mapping (Route / WalkOutput check it at gate level).
-func Apply[T any](p *Plan, in []T, out []T) []T {
+// Apply carries a payload vector through mapping m without gate
+// simulation: out[o] = in[m[o]] for assigned outputs, the zero value
+// elsewhere. A compiled plan of m is the proof that the switch program
+// realizes this mapping (Plan.Route and Walk check it at gate level).
+func Apply[T any](m Mapping, in []T, out []T) []T {
 	var zero T
 	if out == nil {
-		out = make([]T, len(p.Map))
+		out = make([]T, len(m))
 	}
-	for o, src := range p.Map {
+	for o, src := range m {
 		if src >= 0 {
 			out[o] = in[src]
 		} else {

@@ -26,7 +26,7 @@ func TestFaultHitsCoexistWithMcastCounters(t *testing.T) {
 	}
 	words := rec.MaskWords()
 	lo, hi := make([]uint64, words), make([]uint64, words)
-	rec.PackMcastStatesInto(st, lo, hi)
+	st.Pack(lo, hi)
 	rec.RecordMcastFlips(lo, hi)
 	base0 := rec.StageTotals(0)
 	if base0.Flips != 1 || base0.Bcast != 1 || base0.FaultHits != 0 {
@@ -60,7 +60,7 @@ func TestFaultHitsCoexistWithMcastCounters(t *testing.T) {
 	// Another multicast setting change on the damaged switch: the flip
 	// and broadcast columns move, the fault-hit column does not.
 	st[0][0] = core.McCross
-	rec.PackMcastStatesInto(st, lo, hi)
+	st.Pack(lo, hi)
 	rec.RecordMcastFlips(lo, hi)
 	final0 := rec.StageTotals(0)
 	if final0.Flips != after0.Flips+1 || final0.Bcast != base0.Bcast+1 {

@@ -173,31 +173,6 @@ func (r *Recorder) Bcast(stage, sw int) {
 	r.at(stage, sw, kindBcast).Add(1)
 }
 
-// PackMcastStatesInto packs a four-state setting into the caller's
-// lo/hi bitmask pair (each of length MaskWords, cleared first): bit i
-// of lo word stage*words + i/64 is the low bit of switch (stage, i)'s
-// state and the matching hi bit is set when the state broadcasts
-// (McBcastUpper / McBcastLower). RecordMcastFlips diffs both planes.
-// Nil receivers no-op.
-func (r *Recorder) PackMcastStatesInto(st core.McastStates, lo, hi []uint64) {
-	if r == nil {
-		return
-	}
-	clear(lo)
-	clear(hi)
-	for s := range st {
-		for i, state := range st[s] {
-			w, bit := s*r.words+i/64, uint64(1)<<uint(i%64)
-			if state&1 != 0 {
-				lo[w] |= bit
-			}
-			if state.Broadcast() {
-				hi[w] |= bit
-			}
-		}
-	}
-}
-
 // MaskWords returns the length of a packed state bitmask for this
 // recorder's geometry (0 on nil): one word block per stage.
 func (r *Recorder) MaskWords() int {
@@ -277,7 +252,7 @@ func (r *Recorder) recordFlips(mask []uint64) {
 }
 
 // RecordMcastFlips is RecordFlips for a four-state setting packed by
-// PackMcastStatesInto: a switch flips when either state bit changed,
+// core.McastStates.Pack: a switch flips when either state bit changed,
 // and additionally counts a broadcast transition when the broadcast
 // bit changed — the copy network's reconfiguration cost metric.
 func (r *Recorder) RecordMcastFlips(lo, hi []uint64) {

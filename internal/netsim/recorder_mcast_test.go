@@ -20,7 +20,7 @@ func TestRecordMcastFlips(t *testing.T) {
 		{core.McBcastUpper, core.McStraight, core.McStraight},
 		{core.McStraight, core.McStraight, core.McCross},
 	}
-	r.PackMcastStatesInto(st, lo, hi)
+	st.Pack(lo, hi)
 	r.RecordMcastFlips(lo, hi)
 	if got := r.StageTotals(0); got.Flips != 1 || got.Bcast != 1 {
 		t.Fatalf("stage 0 after vector 1: %+v", got)
@@ -38,7 +38,7 @@ func TestRecordMcastFlips(t *testing.T) {
 	// (0,0) bcast-upper -> bcast-lower: both bits would be... lo flips
 	// (2 -> 3), hi unchanged: a flip but not a broadcast transition.
 	st[0][0] = core.McBcastLower
-	r.PackMcastStatesInto(st, lo, hi)
+	st.Pack(lo, hi)
 	r.RecordMcastFlips(lo, hi)
 	if got := r.StageTotals(0); got.Flips != 2 || got.Bcast != 1 {
 		t.Fatalf("stage 0 after upper->lower: %+v", got)

@@ -351,7 +351,7 @@ func TestRecorderMatchesReference(t *testing.T) {
 					stLo[s][i], stHi[s][i] = st[s][i]&1 != 0, st[s][i].Broadcast()
 				}
 			}
-			r.PackMcastStatesInto(st, lo, hi)
+			st.Pack(lo, hi)
 			r.RecordMcastFlips(lo, hi)
 			m.apply(stLo, stHi)
 		case k < 18: // frame: flips plus up to two marks per switch
