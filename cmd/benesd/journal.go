@@ -17,7 +17,8 @@ import (
 // All three 404 when the server runs without -journal.
 
 // journalRecord is the NDJSON wire form of one journal record: kind as
-// a string, digests as hex, empty payload fields omitted.
+// a string, digests as hex, empty payload fields omitted. A frame line
+// carries its packets as srcs/dsts pairs (srcs[k] → dsts[k]).
 type journalRecord struct {
 	Seq        uint64              `json:"seq"`
 	Kind       string              `json:"kind"`
@@ -25,6 +26,7 @@ type journalRecord struct {
 	TimeNs     int64               `json:"time_ns"`
 	Dest       []int               `json:"dest,omitempty"`
 	Srcs       []int               `json:"srcs,omitempty"`
+	Dsts       []int               `json:"dsts,omitempty"`
 	Faults     []core.Fault        `json:"faults,omitempty"`
 	Delivered  string              `json:"delivered,omitempty"`
 	Checkpoint *journal.Checkpoint `json:"checkpoint,omitempty"`
@@ -85,6 +87,7 @@ func (s *server) handleDebugJournal(w http.ResponseWriter, r *http.Request) {
 			TimeNs:     rec.TimeNs,
 			Dest:       rec.Dest,
 			Srcs:       rec.Srcs,
+			Dsts:       rec.Dsts,
 			Faults:     rec.Faults,
 			Checkpoint: rec.Checkpoint,
 			Digest:     fmt.Sprintf("%x", rec.Digest),

@@ -67,7 +67,8 @@
 //	               hypotheses, JSON report
 //	GET  /debug/journal?from=&to=  the hash-chained traffic journal's
 //	               retained record window as NDJSON, one record per
-//	               line (requires -journal)
+//	               line (requires -journal); a frame line carries its
+//	               packets as srcs/dsts pairs, srcs[k] → dsts[k]
 //	GET  /debug/journal/verify?from=&to=  walk the chain over the
 //	               window and report the verdict: records verified,
 //	               first broken sequence number, head digest

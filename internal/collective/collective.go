@@ -35,6 +35,7 @@
 package collective
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -112,11 +113,62 @@ type Service[T any] struct {
 	// per-round service time, feeding deadline admission.
 	ewmaRoundNs atomic.Int64
 
-	// progCache memoizes compiled programs by shape. Programs are
-	// immutable once compiled, so concurrent handles share them
-	// freely. Exchange is the one uncached operation: its schedule
-	// depends on the full destination matrix, not a few integers.
-	progCache sync.Map // progKey -> *Program
+	// progs memoizes compiled programs by shape, least recently used
+	// first out. Programs are immutable once compiled, so concurrent
+	// handles share them freely. Exchange is the one uncached
+	// operation: its schedule depends on the full destination matrix,
+	// not a few integers.
+	progs progCache
+}
+
+// progCacheCap bounds the programs one service keeps. Rooted
+// collectives key their programs by root and width, so broadcasts from
+// every root of a large fabric would otherwise keep one program each
+// for good; recompiling an evicted one costs a few percent of the
+// copy-network round it schedules.
+const progCacheCap = 64
+
+// progCache is an LRU of compiled programs.
+type progCache struct {
+	mu    sync.Mutex
+	ll    list.List // front = most recently used; values are *progEntry
+	items map[progKey]*list.Element
+}
+
+type progEntry struct {
+	key  progKey
+	prog *Program
+}
+
+// get returns key's program and marks it most recently used, or nil.
+func (c *progCache) get(key progKey) *Program {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.items[key]
+	if !ok {
+		return nil
+	}
+	c.ll.MoveToFront(e)
+	return e.Value.(*progEntry).prog
+}
+
+// put caches prog under key, evicting the least recently used program
+// past progCacheCap. A concurrent miss on the same key may have cached
+// an equal program first; the later one replaces it.
+func (c *progCache) put(key progKey, prog *Program) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.items[key]; ok {
+		e.Value.(*progEntry).prog = prog
+		c.ll.MoveToFront(e)
+		return
+	}
+	c.items[key] = c.ll.PushFront(&progEntry{key: key, prog: prog})
+	if c.ll.Len() > progCacheCap {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*progEntry).key)
+	}
 }
 
 // progKey identifies a compiled program's shape. Fields unused by an
@@ -131,14 +183,14 @@ type progKey struct {
 // miss. Compile errors are not cached (they are cheap to re-derive and
 // callers should see them every time).
 func (s *Service[T]) cachedProgram(key progKey, compile func() (*Program, error)) (*Program, error) {
-	if v, ok := s.progCache.Load(key); ok {
-		return v.(*Program), nil
+	if prog := s.progs.get(key); prog != nil {
+		return prog, nil
 	}
 	prog, err := compile()
 	if err != nil {
 		return nil, err
 	}
-	s.progCache.Store(key, prog)
+	s.progs.put(key, prog)
 	return prog, nil
 }
 
@@ -146,8 +198,8 @@ func (s *Service[T]) cachedProgram(key progKey, compile func() (*Program, error)
 // holding in(p) chunks — before it fetches or compiles key's program
 // and submits it. Checking first means a rejected payload compiles and
 // caches nothing: the column collectives and broadcast size their
-// programs by the payload's own row widths, and the program cache
-// never evicts.
+// programs by the payload's own row widths, and a program cached for a
+// payload no valid request can have would push a useful one out.
 func (s *Service[T]) start(ctx context.Context, key progKey, in func(p int) int, data [][]T, compile func() (*Program, error)) (*Handle[T], error) {
 	if err := checkShape(key.op, s.n, data, in); err != nil {
 		return nil, err
@@ -202,6 +254,7 @@ func New[T any](fab Rounder, opts Options) *Service[T] {
 		logN:        logN,
 		planeRounds: make([]atomic.Int64, fab.Planes()),
 	}
+	s.progs.items = make(map[progKey]*list.Element, progCacheCap)
 	if opts.RoundEstimate > 0 {
 		s.ewmaRoundNs.Store(opts.RoundEstimate.Nanoseconds())
 	}

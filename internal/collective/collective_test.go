@@ -381,9 +381,9 @@ func TestDeadlineAdmission(t *testing.T) {
 
 // programCount is the number of programs s has compiled and cached.
 func programCount(s *Service[int]) int {
-	n := 0
-	s.progCache.Range(func(any, any) bool { n++; return true })
-	return n
+	s.progs.mu.Lock()
+	defer s.progs.mu.Unlock()
+	return s.progs.ll.Len()
 }
 
 // TestSubmitShapeErrors covers the payload shape rejects. A rejected
@@ -441,5 +441,60 @@ func TestPipelineCacheReuse(t *testing.T) {
 	if st := h.Stats(); st.CacheHits < int64(chunks-planes) {
 		t.Fatalf("cache hits = %d of %d rounds, want >= %d (one miss per plane)",
 			st.CacheHits, st.Rounds, chunks-planes)
+	}
+}
+
+// TestProgramCacheBounded: broadcasts from 1,000 distinct (root, width)
+// shapes compile one program each, but the service keeps at most
+// progCacheCap of them, every broadcast still delivers the root's
+// chunks everywhere, and a repeated alltoall is still served from the
+// cache after the churn.
+func TestProgramCacheBounded(t *testing.T) {
+	const logN, n, shapes = 5, 32, 1000
+	s := newService(t, logN, 2, Options{})
+	ctx := context.Background()
+	for i := 0; i < shapes; i++ {
+		root, w := i%n, 1+i/n
+		in := make([][]int, n)
+		in[root] = make([]int, w)
+		for c := range in[root] {
+			in[root][c] = i*100 + c
+		}
+		h, err := s.Broadcast(ctx, root, in)
+		if err != nil {
+			t.Fatalf("broadcast %d (root %d, width %d): %v", i, root, w, err)
+		}
+		out := wait(t, h)
+		for p := range out {
+			if len(out[p]) != w || out[p][0] != i*100 || out[p][w-1] != i*100+w-1 {
+				t.Fatalf("broadcast %d (root %d, width %d): port %d received %v", i, root, w, p, out[p])
+			}
+		}
+		if got := programCount(s); got > progCacheCap {
+			t.Fatalf("after %d broadcasts %d programs are cached, want at most %d", i+1, got, progCacheCap)
+		}
+	}
+	if got := programCount(s); got != progCacheCap {
+		t.Fatalf("%d programs cached after %d shapes, want %d", got, shapes, progCacheCap)
+	}
+	key := progKey{op: OpAllToAll}
+	var cached *Program
+	for round := 0; round < 2; round++ {
+		h, err := s.AllToAll(ctx, fill(n, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := wait(t, h)
+		if out[3][7] != 7*1000+3 {
+			t.Fatalf("alltoall %d: out[3][7] = %d, want %d", round, out[3][7], 7*1000+3)
+		}
+		prog := s.progs.get(key)
+		if prog == nil {
+			t.Fatalf("alltoall %d left no program cached", round)
+		}
+		if round == 1 && prog != cached {
+			t.Fatal("a repeated alltoall compiled its program again instead of hitting the cache")
+		}
+		cached = prog
 	}
 }

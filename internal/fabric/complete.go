@@ -16,13 +16,14 @@ const Idle = -1
 // engine routes whole permutations only — the paper's model moves one
 // full vector per pass — so a frame carrying fewer than N packets must
 // still present N destination tags; the filler assignments carry no
-// payload and exist purely to make the frame self-routable.
+// payload and exist purely to make the frame self-routable. It is the
+// scheduler's own completion (completeInto), so a journaled frame's
+// pairs complete to exactly the permutation its plane served.
 //
 // Complete returns an error when partial is not a matching: an entry
 // out of range, or two inputs claiming the same output.
 func Complete(partial []int) (perm.Perm, error) {
 	n := len(partial)
-	full := make(perm.Perm, n)
 	taken := make([]bool, n)
 	for i, out := range partial {
 		if out == Idle {
@@ -35,19 +36,9 @@ func Complete(partial []int) (perm.Perm, error) {
 			return nil, fmt.Errorf("fabric: output %d claimed twice", out)
 		}
 		taken[out] = true
-		full[i] = out
 	}
-	free := 0
-	for i, out := range partial {
-		if out != Idle {
-			continue
-		}
-		for taken[free] {
-			free++
-		}
-		taken[free] = true
-		full[i] = free
-	}
+	full := make(perm.Perm, n)
+	completeInto(partial, full, taken)
 	return full, nil
 }
 

@@ -64,3 +64,42 @@ func TestCompleteRejectsNonMatchings(t *testing.T) {
 		t.Fatal("negative non-Idle output must be rejected")
 	}
 }
+
+// TestBuildFrameIsCompleteOfPairs pins the property a journaled frame
+// relies on: over random VOQ states, the permutation buildFrame hands
+// the plane is exactly Complete of the frame's (src, dst) pairs, so a
+// frame recorded as its pairs alone replays the permutation, and hence
+// the gate states, its plane served.
+func TestBuildFrameIsCompleteOfPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	frames := 0
+	for trial := 0; trial < 200; trial++ {
+		n := 1 << (1 + rng.Intn(6)) // N in {2..64}
+		v := newVOQShard[int](n, 8, nil)
+		for i, load := 0, 1+rng.Intn(4*n); i < load; i++ {
+			// A full queue tail-drops the packet, which only thins the
+			// state under test.
+			_ = v.enqueue(Packet[int]{Src: rng.Intn(n), Dst: rng.Intn(n), Payload: i}, DropNew)
+		}
+		for fr := drainOne(t, v); fr != nil; fr = drainOne(t, v) {
+			partial := make([]int, n)
+			for i := range partial {
+				partial[i] = Idle
+			}
+			for k, src := range fr.srcs {
+				partial[src] = fr.dsts[k]
+			}
+			want, err := Complete(partial)
+			if err != nil {
+				t.Fatalf("n=%d: frame pairs are not a matching: %v", n, err)
+			}
+			if !fr.dest.Equal(want) {
+				t.Fatalf("n=%d: buildFrame served %v, Complete of its %d pairs is %v", n, fr.dest, len(fr.srcs), want)
+			}
+			frames++
+		}
+	}
+	if frames < 200 {
+		t.Fatalf("only %d frames built", frames)
+	}
+}

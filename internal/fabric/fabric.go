@@ -643,11 +643,14 @@ func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], mserv
 			f.met.mcastCopies.Add(int64(fr.mcopies))
 		}
 		if f.jrn.Enabled() {
+			// The pairs are all a frame record needs: a unicast frame's
+			// filler is their completion, a multicast frame's mapping is
+			// them with every other output idle.
 			digest := journal.DigestPairs(fr.srcs, fr.dsts)
 			if fr.mcast {
-				f.jrn.McastFrame(p.id, fr.outSrc, fr.dsts, digest)
+				f.jrn.McastFrame(p.id, fr.srcs, fr.dsts, digest)
 			} else {
-				f.jrn.Frame(p.id, fr.dest, fr.srcs, digest)
+				f.jrn.Frame(p.id, fr.srcs, fr.dsts, digest)
 			}
 		}
 		transit := time.Since(start)

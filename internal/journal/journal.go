@@ -75,13 +75,30 @@ func (c Config) withDefaults() Config {
 
 // segment is one rotation window: encoded records (digests included)
 // in one contiguous buffer, plus the chain digest that preceded its
-// first record so a chain walk can start at any segment boundary.
+// first record so a chain walk can start at any segment boundary. The
+// open segment grows by appends under Journal.mu; rotation seals it
+// (see seal), after which nothing writes it again.
 type segment struct {
 	firstSeq    uint64
 	count       int
 	startDigest [DigestSize]byte
 	buf         []byte
-	offs        []int // offset of each record in buf
+	offs        []uint32 // offset of each record in buf
+}
+
+// maxSegmentBytes rotates a segment early once its buffer reaches 2
+// GiB, long before a uint32 offset could wrap: one record is at most
+// headerSize + maxPayload + DigestSize bytes.
+const maxSegmentBytes = 1 << 31
+
+// seal copies the segment's records to exactly their length,
+// releasing the append slack, when rotation retires it. Its offsets,
+// 4 B a record, are allocated once for SegmentRecords and kept as they
+// are.
+func (s *segment) seal() {
+	buf := make([]byte, len(s.buf))
+	copy(buf, s.buf)
+	s.buf = buf
 }
 
 // spillFile is the index entry for one on-disk segment.
@@ -235,7 +252,7 @@ func (j *Journal) append(r *Record) {
 	}
 	j.counts[r.Kind]++
 
-	if j.cur == nil || j.cur.count >= j.cfg.SegmentRecords {
+	if j.cur == nil || j.cur.count >= j.cfg.SegmentRecords || len(j.cur.buf) >= maxSegmentBytes {
 		j.rotateLocked()
 	}
 	seg := j.cur
@@ -249,7 +266,7 @@ func (j *Journal) append(r *Record) {
 	copy(j.head[:], j.scratch)
 	copy(r.Digest[:], j.scratch)
 	seg.buf = append(seg.buf, j.scratch...)
-	seg.offs = append(seg.offs, off)
+	seg.offs = append(seg.offs, uint32(off))
 	seg.count++
 	grew := len(seg.buf) - off
 
@@ -291,9 +308,15 @@ func (j *Journal) Checkpoint() {
 }
 
 // rotateLocked seals the current segment into the ring, evicting the
-// oldest ring segment when the memory window is full. Caller holds mu.
+// oldest ring segment when the memory window is full, and opens the
+// next segment with room for as many bytes as the sealed one holds:
+// traffic changes slowly from segment to segment, so the open buffer
+// rarely grows and never sits far above its records. Caller holds mu.
 func (j *Journal) rotateLocked() {
+	size := j.cfg.SegmentRecords * 64
 	if j.cur != nil {
+		j.cur.seal()
+		size = len(j.cur.buf)
 		j.ring = append(j.ring, j.cur)
 	}
 	if len(j.ring)+1 > j.maxRing {
@@ -311,8 +334,8 @@ func (j *Journal) rotateLocked() {
 	j.cur = &segment{
 		firstSeq:    j.nextSeq - 1,
 		startDigest: j.head,
-		buf:         make([]byte, 0, j.cfg.SegmentRecords*64),
-		offs:        make([]int, 0, j.cfg.SegmentRecords),
+		buf:         make([]byte, 0, size),
+		offs:        make([]uint32, 0, j.cfg.SegmentRecords),
 	}
 }
 
@@ -399,14 +422,14 @@ func readSpill(path string) (*segment, error) {
 	}
 	copy(seg.startDigest[:], b[24:24+DigestSize])
 	seg.buf = b[spillHeaderSize:]
-	off := 0
-	for off < len(seg.buf) {
-		_, n, err := Decode(seg.buf[off:])
+	var r Record
+	for off := 0; off < len(seg.buf); {
+		n, err := decodeInto(seg.buf[off:], &r)
 		if err != nil {
 			seq := seg.firstSeq + uint64(len(seg.offs))
 			return nil, fmt.Errorf("journal: %s at offset %d: %w", path, off, &seqError{seq, err})
 		}
-		seg.offs = append(seg.offs, off)
+		seg.offs = append(seg.offs, uint32(off))
 		off += n
 	}
 	if len(seg.offs) != seg.count {
@@ -425,59 +448,91 @@ type seqError struct {
 func (e *seqError) Error() string { return fmt.Sprintf("seq %d: %v", e.seq, e.err) }
 func (e *seqError) Unwrap() error { return e.err }
 
-// records decodes the segment's records with seq in [from, to].
-func (seg *segment) records(from, to uint64, out []*Record) ([]*Record, error) {
-	for i, off := range seg.offs {
-		seq := seg.firstSeq + uint64(i)
-		if seq < from {
-			continue
-		}
-		if seq > to {
-			break
-		}
-		r, _, err := Decode(seg.buf[off:])
-		if err != nil {
-			return out, fmt.Errorf("journal: %w", &seqError{seq, err})
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// memSegments snapshots the in-memory segments overlapping [from, to].
-// Segment buffers are append-only once records are published, so the
-// snapshot can be decoded outside the lock; offs is copied because the
-// slice header may grow.
+// memSegments snapshots the memory segments overlapping [from, to],
+// oldest first. Sealed segments are immutable and are shared as they
+// are; only the open one is copied, as a header over the records
+// published so far (appends only ever write past them).
 func (j *Journal) memSegments(from, to uint64) []*segment {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var segs []*segment
-	take := func(s *segment) {
-		if s == nil || s.count == 0 {
-			return
+	overlaps := func(s *segment) bool {
+		return s.count > 0 && s.firstSeq <= to && s.firstSeq+uint64(s.count)-1 >= from
+	}
+	for _, s := range j.ring {
+		if overlaps(s) {
+			segs = append(segs, s)
 		}
-		last := s.firstSeq + uint64(s.count) - 1
-		if last < from || s.firstSeq > to {
-			return
-		}
+	}
+	if s := j.cur; s != nil && overlaps(s) {
 		segs = append(segs, &segment{
 			firstSeq:    s.firstSeq,
 			count:       s.count,
 			startDigest: s.startDigest,
-			buf:         s.buf[:s.offs[s.count-1]+recordSize(s.buf, s.offs[s.count-1])],
-			offs:        append([]int(nil), s.offs[:s.count]...),
+			buf:         s.buf[:len(s.buf):len(s.buf)],
+			offs:        s.offs[:s.count:s.count],
 		})
 	}
-	for _, s := range j.ring {
-		take(s)
-	}
-	take(j.cur)
 	return segs
 }
 
-// recordSize reads one record's full wire size from its header.
-func recordSize(buf []byte, off int) int {
-	return headerSize + int(binary.LittleEndian.Uint32(buf[off+24:])) + DigestSize
+// walk decodes the retained records with sequence numbers in
+// [from, to], in order, and hands each to visit with its segment and
+// its sequence number by position; a false return stops the walk. Each
+// record is decoded into scratch when scratch is non-nil (visit must
+// then copy out what it keeps), into a new Record otherwise. The memory
+// ring is snapshotted before the spill index, so a segment evicted and
+// spilled in between is seen twice rather than not at all, and the
+// second copy is skipped. Spilled segments are walked first, one file
+// in memory at a time, then the memory ring. walk returns the error of
+// the first record or spill file that does not decode.
+func (j *Journal) walk(from, to uint64, scratch *Record, visit func(seg *segment, seq uint64, r *Record) bool) error {
+	mem := j.memSegments(from, to)
+	j.fmu.Lock()
+	files := append([]spillFile(nil), j.files...)
+	j.fmu.Unlock()
+	next := from // lowest sequence number not yet visited
+	walkSeg := func(seg *segment) (bool, error) {
+		for i, off := range seg.offs {
+			seq := seg.firstSeq + uint64(i)
+			if seq < next {
+				continue
+			}
+			if seq > to {
+				return false, nil
+			}
+			r := scratch
+			if r == nil {
+				r = new(Record)
+			}
+			if _, err := decodeInto(seg.buf[off:], r); err != nil {
+				return false, fmt.Errorf("journal: %w", &seqError{seq, err})
+			}
+			next = seq + 1
+			if !visit(seg, seq, r) {
+				return false, nil
+			}
+		}
+		return true, nil
+	}
+	for _, sf := range files {
+		if sf.lastSeq < next || sf.firstSeq > to {
+			continue
+		}
+		seg, err := readSpill(sf.path)
+		if err != nil {
+			return err
+		}
+		if more, err := walkSeg(seg); !more || err != nil {
+			return err
+		}
+	}
+	for _, seg := range mem {
+		if more, err := walkSeg(seg); !more || err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Read returns the decoded records with sequence numbers in [from, to],
@@ -493,32 +548,11 @@ func (j *Journal) Read(from, to uint64) ([]*Record, error) {
 		return nil, fmt.Errorf("journal: bad range [%d, %d]", from, to)
 	}
 	var out []*Record
-	j.fmu.Lock()
-	files := append([]spillFile(nil), j.files...)
-	j.fmu.Unlock()
-	for _, sf := range files {
-		if sf.lastSeq < from || sf.firstSeq > to {
-			continue
-		}
-		seg, err := readSpill(sf.path)
-		if err != nil {
-			return out, err
-		}
-		if out, err = seg.records(from, to, out); err != nil {
-			return out, err
-		}
-	}
-	memFrom := from
-	if n := len(out); n > 0 {
-		memFrom = out[n-1].Seq + 1
-	}
-	for _, seg := range j.memSegments(memFrom, to) {
-		var err error
-		if out, err = seg.records(memFrom, to, out); err != nil {
-			return out, err
-		}
-	}
-	return out, nil
+	err := j.walk(from, to, nil, func(_ *segment, _ uint64, r *Record) bool {
+		out = append(out, r)
+		return true
+	})
+	return out, err
 }
 
 // VerifyResult reports one chain walk.
@@ -542,8 +576,10 @@ type VerifyResult struct {
 // record that no longer decodes, names the exact tampered or corrupted
 // record. The walk is anchored at the predecessor record when it is
 // still retained, at the segment start digest when from is a retention
-// boundary, and at the zero digest for seq 1. It hashes with its own
-// hasher, so a long walk never holds the append lock.
+// boundary, and at the zero digest for seq 1. It decodes every record
+// into one reused Record and hashes with its own hasher, so a walk over
+// the whole window allocates next to nothing and never holds the append
+// lock.
 func (j *Journal) Verify(from, to uint64) VerifyResult {
 	j.met.chainVerifies.Add(1)
 	if from == 0 {
@@ -563,33 +599,32 @@ func (j *Journal) Verify(from, to uint64) VerifyResult {
 			anchored = true
 		}
 	}
-	recs, readErr := j.Read(from, to)
-	if len(recs) == 0 && readErr == nil {
-		res.Detail = "no records in range"
-		return res
-	}
-	if !anchored && len(recs) > 0 {
-		// from is older than retention or sits at its boundary: anchor
-		// at the containing segment's start digest when the first read
-		// record opens a segment; otherwise the first record can only be
-		// structurally checked.
-		if d, ok := j.segmentStart(recs[0].Seq); ok {
-			prev = d
-			anchored = true
-		}
-	}
 	h := sha256.New()
-	var want [DigestSize]byte
+	var (
+		want    [DigestSize]byte
+		scratch Record
+		lastSeq uint64
+	)
 	body := make([]byte, 0, 256)
-	for i, r := range recs {
-		if i > 0 && r.Seq != recs[i-1].Seq+1 {
+	walked := 0
+	err := j.walk(from, to, &scratch, func(seg *segment, seq uint64, r *Record) bool {
+		walked++
+		if walked > 1 && r.Seq != lastSeq+1 {
 			res.FirstBadSeq = r.Seq
-			res.Detail = fmt.Sprintf("sequence gap: %d follows %d", r.Seq, recs[i-1].Seq)
-			return res
+			res.Detail = fmt.Sprintf("sequence gap: %d follows %d", r.Seq, lastSeq)
+			return false
 		}
-		if i == 0 && !anchored {
-			prev = r.Digest
-			continue
+		lastSeq = r.Seq
+		if walked == 1 && !anchored {
+			// from is older than retention or sits at its boundary:
+			// anchor at the segment's start digest when the first record
+			// opens it; otherwise the first record can only be checked
+			// structurally.
+			if seq != seg.firstSeq {
+				prev = r.Digest
+				return true
+			}
+			prev = seg.startDigest
 		}
 		body = appendBody(body[:0], r)
 		h.Reset()
@@ -599,50 +634,26 @@ func (j *Journal) Verify(from, to uint64) VerifyResult {
 		if want != r.Digest {
 			res.FirstBadSeq = r.Seq
 			res.Detail = fmt.Sprintf("chain digest mismatch at seq %d", r.Seq)
-			return res
+			return false
 		}
 		prev = r.Digest
-	}
-	if readErr != nil {
-		// Read stopped at a record that no longer decodes; name it.
+		return true
+	})
+	switch {
+	case res.FirstBadSeq != 0:
+	case err != nil:
+		// The walk stopped at a record that no longer decodes; name it.
 		var se *seqError
-		if errors.As(readErr, &se) {
+		if errors.As(err, &se) {
 			res.FirstBadSeq = se.seq
 		}
-		res.Detail = readErr.Error()
-		return res
+		res.Detail = err.Error()
+	case walked == 0:
+		res.Detail = "no records in range"
+	default:
+		res.OK = true
+		res.Records = walked
+		res.Head = fmt.Sprintf("%x", prev)
 	}
-	res.OK = true
-	res.Records = len(recs)
-	res.Head = fmt.Sprintf("%x", prev)
 	return res
-}
-
-// segmentStart returns the chain digest preceding seq when seq opens a
-// retained segment (memory or disk).
-func (j *Journal) segmentStart(seq uint64) ([DigestSize]byte, bool) {
-	j.mu.Lock()
-	for _, s := range j.ring {
-		if s.firstSeq == seq {
-			d := s.startDigest
-			j.mu.Unlock()
-			return d, true
-		}
-	}
-	if j.cur != nil && j.cur.firstSeq == seq {
-		d := j.cur.startDigest
-		j.mu.Unlock()
-		return d, true
-	}
-	j.mu.Unlock()
-	j.fmu.Lock()
-	defer j.fmu.Unlock()
-	for _, sf := range j.files {
-		if sf.firstSeq == seq {
-			if seg, err := readSpill(sf.path); err == nil {
-				return seg.startDigest, true
-			}
-		}
-	}
-	return [DigestSize]byte{}, false
 }

@@ -32,8 +32,8 @@ func TestJournalAppendReadVerify(t *testing.T) {
 		t.Fatal("live writer reports disabled")
 	}
 	w.Route([]int{1, 0, 3, 2}, 0xaa)
-	w.Frame(0, []int{3, 2, 1, 0}, []int{0, 2}, 0xbb)
-	w.McastFrame(1, []int{0, 0, -1, 1}, []int{0, 1, 3}, 0xcc)
+	w.Frame(0, []int{0, 2}, []int{3, 1}, 0xbb)
+	w.McastFrame(1, []int{0, 0, 1}, []int{0, 1, 3}, 0xcc)
 	w.Round(1, []int{0, 1, 2, 3}, 0xdd)
 	w.McastRound(0, []int{-1, 2, 2, -1}, 0xee)
 	w.Inject(1, []core.Fault{{Stage: 1, Switch: 0, StuckCrossed: true}})
@@ -112,7 +112,7 @@ func TestJournalTamper(t *testing.T) {
 			fill(w, 5)
 
 			j.mu.Lock()
-			j.cur.buf[j.cur.offs[victim-1]+tc.at] ^= tc.xor
+			j.cur.buf[int(j.cur.offs[victim-1])+tc.at] ^= tc.xor
 			j.mu.Unlock()
 
 			vr := j.Verify(1, 10)
@@ -367,5 +367,103 @@ func TestJournalClosedAppend(t *testing.T) {
 	}
 	if vr := j.Verify(1, 3); !vr.OK {
 		t.Fatalf("Verify after close: %+v", vr)
+	}
+}
+
+// framePairs writes the i-th of a run of k-packet frames at N=n into
+// srcs and dsts: distinct inputs and distinct outputs, spread over the
+// whole port range so every vector packs one byte per entry.
+func framePairs(i, n int, srcs, dsts []int) {
+	for p := range srcs {
+		srcs[p] = (i + p*n/len(srcs)) % n
+		dsts[p] = (3*i + 5 + p*n/len(dsts)) % n
+	}
+}
+
+// heapAfterGC returns the live heap once garbage is collected.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestRingBytes pins what the memory ring keeps per record: a
+// default-cap journal filled past its cap with 16-packet frames at
+// N=256 (118 B each on the wire) retains at most 140 B per record once
+// garbage is collected. Sealed segments are trimmed to their records,
+// offsets are 4 B, and the open segment is sized like the last sealed
+// one.
+func TestRingBytes(t *testing.T) {
+	const n, k = 256, 16
+	before := heapAfterGC()
+	j, err := New(Config{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	w := j.Writer()
+	srcs, dsts := make([]int, k), make([]int, k)
+	for i := 0; i < 2*DefaultCap; i++ {
+		framePairs(i, n, srcs, dsts)
+		w.Frame(i&1, srcs, dsts, DigestPairs(srcs, dsts))
+	}
+	retained := heapAfterGC() - before
+	oldest, newest, _ := j.Bounds()
+	records := newest - oldest + 1
+	if records != DefaultCap {
+		t.Fatalf("window holds %d records, want %d", records, DefaultCap)
+	}
+	perRecord := float64(retained) / float64(records)
+	t.Logf("%d records retain %d B: %.1f B per record", records, retained, perRecord)
+	if perRecord > 140 {
+		t.Fatalf("the ring retains %.1f B per 118-B record, want at most 140", perRecord)
+	}
+	runtime.KeepAlive(j)
+}
+
+// TestVerifyAllocs pins Verify's memory: it walks a full default-cap
+// window record by record, decoding into one reused Record, so the
+// whole walk allocates under 1 MB where materializing the window would
+// take tens of MB. Checkpoints and a few full-permutation routes ride
+// along so every decode path runs.
+func TestVerifyAllocs(t *testing.T) {
+	const n, k = 256, 16
+	j, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	j.SetCheckpointSource(func() Checkpoint {
+		return Checkpoint{Accepted: 1, Planes: make([]PlaneCheckpoint, 2)}
+	})
+	w := j.Writer()
+	srcs, dsts := make([]int, k), make([]int, k)
+	route := make([]int, n)
+	for i := range route {
+		route[i] = n - 1 - i
+	}
+	for i := 0; ; i++ {
+		if seq, _ := j.Head(); seq >= DefaultCap {
+			break
+		}
+		if i%97 == 0 {
+			w.Route(route, DigestPerm(route))
+			continue
+		}
+		framePairs(i, n, srcs, dsts)
+		w.Frame(i&1, srcs, dsts, DigestPairs(srcs, dsts))
+	}
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	vr := j.Verify(1, DefaultCap)
+	runtime.ReadMemStats(&ms1)
+	if !vr.OK || vr.Records != DefaultCap {
+		t.Fatalf("Verify = %+v, want an intact chain over %d records", vr, DefaultCap)
+	}
+	alloc := ms1.TotalAlloc - ms0.TotalAlloc
+	t.Logf("verifying %d records allocated %d B", vr.Records, alloc)
+	if alloc >= 1<<20 {
+		t.Fatalf("verifying %d records allocated %d B, want under 1 MB", vr.Records, alloc)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/packed"
@@ -40,10 +41,13 @@ const (
 	// served through the standalone engine (benesd /route).
 	KindRoute Kind = 1
 	// KindFrame is one unicast fabric frame served and verified: the
-	// scheduled permutation plus the inputs carrying real packets.
+	// (src, dst) pairs of its real packets. The filler that completes
+	// them to the permutation the plane served is not stored: it is
+	// the fabric's completion of those pairs (fabric.Complete).
 	KindFrame Kind = 2
 	// KindMcastFrame is one multicast mapping frame served through the
-	// copy network: the output-major mapping plus the listed outputs.
+	// copy network: the (src, dst) pairs of its copies. The mapping the
+	// plane served is those pairs with every other output idle.
 	KindMcastFrame Kind = 3
 	// KindRound is one whole-permutation collective round.
 	KindRound Kind = 4
@@ -125,10 +129,11 @@ type Checkpoint struct {
 // depends on Kind:
 //
 //	KindRoute, KindRound:  Dest is the full permutation
-//	KindFrame:             Dest is the permutation, Srcs the real inputs
-//	KindMcastFrame:        Dest is the output-major mapping (-1 = idle),
-//	                       Srcs the delivered outputs in claim order
-//	KindMcastRound:        Dest is the mapping
+//	KindFrame,
+//	KindMcastFrame:        Srcs and Dsts are the real packets in claim
+//	                       order, packet k travelling Srcs[k] → Dsts[k]
+//	                       (a multicast source repeats once per copy)
+//	KindMcastRound:        Dest is the output-major mapping (-1 = idle)
 //	KindInject:            Faults is the injected set (empty = heal)
 //	KindCheckpoint:        Checkpoint is set
 //
@@ -143,6 +148,7 @@ type Record struct {
 	TimeNs     int64
 	Dest       []int
 	Srcs       []int
+	Dsts       []int
 	Faults     []core.Fault
 	Delivered  uint64
 	Checkpoint *Checkpoint
@@ -153,7 +159,7 @@ type Record struct {
 // kind-specific payload, and the 32-byte chain digest.
 const (
 	recordMagic   = 0x424a // "JB" little-endian
-	recordVersion = 2
+	recordVersion = 3
 	headerSize    = 28
 	// DigestSize is the chain digest length (SHA-256).
 	DigestSize = 32
@@ -184,15 +190,12 @@ func appendBody(dst []byte, r *Record) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, 0) // payload length backpatched
 	payloadAt := len(dst)
 	switch r.Kind {
-	case KindRoute, KindRound:
+	case KindRoute, KindRound, KindMcastRound:
 		dst = appendInts(dst, r.Dest)
 		dst = binary.LittleEndian.AppendUint64(dst, r.Delivered)
 	case KindFrame, KindMcastFrame:
-		dst = appendInts(dst, r.Dest)
 		dst = appendInts(dst, r.Srcs)
-		dst = binary.LittleEndian.AppendUint64(dst, r.Delivered)
-	case KindMcastRound:
-		dst = appendInts(dst, r.Dest)
+		dst = appendInts(dst, r.Dsts)
 		dst = binary.LittleEndian.AppendUint64(dst, r.Delivered)
 	case KindInject:
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(r.Faults)))
@@ -252,7 +255,7 @@ func appendInts(dst []byte, vals []int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(lo))
 	dst = append(dst, byte(w))
 	at := len(dst)
-	dst = append(dst, make([]byte, w*len(vals))...)
+	dst = slices.Grow(dst, w*len(vals))[:at+w*len(vals)]
 	for i, v := range vals {
 		packed.Put(dst[at:], w, i, uint32(int32(v))-uint32(lo))
 	}
@@ -311,25 +314,27 @@ func (d *decoder) u8() byte {
 	return v
 }
 
-// ints reads one packed int vector (see appendInts). The count, width,
-// base and entries are all checked against the remaining payload and
-// the canonical rules before the output is allocated, so a hostile
-// count can never balloon memory and every accepted vector re-encodes
-// to the same bytes.
-func (d *decoder) ints() []int {
+// ints reads one packed int vector (see appendInts) into dst's
+// storage, growing it only when the vector does not fit. The count,
+// width, base and entries are all checked against the remaining
+// payload and the canonical rules before dst grows, so a hostile count
+// can never balloon memory and every accepted vector re-encodes to the
+// same bytes.
+func (d *decoder) ints(dst []int) []int {
+	dst = dst[:0]
 	n := int(d.u32())
 	if d.err || n < 0 {
 		d.err = true
-		return nil
+		return dst
 	}
 	if n == 0 {
-		return []int{}
+		return dst
 	}
 	base := int64(int32(d.u32()))
 	w := int(d.u8())
 	if d.err || (w != 1 && w != 2 && w != 4) || n > (len(d.b)-d.off)/w {
 		d.err = true
-		return nil
+		return dst
 	}
 	raw := d.b[d.off : d.off+n*w]
 	lo, hi := uint32(math.MaxUint32), uint32(0)
@@ -340,14 +345,14 @@ func (d *decoder) ints() []int {
 	}
 	if lo != 0 || packed.Width(hi) != w || base+int64(hi) > math.MaxInt32 {
 		d.err = true
-		return nil
+		return dst
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(base + int64(packed.At(raw, w, i)))
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, int(base+int64(packed.At(raw, w, i))))
 	}
 	d.off += n * w
-	return out
+	return dst
 }
 
 func (d *decoder) uints() []uint64 {
@@ -370,57 +375,72 @@ func (d *decoder) uints() []uint64 {
 // returns an error. The chain digest is read but not verified — that is
 // Journal.Verify's job, which needs the predecessor's digest.
 func Decode(b []byte) (*Record, int, error) {
+	r := new(Record)
+	n, err := decodeInto(b, r)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, n, nil
+}
+
+// decodeInto is Decode into r: every field is overwritten, and r's
+// vectors and fault set are reused when the decoded ones fit, so a walk
+// that decodes record after record into one Record allocates only for
+// checkpoints and for vectors longer than any before them. On error r
+// is left partly written.
+func decodeInto(b []byte, r *Record) (int, error) {
 	if len(b) < headerSize {
-		return nil, 0, ErrShort
+		return 0, ErrShort
 	}
 	if binary.LittleEndian.Uint16(b) != recordMagic {
-		return nil, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	if b[2] != recordVersion {
-		return nil, 0, fmt.Errorf("%w: version %d", ErrBadRecord, b[2])
+		return 0, fmt.Errorf("%w: version %d", ErrBadRecord, b[2])
 	}
 	kind := Kind(b[3])
 	if kind == 0 || kind >= KindMax {
-		return nil, 0, fmt.Errorf("%w: kind %d", ErrBadRecord, b[3])
+		return 0, fmt.Errorf("%w: kind %d", ErrBadRecord, b[3])
 	}
 	payloadLen := int(binary.LittleEndian.Uint32(b[24:]))
 	if payloadLen < 0 || payloadLen > maxPayload {
-		return nil, 0, fmt.Errorf("%w: payload length %d", ErrBadRecord, payloadLen)
+		return 0, fmt.Errorf("%w: payload length %d", ErrBadRecord, payloadLen)
 	}
 	total := headerSize + payloadLen + DigestSize
 	if len(b) < total {
-		return nil, 0, ErrShort
+		return 0, ErrShort
 	}
-	r := &Record{
+	*r = Record{
 		Seq:    binary.LittleEndian.Uint64(b[4:]),
 		Kind:   kind,
 		TimeNs: int64(binary.LittleEndian.Uint64(b[12:])),
 		Plane:  int(int32(binary.LittleEndian.Uint32(b[20:]))),
+		Dest:   r.Dest[:0],
+		Srcs:   r.Srcs[:0],
+		Dsts:   r.Dsts[:0],
+		Faults: r.Faults[:0],
 	}
 	d := &decoder{b: b[headerSize : headerSize+payloadLen]}
 	switch kind {
-	case KindRoute, KindRound:
-		r.Dest = d.ints()
+	case KindRoute, KindRound, KindMcastRound:
+		r.Dest = d.ints(r.Dest)
 		r.Delivered = d.u64()
 	case KindFrame, KindMcastFrame:
-		r.Dest = d.ints()
-		r.Srcs = d.ints()
-		r.Delivered = d.u64()
-	case KindMcastRound:
-		r.Dest = d.ints()
+		r.Srcs = d.ints(r.Srcs)
+		r.Dsts = d.ints(r.Dsts)
 		r.Delivered = d.u64()
 	case KindInject:
 		n := int(d.u32())
 		if d.err || n < 0 || d.off+9*n > len(d.b) {
-			return nil, 0, fmt.Errorf("%w: fault count %d", ErrBadRecord, n)
+			return 0, fmt.Errorf("%w: fault count %d", ErrBadRecord, n)
 		}
-		r.Faults = make([]core.Fault, n)
+		r.Faults = slices.Grow(r.Faults, n)[:n]
 		for i := range r.Faults {
 			r.Faults[i].Stage = int(int32(d.u32()))
 			r.Faults[i].Switch = int(int32(d.u32()))
 			stuck := d.u8()
 			if stuck > 1 {
-				return nil, 0, fmt.Errorf("%w: stuck byte %d", ErrBadRecord, stuck)
+				return 0, fmt.Errorf("%w: stuck byte %d", ErrBadRecord, stuck)
 			}
 			r.Faults[i].StuckCrossed = stuck == 1
 		}
@@ -437,7 +457,7 @@ func Decode(b []byte) (*Record, int, error) {
 		cp.Frames = d.u64()
 		n := int(d.u32())
 		if d.err || n < 0 || d.off+40*n > len(d.b) {
-			return nil, 0, fmt.Errorf("%w: plane count %d", ErrBadRecord, n)
+			return 0, fmt.Errorf("%w: plane count %d", ErrBadRecord, n)
 		}
 		cp.Planes = make([]PlaneCheckpoint, n)
 		for i := range cp.Planes {
@@ -452,11 +472,11 @@ func Decode(b []byte) (*Record, int, error) {
 		r.Checkpoint = cp
 	}
 	if d.err {
-		return nil, 0, ErrBadRecord
+		return 0, ErrBadRecord
 	}
 	if d.off != payloadLen {
-		return nil, 0, fmt.Errorf("%w: %d payload bytes unconsumed", ErrBadRecord, payloadLen-d.off)
+		return 0, fmt.Errorf("%w: %d payload bytes unconsumed", ErrBadRecord, payloadLen-d.off)
 	}
 	copy(r.Digest[:], b[headerSize+payloadLen:total])
-	return r, total, nil
+	return total, nil
 }

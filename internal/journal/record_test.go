@@ -15,8 +15,8 @@ import (
 func sampleRecords() []*Record {
 	return []*Record{
 		{Seq: 1, Kind: KindRoute, Plane: -1, TimeNs: 100, Dest: []int{3, 2, 1, 0}, Delivered: 0xdead},
-		{Seq: 2, Kind: KindFrame, Plane: 0, TimeNs: 200, Dest: []int{1, 0, 3, 2}, Srcs: []int{2, 0}, Delivered: 7},
-		{Seq: 3, Kind: KindMcastFrame, Plane: 1, TimeNs: 300, Dest: []int{0, 0, -1, 1}, Srcs: []int{0, 1, 3}, Delivered: 9},
+		{Seq: 2, Kind: KindFrame, Plane: 0, TimeNs: 200, Srcs: []int{2, 0}, Dsts: []int{3, 1}, Delivered: 7},
+		{Seq: 3, Kind: KindMcastFrame, Plane: 1, TimeNs: 300, Srcs: []int{0, 0, 1}, Dsts: []int{0, 1, 3}, Delivered: 9},
 		{Seq: 4, Kind: KindRound, Plane: 1, TimeNs: 400, Dest: []int{0, 1, 2, 3}, Delivered: 11},
 		{Seq: 5, Kind: KindMcastRound, Plane: 0, TimeNs: 500, Dest: []int{-1, -1, 2, 2}, Delivered: 13},
 		{Seq: 6, Kind: KindInject, Plane: 1, TimeNs: 600,
@@ -52,7 +52,7 @@ func recordsEqual(a, b *Record) bool {
 		}
 		return true
 	}
-	if !intsEq(a.Dest, b.Dest) || !intsEq(a.Srcs, b.Srcs) || len(a.Faults) != len(b.Faults) {
+	if !intsEq(a.Dest, b.Dest) || !intsEq(a.Srcs, b.Srcs) || !intsEq(a.Dsts, b.Dsts) || len(a.Faults) != len(b.Faults) {
 		return false
 	}
 	for i := range a.Faults {
@@ -278,7 +278,8 @@ func TestPackedVectorRejects(t *testing.T) {
 
 // TestRecordFootprint pins the bytes one record costs at N=256, digest
 // included: the permutation's entries are one byte each, and a mapping
-// with idle outputs is two.
+// with idle outputs is two. A frame costs 86 B plus two bytes per real
+// packet (one for its source, one for its destination), whatever N is.
 func TestRecordFootprint(t *testing.T) {
 	const n = 256
 	dest := make([]int, n)
@@ -299,7 +300,10 @@ func TestRecordFootprint(t *testing.T) {
 		want   int64
 	}{
 		{"route", func() { w.Route(dest, 1) }, 333},
-		{"frame, 3 real inputs", func() { w.Frame(0, dest, []int{0, 7, 200}, 1) }, 342 + 3},
+		{"frame, 3 packets", func() { w.Frame(0, []int{0, 7, 200}, []int{255, 3, 17}, 1) }, 86 + 2*3},
+		{"mcast frame, 2 sources fanning out to 5 outputs", func() {
+			w.McastFrame(1, []int{4, 4, 4, 250, 250}, []int{0, 1, 2, 128, 255}, 1)
+		}, 86 + 2*5},
 		{"mcast round, idle outputs", func() { w.McastRound(0, mapping, 1) }, 589},
 	}
 	for _, tc := range cases {

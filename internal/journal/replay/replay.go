@@ -10,19 +10,23 @@
 // recorded admissions in sequence.
 //
 // Replay re-derives each record's plan exactly the way the serving path
-// did (SelfRoute for F(n) members, the looping setup otherwise;
-// multicast mappings recompile through the copy-network compiler),
-// routes it through a fresh gate-level network, and compares the
-// realized deliveries' digest against the journal's. The first mismatch
-// names the exact divergent sequence number. Checkpoint records add a
-// second audit axis: their journal-assigned per-kind record counts must
-// match the deltas replay observes between checkpoints.
+// did (SelfRoute for F(n) members, the looping setup otherwise; a
+// unicast frame's permutation is its packets' pairs completed by the
+// fabric's own scheduler rule and set up by looping, as the plane's
+// frame server does; multicast mappings recompile through the
+// copy-network compiler), routes it through a fresh gate-level network,
+// and compares the realized deliveries' digest against the journal's.
+// The first mismatch names the exact divergent sequence number.
+// Checkpoint records add a second audit axis: their journal-assigned
+// per-kind record counts must match the deltas replay observes between
+// checkpoints.
 package replay
 
 import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/journal"
 	"repro/internal/mcast"
 	"repro/internal/perm"
@@ -101,6 +105,7 @@ type replayer struct {
 	net     *core.Network
 	comp    *mcast.Compiler
 	words   []uint64 // the current mapping's packed copy-network plan
+	ports   []int    // a frame's partial matching or mapping, rebuilt per record
 	rep     *Report
 	counts  [journal.KindMax]uint64
 	lastCp  []uint64 // KindCounts at the window's previous checkpoint
@@ -120,6 +125,7 @@ func Run(cfg Config, recs []*journal.Record) (*Report, error) {
 		net:     net,
 		comp:    mcast.NewCompiler(net),
 		words:   make([]uint64, mcast.PackedLen(net)),
+		ports:   make([]int, net.N()),
 		rep:     &Report{ChainOK: true},
 		planeOK: cfg.Planes > 0,
 	}
@@ -172,8 +178,8 @@ func (r *replayer) states(d perm.Perm) core.States {
 	return r.net.Setup(d)
 }
 
-// replayPerm re-executes one permutation record (route, frame, or
-// round) gate by gate and audits the delivery digest.
+// replayPerm re-executes one permutation record (route or round) gate
+// by gate and audits the delivery digest.
 func (r *replayer) replayPerm(rec *journal.Record) {
 	d := perm.Perm(rec.Dest)
 	if len(d) != r.net.N() {
@@ -184,73 +190,142 @@ func (r *replayer) replayPerm(rec *journal.Record) {
 		r.diverge(rec, fmt.Sprintf("invalid permutation: %v", err))
 		return
 	}
-	res := r.net.ExternalRoute(d, r.states(d))
+	if realized, ok := r.route(rec, d, r.states(d)); ok {
+		r.audit(rec, journal.DigestPerm(realized))
+	}
+}
+
+// replayFrame rebuilds a unicast frame's permutation from its packets'
+// pairs with the scheduler's completion, sets it up by looping as the
+// plane's frame server did, and audits the digest of the real packets'
+// (src, realized dst) pairs in the recorded claim order — the order
+// the live dispatch digested its verified deliveries in.
+func (r *replayer) replayFrame(rec *journal.Record) {
+	n := r.net.N()
+	if !r.samePairs(rec) {
+		return
+	}
+	partial := r.ports
+	for i := range partial {
+		partial[i] = fabric.Idle
+	}
+	for k, src := range rec.Srcs {
+		dst := rec.Dsts[k]
+		switch {
+		case src < 0 || src >= n:
+			r.diverge(rec, fmt.Sprintf("frame source %d out of range", src))
+			return
+		case dst < 0 || dst >= n:
+			r.diverge(rec, fmt.Sprintf("frame destination %d out of range", dst))
+			return
+		case partial[src] != fabric.Idle:
+			r.diverge(rec, fmt.Sprintf("frame input %d carries two packets", src))
+			return
+		}
+		partial[src] = dst
+	}
+	d, err := fabric.Complete(partial)
+	if err != nil {
+		r.diverge(rec, fmt.Sprintf("frame pairs are not a matching: %v", err))
+		return
+	}
+	realized, ok := r.route(rec, d, r.net.Setup(d))
+	if !ok {
+		return
+	}
+	h := journal.NewHash64()
+	for _, src := range rec.Srcs {
+		h.Int(int64(src))
+		h.Int(int64(realized[src]))
+	}
+	r.audit(rec, h.Sum())
+}
+
+// samePairs diverges unless a frame record lists as many destinations
+// as sources.
+func (r *replayer) samePairs(rec *journal.Record) bool {
+	if len(rec.Srcs) != len(rec.Dsts) {
+		r.diverge(rec, fmt.Sprintf("frame lists %d sources and %d destinations", len(rec.Srcs), len(rec.Dsts)))
+		return false
+	}
+	return true
+}
+
+// route sends d through the fresh network under setting st and reports
+// the realized permutation, diverging unless it is d.
+func (r *replayer) route(rec *journal.Record, d perm.Perm, st core.States) (perm.Perm, bool) {
+	res := r.net.ExternalRoute(d, st)
 	for i, want := range d {
 		if res.Realized[i] != want {
 			r.diverge(rec, fmt.Sprintf("replayed network misroutes input %d to %d, journal says %d",
 				i, res.Realized[i], want))
-			return
+			return nil, false
 		}
 	}
-	var got uint64
-	switch rec.Kind {
-	case journal.KindFrame:
-		for _, src := range rec.Srcs {
-			if src < 0 || src >= r.net.N() {
-				r.diverge(rec, fmt.Sprintf("frame source %d out of range", src))
-				return
-			}
-		}
-		got = pairsDigest(rec.Srcs, res.Realized)
-	default:
-		got = journal.DigestPerm(res.Realized)
-	}
+	return res.Realized, true
+}
+
+// audit diverges unless the replayed delivery digest is the recorded one.
+func (r *replayer) audit(rec *journal.Record, got uint64) {
 	if got != rec.Delivered {
 		r.diverge(rec, fmt.Sprintf("delivery digest %016x, journal recorded %016x", got, rec.Delivered))
 	}
 }
 
-// pairsDigest folds the replayed (src, realized[src]) pairs in the
-// frame's recorded source order — the same order the live dispatch
-// digested its verified deliveries in.
-func pairsDigest(srcs []int, realized perm.Perm) uint64 {
-	h := journal.NewHash64()
-	for _, src := range srcs {
-		h.Int(int64(src))
-		h.Int(int64(realized[src]))
+// replayMcastFrame rebuilds a multicast frame's mapping from its
+// copies' pairs, every other output idle, and audits it like a round
+// over the outputs the frame delivered, in claim order.
+func (r *replayer) replayMcastFrame(rec *journal.Record) {
+	n := r.net.N()
+	if !r.samePairs(rec) {
+		return
 	}
-	return h.Sum()
+	m := mcast.Mapping(r.ports)
+	for i := range m {
+		m[i] = fabric.Idle
+	}
+	for k, out := range rec.Dsts {
+		src := rec.Srcs[k]
+		switch {
+		case out < 0 || out >= n:
+			r.diverge(rec, fmt.Sprintf("delivered output %d out of range", out))
+			return
+		case src < 0 || src >= n:
+			r.diverge(rec, fmt.Sprintf("frame source %d out of range", src))
+			return
+		case m[out] != fabric.Idle:
+			r.diverge(rec, fmt.Sprintf("output %d delivered twice", out))
+			return
+		}
+		m[out] = src
+	}
+	r.replayMapping(rec, m, rec.Dsts)
 }
 
-// replayMcast recompiles one mapping through the copy network and
-// audits each delivered output by the packed plan's backward walk.
-func (r *replayer) replayMcast(rec *journal.Record) {
+// replayMcastRound audits a whole-mapping round over every assigned
+// output, in ascending order.
+func (r *replayer) replayMcastRound(rec *journal.Record) {
 	m := mcast.Mapping(rec.Dest)
 	if err := m.Validate(r.net.N()); err != nil {
 		r.diverge(rec, fmt.Sprintf("invalid mapping: %v", err))
 		return
 	}
+	var outs []int
+	for out, src := range m {
+		if src >= 0 {
+			outs = append(outs, out)
+		}
+	}
+	r.replayMapping(rec, m, outs)
+}
+
+// replayMapping recompiles one mapping through the copy network and
+// audits the digest of (walked source, output) over outs, each output
+// followed back through the packed plan.
+func (r *replayer) replayMapping(rec *journal.Record, m mcast.Mapping, outs []int) {
 	if err := r.comp.CompilePacked(m, r.words); err != nil {
 		r.diverge(rec, fmt.Sprintf("mapping no longer compiles: %v", err))
 		return
-	}
-	// A frame digests the outputs it delivered, a round every assigned
-	// output, each as (walked source, output).
-	outs := rec.Srcs
-	if rec.Kind == journal.KindMcastFrame {
-		for _, out := range outs {
-			if out < 0 || out >= r.net.N() {
-				r.diverge(rec, fmt.Sprintf("delivered output %d out of range", out))
-				return
-			}
-		}
-	} else {
-		outs = nil
-		for out, src := range m {
-			if src >= 0 {
-				outs = append(outs, out)
-			}
-		}
 	}
 	srcs := make([]int, len(outs))
 	mcast.Walk(r.net, r.words, outs, srcs, nil, nil)
@@ -259,9 +334,7 @@ func (r *replayer) replayMcast(rec *journal.Record) {
 		h.Int(int64(srcs[k]))
 		h.Int(int64(out))
 	}
-	if got := h.Sum(); got != rec.Delivered {
-		r.diverge(rec, fmt.Sprintf("delivery digest %016x, journal recorded %016x", got, rec.Delivered))
-	}
+	r.audit(rec, h.Sum())
 }
 
 // replayCheckpoint audits the journal-assigned per-kind record counts:
@@ -304,13 +377,21 @@ func (r *replayer) replayOne(rec *journal.Record) {
 	switch rec.Kind {
 	case journal.KindRoute:
 		r.replayPerm(rec)
-	case journal.KindFrame, journal.KindRound:
+	case journal.KindRound:
 		if r.checkPlane(rec) {
 			r.replayPerm(rec)
 		}
-	case journal.KindMcastFrame, journal.KindMcastRound:
+	case journal.KindFrame:
 		if r.checkPlane(rec) {
-			r.replayMcast(rec)
+			r.replayFrame(rec)
+		}
+	case journal.KindMcastFrame:
+		if r.checkPlane(rec) {
+			r.replayMcastFrame(rec)
+		}
+	case journal.KindMcastRound:
+		if r.checkPlane(rec) {
+			r.replayMcastRound(rec)
 		}
 	case journal.KindInject:
 		if r.checkPlane(rec) {

@@ -179,6 +179,38 @@ func TestReplayDetectsForgedDelivery(t *testing.T) {
 	if len(rep.Divergences) != 1 || rep.FirstDivergentSeq != 2 {
 		t.Fatalf("want exactly one divergence at seq 2, got %+v", rep.Divergences)
 	}
+
+	// A frame record is its packets' pairs: a moved destination or a
+	// forged digest diverges at exactly that record.
+	jf, err := journal.New(journal.Config{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	wf := jf.Writer()
+	srcs, dsts := []int{0, 5, 3}, []int{6, 1, 2}
+	msrcs, mdsts := []int{4, 4}, []int{0, 7}
+	wf.Frame(0, srcs, dsts, journal.DigestPairs(srcs, dsts))                  // 1
+	wf.Frame(0, srcs, []int{6, 1, 4}, journal.DigestPairs(srcs, dsts))        // 2: forged dst
+	wf.Frame(1, srcs, dsts, journal.DigestPairs(srcs, dsts)+1)                // 3: forged digest
+	wf.McastFrame(1, msrcs, mdsts, journal.DigestPairs(msrcs, mdsts))         // 4
+	wf.McastFrame(0, msrcs, []int{0, 6}, journal.DigestPairs(msrcs, mdsts))   // 5: forged dst
+	wf.McastFrame(0, msrcs, mdsts, journal.DigestPairs(msrcs, mdsts)^0x10000) // 6: forged digest
+	recs, err = jf.Read(1, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err = replay.Run(replay.Config{LogN: logN, Planes: 2}, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for _, d := range rep.Divergences {
+		got = append(got, d.Seq)
+	}
+	if len(got) != 4 || got[0] != 2 || got[1] != 3 || got[2] != 5 || got[3] != 6 {
+		t.Fatalf("want divergences at seqs 2, 3, 5 and 6, got %+v", rep.Divergences)
+	}
 }
 
 // TestReplayDetectsCountTamper pins the checkpoint audit: per-kind

@@ -27,25 +27,27 @@ func (w *Writer) Route(dest []int, delivered uint64) {
 	w.j.append(&Record{Kind: KindRoute, Plane: -1, Dest: dest, Delivered: delivered})
 }
 
-// Frame records one verified unicast frame: the serving plane, the full
-// scheduled permutation, the inputs carrying real packets, and
-// DigestPairs over the verified (src, dst) deliveries.
-func (w *Writer) Frame(plane int, dest, srcs []int, delivered uint64) {
+// Frame records one verified unicast frame: the serving plane, its
+// real packets as pairs in claim order (packet k travelled srcs[k] →
+// dsts[k]), and DigestPairs over the verified deliveries. The filler
+// that completed the pairs to the permutation the plane served is not
+// recorded; replay rebuilds it with fabric.Complete.
+func (w *Writer) Frame(plane int, srcs, dsts []int, delivered uint64) {
 	if w == nil || w.j == nil {
 		return
 	}
-	w.j.append(&Record{Kind: KindFrame, Plane: plane, Dest: dest, Srcs: srcs, Delivered: delivered})
+	w.j.append(&Record{Kind: KindFrame, Plane: plane, Srcs: srcs, Dsts: dsts, Delivered: delivered})
 }
 
 // McastFrame records one verified multicast mapping frame: the serving
-// plane, the output-major mapping (-1 = idle output), the delivered
-// outputs in claim order, and DigestPairs over the verified
-// (src, dst) copies.
-func (w *Writer) McastFrame(plane int, mapping, outs []int, delivered uint64) {
+// plane, its copies as pairs in claim order (copy k travelled srcs[k]
+// → dsts[k]; the mapping the plane served is those pairs with every
+// other output idle), and DigestPairs over the verified copies.
+func (w *Writer) McastFrame(plane int, srcs, dsts []int, delivered uint64) {
 	if w == nil || w.j == nil {
 		return
 	}
-	w.j.append(&Record{Kind: KindMcastFrame, Plane: plane, Dest: mapping, Srcs: outs, Delivered: delivered})
+	w.j.append(&Record{Kind: KindMcastFrame, Plane: plane, Srcs: srcs, Dsts: dsts, Delivered: delivered})
 }
 
 // Round records one whole-permutation collective round.
