@@ -983,7 +983,6 @@ func main() {
 		planes = flag.Int("planes", 2, "parallel switching planes in the packet fabric")
 		voq    = flag.Int("voq-depth", fabric.DefaultVOQDepth, "per-(input,output) virtual output queue bound")
 		block  = flag.Bool("block", false, "block /send on full queues instead of tail-dropping")
-		affin  = flag.String("affinity", "flow-hash", "plane affinity: flow-hash pins each (src,dst) flow to one plane, spray round-robins packets")
 		drain  = flag.Duration("drain", 10*time.Second, "graceful shutdown timeout")
 		tring  = flag.Int("trace-ring", 64, "recent request traces kept for /debug/traces")
 		tslow  = flag.Duration("trace-slow", 0, "keep only traces at least this slow (0 keeps all)")
@@ -1031,22 +1030,12 @@ func main() {
 	if *block {
 		policy = fabric.Block
 	}
-	var affinity fabric.Affinity
-	switch *affin {
-	case "flow-hash":
-		affinity = fabric.FlowHash
-	case "spray":
-		affinity = fabric.Spray
-	default:
-		fatal(fmt.Errorf("benesd: -affinity must be flow-hash or spray, got %q", *affin))
-	}
 	ring := obs.NewTraceRing(*tring, *tslow)
 	fab, err := fabric.New[int](fabric.Config{
 		LogN:          *n,
 		Planes:        *planes,
 		VOQDepth:      *voq,
 		Policy:        policy,
-		Affinity:      affinity,
 		ParallelSetup: *psetup,
 		Record:        *record,
 		Journal:       jw,
@@ -1078,7 +1067,7 @@ func main() {
 		fatal(err)
 	}
 	logger.Info("benesd: serving", "log_n", *n, "terminals", eng.Network().N(), "planes", fab.Planes(),
-		"affinity", affinity.String(), "addr", *addr, "record", *record,
+		"addr", *addr, "record", *record,
 		"parallel_setup", *psetup, "setup_memo", *psetup && *psmemo, "journal", *jflag)
 	to := timeouts{readHeader: readHeaderTimeout, idle: idleTimeout, shutdown: *drain}
 	if err := serve(ctx, ln, eng, fab, col, o, jr, to); err != nil {

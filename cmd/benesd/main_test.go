@@ -934,7 +934,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	populated := []string{
 		"benes_engine_plan_seconds", "benes_engine_apply_seconds",
 		"benes_fabric_voq_wait_seconds", "benes_fabric_match_seconds",
-		"benes_fabric_plane_seconds", "benes_fabric_verify_seconds",
+		"benes_fabric_plane_seconds",
 		"benes_collective_round_seconds", "benes_collective_op_seconds",
 	}
 	for _, h := range populated {

@@ -113,7 +113,7 @@ func (c Config) withDefaults() Config {
 // Response reports one served request.
 type Response[T any] struct {
 	// Data is the routed payload: Data[Dest[i]] holds the input element
-	// i carried. Nil when Err is set.
+	// i carried. Nil when Err is set or the request carried no payload.
 	Data []T
 	// Kind records which setup path produced the plan.
 	Kind PlanKind
@@ -204,8 +204,14 @@ func (e *Engine[T]) LadderRecorder() *netsim.Recorder { return e.ladRec }
 // software equivalent of a data pass through pinned switches — records
 // the pass and journals it, all under the engine's read lock, so a
 // concurrent Close waits for it to finish.
+//
+// A nil data asks for the switch setting alone: the plan is resolved,
+// recorded and journaled exactly as with a payload, the apply is
+// skipped and Response.Data is nil. Collective rounds route this way,
+// because their layer moves the chunks itself. A non-nil data must
+// hold N elements.
 func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
-	if len(dest) != e.net.N() || len(data) != e.net.N() {
+	if len(dest) != e.net.N() || (data != nil && len(data) != e.net.N()) {
 		e.met.errors.Add(1)
 		return Response[T]{Err: fmt.Errorf("engine: request size (dest %d, data %d) does not match N=%d",
 			len(dest), len(data), e.net.N())}
@@ -224,9 +230,12 @@ func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
 	}
 	// From here on dest is the plan's permutation: a hit compared the
 	// two in full, and a miss validated dest and built the plan from it.
-	t0 := time.Now()
-	out := perm.Apply(dest, data)
-	e.met.Apply.Observe(time.Since(t0))
+	var out []T
+	if data != nil {
+		t0 := time.Now()
+		out = perm.Apply(dest, data)
+		e.met.Apply.Observe(time.Since(t0))
+	}
 	// One full-vector pass: a vector count plus a word-compare flip
 	// sweep, whose changed words ripple into the flip bit-planes.
 	e.rec.RecordVector(pl.setting)

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,6 +314,104 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := New[int](Config{LogN: 0}); err == nil {
 		t.Fatal("LogN=0 must be rejected")
+	}
+}
+
+// TestRouteWithoutPayload pins the nil-payload serve collective rounds
+// use: Route(d, nil) and RouteMulticast(m, nil), on a miss and on a
+// hit, report the Kind and CacheHit of the same call with a payload,
+// journal the same records and move both recorders exactly as far;
+// only the apply is skipped. A non-nil payload of the wrong length is
+// still rejected.
+func TestRouteWithoutPayload(t *testing.T) {
+	const logN = 4
+	n := 1 << logN
+	type rig struct {
+		eng *Engine[int]
+		jrn *journal.Journal
+	}
+	newRig := func() rig {
+		j, err := journal.New(journal.Config{CheckpointEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(j.Close)
+		eng, err := New[int](Config{LogN: logN, Recorder: netsim.NewRecorder(core.New(logN), 1), Journal: j.Writer()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(eng.Close)
+		return rig{eng, j}
+	}
+	with, without := newRig(), newRig()
+	data := payload(n)
+	rng := rand.New(rand.NewSource(5))
+
+	for _, d := range []perm.Perm{perm.BitReversal(logN), nonFPerm(t, with.eng.Network(), rng)} {
+		for pass := 0; pass < 2; pass++ { // a miss, then a hit
+			a, b := with.eng.Route(d, data), without.eng.Route(d, nil)
+			if a.Err != nil || b.Err != nil {
+				t.Fatalf("route: %v / %v", a.Err, b.Err)
+			}
+			checkRouted(t, d, a)
+			if b.Data != nil {
+				t.Fatalf("nil payload returned data %v", b.Data)
+			}
+			if a.Kind != b.Kind || a.CacheHit != b.CacheHit || b.CacheHit != (pass == 1) {
+				t.Fatalf("pass %d: nil payload served %v hit=%v, payload %v hit=%v",
+					pass, b.Kind, b.CacheHit, a.Kind, a.CacheHit)
+			}
+		}
+	}
+	for _, m := range []mcast.Mapping{fanoutMapping(n, rng), broadcastMapping(n, 3)} {
+		for pass := 0; pass < 2; pass++ {
+			a, b := with.eng.RouteMulticast(m, data), without.eng.RouteMulticast(m, nil)
+			if a.Err != nil || b.Err != nil {
+				t.Fatalf("multicast: %v / %v", a.Err, b.Err)
+			}
+			checkMcastData(t, m, a.Data)
+			if b.Data != nil {
+				t.Fatalf("nil multicast payload returned data %v", b.Data)
+			}
+			if a.CacheHit != b.CacheHit || b.CacheHit != (pass == 1) {
+				t.Fatalf("pass %d: nil multicast payload hit=%v, payload hit=%v", pass, b.CacheHit, a.CacheHit)
+			}
+		}
+	}
+
+	if a, b := with.eng.Recorder().Snapshot(), without.eng.Recorder().Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatal("nil payloads moved the recorder differently from payloads")
+	}
+	if a, b := with.eng.LadderRecorder().Snapshot(), without.eng.LadderRecorder().Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatal("nil payloads moved the ladder recorder differently from payloads")
+	}
+	ra, err := with.jrn.Read(1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := without.jrn.Read(1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ra) != 4 || len(rb) != len(ra) {
+		t.Fatalf("journaled %d records with payloads and %d without, want 4 each", len(ra), len(rb))
+	}
+	for k := range ra {
+		a, b := ra[k], rb[k]
+		if a.Kind != b.Kind || a.Delivered != b.Delivered || !slices.Equal(a.Dest, b.Dest) {
+			t.Fatalf("record %d: nil payload journaled %v %x, payload %v %x", k+1, b.Kind, b.Delivered, a.Kind, a.Delivered)
+		}
+	}
+	sa, sb := with.eng.Stats(), without.eng.Stats()
+	if sa.Apply.Count != 8 || sb.Apply.Count != 0 {
+		t.Fatalf("applies timed: %d with payloads, %d without, want 8 and 0", sa.Apply.Count, sb.Apply.Count)
+	}
+
+	if resp := without.eng.Route(perm.Identity(n), []int{}); resp.Err == nil {
+		t.Fatal("an empty non-nil payload must be rejected")
+	}
+	if resp := without.eng.RouteMulticast(broadcastMapping(n, 0), make([]int, n-1)); resp.Err == nil {
+		t.Fatal("a short multicast payload must be rejected")
 	}
 }
 

@@ -15,7 +15,7 @@ var ErrEmptyMapping = errors.New("engine: multicast mapping assigns no outputs")
 type McastResponse[T any] struct {
 	// Data is the fanned-out payload: Data[out] holds the element of
 	// the source Mapping[out] requested, the zero value on unassigned
-	// outputs. Nil when Err is set.
+	// outputs. Nil when Err is set or the request carried no payload.
 	Data []T
 	// CacheHit is true when the copy-network plan came from the LRU.
 	CacheHit bool
@@ -30,8 +30,12 @@ type McastResponse[T any] struct {
 // every assigned output backward through the packed switch words. Like
 // Route it serves under the engine's read lock, so a concurrent Close
 // waits until the recorders hold the whole pass.
+//
+// As with Route, a nil data skips the apply alone: the plan is
+// resolved, recorded, walked and verified exactly as with a payload,
+// and McastResponse.Data is nil. A non-nil data must hold N elements.
 func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
-	if len(m) != e.net.N() || len(data) != e.net.N() {
+	if len(m) != e.net.N() || (data != nil && len(data) != e.net.N()) {
 		e.met.errors.Add(1)
 		return McastResponse[T]{Err: fmt.Errorf("engine: multicast size (map %d, data %d) does not match N=%d",
 			len(m), len(data), e.net.N())}
@@ -54,9 +58,12 @@ func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 	}
 	// From here on m is the plan's mapping: a hit compared the two in
 	// full, and a miss compiled the plan from m.
-	t0 := time.Now()
-	out := mcast.Apply(m, data, nil)
-	e.met.Apply.Observe(time.Since(t0))
+	var out []T
+	if data != nil {
+		t0 := time.Now()
+		out = mcast.Apply(m, data, nil)
+		e.met.Apply.Observe(time.Since(t0))
+	}
 	if err := e.serveMcast(pl.setting, m, nil); err != nil {
 		e.met.errors.Add(1)
 		return McastResponse[T]{Err: err}

@@ -183,29 +183,3 @@ func TestFlowAffinityAcrossFailover(t *testing.T) {
 		}
 	}
 }
-
-// TestSprayAffinityUsesAllPlanes pins the Spray escape hatch: with
-// enough packets of one flow, round-robin spraying must exercise every
-// plane — the opposite of flow pinning.
-func TestSprayAffinityUsesAllPlanes(t *testing.T) {
-	const planes = 3
-	log := newPlaneLog()
-	f, err := NewBatched[int](Config{LogN: 3, Planes: planes, VOQDepth: 8, Policy: Block, Affinity: Spray}, log.batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	const sent = 60
-	for i := 0; i < sent; i++ {
-		if err := f.Send(Packet[int]{Src: 2, Dst: 5, Payload: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	log.awaitDrain(t, sent)
-	log.mu.Lock()
-	got := len(log.seen[flowKey{2, 5}])
-	log.mu.Unlock()
-	if got != planes {
-		t.Fatalf("spray delivered one flow via %d of %d planes", got, planes)
-	}
-}

@@ -42,52 +42,6 @@ func Complete(partial []int) (perm.Perm, error) {
 	return full, nil
 }
 
-// CompleteMapping extends a partial output→source mapping (output-
-// major, Idle for unassigned outputs) by assigning each source that
-// appears nowhere in the mapping to one of the idle outputs, in
-// ascending order. Fan-out guarantees enough unused sources: every
-// extra copy a source claims frees up exactly one other source, so
-// the result is always a total mapping. Collectives and the HTTP layer
-// use this to turn a sparse fan-out request into a full frame whose
-// idle ports carry unicast filler; the copy-network compiler accepts
-// partial mappings too, so completion is optional.
-func CompleteMapping(partial []int) ([]int, error) {
-	n := len(partial)
-	full := make([]int, n)
-	used := make([]bool, n)
-	idle := 0
-	for out, src := range partial {
-		if src == Idle {
-			idle++
-			full[out] = Idle
-			continue
-		}
-		if src < 0 || src >= n {
-			return nil, fmt.Errorf("fabric: partial[%d] = %d out of range [0,%d)", out, src, n)
-		}
-		used[src] = true
-		full[out] = src
-	}
-	if idle == n {
-		return nil, fmt.Errorf("fabric: mapping assigns no outputs")
-	}
-	free := 0
-	for out, src := range full {
-		if src != Idle {
-			continue
-		}
-		for free < n && used[free] {
-			free++
-		}
-		if free == n {
-			break // more idle outputs than unused sources cannot happen
-		}
-		used[free] = true
-		full[out] = free
-	}
-	return full, nil
-}
-
 // completeInto is Complete for the scheduler hot path: it writes into
 // caller-owned memory and performs no validation, because partial comes
 // from buildFrame's matching loop, which is conflict-free by

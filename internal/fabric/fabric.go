@@ -113,30 +113,16 @@ func (fr *frame[T]) reset() {
 	fr.mcopies = 0
 }
 
-// Affinity selects how Send assigns a packet's flow to a plane shard.
+// Affinity is ignored: Send pins every flow to its plane by rendezvous
+// hashing (see PlaneFor). The type, its one value and Config.Affinity
+// stay for callers outside this module.
 type Affinity int
 
-const (
-	// FlowHash (the default) pins each (src, dst) flow to one healthy
-	// plane by rendezvous hashing: minimal reshuffling when a plane
-	// leaves or rejoins the rotation, per-flow FIFO order within a
-	// stable healthy set, and zero cross-plane contention per flow.
-	FlowHash Affinity = iota
-	// Spray round-robins packets across planes regardless of flow — the
-	// pre-sharding behaviour, kept for comparison benchmarks. Spray
-	// preserves no per-flow ordering.
-	Spray
-)
-
-func (a Affinity) String() string {
-	switch a {
-	case FlowHash:
-		return "flow-hash"
-	case Spray:
-		return "spray"
-	}
-	return "unknown"
-}
+// FlowHash pins each (src, dst) flow to one healthy plane by
+// rendezvous hashing: minimal reshuffling when a plane leaves or
+// rejoins the rotation, per-flow FIFO order within a stable healthy
+// set, and zero cross-plane contention per flow.
+const FlowHash Affinity = 0
 
 // Config parameterizes New. The zero value of every field except LogN
 // selects a sensible default.
@@ -151,7 +137,9 @@ type Config struct {
 	VOQDepth int
 	// Policy selects what Send does when a VOQ is full.
 	Policy DropPolicy
-	// Affinity selects flow-hash plane pinning (default) or spray.
+	// Affinity is ignored: every flow is pinned to its plane by
+	// rendezvous hashing. It stays in Config for callers outside this
+	// module.
 	Affinity Affinity
 	// ParallelSetup routes each plane engine's non-F(n) cache misses
 	// (collective rounds and RouteRound permutations outside F(n))
@@ -206,8 +194,7 @@ type Fabric[T any] struct {
 	n         int
 	shards    []*voqShard[T] // one ingress shard per plane
 	planes    []*plane
-	planeSeed []uint64 // rendezvous-hash seed per plane
-	spray     atomic.Uint64
+	planeSeed []uint64         // rendezvous-hash seed per plane
 	frames    []chan *frame[T] // per-plane scheduler → router handoff
 	freelist  []chan *frame[T] // per-plane frame recycling
 	met       metrics
@@ -365,23 +352,14 @@ func (f *Fabric[T]) planeFor(src, dst int) int {
 }
 
 // PlaneFor reports which plane the (src, dst) flow is currently pinned
-// to under flow-hash affinity: the plane a Send of that flow would
-// enqueue toward given the present healthy set. Exported so tests and
-// operators can predict and verify flow placement.
+// to: the plane a Send of that flow would enqueue toward given the
+// present healthy set. Exported so tests and operators can predict and
+// verify flow placement.
 func (f *Fabric[T]) PlaneFor(src, dst int) (int, error) {
 	if src < 0 || src >= f.n || dst < 0 || dst >= f.n {
 		return 0, fmt.Errorf("fabric: flow (%d -> %d) out of range [0,%d)", src, dst, f.n)
 	}
 	return f.planeFor(src, dst), nil
-}
-
-// shardFor routes a packet to its ingress shard per the configured
-// affinity.
-func (f *Fabric[T]) shardFor(src, dst int) int {
-	if f.cfg.Affinity == Spray {
-		return int(f.spray.Add(1) % uint64(len(f.shards)))
-	}
-	return f.planeFor(src, dst)
 }
 
 // Health is the fabric's readiness view: how much of the redundant
@@ -397,7 +375,7 @@ type Health struct {
 // Health reads the fabric's live readiness signals. It is cheap — one
 // atomic read per plane plus the VOQ occupancy sums — and safe to call
 // from a probe handler on every scrape. VOQCapacity is the logical
-// bound N²·depth: under flow-hash affinity each (src, dst) flow owns
+// bound N²·depth: pinned to one plane, each (src, dst) flow owns
 // exactly one queue across all shards, which may grow to depth. It is
 // an admission bound, not allocated memory: queues allocate slots only
 // as they fill.
@@ -427,7 +405,7 @@ func (f *Fabric[T]) Send(p Packet[T]) error {
 		f.met.rejected.Add(1)
 		return ErrClosed
 	}
-	sh := f.shards[f.shardFor(p.Src, p.Dst)]
+	sh := f.shards[f.planeFor(p.Src, p.Dst)]
 	if err := sh.enqueue(p, f.cfg.Policy); err != nil {
 		f.met.rejected.Add(1)
 		return err
@@ -613,65 +591,97 @@ func (f *Fabric[T]) router(i int) {
 	}
 }
 
-// dispatch serves one frame, preferring the home plane and failing over
-// to the next healthy plane when it is down or misroutes. A frame
-// carrying multicast copies is served through the plane's
-// McastFrameServer, and its books also track the fan-out. Delivery is
-// coalesced: one deliverBatch call (or a tight deliver loop) per frame.
-func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], mservers []*engine.McastFrameServer[int], fr *frame[T]) {
-	failed := false
-	for attempt := 0; attempt < len(f.planes); attempt++ {
-		id := (home + attempt) % len(f.planes)
-		p := f.planes[id]
-		start := time.Now()
-		var err error
-		if fr.mcast {
-			err = p.routeMcastFrame(mservers[id], fr.outSrc, fr.dsts)
-		} else {
-			err = p.routeFrame(servers[id], fr.dest, fr.srcs)
-		}
-		if err != nil {
-			failed = true
+// failover is the failover walk every unit of fabric work takes: it
+// tries the planes in turn, from start round the ring, and serves the
+// work on the first one whose plane.serve accepts it, running work on
+// that plane. A serve after a refusal counts one failover in
+// failovers. With every plane refused, the error is ErrPlaneDown.
+func (f *Fabric[T]) failover(start int, failovers *atomic.Int64, work func(p *plane) error) (*plane, error) {
+	k := len(f.planes)
+	start = ((start % k) + k) % k
+	for attempt := 0; attempt < k; attempt++ {
+		p := f.planes[(start+attempt)%k]
+		if p.serve(func() error { return work(p) }) != nil {
 			continue
 		}
-		if failed {
-			f.met.failovers.Add(1)
+		if attempt > 0 {
+			failovers.Add(1)
 		}
-		f.met.delivered.Add(int64(len(fr.pkts)))
-		if fr.mcast {
-			f.met.mcastDelivered.Add(int64(fr.mpkts))
-			f.met.mcastCopies.Add(int64(fr.mcopies))
+		return p, nil
+	}
+	return nil, ErrPlaneDown
+}
+
+// dispatch serves one frame through the failover walk from its home
+// plane. A unicast frame goes through the plane's FrameServer, a frame
+// carrying multicast copies through its McastFrameServer, and its
+// books also track the fan-out. Delivery is coalesced: one
+// deliverBatch call (or a tight deliver loop) per frame.
+func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], mservers []*engine.McastFrameServer[int], fr *frame[T]) {
+	start := time.Now()
+	var (
+		p   *plane
+		err error
+	)
+	if fr.mcast {
+		// A mapping that does not compile is a property of the frame,
+		// not of a plane: compile it on the home plane's server before
+		// the walk, so such a frame takes no plane out of rotation. A
+		// plane further along the walk compiles it on its own server.
+		if err = mservers[home].Prepare(fr.outSrc); err == nil {
+			p, err = f.failover(home, &f.met.failovers, func(p *plane) error {
+				ms := mservers[p.id]
+				if p.id != home {
+					if err := ms.Prepare(fr.outSrc); err != nil {
+						return err
+					}
+				}
+				return ms.ServePrepared(fr.dsts)
+			})
 		}
-		if f.jrn.Enabled() {
-			// The pairs are all a frame record needs: a unicast frame's
-			// filler is their completion, a multicast frame's mapping is
-			// them with every other output idle.
-			digest := journal.DigestPairs(fr.srcs, fr.dsts)
-			if fr.mcast {
-				f.jrn.McastFrame(p.id, fr.srcs, fr.dsts, digest)
-			} else {
-				f.jrn.Frame(p.id, fr.srcs, fr.dsts, digest)
-			}
-		}
-		transit := time.Since(start)
+	} else {
+		p, err = f.failover(home, &f.met.failovers, func(p *plane) error {
+			return servers[p.id].Serve(fr.dest, fr.srcs)
+		})
+	}
+	if err != nil {
+		// No plane delivered the frame: the packets are accepted but
+		// undeliverable. Account for them so the books still balance.
+		f.met.lost.Add(int64(len(fr.pkts)))
 		for _, pkt := range fr.pkts {
-			pkt.Trace.Fold("plane_transit", start, transit, p.transitNote)
-		}
-		f.met.Coalesce.ObserveValue(int64(len(fr.pkts)))
-		switch {
-		case f.deliverBatch != nil:
-			f.deliverBatch(p.id, fr.pkts)
-		case f.deliver != nil:
-			for _, pkt := range fr.pkts {
-				f.deliver(pkt)
-			}
+			pkt.Trace.Fold("lost", time.Now(), 0, "no plane delivered the frame")
 		}
 		return
 	}
-	// Every plane refused the frame: the packets are accepted but
-	// undeliverable. Account for them so the books still balance.
-	f.met.lost.Add(int64(len(fr.pkts)))
+	p.frames.Add(1)
+	p.packets.Add(int64(len(fr.srcs)))
+	f.met.delivered.Add(int64(len(fr.pkts)))
+	if fr.mcast {
+		f.met.mcastDelivered.Add(int64(fr.mpkts))
+		f.met.mcastCopies.Add(int64(fr.mcopies))
+	}
+	if f.jrn.Enabled() {
+		// The pairs are all a frame record needs: a unicast frame's
+		// filler is their completion, a multicast frame's mapping is
+		// them with every other output idle.
+		digest := journal.DigestPairs(fr.srcs, fr.dsts)
+		if fr.mcast {
+			f.jrn.McastFrame(p.id, fr.srcs, fr.dsts, digest)
+		} else {
+			f.jrn.Frame(p.id, fr.srcs, fr.dsts, digest)
+		}
+	}
+	transit := time.Since(start)
 	for _, pkt := range fr.pkts {
-		pkt.Trace.Fold("lost", time.Now(), 0, "no healthy plane")
+		pkt.Trace.Fold("plane_transit", start, transit, p.transitNote)
+	}
+	f.met.Coalesce.ObserveValue(int64(len(fr.pkts)))
+	switch {
+	case f.deliverBatch != nil:
+		f.deliverBatch(p.id, fr.pkts)
+	case f.deliver != nil:
+		for _, pkt := range fr.pkts {
+			f.deliver(pkt)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -124,16 +125,36 @@ func TestFabricDeliveryExactlyOnce(t *testing.T) {
 }
 
 // TestFabricPlaneFailover injects a stuck switch into one of two planes
-// mid-load: the damaged plane must detect the first misrouting frame,
-// go unhealthy, and hand everything over to the survivor with no
-// accepted packet lost or duplicated.
+// mid-load while plane 0's router is parked inside its first delivery,
+// so frames are still queued on plane 0 when the fault lands: the
+// injection takes the plane out of rotation, every frame plane 0's
+// router serves after that fails over to the survivor, and no accepted
+// packet is lost or duplicated.
 func TestFabricPlaneFailover(t *testing.T) {
 	const (
 		logN  = 8 // N = 256
 		total = 4000
 	)
 	tr := newTracker(t, total)
-	f, err := New[int](Config{LogN: logN, Planes: 2, VOQDepth: 32, Policy: Block}, tr.deliver)
+	var (
+		parked  = make(chan struct{})
+		release = make(chan struct{})
+		first   sync.Once
+	)
+	// Only plane 0's router serves frames on plane 0 while plane 1 is
+	// healthy, so exactly that router parks here.
+	batch := func(plane int, pkts []Packet[int]) {
+		if plane == 0 {
+			first.Do(func() {
+				close(parked)
+				<-release
+			})
+		}
+		for _, p := range pkts {
+			tr.deliver(p)
+		}
+	}
+	f, err := NewBatched[int](Config{LogN: logN, Planes: 2, VOQDepth: 32, Policy: Block}, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +170,28 @@ func TestFabricPlaneFailover(t *testing.T) {
 		}
 		accepted[id] = true
 	}
+	// About half of the first quarter hashes to plane 0, more than one
+	// frame of N packets can carry, so plane 0's shard still holds
+	// packets once its router parks.
 	for id := 0; id < total/4; id++ {
 		send(id)
 	}
-	// Freeze a first-stage switch of plane 0 crossed. Roughly half of
-	// all frames need it straight, so detection is near-immediate under
-	// the remaining load.
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		close(release)
+		f.Close()
+		t.Fatal("plane 0 delivered no frame")
+	}
+	// Freeze a first-stage switch of plane 0 crossed. Injection takes
+	// the plane out of rotation at once, so every frame its router
+	// serves from here on fails over.
 	if err := f.InjectFaults(0, []core.Fault{{Stage: 0, Switch: 3, StuckCrossed: true}}); err != nil {
+		close(release)
+		f.Close()
 		t.Fatal(err)
 	}
+	close(release)
 	for id := total / 4; id < total; id++ {
 		send(id)
 	}
@@ -169,13 +203,14 @@ func TestFabricPlaneFailover(t *testing.T) {
 		t.Fatalf("failover lost packets: %+v", s)
 	}
 	if s.Planes[0].Healthy {
-		t.Fatalf("damaged plane should have been detected unhealthy: %+v", s.Planes[0])
+		t.Fatalf("damaged plane should be out of rotation: %+v", s.Planes[0])
 	}
 	if !s.Planes[1].Healthy || s.Planes[1].Frames == 0 {
 		t.Fatalf("surviving plane should carry the load: %+v", s.Planes[1])
 	}
-	if s.Failovers == 0 && s.Planes[0].Failovers == 0 {
-		t.Fatal("failover counters should show the rerouted frames")
+	if s.Failovers == 0 || s.Planes[0].Failovers == 0 {
+		t.Fatalf("frames queued on plane 0 must fail over: fabric failovers %d, plane 0 refusals %d",
+			s.Failovers, s.Planes[0].Failovers)
 	}
 }
 

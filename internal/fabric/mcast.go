@@ -63,7 +63,7 @@ func (f *Fabric[T]) SendMulticast(p MulticastPacket[T]) error {
 		f.met.rejected.Add(1)
 		return ErrClosed
 	}
-	sh := f.shards[f.shardFor(p.Src, dsts[0])]
+	sh := f.shards[f.planeFor(p.Src, dsts[0])]
 	slot := voqSlot[mpayload[T]]{payload: mpayload[T]{dsts: dsts, data: p.Payload}, tr: p.Trace}
 	if err := sh.enqueueMcast(p.Src, slot, f.cfg.Policy); err != nil {
 		f.met.rejected.Add(1)
@@ -162,44 +162,15 @@ func (v *voqShard[T]) claimMulticast(fr *frame[T], partial []int, taken []bool, 
 	}
 }
 
-// routeMcastFrame serves one mapping frame synchronously: compile the
-// copy-network plan, then commit the accounting and verify every listed
-// output. As with routeFrame, any error means nothing was delivered and
-// the caller fails the frame over.
-func (p *plane) routeMcastFrame(fs *engine.McastFrameServer[int], m mcast.Mapping, outs []int) error {
-	if !p.healthy.Load() {
-		p.failovers.Add(1)
-		return errPlaneDown
-	}
-	if err := fs.Prepare(m); err != nil {
-		// A compile rejection is a property of the mapping, not the
-		// plane: count the refusal but leave the plane in rotation.
-		p.failovers.Add(1)
-		return fmt.Errorf("fabric: plane %d: %w", p.id, err)
-	}
-	rtt := time.Now()
-	err := fs.ServePrepared(outs)
-	if p.met != nil {
-		p.met.PlaneRTT.ObserveSince(rtt)
-	}
-	if err != nil {
-		p.healthy.Store(false)
-		p.failovers.Add(1)
-		return fmt.Errorf("fabric: plane %d: %w", p.id, err)
-	}
-	p.frames.Add(1)
-	p.packets.Add(int64(len(outs)))
-	return nil
-}
-
 // RouteMulticastRound serves one whole-mapping collective round
 // synchronously on a healthy plane: m[out] names the source whose
-// chunk output out must receive, -1 leaves the output idle. prefer
-// selects the plane to try first, with the same failover walk as
-// RouteRound. The mapping is validated before any plane is touched, so
-// a bad round can never take a plane out of rotation. Repeated rounds
-// hit the plane's plan cache — the collective layer's pipelined
-// schedules rely on that.
+// chunk output out must receive, -1 leaves the output idle. Like
+// RouteRound it moves no payload, and prefer selects the plane the
+// failover walk tries first; the plane still walks every assigned
+// output back through the plan before the round counts. The mapping
+// is validated before any plane is touched, so a bad round can never
+// take a plane out of rotation. Repeated rounds hit the plane's plan
+// cache — the collective layer's pipelined schedules rely on that.
 func (f *Fabric[T]) RouteMulticastRound(m []int, prefer int) (RoundResult, error) {
 	if f.closed.Load() {
 		return RoundResult{}, ErrClosed
@@ -211,23 +182,20 @@ func (f *Fabric[T]) RouteMulticastRound(m []int, prefer int) (RoundResult, error
 	if mm.Assigned() == 0 {
 		return RoundResult{}, fmt.Errorf("fabric: multicast round assigns no outputs")
 	}
-	res, err := f.round(prefer, func(eng *engine.Engine[int], ident []int) (engine.PlanKind, bool, []int, error) {
-		resp := eng.RouteMulticast(mm, ident)
-		return engine.PlanMulticast, resp.CacheHit, resp.Data, resp.Err
-	}, func(data []int) int {
-		for out, src := range mm {
-			if src >= 0 && data[out] != src {
-				return out
-			}
-		}
-		return -1
+	var hit bool
+	p, err := f.failover(prefer, &f.met.roundFailovers, func(p *plane) error {
+		resp := p.eng.RouteMulticast(mm, nil)
+		hit = resp.CacheHit
+		return resp.Err
 	})
 	if err != nil {
 		return RoundResult{}, fmt.Errorf("fabric: no healthy plane for multicast round: %w", err)
 	}
+	p.rounds.Add(1)
+	f.met.rounds.Add(1)
 	f.met.mcastRounds.Add(1)
 	if f.jrn.Enabled() {
-		f.jrn.McastRound(res.Plane, mm, journal.DigestMapping(mm))
+		f.jrn.McastRound(p.id, mm, journal.DigestMapping(mm))
 	}
-	return res, nil
+	return RoundResult{Plane: p.id, Kind: engine.PlanMulticast, CacheHit: hit}, nil
 }

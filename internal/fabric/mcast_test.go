@@ -359,32 +359,41 @@ func TestRouteMulticastRoundFaulted(t *testing.T) {
 	}
 }
 
-func TestCompleteMapping(t *testing.T) {
-	got, err := CompleteMapping([]int{2, 2, Idle, Idle})
+// TestMcastFrameThatDoesNotCompile hands dispatch a mapping frame
+// whose mapping cannot compile: that is a property of the frame, not
+// of a plane, so its packets are counted lost while every plane stays
+// in rotation with no refusal counted.
+func TestMcastFrameThatDoesNotCompile(t *testing.T) {
+	f, err := New[int](Config{LogN: 3, Planes: 2}, nil)
 	if err != nil {
-		t.Fatalf("CompleteMapping: %v", err)
+		t.Fatal(err)
 	}
-	// Sources 0, 1, 3 are unused; outputs 2, 3 are idle.
-	want := []int{2, 2, 0, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CompleteMapping = %v, want %v", got, want)
-		}
+	defer f.Close()
+	n := f.N()
+	servers := make([]*engine.FrameServer[int], len(f.planes))
+	mservers := make([]*engine.McastFrameServer[int], len(f.planes))
+	for j, p := range f.planes {
+		servers[j] = p.eng.NewFrameServer()
+		mservers[j] = p.eng.NewMcastFrameServer()
 	}
-	if _, err := CompleteMapping([]int{Idle, Idle}); err == nil {
-		t.Fatal("all-idle mapping accepted")
+	fr := newFrame[int](n)
+	for out := range fr.outSrc {
+		fr.outSrc[out] = Idle
 	}
-	if _, err := CompleteMapping([]int{4, Idle, Idle, Idle}); err == nil {
-		t.Fatal("out-of-range source accepted")
+	fr.outSrc[2] = n // no such source
+	fr.mcast, fr.mpkts, fr.mcopies = true, 1, 1
+	fr.pkts = append(fr.pkts, Packet[int]{Src: 1, Dst: 2})
+	fr.srcs = append(fr.srcs, 1)
+	fr.dsts = append(fr.dsts, 2)
+	f.dispatch(0, servers, mservers, fr)
+
+	s := f.Stats()
+	if s.Lost != 1 || s.Delivered != 0 || s.Failovers != 0 {
+		t.Fatalf("lost %d, delivered %d, failovers %d; want 1, 0, 0", s.Lost, s.Delivered, s.Failovers)
 	}
-	// A full broadcast leaves no idle outputs to fill.
-	got, err = CompleteMapping([]int{1, 1, 1, 1})
-	if err != nil {
-		t.Fatalf("full broadcast: %v", err)
-	}
-	for i, src := range got {
-		if src != 1 {
-			t.Fatalf("full broadcast[%d] = %d, want 1", i, src)
+	for _, ps := range s.Planes {
+		if !ps.Healthy || ps.Failovers != 0 {
+			t.Fatalf("plane %d: healthy %v, refusals %d after a frame that does not compile", ps.ID, ps.Healthy, ps.Failovers)
 		}
 	}
 }

@@ -28,21 +28,21 @@ type metrics struct {
 	// is the fabric's fan-out amplification.
 	mcastAccepted  atomic.Int64 // multicast packets admitted
 	mcastDelivered atomic.Int64 // multicast packets with every copy verified
-	mcastCopies    atomic.Int64 // verified copies (frames and rounds)
+	mcastCopies    atomic.Int64 // verified copies in frames
 	mcastFrames    atomic.Int64 // frames carrying at least one multicast packet
 	mcastRounds    atomic.Int64 // multicast collective rounds served
 
 	// Per-stage latency histograms, mapping the paper's delay split
 	// onto the packet path: queueing (VOQWait, plus EnqueueWait for the
-	// backpressured slow path), scheduling (Match), transmission
-	// (PlaneRTT), and the exactly-once check (Verify, populated by the
-	// round path; frames verify inside the plane serve, timed by the
-	// engine's Apply histogram).
+	// backpressured slow path), scheduling (Match) and transmission
+	// (PlaneRTT). The exactly-once check of a frame's outputs runs
+	// inside the plane serve and is timed by the plane engine's Apply
+	// histogram; rounds move no payload, so their engines time no
+	// apply.
 	VOQWait     obs.Histogram // packet enqueue -> extraction into a frame
 	EnqueueWait obs.Histogram // time a Block-policy sender spent parked on a full ring
 	Match       obs.Histogram // one matching extraction (buildFrame)
 	PlaneRTT    obs.Histogram // plane round-trip: engine route of a frame or round
-	Verify      obs.Histogram // output-port verification of a round
 
 	// Size histograms (fed by ObserveValue, not durations): how many
 	// real packets each scheduler→router handoff carried, and how many
@@ -88,7 +88,6 @@ type StageSnapshot struct {
 	EnqueueWait obs.HistogramSnapshot `json:"enqueue_wait"`
 	Match       obs.HistogramSnapshot `json:"match"`
 	PlaneRTT    obs.HistogramSnapshot `json:"plane_rtt"`
-	Verify      obs.HistogramSnapshot `json:"verify"`
 
 	HandoffBatch obs.HistogramSnapshot `json:"handoff_batch"`
 	Coalesce     obs.HistogramSnapshot `json:"coalesce"`
@@ -153,7 +152,6 @@ func (f *Fabric[T]) Stats() Snapshot {
 			EnqueueWait: f.met.EnqueueWait.Snapshot(),
 			Match:       f.met.Match.Snapshot(),
 			PlaneRTT:    f.met.PlaneRTT.Snapshot(),
-			Verify:      f.met.Verify.Snapshot(),
 
 			HandoffBatch: f.met.HandoffBatch.Snapshot(),
 			Coalesce:     f.met.Coalesce.Snapshot(),
@@ -231,7 +229,6 @@ func (f *Fabric[T]) Register(reg *obs.Registry) {
 	reg.RegisterHistogram("benes_fabric_enqueue_wait_seconds", "Time Block-policy senders spent parked on a full VOQ ring.", nil, &m.EnqueueWait)
 	reg.RegisterHistogram("benes_fabric_match_seconds", "Matching extraction (one scheduler tick).", nil, &m.Match)
 	reg.RegisterHistogram("benes_fabric_plane_seconds", "Plane round-trip for one frame or round.", nil, &m.PlaneRTT)
-	reg.RegisterHistogram("benes_fabric_verify_seconds", "Output-port verification of a round.", nil, &m.Verify)
 	reg.RegisterSizeHistogram("benes_fabric_handoff_batch_size", "Real packets per frame handed from a scheduler to its router.", nil, &m.HandoffBatch)
 	reg.RegisterSizeHistogram("benes_fabric_coalesce_size", "Packets delivered per coalesced frame drain.", nil, &m.Coalesce)
 	for _, p := range f.planes {

@@ -14,12 +14,9 @@ import (
 )
 
 // ErrPlaneDown reports a route attempt on an unhealthy plane; the
-// dispatcher fails the frame over to a surviving plane, so callers see
-// it (wrapped) only when every plane is out of rotation.
+// failover walk moves the frame or round on to a surviving plane, so
+// callers see it (wrapped) only when every plane is out of rotation.
 var ErrPlaneDown = errors.New("fabric: plane unhealthy")
-
-// errPlaneDown is the internal alias the plane paths return.
-var errPlaneDown = ErrPlaneDown
 
 // plane is one switching plane: an independent engine instance (its own
 // plan cache and recorder) over its own copy of B(n). Planes share
@@ -28,8 +25,7 @@ var errPlaneDown = ErrPlaneDown
 type plane struct {
 	id      int
 	eng     *engine.Engine[int]
-	ident   []int    // read-only identity payload, reused by every frame
-	met     *metrics // fabric-level stage histograms; nil in bare unit tests
+	met     *metrics // the fabric's stage histograms
 	healthy atomic.Bool
 
 	transitNote string // "plane <id>", the note on its frames' plane_transit spans
@@ -52,10 +48,7 @@ func newPlane(id int, cfg engine.Config, met *metrics) (*plane, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: plane %d: %w", id, err)
 	}
-	p := &plane{id: id, eng: eng, ident: make([]int, eng.Network().N()), met: met, transitNote: "plane " + strconv.Itoa(id)}
-	for i := range p.ident {
-		p.ident[i] = i
-	}
+	p := &plane{id: id, eng: eng, met: met, transitNote: "plane " + strconv.Itoa(id)}
 	p.healthy.Store(true)
 	return p, nil
 }
@@ -79,73 +72,26 @@ func (p *plane) inject(faults []core.Fault) {
 	}
 }
 
-// routeFrame serves one frame synchronously in the caller's goroutine:
-// the full permutation dest, carrying real packets from the inputs in
-// srcs. fs must be a FrameServer of this plane's engine owned by the
-// calling goroutine. On success every real packet has been verified at
-// its output port — FrameServer.Serve walks each packet's path gate by
-// gate through the computed setting — and any error means nothing was
-// delivered, so the caller must fail the frame over to another plane.
-func (p *plane) routeFrame(fs *engine.FrameServer[int], dest perm.Perm, srcs []int) error {
+// serve runs one unit of fabric work — a frame or a collective round —
+// on this plane in the caller's goroutine, timed as one plane round
+// trip. It refuses the work while the plane is out of rotation. The
+// work verifies its own outputs, so any error means nothing was
+// delivered: the plane leaves the rotation, counts the refusal, and
+// the caller's failover walk tries the next plane.
+func (p *plane) serve(work func() error) error {
 	if !p.healthy.Load() {
 		p.failovers.Add(1)
-		return errPlaneDown
+		return ErrPlaneDown
 	}
 	rtt := time.Now()
-	err := fs.Serve(dest, srcs)
-	if p.met != nil {
-		p.met.PlaneRTT.ObserveSince(rtt)
-	}
+	err := work()
+	p.met.PlaneRTT.ObserveSince(rtt)
 	if err != nil {
 		p.healthy.Store(false)
 		p.failovers.Add(1)
 		return fmt.Errorf("fabric: plane %d: %w", p.id, err)
 	}
-	p.frames.Add(1)
-	p.packets.Add(int64(len(srcs)))
 	return nil
-}
-
-// roundServe runs one collective round on a plane's engine with the
-// identity payload ident: it returns the plan kind, the cache-hit flag
-// and the delivered payload.
-type roundServe func(eng *engine.Engine[int], ident []int) (engine.PlanKind, bool, []int, error)
-
-// round serves one collective round on this plane: serve runs it, and
-// wrong names the first output of the delivered payload that does not
-// carry the source the round assigns it (-1 when every output does).
-// Every port carries a real chunk, so every output is verified. The
-// returned plan kind and cache-hit flag feed the collective layer's
-// self-routed / fallback accounting. As with routeFrame, any error
-// means nothing moved and the caller fails the round over to another
-// plane.
-func (p *plane) round(serve roundServe, wrong func(data []int) int) (engine.PlanKind, bool, error) {
-	if !p.healthy.Load() {
-		p.failovers.Add(1)
-		return 0, false, errPlaneDown
-	}
-	rtt := time.Now()
-	kind, hit, data, err := serve(p.eng, p.ident)
-	if p.met != nil {
-		p.met.PlaneRTT.ObserveSince(rtt)
-	}
-	if err != nil {
-		p.healthy.Store(false)
-		p.failovers.Add(1)
-		return 0, false, fmt.Errorf("fabric: plane %d: %w", p.id, err)
-	}
-	verify := time.Now()
-	if out := wrong(data); out >= 0 {
-		p.healthy.Store(false)
-		p.failovers.Add(1)
-		return 0, false, fmt.Errorf("fabric: plane %d delivered port %d to the wrong source: %w",
-			p.id, out, errPlaneDown)
-	}
-	if p.met != nil {
-		p.met.Verify.ObserveSince(verify)
-	}
-	p.rounds.Add(1)
-	return kind, hit, nil
 }
 
 // probe answers one diagnosis probe on this plane: load d's tags, let

@@ -30,12 +30,13 @@ type RoundResult struct {
 }
 
 // RouteRound serves one whole-permutation round synchronously on a
-// healthy plane. prefer selects the plane to try first; an unhealthy
-// or misrouting plane fails the round over to the next healthy one,
-// exactly like frame dispatch. dest is validated before any plane is
-// touched, so a bad round can never take a plane out of rotation.
-// Every output port of the round is verified before RouteRound returns
-// nil.
+// healthy plane: it resolves the round's switch setting on the plane's
+// engine, records it and journals it, and moves no payload — the
+// collective layer copies the chunks itself from the round's move
+// list. prefer selects the plane to try first; the failover walk moves
+// the round on from an unhealthy or failing plane, exactly like frame
+// dispatch. dest is validated before any plane is touched, so a bad
+// round can never take a plane out of rotation.
 func (f *Fabric[T]) RouteRound(dest perm.Perm, prefer int) (RoundResult, error) {
 	if f.closed.Load() {
 		return RoundResult{}, ErrClosed
@@ -46,49 +47,18 @@ func (f *Fabric[T]) RouteRound(dest perm.Perm, prefer int) (RoundResult, error) 
 	if err := dest.Validate(); err != nil {
 		return RoundResult{}, fmt.Errorf("fabric: round: %w", err)
 	}
-	res, err := f.round(prefer, func(eng *engine.Engine[int], ident []int) (engine.PlanKind, bool, []int, error) {
-		resp := eng.Route(dest, ident)
-		return resp.Kind, resp.CacheHit, resp.Data, resp.Err
-	}, func(data []int) int {
-		for i, d := range dest {
-			if data[d] != i {
-				return d
-			}
-		}
-		return -1
+	var resp engine.Response[int]
+	p, err := f.failover(prefer, &f.met.roundFailovers, func(p *plane) error {
+		resp = p.eng.Route(dest, nil)
+		return resp.Err
 	})
 	if err != nil {
 		return RoundResult{}, fmt.Errorf("fabric: no healthy plane for round: %w", err)
 	}
+	p.rounds.Add(1)
+	f.met.rounds.Add(1)
 	if f.jrn.Enabled() {
-		f.jrn.Round(res.Plane, dest, journal.DigestPerm(dest))
+		f.jrn.Round(p.id, dest, journal.DigestPerm(dest))
 	}
-	return res, nil
-}
-
-// round serves one validated collective round on a healthy plane,
-// starting at prefer and failing over plane by plane. serve runs the
-// round on a plane's engine with the identity payload and returns the
-// plan kind, the cache-hit flag and the delivered payload; wrong
-// returns the first output of that payload not carrying the source the
-// round assigns it, or -1. The error, when every plane refused, is
-// errPlaneDown.
-func (f *Fabric[T]) round(prefer int, serve roundServe, wrong func(data []int) int) (RoundResult, error) {
-	k := len(f.planes)
-	prefer = ((prefer % k) + k) % k
-	failed := false
-	for attempt := 0; attempt < k; attempt++ {
-		p := f.planes[(prefer+attempt)%k]
-		kind, hit, err := p.round(serve, wrong)
-		if err != nil {
-			failed = true
-			continue
-		}
-		if failed {
-			f.met.roundFailovers.Add(1)
-		}
-		f.met.rounds.Add(1)
-		return RoundResult{Plane: p.id, Kind: kind, CacheHit: hit}, nil
-	}
-	return RoundResult{}, errPlaneDown
+	return RoundResult{Plane: p.id, Kind: resp.Kind, CacheHit: resp.CacheHit}, nil
 }

@@ -73,22 +73,41 @@ func TestRouteRoundPrefer(t *testing.T) {
 	}
 }
 
-// TestRouteRoundFailover fails plane 0 administratively and checks a
-// prefer-0 round fails over to plane 1 and is counted.
+// TestRouteRoundFailover runs both round kinds through the failover
+// walk: with plane 0 failed, a round preferring it is served on plane 1
+// and counts one round failover and one refusal on plane 0; with every
+// plane failed, the round's error wraps ErrPlaneDown and no round is
+// counted as served.
 func TestRouteRoundFailover(t *testing.T) {
-	f := newRoundFabric(t, 3, 2)
-	if err := f.FailPlane(0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.RouteRound(perm.BitReversal(3), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plane != 1 {
-		t.Fatalf("round served by plane %d, want failover to 1", res.Plane)
-	}
-	if s := f.Stats(); s.RoundFailovers != 1 {
-		t.Fatalf("round failovers = %d, want 1", s.RoundFailovers)
+	bcast := []int{5, 5, 5, 5, 5, 5, 5, 5}
+	for name, route := range map[string]func(f *Fabric[int]) (RoundResult, error){
+		"permutation": func(f *Fabric[int]) (RoundResult, error) { return f.RouteRound(perm.BitReversal(3), 0) },
+		"multicast":   func(f *Fabric[int]) (RoundResult, error) { return f.RouteMulticastRound(bcast, 0) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := newRoundFabric(t, 3, 2)
+			if err := f.FailPlane(0); err != nil {
+				t.Fatal(err)
+			}
+			res, err := route(f)
+			if err != nil || res.Plane != 1 {
+				t.Fatalf("round with plane 0 failed: plane %d, err %v; want plane 1", res.Plane, err)
+			}
+			s := f.Stats()
+			if s.Rounds != 1 || s.RoundFailovers != 1 || s.Planes[0].Failovers != 1 || s.Planes[1].Rounds != 1 {
+				t.Fatalf("rounds %d, round failovers %d, plane 0 refusals %d, plane 1 rounds %d; want 1 each",
+					s.Rounds, s.RoundFailovers, s.Planes[0].Failovers, s.Planes[1].Rounds)
+			}
+			if err := f.FailPlane(1); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := route(f); !errors.Is(err, ErrPlaneDown) {
+				t.Fatalf("round with every plane failed: %v, want ErrPlaneDown", err)
+			}
+			if s := f.Stats(); s.Rounds != 1 || s.RoundFailovers != 1 {
+				t.Fatalf("a refused round was counted: rounds %d, round failovers %d", s.Rounds, s.RoundFailovers)
+			}
+		})
 	}
 }
 

@@ -77,7 +77,7 @@ func TestFabricConcurrentStress(t *testing.T) {
 			for k := 0; k < rounds; k++ {
 				d := perm.Random(1<<logN, rng)
 				if _, err := f.RouteRound(d, k%planes); err != nil &&
-					!errors.Is(err, errPlaneDown) {
+					!errors.Is(err, ErrPlaneDown) {
 					t.Errorf("round: %v", err)
 				}
 			}

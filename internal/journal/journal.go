@@ -541,18 +541,36 @@ func (j *Journal) walk(from, to uint64, scratch *Record, visit func(seg *segment
 // fails to decode, Read returns the records read before it along with
 // the error.
 func (j *Journal) Read(from, to uint64) ([]*Record, error) {
+	var out []*Record
+	err := j.scan(from, to, nil, func(r *Record) {
+		out = append(out, r)
+	})
+	return out, err
+}
+
+// Scan is Read without the slice: it decodes the records with sequence
+// numbers in [from, to], in order, each into one reused Record, and
+// hands each to visit. The Record and the slices it holds are valid
+// only until visit returns, so visit must copy out what it keeps. A
+// scan over the whole window therefore holds one decoded record at a
+// time. When a record fails to decode, Scan stops there and returns
+// the error, after visiting the records before it.
+func (j *Journal) Scan(from, to uint64, visit func(r *Record)) error {
+	return j.scan(from, to, new(Record), visit)
+}
+
+// scan serves Read and Scan; scratch is passed on to walk.
+func (j *Journal) scan(from, to uint64, scratch *Record, visit func(r *Record)) error {
 	if from == 0 {
 		from = 1
 	}
 	if to < from {
-		return nil, fmt.Errorf("journal: bad range [%d, %d]", from, to)
+		return fmt.Errorf("journal: bad range [%d, %d]", from, to)
 	}
-	var out []*Record
-	err := j.walk(from, to, nil, func(_ *segment, _ uint64, r *Record) bool {
-		out = append(out, r)
+	return j.walk(from, to, scratch, func(_ *segment, _ uint64, r *Record) bool {
+		visit(r)
 		return true
 	})
-	return out, err
 }
 
 // VerifyResult reports one chain walk.

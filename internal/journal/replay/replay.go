@@ -80,17 +80,20 @@ func (r *Report) Clean() bool {
 
 // Window verifies the chain over [from, to] and replays the window,
 // folding any divergence count into the journal's metrics. It is the
-// one-call audit benesd's /debug/replay and the chaos harness use.
+// one-call audit benesd's /debug/replay and the chaos harness use. The
+// replay streams the window: each record is decoded into one reused
+// Record and replayed before the next is read, so the window is never
+// held in memory at once.
 func Window(cfg Config, j *journal.Journal, from, to uint64) (*Report, error) {
+	r, err := newReplayer(cfg)
+	if err != nil {
+		return nil, err
+	}
 	vr := j.Verify(from, to)
-	recs, err := j.Read(from, to)
-	if err != nil {
+	if err := j.Scan(from, to, r.replay); err != nil {
 		return nil, err
 	}
-	rep, err := Run(cfg, recs)
-	if err != nil {
-		return nil, err
-	}
+	rep := r.report()
 	rep.From, rep.To = vr.From, to
 	rep.ChainOK = vr.OK
 	rep.FirstBadSeq = vr.FirstBadSeq
@@ -116,11 +119,22 @@ type replayer struct {
 // An error means the window could not be replayed at all (bad config);
 // per-record mismatches are divergences in the report, not errors.
 func Run(cfg Config, recs []*journal.Record) (*Report, error) {
+	r, err := newReplayer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, rec := range recs {
+		r.replay(rec)
+	}
+	return r.report(), nil
+}
+
+func newReplayer(cfg Config) (*replayer, error) {
 	if cfg.LogN < 1 {
 		return nil, fmt.Errorf("replay: Config.LogN must be >= 1, got %d", cfg.LogN)
 	}
 	net := core.New(cfg.LogN)
-	r := &replayer{
+	return &replayer{
 		cfg:     cfg,
 		net:     net,
 		comp:    mcast.NewCompiler(net),
@@ -128,25 +142,30 @@ func Run(cfg Config, recs []*journal.Record) (*Report, error) {
 		ports:   make([]int, net.N()),
 		rep:     &Report{ChainOK: true},
 		planeOK: cfg.Planes > 0,
+	}, nil
+}
+
+// replay audits the window's next record. rec need only live until
+// replay returns: a divergence copies out its seq and kind.
+func (r *replayer) replay(rec *journal.Record) {
+	switch {
+	case r.rep.Replayed == 0:
+		r.rep.From = rec.Seq
+	case rec.Seq != r.rep.To+1:
+		r.diverge(rec, fmt.Sprintf("sequence gap: %d follows %d", rec.Seq, r.rep.To))
 	}
-	var prevSeq uint64
-	for _, rec := range recs {
-		if prevSeq != 0 && rec.Seq != prevSeq+1 {
-			r.diverge(rec, fmt.Sprintf("sequence gap: %d follows %d", rec.Seq, prevSeq))
-		}
-		prevSeq = rec.Seq
-		r.counts[rec.Kind]++
-		r.replayOne(rec)
-	}
-	if n := len(recs); n > 0 {
-		r.rep.From = recs[0].Seq
-		r.rep.To = recs[n-1].Seq
-		r.rep.Replayed = n
-	}
+	r.rep.To = rec.Seq
+	r.rep.Replayed++
+	r.counts[rec.Kind]++
+	r.replayOne(rec)
+}
+
+// report finishes the window's report.
+func (r *replayer) report() *Report {
 	if len(r.rep.Divergences) > 0 {
 		r.rep.FirstDivergentSeq = r.rep.Divergences[0].Seq
 	}
-	return r.rep, nil
+	return r.rep
 }
 
 func (r *replayer) diverge(rec *journal.Record, detail string) {

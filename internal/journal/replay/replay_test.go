@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -268,5 +269,93 @@ func TestReplayPlaneRangeCheck(t *testing.T) {
 	}
 	if rep.FirstDivergentSeq != 1 {
 		t.Fatalf("out-of-range plane not flagged: %+v", rep)
+	}
+}
+
+// TestWindowStreamsLikeRun pins the streaming audit: Window, which
+// replays each record as Journal.Scan decodes it, reports exactly what
+// Run reports on the same window read whole, plus the chain walk's
+// verdict. The ring is small enough that most of the window comes back
+// from spilled segments, and two forged digests, one on disk and one
+// in memory, put divergences in both reports.
+func TestWindowStreamsLikeRun(t *testing.T) {
+	const (
+		logN   = 3
+		n      = 1 << logN
+		planes = 2
+		total  = 120
+	)
+	j, err := journal.New(journal.Config{Cap: 16, SegmentRecords: 4, SpillDir: t.TempDir(), SpillQueue: 64, CheckpointEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.SetCheckpointSource(func() journal.Checkpoint { return journal.Checkpoint{} })
+	w := j.Writer()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < total; i++ {
+		forge := uint64(0)
+		if i == 9 || i == total-3 {
+			forge = 1
+		}
+		plane := i % planes
+		switch i % 5 {
+		case 0:
+			d := perm.Random(n, rng)
+			w.Route(d, journal.DigestPerm(d)+forge)
+		case 1:
+			d := perm.Random(n, rng)
+			w.Round(plane, d, journal.DigestPerm(d)+forge)
+		case 2:
+			k := 1 + rng.Intn(n)
+			srcs, dsts := rng.Perm(n)[:k], rng.Perm(n)[:k]
+			w.Frame(plane, srcs, dsts, journal.DigestPairs(srcs, dsts)+forge)
+		case 3:
+			src, outs := rng.Intn(n), rng.Perm(n)[:2]
+			srcs := []int{src, src}
+			w.McastFrame(plane, srcs, outs, journal.DigestPairs(srcs, outs)+forge)
+		case 4:
+			m := make([]int, n)
+			for out := range m {
+				m[out] = fabric.Idle
+				if rng.Intn(2) == 0 {
+					m[out] = rng.Intn(n)
+				}
+			}
+			m[rng.Intn(n)] = 0 // never empty
+			w.McastRound(plane, m, journal.DigestMapping(m)+forge)
+		}
+	}
+	j.Close() // drain the spill queue
+	if j.Metrics().Spilled() == 0 {
+		t.Fatal("no segments spilled despite a tiny ring")
+	}
+	from, to, ok := j.Bounds()
+	if !ok || from != 1 {
+		t.Fatalf("Bounds = (%d, %d, %v), want the whole window from seq 1", from, to, ok)
+	}
+
+	cfg := replay.Config{LogN: logN, Planes: planes}
+	recs, err := j.Read(from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := replay.Run(cfg, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vr := j.Verify(from, to)
+	want.From, want.To = vr.From, to
+	want.ChainOK, want.FirstBadSeq, want.Head = vr.OK, vr.FirstBadSeq, vr.Head
+
+	got, err := replay.Window(cfg, j, from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Window = %+v\nRun on the read window = %+v", got, want)
+	}
+	if got.Replayed != int(to-from+1) || got.Checkpoints == 0 || !got.ChainOK || len(got.Divergences) != 2 {
+		t.Fatalf("replayed %d of %d records, %d checkpoints, chain ok %v, divergences %+v; want all, some, true and the 2 forged",
+			got.Replayed, to-from+1, got.Checkpoints, got.ChainOK, got.Divergences)
 	}
 }
