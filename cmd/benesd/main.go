@@ -977,9 +977,6 @@ func main() {
 		addr   = flag.String("addr", ":8080", "listen address")
 		n      = flag.Int("n", 10, "network size exponent: B(n) routes N=2^n terminals")
 		cache  = flag.Int("cache", engine.DefaultCacheCapacity, "plan cache capacity (plans)")
-		psetup = flag.Bool("parallel-setup", true, "route non-F(n) cache misses through the multicore cold setup")
-		pswork = flag.Int("setup-workers", 0, "goroutines per parallel cold setup (0 = GOMAXPROCS)")
-		psmemo = flag.Bool("setup-memo", true, "memoize half-network sub-plans in the plan cache")
 		planes = flag.Int("planes", 2, "parallel switching planes in the packet fabric")
 		voq    = flag.Int("voq-depth", fabric.DefaultVOQDepth, "per-(input,output) virtual output queue bound")
 		block  = flag.Bool("block", false, "block /send on full queues instead of tail-dropping")
@@ -1017,9 +1014,6 @@ func main() {
 	eng, err := engine.New[int](engine.Config{
 		LogN:          *n,
 		CacheCapacity: *cache,
-		ParallelSetup: *psetup,
-		SetupWorkers:  *pswork,
-		SetupMemo:     *psetup && *psmemo,
 		Recorder:      rec,
 		Journal:       jw,
 	})
@@ -1032,13 +1026,12 @@ func main() {
 	}
 	ring := obs.NewTraceRing(*tring, *tslow)
 	fab, err := fabric.New[int](fabric.Config{
-		LogN:          *n,
-		Planes:        *planes,
-		VOQDepth:      *voq,
-		Policy:        policy,
-		ParallelSetup: *psetup,
-		Record:        *record,
-		Journal:       jw,
+		LogN:     *n,
+		Planes:   *planes,
+		VOQDepth: *voq,
+		Policy:   policy,
+		Record:   *record,
+		Journal:  jw,
 	}, newTracedDeliver(ring))
 	if err != nil {
 		fatal(err)
@@ -1067,8 +1060,7 @@ func main() {
 		fatal(err)
 	}
 	logger.Info("benesd: serving", "log_n", *n, "terminals", eng.Network().N(), "planes", fab.Planes(),
-		"addr", *addr, "record", *record,
-		"parallel_setup", *psetup, "setup_memo", *psetup && *psmemo, "journal", *jflag)
+		"addr", *addr, "record", *record, "journal", *jflag)
 	to := timeouts{readHeader: readHeaderTimeout, idle: idleTimeout, shutdown: *drain}
 	if err := serve(ctx, ln, eng, fab, col, o, jr, to); err != nil {
 		fatal(err)

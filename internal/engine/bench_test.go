@@ -79,16 +79,15 @@ func benchColdMisses(b *testing.B, draw func() perm.Perm) {
 }
 
 // BenchmarkCacheColdServed is the miss path in benesd's configuration:
-// parallel setup with the sub-plan memo, the default cache and a flight
-// recorder. As in the bench's route-cold workload, three requests in
-// four are uniform random permutations (the looping fallback) and one
-// is an F(n) member. It cycles 1,024 distinct permutations through the
-// 1,024-entry cache; every miss inserts a plan and, outside F(n), two
-// sub-plans, so a permutation and its halves are evicted before it
-// comes round again and every request misses as a never-seen one does.
+// the default cache and a flight recorder. As in the bench's route-cold
+// workload, three requests in four are uniform random permutations (the
+// looping fallback) and one is an F(n) member. It cycles 2,048 distinct
+// permutations through the 1,024-entry cache, so every shard is handed
+// more permutations than it holds, each is evicted before it comes
+// round again, and every request misses as a never-seen one does.
 func BenchmarkCacheColdServed(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	perms := make([]perm.Perm, DefaultCacheCapacity)
+	perms := make([]perm.Perm, 2*DefaultCacheCapacity)
 	for i := range perms {
 		if i%4 == 3 {
 			perms[i] = perm.RandomF(benchLogN, rng)
@@ -96,12 +95,7 @@ func BenchmarkCacheColdServed(b *testing.B) {
 			perms[i] = perm.Random(1<<benchLogN, rng)
 		}
 	}
-	eng, err := New[int](Config{
-		LogN:          benchLogN,
-		ParallelSetup: true,
-		SetupMemo:     true,
-		Recorder:      netsim.NewRecorder(core.New(benchLogN), 2),
-	})
+	eng, err := New[int](Config{LogN: benchLogN, Recorder: netsim.NewRecorder(core.New(benchLogN), 2)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,7 +111,6 @@ func BenchmarkCacheColdServed(b *testing.B) {
 	}
 	b.StopTimer()
 	reportHitRate(b, eng)
-	b.ReportMetric(float64(eng.Stats().SubplanHits)/float64(b.N), "subplan-hits/op")
 }
 
 // BenchmarkCacheWarm serves one permutation repeatedly: after the first

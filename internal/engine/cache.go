@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/mcast"
 	"repro/internal/obs"
 	"repro/internal/packed"
@@ -26,15 +25,6 @@ const (
 	// PlanMulticast marks a copy-network plan compiled from a fan-out
 	// mapping: distribute B(n), copy ladder, permute B(n).
 	PlanMulticast
-	// PlanParallel marks a plan computed by the multicore looping setup
-	// (internal/psetup) — bit-identical states to PlanLooped, produced
-	// by the worker-pool recursion instead of one goroutine.
-	PlanParallel
-	// PlanSubBlock marks a memoized half-network sub-plan: the canonical
-	// setting of one B(n-1) block of a parallel setup, cached so later
-	// permutations sharing that half skip its recursion subtree. Never
-	// returned for a request — sub-plans exist only for psetup reuse.
-	PlanSubBlock
 )
 
 func (k PlanKind) String() string {
@@ -45,10 +35,6 @@ func (k PlanKind) String() string {
 		return "looped"
 	case PlanMulticast:
 		return "multicast"
-	case PlanParallel:
-		return "parallel-setup"
-	case PlanSubBlock:
-		return "sub-block"
 	}
 	return "unknown"
 }
@@ -64,8 +50,7 @@ func (k PlanKind) String() string {
 // flight recorder diffs, the vector at the width package packed picks
 // for its largest entry. A unicast plan's setting is the N log N − N/2
 // bits core.States.Pack writes and its vector the destination vector
-// (two bytes an entry at N=1024); a half-network sub-plan
-// (PlanSubBlock) stores its B(m) block the same way. A multicast plan's
+// (two bytes an entry at N=1024). A multicast plan's
 // setting is the copy network's three phases as mcast.Plan.Pack writes
 // them (736 B at N=256) and its vector the mapping, entry out holding
 // m[out]+1 so an idle output stores 0.
@@ -73,7 +58,7 @@ type Plan struct {
 	Kind    PlanKind
 	setting []uint64 // switch setting realizing dest, packed
 	dest    []byte   // the permutation (input i -> dest[i]) or mapping the plan realizes, packed by packVec
-	key     uint64   // hashPerm, hashSub or hashMapping of dest: the cache key
+	key     uint64   // hashPerm or hashMapping of dest: the cache key
 }
 
 // packVec stores v[i]+bias at the narrowest width that holds the
@@ -138,69 +123,14 @@ func hashMapping(m mcast.Mapping) uint64 {
 	return h
 }
 
-// hashSub keys a memoized half-network sub-plan. The offset basis is
-// perturbed by the block size so a B(m) sub-permutation never lands on
-// the full-network plan for an identical vector, and the size itself is
-// folded in so equal-content blocks of different m stay distinct.
-func hashSub(m int, dests []int) uint64 {
-	const offset64 = 14695981039346656037 ^ 0x6a09e667f3bcc908
-	const prime64 = 1099511628211
-	h := uint64(offset64) ^ uint64(m)<<32
-	for _, d := range dests {
-		h ^= uint64(d) + 1
-		h *= prime64
-	}
-	return h
-}
-
-// subPlanCache adapts the engine's sharded LRU to psetup.SubPlanCache:
-// half-network sub-plans are memoized as PlanSubBlock entries in the
-// same cache that holds full routing plans, sharing its capacity,
-// recency order, and eviction/collision accounting — the partial-plan
-// reuse half of ROADMAP item 2. Hits and misses are tallied on their
-// own counters so the books of the serving cache stay separable. A
-// sub-plan is stored packed like a full plan: Put packs the block psetup
-// hands over and drops it, and a hit unpacks the words into a fresh
-// block for psetup to copy.
-type subPlanCache struct {
-	c            *planCache
-	hits, misses *obs.Counter
-}
-
-func (s *subPlanCache) Get(m int, dests []int) core.States {
-	pl := s.c.get(hashSub(m, dests), dests)
-	if pl == nil {
-		s.misses.Add(1)
-		return nil
-	}
-	s.hits.Add(1)
-	half := 1 << uint(m-1)
-	cells := make([]bool, (2*m-1)*half)
-	st := make(core.States, 2*m-1)
-	for t := range st {
-		st[t] = cells[t*half : (t+1)*half]
-	}
-	st.Unpack(pl.setting)
-	return st
-}
-
-func (s *subPlanCache) Put(m int, dests []int, st core.States) {
-	s.c.put(&Plan{
-		Kind:    PlanSubBlock,
-		setting: st.Pack(make([]uint64, st.PackedLen())),
-		dest:    packVec(dests, 0),
-		key:     hashSub(m, dests),
-	})
-}
-
 // planCache is a sharded LRU cache of routing plans. Each shard owns an
 // independent lock, recency list, and capacity slice, so concurrent
 // callers rarely contend on the same mutex.
 type planCache struct {
 	shards []cacheShard
 	// shift is 64 − log2(len(shards)): key>>shift, a key's top bits, is
-	// its shard index. The low bits will not do: every hashPerm or
-	// hashSub key of a permutation of N >= 4 entries is odd, because
+	// its shard index. The low bits will not do: every hashPerm
+	// key of a permutation of N >= 4 entries is odd, because
 	// FNV-1a's odd multiplier keeps bit 0 and XOR-ing in d+1 flips it
 	// once per even d, N/2 times. The last multiply mixes every bit
 	// into the top ones.

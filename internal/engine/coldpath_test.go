@@ -28,88 +28,20 @@ func nonFPerm(t *testing.T, net *core.Network, rng *rand.Rand) perm.Perm {
 	return nil
 }
 
-// TestEngineParallelSetupDifferential: an engine with the parallel
-// cold-setup path on must serve exactly the payloads and cache
-// behavior of a serial engine, with the plan kind recording the
-// multicore path.
-func TestEngineParallelSetupDifferential(t *testing.T) {
-	const logN = 6
-	serial, err := New[int](Config{LogN: logN})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Close()
-	par, err := New[int](Config{LogN: logN, ParallelSetup: true, SetupWorkers: 2, SetupCutoff: 8, SetupMemo: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-
-	rng := rand.New(rand.NewSource(77))
-	data := make([]int, 1<<logN)
-	for i := range data {
-		data[i] = i * 11
-	}
-	for trial := 0; trial < 25; trial++ {
-		d := nonFPerm(t, par.Network(), rng)
-		want := serial.Route(d, data)
-		got := par.Route(d, data)
-		if want.Err != nil || got.Err != nil {
-			t.Fatalf("route errors: serial %v, parallel %v", want.Err, got.Err)
-		}
-		if got.Kind != PlanParallel {
-			t.Fatalf("parallel engine served a non-F(n) miss with kind %v", got.Kind)
-		}
-		if want.Kind != PlanLooped {
-			t.Fatalf("serial engine served a non-F(n) miss with kind %v", want.Kind)
-		}
-		for i := range want.Data {
-			if want.Data[i] != got.Data[i] {
-				t.Fatalf("trial %d: payload diverges at output %d", trial, i)
-			}
-		}
-		// Warm repeat: the cached parallel plan serves hits like any other.
-		if again := par.Route(d, data); !again.CacheHit || again.Kind != PlanParallel {
-			t.Fatalf("warm repeat: hit=%v kind=%v", again.CacheHit, again.Kind)
-		}
-	}
-	snap := par.Stats()
-	if snap.ParSetups == 0 || snap.Fallbacks != snap.ParSetups {
-		t.Errorf("parallel setups %d should equal non-F(n) fallbacks %d", snap.ParSetups, snap.Fallbacks)
-	}
-	if snap.ParFallbacks != 0 {
-		t.Errorf("parallel path fell back serially %d times on valid input", snap.ParFallbacks)
-	}
-	if snap.SetupPar.Count != snap.ParSetups {
-		t.Errorf("setup_parallel histogram count %d != parallel setups %d", snap.SetupPar.Count, snap.ParSetups)
-	}
-	if snap.SubplanHits+snap.SubplanMisses != 2*snap.ParSetups {
-		t.Errorf("sub-plan books unbalanced: %d hits + %d misses != 2 x %d setups",
-			snap.SubplanHits, snap.SubplanMisses, snap.ParSetups)
-	}
-}
-
 // TestEngineColdMissRaceStress is the adversarial cold path under the
 // race detector: concurrent cold misses on distinct non-F(n)
-// permutations with sub-plan memoization on. Every response must carry
-// the exact permuted payload, and afterwards the cache books must
-// balance: every request resolved as exactly one hit or miss, every
-// parallel setup charged exactly two sub-plan lookups, and no
-// cross-kind hash pollution (collisions).
+// permutations, each setting up into pooled miss scratch. Every
+// response must carry the exact permuted payload, and afterwards the
+// cache books must balance: every request resolved as exactly one hit
+// or miss, every one of them a looping fallback, and no hash
+// collisions.
 func TestEngineColdMissRaceStress(t *testing.T) {
 	const (
 		logN       = 8
 		goroutines = 8
 		perGor     = 24
 	)
-	eng, err := New[int](Config{
-		LogN:          logN,
-		CacheCapacity: 4096,
-		ParallelSetup: true,
-		SetupWorkers:  runtime.GOMAXPROCS(0),
-		SetupCutoff:   16,
-		SetupMemo:     true,
-	})
+	eng, err := New[int](Config{LogN: logN, CacheCapacity: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,15 +103,8 @@ func TestEngineColdMissRaceStress(t *testing.T) {
 	if snap.Errors != 0 {
 		t.Errorf("errors = %d on all-valid traffic", snap.Errors)
 	}
-	if snap.ParSetups != snap.Fallbacks {
-		t.Errorf("parallel setups %d != non-F(n) fallbacks %d", snap.ParSetups, snap.Fallbacks)
-	}
-	if snap.ParFallbacks != 0 {
-		t.Errorf("serial retries = %d on valid input", snap.ParFallbacks)
-	}
-	if snap.SubplanHits+snap.SubplanMisses != 2*snap.ParSetups {
-		t.Errorf("sub-plan books unbalanced: %d hits + %d misses != 2 x %d parallel setups",
-			snap.SubplanHits, snap.SubplanMisses, snap.ParSetups)
+	if snap.Fallbacks != total {
+		t.Errorf("looping fallbacks = %d, want one per cold non-F(n) request, %d", snap.Fallbacks, total)
 	}
 	if snap.Collisions != 0 {
 		t.Errorf("hash collisions = %d across %d distinct keys", snap.Collisions, total)
@@ -193,12 +118,10 @@ func TestEngineColdMissRaceStress(t *testing.T) {
 // N=1024 with a flight recorder allocates little beyond the plan the
 // cache keeps (~3.5 KB: 1,216 B of packed setting, a 2 KB destination
 // vector) and the 8 KB of scratch Validate allocates. The
-// self-routing kernel and the serial looping fallback set up into a
-// pooled working setting on pooled scratch; a parallel setup with
-// SetupMemo also validates again, hands psetup's two unpacked
-// half-network blocks to the memo and keeps them packed. It measures
-// acquire, not Route, so the routed output vector (8 KB at N=1024)
-// stays out of the budget.
+// self-routing kernel and the looping fallback set up into a pooled
+// working setting on pooled scratch. It measures acquire, not Route,
+// so the routed output vector (8 KB at N=1024) stays out of the
+// budget.
 func TestMissBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratch at random")
@@ -209,21 +132,16 @@ func TestMissBytes(t *testing.T) {
 	random := func() perm.Perm { return perm.Random(1<<logN, rng) }
 	cases := []struct {
 		name     string
-		cfg      Config
 		draw     func() perm.Perm
 		kind     PlanKind
 		maxBytes uint64
 	}{
-		{"self-routed", Config{}, member, PlanSelfRouted, 16 << 10},
-		{"looped", Config{}, random, PlanLooped, 16 << 10},
-		{"parallel-memo", Config{ParallelSetup: true, SetupMemo: true}, random, PlanParallel, 48 << 10},
+		{"self-routed", member, PlanSelfRouted, 16 << 10},
+		{"looped", random, PlanLooped, 16 << 10},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := c.cfg
-			cfg.LogN = logN
-			cfg.Recorder = netsim.NewRecorder(core.New(logN), 2)
-			eng, err := New[int](cfg)
+			eng, err := New[int](Config{LogN: logN, Recorder: netsim.NewRecorder(core.New(logN), 2)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -259,11 +177,10 @@ func TestMissBytes(t *testing.T) {
 // working memory a miss drops does not count. At N=1024: under 4 KB for
 // a routing plan (its packed setting of 19 stages × 8 words, its
 // two-byte destination vector, the Plan, and the LRU's list element
-// and map slot) and under 2.5 KB for a half-network sub-plan SetupMemo
-// keeps (17 stages × 4 words and 512 two-byte entries). A multicast
-// plan, over a mix of broadcasts and fan-out maps with a recorder
-// attached, holds its three packed phases and its two-byte mapping:
-// under 2 KB at N=256 (92 words) and under 8 KB at N=1024 (464 words).
+// and map slot). A multicast plan, over a mix of broadcasts and fan-out
+// maps with a recorder attached, holds its three packed phases and its
+// two-byte mapping: under 2 KB at N=256 (92 words) and under 8 KB at
+// N=1024 (464 words).
 func TestPlanBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratch at random")
@@ -308,37 +225,6 @@ func TestPlanBytes(t *testing.T) {
 		t.Logf("cached plan at N=1024: %d B live", per)
 		if per > 4<<10 {
 			t.Fatalf("a cached plan holds %d B, budget %d B", per, 4<<10)
-		}
-	})
-	t.Run("sub-plan", func(t *testing.T) {
-		eng, err := New[int](Config{LogN: logN})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		memo := &subPlanCache{c: eng.cache, hits: &eng.met.subHits, misses: &eng.met.subMisses}
-		const m = logN - 1
-		dests := make([]perm.Perm, plans)
-		for i := range dests {
-			dests[i] = perm.Random(1<<m, rng)
-		}
-		block := core.New(m)
-		per := liveBytes(func() {
-			// Each block is allocated here, as psetup allocates the
-			// block it hands to Put, so a memo that keeps it counts it.
-			for _, d := range dests {
-				memo.Put(m, d, block.Setup(d))
-			}
-		})
-		if got := eng.cache.len(); got != plans {
-			t.Fatalf("cache holds %d sub-plans, want %d", got, plans)
-		}
-		if got := memo.Get(m, dests[0]); got.String() != block.Setup(dests[0]).String() {
-			t.Fatal("a sub-plan hit must unpack the block that was put")
-		}
-		t.Logf("cached sub-plan at N=1024: %d B live", per)
-		if per > 5<<9 {
-			t.Fatalf("a cached sub-plan holds %d B, budget %d B", per, 5<<9)
 		}
 	})
 	for _, tc := range []struct {

@@ -14,7 +14,7 @@
 //     Theorem 1) lets the destination tags decide the switch states —
 //     the paper's fast path;
 //   - a miss outside F(n) falls back to the looping algorithm
-//     (core.Setup), the paper's "external setup" mode;
+//     (core.Network.SetupInto), the paper's "external setup" mode;
 //   - a cache HIT skips setup entirely: the cached plan pins every
 //     switch, and the payload traverses the network at wire speed. In
 //     software we apply the plan's end-to-end mapping directly
@@ -40,7 +40,6 @@ import (
 	"repro/internal/mcast"
 	"repro/internal/netsim"
 	"repro/internal/perm"
-	"repro/internal/psetup"
 )
 
 // ErrClosed is returned for requests made after Close.
@@ -58,27 +57,12 @@ type Config struct {
 	// rounded up to a power of two. Defaults to 2*GOMAXPROCS, so
 	// concurrent callers rarely contend on one shard's lock.
 	CacheShards int
-	// ParallelSetup routes cache misses outside F(n) — the serving
-	// path's worst-case latency, since nothing but the plan cache hides
-	// the looping algorithm's O(N log N) serial cost — through the
-	// multicore worker-pool setup of internal/psetup. The computed
-	// states are bit-identical to core.Network.Setup; if the parallel
-	// path ever reports an error the engine falls back to the serial
-	// looping algorithm and counts the fallback.
+	// ParallelSetup and SetupMemo are ignored: every miss outside F(n)
+	// runs the serial looping algorithm (core.Network.SetupInto) on the
+	// pooled miss scratch. They stay in Config for callers outside this
+	// module.
 	ParallelSetup bool
-	// SetupWorkers bounds one parallel setup's goroutine pool.
-	// Defaults to runtime.GOMAXPROCS(0). Ignored unless ParallelSetup.
-	SetupWorkers int
-	// SetupCutoff is the block size (lines) at or below which the
-	// parallel setup recursion goes serial. Defaults to
-	// psetup.DefaultSerialCutoff. Ignored unless ParallelSetup.
-	SetupCutoff int
-	// SetupMemo memoizes each parallel setup's two half-network
-	// sub-plans in the engine's sharded LRU (as PlanSubBlock entries
-	// sharing its capacity), so permutations that agree on a
-	// half-network share recursion subtrees across requests. Ignored
-	// unless ParallelSetup.
-	SetupMemo bool
+	SetupMemo     bool
 	// Recorder, when non-nil, receives gate-level accounting for every
 	// served request: per-switch traversals and state flips. A served
 	// vector takes the recorder's lock once, compares the plan's setting
@@ -130,9 +114,6 @@ type Engine[T any] struct {
 	met   *metrics
 	rec   *netsim.Recorder
 	jrn   *journal.Writer
-	// psr is the multicore cold-setup router for non-F(n) misses, nil
-	// when Config.ParallelSetup is off (serial looping path retained).
-	psr *psetup.Router
 	// ladRec records the multicast copy ladder: log N stages of N/2
 	// four-state switches, a geometry separate from B(n)'s. Nil when
 	// accounting is off.
@@ -168,17 +149,6 @@ func New[T any](cfg Config) (*Engine[T], error) {
 	}
 	if e.rec != nil {
 		e.ladRec = netsim.NewRecorderGeom(cfg.LogN, e.net.SwitchesPerStage())
-	}
-	if cfg.ParallelSetup {
-		var memo psetup.SubPlanCache
-		if cfg.SetupMemo {
-			memo = &subPlanCache{c: e.cache, hits: &met.subHits, misses: &met.subMisses}
-		}
-		e.psr = psetup.New(e.net, psetup.Config{
-			Workers:      cfg.SetupWorkers,
-			SerialCutoff: cfg.SetupCutoff,
-			Memo:         memo,
-		})
 	}
 	e.mpool.New = func() any { return mcast.NewCompiler(e.net) }
 	e.scpool.New = func() any {
@@ -316,35 +286,11 @@ func (e *Engine[T]) acquire(key uint64, d perm.Perm) (*Plan, bool, error) {
 	ms := e.scpool.Get().(*missScratch)
 	if !e.net.SelfRouteInto(d, ms.st, ms.sc) {
 		e.met.fallbacks.Add(1)
-		pl.Kind = e.coldSetup(d, ms.st, ms.sc)
+		e.net.SetupInto(d, ms.st, ms.sc)
+		pl.Kind = PlanLooped
 	}
 	pl.setting = ms.st.Pack(make([]uint64, ms.st.PackedLen()))
 	e.scpool.Put(ms)
 	e.cache.put(pl)
 	return pl, false, nil
-}
-
-// coldSetup writes into st the states of a validated non-F(n)
-// permutation — the external-setup cliff the plan cache cannot hide on
-// first sight of d. With ParallelSetup on it runs the worker-pool
-// looping recursion (states bit-identical to the serial algorithm,
-// enforced by the psetup differential battery); the serial path, on
-// the caller's scratch, remains both the default and the fallback
-// should the parallel router report an error.
-func (e *Engine[T]) coldSetup(d perm.Perm, st core.States, sc *core.SetupScratch) PlanKind {
-	if e.psr == nil {
-		e.net.SetupInto(d, st, sc)
-		return PlanLooped
-	}
-	t0 := time.Now()
-	defer func() { e.met.SetupPar.Observe(time.Since(t0)) }()
-	if err := e.psr.SetupInto(d, st); err != nil {
-		// d was validated by acquire, so this is unreachable in
-		// practice; keep the serial algorithm as the safety net anyway.
-		e.met.parFallbacks.Add(1)
-		e.net.SetupInto(d, st, sc)
-		return PlanLooped
-	}
-	e.met.parSetups.Add(1)
-	return PlanParallel
 }

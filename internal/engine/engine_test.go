@@ -47,9 +47,11 @@ func checkRouted(t *testing.T, d perm.Perm, resp Response[int]) {
 }
 
 // TestExhaustiveN8 routes every permutation of N=8 through the engine
-// and checks (a) the payload lands exactly where perm.Apply says, and
-// (b) the plan kind agrees with the Theorem 1 characterization of F(n).
-// A deliberately tiny cache forces constant eviction churn.
+// and checks (a) the payload lands exactly where perm.Apply says, (b)
+// the plan kind agrees with the Theorem 1 characterization of F(n), and
+// (c) the plan just cached, unpacked, realizes its destination vector
+// gate by gate, so every self-routed and looped plan of S_8 is
+// replayed. A deliberately tiny cache forces constant eviction churn.
 func TestExhaustiveN8(t *testing.T) {
 	eng, err := New[int](Config{LogN: 3, CacheCapacity: 8, CacheShards: 2})
 	if err != nil {
@@ -68,6 +70,14 @@ func TestExhaustiveN8(t *testing.T) {
 		if resp.Kind != wantKind {
 			t.Fatalf("route %v: plan kind %v, want %v", d, resp.Kind, wantKind)
 		}
+		pl := eng.cache.get(hashPerm(d), d)
+		if pl == nil {
+			t.Fatalf("route %v: plan not cached", d)
+		}
+		dest, st := unpackPlan(eng.net, pl)
+		if res := eng.net.ExternalRoute(dest, st); !res.OK() || !res.Realized.Equal(d) {
+			t.Fatalf("%v plan for %v realizes %v", pl.Kind, d, res.Realized)
+		}
 		return true
 	})
 	s := eng.Stats()
@@ -80,63 +90,69 @@ func TestExhaustiveN8(t *testing.T) {
 }
 
 // TestExhaustiveN8Memo routes every permutation of N=8 through an
-// engine in benesd's cold-setup configuration (ParallelSetup with
-// SetupMemo) with a serial cutoff of 2 lines, so every miss outside
-// F(3) splits the top block and looks both B(2) halves up in the memo.
-// Only 24 half permutations exist, so sub-plan hits unpack packed
-// blocks into live setups. Every payload must equal the serial
-// engine's, and every cached plan and sub-plan, unpacked, must realize
-// its destination vector gate by gate.
+// engine with the ignored ParallelSetup and SetupMemo fields set, as
+// bench sets them, and a cache large enough to keep all of S_8. Every
+// payload must equal the default engine's, and once S_8 is done every
+// plan still cached, unpacked, must realize its destination vector gate
+// by gate: 40320 plans, one per permutation, self-routed exactly for
+// F(3). A later miss reusing the pooled scratch must not have disturbed
+// an earlier plan.
 func TestExhaustiveN8Memo(t *testing.T) {
 	serial, err := New[int](Config{LogN: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer serial.Close()
-	par, err := New[int](Config{LogN: 3, ParallelSetup: true, SetupMemo: true, SetupCutoff: 2, CacheCapacity: 1 << 17})
+	memo, err := New[int](Config{LogN: 3, ParallelSetup: true, SetupMemo: true, CacheCapacity: 1 << 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer par.Close()
+	defer memo.Close()
 	data := payload(8)
+	inF := 0
 	perm.ForEach(8, func(p perm.Perm) bool {
 		d := p.Clone() // ForEach reuses the slice
-		want, got := serial.Route(d, data), par.Route(d, data)
+		want, got := serial.Route(d, data), memo.Route(d, data)
 		if want.Err != nil || got.Err != nil {
-			t.Fatalf("route %v: serial %v, parallel %v", d, want.Err, got.Err)
+			t.Fatalf("route %v: default %v, memo config %v", d, want.Err, got.Err)
+		}
+		if got.Kind != want.Kind {
+			t.Fatalf("route %v: plan kind %v, default engine %v", d, got.Kind, want.Kind)
 		}
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("route %v: output %d = %d, serial engine %d", d, i, got.Data[i], want.Data[i])
+				t.Fatalf("route %v: output %d = %d, default engine %d", d, i, got.Data[i], want.Data[i])
 			}
+		}
+		if perm.InF(d) {
+			inF++
 		}
 		return true
 	})
-	s := par.Stats()
-	if s.SubplanHits == 0 || s.Evictions != 0 {
-		t.Fatalf("want sub-plan hits and no evictions over S_8, got %+v", s)
+	if s := memo.Stats(); s.Evictions != 0 {
+		t.Fatalf("want no evictions over S_8, got %+v", s)
 	}
-	nets := map[PlanKind]*core.Network{PlanSelfRouted: par.net, PlanParallel: par.net, PlanSubBlock: core.New(2)}
 	kinds := map[PlanKind]int{}
-	for _, pl := range cachedPlans(par) {
-		net := nets[pl.Kind]
-		if net == nil {
-			t.Fatalf("unexpected %v plan in the cache", pl.Kind)
-		}
-		d, st := unpackPlan(net, pl)
-		if res := net.ExternalRoute(d, st); !res.OK() || !res.Realized.Equal(d) {
+	seen := map[string]bool{}
+	for _, pl := range cachedPlans(memo) {
+		d, st := unpackPlan(memo.net, pl)
+		if res := memo.net.ExternalRoute(d, st); !res.OK() || !res.Realized.Equal(d) {
 			t.Fatalf("%v plan for %v realizes %v", pl.Kind, d, res.Realized)
 		}
+		if wantF := pl.Kind == PlanSelfRouted; perm.InF(d) != wantF {
+			t.Fatalf("%v plan cached for %v (in F: %v)", pl.Kind, d, !wantF)
+		}
+		seen[fmt.Sprint(d)] = true
 		kinds[pl.Kind]++
 	}
-	if kinds[PlanSelfRouted]+kinds[PlanParallel] != 40320 || kinds[PlanSubBlock] != 24 {
-		t.Fatalf("cached plans by kind %v, want 40320 routing plans and 24 sub-plans", kinds)
+	if len(seen) != 40320 || kinds[PlanSelfRouted] != inF || kinds[PlanLooped] != 40320-inF {
+		t.Fatalf("cached %d distinct vectors, plans by kind %v; want 40320, %d self-routed and %d looped",
+			len(seen), kinds, inF, 40320-inF)
 	}
 }
 
-// unpackPlan decodes a cached routing plan or sub-plan on net, the
-// network of its size: the destination vector and switch setting the
-// plan keeps packed.
+// unpackPlan decodes a cached routing plan on net: the destination
+// vector and switch setting the plan keeps packed.
 func unpackPlan(net *core.Network, pl *Plan) (perm.Perm, core.States) {
 	d := make(perm.Perm, net.N())
 	w := packed.Width(uint32(net.N() - 1))
@@ -163,25 +179,19 @@ func cachedPlans(e *Engine[int]) []*Plan {
 }
 
 // TestRandomizedN256 routes random permutations (mostly outside F) and
-// structured F members at N=256, each twice, through a serial-setup
-// engine and a parallel-setup one (benesd's default: ParallelSetup with
-// SetupMemo). Besides checking the payload, it unpacks every resolved
-// plan and replays its switch setting gate by gate through
-// core.ExternalRoute: the setting must realize the plan's destination
-// vector, for self-routed, looped and parallel plans alike.
+// structured F members at N=256, each twice. Besides checking the
+// payload, it unpacks every resolved plan and replays its switch
+// setting gate by gate through core.ExternalRoute: the setting must
+// realize the plan's destination vector, for self-routed and looped
+// plans alike.
 func TestRandomizedN256(t *testing.T) {
 	const n = 8 // N = 256
 	rng := rand.New(rand.NewSource(42))
-	serial, err := New[int](Config{LogN: n})
+	eng, err := New[int](Config{LogN: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer serial.Close()
-	par, err := New[int](Config{LogN: n, ParallelSetup: true, SetupMemo: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
+	defer eng.Close()
 
 	var cases []perm.Perm
 	for i := 0; i < 60; i++ {
@@ -197,30 +207,28 @@ func TestRandomizedN256(t *testing.T) {
 	kinds := map[PlanKind]int{}
 	for round := 0; round < 2; round++ {
 		for _, d := range cases {
-			for _, eng := range []*Engine[int]{serial, par} {
-				resp := eng.Route(d, data)
-				checkRouted(t, d, resp)
-				if round == 1 && !resp.CacheHit {
-					t.Fatalf("second round must hit the cache for %v", d)
-				}
-				pl := eng.cache.get(hashPerm(d), d)
-				if pl == nil || pl.Kind != resp.Kind {
-					t.Fatalf("plan for %v not cached as kind %v: %+v", d, resp.Kind, pl)
-				}
-				dest, st := unpackPlan(eng.net, pl)
-				if res := eng.net.ExternalRoute(dest, st); !res.OK() || !res.Realized.Equal(d) {
-					t.Fatalf("%v plan states for %v realize %v", pl.Kind, d, res.Realized)
-				}
-				kinds[pl.Kind]++
+			resp := eng.Route(d, data)
+			checkRouted(t, d, resp)
+			if round == 1 && !resp.CacheHit {
+				t.Fatalf("second round must hit the cache for %v", d)
 			}
+			pl := eng.cache.get(hashPerm(d), d)
+			if pl == nil || pl.Kind != resp.Kind {
+				t.Fatalf("plan for %v not cached as kind %v: %+v", d, resp.Kind, pl)
+			}
+			dest, st := unpackPlan(eng.net, pl)
+			if res := eng.net.ExternalRoute(dest, st); !res.OK() || !res.Realized.Equal(d) {
+				t.Fatalf("%v plan states for %v realize %v", pl.Kind, d, res.Realized)
+			}
+			kinds[pl.Kind]++
 		}
 	}
-	for _, k := range []PlanKind{PlanSelfRouted, PlanLooped, PlanParallel} {
+	for _, k := range []PlanKind{PlanSelfRouted, PlanLooped} {
 		if kinds[k] == 0 {
 			t.Fatalf("no %v plan resolved; kinds seen %v", k, kinds)
 		}
 	}
-	s := serial.Stats()
+	s := eng.Stats()
 	if s.Hits == 0 || s.Misses == 0 {
 		t.Fatalf("expected both hits and misses, got %+v", s)
 	}

@@ -11,10 +11,8 @@ import (
 )
 
 // FuzzPackedPlan routes a permutation of N = 2^n, n in 1..6, built from
-// the fuzz bytes, twice — a miss, then a hit — through an engine in
-// benesd's configuration: parallel setup with the sub-plan memo, at a
-// serial cutoff of 2 lines so every miss outside F(n) forks and
-// memoizes, and a flight recorder. Both payloads must equal
+// the fuzz bytes, twice — a miss, then a hit — through an engine with a
+// flight recorder, as benesd runs it. Both payloads must equal
 // perm.Apply; the cached plan, unpacked, must hold the permutation and
 // a setting that realizes it gate by gate; and packing that setting
 // again must give back the plan's words.
@@ -34,13 +32,7 @@ func FuzzPackedPlan(f *testing.F) {
 			j := int(b) % (i + 1)
 			d[i], d[j] = d[j], d[i]
 		}
-		eng, err := New[int](Config{
-			LogN:          n,
-			ParallelSetup: true,
-			SetupMemo:     true,
-			SetupCutoff:   2,
-			Recorder:      netsim.NewRecorder(core.New(n), 1),
-		})
+		eng, err := New[int](Config{LogN: n, Recorder: netsim.NewRecorder(core.New(n), 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,30 +21,22 @@ type BucketCount = obs.BucketCount
 // plan-cache traffic and per-stage latency. All fields are updated
 // atomically; a metrics value must not be copied.
 type metrics struct {
-	requests     obs.Counter // vectors accepted by Route
-	hits         obs.Counter // plan served from cache
-	misses       obs.Counter // plan had to be computed
-	fallbacks    obs.Counter // misses outside F(n) that ran the looping algorithm
-	parSetups    obs.Counter // non-F(n) misses served by the parallel worker-pool setup
-	parFallbacks obs.Counter // parallel setups that errored and fell back to the serial path
-	subHits      obs.Counter // half-network sub-plans served from the memo cache
-	subMisses    obs.Counter // half-network sub-plan lookups that had to solve the subtree
-	errors       obs.Counter // requests rejected (bad length, invalid permutation, closed)
-	evictions    obs.Counter // plans displaced from the LRU cache
-	collisions   obs.Counter // lookups whose hash matched a plan for a different permutation
-	frames       obs.Counter // frames served synchronously via FrameServer.Serve
-	mcasts       obs.Counter // multicast mappings served via RouteMulticast
-	mcastFrames  obs.Counter // mapping frames served via McastFrameServer.Serve
-	mcastCopies  obs.Counter // output copies delivered by multicast plans
-	probes       obs.Counter // diagnostic passes served via ProbeRoute
+	requests    obs.Counter // vectors accepted by Route
+	hits        obs.Counter // plan served from cache
+	misses      obs.Counter // plan had to be computed
+	fallbacks   obs.Counter // misses outside F(n) that ran the looping algorithm
+	errors      obs.Counter // requests rejected (bad length, invalid permutation, closed)
+	evictions   obs.Counter // plans displaced from the LRU cache
+	collisions  obs.Counter // lookups whose hash matched a plan for a different permutation
+	frames      obs.Counter // frames served synchronously via FrameServer.Serve
+	mcasts      obs.Counter // multicast mappings served via RouteMulticast
+	mcastFrames obs.Counter // mapping frames served via McastFrameServer.Serve
+	mcastCopies obs.Counter // output copies delivered by multicast plans
+	probes      obs.Counter // diagnostic passes served via ProbeRoute
 
 	// Per-stage latency histograms.
 	Plan  Histogram // plan acquisition (cache lookup, plus setup on a miss)
 	Apply Histogram // payload application (or states replay)
-	// SetupPar is the setup_parallel stage: wall time of the multicore
-	// cold setup on non-F(n) misses (the tail the plan cache cannot
-	// hide), including any serial fallback retry.
-	SetupPar Histogram
 
 	// Multicast phase histograms: the copy-network compile split into
 	// its distribute/permute B(n) setups and its ladder programming.
@@ -55,28 +47,23 @@ type metrics struct {
 // Snapshot is the JSON export of an engine's metrics: a plain value an
 // HTTP stats handler marshals directly.
 type Snapshot struct {
-	Requests      int64   `json:"requests"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	Fallbacks     int64   `json:"fallbacks"`
-	ParSetups     int64   `json:"parallel_setups"`
-	ParFallbacks  int64   `json:"parallel_fallbacks"`
-	SubplanHits   int64   `json:"subplan_hits"`
-	SubplanMisses int64   `json:"subplan_misses"`
-	Errors        int64   `json:"errors"`
-	Evictions     int64   `json:"evictions"`
-	Collisions    int64   `json:"collision_misses"`
-	Frames        int64   `json:"frames"`
-	Mcasts        int64   `json:"mcasts"`
-	McastFrames   int64   `json:"mcast_frames"`
-	McastCopies   int64   `json:"mcast_copies"`
-	Probes        int64   `json:"probes"`
-	HitRate       float64 `json:"hit_rate"`
-	PlansCached   int     `json:"plans_cached"`
+	Requests    int64   `json:"requests"`
+	Hits        int64   `json:"hits"`
+	Misses      int64   `json:"misses"`
+	Fallbacks   int64   `json:"fallbacks"`
+	Errors      int64   `json:"errors"`
+	Evictions   int64   `json:"evictions"`
+	Collisions  int64   `json:"collision_misses"`
+	Frames      int64   `json:"frames"`
+	Mcasts      int64   `json:"mcasts"`
+	McastFrames int64   `json:"mcast_frames"`
+	McastCopies int64   `json:"mcast_copies"`
+	Probes      int64   `json:"probes"`
+	HitRate     float64 `json:"hit_rate"`
+	PlansCached int     `json:"plans_cached"`
 
 	Plan      HistogramSnapshot `json:"plan"`
 	Apply     HistogramSnapshot `json:"apply"`
-	SetupPar  HistogramSnapshot `json:"setup_parallel"`
 	McastDist HistogramSnapshot `json:"mcast_distribute"`
 	McastCopy HistogramSnapshot `json:"mcast_copy"`
 }
@@ -86,28 +73,23 @@ type Snapshot struct {
 func (e *Engine[T]) Stats() Snapshot {
 	m := e.met
 	s := Snapshot{
-		Requests:      m.requests.Value(),
-		Hits:          m.hits.Value(),
-		Misses:        m.misses.Value(),
-		Fallbacks:     m.fallbacks.Value(),
-		ParSetups:     m.parSetups.Value(),
-		ParFallbacks:  m.parFallbacks.Value(),
-		SubplanHits:   m.subHits.Value(),
-		SubplanMisses: m.subMisses.Value(),
-		Errors:        m.errors.Value(),
-		Evictions:     m.evictions.Value(),
-		Collisions:    m.collisions.Value(),
-		Frames:        m.frames.Value(),
-		Mcasts:        m.mcasts.Value(),
-		McastFrames:   m.mcastFrames.Value(),
-		McastCopies:   m.mcastCopies.Value(),
-		Probes:        m.probes.Value(),
-		PlansCached:   e.cache.len(),
-		Plan:          m.Plan.Snapshot(),
-		Apply:         m.Apply.Snapshot(),
-		SetupPar:      m.SetupPar.Snapshot(),
-		McastDist:     m.McastDist.Snapshot(),
-		McastCopy:     m.McastCopy.Snapshot(),
+		Requests:    m.requests.Value(),
+		Hits:        m.hits.Value(),
+		Misses:      m.misses.Value(),
+		Fallbacks:   m.fallbacks.Value(),
+		Errors:      m.errors.Value(),
+		Evictions:   m.evictions.Value(),
+		Collisions:  m.collisions.Value(),
+		Frames:      m.frames.Value(),
+		Mcasts:      m.mcasts.Value(),
+		McastFrames: m.mcastFrames.Value(),
+		McastCopies: m.mcastCopies.Value(),
+		Probes:      m.probes.Value(),
+		PlansCached: e.cache.len(),
+		Plan:        m.Plan.Snapshot(),
+		Apply:       m.Apply.Snapshot(),
+		McastDist:   m.McastDist.Snapshot(),
+		McastCopy:   m.McastCopy.Snapshot(),
 	}
 	if lookups := s.Hits + s.Misses; lookups > 0 {
 		s.HitRate = float64(s.Hits) / float64(lookups)
@@ -127,10 +109,6 @@ func (e *Engine[T]) Register(reg *obs.Registry, labels obs.Labels) {
 	reg.CounterFunc("benes_engine_plan_cache_hits_total", "Plans served from the cache.", labels, m.hits.Value)
 	reg.CounterFunc("benes_engine_plan_cache_misses_total", "Plans computed fresh.", labels, m.misses.Value)
 	reg.CounterFunc("benes_engine_loop_fallbacks_total", "Misses outside F(n) that ran the looping algorithm.", labels, m.fallbacks.Value)
-	reg.CounterFunc("benes_engine_parallel_setups_total", "Non-F(n) misses served by the multicore worker-pool setup.", labels, m.parSetups.Value)
-	reg.CounterFunc("benes_engine_parallel_fallbacks_total", "Parallel setups that errored and retried serially.", labels, m.parFallbacks.Value)
-	reg.CounterFunc("benes_engine_subplan_hits_total", "Half-network sub-plans served from the memo cache.", labels, m.subHits.Value)
-	reg.CounterFunc("benes_engine_subplan_misses_total", "Half-network sub-plan lookups that solved the subtree.", labels, m.subMisses.Value)
 	reg.CounterFunc("benes_engine_errors_total", "Requests rejected (bad length, invalid permutation, closed).", labels, m.errors.Value)
 	reg.CounterFunc("benes_engine_plan_cache_evictions_total", "Plans displaced from the LRU cache.", labels, m.evictions.Value)
 	reg.CounterFunc("benes_engine_plan_cache_collisions_total", "Lookups that collided with a plan for a different permutation.", labels, m.collisions.Value)
@@ -142,7 +120,6 @@ func (e *Engine[T]) Register(reg *obs.Registry, labels obs.Labels) {
 	reg.GaugeFunc("benes_engine_plans_cached", "Plans currently held by the cache.", labels, func() float64 { return float64(e.cache.len()) })
 	reg.RegisterHistogram("benes_engine_plan_seconds", "Plan acquisition: cache lookup plus setup on a miss.", labels, &m.Plan)
 	reg.RegisterHistogram("benes_engine_apply_seconds", "Payload application (or gate-level states replay).", labels, &m.Apply)
-	reg.RegisterHistogram("benes_engine_setup_parallel_seconds", "Multicore cold setup on non-F(n) misses, serial retry included.", labels, &m.SetupPar)
 	reg.RegisterHistogram("benes_engine_mcast_distribute_seconds", "Multicast compile: distribute/permute B(n) looping setups.", labels, &m.McastDist)
 	reg.RegisterHistogram("benes_engine_mcast_copy_seconds", "Multicast compile: interval-splitting copy-ladder programming.", labels, &m.McastCopy)
 

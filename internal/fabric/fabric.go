@@ -141,12 +141,9 @@ type Config struct {
 	// rendezvous hashing. It stays in Config for callers outside this
 	// module.
 	Affinity Affinity
-	// ParallelSetup routes each plane engine's non-F(n) cache misses
-	// (collective rounds and RouteRound permutations outside F(n))
-	// through the multicore cold setup of internal/psetup, with
-	// half-network sub-plans memoized in the plane's LRU. Frames are
-	// unaffected — the FrameServer path keeps its scratch-reusing
-	// serial setup, which per-frame beats any fan-out at frame sizes.
+	// ParallelSetup is ignored: a plane engine sets up every round
+	// outside F(n) with the serial looping algorithm, as it does every
+	// frame. It stays in Config for callers outside this module.
 	ParallelSetup bool
 	// Record attaches a gate-level flight recorder to every plane:
 	// per-switch traversal, flip, and fault-hit counters, served by
@@ -258,12 +255,7 @@ func newFabric[T any](cfg Config, deliver func(Packet[T]), deliverBatch func(int
 		if cfg.Record {
 			rec = netsim.NewRecorder(geo, 1)
 		}
-		p, err := newPlane(i, engine.Config{
-			LogN:          cfg.LogN,
-			ParallelSetup: cfg.ParallelSetup,
-			SetupMemo:     cfg.ParallelSetup,
-			Recorder:      rec,
-		}, &f.met)
+		p, err := newPlane(i, engine.Config{LogN: cfg.LogN, Recorder: rec}, &f.met)
 		if err != nil {
 			for _, q := range f.planes[:i] {
 				q.close()

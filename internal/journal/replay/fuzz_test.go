@@ -6,14 +6,17 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/journal/replay"
+	"repro/internal/perm"
 )
 
 // FuzzFrameReplay drives frame records the way the fabric writes them —
 // a unicast frame's pairs are a partial matching in claim order, a
 // multicast frame's a fan-out of a few sources onto distinct outputs —
-// through Writer, Read and Run at N ≤ 64. Honest frames replay clean;
-// one forged record, a destination moved or a delivery digest changed,
-// diverges at exactly its own seq and nowhere else.
+// and two route records, an F(n) member and a random permutation, so
+// both setup kernels run, through Writer, Read and Run at N ≤ 64.
+// Honest records replay clean; one forged frame, a destination moved or
+// a delivery digest changed, diverges at exactly its own seq and
+// nowhere else.
 func FuzzFrameReplay(f *testing.F) {
 	f.Add(uint8(3), int64(1), uint8(0))
 	f.Add(uint8(6), int64(7), uint8(1))
@@ -59,9 +62,12 @@ func FuzzFrameReplay(f *testing.F) {
 			w.Frame(1, forgedSrcs, forgedDsts, digest)
 		}
 		w.Frame(1, usrcs, udsts, journal.DigestPairs(usrcs, udsts)) // seq 4
+		member, random := perm.RandomF(int(logN), rng), perm.Random(n, rng)
+		w.Route(member, journal.DigestPerm(member)) // seq 5
+		w.Route(random, journal.DigestPerm(random)) // seq 6
 
-		recs, err := j.Read(1, 4)
-		if err != nil || len(recs) != 4 {
+		recs, err := j.Read(1, 6)
+		if err != nil || len(recs) != 6 {
 			t.Fatalf("read %d records: %v", len(recs), err)
 		}
 		rep, err := replay.Run(replay.Config{LogN: int(logN), Planes: 2}, recs)

@@ -9,13 +9,15 @@
 // so replay needs no scheduler, no queues, and no clock — only the
 // recorded admissions in sequence.
 //
-// Replay re-derives each record's plan exactly the way the serving path
-// did (SelfRoute for F(n) members, the looping setup otherwise; a
-// unicast frame's permutation is its packets' pairs completed by the
-// fabric's own scheduler rule and set up by looping, as the plane's
-// frame server does; multicast mappings recompile through the
-// copy-network compiler), routes it through a fresh gate-level network,
-// and compares the realized deliveries' digest against the journal's.
+// Replay re-derives each record's plan with the serving path's own
+// kernels (core.Network.SelfRouteInto, and core.Network.SetupInto at its
+// first conflict, as the engine's miss path runs them; a unicast
+// frame's permutation is its packets' pairs completed by the fabric's
+// own scheduler rule and set up by looping, as the plane's frame server
+// does; multicast mappings recompile through the copy-network
+// compiler), routes it through a fresh gate-level network with the
+// independent ExternalRoute walk, and compares the realized
+// deliveries' digest against the journal's.
 // The first mismatch names the exact divergent sequence number.
 // Checkpoint records add a second audit axis: their journal-assigned
 // per-kind record counts must match the deltas replay observes between
@@ -106,6 +108,8 @@ func Window(cfg Config, j *journal.Journal, from, to uint64) (*Report, error) {
 type replayer struct {
 	cfg     Config
 	net     *core.Network
+	st      core.States        // the current permutation's switch setting
+	sc      *core.SetupScratch // the setup kernels' working memory
 	comp    *mcast.Compiler
 	words   []uint64 // the current mapping's packed copy-network plan
 	ports   []int    // a frame's partial matching or mapping, rebuilt per record
@@ -137,6 +141,8 @@ func newReplayer(cfg Config) (*replayer, error) {
 	return &replayer{
 		cfg:     cfg,
 		net:     net,
+		st:      net.NewStates(),
+		sc:      core.NewSetupScratch(net),
 		comp:    mcast.NewCompiler(net),
 		words:   make([]uint64, mcast.PackedLen(net)),
 		ports:   make([]int, net.N()),
@@ -187,14 +193,15 @@ func (r *replayer) checkPlane(rec *journal.Record) bool {
 	return true
 }
 
-// states re-derives the plan for one permutation exactly as the serving
-// path does: the paper's self-routing fast path for F(n) members, the
-// looping algorithm otherwise.
+// states re-derives the setting for one valid permutation exactly as
+// the engine's miss path does: the self-routing kernel, and the looping
+// algorithm at its first conflict. It overwrites the replayer's one
+// setting and returns it.
 func (r *replayer) states(d perm.Perm) core.States {
-	if res := r.net.SelfRoute(d); res.OK() {
-		return res.States
+	if !r.net.SelfRouteInto(d, r.st, r.sc) {
+		r.net.SetupInto(d, r.st, r.sc)
 	}
-	return r.net.Setup(d)
+	return r.st
 }
 
 // replayPerm re-executes one permutation record (route or round) gate
@@ -248,7 +255,8 @@ func (r *replayer) replayFrame(rec *journal.Record) {
 		r.diverge(rec, fmt.Sprintf("frame pairs are not a matching: %v", err))
 		return
 	}
-	realized, ok := r.route(rec, d, r.net.Setup(d))
+	r.net.SetupInto(d, r.st, r.sc)
+	realized, ok := r.route(rec, d, r.st)
 	if !ok {
 		return
 	}

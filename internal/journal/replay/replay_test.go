@@ -3,6 +3,7 @@ package replay_test
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -357,5 +358,64 @@ func TestWindowStreamsLikeRun(t *testing.T) {
 	if got.Replayed != int(to-from+1) || got.Checkpoints == 0 || !got.ChainOK || len(got.Divergences) != 2 {
 		t.Fatalf("replayed %d of %d records, %d checkpoints, chain ok %v, divergences %+v; want all, some, true and the 2 forged",
 			got.Replayed, to-from+1, got.Checkpoints, got.ChainOK, got.Divergences)
+	}
+}
+
+// TestReplayBytes holds what Window allocates per record at N=256 under
+// 64 KB, for each of three record kinds: a looping route, an F(n) route
+// and a 16-packet frame. Replay sets each permutation up with the
+// serving kernels into one reused setting on one reused scratch, so a
+// record costs little beyond the independent gate-level walk that
+// checks the setting.
+func TestReplayBytes(t *testing.T) {
+	const (
+		logN    = 8
+		n       = 1 << logN
+		records = 2000
+	)
+	rng := rand.New(rand.NewSource(25))
+	for _, kind := range []struct {
+		name  string
+		write func(w *journal.Writer)
+	}{
+		{"looped-route", func(w *journal.Writer) {
+			d := perm.Random(n, rng)
+			w.Route(d, journal.DigestPerm(d))
+		}},
+		{"self-routed-route", func(w *journal.Writer) {
+			d := perm.RandomF(logN, rng)
+			w.Route(d, journal.DigestPerm(d))
+		}},
+		{"frame", func(w *journal.Writer) {
+			srcs, dsts := rng.Perm(n)[:16], rng.Perm(n)[:16]
+			w.Frame(0, srcs, dsts, journal.DigestPairs(srcs, dsts))
+		}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			j, err := journal.New(journal.Config{CheckpointEvery: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			w := j.Writer()
+			for i := 0; i < records; i++ {
+				kind.write(w)
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			rep, err := replay.Window(replay.Config{LogN: logN, Planes: 1}, j, 1, records)
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Clean() || rep.Replayed != records {
+				t.Fatalf("replayed %d of %d records, clean %v: %+v", rep.Replayed, records, rep.Clean(), rep.Divergences)
+			}
+			per := (m1.TotalAlloc - m0.TotalAlloc) / records
+			t.Logf("%s at N=%d: %d B allocated per record", kind.name, n, per)
+			if per > 64<<10 {
+				t.Fatalf("%s replay allocates %d B per record, budget %d B", kind.name, per, 64<<10)
+			}
+		})
 	}
 }

@@ -1,19 +1,22 @@
-// Package psetup is the multicore external-setup path for arbitrary
+// Package psetup is a multicore external setup for arbitrary
 // permutations: the classic looping algorithm of core.Network.Setup run
-// across real cores instead of one.
+// across real cores instead of one. It is a measured comparison point,
+// not a serving path: the engine sets up every non-F(n) miss with the
+// serial core.Network.SetupInto, because this package bought 1.06× at
+// N=4096 (BENCH_setup.json) and lost on the served cold path.
 //
 // The paper's Section I observation — external setup costs O(N log N)
 // serial work while F(n) members self-route in O(log N) gate delays —
 // is the latency cliff every non-F(n) cache miss pays at serving time.
 // Nassimi & Sahni's parallel-setup work (the paper's citation [7],
-// modeled in rounds by internal/parsetup) shows the cure: after the
+// modeled in rounds by internal/parsetup) points at a cure: after the
 // outer level's 2-coloring, the two half-size subnetworks of B(n) are
 // completely independent, and so are their halves, recursively. The
 // recursion tree therefore fans out into 2^l independent blocks at
 // level l, and a bounded worker pool can chew the tree concurrently.
 //
 // A Router drives exactly the recursion of core.Network.Setup, with
-// two scheduling changes and one caching change:
+// two scheduling changes:
 //
 //   - fork: when solving a block splits it in two, the upper half is
 //     handed to a fresh goroutine if a worker slot is free (a
@@ -24,20 +27,14 @@
 //     solved by the serial recursion (core.Network.SetupBlock) in the
 //     worker's own goroutine — small blocks cost less than a goroutine
 //     handoff, so the fan-out stops where parallelism stops paying.
-//   - sub-plan memoization: with Config.Memo set, the two half-size
-//     sub-permutations produced by the outer 2-coloring are hashed and
-//     their solved blocks cached in canonical form, so permutations
-//     that agree on a half-network (common under shifted or locally
-//     perturbed workloads) share recursion subtrees across requests.
 //
 // Every block's emitted switch states depend only on the block-local
 // sub-permutation, and the loop resolution itself is deterministic
 // (each loop's smallest input goes through the upper subnetwork), so
-// the parallel schedule — any worker count, any cutoff, memoized or
-// not — produces states bit-identical to core.Network.Setup. The
-// differential battery in this package's tests and the
-// FuzzParallelSetup target in CI hold that equivalence exhaustively at
-// N=8 and statistically beyond.
+// the parallel schedule — any worker count, any cutoff — produces
+// states bit-identical to core.Network.Setup. The differential battery
+// in this package's tests and the FuzzParallelSetup target in CI hold
+// that equivalence exhaustively at N=8 and statistically beyond.
 package psetup
 
 import (
@@ -56,21 +53,8 @@ import (
 // more to overhead than it gains in concurrency.
 const DefaultSerialCutoff = 256
 
-// SubPlanCache memoizes solved half-network blocks across Setup calls.
-// Get returns the canonical setting of a B(m) block realizing dests —
-// 2m-1 stages of 2^(m-1) switches — or nil on a miss; the returned
-// states are shared and must not be mutated. Put hands st (freshly
-// allocated, never touched again by the Router) to the cache; an
-// implementation that retains dests must copy it, because the Router
-// reuses the underlying buffer on the next call. Implementations must
-// be safe for concurrent use.
-type SubPlanCache interface {
-	Get(m int, dests []int) core.States
-	Put(m int, dests []int, st core.States)
-}
-
-// Config parameterizes New. The zero value selects a serial-equivalent
-// single-worker pool with the default cutoff and no memoization.
+// Config parameterizes New. The zero value selects a pool of
+// GOMAXPROCS workers with the default cutoff.
 type Config struct {
 	// Workers bounds the number of goroutines one Setup call may have
 	// solving blocks concurrently, the caller's own goroutine included.
@@ -81,10 +65,6 @@ type Config struct {
 	// subtree is solved serially in one goroutine. Defaults to
 	// DefaultSerialCutoff; values below 2 are raised to 2.
 	SerialCutoff int
-	// Memo, when non-nil, caches the two half-network sub-plans of
-	// every setup so later permutations sharing a half can skip that
-	// subtree entirely.
-	Memo SubPlanCache
 }
 
 // Router runs parallel cold setups over one network. It is safe for
@@ -95,7 +75,6 @@ type Router struct {
 	n       int
 	workers int
 	cutoff  int
-	memo    SubPlanCache
 	scpool  sync.Pool // *core.SetupScratch, one per active goroutine
 	runpool sync.Pool // *runScratch, one per active Setup call
 }
@@ -124,7 +103,6 @@ func New(net *core.Network, cfg Config) *Router {
 		n:       net.LogN(),
 		workers: cfg.Workers,
 		cutoff:  cfg.SerialCutoff,
-		memo:    cfg.Memo,
 	}
 	r.scpool.New = func() any { return core.NewSetupScratch(net) }
 	r.runpool.New = func() any {
@@ -212,55 +190,15 @@ func (r *Router) solve(run *runScratch, dests []int, lo, s0, m int, st core.Stat
 		go func() {
 			defer wg.Done()
 			csc := r.scpool.Get().(*core.SetupScratch)
-			r.child(run, upDests, lo, s0+1, m-1, st, csc)
+			r.solve(run, upDests, lo, s0+1, m-1, st, csc)
 			r.scpool.Put(csc)
 			<-run.sem
 		}()
 	default:
 	}
 	if !forked {
-		r.child(run, upDests, lo, s0+1, m-1, st, sc)
+		r.solve(run, upDests, lo, s0+1, m-1, st, sc)
 	}
-	r.child(run, downDests, lo+half, s0+1, m-1, st, sc)
+	r.solve(run, downDests, lo+half, s0+1, m-1, st, sc)
 	wg.Wait()
-}
-
-// child solves one half-size block, consulting the sub-plan cache at
-// the two outermost half-networks (m == LogN-1) — the only level where
-// block cardinality is low enough for reuse to be likely and block
-// cost high enough for reuse to matter.
-func (r *Router) child(run *runScratch, dests []int, lo, s0, m int, st core.States, sc *core.SetupScratch) {
-	if r.memo != nil && m == r.n-1 {
-		if cached := r.memo.Get(m, dests); cached != nil {
-			blit(cached, st, lo, s0, m)
-			return
-		}
-		r.solve(run, dests, lo, s0, m, st, sc)
-		r.memo.Put(m, dests, extract(st, lo, s0, m))
-		return
-	}
-	r.solve(run, dests, lo, s0, m, st, sc)
-}
-
-// blit copies a canonical B(m) setting into the block at (lo, s0).
-// The canonical form depends only on the block-local sub-permutation,
-// so the copy reproduces exactly what the recursion would have emitted.
-func blit(src, st core.States, lo, s0, m int) {
-	half := 1 << uint(m-1)
-	lo2 := lo / 2
-	for t, row := range src {
-		copy(st[s0+t][lo2:lo2+half], row)
-	}
-}
-
-// extract clones the solved block at (lo, s0) into a freshly allocated
-// canonical B(m) setting suitable for SubPlanCache.Put.
-func extract(st core.States, lo, s0, m int) core.States {
-	half := 1 << uint(m-1)
-	lo2 := lo / 2
-	out := make(core.States, 2*m-1)
-	for t := range out {
-		out[t] = append([]bool(nil), st[s0+t][lo2:lo2+half]...)
-	}
-	return out
 }

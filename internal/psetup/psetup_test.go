@@ -105,71 +105,6 @@ func TestSetupIntoReusesStates(t *testing.T) {
 	}
 }
 
-// mapMemo is a SubPlanCache test double over a plain locked map.
-type mapMemo struct {
-	mu           sync.Mutex
-	m            map[string]core.States
-	hits, misses int
-}
-
-func memoKey(m int, dests []int) string {
-	k := make([]byte, 0, len(dests)+1)
-	k = append(k, byte(m))
-	for _, d := range dests {
-		k = append(k, byte(d), byte(d>>8))
-	}
-	return string(k)
-}
-
-func (c *mapMemo) Get(m int, dests []int) core.States {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st, ok := c.m[memoKey(m, dests)]; ok {
-		c.hits++
-		return st
-	}
-	c.misses++
-	return nil
-}
-
-func (c *mapMemo) Put(m int, dests []int, st core.States) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[memoKey(m, dests)] = st
-}
-
-// TestDifferentialMemo: the memoized blit path must reproduce the
-// serial states exactly, and a repeated permutation must hit both
-// half-network sub-plans.
-func TestDifferentialMemo(t *testing.T) {
-	b := core.New(8)
-	N := 256
-	memo := &mapMemo{m: map[string]core.States{}}
-	r := New(b, Config{Workers: 2, SerialCutoff: 16, Memo: memo})
-	rng := rand.New(rand.NewSource(423))
-	perms := make([]perm.Perm, 6)
-	for i := range perms {
-		perms[i] = perm.Random(N, rng)
-	}
-	// Two passes: the second sees every half-block in the memo.
-	for pass := 0; pass < 2; pass++ {
-		for _, p := range perms {
-			par, err := r.Setup(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertIdentical(t, b.Setup(p), par, "memo pass")
-		}
-	}
-	if want := 2 * len(perms); memo.hits < want {
-		t.Errorf("memo hits = %d, want >= %d (both halves of every second-pass setup)", memo.hits, want)
-	}
-	if memo.hits+memo.misses != 4*len(perms) {
-		t.Errorf("memo books unbalanced: %d hits + %d misses != %d lookups",
-			memo.hits, memo.misses, 4*len(perms))
-	}
-}
-
 // TestSetupErrors: invalid input must come back as an error — never a
 // panic, never states.
 func TestSetupErrors(t *testing.T) {
