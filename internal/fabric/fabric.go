@@ -4,10 +4,10 @@
 // packets; following Huang & Walrand's observation that Benes networks
 // run well in packet mode, the fabric bridges the two models:
 //
-//   - arriving packets land in bounded lock-free virtual output queues
-//     (VOQs), one ring per (input, output) pair, so a hot output cannot
-//     head-of-line block unrelated traffic and senders never contend on
-//     a lock;
+//   - arriving packets land in bounded virtual output queues (VOQs),
+//     one FIFO per (input, output) pair threaded through its input's
+//     slot arena, so a hot output cannot head-of-line block unrelated
+//     traffic and senders of different inputs never share a lock;
 //   - every (src, dst) flow is pinned to one switching plane by a
 //     rendezvous hash over the healthy planes, so the ingress is sharded
 //     per plane with no cross-plane contention and a flow's packets stay
@@ -369,8 +369,9 @@ type Health struct {
 // from a probe handler on every scrape. VOQCapacity is the logical
 // bound N²·depth: pinned to one plane, each (src, dst) flow owns
 // exactly one queue across all shards, which may grow to depth. It is
-// an admission bound, not allocated memory: queues allocate slots only
-// as they fill.
+// an admission bound, not allocated memory: an input's row is
+// allocated on its first packet, and its slot arena grows only to the
+// input's peak queued packets.
 func (f *Fabric[T]) Health() Health {
 	h := Health{
 		PlanesTotal: len(f.planes),

@@ -23,7 +23,7 @@ type MulticastPacket[T any] struct {
 
 // mpayload is the queue payload a multicast packet travels as: its
 // destination set and its data. The multicast ingress reuses the
-// unicast VOQs' queue type with one queue per input, which implies the
+// unicast VOQs' row type with one flow per input, which implies the
 // packet's source.
 type mpayload[T any] struct {
 	dsts []int
@@ -75,7 +75,7 @@ func (f *Fabric[T]) SendMulticast(p MulticastPacket[T]) error {
 }
 
 // enqueueMcast publishes input src's multicast packet s into the
-// input's queue, honouring the drop policy — the multicast twin of
+// input's one-flow row, honouring the drop policy — the multicast twin of
 // enqueue, sharing the seal protocol, admit's Block parking lot, and
 // the scheduler wakeup.
 func (v *voqShard[T]) enqueueMcast(src int, s voqSlot[mpayload[T]], policy DropPolicy) error {
@@ -84,8 +84,7 @@ func (v *voqShard[T]) enqueueMcast(src int, s voqSlot[mpayload[T]], policy DropP
 	if v.sealed.Load() {
 		return ErrClosed
 	}
-	r := loadOrInit(&v.mrings[src], func() *voqRing[mpayload[T]] { return new(voqRing[mpayload[T]]) })
-	if err := admit(v, r, src, s, policy); err != nil {
+	if err := admit(v, loadRow(&v.mrows[src], 1), 0, src, s, policy); err != nil {
 		return err
 	}
 	v.mcastQueued.Add(1)
@@ -94,20 +93,6 @@ func (v *voqShard[T]) enqueueMcast(src int, s voqSlot[mpayload[T]], policy DropP
 	default:
 	}
 	return nil
-}
-
-// peek exposes the oldest payload without consuming it. Single
-// consumer only; the returned pointer is valid until the next pop (a
-// concurrent grow copies the slot into a new buffer but never rewrites
-// the old one).
-func (r *voqRing[T]) peek() (*T, bool) {
-	if r.count.Load() == 0 {
-		return nil, false
-	}
-	r.mu.Lock()
-	p := &r.slots[r.head].payload
-	r.mu.Unlock()
-	return p, true
 }
 
 // claimMulticast folds claimable multicast heads into the frame under
@@ -124,11 +109,11 @@ func (v *voqShard[T]) claimMulticast(fr *frame[T], partial []int, taken []bool, 
 		if partial[in] != Idle {
 			continue
 		}
-		r := v.mrings[in].Load()
+		r := v.mrows[in].Load()
 		if r == nil {
 			continue
 		}
-		head, ok := r.peek()
+		head, ok := r.peek(0)
 		if !ok {
 			continue
 		}
@@ -142,7 +127,7 @@ func (v *voqShard[T]) claimMulticast(fr *frame[T], partial []int, taken []bool, 
 		if blocked {
 			continue
 		}
-		s, _ := r.pop()
+		s, _ := r.pop(0)
 		v.mcastQueued.Add(-1)
 		wait := time.Duration(tickNano - s.enq)
 		if v.met != nil {

@@ -40,7 +40,7 @@ type metrics struct {
 	// histogram; rounds move no payload, so their engines time no
 	// apply.
 	VOQWait     obs.Histogram // packet enqueue -> extraction into a frame
-	EnqueueWait obs.Histogram // time a Block-policy sender spent parked on a full ring
+	EnqueueWait obs.Histogram // time a Block-policy sender spent parked on a full queue
 	Match       obs.Histogram // one matching extraction (buildFrame)
 	PlaneRTT    obs.Histogram // plane round-trip: engine route of a frame or round
 

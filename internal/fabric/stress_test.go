@@ -177,7 +177,7 @@ func TestFabricConcurrentStress(t *testing.T) {
 }
 
 // TestVOQShardConcurrentStress hammers one ingress shard directly —
-// the per-flow queues, nonempty bitmap, parking lot, and seal protocol
+// the per-input rows, nonempty bitmap, parking lot, and seal protocol
 // — with concurrent producers (both policies), a consumer running
 // buildFrame, and a snapshot reader, so `go test -race` audits the
 // whole producer/consumer protocol without the planes in the way. The
@@ -318,9 +318,12 @@ func TestVOQShardConcurrentStress(t *testing.T) {
 				t.Fatalf("shard should be empty after drain, occupancy %d", occ)
 			}
 			if tc.hot {
+				// Each hot flow is the only traffic of its input, so its
+				// row's arena peaked at exactly the flow's bound.
 				for _, f := range hot {
-					if got := len(v.ring(f[0], f[1]).slots); got != bound {
-						t.Fatalf("hot flow %d→%d grew to %d slots, want %d", f[0], f[1], got, bound)
+					if r := v.rows[f[0]].Load(); len(r.slots) != bound || cap(r.slots) != bound {
+						t.Fatalf("hot flow %d→%d: its row used %d of %d slots, want %d of %d",
+							f[0], f[1], len(r.slots), cap(r.slots), bound, bound)
 					}
 				}
 			}

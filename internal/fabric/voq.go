@@ -34,11 +34,11 @@ func (p DropPolicy) String() string {
 	return "unknown"
 }
 
-// voqSlot is one queue slot. It holds only what its flow does not
-// imply: the queue's (input, output) pair is the packet's (Src, Dst),
+// voqSlot is one queued packet. It holds only what its flow does not
+// imply: the flow's (input, output) pair is the packet's (Src, Dst),
 // which the scheduler rebuilds from the pair it popped. enq is the
-// enqueue wall clock in UnixNano (an int64, not a time.Time). Queues
-// exist per flow and their footprint is the fabric's memory bill, which
+// enqueue wall clock in UnixNano (an int64, not a time.Time). Slots,
+// their links and the flow entries are the fabric's memory bill, which
 // TestVOQMemoryBill pins.
 type voqSlot[T any] struct {
 	payload T
@@ -46,25 +46,34 @@ type voqSlot[T any] struct {
 	enq     int64
 }
 
-// voqRing is one (input, output) virtual output queue: a bounded FIFO
-// with many producers (senders) and a single consumer (the owning
-// shard's scheduler goroutine), guarded by a per-flow mutex. It holds
-// no slots until its first push, then starts at 2 and doubles on
-// demand up to the bound its shard passes to push, so memory follows
-// the flow's occupancy instead of its bound; the buffer never shrinks.
-// Uncontended, a push or pop costs the lock's CAS plus the unlock — as
-// many atomic read-modify-writes as a lock-free ticket ring — and a
-// flow's producers rarely collide. count mirrors the occupancy so size
-// needs no lock. The zero value is an empty queue.
-type voqRing[T any] struct {
-	mu    sync.Mutex
-	slots []voqSlot[T] // power-of-two length; nil until the first push
-	head  int          // slot index of the oldest packet
-	count atomic.Int64
+// voqFlow is one (input, output) virtual output queue's entry in its
+// input's row: the arena indices of its oldest and newest slots, and
+// its occupancy. count changes only under the row's mutex but is read
+// without it, so the consumer can skip an empty flow lock-free. head
+// and tail mean nothing while count is zero.
+type voqFlow struct {
+	head, tail int32
+	count      atomic.Int32
 }
 
-// ringDepth rounds depth up to the power of two a queue may grow to,
-// minimum 2 (its first allocation).
+// voqRow is one input's ingress within a shard: a dense table of its
+// flows and one slot arena they share. Each flow is a bounded FIFO
+// threaded through the arena by next links; a slot a pop frees goes on
+// the row's free list. The arena starts at 2 slots and doubles when
+// every slot is in use. It never shrinks, so it holds the input's peak
+// queued packets, not one buffer per flow the input has seen. One mutex
+// serves the input's senders (many producers) and its shard's
+// scheduler (the single consumer).
+type voqRow[T any] struct {
+	mu    sync.Mutex
+	free  int32        // first slot on the free list, -1 when it is empty
+	flows []voqFlow    // one per output; the multicast row has one
+	slots []voqSlot[T] // the arena: len counts the slots ever used, cap is its size
+	next  []int32      // next[i] follows slot i in its flow or on the free list
+}
+
+// ringDepth rounds depth up to the power of two a flow may hold,
+// minimum 2.
 func ringDepth(depth int) int {
 	size := 2
 	for size < depth {
@@ -73,63 +82,94 @@ func ringDepth(depth int) int {
 	return size
 }
 
-// push appends one slot; false means the queue already holds bound
-// packets, a power of two from ringDepth.
-func (r *voqRing[T]) push(s voqSlot[T], bound int) bool {
-	r.mu.Lock()
-	n := int(r.count.Load())
-	if n == len(r.slots) {
-		if n == bound {
-			r.mu.Unlock()
-			return false
-		}
-		r.grow()
+// loadRow returns *p, installing a fresh row of the given number of
+// flows first when it is nil. CAS losers discard their allocation, so
+// every pointer settles on one row.
+func loadRow[T any](p *atomic.Pointer[voqRow[T]], flows int) *voqRow[T] {
+	if r := p.Load(); r != nil {
+		return r
 	}
-	r.slots[(r.head+n)&(len(r.slots)-1)] = s
-	r.count.Add(1)
+	if r := (&voqRow[T]{free: -1, flows: make([]voqFlow, flows)}); p.CompareAndSwap(nil, r) {
+		return r
+	}
+	return p.Load()
+}
+
+// push appends s to flow f; false means the flow already holds bound
+// packets, a power of two from ringDepth.
+func (r *voqRow[T]) push(f int, s voqSlot[T], bound int) bool {
+	fl := &r.flows[f]
+	r.mu.Lock()
+	n := fl.count.Load()
+	if int(n) == bound {
+		r.mu.Unlock()
+		return false
+	}
+	i := r.alloc()
+	r.slots[i] = s
+	if n == 0 {
+		fl.head = i
+	} else {
+		r.next[fl.tail] = i
+	}
+	fl.tail = i
+	fl.count.Add(1)
 	r.mu.Unlock()
 	return true
 }
 
-// grow doubles a full buffer (or makes the first one), unwrapping it so
-// the oldest packet lands at index 0. Caller holds mu.
-func (r *voqRing[T]) grow() {
-	slots := make([]voqSlot[T], max(2, 2*len(r.slots)))
-	n := copy(slots, r.slots[r.head:])
-	copy(slots[n:], r.slots[:r.head])
-	r.slots, r.head = slots, 0
+// alloc takes the first slot on the free list, or else the first
+// never-used one, doubling the arena when every slot is in use. A
+// never-used slot is taken only while every used one holds a packet,
+// so len(r.slots) is the row's peak occupancy. Caller holds mu.
+func (r *voqRow[T]) alloc() int32 {
+	if i := r.free; i >= 0 {
+		r.free = r.next[i]
+		return i
+	}
+	i := len(r.slots)
+	if i == cap(r.slots) {
+		size := max(2, 2*i)
+		slots := make([]voqSlot[T], i, size)
+		copy(slots, r.slots)
+		next := make([]int32, i, size)
+		copy(next, r.next)
+		r.slots, r.next = slots, next
+	}
+	r.slots, r.next = r.slots[:i+1], r.next[:i+1]
+	return int32(i)
 }
 
-// pop takes the oldest slot. Single consumer only.
-func (r *voqRing[T]) pop() (voqSlot[T], bool) {
-	if r.count.Load() == 0 {
+// pop takes flow f's oldest slot and frees it. Single consumer only.
+func (r *voqRow[T]) pop(f int) (voqSlot[T], bool) {
+	fl := &r.flows[f]
+	if fl.count.Load() == 0 {
 		return voqSlot[T]{}, false
 	}
 	r.mu.Lock()
-	s := r.slots[r.head]
-	r.slots[r.head] = voqSlot[T]{} // release payload and trace references
-	r.head = (r.head + 1) & (len(r.slots) - 1)
-	r.count.Add(-1)
+	i := fl.head
+	s := r.slots[i]
+	r.slots[i] = voqSlot[T]{} // release payload and trace references
+	fl.head = r.next[i]
+	r.next[i], r.free = r.free, i
+	fl.count.Add(-1)
 	r.mu.Unlock()
 	return s, true
 }
 
-// size is the occupancy; exact when producers are quiescent.
-func (r *voqRing[T]) size() int64 {
-	return r.count.Load()
-}
-
-// loadOrInit returns *p, installing fresh() first when it is nil. CAS
-// losers discard their allocation, so every pointer settles on one
-// value.
-func loadOrInit[E any](p *atomic.Pointer[E], fresh func() *E) *E {
-	if e := p.Load(); e != nil {
-		return e
+// peek exposes flow f's oldest payload without consuming it. Single
+// consumer only; the returned pointer is valid until the next pop of
+// the flow (producers write only free slots, and a concurrent grow
+// copies the slot into a new arena but never rewrites the old one).
+func (r *voqRow[T]) peek(f int) (*T, bool) {
+	fl := &r.flows[f]
+	if fl.count.Load() == 0 {
+		return nil, false
 	}
-	if e := fresh(); p.CompareAndSwap(nil, e) {
-		return e
-	}
-	return p.Load()
+	r.mu.Lock()
+	p := &r.slots[fl.head].payload
+	r.mu.Unlock()
+	return p, true
 }
 
 // voqInputCounters is the per-input slice of VOQ accounting, exported
@@ -142,20 +182,16 @@ type voqInputCounters struct {
 	maxDepth atomic.Int64 // high-water mark of occupied
 }
 
-// voqRow is one input's slice of a shard's grid: a queue pointer per
-// output.
-type voqRow[T any] []atomic.Pointer[voqRing[T]]
-
-// voqShard is one switching plane's slice of the fabric ingress: a grid
-// of per-flow queues, a per-input nonempty bitmap, and the iSLIP-style
-// rotating pointers of its scheduler. Flow hashing assigns every
-// (src, dst) flow to exactly one shard, so across shards only N² queues
-// are ever in use. Memory follows traffic: an input's row of N queue
-// pointers is installed by CAS on its first packet, a flow's queue on
-// the flow's first packet, and the queue's slots grow with its
-// occupancy. An idle shard holds one nil pointer per input.
+// voqShard is one switching plane's slice of the fabric ingress: one
+// row of per-flow queues per input, a per-input nonempty bitmap, and
+// the iSLIP-style rotating pointers of its scheduler. Flow hashing
+// assigns every (src, dst) flow to exactly one shard, so across shards
+// only N² flows are ever in use. Memory follows traffic: an input's
+// row is installed by CAS on its first packet, and its arena grows
+// with the input's occupancy. An idle shard holds one nil pointer per
+// input.
 //
-// Producers (Send) take no shard-wide lock: queue push under the flow's
+// Producers (Send) take no shard-wide lock: row push under the input's
 // own mutex, counter adds, bitmap set. The single consumer — the
 // shard's scheduler goroutine — owns pop, bitmap clearing, and the
 // rotating pointers. The Block-policy parking lot is paid only by
@@ -166,19 +202,19 @@ type voqShard[T any] struct {
 	words int // bitmap words per input
 	met   *metrics
 
-	rows     []atomic.Pointer[voqRow[T]] // rows[in], allocated on the input's first packet
+	rows     []atomic.Pointer[voqRow[T]] // rows[in]: N flows, installed on the input's first packet
 	nonempty []atomic.Uint64             // nonempty[in*words+out/64]
 	counts   []voqInputCounters          // per input
 
-	// Multicast ingress: one lazily allocated ring per input (a fan-out
-	// packet targets many outputs, so the per-(input, output) grid does
-	// not apply; one ring per input preserves per-input FIFO order among
+	// Multicast ingress: one lazily installed one-flow row per input (a
+	// fan-out packet targets many outputs, so the per-output flows do
+	// not apply; one flow per input preserves per-input FIFO order among
 	// its multicast packets). mcastQueued counts packets across them.
-	mrings      []atomic.Pointer[voqRing[mpayload[T]]]
+	mrows       []atomic.Pointer[voqRow[mpayload[T]]]
 	mcastQueued atomic.Int64
 
 	// Close protocol: inflight counts senders between admission check
-	// and ring publish; seal flips sealed, then waits for inflight to
+	// and row publish; seal flips sealed, then waits for inflight to
 	// reach zero, after which a final drain observes every accepted
 	// packet.
 	sealed   atomic.Bool
@@ -216,20 +252,10 @@ func newVOQShard[T any](n, depth int, met *metrics) *voqShard[T] {
 		taken:   make([]bool, n),
 	}
 	v.rows = make([]atomic.Pointer[voqRow[T]], n)
-	v.mrings = make([]atomic.Pointer[voqRing[mpayload[T]]], n)
+	v.mrows = make([]atomic.Pointer[voqRow[mpayload[T]]], n)
 	v.nonempty = make([]atomic.Uint64, n*v.words)
 	v.space = sync.NewCond(&v.blockMu)
 	return v
-}
-
-// ring returns the (src, dst) queue, allocating its row and the queue
-// itself on first use.
-func (v *voqShard[T]) ring(src, dst int) *voqRing[T] {
-	row := loadOrInit(&v.rows[src], func() *voqRow[T] {
-		r := make(voqRow[T], v.n)
-		return &r
-	})
-	return loadOrInit(&(*row)[dst], func() *voqRing[T] { return new(voqRing[T]) })
 }
 
 // setBit / clearBit are CAS loops because the go.mod language version
@@ -259,7 +285,7 @@ func (v *voqShard[T]) enqueue(p Packet[T], policy DropPolicy) error {
 	if v.sealed.Load() {
 		return ErrClosed
 	}
-	if err := admit(v, v.ring(p.Src, p.Dst), p.Src, voqSlot[T]{payload: p.Payload, tr: p.Trace}, policy); err != nil {
+	if err := admit(v, loadRow(&v.rows[p.Src], v.n), p.Dst, p.Src, voqSlot[T]{payload: p.Payload, tr: p.Trace}, policy); err != nil {
 		return err
 	}
 	c := &v.counts[p.Src]
@@ -279,16 +305,16 @@ func (v *voqShard[T]) enqueue(p Packet[T], policy DropPolicy) error {
 	return nil
 }
 
-// admit pushes s, input src's packet, into r, stamping its enqueue
-// time and honouring the drop policy: DropNew tail-drops when r is
-// full, Block parks the sender until the scheduler frees a slot or the
-// shard seals. The waiter count is raised before each retry so the
-// consumer's post-pop check cannot miss a sender that observed the
-// queue full just before the pop freed a slot. It serves unicast and
-// multicast queues alike, whose element types differ.
-func admit[T, E any](v *voqShard[T], r *voqRing[E], src int, s voqSlot[E], policy DropPolicy) error {
+// admit pushes s, input src's packet, onto flow f of row r, stamping
+// its enqueue time and honouring the drop policy: DropNew tail-drops
+// when the flow is full, Block parks the sender until the scheduler
+// frees a slot or the shard seals. The waiter count is raised before
+// each retry so the consumer's post-pop check cannot miss a sender that
+// observed the flow full just before the pop freed a slot. It serves
+// unicast and multicast rows alike, whose element types differ.
+func admit[T, E any](v *voqShard[T], r *voqRow[E], f, src int, s voqSlot[E], policy DropPolicy) error {
 	s.enq = time.Now().UnixNano()
-	if r.push(s, v.depth) {
+	if r.push(f, s, v.depth) {
 		return nil
 	}
 	if policy == DropNew {
@@ -304,7 +330,7 @@ func admit[T, E any](v *voqShard[T], r *voqRing[E], src int, s voqSlot[E], polic
 		}
 		v.waiters.Add(1)
 		s.enq = time.Now().UnixNano()
-		if r.push(s, v.depth) {
+		if r.push(f, s, v.depth) {
 			v.waiters.Add(-1)
 			break
 		}
@@ -317,7 +343,7 @@ func admit[T, E any](v *voqShard[T], r *voqRing[E], src int, s voqSlot[E], polic
 	return nil
 }
 
-// signalSpace wakes parked senders after the scheduler freed ring
+// signalSpace wakes parked senders after the scheduler freed queue
 // slots. The lock is taken only when somebody is actually parked.
 func (v *voqShard[T]) signalSpace() {
 	if v.waiters.Load() == 0 {
@@ -331,7 +357,7 @@ func (v *voqShard[T]) signalSpace() {
 // seal stops admissions: senders racing the seal either complete their
 // publish (and are observed by the final drain) or see ErrClosed, and
 // parked senders are woken to see it too. On return every accepted
-// packet is in its ring.
+// packet is in its row.
 func (v *voqShard[T]) seal() {
 	v.blockMu.Lock()
 	v.sealed.Store(true)
@@ -366,23 +392,23 @@ func nextSet(bm []atomic.Uint64, from, hi int) int {
 	}
 }
 
-// clearIfEmpty drops the (in, out) nonempty bit when the ring has
+// clearIfEmpty drops the (in, out) nonempty bit when the flow has
 // drained, then re-checks: a producer that published between the
 // emptiness check and the clear re-raises its bit after the push, but a
 // producer that published *before* the clear would be lost without the
 // re-check.
-func (v *voqShard[T]) clearIfEmpty(in, out int, r *voqRing[T]) {
+func (v *voqShard[T]) clearIfEmpty(in, out int, r *voqRow[T]) {
 	w := &v.nonempty[in*v.words+out>>6]
 	bit := uint64(1) << uint(out&63)
 	andNotBit(w, bit)
-	if r.size() > 0 {
+	if r.flows[out].count.Load() > 0 {
 		orBit(w, bit)
 	}
 }
 
 // buildFrame extracts a conflict-free partial matching — at most one
 // packet per input and per output — into fr and completes it to a full
-// permutation. It reports false when every ring is empty. Inputs are
+// permutation. It reports false when every queue is empty. Inputs are
 // scanned from a rotating start, and each input scans its outputs from
 // its own rotating pointer, so repeated frames cycle through contending
 // pairs instead of always favouring low indices. Consumer only.
@@ -412,7 +438,7 @@ func (v *voqShard[T]) buildFrame(fr *frame[T]) bool {
 		if v.counts[in].occupied.Load() == 0 {
 			continue
 		}
-		row := *v.rows[in].Load() // installed before the input's first push
+		row := v.rows[in].Load() // installed before the input's first push
 		bm := v.nonempty[in*v.words : (in+1)*v.words]
 		// Scan candidate outputs from the rotating pointer, wrapping
 		// once: non-empty per the bitmap and not yet claimed.
@@ -427,20 +453,13 @@ func (v *voqShard[T]) buildFrame(fr *frame[T]) bool {
 				if taken[j] {
 					continue
 				}
-				r := row[j].Load()
-				if r == nil {
-					// A bit with no queue cannot happen (the bit is set
-					// after the push); clear defensively.
-					andNotBit(&bm[j>>6], 1<<uint(j&63))
-					continue
-				}
-				s, ok := r.pop()
+				s, ok := row.pop(j)
 				if !ok {
-					v.clearIfEmpty(in, j, r)
+					v.clearIfEmpty(in, j, row)
 					continue
 				}
-				if r.size() == 0 {
-					v.clearIfEmpty(in, j, r)
+				if row.flows[j].count.Load() == 0 {
+					v.clearIfEmpty(in, j, row)
 				}
 				v.counts[in].occupied.Add(-1)
 				wait := time.Duration(tickNano - s.enq)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -18,141 +19,172 @@ func drainOne(t *testing.T, v *voqShard[int]) *frame[int] {
 	return fr
 }
 
-// footprint counts the grid rows, per-flow queues and queue slots a
-// shard has allocated. Producers must be quiescent.
-func (v *voqShard[T]) footprint() (rows, rings, slots int) {
-	for i := range v.rows {
-		row := v.rows[i].Load()
-		if row == nil {
-			continue
-		}
-		rows++
-		for j := range *row {
-			if r := (*row)[j].Load(); r != nil {
-				rings++
-				slots += len(r.slots)
-			}
-		}
-	}
-	return rows, rings, slots
+// footprint counts the rows a shard has installed, unicast and
+// multicast, and the arena slots they hold. Producers must be
+// quiescent.
+func (v *voqShard[T]) footprint() (rows, slots int) {
+	r, s := rowFootprint(v.rows)
+	mr, ms := rowFootprint(v.mrows)
+	return r + mr, s + ms
 }
 
-// TestVOQRingWraps drives one depth-64 queue from empty to its bound
-// with pushes and pops interleaved so the oldest packet sits mid-buffer
-// at every doubling (2→4→…→64), then wraps it at the bound. FIFO order,
-// the refused push past the bound, and zeroed slots behind the consumer
-// must hold throughout; a grow that copied from index 0 instead of from
-// head would reorder packets.
-func TestVOQRingWraps(t *testing.T) {
-	const depth = 64
-	r := new(voqRing[int])
-	if r.slots != nil {
-		t.Fatal("a fresh queue must hold no slots")
-	}
-	pushed, popped := 0, 0
-	push := func() {
-		t.Helper()
-		if !r.push(voqSlot[int]{payload: pushed, enq: int64(pushed)}, depth) {
-			t.Fatalf("push %d refused at occupancy %d, below the bound", pushed, r.size())
+func rowFootprint[E any](rows []atomic.Pointer[voqRow[E]]) (n, slots int) {
+	for i := range rows {
+		if r := rows[i].Load(); r != nil {
+			n++
+			slots += cap(r.slots)
 		}
-		pushed++
 	}
-	pop := func() {
+	return n, slots
+}
+
+// freeLen walks r's free list and returns its length, or -1 when the
+// list leaves the used slots or visits one twice. Producers must be
+// quiescent.
+func (r *voqRow[E]) freeLen() int {
+	seen := make([]bool, len(r.slots))
+	n := 0
+	for i := r.free; i != -1; i = r.next[i] {
+		if i < 0 || int(i) >= len(r.slots) || seen[i] {
+			return -1
+		}
+		seen[i] = true
+		n++
+	}
+	return n
+}
+
+// TestVOQRowArena drives one row's two flows through every arena
+// doubling (2→4→…→64), freeing half the arena at each size and
+// refilling it before the next doubling, so the flows' packets are
+// scattered through reused slots when the arena grows. FIFO order per
+// flow, zeroed slots behind the consumer, free-list reuse (the arena
+// grows only when every slot holds a packet) and refusal exactly at the
+// per-flow bound must hold throughout.
+func TestVOQRowArena(t *testing.T) {
+	const bound = 64
+	var p atomic.Pointer[voqRow[int]]
+	r := loadRow(&p, 2)
+	if r.slots != nil || r.free != -1 || len(r.flows) != 2 {
+		t.Fatalf("a fresh row must hold two empty flows and no slots: %+v", r)
+	}
+	var pushed, popped [2]int
+	queued, peak := 0, 0
+	push := func(f int) {
 		t.Helper()
-		h := r.head
-		s, ok := r.pop()
+		if !r.push(f, voqSlot[int]{payload: pushed[f], enq: int64(f)}, bound) {
+			t.Fatalf("flow %d refused packet %d at occupancy %d, below the bound", f, pushed[f], r.flows[f].count.Load())
+		}
+		pushed[f]++
+		queued++
+		peak = max(peak, queued)
+	}
+	pop := func(f int) {
+		t.Helper()
+		i := r.flows[f].head
+		s, ok := r.pop(f)
 		if !ok {
-			t.Fatalf("pop %d found the queue empty", popped)
+			t.Fatalf("pop of flow %d found it empty", f)
 		}
-		if s.payload != popped || s.enq != int64(popped) {
-			t.Fatalf("popped %d (enq %d), want %d: FIFO broken", s.payload, s.enq, popped)
+		if s.payload != popped[f] || s.enq != int64(f) {
+			t.Fatalf("flow %d popped %d (enq %d), want %d: FIFO broken", f, s.payload, s.enq, popped[f])
 		}
-		if r.slots[h] != (voqSlot[int]{}) {
-			t.Fatalf("slot %d not zeroed after pop: %+v", h, r.slots[h])
+		if r.slots[i] != (voqSlot[int]{}) || r.free != i {
+			t.Fatalf("slot %d not zeroed and freed after pop: %+v, free list at %d", i, r.slots[i], r.free)
 		}
-		popped++
+		popped[f]++
+		queued--
 	}
-	push()
-	push()
-	for size := 2; size < depth; size *= 2 {
-		// Rotate the full buffer by half: head moves mid-buffer and the
-		// newest packets wrap around to index 0.
+	arena := func(what string) {
+		t.Helper()
+		if len(r.slots) != peak || cap(r.slots) != ringDepth(peak) || len(r.next) != len(r.slots) || cap(r.next) != cap(r.slots) {
+			t.Fatalf("%s: %d/%d slots used, %d/%d links; want %d used of %d", what,
+				len(r.slots), cap(r.slots), len(r.next), cap(r.next), peak, ringDepth(peak))
+		}
+	}
+	for size := 2; size <= bound; size *= 2 {
+		for queued < size {
+			push(queued % 2)
+		}
+		arena("full")
 		for i := 0; i < size/2; i++ {
-			pop()
-			push()
+			pop(i % 2)
 		}
-		if len(r.slots) != size || r.head != size/2 {
-			t.Fatalf("before growing: %d slots, head %d; want %d, %d", len(r.slots), r.head, size, size/2)
+		for queued < size {
+			push((queued + 1) % 2)
 		}
-		for r.size() < int64(2*size) {
-			push()
+		arena("refilled from the free list")
+	}
+	// Refusal at the bound: flow 0 fills to exactly bound packets and
+	// refuses the next; flow 1 shares the arena but not the bound.
+	for r.flows[1].count.Load() > 0 {
+		pop(1)
+	}
+	for r.flows[0].count.Load() < bound {
+		push(0)
+	}
+	if r.push(0, voqSlot[int]{payload: -1}, bound) {
+		t.Fatalf("flow 0 accepted a packet beyond its bound of %d", bound)
+	}
+	push(1)
+	arena("one flow at its bound")
+	for _, f := range []int{1, 0} {
+		for r.flows[f].count.Load() > 0 {
+			pop(f)
 		}
-		if len(r.slots) != 2*size {
-			t.Fatalf("%d packets queued in %d slots, want %d slots", r.size(), len(r.slots), 2*size)
+		if _, ok := r.pop(f); ok {
+			t.Fatalf("pop from empty flow %d succeeded", f)
 		}
 	}
-	// At the bound: wrap twice around the full buffer, then the 65th
-	// packet is refused.
-	for i := 0; i < 2*depth; i++ {
-		pop()
-		push()
+	if pushed != popped {
+		t.Fatalf("pushed %v packets but popped %v", pushed, popped)
 	}
-	if r.push(voqSlot[int]{payload: -1}, depth) {
-		t.Fatalf("push beyond the bound of %d accepted", depth)
+	if got := r.freeLen(); got != len(r.slots) {
+		t.Fatalf("drained row has %d of its %d used slots on the free list", got, len(r.slots))
 	}
-	if len(r.slots) != depth {
-		t.Fatalf("queue grew to %d slots past its bound %d", len(r.slots), depth)
-	}
-	for r.size() > 0 {
-		pop()
-	}
-	if _, ok := r.pop(); ok {
-		t.Fatal("pop from an empty queue succeeded")
-	}
-	if popped != pushed {
-		t.Fatalf("pushed %d packets but popped %d", pushed, popped)
-	}
+	push(1)
+	pop(1)
+	arena("reused after the drain")
 }
 
-// TestVOQMemoryBill pins what one flow's queue costs at T=int: a slot
-// holds only what the flow does not imply (payload, trace, enqueue
-// time), and a queue header carries no bound of its own (its shard
-// holds the one every queue shares). A field added to either fails
-// here instead of quietly raising resident memory.
+// TestVOQMemoryBill pins what ingress costs at T=int: a slot holds
+// only what its flow does not imply (payload, trace, enqueue time),
+// each slot has one 4-B link in its row, and a flow is a 12-B entry in
+// its input's row. A field added to any of them fails here instead of
+// quietly raising resident memory.
 func TestVOQMemoryBill(t *testing.T) {
-	slot, mslot := unsafe.Sizeof(voqSlot[int]{}), unsafe.Sizeof(voqSlot[mpayload[int]]{})
-	var r voqRing[int]
-	header := unsafe.Sizeof(r)
-	// A flow that has seen one packet holds its header and a first
-	// buffer of two slots.
-	perFlow := header + 2*slot
+	var r voqRow[int]
+	slot, link, flow := unsafe.Sizeof(voqSlot[int]{}), unsafe.Sizeof(r.next[0]), unsafe.Sizeof(r.flows[0])
 	for _, c := range []struct {
 		what      string
 		got, want uintptr
 	}{
 		{"unicast slot voqSlot[int]", slot, 24},
-		{"multicast slot voqSlot[mpayload[int]]", mslot, 48},
-		{"queue header voqRing[int]", header, 48},
+		{"multicast slot voqSlot[mpayload[int]]", unsafe.Sizeof(voqSlot[mpayload[int]]{}), 48},
+		{"slot link", link, 4},
+		{"flow entry voqFlow", flow, 12},
 	} {
 		if c.got != c.want {
-			t.Errorf("%s is %d B, want %d: a flow's first packet now costs %d B (header + 2 slots), pinned at 96 B",
-				c.what, c.got, c.want, perFlow)
+			t.Errorf("%s is %d B, want %d: a queued packet now costs %d B of arena and an input's row %d B per output",
+				c.what, c.got, c.want, slot+link, flow)
 		}
 	}
 }
 
-// TestVOQFootprint pins ingress memory to traffic rather than to
-// N²·depth: a fabric allocates no grid rows before its first packet,
-// and one packet on each of the N² flows leaves exactly N² queues of
-// two slots each once drained.
+// TestVOQFootprint pins ingress memory to queued packets rather than
+// to flows touched: a fabric installs no row before its first packet
+// (so route-only traffic never pays for one), and one packet on each
+// of the N² flows leaves at most N rows per shard, each arena sized by
+// its row's peak queued packets and every used slot back on its free
+// list once drained.
 func TestVOQFootprint(t *testing.T) {
 	idle, err := New[int](Config{LogN: 10, Planes: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, sh := range idle.shards {
-		if rows, rings, slots := sh.footprint(); rows != 0 || rings != 0 || slots != 0 {
-			t.Errorf("idle shard %d holds %d rows, %d queues, %d slots", i, rows, rings, slots)
+		if rows, slots := sh.footprint(); rows != 0 || slots != 0 {
+			t.Errorf("idle shard %d holds %d rows, %d slots", i, rows, slots)
 		}
 	}
 	idle.Close()
@@ -173,16 +205,90 @@ func TestVOQFootprint(t *testing.T) {
 	if s := f.Stats(); s.Delivered != n*n || s.Lost != 0 {
 		t.Fatalf("delivered %d, lost %d of %d packets", s.Delivered, s.Lost, n*n)
 	}
-	rings, slots := 0, 0
-	for _, sh := range f.shards {
-		_, r, s := sh.footprint()
-		rings += r
-		slots += s
+	for i, sh := range f.shards {
+		counts := sh.snapshot()
+		rows := 0
+		for in := range sh.rows {
+			r := sh.rows[in].Load()
+			if r == nil {
+				continue
+			}
+			rows++
+			// The arena's used slots are the row's peak queued packets,
+			// which exceeds the input's high-water mark by at most one:
+			// the one sender's packet sits in the arena before the
+			// occupied counter counts it.
+			peak := len(r.slots)
+			if len(r.flows) != n || peak < 1 || int64(peak) > counts[in].MaxDepth+1 {
+				t.Fatalf("shard %d input %d: %d flows, %d slots used at a high-water mark of %d",
+					i, in, len(r.flows), peak, counts[in].MaxDepth)
+			}
+			if cap(r.slots) != ringDepth(peak) {
+				t.Fatalf("shard %d input %d: arena of %d slots for a peak of %d, want %d",
+					i, in, cap(r.slots), peak, ringDepth(peak))
+			}
+			if got := r.freeLen(); got != peak {
+				t.Fatalf("shard %d input %d: %d of %d used slots on the free list after the drain", i, in, got, peak)
+			}
+		}
+		if rows > n {
+			t.Fatalf("shard %d installed %d rows for %d inputs", i, rows, n)
+		}
+		if mrows, _ := rowFootprint(sh.mrows); mrows != 0 {
+			t.Fatalf("unicast traffic installed %d multicast rows in shard %d", mrows, i)
+		}
 	}
-	if rings != n*n || slots != 2*n*n {
-		t.Fatalf("%d one-packet flows left %d queues holding %d slots, want %d queues of 2 slots",
-			n*n, rings, slots, n*n)
+}
+
+// TestVOQLiveBytes holds the heap an ingress keeps after uniform
+// traffic has drained: 1,000 batches of 256 uniform packets at N=256
+// over two planes touch nearly all of the 65,536 flows, and once drained
+// the fabric keeps at most one row of N flow entries and one arena per
+// (shard, input), not a queue per flow it has seen.
+func TestVOQLiveBytes(t *testing.T) {
+	const (
+		n       = 256
+		batches = 1000
+	)
+	var delivered atomic.Int64
+	progress := make(chan struct{}, 1)
+	f, err := NewBatched[int](Config{LogN: 8, Planes: 2}, func(_ int, pkts []Packet[int]) {
+		delivered.Add(int64(len(pkts)))
+		select {
+		case progress <- struct{}{}:
+		default:
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer f.Close()
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	rng := rand.New(rand.NewSource(1))
+	sent := int64(0)
+	for b := 0; b < batches; b++ {
+		for k := 0; k < n; k++ {
+			if err := f.Send(Packet[int]{Src: rng.Intn(n), Dst: rng.Intn(n)}); err != nil {
+				t.Fatalf("batch %d: %v", b, err)
+			}
+			sent++
+		}
+		for delivered.Load() < sent {
+			<-progress
+		}
+	}
+	live := int64(heap()) - int64(base)
+	runtime.KeepAlive(f)
+	if limit := int64(2500 << 10); live > limit {
+		t.Fatalf("%d drained uniform packets left the fabric %d B more heap than fresh, limit %d B", sent, live, limit)
+	}
+	t.Logf("%d drained uniform packets: live heap rose %d B", sent, live)
 }
 
 // TestBuildFrameConflictFree fills a shard with random traffic and
@@ -234,7 +340,8 @@ func TestBuildFrameConflictFree(t *testing.T) {
 }
 
 // TestVOQTailDrop fills one queue to its bound and checks the drop
-// accounting, and that a queue at its bound holds exactly bound slots.
+// accounting, and that the input's one row holds only the slots its
+// queued packets need.
 func TestVOQTailDrop(t *testing.T) {
 	for _, depth := range []int{2, 64} {
 		v := newVOQShard[int](4, depth, nil)
@@ -256,8 +363,10 @@ func TestVOQTailDrop(t *testing.T) {
 		if s[1].Enqueued != want || s[1].Dropped != 1 || s[1].Occupied != want || s[1].MaxDepth != want {
 			t.Fatalf("depth %d: input 1 counters wrong: %+v", depth, s[1])
 		}
-		if rows, rings, slots := v.footprint(); rows != 1 || rings != 2 || slots != depth+2 {
-			t.Fatalf("depth %d: %d rows, %d queues, %d slots; want 1, 2, %d", depth, rows, rings, slots, depth+2)
+		// Both flows share input 1's row; its arena holds the depth+1
+		// queued packets, rounded up to a power of two.
+		if rows, slots := v.footprint(); rows != 1 || slots != ringDepth(depth+1) {
+			t.Fatalf("depth %d: %d rows, %d slots; want 1, %d", depth, rows, slots, ringDepth(depth+1))
 		}
 	}
 }
