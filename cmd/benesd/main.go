@@ -389,7 +389,7 @@ func (s *server) handleMulticast(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Packet {
-		if req.Entries == nil {
+		if len(req.Entries) == 0 {
 			s.httpError(w, http.StatusBadRequest, "packet mode needs entries")
 			return
 		}

@@ -434,13 +434,17 @@ func TestMulticastValidation(t *testing.T) {
 		})
 	}
 
-	resp, err := http.Post(srv.URL+"/multicast", "application/json", bytes.NewReader([]byte("{nope")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: status %d, want 400", resp.StatusCode)
+	// Raw bodies: malformed JSON, and an empty entry list, which
+	// marshaling a multicastRequest would drop under omitempty.
+	for _, body := range []string{`{nope`, `{"packet":true,"entries":[]}`} {
+		resp, err := http.Post(srv.URL+"/multicast", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 

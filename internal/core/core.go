@@ -144,17 +144,12 @@ func (b *Network) ControlBit(stage int) int {
 	return stage
 }
 
-// Link returns the stage-(stage+1) input line fed by stage-stage output
-// line y — one wiring lookup without Wiring's deep copy, for callers
-// walking packet paths on the hot serving path.
-func (b *Network) Link(stage, y int) int {
-	return b.link[stage][y]
-}
-
-// LinkInv returns the stage-stage output line that drives stage-(stage+1)
-// input line x — the inverse of Link, for backward path walks.
-func (b *Network) LinkInv(stage, x int) int {
-	return b.linkInv[stage][x]
+// LinkInv returns the inverse of the wiring after stage: LinkInv(stage)[x]
+// is the stage-stage output line that drives stage-(stage+1) input line
+// x. Backward path walks read it a stage at a time. The slice is the
+// network's own; callers must not modify it.
+func (b *Network) LinkInv(stage int) []int {
+	return b.linkInv[stage]
 }
 
 // Wiring returns a deep copy of the inter-stage link maps:

@@ -19,56 +19,15 @@ type Fault struct {
 }
 
 // RouteWithFaults self-routes d but overrides the faulty switches with
-// their stuck states, reporting the damage.
+// their stuck states, reporting the damage. Of two faults on one
+// switch the later holds. It panics on a fault out of range.
 func (b *Network) RouteWithFaults(d perm.Perm, faults []Fault) *Result {
-	stuck := b.faultMap(faults)
-	res := &Result{
-		Mode:     SelfRouting,
-		States:   b.NewStates(),
-		Realized: make(perm.Perm, b.size),
-		TagTrace: make([][]int, b.stages+1),
-	}
-	tags := append([]int(nil), d...)
-	src := make([]int, b.size)
-	for i := range src {
-		src[i] = i
-	}
-	res.TagTrace[0] = append([]int(nil), tags...)
-	nextTags := make([]int, b.size)
-	nextSrc := make([]int, b.size)
-	for s := 0; s < b.stages; s++ {
-		cb := b.ControlBit(s)
-		for i := 0; i < b.size/2; i++ {
-			crossed := tags[2*i]>>uint(cb)&1 == 1
-			if st, ok := stuck[faultKey{s, i}]; ok {
-				crossed = st
-			}
-			res.States[s][i] = crossed
-			if crossed {
-				tags[2*i], tags[2*i+1] = tags[2*i+1], tags[2*i]
-				src[2*i], src[2*i+1] = src[2*i+1], src[2*i]
-			}
-		}
-		if s < b.stages-1 {
-			for y := 0; y < b.size; y++ {
-				to := b.link[s][y]
-				nextTags[to] = tags[y]
-				nextSrc[to] = src[y]
-			}
-			tags, nextTags = nextTags, tags
-			src, nextSrc = nextSrc, src
-		}
-		res.TagTrace[s+1] = append([]int(nil), tags...)
-	}
-	for out := 0; out < b.size; out++ {
-		res.Realized[src[out]] = out
-	}
-	for i, dest := range d {
-		if res.Realized[i] != dest {
-			res.Misrouted = append(res.Misrouted, i)
+	for _, f := range faults {
+		if err := b.CheckFault(f); err != nil {
+			panic(err)
 		}
 	}
-	return res
+	return b.route(d, SelfRouting, nil, faults)
 }
 
 type faultKey struct{ stage, sw int }

@@ -101,10 +101,10 @@ func TestCheckMulticast(t *testing.T) {
 func TestLinkInvInvertsLink(t *testing.T) {
 	for n := 1; n <= 6; n++ {
 		net := New(n)
-		for s := 0; s < net.Stages()-1; s++ {
-			for y := 0; y < net.N(); y++ {
-				if got := net.LinkInv(s, net.Link(s, y)); got != y {
-					t.Fatalf("n=%d stage %d: LinkInv(Link(%d)) = %d", n, s, y, got)
+		for s, link := range net.Wiring() {
+			for y, x := range link {
+				if got := net.LinkInv(s)[x]; got != y {
+					t.Fatalf("n=%d stage %d: LinkInv(%d)[Wiring()[%d][%d]] = %d", n, s, s, s, y, got)
 				}
 			}
 		}

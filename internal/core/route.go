@@ -54,8 +54,10 @@ type Result struct {
 func (r *Result) OK() bool { return len(r.Misrouted) == 0 }
 
 // route is the synchronous stage-by-stage evaluator shared by all modes.
-// ext is consulted only in External mode.
-func (b *Network) route(d perm.Perm, mode Mode, ext States) *Result {
+// ext is consulted only in External mode. A switch in faults holds its
+// stuck state whatever the mode decided: a switch reads only its own
+// lines, so each decided stage is corrected, at no cost per switch.
+func (b *Network) route(d perm.Perm, mode Mode, ext States, faults []Fault) *Result {
 	if len(d) != b.size {
 		panic(fmt.Sprintf("core: permutation length %d does not match network size %d", len(d), b.size))
 	}
@@ -96,6 +98,13 @@ func (b *Network) route(d perm.Perm, mode Mode, ext States) *Result {
 				src[2*i], src[2*i+1] = src[2*i+1], src[2*i]
 			}
 		}
+		for _, f := range faults {
+			if i := f.Switch; f.Stage == s && res.States[s][i] != f.StuckCrossed {
+				res.States[s][i] = f.StuckCrossed
+				tags[2*i], tags[2*i+1] = tags[2*i+1], tags[2*i]
+				src[2*i], src[2*i+1] = src[2*i+1], src[2*i]
+			}
+		}
 		if s < b.stages-1 {
 			for y := 0; y < b.size; y++ {
 				to := b.link[s][y]
@@ -127,7 +136,7 @@ func (b *Network) route(d perm.Perm, mode Mode, ext States) *Result {
 // stage. Serving paths that only need the verdict and the states use
 // SelfRouteInto.
 func (b *Network) SelfRoute(d perm.Perm) *Result {
-	return b.route(d, SelfRouting, nil)
+	return b.route(d, SelfRouting, nil, nil)
 }
 
 // SelfRouteInto is the serving-path kernel of SelfRoute: it applies the
@@ -184,7 +193,7 @@ func (b *Network) SelfRouteInto(d perm.Perm, st States, sc *SetupScratch) bool {
 // OmegaRoute routes d with the omega bit asserted: stages 0..n-2 forced
 // straight, the final n stages self-routing.
 func (b *Network) OmegaRoute(d perm.Perm) *Result {
-	return b.route(d, OmegaForced, nil)
+	return b.route(d, OmegaForced, nil, nil)
 }
 
 // ExternalRoute routes d with self-setting disabled, using the supplied
@@ -198,7 +207,7 @@ func (b *Network) ExternalRoute(d perm.Perm, st States) *Result {
 			panic("core: external states have wrong stage width")
 		}
 	}
-	return b.route(d, External, st)
+	return b.route(d, External, st, nil)
 }
 
 // Realizes reports whether the self-routing scheme performs d, i.e.

@@ -26,11 +26,12 @@ import (
 //     thrown away per frame.
 //
 // A FrameServer therefore skips the cache and goes straight to the
-// looping algorithm, reusing one States buffer, one setup scratch, and
-// one recorder mask across calls — the steady-state frame costs zero
-// allocations. The one repeat that does happen in practice (a single
-// hot flow producing the same completed matching frame after frame) is
-// caught by an O(N) last-destination memo instead of the cache.
+// looping algorithm, reusing one States buffer, one setup scratch, one
+// packed setting and one line buffer across calls — the steady-state
+// frame costs zero allocations. The one repeat that does happen in
+// practice (a single hot flow producing the same completed matching
+// frame after frame) is caught by an O(N) last-destination memo instead
+// of the cache, and reuses the packed setting as it stands.
 //
 // A FrameServer belongs to one goroutine; create one per serving
 // goroutine via NewFrameServer. Concurrent FrameServers over the same
@@ -40,7 +41,8 @@ type FrameServer[T any] struct {
 	e        *Engine[T]
 	st       core.States
 	sc       *core.SetupScratch
-	mask     []uint64
+	words    []uint64 // st packed: what the walk checks and the recorder diffs
+	lines    []int    // the real packets' lines, walked back from their outputs
 	paths    *netsim.Paths
 	last     perm.Perm // previously served dest; valid when haveLast
 	haveLast bool
@@ -49,31 +51,31 @@ type FrameServer[T any] struct {
 // NewFrameServer builds a frame-serving context over e for one
 // goroutine's exclusive use.
 func (e *Engine[T]) NewFrameServer() *FrameServer[T] {
-	fs := &FrameServer[T]{
+	st := e.net.NewStates()
+	return &FrameServer[T]{
 		e:     e,
-		st:    e.net.NewStates(),
+		st:    st,
 		sc:    core.NewSetupScratch(e.net),
+		words: make([]uint64, st.PackedLen()),
+		lines: make([]int, e.net.N()),
 		paths: e.rec.NewPaths(), // nil (and inert) when accounting is off
 		last:  make(perm.Perm, e.net.N()),
 	}
-	if words := e.rec.MaskWords(); words > 0 {
-		fs.mask = make([]uint64, words)
-	}
-	return fs
 }
 
 // Serve routes one frame synchronously: dest is the frame's full
 // permutation (a completed matching — valid by construction, like every
 // Complete output), and real lists the input terminals carrying real
-// packets. Serve computes the switch setting with the looping
-// algorithm, then walks each real packet's path gate by gate and
-// verifies it exits at dest[src] — the output-port tag check frames
-// carry — before reporting success. With a flight recorder attached the
-// walk doubles as traversal accounting: it marks each packet's path in
-// per-stage bit words, and a verified frame adds those words and the
-// setting's flips to the recorder in one call. The frame's filler
-// assignments pin switches but are neither walked nor verified, and a
-// frame that fails verification records nothing.
+// packets. Serve computes the switch setting with the looping algorithm
+// and packs it, then walks each real packet's output dest[src] back
+// through the packed setting (netsim.WalkBack) and verifies it reaches
+// src — the output-port tag check frames carry — before reporting
+// success. With a flight recorder attached the walk doubles as
+// traversal accounting: it marks each packet's path in per-stage bit
+// words, and a verified frame adds those words and the setting's flips
+// to the recorder in one call. The frame's filler assignments pin
+// switches but are neither walked nor verified, and a frame that fails
+// verification records nothing.
 func (fs *FrameServer[T]) Serve(dest perm.Perm, real []int) error {
 	e := fs.e
 	if len(dest) != e.net.N() {
@@ -83,41 +85,29 @@ func (fs *FrameServer[T]) Serve(dest perm.Perm, real []int) error {
 	t0 := time.Now()
 	if !(fs.haveLast && fs.last.Equal(dest)) {
 		e.net.SetupInto(dest, fs.st, fs.sc)
+		fs.st.Pack(fs.words)
 		copy(fs.last, dest)
 		fs.haveLast = true
 	}
 	e.met.Plan.Observe(time.Since(t0))
 
-	// Walk each real packet through the computed setting and check its
-	// exit port. This is a gate-level verification: a wrong switch state
-	// anywhere on the path surfaces as a misdelivered tag here.
+	// A gate-level verification: a wrong switch state anywhere on a
+	// packet's path walks its output back to some other input.
 	t1 := time.Now()
-	stages := e.net.Stages()
+	lines := fs.lines[:len(real)]
+	for k, src := range real {
+		lines[k] = dest[src]
+	}
 	fs.paths.Reset()
-	for _, src := range real {
-		y := src
-		for s := 0; s < stages; s++ {
-			sw := y >> 1
-			fs.paths.Mark(s, sw)
-			out := 2 * sw
-			if crossed := fs.st[s][sw]; crossed != (y&1 == 1) {
-				out++ // straight keeps the line parity; crossed swaps it
-			}
-			if s < stages-1 {
-				y = e.net.Link(s, out)
-			} else {
-				y = out
-			}
-		}
-		if y != dest[src] {
+	netsim.WalkBack(e.net, fs.words, lines, nil, fs.paths)
+	for k, src := range real {
+		if lines[k] != src {
 			e.met.errors.Add(1)
-			return fmt.Errorf("engine: frame delivered input %d to port %d, want %d", src, y, dest[src])
+			return fmt.Errorf("engine: frame fed output %d from input %d, want %d", dest[src], lines[k], src)
 		}
 	}
 	e.met.Apply.Observe(time.Since(t1))
-	if e.rec != nil {
-		e.rec.RecordFrame(fs.st.Pack(fs.mask), fs.paths)
-	}
+	e.rec.RecordFrame(fs.words, fs.paths)
 	e.met.frames.Add(1)
 	return nil
 }

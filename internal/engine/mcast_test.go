@@ -363,7 +363,7 @@ func refMcastPass(net *core.Network, rec, lad *netsim.Recorder, p *mcast.Plan, o
 				y ^= 1
 			}
 			if s > 0 {
-				y = net.LinkInv(s-1, y)
+				y = net.LinkInv(s - 1)[y]
 			}
 		}
 		return y

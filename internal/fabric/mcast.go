@@ -47,18 +47,24 @@ func (f *Fabric[T]) SendMulticast(p MulticastPacket[T]) error {
 	if len(p.Dsts) > f.n {
 		return fmt.Errorf("fabric: multicast packet from %d targets %d ports, max %d", p.Src, len(p.Dsts), f.n)
 	}
-	seen := make([]bool, f.n)
-	dsts := make([]int, len(p.Dsts))
-	for i, d := range p.Dsts {
+	// One bit per port, on the stack up to 1024 ports: the queued copy
+	// below is the packet's one allocation.
+	var seenBuf [16]uint64
+	seen := seenBuf[:]
+	if f.n > 64*len(seenBuf) {
+		seen = make([]uint64, (f.n+63)/64)
+	}
+	for _, d := range p.Dsts {
 		if d < 0 || d >= f.n {
 			return fmt.Errorf("fabric: multicast destination %d out of range [0,%d)", d, f.n)
 		}
-		if seen[d] {
+		bit := uint64(1) << (uint(d) & 63)
+		if seen[d>>6]&bit != 0 {
 			return fmt.Errorf("fabric: multicast destination %d listed twice", d)
 		}
-		seen[d] = true
-		dsts[i] = d
+		seen[d>>6] |= bit
 	}
+	dsts := append([]int(nil), p.Dsts...)
 	if f.closed.Load() {
 		f.met.rejected.Add(1)
 		return ErrClosed

@@ -103,6 +103,45 @@ func TestSendMulticastRejections(t *testing.T) {
 			t.Fatalf("case %d accepted: %+v", i, p)
 		}
 	}
+	// Past 1024 ports the repeat check's bitset leaves the stack.
+	big, err := New[int](Config{LogN: 11}, nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer big.Close()
+	for _, c := range []struct {
+		f    *Fabric[int]
+		dsts []int
+		want string
+	}{
+		{f, []int{1, 3, 1}, "fabric: multicast destination 1 listed twice"},
+		{f, []int{1, 3, 8}, "fabric: multicast destination 8 out of range [0,8)"},
+		{big, []int{2047, 64, 2047}, "fabric: multicast destination 2047 listed twice"},
+	} {
+		if err := c.f.SendMulticast(MulticastPacket[int]{Src: 0, Dsts: c.dsts}); err == nil || err.Error() != c.want {
+			t.Fatalf("Dsts %v at N=%d: error %v, want %q", c.dsts, c.f.N(), err, c.want)
+		}
+	}
+}
+
+// TestSendMulticastAllocs pins a multicast packet's admission at N=256
+// to one allocation, the destination copy its queue keeps: the repeat
+// check marks ports in a bitset on the stack.
+func TestSendMulticastAllocs(t *testing.T) {
+	f, err := New[int](Config{LogN: 8, Planes: 1}, nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer f.Close()
+	p := MulticastPacket[int]{Src: 3, Dsts: []int{0, 64, 128, 255}}
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := f.SendMulticast(p); err != nil && err != ErrBackpressure {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("SendMulticast allocates %.1f objects per packet, want 1 (the destination copy)", allocs)
+	}
 }
 
 // TestFabricMulticastExhaustiveGCN pushes every (source, destination

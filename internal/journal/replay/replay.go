@@ -15,9 +15,9 @@
 // frame's permutation is its packets' pairs completed by the fabric's
 // own scheduler rule and set up by looping, as the plane's frame server
 // does; multicast mappings recompile through the copy-network
-// compiler), routes it through a fresh gate-level network with the
-// independent ExternalRoute walk, and compares the realized
-// deliveries' digest against the journal's.
+// compiler), walks its outputs back through the packed setting with the
+// serving path's gate walk, which shares no code with the setup
+// kernels, and compares the delivery digest against the journal's.
 // The first mismatch names the exact divergent sequence number.
 // Checkpoint records add a second audit axis: their journal-assigned
 // per-kind record counts must match the deltas replay observes between
@@ -31,6 +31,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/journal"
 	"repro/internal/mcast"
+	"repro/internal/netsim"
 	"repro/internal/perm"
 )
 
@@ -111,8 +112,8 @@ type replayer struct {
 	st      core.States        // the current permutation's switch setting
 	sc      *core.SetupScratch // the setup kernels' working memory
 	comp    *mcast.Compiler
-	words   []uint64 // the current mapping's packed copy-network plan
-	ports   []int    // a frame's partial matching or mapping, rebuilt per record
+	words   []uint64 // the current record's packed setting or copy-network plan
+	ports   []int    // per record: a frame's partial matching or mapping, or route's lines
 	rep     *Report
 	counts  [journal.KindMax]uint64
 	lastCp  []uint64 // KindCounts at the window's previous checkpoint
@@ -216,16 +217,18 @@ func (r *replayer) replayPerm(rec *journal.Record) {
 		r.diverge(rec, fmt.Sprintf("invalid permutation: %v", err))
 		return
 	}
-	if realized, ok := r.route(rec, d, r.states(d)); ok {
-		r.audit(rec, journal.DigestPerm(realized))
+	if r.route(rec, d, r.states(d)) {
+		r.audit(rec, journal.DigestPerm(d))
 	}
 }
 
 // replayFrame rebuilds a unicast frame's permutation from its packets'
-// pairs with the scheduler's completion, sets it up by looping as the
-// plane's frame server did, and audits the digest of the real packets'
-// (src, realized dst) pairs in the recorded claim order — the order
-// the live dispatch digested its verified deliveries in.
+// pairs with the scheduler's completion and sets it up by looping as
+// the plane's frame server did. The permutation extends the pairs, so
+// a setting that realizes it delivers every real packet as its pair
+// says: replay then audits the digest of the pairs in the recorded
+// claim order, the order the live dispatch digested its verified
+// deliveries in.
 func (r *replayer) replayFrame(rec *journal.Record) {
 	n := r.net.N()
 	if !r.samePairs(rec) {
@@ -256,16 +259,9 @@ func (r *replayer) replayFrame(rec *journal.Record) {
 		return
 	}
 	r.net.SetupInto(d, r.st, r.sc)
-	realized, ok := r.route(rec, d, r.st)
-	if !ok {
-		return
+	if r.route(rec, d, r.st) {
+		r.audit(rec, journal.DigestPairs(rec.Srcs, rec.Dsts))
 	}
-	h := journal.NewHash64()
-	for _, src := range rec.Srcs {
-		h.Int(int64(src))
-		h.Int(int64(realized[src]))
-	}
-	r.audit(rec, h.Sum())
 }
 
 // samePairs diverges unless a frame record lists as many destinations
@@ -278,18 +274,24 @@ func (r *replayer) samePairs(rec *journal.Record) bool {
 	return true
 }
 
-// route sends d through the fresh network under setting st and reports
-// the realized permutation, diverging unless it is d.
-func (r *replayer) route(rec *journal.Record, d perm.Perm, st core.States) (perm.Perm, bool) {
-	res := r.net.ExternalRoute(d, st)
-	for i, want := range d {
-		if res.Realized[i] != want {
+// route packs setting st, walks all N outputs back through it to the
+// inputs that feed them, and reports whether it realizes d, diverging
+// unless it does. A setting that realizes d delivers every input i to
+// d[i], so the caller digests d itself.
+func (r *replayer) route(rec *journal.Record, d perm.Perm, st core.States) bool {
+	lines := r.ports
+	for out := range lines {
+		lines[out] = out
+	}
+	netsim.WalkBack(r.net, st.Pack(r.words), lines, nil, nil)
+	for out, in := range lines {
+		if d[in] != out {
 			r.diverge(rec, fmt.Sprintf("replayed network misroutes input %d to %d, journal says %d",
-				i, res.Realized[i], want))
-			return nil, false
+				in, out, d[in]))
+			return false
 		}
 	}
-	return res.Realized, true
+	return true
 }
 
 // audit diverges unless the replayed delivery digest is the recorded one.

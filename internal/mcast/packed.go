@@ -49,18 +49,19 @@ func (p *Plan) Pack(dst []uint64) []uint64 {
 // Walk follows each output outs[k] backward through words, a plan
 // packed for net, and writes the input that feeds it to srcs[k]:
 // permute B(n), then the copy ladder (whose backward direction stays a
-// function through broadcast states), then distribute B(n). It walks
-// all the outputs a stage at a time, so their independent chains of
-// loads overlap. Every hop counts one traversal of its switch, in rec
-// for the two B(n) phases and in lad for the ladder; a nil recorder
-// counts nothing. For a correct plan of mapping m, srcs[k] is
-// m[outs[k]] on every assigned output, so walking every assigned
-// output proves the delivered output multiset is the requested one.
+// function through broadcast states), then distribute B(n), each B(n)
+// phase by netsim.WalkBack. It walks all the outputs a stage at a
+// time, so their independent chains of loads overlap. Every hop counts
+// one traversal of its switch, in rec for the two B(n) phases and in
+// lad for the ladder; a nil recorder counts nothing. For a correct
+// plan of mapping m, srcs[k] is m[outs[k]] on every assigned output,
+// so walking every assigned output proves the delivered output
+// multiset is the requested one.
 func Walk(net *core.Network, words []uint64, outs, srcs []int, rec, lad *netsim.Recorder) {
 	dist, perm, lo, hi := Phases(net, words)
 	srcs = srcs[:len(outs)]
 	copy(srcs, outs)
-	walkBenes(net, perm, srcs, rec)
+	netsim.WalkBack(net, perm, srcs, rec, nil)
 	w, n := stageWords(net), net.LogN()
 	for j := n - 1; j >= 0; j-- {
 		loRow, hiRow := lo[j*w:(j+1)*w], hi[j*w:(j+1)*w]
@@ -78,23 +79,5 @@ func Walk(net *core.Network, words []uint64, outs, srcs []int, rec, lad *netsim.
 			srcs[k] = bits.RotRight(y, n)
 		}
 	}
-	walkBenes(net, dist, srcs, rec)
-}
-
-// walkBenes is Walk's pass through one packed B(n) setting: it moves
-// every line in lines back to the input line driving it.
-func walkBenes(net *core.Network, st []uint64, lines []int, rec *netsim.Recorder) {
-	w := stageWords(net)
-	for s := net.Stages() - 1; s >= 0; s-- {
-		row := st[s*w : (s+1)*w]
-		for k, y := range lines {
-			sw := y >> 1
-			rec.Traverse(s, sw)
-			y ^= int(row[sw>>6] >> (uint(sw) & 63) & 1)
-			if s > 0 {
-				y = net.LinkInv(s-1, y)
-			}
-			lines[k] = y
-		}
-	}
+	netsim.WalkBack(net, dist, srcs, rec, nil)
 }
