@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/perm"
-)
+import "repro/internal/perm"
 
 // Fault models a binary switch stuck in one state — the classic Benes
 // fault-tolerance scenario. The network's redundancy (every permutation
@@ -35,8 +31,8 @@ type faultKey struct{ stage, sw int }
 func (b *Network) faultMap(faults []Fault) map[faultKey]bool {
 	m := make(map[faultKey]bool, len(faults))
 	for _, f := range faults {
-		if f.Stage < 0 || f.Stage >= b.stages || f.Switch < 0 || f.Switch >= b.size/2 {
-			panic(fmt.Sprintf("core: fault (%d,%d) out of range", f.Stage, f.Switch))
+		if err := b.CheckFault(f); err != nil {
+			panic(err)
 		}
 		m[faultKey{f.Stage, f.Switch}] = f.StuckCrossed
 	}
@@ -52,6 +48,7 @@ func (b *Network) faultMap(faults []Fault) map[faultKey]bool {
 // it does not backtrack outer-level choices to relieve inner-level
 // conflicts — so a false result means "not found", not "impossible",
 // although for single faults it is observed exact on exhaustable sizes.
+// It panics with CheckFault's error on a fault out of range.
 func (b *Network) SetupAvoiding(d perm.Perm, faults []Fault) (States, bool) {
 	if err := d.Validate(); err != nil {
 		panic("core: SetupAvoiding: " + err.Error())

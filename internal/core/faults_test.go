@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -185,6 +186,22 @@ func TestFaultValidation(t *testing.T) {
 		}
 	}()
 	b.RouteWithFaults(perm.Identity(8), []Fault{{Stage: 99, Switch: 0}})
+}
+
+// TestSetupAvoidingRejectsBadFault: an out-of-range fault panics with
+// CheckFault's error, the one range check every fault path shares.
+func TestSetupAvoidingRejectsBadFault(t *testing.T) {
+	b := New(3)
+	for _, f := range []Fault{{Stage: b.Stages(), Switch: 0}, {Stage: 0, Switch: -1}} {
+		func() {
+			defer func() {
+				if got, want := recover(), b.CheckFault(f); fmt.Sprint(got) != want.Error() {
+					t.Fatalf("SetupAvoiding with fault %+v panicked with %v, want %v", f, got, want)
+				}
+			}()
+			b.SetupAvoiding(perm.Identity(8), []Fault{f})
+		}()
+	}
 }
 
 // TestMultiFaultAvoidance: several simultaneous faults; success rate

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -57,10 +58,15 @@ func TestFaultyHealthyFaultSetIsTransparent(t *testing.T) {
 
 // TestFaultyRejectsBadCoordinates pins the validation panic.
 func TestFaultyRejectsBadCoordinates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range fault must panic")
-		}
-	}()
-	NewWithFaults(core.New(2), []core.Fault{{Stage: 99, Switch: 0}})
+	net := core.New(2)
+	for _, f := range []core.Fault{{Stage: 99, Switch: 0}, {Stage: 0, Switch: net.N() / 2}} {
+		func() {
+			defer func() {
+				if got, want := recover(), net.CheckFault(f); fmt.Sprint(got) != want.Error() {
+					t.Fatalf("out-of-range fault %+v panicked with %v, want %v", f, got, want)
+				}
+			}()
+			NewWithFaults(net, []core.Fault{f})
+		}()
+	}
 }

@@ -13,7 +13,6 @@
 package netsim
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/bits"
@@ -67,12 +66,13 @@ func New(net *core.Network) *Engine {
 // in their stuck states: the per-switch goroutines ignore the control
 // bit and forward according to the fault, so vectors that need the
 // other state misroute — the concurrent analogue of
-// core.RouteWithFaults. Fault coordinates are validated the same way.
+// core.RouteWithFaults. Like RouteWithFaults, it panics with
+// core.CheckFault's error on a fault out of range.
 func NewWithFaults(net *core.Network, faults []core.Fault) *Engine {
 	e := &Engine{net: net, stuck: make(map[switchID]bool, len(faults))}
 	for _, f := range faults {
-		if f.Stage < 0 || f.Stage >= net.Stages() || f.Switch < 0 || f.Switch >= net.N()/2 {
-			panic(fmt.Sprintf("netsim: fault (%d,%d) out of range", f.Stage, f.Switch))
+		if err := net.CheckFault(f); err != nil {
+			panic(err)
 		}
 		e.stuck[switchID{f.Stage, f.Switch}] = f.StuckCrossed
 	}

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -150,6 +153,92 @@ func TestTraceRingConcurrent(t *testing.T) {
 	for _, tr := range snap.Traces {
 		if len(tr.Spans) != 2 {
 			t.Fatalf("trace %s has %d spans, want 2", tr.Name, len(tr.Spans))
+		}
+	}
+}
+
+// TestHistoryConcurrent records history samples while windows, the
+// /debug/history handler and scrapes read the ring and new series
+// register, so samples straddle layouts. Every report must decode and
+// show no counter going backwards. Run with -race.
+func TestHistoryConcurrent(t *testing.T) {
+	const (
+		samples  = 400
+		capacity = 4
+	)
+	reg := NewRegistry()
+	c := reg.Counter("conc_total", "c", nil)
+	h := reg.Histogram("conc_seconds", "c", nil)
+	hist := NewHistory(reg, capacity, time.Second)
+	handler := hist.Handler()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rep := hist.Window(0)
+				rec := httptest.NewRecorder()
+				handler.ServeHTTP(rec, httptest.NewRequest("GET", "/?window=2s", nil))
+				var served WindowReport
+				if err := json.NewDecoder(rec.Body).Decode(&served); rec.Code != 200 || err != nil {
+					t.Errorf("handler: status %d, decode %v", rec.Code, err)
+					return
+				}
+				for _, r := range []WindowReport{rep, served} {
+					if r.Samples > capacity {
+						t.Errorf("window holds %d samples, ring capacity %d", r.Samples, capacity)
+						return
+					}
+					for _, sw := range r.Series {
+						if sw.Delta < 0 {
+							t.Errorf("%s%s moved backwards: %+v", sw.Name, sw.Labels, sw)
+							return
+						}
+					}
+				}
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Errorf("scrape: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			reg.Counter("conc_late_total", "l", Labels{{"i", strconv.Itoa(i)}}).Inc()
+		}
+	}()
+	t0 := time.Unix(0, 0)
+	for i := 0; i < samples; i++ {
+		c.Inc()
+		h.Observe(time.Duration(i) * time.Microsecond)
+		hist.Record(t0.Add(time.Duration(i) * time.Second))
+	}
+	close(stop)
+	wg.Wait()
+
+	// Once every registration has landed, a full ring of fresh samples
+	// shares one layout and reports every series.
+	for i := 0; i < capacity; i++ {
+		c.Inc()
+		hist.Record(t0.Add(time.Duration(samples+i) * time.Second))
+	}
+	rep := hist.Window(0)
+	if want := 50 + 2; rep.Samples != capacity || len(rep.Series) != want {
+		t.Fatalf("final report: %d samples, %d series, want %d and %d", rep.Samples, len(rep.Series), capacity, want)
+	}
+	for _, sw := range rep.Series {
+		if sw.Name == "conc_total" && sw.Delta != capacity-1 {
+			t.Fatalf("conc_total moved %v over the last %d samples, want %d", sw.Delta, capacity, capacity-1)
 		}
 	}
 }

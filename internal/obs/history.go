@@ -2,82 +2,49 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 )
 
-// SeriesPoint is one series' value at one sampling instant. Counters
-// and gauges carry Value; histograms carry the raw bucket counts so a
-// later window query can subtract two points and get the latency
-// distribution of just that window.
-type SeriesPoint struct {
-	Name    string
-	Labels  string
-	Kind    string // "counter", "gauge", "histogram"
-	Value   float64
-	Count   int64
-	SumNs   int64
-	Buckets []int64 // len histBuckets, histograms only
-}
-
-// Sample reads every registered series at one instant, in the same
-// deterministic order WritePrometheus renders (families sorted by
-// name, series in registration order).
-func (r *Registry) Sample() []SeriesPoint {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	type entry struct {
-		f *family
-		s []*series
-	}
-	entries := make([]entry, 0, len(names))
-	for _, name := range names {
-		f := r.families[name]
-		entries = append(entries, entry{f, append([]*series(nil), f.series...)})
-	}
-	r.mu.Unlock()
-
-	var points []SeriesPoint
-	for _, e := range entries {
-		for _, s := range e.s {
-			p := SeriesPoint{Name: e.f.name, Labels: s.labels, Kind: e.f.typ}
+// sample reads every series of l into one new history row.
+func (l *layout) sample() []int64 {
+	row := make([]int64, l.width)
+	for _, f := range l.fams {
+		for _, s := range f.series {
 			switch {
 			case s.counter != nil:
-				p.Value = float64(s.counter())
+				row[s.off] = s.counter()
 			case s.gauge != nil:
-				p.Value = s.gauge()
+				row[s.off] = int64(math.Float64bits(s.gauge()))
 			case s.hist != nil:
-				p.Buckets = make([]int64, histBuckets)
+				w := row[s.off : s.off+histWords]
 				for i := range s.hist.buckets {
-					c := s.hist.buckets[i].Load()
-					p.Buckets[i] = c
-					p.Count += c
+					w[i] = s.hist.buckets[i].Load()
 				}
-				p.SumNs = s.hist.sumNs.Load()
 			}
-			points = append(points, p)
 		}
 	}
-	return points
+	return row
 }
 
-// histSample is one full-registry capture.
+// histSample is one full-registry capture: one row of values over the
+// layout it was read under. Record never writes a row after it
+// publishes the sample.
 type histSample struct {
-	at     time.Time
-	points []SeriesPoint
+	at  time.Time
+	lay *layout
+	row []int64
 }
 
 // History is the bounded snapshot time-series ring: it periodically
 // samples a whole Registry so rate-over-time and windowed-percentile
 // queries can be answered from process memory, without an external
-// Prometheus scraping and storing the series. Memory is bounded by
-// capacity × series count; old samples are overwritten in ring order.
+// Prometheus scraping and storing the series. Each sample is one row of
+// int64 words, one per counter or gauge and histWords per histogram,
+// allocated when the sample is taken; old samples are overwritten in
+// ring order.
 type History struct {
 	reg      *Registry
 	capacity int
@@ -118,7 +85,8 @@ func (h *History) Interval() time.Duration { return h.interval }
 // Record captures one sample now. The background sampler calls this on
 // every tick; tests call it directly for deterministic rings.
 func (h *History) Record(at time.Time) {
-	s := histSample{at: at, points: h.reg.Sample()}
+	lay := h.reg.layout()
+	s := histSample{at: at, lay: lay, row: lay.sample()}
 	h.mu.Lock()
 	if len(h.buf) < h.capacity {
 		h.buf = append(h.buf, s)
@@ -156,19 +124,26 @@ func (h *History) Stop() {
 	<-h.done
 }
 
-// ordered returns the held samples oldest first.
-func (h *History) ordered() []histSample {
+// span returns the oldest sample inside the trailing window d (the
+// whole ring when d <= 0), the newest sample, and how many samples the
+// window holds.
+func (h *History) span(d time.Duration) (first, last histSample, n int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]histSample, 0, len(h.buf))
-	if len(h.buf) < h.capacity {
-		out = append(out, h.buf...)
-		return out
+	n = len(h.buf)
+	if n == 0 {
+		return first, last, 0
 	}
-	for i := 0; i < len(h.buf); i++ {
-		out = append(out, h.buf[(h.next+i)%h.capacity])
+	// h.next is the oldest sample once the ring is full and 0 before.
+	at := func(i int) histSample { return h.buf[(h.next+i)%n] }
+	i := 0
+	if last = at(n - 1); d > 0 {
+		cutoff := last.at.Add(-d)
+		for n-i > 1 && at(i).at.Before(cutoff) {
+			i++
+		}
 	}
-	return out
+	return at(i), last, n - i
 }
 
 // SeriesWindow is one series' change across a window: counter deltas
@@ -202,72 +177,66 @@ type WindowReport struct {
 // 0 means the whole ring. With fewer than two samples in the window the
 // report carries no series (there is no delta to compute).
 func (h *History) Window(d time.Duration) WindowReport {
-	samples := h.ordered()
-	if len(samples) == 0 {
+	first, last, n := h.span(d)
+	if n == 0 {
 		return WindowReport{}
 	}
-	newest := samples[len(samples)-1]
-	inWin := samples
-	if d > 0 {
-		cutoff := newest.at.Add(-d)
-		for len(inWin) > 1 && inWin[0].at.Before(cutoff) {
-			inWin = inWin[1:]
-		}
-	}
 	rep := WindowReport{
-		From:    inWin[0].at,
-		To:      newest.at,
-		Seconds: newest.at.Sub(inWin[0].at).Seconds(),
-		Samples: len(inWin),
+		From:    first.at,
+		To:      last.at,
+		Seconds: last.at.Sub(first.at).Seconds(),
+		Samples: n,
 	}
-	if len(inWin) < 2 {
+	if n < 2 {
 		return rep
 	}
-	first := inWin[0]
-	// Match by name+labels so series registered between the endpoints
-	// are skipped rather than mis-paired.
-	idx := make(map[[2]string]*SeriesPoint, len(first.points))
-	for i := range first.points {
-		p := &first.points[i]
-		idx[[2]string{p.Name, p.Labels}] = p
-	}
-	for i := range newest.points {
-		last := &newest.points[i]
-		f, ok := idx[[2]string{last.Name, last.Labels}]
-		if !ok || f.Kind != last.Kind {
-			continue
-		}
-		sw := SeriesWindow{Name: last.Name, Labels: last.Labels, Kind: last.Kind}
-		switch last.Kind {
-		case "histogram":
-			var counts [histBuckets]int64
-			for b := 0; b < histBuckets && b < len(last.Buckets) && b < len(f.Buckets); b++ {
-				if delta := last.Buckets[b] - f.Buckets[b]; delta > 0 {
-					counts[b] = delta
-				}
-			}
-			for _, c := range counts {
-				sw.Count += c
-			}
-			sw.First, sw.Last = float64(f.Count), float64(last.Count)
-			sw.Delta = float64(sw.Count)
-			if rep.Seconds > 0 {
-				sw.Rate = sw.Delta / rep.Seconds
-			}
-			if sw.Count > 0 {
-				sw.P50Ns = quantile(&counts, sw.Count, 0.50)
-				sw.P99Ns = quantile(&counts, sw.Count, 0.99)
-			}
-		default:
-			sw.First, sw.Last = f.Value, last.Value
-			sw.Delta = last.Value - f.Value
-			if rep.Seconds > 0 {
-				sw.Rate = sw.Delta / rep.Seconds
+	// Row words follow registration order, so the first row is a prefix
+	// of the last. A series whose words end past it registered after the
+	// first sample and has no delta. A name keeps its type, so a series
+	// is the same kind at both ends.
+	for _, f := range last.lay.fams {
+		for _, s := range f.series {
+			if end := s.off + s.words(); end <= len(first.row) {
+				rep.Series = append(rep.Series, seriesWindow(f.name, s.labels, f.typ, first.row[s.off:end], last.row[s.off:end], rep.Seconds))
 			}
 		}
-		rep.Series = append(rep.Series, sw)
 	}
 	return rep
+}
+
+// seriesWindow computes one series' movement between its values in the
+// window's first and last rows.
+func seriesWindow(name, labels, kind string, first, last []int64, seconds float64) SeriesWindow {
+	sw := SeriesWindow{Name: name, Labels: labels, Kind: kind}
+	switch kind {
+	case "histogram":
+		var counts [histBuckets]int64
+		var firstN, lastN int64
+		for b := range counts {
+			firstN += first[b]
+			lastN += last[b]
+			if delta := last[b] - first[b]; delta > 0 {
+				counts[b] = delta
+				sw.Count += delta
+			}
+		}
+		sw.First, sw.Last = float64(firstN), float64(lastN)
+		sw.Delta = float64(sw.Count)
+		if sw.Count > 0 {
+			sw.P50Ns = quantile(&counts, sw.Count, 0.50)
+			sw.P99Ns = quantile(&counts, sw.Count, 0.99)
+		}
+	case "gauge":
+		sw.First, sw.Last = math.Float64frombits(uint64(first[0])), math.Float64frombits(uint64(last[0]))
+		sw.Delta = sw.Last - sw.First
+	default:
+		sw.First, sw.Last = float64(first[0]), float64(last[0])
+		sw.Delta = sw.Last - sw.First
+	}
+	if seconds > 0 {
+		sw.Rate = sw.Delta / seconds
+	}
+	return sw
 }
 
 // Handler serves the history as the /debug/history endpoint:

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"math"
+	"math/bits"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -17,28 +19,39 @@ func TestRegistrySample(t *testing.T) {
 	h.Observe(100 * time.Nanosecond)
 	h.Observe(100 * time.Nanosecond)
 
-	pts := reg.Sample()
-	byName := map[string]SeriesPoint{}
-	for _, p := range pts {
-		byName[p.Name+p.Labels] = p
+	lay := reg.layout()
+	if want := 1 + 1 + histWords; lay.width != want {
+		t.Fatalf("row width %d, want %d", lay.width, want)
 	}
-	if p := byName["test_requests_total"]; p.Kind != "counter" || p.Value != 3 {
-		t.Fatalf("counter point = %+v", p)
+	row := lay.sample()
+	words := map[string][]int64{}
+	for _, f := range lay.fams {
+		for _, s := range f.series {
+			words[f.name+s.labels] = row[s.off:]
+		}
 	}
-	if p := byName[`test_depth{q="a"}`]; p.Kind != "gauge" || p.Value != 1.5 {
-		t.Fatalf("gauge point = %+v", p)
+	if w := words["test_requests_total"]; w[0] != 3 {
+		t.Fatalf("counter word = %d", w[0])
 	}
-	p := byName["test_latency_ns"]
-	if p.Kind != "histogram" || p.Count != 2 || len(p.Buckets) != histBuckets {
-		t.Fatalf("histogram point = %+v", p)
+	if w := words[`test_depth{q="a"}`]; math.Float64frombits(uint64(w[0])) != 1.5 {
+		t.Fatalf("gauge word = %#x", w[0])
+	}
+	if w := words["test_latency_ns"]; w[bits.Len64(100)] != 2 {
+		t.Fatalf("histogram words = %v", w[:histWords])
 	}
 
-	// Sample order must be deterministic.
-	again := reg.Sample()
-	for i := range pts {
-		if pts[i].Name != again[i].Name || pts[i].Labels != again[i].Labels {
-			t.Fatalf("sample order unstable at %d: %s vs %s", i, pts[i].Name, again[i].Name)
-		}
+	// The layout is kept until a series registers; families stay sorted,
+	// and the new series' words follow the old row.
+	if reg.layout() != lay {
+		t.Fatal("layout rebuilt without a registration")
+	}
+	reg.Counter("test_a_total", "a", nil)
+	again := reg.layout()
+	if again == lay || again.fams[0].name != "test_a_total" || again.width != lay.width+1 {
+		t.Fatalf("layout after a registration: first family %q, width %d", again.fams[0].name, again.width)
+	}
+	if off := again.fams[0].series[0].off; off != lay.width {
+		t.Fatalf("new series at word %d, want %d after the old row", off, lay.width)
 	}
 }
 

@@ -41,6 +41,19 @@ type series struct {
 	gauge   func() float64
 	hist    *Histogram
 	size    bool // hist holds unitless values, not nanoseconds
+	off     int  // first word of this series' values in a history row
+}
+
+// histWords is how many history row words one histogram takes: its
+// bucket counts. A counter or a gauge takes one word.
+const histWords = histBuckets
+
+// words is how many history row words s takes.
+func (s *series) words() int {
+	if s.hist != nil {
+		return histWords
+	}
+	return 1
 }
 
 // family is all series sharing one metric name.
@@ -57,6 +70,8 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	width    int     // history row words taken by every series so far
+	lay      *layout // nil until the next scrape or sample after a registration
 }
 
 // NewRegistry returns an empty registry.
@@ -84,7 +99,46 @@ func (r *Registry) register(name, help, typ string, s *series) {
 			panic(fmt.Sprintf("obs: duplicate series %s%s", name, s.labels))
 		}
 	}
+	s.off = r.width
+	r.width += s.words()
 	f.series = append(f.series, s)
+	r.lay = nil
+}
+
+// layout is the registry's series order at one registration state:
+// families sorted by name, each family's series in registration order.
+// A registration drops the cached layout and the next scrape or sample
+// builds a new one. A built layout is never changed, so a history
+// sample keeps a pointer to the one it was taken under.
+//
+// A series' row offset is fixed when it registers, so row words follow
+// registration order: the row of an older layout is a prefix of the row
+// of a newer one.
+type layout struct {
+	fams  []family
+	width int // int64 words in one history row
+}
+
+// layout returns the cached layout, building it if a series has
+// registered since the last call.
+func (r *Registry) layout() *layout {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.lay != nil {
+		return r.lay
+	}
+	names := make([]string, 0, len(r.families))
+	for name := range r.families {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	l := &layout{fams: make([]family, len(names)), width: r.width}
+	for i, name := range names {
+		f := r.families[name]
+		l.fams[i] = family{name: name, help: f.help, typ: f.typ, series: append([]*series(nil), f.series...)}
+	}
+	r.lay = l
+	return l
 }
 
 // Counter creates, registers, and returns a registry-owned counter.
@@ -188,26 +242,11 @@ var sizeBucketExps = []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16}
 // registration order, histograms as cumulative le buckets in seconds
 // plus _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	sers := make([][]*series, len(names))
-	for i, name := range names {
-		f := r.families[name]
-		fams[i] = f
-		sers[i] = append([]*series(nil), f.series...)
-	}
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for i, f := range fams {
+	for _, f := range r.layout().fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range sers[i] {
+		for _, s := range f.series {
 			switch {
 			case s.counter != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter())

@@ -66,6 +66,25 @@ func TestWritePrometheusExact(t *testing.T) {
 	if got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
+
+	// A registration between two scrapes rebuilds the cached layout: the
+	// new series render where a renderer sorting on every scrape puts
+	// them.
+	reg.CounterFunc("demo_requests_total", "Requests accepted.", Labels{{"plane", "1"}}, func() int64 { return 7 })
+	var sz Histogram
+	sz.ObserveValue(17)
+	reg.RegisterSizeHistogram("demo_batch", "Batch sizes.", nil, &sz)
+	b.Reset()
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	got = b.String()
+	if want := refWritePrometheus(reg); got != want {
+		t.Fatalf("exposition after a registration:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	if !strings.HasPrefix(got, "# HELP demo_batch Batch sizes.\n") || !strings.Contains(got, "demo_requests_total{plane=\"1\"} 7\n") {
+		t.Fatalf("new series missing from the scrape:\n%s", got)
+	}
 }
 
 // TestHistogramBucketsMonotone feeds a spread of durations and checks

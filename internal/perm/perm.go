@@ -38,33 +38,41 @@ func (p Perm) Len() int { return len(p) }
 
 // Valid reports whether p is a permutation of (0, ..., len(p)-1):
 // every value in range and no value repeated.
-func (p Perm) Valid() bool {
-	seen := make([]bool, len(p))
-	for _, d := range p {
-		if d < 0 || d >= len(p) || seen[d] {
-			return false
-		}
-		seen[d] = true
-	}
-	return true
-}
+func (p Perm) Valid() bool { return p.firstFault() < 0 }
 
 // Validate returns a descriptive error if p is not a permutation.
 func (p Perm) Validate() error {
-	seen := make([]int, len(p))
-	for i := range seen {
-		seen[i] = -1
+	i := p.firstFault()
+	if i < 0 {
+		return nil
+	}
+	d := p[i]
+	if d < 0 || d >= len(p) {
+		return fmt.Errorf("perm: D[%d] = %d out of range [0,%d)", i, d, len(p))
+	}
+	j := 0 // d repeats: find the input that took it first
+	for p[j] != d {
+		j++
+	}
+	return fmt.Errorf("perm: destination %d assigned to both inputs %d and %d", d, j, i)
+}
+
+// firstFault returns the first input whose destination is out of range
+// or repeats an earlier input's, or -1 when p is a permutation. The set
+// of destinations seen is a bitset on the stack up to N=1024.
+func (p Perm) firstFault() int {
+	var stack [1024 / 64]uint64
+	seen := stack[:]
+	if w := (len(p) + 63) / 64; w > len(seen) {
+		seen = make([]uint64, w)
 	}
 	for i, d := range p {
-		if d < 0 || d >= len(p) {
-			return fmt.Errorf("perm: D[%d] = %d out of range [0,%d)", i, d, len(p))
+		if d < 0 || d >= len(p) || seen[d/64]&(1<<(uint(d)%64)) != 0 {
+			return i
 		}
-		if j := seen[d]; j >= 0 {
-			return fmt.Errorf("perm: destination %d assigned to both inputs %d and %d", d, j, i)
-		}
-		seen[d] = i
+		seen[d/64] |= 1 << (uint(d) % 64)
 	}
-	return nil
+	return -1
 }
 
 // Inverse returns the inverse permutation q with q[p[i]] = i.

@@ -1,6 +1,7 @@
 package perm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -174,5 +175,67 @@ func TestRandomIsValid(t *testing.T) {
 		if !Random(64, rng).Valid() {
 			t.Fatal("Random produced invalid permutation")
 		}
+	}
+}
+
+// refValidate is Validate as it was with an N-int scratch slice: the
+// messages the bitset version must reproduce.
+func refValidate(p Perm) error {
+	seen := make([]int, len(p))
+	for i := range seen {
+		seen[i] = -1
+	}
+	for i, d := range p {
+		if d < 0 || d >= len(p) {
+			return fmt.Errorf("perm: D[%d] = %d out of range [0,%d)", i, d, len(p))
+		}
+		if j := seen[d]; j >= 0 {
+			return fmt.Errorf("perm: destination %d assigned to both inputs %d and %d", d, j, i)
+		}
+		seen[d] = i
+	}
+	return nil
+}
+
+// TestValidateMatchesReference runs Validate and Valid against the
+// reference on random permutations and on vectors broken by repeats
+// and out-of-range entries, on both sides of the stack bitset's 1024.
+func TestValidateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 3000; trial++ {
+		n := rng.Intn(40)
+		if trial%10 == 0 {
+			n = 1000 + rng.Intn(60)
+		}
+		p := Random(n, rng)
+		for k := rng.Intn(4); k > 0 && n > 0; k-- {
+			i := rng.Intn(n)
+			switch rng.Intn(3) {
+			case 0:
+				p[i] = p[rng.Intn(n)]
+			case 1:
+				p[i] = n + rng.Intn(3)
+			case 2:
+				p[i] = -1 - rng.Intn(3)
+			}
+		}
+		got, want := p.Validate(), refValidate(p)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Validate(%v) = %v, want %v", p, got, want)
+		}
+		if p.Valid() != (want == nil) {
+			t.Fatalf("Valid(%v) = %v, reference error %v", p, p.Valid(), want)
+		}
+	}
+}
+
+func TestValidateAllocFree(t *testing.T) {
+	p := Random(1024, rand.New(rand.NewSource(1)))
+	if allocs := testing.AllocsPerRun(100, func() {
+		if p.Validate() != nil || !p.Valid() {
+			t.Fatal("valid permutation rejected")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Validate and Valid at N=1024 allocate %v times, want 0", allocs)
 	}
 }
