@@ -33,6 +33,7 @@ const benchN = 10 // default network size for benches: N = 1024
 func BenchmarkE1_Construct(b *testing.B) {
 	var net *core.Network
 	for i := 0; i < b.N; i++ {
+		core.New(1) // New shares the network it built last: make it build B(n) again
 		net = core.New(benchN)
 	}
 	b.ReportMetric(float64(net.SwitchCount()), "switches")

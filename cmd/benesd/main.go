@@ -98,7 +98,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/bits"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -124,9 +123,6 @@ type server struct {
 	col *collective.Service[int]
 	obs *obsState
 	log *slog.Logger
-	// dnet is the fabric planes' network geometry, shared by every
-	// /debug/diagnose prover.
-	dnet *core.Network
 	// jrn is the hash-chained traffic journal behind /debug/journal and
 	// /debug/replay; nil when benesd runs without -journal.
 	jrn *journal.Journal
@@ -845,7 +841,7 @@ func (s *server) handleDebugDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	prover, err := diagnose.New(diagnose.Config{
-		Net:       s.dnet,
+		Net:       s.eng.Network(),
 		MaxFaults: req.MaxFaults,
 		Budget:    req.Budget,
 		Seed:      req.Seed,
@@ -891,8 +887,7 @@ func (s *server) writeJSON(w http.ResponseWriter, code int, v any) {
 // middleware; jr (nil when journaling is off) backs /debug/journal and
 // /debug/replay.
 func newMux(eng *engine.Engine[int], fab *fabric.Fabric[int], col *collective.Service[int], o *obsState, jr *journal.Journal) *http.ServeMux {
-	s := &server{eng: eng, fab: fab, col: col, obs: o, log: o.log,
-		dnet: core.New(bits.Len(uint(fab.N())) - 1), jrn: jr}
+	s := &server{eng: eng, fab: fab, col: col, obs: o, log: o.log, jrn: jr}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /route", s.handleRoute)
 	mux.HandleFunc("POST /send", s.traced("/send", s.handleSend))

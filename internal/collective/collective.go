@@ -86,28 +86,11 @@ type Service[T any] struct {
 	n    int
 	logN int
 
-	submitted        atomic.Int64
-	completed        atomic.Int64
-	failed           atomic.Int64
-	cancelled        atomic.Int64
-	deadlineRejected atomic.Int64
-	active           atomic.Int64
+	met    metrics
+	active atomic.Int64
 
-	rounds      atomic.Int64
-	selfRouted  atomic.Int64
-	fallbacks   atomic.Int64
-	mcastRounds atomic.Int64
-	cacheHits   atomic.Int64
-	chunksMoved atomic.Int64
-
-	perOp       [numOps]atomic.Int64
+	perOp       [numOps]obs.Counter
 	planeRounds []atomic.Int64
-
-	// roundHist is the per-round service time (route + move
-	// application). opHist is the end-to-end collective latency,
-	// submit to settle.
-	roundHist obs.Histogram
-	opHist    obs.Histogram
 
 	// ewmaRoundNs is the exponentially weighted moving average of
 	// per-round service time, feeding deadline admission.
@@ -119,6 +102,26 @@ type Service[T any] struct {
 	// operation: its schedule depends on the full destination matrix,
 	// not a few integers.
 	progs progCache
+}
+
+// metrics is a service's live metrics, one series a field (see
+// obs.Export).
+type metrics struct {
+	Submitted        obs.Counter `metric:"benes_collective_submitted_total" help:"Collectives admitted."`
+	Completed        obs.Counter `metric:"benes_collective_completed_total" help:"Collectives finished successfully."`
+	Failed           obs.Counter `metric:"benes_collective_failed_total" help:"Collectives settled with a routing error."`
+	Cancelled        obs.Counter `metric:"benes_collective_cancelled_total" help:"Collectives aborted by context cancellation."`
+	DeadlineRejected obs.Counter `metric:"benes_collective_deadline_rejected_total" help:"Collectives rejected at admission: schedule cannot meet the deadline."`
+
+	Rounds         obs.Counter `metric:"benes_collective_rounds_total" help:"Whole-permutation rounds executed."`
+	SelfRouted     obs.Counter `metric:"benes_collective_self_routed_rounds_total" help:"Rounds served without looping setup."`
+	Fallbacks      obs.Counter `metric:"benes_collective_fallback_rounds_total" help:"Rounds that fell back to the looping algorithm."`
+	McastRounds    obs.Counter `metric:"benes_collective_mcast_rounds_total" help:"Copy-network (multicast) rounds executed."`
+	RoundCacheHits obs.Counter `metric:"benes_collective_round_cache_hits_total" help:"Rounds whose plan was already resolved on arrival."`
+	ChunksMoved    obs.Counter `metric:"benes_collective_chunks_moved_total" help:"Payload chunks moved by completed rounds."`
+
+	Round    obs.Histogram `metric:"benes_collective_round_seconds" help:"Per-round service time (route plus move application)."`
+	EndToEnd obs.Histogram `metric:"benes_collective_op_seconds" help:"End-to-end collective latency, submit to settle."`
 }
 
 // progCacheCap bounds the programs one service keeps. Rooted
@@ -383,14 +386,14 @@ func (s *Service[T]) submit(ctx context.Context, prog *Program, data [][]T) (*Ha
 		if est := s.ewmaRoundNs.Load(); est > 0 {
 			need := time.Duration(est) * time.Duration(len(prog.Rounds))
 			if remaining := time.Until(deadline); need > remaining {
-				s.deadlineRejected.Add(1)
+				s.met.DeadlineRejected.Add(1)
 				return nil, fmt.Errorf("%w: %d rounds x %v estimated round time = %v exceeds the %v remaining",
 					ErrDeadline, len(prog.Rounds), time.Duration(est), need, remaining.Round(time.Microsecond))
 			}
 		}
 	}
 	h := newHandle(s, prog, ctx, data)
-	s.submitted.Add(1)
+	s.met.Submitted.Add(1)
 	s.perOp[prog.Op].Add(1)
 	s.active.Add(1)
 	go h.run()
@@ -401,12 +404,12 @@ func (s *Service[T]) submit(ctx context.Context, prog *Program, data [][]T) (*Ha
 // service counters and feeds the admission estimate the worker's mean
 // per-round wall time.
 func (s *Service[T]) observeRounds(t *roundTally, meanRound time.Duration) {
-	s.rounds.Add(int64(t.rounds))
-	s.selfRouted.Add(int64(t.selfRouted))
-	s.fallbacks.Add(int64(t.fallbacks))
-	s.mcastRounds.Add(int64(t.mcastRounds))
-	s.cacheHits.Add(int64(t.cacheHits))
-	s.chunksMoved.Add(int64(t.moves))
+	s.met.Rounds.Add(int64(t.rounds))
+	s.met.SelfRouted.Add(int64(t.selfRouted))
+	s.met.Fallbacks.Add(int64(t.fallbacks))
+	s.met.McastRounds.Add(int64(t.mcastRounds))
+	s.met.RoundCacheHits.Add(int64(t.cacheHits))
+	s.met.ChunksMoved.Add(int64(t.moves))
 	for p, c := range t.planeRounds {
 		if c > 0 {
 			s.planeRounds[p].Add(int64(c))
@@ -462,24 +465,12 @@ type Stats struct {
 // Stats captures the current counters.
 func (s *Service[T]) Stats() Stats {
 	st := Stats{
-		Submitted:        s.submitted.Load(),
-		Completed:        s.completed.Load(),
-		Failed:           s.failed.Load(),
-		Cancelled:        s.cancelled.Load(),
-		DeadlineRejected: s.deadlineRejected.Load(),
-		Active:           s.active.Load(),
-		Rounds:           s.rounds.Load(),
-		SelfRouted:       s.selfRouted.Load(),
-		Fallbacks:        s.fallbacks.Load(),
-		McastRounds:      s.mcastRounds.Load(),
-		RoundCacheHits:   s.cacheHits.Load(),
-		ChunksMoved:      s.chunksMoved.Load(),
-		Round:            s.roundHist.Snapshot(),
-		EndToEnd:         s.opHist.Snapshot(),
-		EstRoundNs:       s.ewmaRoundNs.Load(),
-		PlaneRounds:      make([]int64, len(s.planeRounds)),
-		PerOp:            make(map[string]int64, numOps),
+		Active:      s.active.Load(),
+		EstRoundNs:  s.ewmaRoundNs.Load(),
+		PlaneRounds: make([]int64, len(s.planeRounds)),
+		PerOp:       make(map[string]int64, numOps),
 	}
+	obs.Fill(&st, &s.met)
 	if st.Rounds > 0 {
 		st.SelfRouteRatio = float64(st.SelfRouted) / float64(st.Rounds)
 	}
@@ -487,38 +478,24 @@ func (s *Service[T]) Stats() Stats {
 		st.PlaneRounds[i] = s.planeRounds[i].Load()
 	}
 	for op := 0; op < numOps; op++ {
-		if c := s.perOp[op].Load(); c > 0 {
+		if c := s.perOp[op].Value(); c > 0 {
 			st.PerOp[Op(op).String()] = c
 		}
 	}
 	return st
 }
 
-// Register exports the service's counters and latency histograms into
-// reg under the benes_collective_* names. Like the engine and fabric
-// registrations, every value is read at scrape time from the counters
-// the executors already maintain.
+// Register exports the service's series into reg under the
+// benes_collective_* names: its metrics, plus the gauges and per-op
+// counters computed at scrape time from the executors' counters.
 func (s *Service[T]) Register(reg *obs.Registry) {
-	reg.CounterFunc("benes_collective_submitted_total", "Collectives admitted.", nil, s.submitted.Load)
-	reg.CounterFunc("benes_collective_completed_total", "Collectives finished successfully.", nil, s.completed.Load)
-	reg.CounterFunc("benes_collective_failed_total", "Collectives settled with a routing error.", nil, s.failed.Load)
-	reg.CounterFunc("benes_collective_cancelled_total", "Collectives aborted by context cancellation.", nil, s.cancelled.Load)
-	reg.CounterFunc("benes_collective_deadline_rejected_total", "Collectives rejected at admission: schedule cannot meet the deadline.", nil, s.deadlineRejected.Load)
-	reg.CounterFunc("benes_collective_rounds_total", "Whole-permutation rounds executed.", nil, s.rounds.Load)
-	reg.CounterFunc("benes_collective_self_routed_rounds_total", "Rounds served without looping setup.", nil, s.selfRouted.Load)
-	reg.CounterFunc("benes_collective_fallback_rounds_total", "Rounds that fell back to the looping algorithm.", nil, s.fallbacks.Load)
-	reg.CounterFunc("benes_collective_mcast_rounds_total", "Copy-network (multicast) rounds executed.", nil, s.mcastRounds.Load)
-	reg.CounterFunc("benes_collective_round_cache_hits_total", "Rounds whose plan was already resolved on arrival.", nil, s.cacheHits.Load)
-	reg.CounterFunc("benes_collective_chunks_moved_total", "Payload chunks moved by completed rounds.", nil, s.chunksMoved.Load)
+	reg.Export(&s.met, nil)
 	reg.GaugeFunc("benes_collective_active", "Collectives currently in flight.", nil,
 		func() float64 { return float64(s.active.Load()) })
 	reg.GaugeFunc("benes_collective_est_round_seconds", "Admission controller's per-round service-time estimate.", nil,
 		func() float64 { return float64(s.ewmaRoundNs.Load()) / 1e9 })
 	for op := 0; op < numOps; op++ {
-		op := op
 		reg.CounterFunc("benes_collective_ops_total", "Collectives submitted, by operation.",
-			obs.Labels{{"op", Op(op).String()}}, s.perOp[op].Load)
+			obs.Labels{{"op", Op(op).String()}}, s.perOp[op].Value)
 	}
-	reg.RegisterHistogram("benes_collective_round_seconds", "Per-round service time (route plus move application).", nil, &s.roundHist)
-	reg.RegisterHistogram("benes_collective_op_seconds", "End-to-end collective latency, submit to settle.", nil, &s.opHist)
 }

@@ -126,17 +126,17 @@ func (h *Handle[T]) fail(err error) {
 func (h *Handle[T]) run() {
 	h.runParallel()
 	s := h.svc
-	s.opHist.ObserveSince(h.begin)
+	s.met.EndToEnd.ObserveSince(h.begin)
 	h.tr.Span("collective_"+h.prog.Op.String(), h.begin,
 		strconv.Itoa(len(h.prog.Rounds))+" rounds")
 	s.active.Add(-1)
 	switch {
 	case h.err == nil:
-		s.completed.Add(1)
+		s.met.Completed.Add(1)
 	case h.ctx.Err() != nil:
-		s.cancelled.Add(1)
+		s.met.Cancelled.Add(1)
 	default:
-		s.failed.Add(1)
+		s.met.Failed.Add(1)
 	}
 	close(h.done)
 }
@@ -216,7 +216,7 @@ func (h *Handle[T]) serveRound(r *Round, idx, prefer int, t *roundTally) error {
 	for _, m := range r.Moves {
 		h.state[m.DstPort][m.DstChunk] = h.in[m.SrcPort][m.SrcChunk]
 	}
-	h.svc.roundHist.ObserveSince(start)
+	h.svc.met.Round.ObserveSince(start)
 	// Build the note only when traced: untraced rounds allocate nothing
 	// for it.
 	if h.tr != nil {

@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/bits"
 )
@@ -49,14 +50,23 @@ type Network struct {
 	linkInv [][]int
 }
 
-// New constructs B(n) for n >= 1. The recursive definition of Fig. 1 is
-// flattened into explicit inter-stage wiring: the first boundary of each
-// recursion level is an unshuffle within the level's block (upper switch
-// outputs to the upper subnetwork, lower outputs to the lower), and the
-// last boundary is the inverse shuffle.
+// last is the network New built most recently. The wiring is
+// immutable, so callers asking for one size share one copy, and
+// keeping only the last bounds what a process of many sizes holds.
+var last atomic.Pointer[Network]
+
+// New returns B(n) for n >= 1, wired afresh unless the network New
+// built last has that size. The recursive definition of Fig. 1 is
+// flattened into explicit inter-stage wiring: the first boundary of
+// each recursion level is an unshuffle within the level's block (upper
+// switch outputs to the upper subnetwork, lower outputs to the lower),
+// and the last boundary is the inverse shuffle.
 func New(n int) *Network {
 	if n < 1 {
 		panic("core: New requires n >= 1")
+	}
+	if b := last.Load(); b != nil && b.n == n {
+		return b
 	}
 	size := 1 << uint(n)
 	stages := 2*n - 1
@@ -84,6 +94,7 @@ func New(n int) *Network {
 			b.linkInv[s][x] = y
 		}
 	}
+	last.Store(b)
 	return b
 }
 

@@ -40,6 +40,22 @@ func TestNewPanicsOnBadN(t *testing.T) {
 	New(0)
 }
 
+// TestNewSharesOneNetwork checks New hands every caller asking for the
+// size it built last the same immutable network, and keeps no other:
+// asking for another size releases the first.
+func TestNewSharesOneNetwork(t *testing.T) {
+	a := New(5)
+	if b := New(5); b != a {
+		t.Fatal("New(5) built a second copy of B(5)")
+	}
+	if c := New(4); c == a || c.LogN() != 4 || New(4) != c {
+		t.Fatalf("New(4) after New(5): LogN %d, shared %v", c.LogN(), New(4) == c)
+	}
+	if New(5) == a {
+		t.Fatal("New kept B(5) after building B(4)")
+	}
+}
+
 // TestControlBits checks Fig. 3's rule: stage b and stage 2n-2-b use bit
 // b; e.g. for n=3 the stage sequence is 0,1,2,1,0.
 func TestControlBits(t *testing.T) {

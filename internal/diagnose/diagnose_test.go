@@ -281,14 +281,14 @@ func TestMetricsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if met.Sessions() != 1 {
-		t.Fatalf("sessions = %d, want 1", met.Sessions())
+	if met.sessions.Value() != 1 {
+		t.Fatalf("sessions = %d, want 1", met.sessions.Value())
 	}
-	if met.ProbesIssued() != int64(rep.Probes) {
-		t.Fatalf("probes = %d, want %d", met.ProbesIssued(), rep.Probes)
+	if met.probes.Value() != int64(rep.Probes) {
+		t.Fatalf("probes = %d, want %d", met.probes.Value(), rep.Probes)
 	}
-	if met.CandidatesEliminated() != int64(rep.Eliminated) {
-		t.Fatalf("eliminated = %d, want %d", met.CandidatesEliminated(), rep.Eliminated)
+	if met.eliminated.Value() != int64(rep.Eliminated) {
+		t.Fatalf("eliminated = %d, want %d", met.eliminated.Value(), rep.Eliminated)
 	}
 	reg := obs.NewRegistry()
 	met.Register(reg)

@@ -2,35 +2,24 @@ package diagnose
 
 import "repro/internal/obs"
 
-// Metrics aggregates prover accounting across sessions. All fields are
-// updated atomically; a Metrics value must not be copied. Share one
+// Metrics aggregates prover accounting across sessions, one series a
+// field (see obs.Export). A Metrics value must not be copied. Share one
 // Metrics across provers to get service-wide totals.
 type Metrics struct {
-	sessions   obs.Counter // Diagnose calls started
-	probes     obs.Counter // probes issued to oracles
-	eliminated obs.Counter // candidate eliminations (contradictions found)
+	sessions   obs.Counter `metric:"benes_diagnose_sessions_total" help:"Diagnosis sessions started."`
+	probes     obs.Counter `metric:"benes_diagnose_probes_total" help:"Probe permutations issued to oracles."`
+	eliminated obs.Counter `metric:"benes_diagnose_eliminated_total" help:"Fault candidates eliminated by contradicting observations."`
 
 	// Latency is the wall-clock distribution of whole diagnosis
 	// sessions: probe round-trips plus prediction sweeps.
-	Latency obs.Histogram
+	Latency obs.Histogram `metric:"benes_diagnose_latency_seconds" help:"Wall-clock duration of whole diagnosis sessions."`
 }
 
-// Sessions returns the number of diagnosis sessions started.
-func (m *Metrics) Sessions() int64 { return m.sessions.Value() }
-
-// ProbesIssued returns the number of probes issued to oracles.
-func (m *Metrics) ProbesIssued() int64 { return m.probes.Value() }
-
-// CandidatesEliminated returns the number of candidate eliminations.
-func (m *Metrics) CandidatesEliminated() int64 { return m.eliminated.Value() }
-
 // Register exports the prover metrics into reg under the
-// benes_diagnose_* names. Values are read at scrape time from the same
-// atomics the sessions maintain.
+// benes_diagnose_* names, plus the elimination rate they imply. Values
+// are read at scrape time from the same atomics the sessions maintain.
 func (m *Metrics) Register(reg *obs.Registry) {
-	reg.CounterFunc("benes_diagnose_sessions_total", "Diagnosis sessions started.", nil, m.sessions.Value)
-	reg.CounterFunc("benes_diagnose_probes_total", "Probe permutations issued to oracles.", nil, m.probes.Value)
-	reg.CounterFunc("benes_diagnose_eliminated_total", "Fault candidates eliminated by contradicting observations.", nil, m.eliminated.Value)
+	reg.Export(m, nil)
 	reg.GaugeFunc("benes_diagnose_elimination_rate", "Candidates eliminated per probe issued.", nil, func() float64 {
 		probes := m.probes.Value()
 		if probes == 0 {
@@ -38,5 +27,4 @@ func (m *Metrics) Register(reg *obs.Registry) {
 		}
 		return float64(m.eliminated.Value()) / float64(probes)
 	})
-	reg.RegisterHistogram("benes_diagnose_latency_seconds", "Wall-clock duration of whole diagnosis sessions.", nil, &m.Latency)
 }

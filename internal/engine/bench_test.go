@@ -221,3 +221,29 @@ func reportHitRate(b *testing.B, eng *Engine[int]) {
 	s := eng.Stats()
 	b.ReportMetric(s.HitRate, "hit-rate")
 }
+
+// BenchmarkStats times one Stats snapshot of an N=256 engine whose
+// counters and histograms have all moved: the cost /stats, the fabric's
+// per-plane view and the journal checkpoint source pay per call.
+func BenchmarkStats(b *testing.B) {
+	const logN = 8
+	eng, err := New[int](Config{LogN: logN, Recorder: netsim.NewRecorder(core.New(logN), 1)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(1))
+	data := benchPayload(1 << logN)
+	for i := 0; i < 8; i++ {
+		d := perm.Random(1<<logN, rng)
+		eng.Route(d, data)
+		eng.Route(d, data)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if eng.Stats().Requests != 16 {
+			b.Fatal("lost requests")
+		}
+	}
+}

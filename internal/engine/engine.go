@@ -142,7 +142,7 @@ func New[T any](cfg Config) (*Engine[T], error) {
 	met := &metrics{}
 	e := &Engine[T]{
 		net:   core.New(cfg.LogN),
-		cache: newPlanCache(cfg.CacheCapacity, cfg.CacheShards, &met.evictions, &met.collisions),
+		cache: newPlanCache(cfg.CacheCapacity, cfg.CacheShards, &met.Evictions, &met.Collisions),
 		met:   met,
 		rec:   cfg.Recorder,
 		jrn:   cfg.Journal,
@@ -182,20 +182,20 @@ func (e *Engine[T]) LadderRecorder() *netsim.Recorder { return e.ladRec }
 // hold N elements.
 func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
 	if len(dest) != e.net.N() || (data != nil && len(data) != e.net.N()) {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return Response[T]{Err: fmt.Errorf("engine: request size (dest %d, data %d) does not match N=%d",
 			len(dest), len(data), e.net.N())}
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return Response[T]{Err: ErrClosed}
 	}
-	e.met.requests.Add(1)
+	e.met.Requests.Add(1)
 	pl, hit, err := e.acquire(hashPerm(dest), dest)
 	if err != nil {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return Response[T]{Err: err}
 	}
 	// From here on dest is the plan's permutation: a hit compared the
@@ -233,21 +233,21 @@ func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
 //     (especially) when that misroutes.
 func (e *Engine[T]) ProbeRoute(d perm.Perm) (perm.Perm, error) {
 	if len(d) != e.net.N() {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return nil, fmt.Errorf("engine: probe size %d does not match N=%d", len(d), e.net.N())
 	}
 	if err := d.Validate(); err != nil {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return nil, err
 	}
 	e.mu.RLock()
 	closed := e.closed
 	e.mu.RUnlock()
 	if closed {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return nil, ErrClosed
 	}
-	e.met.probes.Add(1)
+	e.met.Probes.Add(1)
 	return e.net.SelfRoute(d).Realized, nil
 }
 
@@ -275,17 +275,17 @@ func (e *Engine[T]) acquire(key uint64, d perm.Perm) (*Plan, bool, error) {
 	t0 := time.Now()
 	defer func() { e.met.Plan.Observe(time.Since(t0)) }()
 	if pl := e.cache.get(key, d); pl != nil {
-		e.met.hits.Add(1)
+		e.met.Hits.Add(1)
 		return pl, true, nil
 	}
 	if err := d.Validate(); err != nil {
 		return nil, false, err
 	}
-	e.met.misses.Add(1)
+	e.met.Misses.Add(1)
 	pl := &Plan{Kind: PlanSelfRouted, dest: packVec(d, 0), key: key}
 	ms := e.scpool.Get().(*missScratch)
 	if !e.net.SelfRouteInto(d, ms.st, ms.sc) {
-		e.met.fallbacks.Add(1)
+		e.met.Fallbacks.Add(1)
 		e.net.SetupInto(d, ms.st, ms.sc)
 		pl.Kind = PlanLooped
 	}

@@ -79,7 +79,7 @@ func (e *Engine[T]) NewFrameServer() *FrameServer[T] {
 func (fs *FrameServer[T]) Serve(dest perm.Perm, real []int) error {
 	e := fs.e
 	if len(dest) != e.net.N() {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return fmt.Errorf("engine: frame size %d does not match N=%d", len(dest), e.net.N())
 	}
 	t0 := time.Now()
@@ -102,12 +102,12 @@ func (fs *FrameServer[T]) Serve(dest perm.Perm, real []int) error {
 	netsim.WalkBack(e.net, fs.words, lines, nil, fs.paths)
 	for k, src := range real {
 		if lines[k] != src {
-			e.met.errors.Add(1)
+			e.met.Errors.Add(1)
 			return fmt.Errorf("engine: frame fed output %d from input %d, want %d", dest[src], lines[k], src)
 		}
 	}
 	e.met.Apply.Observe(time.Since(t1))
 	e.rec.RecordFrame(fs.words, fs.paths)
-	e.met.frames.Add(1)
+	e.met.Frames.Add(1)
 	return nil
 }

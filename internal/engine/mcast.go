@@ -36,24 +36,24 @@ type McastResponse[T any] struct {
 // and McastResponse.Data is nil. A non-nil data must hold N elements.
 func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 	if len(m) != e.net.N() || (data != nil && len(data) != e.net.N()) {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return McastResponse[T]{Err: fmt.Errorf("engine: multicast size (map %d, data %d) does not match N=%d",
 			len(m), len(data), e.net.N())}
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return McastResponse[T]{Err: ErrClosed}
 	}
 	if m.Assigned() == 0 {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return McastResponse[T]{Err: ErrEmptyMapping}
 	}
-	e.met.mcasts.Add(1)
+	e.met.Mcasts.Add(1)
 	pl, hit, err := e.acquireMulticast(hashMapping(m), m)
 	if err != nil {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return McastResponse[T]{Err: err}
 	}
 	// From here on m is the plan's mapping: a hit compared the two in
@@ -65,7 +65,7 @@ func (e *Engine[T]) RouteMulticast(m mcast.Mapping, data []T) McastResponse[T] {
 		e.met.Apply.Observe(time.Since(t0))
 	}
 	if err := e.serveMcast(pl.setting, m, nil); err != nil {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return McastResponse[T]{Err: err}
 	}
 	return McastResponse[T]{Data: out, CacheHit: hit}
@@ -79,10 +79,10 @@ func (e *Engine[T]) acquireMulticast(key uint64, m mcast.Mapping) (*Plan, bool, 
 	t0 := time.Now()
 	defer func() { e.met.Plan.Observe(time.Since(t0)) }()
 	if pl := e.cache.getMapping(key, m); pl != nil {
-		e.met.hits.Add(1)
+		e.met.Hits.Add(1)
 		return pl, true, nil
 	}
-	e.met.misses.Add(1)
+	e.met.Misses.Add(1)
 	words := make([]uint64, mcast.PackedLen(e.net))
 	comp := e.mpool.Get().(*mcast.Compiler)
 	err := e.compileMcast(comp, m, words)
@@ -150,7 +150,7 @@ func (e *Engine[T]) serveMcast(words []uint64, m mcast.Mapping, outs []int) erro
 		}
 		copies += len(batch)
 	}
-	e.met.mcastCopies.Add(int64(copies))
+	e.met.McastCopies.Add(int64(copies))
 	return nil
 }
 
@@ -192,14 +192,14 @@ func (e *Engine[T]) NewMcastFrameServer() *McastFrameServer[T] {
 func (fs *McastFrameServer[T]) Prepare(m mcast.Mapping) error {
 	e := fs.e
 	if len(m) != e.net.N() {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		fs.prepared = false
 		return fmt.Errorf("engine: mapping frame size %d does not match N=%d", len(m), e.net.N())
 	}
 	t0 := time.Now()
 	if !(fs.prepared && fs.last.Equal(m)) {
 		if err := e.compileMcast(fs.comp, m, fs.words); err != nil {
-			e.met.errors.Add(1)
+			e.met.Errors.Add(1)
 			fs.prepared = false
 			return err
 		}
@@ -217,16 +217,16 @@ func (fs *McastFrameServer[T]) Prepare(m mcast.Mapping) error {
 func (fs *McastFrameServer[T]) ServePrepared(outs []int) error {
 	e := fs.e
 	if !fs.prepared {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return errors.New("engine: ServePrepared without a successful Prepare")
 	}
 	t0 := time.Now()
 	err := e.serveMcast(fs.words, fs.last, outs)
 	e.met.Apply.Observe(time.Since(t0))
 	if err != nil {
-		e.met.errors.Add(1)
+		e.met.Errors.Add(1)
 		return err
 	}
-	e.met.mcastFrames.Add(1)
+	e.met.McastFrames.Add(1)
 	return nil
 }

@@ -6,42 +6,31 @@ import (
 	"repro/internal/obs"
 )
 
-// Histogram is the shared lock-free latency histogram of internal/obs.
-// The alias keeps the engine's exported metrics API stable now that
-// every layer records into one observability package.
-type Histogram = obs.Histogram
-
-// HistogramSnapshot is the point-in-time view of a Histogram.
-type HistogramSnapshot = obs.HistogramSnapshot
-
-// BucketCount is one non-empty histogram bucket.
-type BucketCount = obs.BucketCount
-
 // metrics aggregates everything observable about a running engine:
-// plan-cache traffic and per-stage latency. All fields are updated
-// atomically; a metrics value must not be copied.
+// plan-cache traffic and per-stage latency, one series a field (see
+// obs.Export). A metrics value must not be copied.
 type metrics struct {
-	requests    obs.Counter // vectors accepted by Route
-	hits        obs.Counter // plan served from cache
-	misses      obs.Counter // plan had to be computed
-	fallbacks   obs.Counter // misses outside F(n) that ran the looping algorithm
-	errors      obs.Counter // requests rejected (bad length, invalid permutation, closed)
-	evictions   obs.Counter // plans displaced from the LRU cache
-	collisions  obs.Counter // lookups whose hash matched a plan for a different permutation
-	frames      obs.Counter // frames served synchronously via FrameServer.Serve
-	mcasts      obs.Counter // multicast mappings served via RouteMulticast
-	mcastFrames obs.Counter // mapping frames served via McastFrameServer.Serve
-	mcastCopies obs.Counter // output copies delivered by multicast plans
-	probes      obs.Counter // diagnostic passes served via ProbeRoute
+	Requests    obs.Counter `metric:"benes_engine_requests_total" help:"Vectors accepted by Route."`
+	Hits        obs.Counter `metric:"benes_engine_plan_cache_hits_total" help:"Plans served from the cache."`
+	Misses      obs.Counter `metric:"benes_engine_plan_cache_misses_total" help:"Plans computed fresh."`
+	Fallbacks   obs.Counter `metric:"benes_engine_loop_fallbacks_total" help:"Misses outside F(n) that ran the looping algorithm."`
+	Errors      obs.Counter `metric:"benes_engine_errors_total" help:"Requests rejected (bad length, invalid permutation, closed)."`
+	Evictions   obs.Counter `metric:"benes_engine_plan_cache_evictions_total" help:"Plans displaced from the LRU cache."`
+	Collisions  obs.Counter `metric:"benes_engine_plan_cache_collisions_total" help:"Lookups that collided with a plan for a different permutation."`
+	Frames      obs.Counter `metric:"benes_engine_frames_total" help:"Frames served synchronously via FrameServer."`
+	Mcasts      obs.Counter `metric:"benes_engine_mcasts_total" help:"Multicast mappings served via RouteMulticast."`
+	McastFrames obs.Counter `metric:"benes_engine_mcast_frames_total" help:"Mapping frames served via McastFrameServer."`
+	McastCopies obs.Counter `metric:"benes_engine_mcast_copies_total" help:"Output copies delivered by multicast plans."`
+	Probes      obs.Counter `metric:"benes_engine_probes_total" help:"Diagnostic passes served via ProbeRoute."`
 
 	// Per-stage latency histograms.
-	Plan  Histogram // plan acquisition (cache lookup, plus setup on a miss)
-	Apply Histogram // payload application (or states replay)
+	Plan  obs.Histogram `metric:"benes_engine_plan_seconds" help:"Plan acquisition: cache lookup plus setup on a miss."`
+	Apply obs.Histogram `metric:"benes_engine_apply_seconds" help:"Payload application (or gate-level states replay)."`
 
 	// Multicast phase histograms: the copy-network compile split into
 	// its distribute/permute B(n) setups and its ladder programming.
-	McastDist Histogram // mcast_distribute: the two looping-algorithm setups
-	McastCopy Histogram // mcast_copy: interval-splitting ladder compile
+	McastDist obs.Histogram `metric:"benes_engine_mcast_distribute_seconds" help:"Multicast compile: distribute/permute B(n) looping setups."`
+	McastCopy obs.Histogram `metric:"benes_engine_mcast_copy_seconds" help:"Multicast compile: interval-splitting copy-ladder programming."`
 }
 
 // Snapshot is the JSON export of an engine's metrics: a plain value an
@@ -62,66 +51,31 @@ type Snapshot struct {
 	HitRate     float64 `json:"hit_rate"`
 	PlansCached int     `json:"plans_cached"`
 
-	Plan      HistogramSnapshot `json:"plan"`
-	Apply     HistogramSnapshot `json:"apply"`
-	McastDist HistogramSnapshot `json:"mcast_distribute"`
-	McastCopy HistogramSnapshot `json:"mcast_copy"`
+	Plan      obs.HistogramSnapshot `json:"plan"`
+	Apply     obs.HistogramSnapshot `json:"apply"`
+	McastDist obs.HistogramSnapshot `json:"mcast_distribute"`
+	McastCopy obs.HistogramSnapshot `json:"mcast_copy"`
 }
 
 // Stats captures a complete metrics snapshot: every counter and
 // histogram, plus the current plan-cache occupancy.
 func (e *Engine[T]) Stats() Snapshot {
-	m := e.met
-	s := Snapshot{
-		Requests:    m.requests.Value(),
-		Hits:        m.hits.Value(),
-		Misses:      m.misses.Value(),
-		Fallbacks:   m.fallbacks.Value(),
-		Errors:      m.errors.Value(),
-		Evictions:   m.evictions.Value(),
-		Collisions:  m.collisions.Value(),
-		Frames:      m.frames.Value(),
-		Mcasts:      m.mcasts.Value(),
-		McastFrames: m.mcastFrames.Value(),
-		McastCopies: m.mcastCopies.Value(),
-		Probes:      m.probes.Value(),
-		PlansCached: e.cache.len(),
-		Plan:        m.Plan.Snapshot(),
-		Apply:       m.Apply.Snapshot(),
-		McastDist:   m.McastDist.Snapshot(),
-		McastCopy:   m.McastCopy.Snapshot(),
-	}
+	s := Snapshot{PlansCached: e.cache.len()}
+	obs.Fill(&s, e.met)
 	if lookups := s.Hits + s.Misses; lookups > 0 {
 		s.HitRate = float64(s.Hits) / float64(lookups)
 	}
 	return s
 }
 
-// Register exports the engine's counters, gauges, and per-stage
-// latency histograms into reg under the benes_engine_* names, with
-// labels distinguishing this engine from its siblings (e.g. one series
-// per fabric plane). Counters and gauges are read live at scrape time
-// from the same atomics the hot path maintains — registration adds no
-// cost to the serving path.
+// Register exports the engine's series into reg under the
+// benes_engine_* names, with labels distinguishing this engine from its
+// siblings (e.g. one series per fabric plane): its metrics, plus the
+// plan-cache gauge and the flight recorder's per-stage series computed
+// at scrape time. Registration adds no cost to the serving path.
 func (e *Engine[T]) Register(reg *obs.Registry, labels obs.Labels) {
-	m := e.met
-	reg.CounterFunc("benes_engine_requests_total", "Vectors accepted by Route.", labels, m.requests.Value)
-	reg.CounterFunc("benes_engine_plan_cache_hits_total", "Plans served from the cache.", labels, m.hits.Value)
-	reg.CounterFunc("benes_engine_plan_cache_misses_total", "Plans computed fresh.", labels, m.misses.Value)
-	reg.CounterFunc("benes_engine_loop_fallbacks_total", "Misses outside F(n) that ran the looping algorithm.", labels, m.fallbacks.Value)
-	reg.CounterFunc("benes_engine_errors_total", "Requests rejected (bad length, invalid permutation, closed).", labels, m.errors.Value)
-	reg.CounterFunc("benes_engine_plan_cache_evictions_total", "Plans displaced from the LRU cache.", labels, m.evictions.Value)
-	reg.CounterFunc("benes_engine_plan_cache_collisions_total", "Lookups that collided with a plan for a different permutation.", labels, m.collisions.Value)
-	reg.CounterFunc("benes_engine_frames_total", "Frames served synchronously via FrameServer.", labels, m.frames.Value)
-	reg.CounterFunc("benes_engine_mcasts_total", "Multicast mappings served via RouteMulticast.", labels, m.mcasts.Value)
-	reg.CounterFunc("benes_engine_mcast_frames_total", "Mapping frames served via McastFrameServer.", labels, m.mcastFrames.Value)
-	reg.CounterFunc("benes_engine_mcast_copies_total", "Output copies delivered by multicast plans.", labels, m.mcastCopies.Value)
-	reg.CounterFunc("benes_engine_probes_total", "Diagnostic passes served via ProbeRoute.", labels, m.probes.Value)
+	reg.Export(e.met, labels)
 	reg.GaugeFunc("benes_engine_plans_cached", "Plans currently held by the cache.", labels, func() float64 { return float64(e.cache.len()) })
-	reg.RegisterHistogram("benes_engine_plan_seconds", "Plan acquisition: cache lookup plus setup on a miss.", labels, &m.Plan)
-	reg.RegisterHistogram("benes_engine_apply_seconds", "Payload application (or gate-level states replay).", labels, &m.Apply)
-	reg.RegisterHistogram("benes_engine_mcast_distribute_seconds", "Multicast compile: distribute/permute B(n) looping setups.", labels, &m.McastDist)
-	reg.RegisterHistogram("benes_engine_mcast_copy_seconds", "Multicast compile: interval-splitting copy-ladder programming.", labels, &m.McastCopy)
 
 	// With a flight recorder attached, export one series per stage of
 	// the gate-level counters (per-switch series would be N/2 times the

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestHistogram checks bucketing, quantile monotonicity, and the mean.
 func TestHistogram(t *testing.T) {
-	var h Histogram
+	var h obs.Histogram
 	for i := 0; i < 90; i++ {
 		h.Observe(100 * time.Nanosecond) // bucket [64,128)
 	}
@@ -40,7 +42,7 @@ func TestHistogram(t *testing.T) {
 
 // TestHistogramEdges covers zero, negative, and overflowing durations.
 func TestHistogramEdges(t *testing.T) {
-	var h Histogram
+	var h obs.Histogram
 	h.Observe(0)
 	h.Observe(-time.Second) // clamped to 0
 	h.Observe(1 << 62)      // beyond the last bucket bound

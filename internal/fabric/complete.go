@@ -23,23 +23,34 @@ const Idle = -1
 // Complete returns an error when partial is not a matching: an entry
 // out of range, or two inputs claiming the same output.
 func Complete(partial []int) (perm.Perm, error) {
+	full := make(perm.Perm, len(partial))
+	if err := CompleteInto(partial, full, make([]bool, len(partial))); err != nil {
+		return nil, err
+	}
+	return full, nil
+}
+
+// CompleteInto is Complete into caller-owned memory, for callers that
+// complete many untrusted matchings, such as journal replay: full
+// receives the permutation and taken is scratch, each len(partial)
+// long. It validates partial as Complete does and allocates nothing.
+func CompleteInto(partial []int, full perm.Perm, taken []bool) error {
 	n := len(partial)
-	taken := make([]bool, n)
+	clear(taken)
 	for i, out := range partial {
 		if out == Idle {
 			continue
 		}
 		if out < 0 || out >= n {
-			return nil, fmt.Errorf("fabric: partial[%d] = %d out of range [0,%d)", i, out, n)
+			return fmt.Errorf("fabric: partial[%d] = %d out of range [0,%d)", i, out, n)
 		}
 		if taken[out] {
-			return nil, fmt.Errorf("fabric: output %d claimed twice", out)
+			return fmt.Errorf("fabric: output %d claimed twice", out)
 		}
 		taken[out] = true
 	}
-	full := make(perm.Perm, n)
 	completeInto(partial, full, taken)
-	return full, nil
+	return nil
 }
 
 // completeInto is Complete for the scheduler hot path: it writes into

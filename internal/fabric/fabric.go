@@ -244,16 +244,10 @@ func newFabric[T any](cfg Config, deliver func(Packet[T]), deliverBatch func(int
 		jrn:          cfg.Journal,
 		closing:      make(chan struct{}),
 	}
-	// One geometry network shared by every plane's recorder; the planes'
-	// engines still wire their own.
-	var geo *core.Network
-	if cfg.Record {
-		geo = core.New(cfg.LogN)
-	}
 	for i := range f.planes {
 		var rec *netsim.Recorder
 		if cfg.Record {
-			rec = netsim.NewRecorder(geo, 1)
+			rec = netsim.NewRecorder(core.New(cfg.LogN), 1)
 		}
 		p, err := newPlane(i, engine.Config{LogN: cfg.LogN, Recorder: rec}, &f.met)
 		if err != nil {
@@ -270,10 +264,20 @@ func newFabric[T any](cfg Config, deliver func(Packet[T]), deliverBatch func(int
 		// the scheduler is building and the one the router is serving.
 		f.freelist[i] = make(chan *frame[T], handoffDepth+2)
 	}
+	// Everything the goroutines start with is allocated here, so New
+	// returns with the fabric's idle memory in place: the scheduler's
+	// first frame and each router's frame servers.
 	for i := range f.planes {
+		f.freelist[i] <- newFrame[T](n)
+		servers := make([]*engine.FrameServer[int], len(f.planes))
+		mservers := make([]*engine.McastFrameServer[int], len(f.planes))
+		for j, p := range f.planes {
+			servers[j] = p.eng.NewFrameServer()
+			mservers[j] = p.eng.NewMcastFrameServer()
+		}
 		f.wg.Add(2)
 		go f.scheduler(i)
-		go f.router(i)
+		go f.router(i, servers, mservers)
 	}
 	return f, nil
 }
@@ -395,15 +399,15 @@ func (f *Fabric[T]) Send(p Packet[T]) error {
 		return fmt.Errorf("fabric: packet (%d -> %d) out of range [0,%d)", p.Src, p.Dst, f.n)
 	}
 	if f.closed.Load() {
-		f.met.rejected.Add(1)
+		f.met.Rejected.Add(1)
 		return ErrClosed
 	}
 	sh := f.shards[f.planeFor(p.Src, p.Dst)]
 	if err := sh.enqueue(p, f.cfg.Policy); err != nil {
-		f.met.rejected.Add(1)
+		f.met.Rejected.Add(1)
 		return err
 	}
-	f.met.accepted.Add(1)
+	f.met.Accepted.Add(1)
 	return nil
 }
 
@@ -558,11 +562,11 @@ func (f *Fabric[T]) drainShard(i int) {
 // handoff counts a built frame and passes it to plane i's router,
 // blocking while the router is behind.
 func (f *Fabric[T]) handoff(i int, fr *frame[T]) {
-	f.met.frames.Add(1)
+	f.met.Frames.Add(1)
 	if fr.mcast {
-		f.met.mcastFrames.Add(1)
+		f.met.Mcast.Frames.Add(1)
 	}
-	f.met.HandoffBatch.ObserveValue(int64(len(fr.pkts)))
+	f.met.Stages.HandoffBatch.ObserveValue(int64(len(fr.pkts)))
 	f.frames[i] <- fr
 }
 
@@ -570,14 +574,8 @@ func (f *Fabric[T]) handoff(i int, fr *frame[T]) {
 // FrameServers (its own, plus one per failover target), so the frame
 // hot path never crosses a goroutine boundary after the scheduler
 // handoff.
-func (f *Fabric[T]) router(i int) {
+func (f *Fabric[T]) router(i int, servers []*engine.FrameServer[int], mservers []*engine.McastFrameServer[int]) {
 	defer f.wg.Done()
-	servers := make([]*engine.FrameServer[int], len(f.planes))
-	mservers := make([]*engine.McastFrameServer[int], len(f.planes))
-	for j, p := range f.planes {
-		servers[j] = p.eng.NewFrameServer()
-		mservers[j] = p.eng.NewMcastFrameServer()
-	}
 	for fr := range f.frames[i] {
 		f.dispatch(i, servers, mservers, fr)
 		f.putFrame(i, fr)
@@ -589,7 +587,7 @@ func (f *Fabric[T]) router(i int) {
 // work on the first one whose plane.serve accepts it, running work on
 // that plane. A serve after a refusal counts one failover in
 // failovers. With every plane refused, the error is ErrPlaneDown.
-func (f *Fabric[T]) failover(start int, failovers *atomic.Int64, work func(p *plane) error) (*plane, error) {
+func (f *Fabric[T]) failover(start int, failovers *obs.Counter, work func(p *plane) error) (*plane, error) {
 	k := len(f.planes)
 	start = ((start % k) + k) % k
 	for attempt := 0; attempt < k; attempt++ {
@@ -622,7 +620,7 @@ func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], mserv
 		// the walk, so such a frame takes no plane out of rotation. A
 		// plane further along the walk compiles it on its own server.
 		if err = mservers[home].Prepare(fr.outSrc); err == nil {
-			p, err = f.failover(home, &f.met.failovers, func(p *plane) error {
+			p, err = f.failover(home, &f.met.Failovers, func(p *plane) error {
 				ms := mservers[p.id]
 				if p.id != home {
 					if err := ms.Prepare(fr.outSrc); err != nil {
@@ -633,25 +631,25 @@ func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], mserv
 			})
 		}
 	} else {
-		p, err = f.failover(home, &f.met.failovers, func(p *plane) error {
+		p, err = f.failover(home, &f.met.Failovers, func(p *plane) error {
 			return servers[p.id].Serve(fr.dest, fr.srcs)
 		})
 	}
 	if err != nil {
 		// No plane delivered the frame: the packets are accepted but
 		// undeliverable. Account for them so the books still balance.
-		f.met.lost.Add(int64(len(fr.pkts)))
+		f.met.Lost.Add(int64(len(fr.pkts)))
 		for _, pkt := range fr.pkts {
 			pkt.Trace.Fold("lost", time.Now(), 0, "no plane delivered the frame")
 		}
 		return
 	}
-	p.frames.Add(1)
-	p.packets.Add(int64(len(fr.srcs)))
-	f.met.delivered.Add(int64(len(fr.pkts)))
+	p.counts.Frames.Add(1)
+	p.counts.Packets.Add(int64(len(fr.srcs)))
+	f.met.Delivered.Add(int64(len(fr.pkts)))
 	if fr.mcast {
-		f.met.mcastDelivered.Add(int64(fr.mpkts))
-		f.met.mcastCopies.Add(int64(fr.mcopies))
+		f.met.Mcast.Delivered.Add(int64(fr.mpkts))
+		f.met.Mcast.Copies.Add(int64(fr.mcopies))
 	}
 	if f.jrn.Enabled() {
 		// The pairs are all a frame record needs: a unicast frame's
@@ -668,7 +666,7 @@ func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], mserv
 	for _, pkt := range fr.pkts {
 		pkt.Trace.Fold("plane_transit", start, transit, p.transitNote)
 	}
-	f.met.Coalesce.ObserveValue(int64(len(fr.pkts)))
+	f.met.Stages.Coalesce.ObserveValue(int64(len(fr.pkts)))
 	switch {
 	case f.deliverBatch != nil:
 		f.deliverBatch(p.id, fr.pkts)

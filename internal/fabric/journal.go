@@ -16,17 +16,17 @@ import (
 // as chain-protected context.
 func (f *Fabric[T]) JournalCheckpoint() journal.Checkpoint {
 	cp := journal.Checkpoint{
-		Accepted:  uint64(f.met.accepted.Load()),
-		Delivered: uint64(f.met.delivered.Load()),
-		Lost:      uint64(f.met.lost.Load()),
-		Frames:    uint64(f.met.frames.Load()),
+		Accepted:  uint64(f.met.Accepted.Value()),
+		Delivered: uint64(f.met.Delivered.Value()),
+		Lost:      uint64(f.met.Lost.Value()),
+		Frames:    uint64(f.met.Frames.Value()),
 	}
 	for _, p := range f.planes {
 		cp.Planes = append(cp.Planes, journal.PlaneCheckpoint{
-			Frames:         uint64(p.frames.Load()),
-			Packets:        uint64(p.packets.Load()),
-			Rounds:         uint64(p.rounds.Load()),
-			Failovers:      uint64(p.failovers.Load()),
+			Frames:         uint64(p.counts.Frames.Value()),
+			Packets:        uint64(p.counts.Packets.Value()),
+			Rounds:         uint64(p.counts.Rounds.Value()),
+			Failovers:      uint64(p.counts.Failovers.Value()),
 			RecorderDigest: recorderDigest(p.eng.Recorder()),
 		})
 	}

@@ -66,17 +66,17 @@ func (f *Fabric[T]) SendMulticast(p MulticastPacket[T]) error {
 	}
 	dsts := append([]int(nil), p.Dsts...)
 	if f.closed.Load() {
-		f.met.rejected.Add(1)
+		f.met.Rejected.Add(1)
 		return ErrClosed
 	}
 	sh := f.shards[f.planeFor(p.Src, dsts[0])]
 	slot := voqSlot[mpayload[T]]{payload: mpayload[T]{dsts: dsts, data: p.Payload}, tr: p.Trace}
 	if err := sh.enqueueMcast(p.Src, slot, f.cfg.Policy); err != nil {
-		f.met.rejected.Add(1)
+		f.met.Rejected.Add(1)
 		return err
 	}
-	f.met.accepted.Add(1)
-	f.met.mcastAccepted.Add(1)
+	f.met.Accepted.Add(1)
+	f.met.Mcast.Accepted.Add(1)
 	return nil
 }
 
@@ -137,7 +137,7 @@ func (v *voqShard[T]) claimMulticast(fr *frame[T], partial []int, taken []bool, 
 		v.mcastQueued.Add(-1)
 		wait := time.Duration(tickNano - s.enq)
 		if v.met != nil {
-			v.met.VOQWait.Observe(wait)
+			v.met.Stages.VOQWait.Observe(wait)
 		}
 		s.tr.Fold("voq_wait", time.Unix(0, s.enq), wait, "")
 		partial[in] = s.payload.dsts[0]
@@ -174,7 +174,7 @@ func (f *Fabric[T]) RouteMulticastRound(m []int, prefer int) (RoundResult, error
 		return RoundResult{}, fmt.Errorf("fabric: multicast round assigns no outputs")
 	}
 	var hit bool
-	p, err := f.failover(prefer, &f.met.roundFailovers, func(p *plane) error {
+	p, err := f.failover(prefer, &f.met.RoundFailovers, func(p *plane) error {
 		resp := p.eng.RouteMulticast(mm, nil)
 		hit = resp.CacheHit
 		return resp.Err
@@ -182,9 +182,9 @@ func (f *Fabric[T]) RouteMulticastRound(m []int, prefer int) (RoundResult, error
 	if err != nil {
 		return RoundResult{}, fmt.Errorf("fabric: no healthy plane for multicast round: %w", err)
 	}
-	p.rounds.Add(1)
-	f.met.rounds.Add(1)
-	f.met.mcastRounds.Add(1)
+	p.counts.Rounds.Add(1)
+	f.met.Rounds.Add(1)
+	f.met.Mcast.Rounds.Add(1)
 	if f.jrn.Enabled() {
 		f.jrn.McastRound(p.id, mm, journal.DigestMapping(mm))
 	}

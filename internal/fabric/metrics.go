@@ -2,35 +2,36 @@ package fabric
 
 import (
 	"strconv"
-	"sync/atomic"
 
 	"repro/internal/obs"
 )
 
 // metrics aggregates the fabric-level counters and per-stage latency
-// histograms. Per-plane counters live on the planes themselves; per-VOQ
-// counters live under the voqSet mutex. Snapshot stitches all three
-// views together; Register exports every series — including the
-// per-plane engines — into one obs.Registry.
+// histograms, one series a field (see obs.Export), grouped as the
+// Snapshot nests them. Per-plane counters live on the planes
+// themselves; per-VOQ books live under the voqSet mutex. Stats
+// stitches all three views together.
 type metrics struct {
-	accepted  atomic.Int64 // packets admitted into a VOQ
-	rejected  atomic.Int64 // packets refused by tail drop or close
-	delivered atomic.Int64 // packets verified at their output port
-	lost      atomic.Int64 // accepted packets abandoned (no healthy plane at close)
-	frames    atomic.Int64 // frames scheduled
-	failovers atomic.Int64 // frames re-dispatched after a plane failure
+	Accepted  obs.Counter `metric:"benes_fabric_accepted_total" help:"Packets admitted into a VOQ."`
+	Rejected  obs.Counter `metric:"benes_fabric_rejected_total" help:"Packets refused by tail drop or close."`
+	Delivered obs.Counter `metric:"benes_fabric_delivered_total" help:"Packets verified at their output port."`
+	Lost      obs.Counter `metric:"benes_fabric_lost_total" help:"Accepted packets abandoned (no healthy plane at close)."`
+	Frames    obs.Counter `metric:"benes_fabric_frames_total" help:"Frames scheduled."`
+	Failovers obs.Counter `metric:"benes_fabric_failovers_total" help:"Frames re-dispatched after a plane failure."`
 
-	rounds         atomic.Int64 // collective rounds served via RouteRound
-	roundFailovers atomic.Int64 // rounds served only after a plane failover
+	Rounds         obs.Counter `metric:"benes_fabric_rounds_total" help:"Collective rounds served."`
+	RoundFailovers obs.Counter `metric:"benes_fabric_round_failovers_total" help:"Rounds served only after a plane failover."`
 
 	// Multicast traffic. Accepted/delivered count logical fan-out
 	// packets; copies count per-output deliveries, so copies/delivered
 	// is the fabric's fan-out amplification.
-	mcastAccepted  atomic.Int64 // multicast packets admitted
-	mcastDelivered atomic.Int64 // multicast packets with every copy verified
-	mcastCopies    atomic.Int64 // verified copies in frames
-	mcastFrames    atomic.Int64 // frames carrying at least one multicast packet
-	mcastRounds    atomic.Int64 // multicast collective rounds served
+	Mcast struct {
+		Accepted  obs.Counter `metric:"benes_fabric_mcast_accepted_total" help:"Multicast packets admitted."`
+		Delivered obs.Counter `metric:"benes_fabric_mcast_delivered_total" help:"Multicast packets with every copy verified."`
+		Copies    obs.Counter `metric:"benes_fabric_mcast_copies_total" help:"Verified multicast copies."`
+		Frames    obs.Counter `metric:"benes_fabric_mcast_frames_total" help:"Frames carrying at least one multicast packet."`
+		Rounds    obs.Counter `metric:"benes_fabric_mcast_rounds_total" help:"Multicast collective rounds served."`
+	}
 
 	// Per-stage latency histograms, mapping the paper's delay split
 	// onto the packet path: queueing (VOQWait, plus EnqueueWait for the
@@ -39,16 +40,19 @@ type metrics struct {
 	// inside the plane serve and is timed by the plane engine's Apply
 	// histogram; rounds move no payload, so their engines time no
 	// apply.
-	VOQWait     obs.Histogram // packet enqueue -> extraction into a frame
-	EnqueueWait obs.Histogram // time a Block-policy sender spent parked on a full queue
-	Match       obs.Histogram // one matching extraction (buildFrame)
-	PlaneRTT    obs.Histogram // plane round-trip: engine route of a frame or round
-
-	// Size histograms (fed by ObserveValue, not durations): how many
-	// real packets each scheduler→router handoff carried, and how many
-	// delivery callbacks each frame completion coalesced.
-	HandoffBatch obs.Histogram // real packets per frame handed to a router
-	Coalesce     obs.Histogram // packets delivered per coalesced frame drain
+	//
+	// HandoffBatch and Coalesce are size histograms (fed by
+	// ObserveValue, not durations): how many real packets each
+	// scheduler→router handoff carried, and how many delivery
+	// callbacks each frame completion coalesced.
+	Stages struct {
+		VOQWait      obs.Histogram `metric:"benes_fabric_voq_wait_seconds" help:"Packet wait from VOQ enqueue to frame extraction."`
+		EnqueueWait  obs.Histogram `metric:"benes_fabric_enqueue_wait_seconds" help:"Time Block-policy senders spent parked on a full VOQ ring."`
+		Match        obs.Histogram `metric:"benes_fabric_match_seconds" help:"Matching extraction (one scheduler tick)."`
+		PlaneRTT     obs.Histogram `metric:"benes_fabric_plane_seconds" help:"Plane round-trip for one frame or round."`
+		HandoffBatch obs.Histogram `metric:"benes_fabric_handoff_batch_size,size" help:"Real packets per frame handed from a scheduler to its router."`
+		Coalesce     obs.Histogram `metric:"benes_fabric_coalesce_size,size" help:"Packets delivered per coalesced frame drain."`
+	}
 }
 
 // McastSnapshot is the multicast slice of a fabric Snapshot.
@@ -128,35 +132,8 @@ type Snapshot struct {
 // Stats captures the full fabric snapshot: fabric counters, per-stage
 // latency, per-plane engine snapshots, and per-VOQ counters.
 func (f *Fabric[T]) Stats() Snapshot {
-	s := Snapshot{
-		Accepted:  f.met.accepted.Load(),
-		Rejected:  f.met.rejected.Load(),
-		Delivered: f.met.delivered.Load(),
-		Lost:      f.met.lost.Load(),
-		Frames:    f.met.frames.Load(),
-		Failovers: f.met.failovers.Load(),
-
-		Rounds:         f.met.rounds.Load(),
-		RoundFailovers: f.met.roundFailovers.Load(),
-
-		Mcast: McastSnapshot{
-			Accepted:  f.met.mcastAccepted.Load(),
-			Delivered: f.met.mcastDelivered.Load(),
-			Copies:    f.met.mcastCopies.Load(),
-			Frames:    f.met.mcastFrames.Load(),
-			Rounds:    f.met.mcastRounds.Load(),
-		},
-
-		Stages: StageSnapshot{
-			VOQWait:     f.met.VOQWait.Snapshot(),
-			EnqueueWait: f.met.EnqueueWait.Snapshot(),
-			Match:       f.met.Match.Snapshot(),
-			PlaneRTT:    f.met.PlaneRTT.Snapshot(),
-
-			HandoffBatch: f.met.HandoffBatch.Snapshot(),
-			Coalesce:     f.met.Coalesce.Snapshot(),
-		},
-	}
+	var s Snapshot
+	obs.Fill(&s, &f.met)
 	if s.Frames > 0 {
 		s.FrameFill = float64(s.Delivered) / float64(s.Frames) / float64(f.n)
 	}
@@ -188,51 +165,18 @@ func (f *Fabric[T]) Stats() Snapshot {
 	return s
 }
 
-// Register exports the fabric into reg: fabric counters, queue and
-// plane-health gauges, the per-stage latency histograms, and — labeled
-// by plane — each plane's counters and its engine's full series.
-// Values are read at scrape time from the same atomics the data path
-// maintains, so registration adds nothing to the packet path.
+// Register exports the fabric into reg: fabric counters, the
+// per-stage latency histograms, queue and plane-health gauges, and —
+// labeled by plane — each plane's counters and its engine's full
+// series. Values are read at scrape time from the same atomics the
+// data path maintains, so registration adds nothing to the packet path.
 func (f *Fabric[T]) Register(reg *obs.Registry) {
-	m := &f.met
-	reg.CounterFunc("benes_fabric_accepted_total", "Packets admitted into a VOQ.", nil, m.accepted.Load)
-	reg.CounterFunc("benes_fabric_rejected_total", "Packets refused by tail drop or close.", nil, m.rejected.Load)
-	reg.CounterFunc("benes_fabric_delivered_total", "Packets verified at their output port.", nil, m.delivered.Load)
-	reg.CounterFunc("benes_fabric_lost_total", "Accepted packets abandoned (no healthy plane at close).", nil, m.lost.Load)
-	reg.CounterFunc("benes_fabric_frames_total", "Frames scheduled.", nil, m.frames.Load)
-	reg.CounterFunc("benes_fabric_failovers_total", "Frames re-dispatched after a plane failure.", nil, m.failovers.Load)
-	reg.CounterFunc("benes_fabric_rounds_total", "Collective rounds served.", nil, m.rounds.Load)
-	reg.CounterFunc("benes_fabric_round_failovers_total", "Rounds served only after a plane failover.", nil, m.roundFailovers.Load)
-	reg.CounterFunc("benes_fabric_mcast_accepted_total", "Multicast packets admitted.", nil, m.mcastAccepted.Load)
-	reg.CounterFunc("benes_fabric_mcast_delivered_total", "Multicast packets with every copy verified.", nil, m.mcastDelivered.Load)
-	reg.CounterFunc("benes_fabric_mcast_copies_total", "Verified multicast copies.", nil, m.mcastCopies.Load)
-	reg.CounterFunc("benes_fabric_mcast_frames_total", "Frames carrying at least one multicast packet.", nil, m.mcastFrames.Load)
-	reg.CounterFunc("benes_fabric_mcast_rounds_total", "Multicast collective rounds served.", nil, m.mcastRounds.Load)
+	reg.Export(&f.met, nil)
 	reg.GaugeFunc("benes_fabric_voq_occupied", "Packets currently queued across all VOQs.", nil,
-		func() float64 {
-			total := int64(0)
-			for _, sh := range f.shards {
-				total += sh.occupancy()
-			}
-			return float64(total)
-		})
-	reg.GaugeFunc("benes_fabric_healthy_planes", "Planes currently in rotation.", nil, func() float64 {
-		healthy := 0
-		for _, p := range f.planes {
-			if p.healthy.Load() {
-				healthy++
-			}
-		}
-		return float64(healthy)
-	})
-	reg.RegisterHistogram("benes_fabric_voq_wait_seconds", "Packet wait from VOQ enqueue to frame extraction.", nil, &m.VOQWait)
-	reg.RegisterHistogram("benes_fabric_enqueue_wait_seconds", "Time Block-policy senders spent parked on a full VOQ ring.", nil, &m.EnqueueWait)
-	reg.RegisterHistogram("benes_fabric_match_seconds", "Matching extraction (one scheduler tick).", nil, &m.Match)
-	reg.RegisterHistogram("benes_fabric_plane_seconds", "Plane round-trip for one frame or round.", nil, &m.PlaneRTT)
-	reg.RegisterSizeHistogram("benes_fabric_handoff_batch_size", "Real packets per frame handed from a scheduler to its router.", nil, &m.HandoffBatch)
-	reg.RegisterSizeHistogram("benes_fabric_coalesce_size", "Packets delivered per coalesced frame drain.", nil, &m.Coalesce)
+		func() float64 { return float64(f.Health().VOQOccupied) })
+	reg.GaugeFunc("benes_fabric_healthy_planes", "Planes currently in rotation.", nil,
+		func() float64 { return float64(f.Health().PlanesHealthy) })
 	for _, p := range f.planes {
-		p := p
 		labels := obs.Labels{{"plane", strconv.Itoa(p.id)}}
 		reg.GaugeFunc("benes_fabric_plane_healthy", "1 when the plane is in rotation.", labels, func() float64 {
 			if p.healthy.Load() {
@@ -240,10 +184,7 @@ func (f *Fabric[T]) Register(reg *obs.Registry) {
 			}
 			return 0
 		})
-		reg.CounterFunc("benes_fabric_plane_frames_total", "Frames this plane routed.", labels, p.frames.Load)
-		reg.CounterFunc("benes_fabric_plane_packets_total", "Payload packets inside routed frames.", labels, p.packets.Load)
-		reg.CounterFunc("benes_fabric_plane_rounds_total", "Collective rounds this plane routed.", labels, p.rounds.Load)
-		reg.CounterFunc("benes_fabric_plane_failovers_total", "Frames or rounds this plane rejected or misrouted.", labels, p.failovers.Load)
+		reg.Export(&p.counts, labels)
 		p.eng.Register(reg, labels)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/perm"
 )
 
@@ -19,9 +20,10 @@ import (
 var ErrPlaneDown = errors.New("fabric: plane unhealthy")
 
 // plane is one switching plane: an independent engine instance (its own
-// plan cache and recorder) over its own copy of B(n). Planes share
-// nothing, so K planes route K frames concurrently — the packet-switch
-// analogue of a multi-plane fabric card.
+// plan cache and recorder) over B(n), whose wiring is immutable and
+// shared. Planes share no mutable state, so K planes route K frames
+// concurrently — the packet-switch analogue of a multi-plane fabric
+// card.
 type plane struct {
 	id      int
 	eng     *engine.Engine[int]
@@ -30,10 +32,7 @@ type plane struct {
 
 	transitNote string // "plane <id>", the note on its frames' plane_transit spans
 
-	frames    atomic.Int64 // frames this plane routed successfully
-	packets   atomic.Int64 // payload packets inside those frames
-	rounds    atomic.Int64 // collective rounds this plane routed successfully
-	failovers atomic.Int64 // frames or rounds this plane rejected or misrouted
+	counts planeCounts // this plane's series, labeled plane="<id>"
 
 	// Injected damage: the stuck switches probes route through. Guarded
 	// by mu and replaced, never mutated, so a reader may keep the slice.
@@ -80,15 +79,15 @@ func (p *plane) inject(faults []core.Fault) {
 // the caller's failover walk tries the next plane.
 func (p *plane) serve(work func() error) error {
 	if !p.healthy.Load() {
-		p.failovers.Add(1)
+		p.counts.Failovers.Add(1)
 		return ErrPlaneDown
 	}
 	rtt := time.Now()
 	err := work()
-	p.met.PlaneRTT.ObserveSince(rtt)
+	p.met.Stages.PlaneRTT.ObserveSince(rtt)
 	if err != nil {
 		p.healthy.Store(false)
-		p.failovers.Add(1)
+		p.counts.Failovers.Add(1)
 		return fmt.Errorf("fabric: plane %d: %w", p.id, err)
 	}
 	return nil
@@ -131,6 +130,15 @@ func (p *plane) probe(d perm.Perm) (perm.Perm, error) {
 
 func (p *plane) close() { p.eng.Close() }
 
+// planeCounts is one plane's live metrics (see obs.Export), copied
+// into its PlaneSnapshot by name.
+type planeCounts struct {
+	Frames    obs.Counter `metric:"benes_fabric_plane_frames_total" help:"Frames this plane routed."`
+	Packets   obs.Counter `metric:"benes_fabric_plane_packets_total" help:"Payload packets inside routed frames."`
+	Rounds    obs.Counter `metric:"benes_fabric_plane_rounds_total" help:"Collective rounds this plane routed."`
+	Failovers obs.Counter `metric:"benes_fabric_plane_failovers_total" help:"Frames or rounds this plane rejected or misrouted."`
+}
+
 // PlaneSnapshot is the per-plane slice of a fabric Snapshot.
 type PlaneSnapshot struct {
 	ID        int             `json:"id"`
@@ -147,14 +155,7 @@ func (p *plane) snapshot() PlaneSnapshot {
 	p.mu.Lock()
 	nf := len(p.faults)
 	p.mu.Unlock()
-	return PlaneSnapshot{
-		ID:        p.id,
-		Healthy:   p.healthy.Load(),
-		Faults:    nf,
-		Frames:    p.frames.Load(),
-		Packets:   p.packets.Load(),
-		Rounds:    p.rounds.Load(),
-		Failovers: p.failovers.Load(),
-		Engine:    p.eng.Stats(),
-	}
+	s := PlaneSnapshot{ID: p.id, Healthy: p.healthy.Load(), Faults: nf, Engine: p.eng.Stats()}
+	obs.Fill(&s, &p.counts)
+	return s
 }

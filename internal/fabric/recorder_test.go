@@ -122,6 +122,22 @@ func TestFabricRecorderFaultHits(t *testing.T) {
 	}
 }
 
+// TestPlanesShareOneNetwork checks every plane engine of a fabric
+// routes over one B(n), the one core.New hands out.
+func TestPlanesShareOneNetwork(t *testing.T) {
+	f, err := New[int](Config{LogN: 4, Planes: 3, Record: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	net := core.New(4)
+	for _, p := range f.planes {
+		if p.eng.Network() != net {
+			t.Fatalf("plane %d holds its own copy of B(4)", p.id)
+		}
+	}
+}
+
 // TestFabricHealth checks the readiness view tracks plane rotation.
 func TestFabricHealth(t *testing.T) {
 	const logN = 2

@@ -48,15 +48,15 @@ func (f *Fabric[T]) RouteRound(dest perm.Perm, prefer int) (RoundResult, error) 
 		return RoundResult{}, fmt.Errorf("fabric: round: %w", err)
 	}
 	var resp engine.Response[int]
-	p, err := f.failover(prefer, &f.met.roundFailovers, func(p *plane) error {
+	p, err := f.failover(prefer, &f.met.RoundFailovers, func(p *plane) error {
 		resp = p.eng.Route(dest, nil)
 		return resp.Err
 	})
 	if err != nil {
 		return RoundResult{}, fmt.Errorf("fabric: no healthy plane for round: %w", err)
 	}
-	p.rounds.Add(1)
-	f.met.rounds.Add(1)
+	p.counts.Rounds.Add(1)
+	f.met.Rounds.Add(1)
 	if f.jrn.Enabled() {
 		f.jrn.Round(p.id, dest, journal.DigestPerm(dest))
 	}

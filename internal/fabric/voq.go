@@ -338,7 +338,7 @@ func admit[T, E any](v *voqShard[T], r *voqRow[E], f, src int, s voqSlot[E], pol
 		v.waiters.Add(-1)
 	}
 	if v.met != nil {
-		v.met.EnqueueWait.ObserveSince(t0)
+		v.met.Stages.EnqueueWait.ObserveSince(t0)
 	}
 	return nil
 }
@@ -464,7 +464,7 @@ func (v *voqShard[T]) buildFrame(fr *frame[T]) bool {
 				v.counts[in].occupied.Add(-1)
 				wait := time.Duration(tickNano - s.enq)
 				if v.met != nil {
-					v.met.VOQWait.Observe(wait)
+					v.met.Stages.VOQWait.Observe(wait)
 				}
 				s.tr.Fold("voq_wait", time.Unix(0, s.enq), wait, "")
 				partial[in] = j
@@ -484,7 +484,7 @@ func (v *voqShard[T]) buildFrame(fr *frame[T]) bool {
 	v.rrIn = (v.rrIn + 1) % n
 	v.signalSpace()
 	if v.met != nil {
-		v.met.Match.ObserveSince(tick)
+		v.met.Stages.Match.ObserveSince(tick)
 	}
 	if fr.mcast {
 		// A frame with fan-out is a mapping, not a permutation: rebuild

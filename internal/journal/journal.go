@@ -205,7 +205,7 @@ func (j *Journal) Head() (uint64, [DigestSize]byte) {
 
 // Dropped returns how many records were lost to a full spill queue (or
 // to eviction racing a closed journal) — the readiness signal.
-func (j *Journal) Dropped() int64 { return j.met.dropped.Load() }
+func (j *Journal) Dropped() int64 { return j.met.dropped.Value() }
 
 // SpillBacklog returns how many evicted segments are queued for the
 // spill goroutine — the other readiness signal.

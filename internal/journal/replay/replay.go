@@ -112,8 +112,10 @@ type replayer struct {
 	st      core.States        // the current permutation's switch setting
 	sc      *core.SetupScratch // the setup kernels' working memory
 	comp    *mcast.Compiler
-	words   []uint64 // the current record's packed setting or copy-network plan
-	ports   []int    // per record: a frame's partial matching or mapping, or route's lines
+	words   []uint64  // the current record's packed setting or copy-network plan
+	ports   []int     // per record: a frame's partial matching or mapping, or route's lines
+	dest    perm.Perm // per frame record: its completed permutation
+	taken   []bool    // per frame record: the completion's claimed outputs
 	rep     *Report
 	counts  [journal.KindMax]uint64
 	lastCp  []uint64 // KindCounts at the window's previous checkpoint
@@ -147,6 +149,8 @@ func newReplayer(cfg Config) (*replayer, error) {
 		comp:    mcast.NewCompiler(net),
 		words:   make([]uint64, mcast.PackedLen(net)),
 		ports:   make([]int, net.N()),
+		dest:    make(perm.Perm, net.N()),
+		taken:   make([]bool, net.N()),
 		rep:     &Report{ChainOK: true},
 		planeOK: cfg.Planes > 0,
 	}, nil
@@ -253,8 +257,8 @@ func (r *replayer) replayFrame(rec *journal.Record) {
 		}
 		partial[src] = dst
 	}
-	d, err := fabric.Complete(partial)
-	if err != nil {
+	d := r.dest
+	if err := fabric.CompleteInto(partial, d, r.taken); err != nil {
 		r.diverge(rec, fmt.Sprintf("frame pairs are not a matching: %v", err))
 		return
 	}

@@ -388,7 +388,7 @@ func TestReplayBytes(t *testing.T) {
 			d := perm.RandomF(logN, rng)
 			w.Route(d, journal.DigestPerm(d))
 		}},
-		{"frame", 4 << 10, func(w *journal.Writer) {
+		{"frame", 256, func(w *journal.Writer) {
 			srcs, dsts := rng.Perm(n)[:16], rng.Perm(n)[:16]
 			w.Frame(0, srcs, dsts, journal.DigestPairs(srcs, dsts))
 		}},

@@ -21,7 +21,11 @@ func TestHistogramConcurrent(t *testing.T) {
 		perG       = 5000
 	)
 	reg := NewRegistry()
-	h := reg.Histogram("conc_seconds", "c", nil)
+	var m struct {
+		H Histogram `metric:"conc_seconds" help:"c"`
+	}
+	reg.Export(&m, nil)
+	h := &m.H
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Scrapers run for the duration of the writers: snapshots must see
@@ -167,8 +171,12 @@ func TestHistoryConcurrent(t *testing.T) {
 		capacity = 4
 	)
 	reg := NewRegistry()
-	c := reg.Counter("conc_total", "c", nil)
-	h := reg.Histogram("conc_seconds", "c", nil)
+	var m struct {
+		C Counter   `metric:"conc_total" help:"c"`
+		H Histogram `metric:"conc_seconds" help:"c"`
+	}
+	reg.Export(&m, nil)
+	c, h := &m.C, &m.H
 	hist := NewHistory(reg, capacity, time.Second)
 	handler := hist.Handler()
 	stop := make(chan struct{})
@@ -214,7 +222,11 @@ func TestHistoryConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			reg.Counter("conc_late_total", "l", Labels{{"i", strconv.Itoa(i)}}).Inc()
+			late := &struct {
+				C Counter `metric:"conc_late_total" help:"l"`
+			}{}
+			reg.Export(late, Labels{{"i", strconv.Itoa(i)}})
+			late.C.Inc()
 		}
 	}()
 	t0 := time.Unix(0, 0)

@@ -60,10 +60,9 @@ func (h *Histogram) ObserveSince(t0 time.Time) { h.Observe(time.Since(t0)) }
 // ObserveValue records one unitless value — a batch size, a coalesce
 // count — into the same power-of-two buckets the latency path uses. A
 // histogram holds durations or values, never both; on a value
-// histogram the snapshot's *Ns fields read as raw values. Register
-// value histograms with Registry.RegisterSizeHistogram so the
-// exposition's le bounds stay unitless instead of being scaled to
-// seconds.
+// histogram the snapshot's *Ns fields read as raw values. Tag value
+// histograms ",size" (see Export) so the exposition's le bounds stay
+// unitless instead of being scaled to seconds.
 func (h *Histogram) ObserveValue(v int64) {
 	if v < 0 {
 		v = 0

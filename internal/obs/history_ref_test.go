@@ -247,7 +247,9 @@ func (o *historyOps) register(b byte) {
 	help := "help " + strconv.Itoa(o.seq)
 	switch int(b) % 5 {
 	case 0:
-		o.ctrs = append(o.ctrs, o.reg.Counter(name, help, labels))
+		c := &Counter{}
+		o.ctrs = append(o.ctrs, c)
+		o.reg.CounterFunc(name, help, labels, c.Value)
 	case 1:
 		v := new(int64)
 		o.fns = append(o.fns, v)
@@ -259,11 +261,11 @@ func (o *historyOps) register(b byte) {
 	case 3:
 		h := &Histogram{}
 		o.lat = append(o.lat, h)
-		o.reg.RegisterHistogram(name, help, labels, h)
+		o.reg.register(name, help, "histogram", &series{labels: renderLabels(labels), hist: h})
 	case 4:
 		h := &Histogram{}
 		o.sizes = append(o.sizes, h)
-		o.reg.RegisterSizeHistogram(name, help, labels, h)
+		o.reg.register(name, help, "histogram", &series{labels: renderLabels(labels), hist: h, size: true})
 	}
 }
 

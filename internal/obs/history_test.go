@@ -10,14 +10,26 @@ import (
 	"time"
 )
 
+// testCounter exports one counter, test_total, into reg.
+func testCounter(reg *Registry) *Counter {
+	m := &struct {
+		C Counter `metric:"test_total" help:"t"`
+	}{}
+	reg.Export(m, nil)
+	return &m.C
+}
+
 func TestRegistrySample(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_requests_total", "requests", nil)
-	c.Add(3)
+	var m struct {
+		Requests Counter   `metric:"test_requests_total" help:"requests"`
+		Latency  Histogram `metric:"test_latency_ns" help:"latency"`
+	}
+	reg.Export(&m, nil)
+	m.Requests.Add(3)
 	reg.GaugeFunc("test_depth", "depth", Labels{{"q", "a"}}, func() float64 { return 1.5 })
-	h := reg.Histogram("test_latency_ns", "latency", nil)
-	h.Observe(100 * time.Nanosecond)
-	h.Observe(100 * time.Nanosecond)
+	m.Latency.Observe(100 * time.Nanosecond)
+	m.Latency.Observe(100 * time.Nanosecond)
 
 	lay := reg.layout()
 	if want := 1 + 1 + histWords; lay.width != want {
@@ -45,7 +57,9 @@ func TestRegistrySample(t *testing.T) {
 	if reg.layout() != lay {
 		t.Fatal("layout rebuilt without a registration")
 	}
-	reg.Counter("test_a_total", "a", nil)
+	reg.Export(&struct {
+		A Counter `metric:"test_a_total" help:"a"`
+	}{}, nil)
 	again := reg.layout()
 	if again == lay || again.fams[0].name != "test_a_total" || again.width != lay.width+1 {
 		t.Fatalf("layout after a registration: first family %q, width %d", again.fams[0].name, again.width)
@@ -57,8 +71,12 @@ func TestRegistrySample(t *testing.T) {
 
 func TestHistoryWindow(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_total", "t", nil)
-	h := reg.Histogram("test_ns", "t", nil)
+	var m struct {
+		C Counter   `metric:"test_total" help:"t"`
+		H Histogram `metric:"test_ns" help:"t"`
+	}
+	reg.Export(&m, nil)
+	c, h := &m.C, &m.H
 
 	hist := NewHistory(reg, 8, time.Second)
 	t0 := time.Unix(1000, 0)
@@ -106,7 +124,7 @@ func TestHistoryWindow(t *testing.T) {
 
 func TestHistoryRingWraps(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_total", "t", nil)
+	c := testCounter(reg)
 	hist := NewHistory(reg, 3, time.Second)
 	t0 := time.Unix(2000, 0)
 	for i := 0; i < 7; i++ {
@@ -125,7 +143,7 @@ func TestHistoryRingWraps(t *testing.T) {
 
 func TestHistoryHandler(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("test_total", "t", nil)
+	c := testCounter(reg)
 	hist := NewHistory(reg, 4, time.Second)
 	t0 := time.Unix(3000, 0)
 	c.Add(1)
@@ -164,7 +182,7 @@ func TestHistoryHandler(t *testing.T) {
 
 func TestHistoryStartStop(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("test_total", "t", nil)
+	testCounter(reg)
 	hist := NewHistory(reg, 4, time.Millisecond)
 	hist.Start()
 	deadline := time.Now().Add(2 * time.Second)

@@ -16,7 +16,8 @@ import (
 // pick one order per metric family and stick to it.
 type Labels [][2]string
 
-// Counter is a registry-owned monotone counter.
+// Counter is a monotone counter: one field of a live metrics struct,
+// registered by Export and copied into snapshots by Fill.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by delta (which must be >= 0; negative
@@ -141,17 +142,10 @@ func (r *Registry) layout() *layout {
 	return l
 }
 
-// Counter creates, registers, and returns a registry-owned counter.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", &series{labels: renderLabels(labels), counter: c.Value})
-	return c
-}
-
 // CounterFunc registers a counter whose value is read from fn at
-// scrape time — the bridge for counters owned by the instrumented
-// package (atomic fields the hot path already maintains). fn must be
-// monotone and safe for concurrent use.
+// scrape time, for a count that is computed rather than stored in a
+// live metrics struct (see Export). fn must be monotone and safe for
+// concurrent use.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() int64) {
 	if fn == nil {
 		panic("obs: CounterFunc requires a non-nil function")
@@ -165,33 +159,6 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 		panic("obs: GaugeFunc requires a non-nil function")
 	}
 	r.register(name, help, "gauge", &series{labels: renderLabels(labels), gauge: fn})
-}
-
-// Histogram creates, registers, and returns a new histogram series.
-func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
-	h := &Histogram{}
-	r.RegisterHistogram(name, help, labels, h)
-	return h
-}
-
-// RegisterHistogram registers an existing histogram — the bridge for
-// histograms embedded in the instrumented packages' metrics structs.
-func (r *Registry) RegisterHistogram(name, help string, labels Labels, h *Histogram) {
-	if h == nil {
-		panic("obs: RegisterHistogram requires a non-nil histogram")
-	}
-	r.register(name, help, "histogram", &series{labels: renderLabels(labels), hist: h})
-}
-
-// RegisterSizeHistogram registers a histogram fed by ObserveValue:
-// batch sizes, coalesce counts, and other unitless distributions. The
-// exposition's le bounds are the raw power-of-two bucket bounds (up to
-// 65535, then +Inf) instead of being scaled to seconds.
-func (r *Registry) RegisterSizeHistogram(name, help string, labels Labels, h *Histogram) {
-	if h == nil {
-		panic("obs: RegisterSizeHistogram requires a non-nil histogram")
-	}
-	r.register(name, help, "histogram", &series{labels: renderLabels(labels), hist: h, size: true})
 }
 
 // renderLabels renders labels as {k="v",...} with Prometheus escaping.

@@ -13,12 +13,19 @@ import (
 // escaping, and a histogram's cumulative buckets, sum, and count.
 func TestWritePrometheusExact(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("demo_requests_total", "Requests accepted.", nil)
-	c.Add(3)
+	var demo struct {
+		Requests Counter `metric:"demo_requests_total" help:"Requests accepted."`
+	}
+	reg.Export(&demo, nil)
+	demo.Requests.Add(3)
 	reg.CounterFunc("demo_requests_total", "Requests accepted.", Labels{{"plane", "0"}}, func() int64 { return 41 })
 	reg.GaugeFunc("demo_queue_depth", "Queued requests.", nil, func() float64 { return 2.5 })
 	reg.GaugeFunc("demo_weird_label", "Escaping.", Labels{{"q", "a\"b\\c\nd"}}, func() float64 { return 1 })
-	h := reg.Histogram("demo_stage_seconds", "Stage latency.", Labels{{"stage", "plan"}})
+	var stage struct {
+		Seconds Histogram `metric:"demo_stage_seconds" help:"Stage latency."`
+	}
+	reg.Export(&stage, Labels{{"stage", "plan"}})
+	h := &stage.Seconds
 	h.Observe(100 * time.Nanosecond) // bucket exp 7 -> first non-zero at le=2^8-1
 	h.Observe(10 * time.Microsecond) // 10_000 ns -> exp 14 -> le=2^14-1
 	h.Observe(5 * time.Millisecond)  // 5e6 ns -> exp 23 -> le=2^24-1
@@ -71,9 +78,11 @@ func TestWritePrometheusExact(t *testing.T) {
 	// new series render where a renderer sorting on every scrape puts
 	// them.
 	reg.CounterFunc("demo_requests_total", "Requests accepted.", Labels{{"plane", "1"}}, func() int64 { return 7 })
-	var sz Histogram
-	sz.ObserveValue(17)
-	reg.RegisterSizeHistogram("demo_batch", "Batch sizes.", nil, &sz)
+	var sz struct {
+		Batch Histogram `metric:"demo_batch,size" help:"Batch sizes."`
+	}
+	sz.Batch.ObserveValue(17)
+	reg.Export(&sz, nil)
 	b.Reset()
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -93,7 +102,11 @@ func TestWritePrometheusExact(t *testing.T) {
 // exposition.
 func TestHistogramBucketsMonotone(t *testing.T) {
 	reg := NewRegistry()
-	h := reg.Histogram("mono_seconds", "m", nil)
+	var m struct {
+		H Histogram `metric:"mono_seconds" help:"m"`
+	}
+	reg.Export(&m, nil)
+	h := &m.H
 	d := time.Nanosecond
 	for i := 0; i < 60; i++ {
 		h.Observe(d)
@@ -135,7 +148,11 @@ func TestHistogramBucketsMonotone(t *testing.T) {
 // version 0.0.4 text exposition content type.
 func TestHandlerContentType(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("x_total", "x", nil).Inc()
+	var m struct {
+		X Counter `metric:"x_total" help:"x"`
+	}
+	reg.Export(&m, nil)
+	m.X.Inc()
 	rec := httptest.NewRecorder()
 	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if got := rec.Header().Get("Content-Type"); got != ContentType {
@@ -150,17 +167,18 @@ func TestHandlerContentType(t *testing.T) {
 // contract: duplicate series and type-conflicting names are wiring
 // bugs, caught at startup.
 func TestRegistryMisusePanics(t *testing.T) {
+	zero := func() int64 { return 0 }
 	for name, f := range map[string]func(r *Registry){
 		"duplicate series": func(r *Registry) {
-			r.Counter("a_total", "a", nil)
-			r.Counter("a_total", "a", nil)
+			r.CounterFunc("a_total", "a", nil, zero)
+			r.CounterFunc("a_total", "a", nil, zero)
 		},
 		"type conflict": func(r *Registry) {
-			r.Counter("a_total", "a", nil)
+			r.CounterFunc("a_total", "a", nil, zero)
 			r.GaugeFunc("a_total", "a", Labels{{"x", "y"}}, func() float64 { return 0 })
 		},
 		"empty name": func(r *Registry) {
-			r.Counter("", "a", nil)
+			r.CounterFunc("", "a", nil, zero)
 		},
 		"nil func": func(r *Registry) {
 			r.CounterFunc("b_total", "b", nil, nil)
