@@ -33,6 +33,27 @@ type journalRecord struct {
 	Digest     string              `json:"digest"`
 }
 
+// wireRecord is rec's NDJSON line. It shares rec's slices, so it must
+// be encoded before rec is reused.
+func wireRecord(rec *journal.Record) journalRecord {
+	jr := journalRecord{
+		Seq:        rec.Seq,
+		Kind:       rec.Kind.String(),
+		Plane:      rec.Plane,
+		TimeNs:     rec.TimeNs,
+		Dest:       rec.Dest,
+		Srcs:       rec.Srcs,
+		Dsts:       rec.Dsts,
+		Faults:     rec.Faults,
+		Checkpoint: rec.Checkpoint,
+		Digest:     fmt.Sprintf("%x", rec.Digest),
+	}
+	if rec.Delivered != 0 {
+		jr.Delivered = fmt.Sprintf("%016x", rec.Delivered)
+	}
+	return jr
+}
+
 // journalWindow parses the optional from/to query parameters against
 // the journal's retained bounds. A missing parameter defaults to the
 // matching bound; 0 is not a valid sequence number.
@@ -60,7 +81,11 @@ func (s *server) journalWindow(r *http.Request) (from, to uint64, err error) {
 
 // handleDebugJournal streams the requested record window as NDJSON, one
 // record per line in sequence order. The window is clamped to what the
-// journal still retains (memory ring plus spill files).
+// journal still retains (memory ring plus spill files). Each record is
+// encoded inside Journal.Scan's visit, so the dump holds one decoded
+// record at a time. The status is 200 before the first record is
+// read: a record or spill file that no longer decodes ends the stream
+// with one final {"error": ...} line.
 func (s *server) handleDebugJournal(w http.ResponseWriter, r *http.Request) {
 	if s.jrn == nil {
 		s.httpError(w, http.StatusNotFound, "journaling disabled; start benesd with -journal")
@@ -71,34 +96,20 @@ func (s *server) handleDebugJournal(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	recs, err := s.jrn.Read(from, to)
-	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	for _, rec := range recs {
-		jr := journalRecord{
-			Seq:        rec.Seq,
-			Kind:       rec.Kind.String(),
-			Plane:      rec.Plane,
-			TimeNs:     rec.TimeNs,
-			Dest:       rec.Dest,
-			Srcs:       rec.Srcs,
-			Dsts:       rec.Dsts,
-			Faults:     rec.Faults,
-			Checkpoint: rec.Checkpoint,
-			Digest:     fmt.Sprintf("%x", rec.Digest),
+	var werr error // the first failed write; later records are skipped
+	err = s.jrn.Scan(from, to, func(rec *journal.Record) {
+		if werr == nil {
+			werr = enc.Encode(wireRecord(rec))
 		}
-		if rec.Delivered != 0 {
-			jr.Delivered = fmt.Sprintf("%016x", rec.Delivered)
-		}
-		if err := enc.Encode(jr); err != nil {
-			s.log.Warn("streaming journal records", "err", err)
-			return
-		}
+	})
+	if err != nil && werr == nil {
+		werr = enc.Encode(map[string]string{"error": err.Error()})
+	}
+	if werr != nil {
+		s.log.Warn("streaming journal records", "err", werr)
 	}
 }
 

@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -275,5 +278,120 @@ func TestJournalDegradations(t *testing.T) {
 	}
 	if got := journalDegradations(1, 1); len(got) != 2 {
 		t.Fatalf("want both reasons: %v", got)
+	}
+}
+
+// ndjsonSink is an http.ResponseWriter that keeps the status and the
+// body, with nothing buffered beyond the body itself.
+type ndjsonSink struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (w *ndjsonSink) Header() http.Header         { return w.header }
+func (w *ndjsonSink) WriteHeader(status int)      { w.status = status }
+func (w *ndjsonSink) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// dumpJournal runs the /debug/journal handler over j's whole window.
+func dumpJournal(j *journal.Journal, w http.ResponseWriter) {
+	s := &server{jrn: j, log: testLogger()}
+	s.handleDebugJournal(w, httptest.NewRequest(http.MethodGet, "/debug/journal", nil))
+}
+
+// TestJournalDumpStreams dumps 4,096 route records at N=256. The body
+// must be byte for byte the records Journal.Read returns, one
+// json.Encoder line each, and the handler must allocate under 1 KB a
+// record: it encodes each record inside Journal.Scan's visit, one
+// reused Record at a time. Decoding the whole window first, as Read
+// does, allocates ~2.2 KB a record, 2 KB of it the destination vector.
+// Under -race the byte budget is not held: encoding/json's pooled
+// encoder state is then dropped at random and regrown per line.
+func TestJournalDumpStreams(t *testing.T) {
+	j, err := journal.New(journal.Config{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	const records = 4096
+	rng := rand.New(rand.NewSource(30))
+	jw := j.Writer()
+	for i := 0; i < records; i++ {
+		d := perm.Random(256, rng)
+		jw.Route(d, journal.DigestPerm(d))
+	}
+	recs, err := j.Read(1, records)
+	if err != nil || len(recs) != records {
+		t.Fatalf("Read: %d records, %v", len(recs), err)
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, rec := range recs {
+		if err := enc.Encode(wireRecord(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs = nil
+
+	sink := &ndjsonSink{header: http.Header{}}
+	sink.body.Grow(2 * want.Len()) // the sink's growth is not the handler's
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	dumpJournal(j, sink)
+	runtime.ReadMemStats(&m1)
+	if sink.status != http.StatusOK || !bytes.Equal(sink.body.Bytes(), want.Bytes()) {
+		t.Fatalf("status %d, %d body bytes: want 200 and the %d bytes of Read's records",
+			sink.status, sink.body.Len(), want.Len())
+	}
+	perRecord := float64(m1.TotalAlloc-m0.TotalAlloc) / records
+	t.Logf("dump of %d records at N=256: %.0f B allocated a record", records, perRecord)
+	if perRecord >= 1024 && !raceEnabled {
+		t.Fatalf("dump allocated %.0f B a record, want under 1 KB", perRecord)
+	}
+}
+
+// TestJournalDumpBadSpill corrupts the second of three spilled segment
+// files: the dump answers 200 with the first segment's records, then
+// one final error line naming the failure.
+func TestJournalDumpBadSpill(t *testing.T) {
+	dir := t.TempDir()
+	j, err := journal.New(journal.Config{Cap: 8, SegmentRecords: 4, SpillDir: dir, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jw := j.Writer()
+	for i := 0; i < 20; i++ {
+		d := perm.BitReversal(3)
+		jw.Route(d, journal.DigestPerm(d))
+	}
+	j.Close() // drains the spill queue
+	files, err := filepath.Glob(filepath.Join(dir, "seg-*.jrn"))
+	if err != nil || len(files) != 3 {
+		t.Fatalf("spill files %v (%v), want 3", files, err)
+	}
+	raw, err := os.ReadFile(files[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(files[1], raw[:len(raw)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sink := &ndjsonSink{header: http.Header{}}
+	dumpJournal(j, sink)
+	lines := strings.Split(strings.TrimSuffix(sink.body.String(), "\n"), "\n")
+	if sink.status != http.StatusOK || len(lines) != 5 {
+		t.Fatalf("status %d, %d lines: want 200, 4 records and an error line:\n%s", sink.status, len(lines), sink.body.String())
+	}
+	for i, line := range lines[:4] {
+		var jr journalRecord
+		if err := json.Unmarshal([]byte(line), &jr); err != nil || jr.Seq != uint64(i+1) {
+			t.Fatalf("line %d = %q (%v), want record %d", i, line, err, i+1)
+		}
+	}
+	var tail map[string]string
+	if err := json.Unmarshal([]byte(lines[4]), &tail); err != nil || len(tail) != 1 || !strings.Contains(tail["error"], filepath.Base(files[1])) {
+		t.Fatalf("last line %q (%v), want one error naming %s", lines[4], err, filepath.Base(files[1]))
 	}
 }

@@ -134,6 +134,11 @@ func (b *Network) Stages() int { return b.stages }
 // SwitchesPerStage returns N/2.
 func (b *Network) SwitchesPerStage() int { return b.size / 2 }
 
+// StageWords returns the number of 64-bit words one stage of a packed
+// setting takes, ⌈N/128⌉ (pack.go's layout). A packed setting of the
+// whole network is Stages()·StageWords() words.
+func (b *Network) StageWords() int { return (b.size/2 + 63) / 64 }
+
 // SwitchCount returns the total number of binary switches,
 // N log N - N/2, matching the paper's Section I count.
 func (b *Network) SwitchCount() int { return b.size*b.n - b.size/2 }

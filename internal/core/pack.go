@@ -2,10 +2,14 @@ package core
 
 // Packed form for switch settings: stage-major bit words, bit i%64 of
 // word s·W + i/64 set when switch (s, i) is crossed, where W =
-// ⌈switches per stage / 64⌉ (⌈N/128⌉ for a whole B(n)). A setting of
-// N log N − N/2 switches takes that many bits, rounded up to whole
-// words per stage. The engine's plan cache keeps every plan in this
-// form, and the flight recorder diffs it word against word.
+// ⌈switches per stage / 64⌉ (Network.StageWords for a whole B(n)). A
+// setting of N log N − N/2 switches takes that many bits, rounded up
+// to whole words per stage. The setup kernels (SetupInto,
+// SelfRouteInto) write this form directly, the engine's plan cache
+// keeps every plan in it, and the flight recorder diffs it word
+// against word. Pack and Unpack convert a States to and from it: the
+// reference Setup unpacks the kernel's words, and tests pack the
+// settings of reference evaluators to compare.
 //
 // A four-state (copy ladder) setting packs into two such word slices:
 // lo holds each switch's state&1 and hi its broadcast bit, so

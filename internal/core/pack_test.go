@@ -105,23 +105,3 @@ func TestPackMcastStates(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkPackStates packs a random B(10) setting (19 stages of 512
-// switches), the per-miss and per-frame cost at N=1024.
-func BenchmarkPackStates(b *testing.B) {
-	net := New(10)
-	st := net.NewStates()
-	rng := rand.New(rand.NewSource(1))
-	for s := range st {
-		for i := range st[s] {
-			st[s][i] = rng.Intn(2) == 1
-		}
-	}
-	dst := make([]uint64, st.PackedLen())
-	b.ReportAllocs()
-	b.SetBytes(int64(net.SwitchCount() / 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Pack(dst)
-	}
-}

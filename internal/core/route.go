@@ -140,9 +140,11 @@ func (b *Network) SelfRoute(d perm.Perm) *Result {
 }
 
 // SelfRouteInto is the serving-path kernel of SelfRoute: it applies the
-// Fig. 3 switch rule stage by stage, writes each self-set state into st,
-// and reports whether d is realized. It keeps no trace and allocates
-// nothing; its two tag buffers are sc's loop-resolution arrays.
+// Fig. 3 switch rule stage by stage, writes each stage's self-set
+// states into words packed (pack.go's layout, each word built in a
+// register and stored once), and reports whether d is realized. It
+// keeps no trace and allocates nothing; its two tag buffers are sc's
+// loop-resolution arrays.
 //
 // From stage n-1 on, each stage fixes one bit of the output a tag
 // reaches (stage s its control bit), whichever line the tag entered
@@ -151,16 +153,16 @@ func (b *Network) SelfRoute(d perm.Perm) *Result {
 // asks for, and a switch there misroutes one of its two tags exactly
 // when both ask for the same output. SelfRouteInto returns false at
 // the first such switch (stage by stage, lowest switch first), leaving
-// st partly written; SetupInto overwrites every switch.
+// words partly written; SetupInto overwrites every word.
 //
 // d must be a permutation of length N; only the length is checked.
-// For such d the verdict equals SelfRoute(d).OK(), and on true st
-// equals SelfRoute(d).States.
-func (b *Network) SelfRouteInto(d perm.Perm, st States, sc *SetupScratch) bool {
+// For such d the verdict equals SelfRoute(d).OK(), and on true words
+// equal SelfRoute(d).States packed.
+func (b *Network) SelfRouteInto(d perm.Perm, words []uint64, sc *SetupScratch) bool {
 	if len(d) != b.size {
 		panic(fmt.Sprintf("core: SelfRouteInto: permutation length %d != N %d", len(d), b.size))
 	}
-	half := b.size / 2
+	half, w := b.size/2, b.StageWords()
 	tags, next := sc.invDest[:b.size], sc.up[:b.size]
 	copy(tags, d)
 	for s := 0; s < b.stages; s++ {
@@ -170,20 +172,24 @@ func (b *Network) SelfRouteInto(d perm.Perm, st States, sc *SetupScratch) bool {
 		if s < b.stages-1 {
 			link = b.link[s]
 		}
-		row := st[s][:half]
-		for i := range row {
-			up, lo := tags[2*i], tags[2*i+1]
-			bit := (up >> cb) & 1
-			if checked && (lo>>cb)&1 == bit {
-				return false
+		row := words[s*w : (s+1)*w]
+		for k := range row {
+			var word uint64
+			for i, end := k*64, min(k*64+64, half); i < end; i++ {
+				up, lo := tags[2*i], tags[2*i+1]
+				bit := (up >> cb) & 1
+				if checked && (lo>>cb)&1 == bit {
+					return false
+				}
+				word |= uint64(bit) << (uint(i) & 63)
+				if link != nil {
+					// The upper tag leaves on output 2i+bit, the lower on
+					// the other one.
+					next[link[2*i+bit]] = up
+					next[link[2*i+1-bit]] = lo
+				}
 			}
-			row[i] = bit == 1
-			if link != nil {
-				// The upper tag leaves on output 2i+bit, the lower on
-				// the other one.
-				next[link[2*i+bit]] = up
-				next[link[2*i+1-bit]] = lo
-			}
+			row[k] = word
 		}
 		tags, next = next, tags
 	}

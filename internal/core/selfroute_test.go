@@ -8,35 +8,41 @@ import (
 )
 
 // checkSelfRouteInto holds SelfRouteInto to the reference evaluator on
-// one permutation: the same verdict, and bit-identical states when d is
-// realized. st and sc are reused across calls, so every check also
-// runs on buffers left dirty by the previous one.
-func checkSelfRouteInto(t *testing.T, b *Network, d perm.Perm, st States, sc *SetupScratch) {
+// one permutation: the same verdict, and words bit-identical to
+// SelfRoute's states packed when d is realized. words is filled with
+// ones before the call, so every check runs on a dirty buffer, and sc
+// is reused across calls.
+func checkSelfRouteInto(t *testing.T, b *Network, d perm.Perm, words []uint64, sc *SetupScratch) {
 	t.Helper()
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
 	ref := b.SelfRoute(d)
-	if got := b.SelfRouteInto(d, st, sc); got != ref.OK() {
+	if got := b.SelfRouteInto(d, words, sc); got != ref.OK() {
 		t.Fatalf("N=%d d=%v: SelfRouteInto = %v, SelfRoute OK = %v", b.N(), d, got, ref.OK())
 	}
 	if !ref.OK() {
 		return
 	}
-	for s := range st {
-		for i := range st[s] {
-			if st[s][i] != ref.States[s][i] {
-				t.Fatalf("N=%d d=%v: state (%d,%d) = %v, SelfRoute set %v", b.N(), d, s, i, st[s][i], ref.States[s][i])
-			}
+	want := ref.States.Pack(make([]uint64, ref.States.PackedLen()))
+	for i := range want {
+		if words[i] != want[i] {
+			t.Fatalf("N=%d d=%v: word %d = %#x, SelfRoute packs %#x", b.N(), d, i, words[i], want[i])
 		}
 	}
 }
+
+// settingWords returns a buffer for one packed setting of b.
+func settingWords(b *Network) []uint64 { return make([]uint64, b.Stages()*b.StageWords()) }
 
 // TestSelfRouteIntoExhaustive compares the kernel with SelfRoute on
 // every permutation of N = 2, 4 and 8.
 func TestSelfRouteIntoExhaustive(t *testing.T) {
 	for n := 1; n <= 3; n++ {
 		b := New(n)
-		st, sc := b.NewStates(), NewSetupScratch(b)
+		words, sc := settingWords(b), NewSetupScratch(b)
 		perm.ForEach(b.N(), func(d perm.Perm) bool {
-			checkSelfRouteInto(t, b, d, st, sc)
+			checkSelfRouteInto(t, b, d, words, sc)
 			return true
 		})
 	}
@@ -49,14 +55,14 @@ func TestSelfRouteIntoRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for n := 1; n <= 10; n++ {
 		b := New(n)
-		st, sc := b.NewStates(), NewSetupScratch(b)
+		words, sc := settingWords(b), NewSetupScratch(b)
 		for k := 0; k < 20; k++ {
 			f := perm.RandomF(n, rng)
-			if !b.SelfRouteInto(f, st, sc) {
+			if !b.SelfRouteInto(f, words, sc) {
 				t.Fatalf("n=%d: F(n) member %v rejected", n, f)
 			}
-			checkSelfRouteInto(t, b, f, st, sc)
-			checkSelfRouteInto(t, b, perm.Random(b.N(), rng), st, sc)
+			checkSelfRouteInto(t, b, f, words, sc)
+			checkSelfRouteInto(t, b, perm.Random(b.N(), rng), words, sc)
 		}
 	}
 }
@@ -68,7 +74,7 @@ func TestSelfRouteIntoPanicsOnLength(t *testing.T) {
 			t.Fatal("SelfRouteInto of a short permutation should panic")
 		}
 	}()
-	b.SelfRouteInto(perm.Identity(4), b.NewStates(), NewSetupScratch(b))
+	b.SelfRouteInto(perm.Identity(4), settingWords(b), NewSetupScratch(b))
 }
 
 // FuzzSelfRouteInto turns fuzz bytes into a permutation of N=16 or 64 —
@@ -104,6 +110,6 @@ func FuzzSelfRouteInto(f *testing.F) {
 				d[i], d[j] = d[j], d[i]
 			}
 		}
-		checkSelfRouteInto(t, b, d, b.NewStates(), NewSetupScratch(b))
+		checkSelfRouteInto(t, b, d, settingWords(b), NewSetupScratch(b))
 	})
 }

@@ -11,7 +11,8 @@ import (
 // Section I cites it as the best known O(N log N) sequential setup).
 // The returned setting, applied via ExternalRoute, realizes d exactly —
 // this is the paper's remark that with the self-setting logic disabled
-// the network realizes all N! permutations.
+// the network realizes all N! permutations. Setup is the reference
+// form: it runs SetupInto and unpacks the words it writes.
 func (b *Network) Setup(d perm.Perm) States {
 	if err := d.Validate(); err != nil {
 		panic("core: Setup: " + err.Error())
@@ -19,8 +20,10 @@ func (b *Network) Setup(d perm.Perm) States {
 	if len(d) != b.size {
 		panic(fmt.Sprintf("core: Setup: permutation length %d != N %d", len(d), b.size))
 	}
+	words := make([]uint64, b.stages*b.StageWords())
+	b.SetupInto(d, words, NewSetupScratch(b))
 	st := b.NewStates()
-	b.SetupInto(d, st, NewSetupScratch(b))
+	st.Unpack(words)
 	return st
 }
 
@@ -31,7 +34,7 @@ func (b *Network) Setup(d perm.Perm) States {
 // paths that set up a fresh permutation per frame (the packet fabric).
 // SelfRouteInto borrows the two loop-resolution arrays as its tag
 // buffers, so one scratch serves a self-routing attempt and the looping
-// fallback after it.
+// fallback after it, each writing the caller's packed words.
 type SetupScratch struct {
 	invDest []int   // destination -> block-local input, reused per block
 	up      []int   // loop-resolution direction per input, reused per block
@@ -52,61 +55,83 @@ func NewSetupScratch(b *Network) *SetupScratch {
 	return sc
 }
 
-// SetupInto is Setup writing into caller-owned memory: st receives the
-// switch setting (every switch is overwritten, so a dirty st is fine)
-// and sc provides the working buffers. It performs no allocations,
-// making it the right entry point for per-frame setup on serving paths.
-// Like Setup it panics on an invalid permutation — callers on hot paths
-// are expected to construct d correct by construction.
-func (b *Network) SetupInto(d perm.Perm, st States, sc *SetupScratch) {
+// SetupInto is Setup writing into caller-owned memory: words receives
+// the switch setting packed (pack.go's layout, Stages()·StageWords()
+// words; every one is overwritten, so a dirty buffer is fine) and sc
+// provides the working buffers. It performs no allocations, making it
+// the right entry point for per-frame setup on serving paths. Like
+// Setup it panics on an invalid permutation — callers on hot paths are
+// expected to construct d correct by construction.
+func (b *Network) SetupInto(d perm.Perm, words []uint64, sc *SetupScratch) {
 	if len(d) != b.size {
 		panic(fmt.Sprintf("core: SetupInto: permutation length %d != N %d", len(d), b.size))
 	}
+	words = words[:b.stages*b.StageWords()]
+	clear(words)
 	dests := sc.levels[0][:b.size]
 	copy(dests, d)
-	b.setupScratch(dests, 0, 0, b.n, st, sc)
+	b.SetupBlock(dests, 0, 0, b.n, words, sc)
 }
 
-// setupScratch solves the B(m) block whose inputs occupy lines
-// [lo, lo+2^m) at stages [s0, s0+2m-2]. dests[k] is the block-local
-// destination of the input at block-local position k. All working
-// memory comes from sc: invDest and up are safe to share across blocks
-// because their last use precedes the recursive calls, and the
-// sub-permutations live in sc.levels[depth+1], segmented by lo so
-// sibling blocks never overlap.
-func (b *Network) setupScratch(dests []int, lo, s0, m int, st States, sc *SetupScratch) {
-	size := 1 << uint(m)
+// SettingInto writes into words the setting every serving path gives
+// d: the self-routing kernel's when d is in F(n), and otherwise, from
+// the kernel's first conflict, the looping algorithm's. It reports
+// which of the two it wrote. Like SetupInto it allocates nothing and
+// expects a valid permutation of length N.
+func (b *Network) SettingInto(d perm.Perm, words []uint64, sc *SetupScratch) (selfRouted bool) {
+	if b.SelfRouteInto(d, words, sc) {
+		return true
+	}
+	b.SetupInto(d, words, sc)
+	return false
+}
+
+// SetupBlock solves the B(m) block whose inputs occupy lines
+// [lo, lo+2^m) at stages [s0, s0+2m-2], exactly as SetupInto solves it
+// inside the whole network: the emitted states depend only on the
+// block-local dests, never on the surrounding blocks. dests[k] is the
+// block-local destination of the input at block-local position k. It
+// ORs the block's switch bits into words, whose bits for the block must
+// be clear. All working memory comes from sc, which must come from
+// NewSetupScratch of this network: invDest and up are safe to share
+// across blocks because their last use precedes the recursive calls,
+// and the sub-permutations live in sc.levels[depth+1], segmented by lo
+// so sibling blocks never overlap. SetupInto recurses through it, and
+// internal/psetup calls it for its serial subtrees.
+func (b *Network) SetupBlock(dests []int, lo, s0, m int, words []uint64, sc *SetupScratch) {
 	if m == 1 {
-		// A single switch: inputs (0,1) to outputs {dests[0], dests[1]}.
-		st[s0][lo/2] = dests[0] == 1
+		// A single switch, lo/2: inputs (0,1) to outputs {dests[0], dests[1]}.
+		words[s0*b.StageWords()+lo>>7] |= uint64(dests[0]) << (lo >> 1 & 63)
 		return
 	}
+	size := 1 << uint(m)
 	half := size / 2
-	depth := b.n - m // 0 at the outermost block
-	next := sc.levels[depth+1]
+	next := sc.levels[b.n-m+1]
 	upDests := next[lo : lo+half]
 	downDests := next[lo+half : lo+size]
-	colorBlock(dests, lo, s0, m, st, sc.invDest, sc.up, upDests, downDests)
-	b.setupScratch(upDests, lo, s0+1, m-1, st, sc)
-	b.setupScratch(downDests, lo+half, s0+1, m-1, st, sc)
+	b.ColorBlock(dests, lo, s0, m, words, sc, upDests, downDests)
+	b.SetupBlock(upDests, lo, s0+1, m-1, words, sc)
+	b.SetupBlock(downDests, lo+half, s0+1, m-1, words, sc)
 }
 
-// colorBlock runs one level of the looping algorithm on the B(m) block
-// at lines [lo, lo+2^m), stages [s0, s0+2m-2]: it resolves the
-// 2-coloring loops, writes the block's first- and last-stage switch
-// states into st, and scatters the two half-size sub-permutations into
-// upDests and downDests (each len 2^(m-1), caller-owned). invDest and
-// up are scratch of length >= 2^m. The coloring is deterministic —
+// ColorBlock runs one level of the looping algorithm on the B(m) block
+// at lines [lo, lo+2^m), stages [s0, s0+2m-2], m >= 2: it resolves the
+// 2-coloring loops, ORs the block's first- and last-stage switch bits
+// into words (whose bits for the block must be clear), and scatters the
+// two half-size sub-permutations into upDests and downDests (each len
+// 2^(m-1), caller-owned). It uses sc's loop-resolution arrays and
+// leaves sc.levels untouched, so one scratch may serve interleaved
+// ColorBlock and SetupBlock calls. The coloring is deterministic —
 // Waksman's free choice always sends each loop's smallest-numbered
 // input through the upper subnetwork — which is what makes every
-// alternative driver of this routine (serial recursion here, the
-// worker-pool recursion in internal/psetup, the PRAM-rounds model in
-// internal/parsetup) bit-identical in its emitted states.
-func colorBlock(dests []int, lo, s0, m int, st States, invDestSc, upSc []int, upDests, downDests []int) {
+// recursion over this routine (the serial one of SetupInto, the
+// worker-pool one in internal/psetup) bit-identical to the PRAM-rounds
+// model in internal/parsetup.
+func (b *Network) ColorBlock(dests []int, lo, s0, m int, words []uint64, sc *SetupScratch, upDests, downDests []int) {
 	size := 1 << uint(m)
 	half := size / 2
 	// invDest[v] = input position whose destination is v.
-	invDest := invDestSc[:size]
+	invDest := sc.invDest[:size]
 	for k, v := range dests {
 		invDest[v] = k
 	}
@@ -119,7 +144,7 @@ func colorBlock(dests []int, lo, s0, m int, st States, invDestSc, upSc []int, up
 	const unset = 0
 	const goesUp = 1
 	const goesDown = 2
-	up := upSc[:size]
+	up := sc.up[:size]
 	for i := range up {
 		up[i] = unset
 	}
@@ -146,10 +171,24 @@ func colorBlock(dests []int, lo, s0, m int, st States, invDestSc, upSc []int, up
 			}
 		}
 	}
-	// First-stage switch states: switch i is straight when its upper
-	// input (position 2i) goes up.
-	for i := 0; i < half; i++ {
-		st[s0][lo/2+i] = up[2*i] != goesUp
+	// First-stage switch i is straight when its upper input (position
+	// 2i) goes up; last-stage switch j is straight when destination 2j
+	// is the one served through the upper subnetwork. A direction minus
+	// goesUp is the switch's bit. Each stage's bits are built in a
+	// register, up to a word at a time: a block of 128 lines or more
+	// owns whole words, a smaller one shares its word with siblings.
+	w := b.StageWords()
+	first := words[s0*w : (s0+1)*w]
+	last := words[(s0+2*m-2)*w : (s0+2*m-1)*w]
+	for i0 := 0; i0 < half; i0 += 64 {
+		var f, l uint64
+		for i, end := i0, min(i0+64, half); i < end; i++ {
+			f |= uint64(up[2*i]-goesUp) << (uint(i) & 63)
+			l |= uint64(up[invDest[2*i]]-goesUp) << (uint(i) & 63)
+		}
+		sw := lo/2 + i0
+		first[sw>>6] |= f << (uint(sw) & 63)
+		last[sw>>6] |= l << (uint(sw) & 63)
 	}
 	// Build the sub-permutations seen by the two subnetworks. The input
 	// at position k enters subnetwork position k/2; destination v is
@@ -161,35 +200,4 @@ func colorBlock(dests []int, lo, s0, m int, st States, invDestSc, upSc []int, up
 			downDests[k/2] = v / 2
 		}
 	}
-	// Last-stage switch states: switch j's upper input carries the
-	// up-routed destination v with v/2 == j; straight iff that v == 2j.
-	lastStage := s0 + 2*m - 2
-	for k, v := range dests {
-		if up[k] == goesUp {
-			st[lastStage][lo/2+v/2] = v%2 == 1
-		}
-	}
-}
-
-// ColorBlock exposes one level of the looping algorithm for external
-// recursion drivers (the parallel setup of internal/psetup): it solves
-// the 2-coloring of the B(m) block at lines [lo, lo+2^m) and stages
-// [s0, s0+2m-2], writes the block's outer stage pair into st, and
-// scatters the two half-size sub-permutations into upDests and
-// downDests (each len 2^(m-1)). sc supplies the loop-resolution
-// scratch; the call leaves sc.levels untouched, so one scratch may
-// serve interleaved ColorBlock and SetupBlock calls. m must be >= 2.
-func (b *Network) ColorBlock(dests []int, lo, s0, m int, st States, sc *SetupScratch, upDests, downDests []int) {
-	colorBlock(dests, lo, s0, m, st, sc.invDest, sc.up, upDests, downDests)
-}
-
-// SetupBlock solves the complete B(m) sub-block at lines [lo, lo+2^m)
-// and stages [s0, s0+2m-2] serially, exactly as a Setup of the whole
-// network would solve it: the emitted states depend only on the
-// block-local dests, never on the surrounding blocks. This is the
-// serial-subtree leaf of internal/psetup's worker-pool recursion. sc
-// must come from NewSetupScratch of this network (its level buffers
-// are indexed by absolute depth b.LogN()-m and line offset lo).
-func (b *Network) SetupBlock(dests []int, lo, s0, m int, st States, sc *SetupScratch) {
-	b.setupScratch(dests, lo, s0, m, st, sc)
 }

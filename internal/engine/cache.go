@@ -20,7 +20,7 @@ const (
 	// the paper's O(log N) setup-free path).
 	PlanSelfRouted PlanKind = iota
 	// PlanLooped marks a plan computed by the classic looping algorithm
-	// (core.Setup) because the permutation is outside F(n).
+	// (core.Network.SetupInto) because the permutation is outside F(n).
 	PlanLooped
 	// PlanMulticast marks a copy-network plan compiled from a fan-out
 	// mapping: distribute B(n), copy ladder, permute B(n).
@@ -49,11 +49,11 @@ func (k PlanKind) String() string {
 // at their own size: the setting as the stage-major bit words the
 // flight recorder diffs, the vector at the width package packed picks
 // for its largest entry. A unicast plan's setting is the N log N − N/2
-// bits core.States.Pack writes and its vector the destination vector
-// (two bytes an entry at N=1024). A multicast plan's
-// setting is the copy network's three phases as mcast.Plan.Pack writes
-// them (736 B at N=256) and its vector the mapping, entry out holding
-// m[out]+1 so an idle output stores 0.
+// bits the setup kernels write (core.Network.SettingInto) and its
+// vector the destination vector (two bytes an entry at N=1024). A
+// multicast plan's setting is the copy network's three phases as the
+// mcast compiler writes them (736 B at N=256) and its vector the
+// mapping, entry out holding m[out]+1 so an idle output stores 0.
 type Plan struct {
 	Kind    PlanKind
 	setting []uint64 // switch setting realizing dest, packed

@@ -120,9 +120,9 @@ type Engine[T any] struct {
 	ladRec *netsim.Recorder
 	// mpool holds per-call mcast compilers for the RouteMulticast path.
 	mpool sync.Pool
-	// scpool holds *missScratch for cache misses: the working setting
-	// a miss sets up before packing it into the plan, the self-routing
-	// kernel's tag buffers and the serial looping fallback's memory.
+	// scpool holds the *core.SetupScratch of cache misses: the
+	// self-routing kernel's tag buffers and the looping fallback's
+	// memory. Both kernels write straight into the plan's words.
 	scpool sync.Pool
 
 	// mu guards closed. Route and RouteMulticast hold the read side
@@ -151,9 +151,7 @@ func New[T any](cfg Config) (*Engine[T], error) {
 		e.ladRec = netsim.NewRecorderGeom(cfg.LogN, e.net.SwitchesPerStage())
 	}
 	e.mpool.New = func() any { return mcast.NewCompiler(e.net) }
-	e.scpool.New = func() any {
-		return &missScratch{st: e.net.NewStates(), sc: core.NewSetupScratch(e.net)}
-	}
+	e.scpool.New = func() any { return core.NewSetupScratch(e.net) }
 	return e, nil
 }
 
@@ -259,18 +257,11 @@ func (e *Engine[T]) Close() {
 	e.mu.Unlock()
 }
 
-// missScratch is one cache miss's pooled working memory.
-type missScratch struct {
-	st core.States
-	sc *core.SetupScratch
-}
-
 // acquire returns the plan for d, consulting the cache first. On a
-// miss it runs the self-routing kernel into a pooled working setting
-// (valid for F(n) members); at the kernel's first conflict it sets up
-// the same setting with the looping algorithm instead. It then packs
-// the setting and d into the plan, so the plan holds N log N − N/2 bits
-// and a value-width vector, and caches the result.
+// miss it writes the plan's setting with core.Network.SettingInto on
+// pooled scratch: the self-routing kernel's for an F(n) member, the
+// looping algorithm's from the kernel's first conflict. The plan holds
+// those N log N − N/2 bits and d at value width, and is cached.
 func (e *Engine[T]) acquire(key uint64, d perm.Perm) (*Plan, bool, error) {
 	t0 := time.Now()
 	defer func() { e.met.Plan.Observe(time.Since(t0)) }()
@@ -283,14 +274,13 @@ func (e *Engine[T]) acquire(key uint64, d perm.Perm) (*Plan, bool, error) {
 	}
 	e.met.Misses.Add(1)
 	pl := &Plan{Kind: PlanSelfRouted, dest: packVec(d, 0), key: key}
-	ms := e.scpool.Get().(*missScratch)
-	if !e.net.SelfRouteInto(d, ms.st, ms.sc) {
+	pl.setting = make([]uint64, e.net.Stages()*e.net.StageWords())
+	sc := e.scpool.Get().(*core.SetupScratch)
+	if !e.net.SettingInto(d, pl.setting, sc) {
 		e.met.Fallbacks.Add(1)
-		e.net.SetupInto(d, ms.st, ms.sc)
 		pl.Kind = PlanLooped
 	}
-	pl.setting = ms.st.Pack(make([]uint64, ms.st.PackedLen()))
-	e.scpool.Put(ms)
+	e.scpool.Put(sc)
 	e.cache.put(pl)
 	return pl, false, nil
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/mcast"
 	"repro/internal/netsim"
 	"repro/internal/packed"
+	"repro/internal/parsetup"
 	"repro/internal/perm"
 )
 
@@ -48,10 +49,11 @@ func checkRouted(t *testing.T, d perm.Perm, resp Response[int]) {
 
 // TestExhaustiveN8 routes every permutation of N=8 through the engine
 // and checks (a) the payload lands exactly where perm.Apply says, (b)
-// the plan kind agrees with the Theorem 1 characterization of F(n), and
-// (c) the plan just cached, unpacked, realizes its destination vector
-// gate by gate, so every self-routed and looped plan of S_8 is
-// replayed. A deliberately tiny cache forces constant eviction churn.
+// the plan kind agrees with the Theorem 1 characterization of F(n), (c)
+// the plan just cached, unpacked, realizes its destination vector gate
+// by gate, so every self-routed and looped plan of S_8 is replayed,
+// and (d) its words are bit for bit its oracle's (oracleSetting). A
+// deliberately tiny cache forces constant eviction churn.
 func TestExhaustiveN8(t *testing.T) {
 	eng, err := New[int](Config{LogN: 3, CacheCapacity: 8, CacheShards: 2})
 	if err != nil {
@@ -77,6 +79,9 @@ func TestExhaustiveN8(t *testing.T) {
 		dest, st := unpackPlan(eng.net, pl)
 		if res := eng.net.ExternalRoute(dest, st); !res.OK() || !res.Realized.Equal(d) {
 			t.Fatalf("%v plan for %v realizes %v", pl.Kind, d, res.Realized)
+		}
+		if want := oracleSetting(t, eng.net, pl.Kind, d); !slices.Equal(pl.setting, want) {
+			t.Fatalf("%v plan for %v holds words %#x, its oracle %#x", pl.Kind, d, pl.setting, want)
 		}
 		return true
 	})
@@ -162,6 +167,27 @@ func unpackPlan(net *core.Network, pl *Plan) (perm.Perm, core.States) {
 	st := net.NewStates()
 	st.Unpack(pl.setting)
 	return d, st
+}
+
+// oracleSetting returns, packed, the setting a plan of kind k for d
+// must hold: SelfRoute's states for a self-routed plan, and for a
+// looped one the PRAM-rounds model of the looping algorithm
+// (internal/parsetup), which shares no code with core's kernel.
+func oracleSetting(t *testing.T, net *core.Network, k PlanKind, d perm.Perm) []uint64 {
+	t.Helper()
+	var st core.States
+	switch k {
+	case PlanSelfRouted:
+		st = net.SelfRoute(d).States
+	case PlanLooped:
+		var err error
+		if st, _, err = parsetup.Setup(net, d); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatalf("no unicast oracle for a %v plan", k)
+	}
+	return st.Pack(make([]uint64, st.PackedLen()))
 }
 
 // cachedPlans returns every plan e's cache holds.

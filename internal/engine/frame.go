@@ -26,12 +26,13 @@ import (
 //     thrown away per frame.
 //
 // A FrameServer therefore skips the cache and goes straight to the
-// looping algorithm, reusing one States buffer, one setup scratch, one
-// packed setting and one line buffer across calls — the steady-state
-// frame costs zero allocations. The one repeat that does happen in
-// practice (a single hot flow producing the same completed matching
-// frame after frame) is caught by an O(N) last-destination memo instead
-// of the cache, and reuses the packed setting as it stands.
+// looping algorithm, which writes the packed setting directly, reusing
+// one setup scratch, one packed setting and one line buffer across
+// calls — the steady-state frame costs zero allocations. The one
+// repeat that does happen in practice (a single hot flow producing the
+// same completed matching frame after frame) is caught by an O(N)
+// last-destination memo instead of the cache, and reuses the packed
+// setting as it stands.
 //
 // A FrameServer belongs to one goroutine; create one per serving
 // goroutine via NewFrameServer. Concurrent FrameServers over the same
@@ -39,9 +40,8 @@ import (
 // metrics atomics, and the recorder (internally locked).
 type FrameServer[T any] struct {
 	e        *Engine[T]
-	st       core.States
 	sc       *core.SetupScratch
-	words    []uint64 // st packed: what the walk checks and the recorder diffs
+	words    []uint64 // the frame's setting: what the walk checks and the recorder diffs
 	lines    []int    // the real packets' lines, walked back from their outputs
 	paths    *netsim.Paths
 	last     perm.Perm // previously served dest; valid when haveLast
@@ -51,12 +51,10 @@ type FrameServer[T any] struct {
 // NewFrameServer builds a frame-serving context over e for one
 // goroutine's exclusive use.
 func (e *Engine[T]) NewFrameServer() *FrameServer[T] {
-	st := e.net.NewStates()
 	return &FrameServer[T]{
 		e:     e,
-		st:    st,
 		sc:    core.NewSetupScratch(e.net),
-		words: make([]uint64, st.PackedLen()),
+		words: make([]uint64, e.net.Stages()*e.net.StageWords()),
 		lines: make([]int, e.net.N()),
 		paths: e.rec.NewPaths(), // nil (and inert) when accounting is off
 		last:  make(perm.Perm, e.net.N()),
@@ -66,8 +64,8 @@ func (e *Engine[T]) NewFrameServer() *FrameServer[T] {
 // Serve routes one frame synchronously: dest is the frame's full
 // permutation (a completed matching — valid by construction, like every
 // Complete output), and real lists the input terminals carrying real
-// packets. Serve computes the switch setting with the looping algorithm
-// and packs it, then walks each real packet's output dest[src] back
+// packets. Serve writes the packed switch setting with the looping
+// algorithm, then walks each real packet's output dest[src] back
 // through the packed setting (netsim.WalkBack) and verifies it reaches
 // src — the output-port tag check frames carry — before reporting
 // success. With a flight recorder attached the walk doubles as
@@ -84,8 +82,7 @@ func (fs *FrameServer[T]) Serve(dest perm.Perm, real []int) error {
 	}
 	t0 := time.Now()
 	if !(fs.haveLast && fs.last.Equal(dest)) {
-		e.net.SetupInto(dest, fs.st, fs.sc)
-		fs.st.Pack(fs.words)
+		e.net.SetupInto(dest, fs.words, fs.sc)
 		copy(fs.last, dest)
 		fs.haveLast = true
 	}

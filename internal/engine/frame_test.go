@@ -29,7 +29,7 @@ func newRecordingFrameServer(t *testing.T, logN int) (*core.Network, *netsim.Rec
 // them a repeat the last-destination memo serves, and checks every
 // switch's traversal count against the reference evaluator: the real
 // packets' crossings of it in ExternalRoute's tag trace under the
-// setting the server computed.
+// setting the server computed, unpacked.
 func TestFrameServerPaths(t *testing.T) {
 	const logN = 5
 	net, rec, e, fs := newRecordingFrameServer(t, logN)
@@ -49,7 +49,9 @@ func TestFrameServerPaths(t *testing.T) {
 		if err := fs.Serve(dest, real); err != nil {
 			t.Fatalf("frame %d: %v", f, err)
 		}
-		trace := net.ExternalRoute(dest, fs.st).TagTrace
+		st := net.NewStates()
+		st.Unpack(fs.words)
+		trace := net.ExternalRoute(dest, st).TagTrace
 		for _, src := range real {
 			for s := range want {
 				want[s][slices.Index(trace[s], dest[src])>>1]++

@@ -83,26 +83,34 @@ func TestRouteMulticast(t *testing.T) {
 	}
 }
 
-// unpackMcastPlan rebuilds a cached multicast plan's mapping and three
-// switch settings from its packed form, for gate-level replay through
+// unpackMcastPlan rebuilds a cached multicast plan's mapping from its
+// packed vector, alongside its words, for gate-level replay through
 // mcast.Plan.Route.
 func unpackMcastPlan(net *core.Network, pl *Plan) *mcast.Plan {
-	p := mcast.NewPlan(net)
+	p := &mcast.Plan{Map: make(mcast.Mapping, net.N()), Words: pl.setting}
 	w := packed.Width(uint32(net.N()))
 	for out := range p.Map {
 		p.Map[out] = int(packed.At(pl.dest, w, out)) - 1
 	}
-	dist, perm, lo, hi := mcast.Phases(net, pl.setting)
-	p.DistStates.Unpack(dist)
-	p.PermStates.Unpack(perm)
-	words := (net.SwitchesPerStage() + 63) / 64
-	for j := range p.Ladder {
-		for i := range p.Ladder[j] {
-			w, b := j*words+i/64, uint(i%64)
-			p.Ladder[j][i] = core.McastState(lo[w]>>b&1 | hi[w]>>b&1<<1)
+	return p
+}
+
+// unpackPhases decodes a packed copy-network plan switch by switch
+// into its distribute and permute settings and its ladder.
+func unpackPhases(net *core.Network, words []uint64) (distSt, permSt core.States, ladder core.McastStates) {
+	dist, perm, lo, hi := mcast.Phases(net, words)
+	distSt, permSt = net.NewStates(), net.NewStates()
+	distSt.Unpack(dist)
+	permSt.Unpack(perm)
+	ladder = make(core.McastStates, net.LogN())
+	for j := range ladder {
+		ladder[j] = make([]core.McastState, net.SwitchesPerStage())
+		for i := range ladder[j] {
+			k, b := j*net.StageWords()+i/64, uint(i%64)
+			ladder[j][i] = core.McastState(lo[k]>>b&1 | hi[k]>>b&1<<1)
 		}
 	}
-	return p
+	return distSt, permSt, ladder
 }
 
 // TestRouteMulticastReplay serves a full broadcast, then unpacks the
@@ -336,15 +344,17 @@ func mixedMappings(n, count int, rng *rand.Rand) []mcast.Mapping {
 
 // refMcastPass replays one copy-network pass of the compiled plan p
 // into rec and lad the way the engine did before plans were kept
-// packed: flips from core.States.Pack and a switch-by-switch four-state
-// pack, then each output in outs walked backward through the [][]bool
-// settings with one Traverse per hop.
+// packed: p's words unpacked switch by switch, flips from
+// core.States.Pack and a switch-by-switch four-state pack, then each
+// output in outs walked backward through the [][]bool settings with
+// one Traverse per hop.
 func refMcastPass(net *core.Network, rec, lad *netsim.Recorder, p *mcast.Plan, outs []int) {
-	rec.RecordFlips(p.DistStates.Pack(make([]uint64, p.DistStates.PackedLen())))
-	words := (net.SwitchesPerStage() + 63) / 64
+	distSt, permSt, ladder := unpackPhases(net, p.Words)
+	rec.RecordFlips(distSt.Pack(make([]uint64, distSt.PackedLen())))
+	words := net.StageWords()
 	lo, hi := make([]uint64, lad.MaskWords()), make([]uint64, lad.MaskWords())
-	for s := range p.Ladder {
-		for i, st := range p.Ladder[s] {
+	for s := range ladder {
+		for i, st := range ladder[s] {
 			bit := uint64(1) << uint(i%64)
 			if st&1 != 0 {
 				lo[s*words+i/64] |= bit
@@ -355,7 +365,7 @@ func refMcastPass(net *core.Network, rec, lad *netsim.Recorder, p *mcast.Plan, o
 		}
 	}
 	lad.RecordMcastFlips(lo, hi)
-	rec.RecordFlips(p.PermStates.Pack(make([]uint64, p.PermStates.PackedLen())))
+	rec.RecordFlips(permSt.Pack(make([]uint64, permSt.PackedLen())))
 	back := func(st core.States, y int) int {
 		for s := net.Stages() - 1; s >= 0; s-- {
 			rec.Traverse(s, y>>1)
@@ -369,12 +379,12 @@ func refMcastPass(net *core.Network, rec, lad *netsim.Recorder, p *mcast.Plan, o
 		return y
 	}
 	for _, out := range outs {
-		y := back(p.PermStates, out)
+		y := back(permSt, out)
 		for j := net.LogN() - 1; j >= 0; j-- {
 			lad.Traverse(j, y>>1)
-			y = bits.RotRight(p.Ladder[j][y>>1].FeedLine(y), net.LogN())
+			y = bits.RotRight(ladder[j][y>>1].FeedLine(y), net.LogN())
 		}
-		back(p.DistStates, y)
+		back(distSt, y)
 	}
 }
 

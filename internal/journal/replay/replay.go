@@ -10,12 +10,13 @@
 // recorded admissions in sequence.
 //
 // Replay re-derives each record's plan with the serving path's own
-// kernels (core.Network.SelfRouteInto, and core.Network.SetupInto at its
-// first conflict, as the engine's miss path runs them; a unicast
-// frame's permutation is its packets' pairs completed by the fabric's
-// own scheduler rule and set up by looping, as the plane's frame server
-// does; multicast mappings recompile through the copy-network
-// compiler), walks its outputs back through the packed setting with the
+// kernels (core.Network.SettingInto, the engine's miss policy: the
+// self-routing kernel, and the looping algorithm at its first
+// conflict; a unicast frame's permutation is its packets' pairs
+// completed by the fabric's own scheduler rule and set up by looping,
+// as the plane's frame server does; multicast mappings recompile
+// through the copy-network compiler), each writing the packed setting
+// directly, walks its outputs back through that setting with the
 // serving path's gate walk, which shares no code with the setup
 // kernels, and compares the delivery digest against the journal's.
 // The first mismatch names the exact divergent sequence number.
@@ -109,7 +110,6 @@ func Window(cfg Config, j *journal.Journal, from, to uint64) (*Report, error) {
 type replayer struct {
 	cfg     Config
 	net     *core.Network
-	st      core.States        // the current permutation's switch setting
 	sc      *core.SetupScratch // the setup kernels' working memory
 	comp    *mcast.Compiler
 	words   []uint64  // the current record's packed setting or copy-network plan
@@ -144,7 +144,6 @@ func newReplayer(cfg Config) (*replayer, error) {
 	return &replayer{
 		cfg:     cfg,
 		net:     net,
-		st:      net.NewStates(),
 		sc:      core.NewSetupScratch(net),
 		comp:    mcast.NewCompiler(net),
 		words:   make([]uint64, mcast.PackedLen(net)),
@@ -198,19 +197,9 @@ func (r *replayer) checkPlane(rec *journal.Record) bool {
 	return true
 }
 
-// states re-derives the setting for one valid permutation exactly as
-// the engine's miss path does: the self-routing kernel, and the looping
-// algorithm at its first conflict. It overwrites the replayer's one
-// setting and returns it.
-func (r *replayer) states(d perm.Perm) core.States {
-	if !r.net.SelfRouteInto(d, r.st, r.sc) {
-		r.net.SetupInto(d, r.st, r.sc)
-	}
-	return r.st
-}
-
 // replayPerm re-executes one permutation record (route or round) gate
-// by gate and audits the delivery digest.
+// by gate and audits the delivery digest. The setting is re-derived
+// exactly as the engine's miss path derives it (SettingInto).
 func (r *replayer) replayPerm(rec *journal.Record) {
 	d := perm.Perm(rec.Dest)
 	if len(d) != r.net.N() {
@@ -221,7 +210,8 @@ func (r *replayer) replayPerm(rec *journal.Record) {
 		r.diverge(rec, fmt.Sprintf("invalid permutation: %v", err))
 		return
 	}
-	if r.route(rec, d, r.states(d)) {
+	r.net.SettingInto(d, r.words, r.sc)
+	if r.route(rec, d) {
 		r.audit(rec, journal.DigestPerm(d))
 	}
 }
@@ -262,8 +252,8 @@ func (r *replayer) replayFrame(rec *journal.Record) {
 		r.diverge(rec, fmt.Sprintf("frame pairs are not a matching: %v", err))
 		return
 	}
-	r.net.SetupInto(d, r.st, r.sc)
-	if r.route(rec, d, r.st) {
+	r.net.SetupInto(d, r.words, r.sc)
+	if r.route(rec, d) {
 		r.audit(rec, journal.DigestPairs(rec.Srcs, rec.Dsts))
 	}
 }
@@ -278,16 +268,16 @@ func (r *replayer) samePairs(rec *journal.Record) bool {
 	return true
 }
 
-// route packs setting st, walks all N outputs back through it to the
+// route walks all N outputs back through the setting in r.words to the
 // inputs that feed them, and reports whether it realizes d, diverging
 // unless it does. A setting that realizes d delivers every input i to
 // d[i], so the caller digests d itself.
-func (r *replayer) route(rec *journal.Record, d perm.Perm, st core.States) bool {
+func (r *replayer) route(rec *journal.Record, d perm.Perm) bool {
 	lines := r.ports
 	for out := range lines {
 		lines[out] = out
 	}
-	netsim.WalkBack(r.net, st.Pack(r.words), lines, nil, nil)
+	netsim.WalkBack(r.net, r.words, lines, nil, nil)
 	for out, in := range lines {
 		if d[in] != out {
 			r.diverge(rec, fmt.Sprintf("replayed network misroutes input %d to %d, journal says %d",

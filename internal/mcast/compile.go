@@ -12,23 +12,22 @@ import (
 // Plan is a compiled multicast mapping: the three-phase switch program
 // that carries one copy-network pass. The two B(n) phases are ordinary
 // binary settings (loadable on the paper's hardware via external
-// setup); the ladder is the four-state copy section.
+// setup); the ladder is the four-state copy section, whose stage j
+// decides destination-address bit n-1-j after a perfect shuffle.
 type Plan struct {
 	Map Mapping // the compiled request, output-major
 
 	// Dist sends requested source s to ladder input line rank(s); the
 	// unrequested inputs fill the remaining lines.
-	Dist       perm.Perm
-	DistStates core.States
-
-	// Ladder[j][i] is the state of copy-stage j's switch i. Stage j
-	// decides destination-address bit n-1-j, after a perfect shuffle.
-	Ladder core.McastStates
+	Dist perm.Perm
 
 	// Perm moves ladder output line (slot) start_s + c to the c-th
 	// output requesting s; unassigned slots fill the spare outputs.
-	Perm       perm.Perm
-	PermStates core.States
+	Perm perm.Perm
+
+	// Words is the switch program, packed: the distribute and permute
+	// B(n) settings and the ladder's lo and hi words (packed.go).
+	Words []uint64
 
 	Sources       int // distinct requested sources
 	Copies        int // assigned outputs (total fan-out)
@@ -41,13 +40,13 @@ type interval struct {
 	lo, hi, src int
 }
 
-// Compiler compiles mappings for one network geometry into one plan it
-// owns, without per-call allocation. A Compiler belongs to one
-// goroutine.
+// Compiler compiles mappings for one network geometry, without
+// per-call allocation: the switch program into the caller's words, the
+// rest into one plan it owns. A Compiler belongs to one goroutine.
 type Compiler struct {
 	net  *core.Network
 	sc   *core.SetupScratch
-	plan *Plan // the plan compile writes
+	plan *Plan // the plan compile writes, Words aside
 
 	fan   []int // per-source fan-out
 	start []int // per-source first destination slot (prefix sums)
@@ -68,7 +67,7 @@ func NewCompiler(net *core.Network) *Compiler {
 	return &Compiler{
 		net:   net,
 		sc:    core.NewSetupScratch(net),
-		plan:  NewPlan(net),
+		plan:  &Plan{Map: make(Mapping, n), Dist: make(perm.Perm, n), Perm: make(perm.Perm, n)},
 		fan:   make([]int, n),
 		start: make([]int, n),
 		used:  make([]int, n),
@@ -77,50 +76,29 @@ func NewCompiler(net *core.Network) *Compiler {
 	}
 }
 
-// NewPlan allocates an empty plan sized for net.
-func NewPlan(net *core.Network) *Plan {
-	n := net.N()
-	return &Plan{
-		Map:        make(Mapping, n),
-		Dist:       make(perm.Perm, n),
-		DistStates: net.NewStates(),
-		Ladder:     newLadder(net),
-		Perm:       make(perm.Perm, n),
-		PermStates: net.NewStates(),
-	}
-}
-
-func newLadder(net *core.Network) core.McastStates {
-	st := make(core.McastStates, net.LogN())
-	for j := range st {
-		st[j] = make([]core.McastState, net.N()/2)
-	}
-	return st
-}
-
 // Compile validates m and produces a fresh plan.
 func Compile(net *core.Network, m Mapping) (*Plan, error) {
 	c := NewCompiler(net)
-	if err := c.compile(m); err != nil {
+	words := make([]uint64, PackedLen(net))
+	if err := c.compile(m, words); err != nil {
 		return nil, err
 	}
+	c.plan.Words = words
 	return c.plan, nil
 }
 
-// CompilePacked validates and compiles m, then packs the plan into
-// dst[:PackedLen(net)]. It allocates nothing, making it the entry
-// point for compiles on the serving path.
+// CompilePacked validates and compiles m, writing the switch program
+// into dst[:PackedLen(net)] (every word is overwritten). It allocates
+// nothing, making it the entry point for compiles on the serving path.
 func (c *Compiler) CompilePacked(m Mapping, dst []uint64) error {
-	if err := c.compile(m); err != nil {
-		return err
-	}
-	c.plan.Pack(dst)
-	return nil
+	return c.compile(m, dst[:PackedLen(c.net)])
 }
 
-// compile compiles m into c.plan, overwriting every field.
-func (c *Compiler) compile(m Mapping) error {
+// compile compiles m: the switch program into words, every other plan
+// field into c.plan.
+func (c *Compiler) compile(m Mapping, words []uint64) error {
 	net, p := c.net, c.plan
+	distW, permW, lo, hi := Phases(net, words)
 	size := net.N()
 	if err := m.Validate(size); err != nil {
 		return err
@@ -163,14 +141,14 @@ func (c *Compiler) compile(m Mapping) error {
 		}
 	}
 	t0 := time.Now()
-	net.SetupInto(p.Dist, p.DistStates, c.sc)
+	net.SetupInto(p.Dist, distW, c.sc)
 	c.DistTime = time.Since(t0)
 
 	// Copy ladder: line r enters carrying the interval of the rank-r
 	// source; each omega stage splits intervals on one address bit,
 	// most significant first.
 	t1 := time.Now()
-	if err := c.compileLadder(p); err != nil {
+	if err := c.compileLadder(p, lo, hi); err != nil {
 		return err
 	}
 	c.CopyTime = time.Since(t1)
@@ -191,21 +169,22 @@ func (c *Compiler) compile(m Mapping) error {
 		}
 	}
 	t2 := time.Now()
-	net.SetupInto(p.Perm, p.PermStates, c.sc)
+	net.SetupInto(p.Perm, permW, c.sc)
 	c.DistTime += time.Since(t2)
 	return nil
 }
 
-// compileLadder programs the omega copy section. An active line
+// compileLadder programs the omega copy section into its packed lo and
+// hi words, a word of each built in a register. An active line
 // carries an interval; a switch whose interval spans both halves of the
 // current address bit broadcasts and splits it. With concentrated,
 // monotone, disjoint intervals no two inputs of a switch ever demand
 // overlapping output sides, so the internal conflict errors are
 // unreachable for plans built by compile — they guard the invariant,
 // not a caller-visible failure mode.
-func (c *Compiler) compileLadder(p *Plan) error {
+func (c *Compiler) compileLadder(p *Plan, lo, hi []uint64) error {
 	net := c.net
-	size, n := net.N(), net.LogN()
+	size, n, w := net.N(), net.LogN(), net.StageWords()
 	for i := range c.cur {
 		c.cur[i] = interval{src: -1}
 	}
@@ -216,28 +195,27 @@ func (c *Compiler) compileLadder(p *Plan) error {
 			r++
 		}
 	}
+	bcast := 0
 	for j := 0; j < n; j++ {
 		b := n - 1 - j // address bit decided by stage j
 		// Perfect shuffle into the stage's switch inputs.
 		for i := 0; i < size; i++ {
 			c.nxt[bits.RotLeft(i, n)] = c.cur[i]
 		}
-		for sw := 0; sw < size/2; sw++ {
-			in0, in1 := c.nxt[2*sw], c.nxt[2*sw+1]
-			st, out0, out1, err := ladderSwitch(in0, in1, b, j, sw)
-			if err != nil {
-				return err
+		for k := 0; k < w; k++ {
+			var l, h uint64
+			for sw, end := k*64, min(k*64+64, size/2); sw < end; sw++ {
+				in0, in1 := c.nxt[2*sw], c.nxt[2*sw+1]
+				st, out0, out1, err := ladderSwitch(in0, in1, b, j, sw)
+				if err != nil {
+					return err
+				}
+				l |= uint64(st&1) << (uint(sw) & 63)
+				h |= uint64(st>>1) << (uint(sw) & 63)
+				bcast += int(st >> 1)
+				c.cur[2*sw], c.cur[2*sw+1] = out0, out1
 			}
-			p.Ladder[j][sw] = st
-			c.cur[2*sw], c.cur[2*sw+1] = out0, out1
-		}
-	}
-	bcast := 0
-	for j := range p.Ladder {
-		for _, st := range p.Ladder[j] {
-			if st.Broadcast() {
-				bcast++
-			}
+			lo[j*w+k], hi[j*w+k] = l, h
 		}
 	}
 	p.BcastSwitches = bcast

@@ -28,9 +28,9 @@
 //
 // The three phases cost 2(N log N - N/2) + (N/2) log N switches and
 // 2(2 log N - 1) + log N gate delays. Both B(n) phases reuse the
-// looping-algorithm setup. A compiled plan packs into those switch
-// bits (Pack): the form the serving layer caches, the flight recorder
-// diffs, and Walk verifies delivery on.
+// looping-algorithm setup. The compiler writes a plan as those switch
+// bits, packed (Plan.Words): the form the serving layer caches, the
+// flight recorder diffs, and Walk verifies delivery on.
 package mcast
 
 import (

@@ -2,15 +2,20 @@ package mcast
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gcn"
+	"repro/internal/parsetup"
+	"repro/internal/perm"
 )
 
 // checkPlan compiles m, routes it at gate level, and checks multiset
-// delivery plus the backward walk of the packed plan on every assigned
-// output.
+// delivery, the backward walk of the packed plan on every assigned
+// output, the two B(n) phases' words against the PRAM-rounds looping
+// setup of Dist and Perm (internal/parsetup), and that CompilePacked
+// writes the same words over a buffer with every bit set.
 func checkPlan(t *testing.T, net *core.Network, m Mapping) *Plan {
 	t.Helper()
 	p, err := Compile(net, m)
@@ -27,11 +32,31 @@ func checkPlan(t *testing.T, net *core.Network, m Mapping) *Plan {
 			t.Fatalf("mapping %v: Walk(%d) = %d, want %d", m, out, srcs[k], m[out])
 		}
 	}
+	dist, permW, _, _ := Phases(net, p.Words)
+	for _, phase := range []struct {
+		d     perm.Perm
+		words []uint64
+	}{{p.Dist, dist}, {p.Perm, permW}} {
+		st, _, err := parsetup.Setup(net, phase.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := st.Pack(make([]uint64, st.PackedLen())); !slices.Equal(phase.words, want) {
+			t.Fatalf("mapping %v: B(n) phase for %v holds %#x, parsetup sets %#x", m, phase.d, phase.words, want)
+		}
+	}
+	dirty := make([]uint64, PackedLen(net))
+	for i := range dirty {
+		dirty[i] = ^uint64(0)
+	}
+	if err := NewCompiler(net).CompilePacked(m, dirty); err != nil || !slices.Equal(dirty, p.Words) {
+		t.Fatalf("mapping %v: CompilePacked over a dirty buffer wrote %#x (err %v), Compile %#x", m, dirty, err, p.Words)
+	}
 	return p
 }
 
-// walkAssigned packs p and walks every output m assigns back through
-// the packed plan, returning the outputs and the sources Walk found.
+// walkAssigned walks every output m assigns back through p's words,
+// returning the outputs and the sources Walk found.
 func walkAssigned(net *core.Network, p *Plan, m Mapping) (outs, srcs []int) {
 	for out, src := range m {
 		if src >= 0 {
@@ -39,7 +64,7 @@ func walkAssigned(net *core.Network, p *Plan, m Mapping) (outs, srcs []int) {
 		}
 	}
 	srcs = make([]int, len(outs))
-	Walk(net, p.Pack(make([]uint64, PackedLen(net))), outs, srcs, nil, nil)
+	Walk(net, p.Words, outs, srcs, nil, nil)
 	return outs, srcs
 }
 

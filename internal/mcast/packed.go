@@ -7,10 +7,11 @@ import (
 )
 
 // A compiled plan's control state is its three switch settings, and
-// the serving layer keeps only those: Pack writes them into one word
-// slice, the distribute and permute B(n) settings as core.States.Pack
-// lays them out and the ladder as core.McastStates.Pack does, in the
-// order
+// the serving layer keeps only those: the compiler writes them into one
+// word slice, the distribute and permute B(n) settings as
+// core.Network.SetupInto lays them out and the ladder's four-state
+// switches as two such settings, lo holding each switch's state&1 and
+// hi its broadcast bit (core.McastStates.Pack's layout), in the order
 //
 //	dist | perm | ladder lo | ladder hi
 //
@@ -18,32 +19,16 @@ import (
 // flight recorder diffs each phase's words as they are (Phases), and
 // Walk verifies delivery on them.
 
-// stageWords is the number of words one stage of N/2 switches packs
-// into.
-func stageWords(net *core.Network) int { return (net.SwitchesPerStage() + 63) / 64 }
-
-// PackedLen returns the number of words Pack writes for a plan over
-// net.
+// PackedLen returns the number of words of a plan over net.
 func PackedLen(net *core.Network) int {
-	return (2*net.Stages() + 2*net.LogN()) * stageWords(net)
+	return (2*net.Stages() + 2*net.LogN()) * net.StageWords()
 }
 
 // Phases splits words, a plan packed for net, into its distribute and
 // permute settings and its ladder's lo and hi words.
 func Phases(net *core.Network, words []uint64) (dist, perm, lo, hi []uint64) {
-	b, l := net.Stages()*stageWords(net), net.LogN()*stageWords(net)
+	b, l := net.Stages()*net.StageWords(), net.LogN()*net.StageWords()
 	return words[:b], words[b : 2*b], words[2*b : 2*b+l], words[2*b+l : 2*b+2*l]
-}
-
-// Pack writes p's three switch settings into dst[:PackedLen(net)],
-// overwriting every word, and returns that slice.
-func (p *Plan) Pack(dst []uint64) []uint64 {
-	b, l := p.DistStates.PackedLen(), p.Ladder.PackedLen()
-	dst = dst[:2*b+2*l]
-	p.DistStates.Pack(dst[:b])
-	p.PermStates.Pack(dst[b : 2*b])
-	p.Ladder.Pack(dst[2*b:2*b+l], dst[2*b+l:])
-	return dst
 }
 
 // Walk follows each output outs[k] backward through words, a plan
@@ -62,7 +47,7 @@ func Walk(net *core.Network, words []uint64, outs, srcs []int, rec, lad *netsim.
 	srcs = srcs[:len(outs)]
 	copy(srcs, outs)
 	netsim.WalkBack(net, perm, srcs, rec, nil)
-	w, n := stageWords(net), net.LogN()
+	w, n := net.StageWords(), net.LogN()
 	for j := n - 1; j >= 0; j-- {
 		loRow, hiRow := lo[j*w:(j+1)*w], hi[j*w:(j+1)*w]
 		for k, y := range srcs {

@@ -207,8 +207,9 @@ func (r *Recorder) addCells(i int, set uint64, kind int, n int64) {
 }
 
 // RecordVector accounts one full-permutation pass whose switch setting
-// is mask, packed by core.States.Pack (the form the engine caches
-// plans in; MaskWords words): every switch carried two tags, and every
+// is mask, packed as the setup kernels write it (core.Network.SetupInto
+// and SelfRouteInto; the form the engine caches plans in; MaskWords
+// words): every switch carried two tags, and every
 // switch whose state differs from the previously recorded vector
 // flipped. The traversals are one vector count folded in at read
 // time; the flips cost a word compare per 64 switches and, where the
@@ -251,8 +252,9 @@ func (r *Recorder) recordFlips(mask []uint64) {
 	}
 }
 
-// RecordMcastFlips is RecordFlips for a four-state setting packed by
-// core.McastStates.Pack: a switch flips when either state bit changed,
+// RecordMcastFlips is RecordFlips for a four-state setting packed as
+// the multicast compiler writes its copy ladder (lo each switch's
+// state&1, hi its broadcast bit): a switch flips when either state bit changed,
 // and additionally counts a broadcast transition when the broadcast
 // bit changed — the copy network's reconfiguration cost metric.
 func (r *Recorder) RecordMcastFlips(lo, hi []uint64) {

@@ -3,8 +3,8 @@ package netsim
 import "repro/internal/core"
 
 // WalkBack moves every line in lines, an output line of net, back to
-// the input line that drives it under st, a switch setting packed by
-// core.States.Pack. It is the one check that a packed B(n) setting
+// the input line that drives it under st, a switch setting packed as
+// the setup kernels write it (core.Network.SetupInto). It is the one check that a packed B(n) setting
 // delivers what it should: the frame server walks each real packet's
 // output back to its source, the copy network's two B(n) phases walk
 // their outputs through it, and journal replay walks all N outputs.
@@ -18,7 +18,7 @@ import "repro/internal/core"
 // loop without the counting, whose inlined code would otherwise take
 // registers from the plain walk.
 func WalkBack(net *core.Network, st []uint64, lines []int, rec *Recorder, p *Paths) {
-	w := (net.SwitchesPerStage() + 63) / 64
+	w := net.StageWords()
 	for s := net.Stages() - 1; s >= 0; s-- {
 		row := st[s*w : (s+1)*w]
 		var inv []int // nil at stage 0, whose inputs are the network's

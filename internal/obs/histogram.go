@@ -100,13 +100,18 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot captures the histogram's current state. Concurrent Observe
-// calls may straddle the capture; each bucket is read atomically.
+// calls may straddle the capture; each bucket is read atomically, once.
+// A non-empty snapshot allocates one slice, sized to its non-empty
+// buckets.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var counts [histBuckets]int64
-	total := int64(0)
+	total, filled := int64(0), 0
 	for i := range h.buckets {
 		counts[i] = h.buckets[i].Load()
 		total += counts[i]
+		if counts[i] > 0 {
+			filled++
+		}
 	}
 	s := HistogramSnapshot{Count: total}
 	if total == 0 {
@@ -117,6 +122,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s.P90Ns = quantile(&counts, total, 0.90)
 	s.P99Ns = quantile(&counts, total, 0.99)
 	s.P999Ns = quantile(&counts, total, 0.999)
+	s.Buckets = make([]BucketCount, 0, filled)
 	for i, c := range counts {
 		if c > 0 {
 			s.Buckets = append(s.Buckets, BucketCount{UpToNs: bucketUpper(i), Count: c})

@@ -85,6 +85,28 @@ func TestObserveAllocFree(t *testing.T) {
 	}
 }
 
+// TestSnapshotAllocs: a snapshot allocates its bucket list once, sized
+// to the non-empty buckets, and nothing when the histogram is empty.
+func TestSnapshotAllocs(t *testing.T) {
+	var h Histogram
+	if n := testing.AllocsPerRun(100, func() { h.Snapshot() }); n != 0 {
+		t.Fatalf("empty histogram: Snapshot allocates %.1f objects, want 0", n)
+	}
+	filled := 0
+	for _, want := range []int{1, 9, 20} {
+		for ; filled < want; filled++ {
+			h.Observe(time.Duration(1) << uint(2*filled)) // one new bucket each
+		}
+		var s HistogramSnapshot
+		if n := testing.AllocsPerRun(100, func() { s = h.Snapshot() }); n != 1 {
+			t.Fatalf("%d non-empty buckets: Snapshot allocates %.1f objects, want 1", want, n)
+		}
+		if len(s.Buckets) != want || cap(s.Buckets) != want {
+			t.Fatalf("%d non-empty buckets: snapshot holds %d (cap %d)", want, len(s.Buckets), cap(s.Buckets))
+		}
+	}
+}
+
 func BenchmarkHistogramObserve(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()

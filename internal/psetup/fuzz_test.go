@@ -12,12 +12,12 @@ import (
 // destination vectors at N=8: one byte per entry, the vector's length
 // is the input's length (capped). Invalid input — wrong length,
 // duplicates, out-of-range entries — must come back as an error with
-// no states and no panic; every accepted permutation must produce
-// states bit-identical to core.Network.Setup under both the
+// no setting and no panic; every accepted permutation must produce
+// words bit-identical to core.Network.SetupInto under both the
 // degenerate one-worker schedule and a concurrent maximum-fan-out
 // schedule, and must route at gate level. The round-modeling
-// parsetup.Setup is held to the same no-panic, same-states contract on
-// the same inputs (it shares the error-not-panic fix).
+// parsetup.Setup is held to the same no-panic, same-setting contract
+// on the same inputs (it shares the error-not-panic fix).
 func FuzzParallelSetup(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})   // identity
 	f.Add([]byte{7, 6, 5, 4, 3, 2, 1, 0})   // reversal
@@ -41,7 +41,7 @@ func FuzzParallelSetup(f *testing.F) {
 		valid := len(d) == size && d.Validate() == nil
 
 		for name, r := range map[string]*Router{"serial": serial, "wide": wide} {
-			st, err := r.Setup(d)
+			words, err := r.Setup(d)
 			if valid && err != nil {
 				t.Fatalf("%s: rejected valid permutation %v: %v", name, d, err)
 			}
@@ -49,14 +49,14 @@ func FuzzParallelSetup(f *testing.F) {
 				if err == nil {
 					t.Fatalf("%s: accepted invalid input %v", name, d)
 				}
-				if st != nil {
-					t.Fatalf("%s: returned states alongside an error", name)
+				if words != nil {
+					t.Fatalf("%s: returned a setting alongside an error", name)
 				}
 				continue
 			}
-			assertIdentical(t, net.Setup(d), st, name)
-			if !net.ExternalRoute(d, st).OK() {
-				t.Fatalf("%s: states do not realize %v", name, d)
+			assertIdentical(t, serialWords(net, d), words, name)
+			if !realizes(net, d, words) {
+				t.Fatalf("%s: setting does not realize %v", name, d)
 			}
 		}
 
@@ -67,7 +67,7 @@ func FuzzParallelSetup(f *testing.F) {
 			t.Fatalf("parsetup: valid=%v but err=%v for %v", valid, err, d)
 		}
 		if valid {
-			assertIdentical(t, net.Setup(d), st, "parsetup")
+			assertIdentical(t, serialWords(net, d), st.Pack(make([]uint64, st.PackedLen())), "parsetup")
 		}
 	})
 }

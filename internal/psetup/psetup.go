@@ -28,13 +28,21 @@
 //     worker's own goroutine — small blocks cost less than a goroutine
 //     handoff, so the fan-out stops where parallelism stops paying.
 //
+// Both kernels write the setting as packed words (core's stage-major
+// layout, 64 switches a word). A block of 128 lines or more owns whole
+// words of every stage it sets, while smaller sibling blocks share
+// words, so the cutoff is never below 128 lines: only blocks of at
+// least 256 lines fork, their halves write disjoint words, and no two
+// goroutines ever write one word.
+//
 // Every block's emitted switch states depend only on the block-local
 // sub-permutation, and the loop resolution itself is deterministic
 // (each loop's smallest input goes through the upper subnetwork), so
 // the parallel schedule — any worker count, any cutoff — produces
-// states bit-identical to core.Network.Setup. The differential battery
-// in this package's tests and the FuzzParallelSetup target in CI hold
-// that equivalence exhaustively at N=8 and statistically beyond.
+// words bit-identical to core.Network.SetupInto. The differential
+// battery in this package's tests and the FuzzParallelSetup target in
+// CI hold that equivalence exhaustively at N=8 and statistically
+// beyond, and CI repeats the tests under the race detector.
 package psetup
 
 import (
@@ -53,6 +61,10 @@ import (
 // more to overhead than it gains in concurrency.
 const DefaultSerialCutoff = 256
 
+// minSerialCutoff is the smallest block, in lines, that owns whole
+// words of each stage it sets: 64 switches a stage.
+const minSerialCutoff = 128
+
 // Config parameterizes New. The zero value selects a pool of
 // GOMAXPROCS workers with the default cutoff.
 type Config struct {
@@ -63,7 +75,8 @@ type Config struct {
 	Workers int
 	// SerialCutoff is the block size (lines) at or below which a
 	// subtree is solved serially in one goroutine. Defaults to
-	// DefaultSerialCutoff; values below 2 are raised to 2.
+	// DefaultSerialCutoff; values below 128 are raised to 128, because
+	// smaller blocks share setting words with their siblings.
 	SerialCutoff int
 }
 
@@ -95,8 +108,8 @@ func New(net *core.Network, cfg Config) *Router {
 	if cfg.SerialCutoff <= 0 {
 		cfg.SerialCutoff = DefaultSerialCutoff
 	}
-	if cfg.SerialCutoff < 2 {
-		cfg.SerialCutoff = 2
+	if cfg.SerialCutoff < minSerialCutoff {
+		cfg.SerialCutoff = minSerialCutoff
 	}
 	r := &Router{
 		net:     net,
@@ -121,39 +134,39 @@ func New(net *core.Network, cfg Config) *Router {
 // Network returns the wired network this Router sets up.
 func (r *Router) Network() *core.Network { return r.net }
 
-// Setup computes the switch setting realizing d, bit-identical to
-// r.Network().Setup(d), using up to Config.Workers goroutines. Unlike
-// core.Setup it reports invalid input as an error instead of
-// panicking — cold-path callers see adversarial permutations.
-func (r *Router) Setup(d perm.Perm) (core.States, error) {
-	st := r.net.NewStates()
-	if err := r.SetupInto(d, st); err != nil {
+// Setup computes the switch setting realizing d, packed, bit-identical
+// to r.Network().SetupInto's words, using up to Config.Workers
+// goroutines. Unlike core.Setup it reports invalid input as an error
+// instead of panicking — cold-path callers see adversarial
+// permutations.
+func (r *Router) Setup(d perm.Perm) ([]uint64, error) {
+	words := make([]uint64, r.net.Stages()*r.net.StageWords())
+	if err := r.SetupInto(d, words); err != nil {
 		return nil, err
 	}
-	return st, nil
+	return words, nil
 }
 
-// SetupInto is Setup writing into caller-owned states (every switch of
-// st is overwritten, so a dirty st is fine).
-func (r *Router) SetupInto(d perm.Perm, st core.States) error {
+// SetupInto is Setup writing into caller-owned words (every word is
+// overwritten, so a dirty buffer is fine).
+func (r *Router) SetupInto(d perm.Perm, words []uint64) error {
 	if len(d) != r.net.N() {
 		return fmt.Errorf("psetup: permutation length %d != N %d", len(d), r.net.N())
 	}
 	if err := d.Validate(); err != nil {
 		return fmt.Errorf("psetup: %w", err)
 	}
-	if len(st) != r.net.Stages() {
-		return fmt.Errorf("psetup: states have %d stages, network has %d", len(st), r.net.Stages())
+	want := r.net.Stages() * r.net.StageWords()
+	if len(words) < want {
+		return fmt.Errorf("psetup: setting has %d words, network needs %d", len(words), want)
 	}
-	for s := range st {
-		if len(st[s]) != r.net.SwitchesPerStage() {
-			return fmt.Errorf("psetup: stage %d has %d switches, network has %d", s, len(st[s]), r.net.SwitchesPerStage())
-		}
-	}
+	// The kernels OR each block's bits into cleared words.
+	words = words[:want]
+	clear(words)
 	run := r.runpool.Get().(*runScratch)
 	sc := r.scpool.Get().(*core.SetupScratch)
 	// d is only ever read; recursion levels below it live in run.levels.
-	r.solve(run, d, 0, 0, r.n, st, sc)
+	r.solve(run, d, 0, 0, r.n, words, sc)
 	r.scpool.Put(sc)
 	r.runpool.Put(run)
 	return nil
@@ -162,21 +175,17 @@ func (r *Router) SetupInto(d perm.Perm, st core.States) error {
 // solve routes the B(m) block at lines [lo, lo+2^m), stages
 // [s0, s0+2m-2], forking the upper half onto the pool when a slot is
 // free. It returns only after the block's whole subtree is solved.
-func (r *Router) solve(run *runScratch, dests []int, lo, s0, m int, st core.States, sc *core.SetupScratch) {
-	if m == 1 {
-		st[s0][lo/2] = dests[0] == 1
-		return
-	}
+func (r *Router) solve(run *runScratch, dests []int, lo, s0, m int, words []uint64, sc *core.SetupScratch) {
 	size := 1 << uint(m)
 	if size <= r.cutoff {
-		r.net.SetupBlock(dests, lo, s0, m, st, sc)
+		r.net.SetupBlock(dests, lo, s0, m, words, sc)
 		return
 	}
 	half := size / 2
 	next := run.levels[r.n-m+1]
 	upDests := next[lo : lo+half]
 	downDests := next[lo+half : lo+size]
-	r.net.ColorBlock(dests, lo, s0, m, st, sc, upDests, downDests)
+	r.net.ColorBlock(dests, lo, s0, m, words, sc, upDests, downDests)
 
 	// Fork the upper half if a pool slot is free; otherwise this
 	// goroutine solves both halves. A send on a nil sem never proceeds,
@@ -190,15 +199,15 @@ func (r *Router) solve(run *runScratch, dests []int, lo, s0, m int, st core.Stat
 		go func() {
 			defer wg.Done()
 			csc := r.scpool.Get().(*core.SetupScratch)
-			r.solve(run, upDests, lo, s0+1, m-1, st, csc)
+			r.solve(run, upDests, lo, s0+1, m-1, words, csc)
 			r.scpool.Put(csc)
 			<-run.sem
 		}()
 	default:
 	}
 	if !forked {
-		r.solve(run, upDests, lo, s0+1, m-1, st, sc)
+		r.solve(run, upDests, lo, s0+1, m-1, words, sc)
 	}
-	r.solve(run, downDests, lo+half, s0+1, m-1, st, sc)
+	r.solve(run, downDests, lo+half, s0+1, m-1, words, sc)
 	wg.Wait()
 }

@@ -10,21 +10,32 @@ import (
 	"repro/internal/perm"
 )
 
-// assertIdentical fails unless par is bit-identical to seq, stage by
-// stage and switch by switch — the contract every schedule of the
-// parallel setup must honor.
-func assertIdentical(t *testing.T, seq, par core.States, ctx string) {
+// serialWords returns the serial kernel's packed setting for p.
+func serialWords(b *core.Network, p perm.Perm) []uint64 {
+	words := make([]uint64, b.Stages()*b.StageWords())
+	b.SetupInto(p, words, core.NewSetupScratch(b))
+	return words
+}
+
+// assertIdentical fails unless par is bit-identical to seq, word by
+// word — the contract every schedule of the parallel setup must honor.
+func assertIdentical(t *testing.T, seq, par []uint64, ctx string) {
 	t.Helper()
 	if len(seq) != len(par) {
-		t.Fatalf("%s: %d stages vs %d", ctx, len(par), len(seq))
+		t.Fatalf("%s: %d words vs %d", ctx, len(par), len(seq))
 	}
-	for s := range seq {
-		for i := range seq[s] {
-			if seq[s][i] != par[s][i] {
-				t.Fatalf("%s: states differ at stage %d switch %d", ctx, s, i)
-			}
+	for i := range seq {
+		if seq[i] != par[i] {
+			t.Fatalf("%s: word %d = %#x, serial kernel wrote %#x", ctx, i, par[i], seq[i])
 		}
 	}
+}
+
+// realizes reports whether a packed setting routes p at gate level.
+func realizes(b *core.Network, p perm.Perm, words []uint64) bool {
+	st := b.NewStates()
+	st.Unpack(words)
+	return b.ExternalRoute(p, st).OK()
 }
 
 // workerCounts is the differential battery's schedule matrix: the
@@ -39,16 +50,16 @@ func workerCounts() []int {
 }
 
 // TestDifferentialExhaustiveN8 holds the parallel setup bit-identical
-// to core.Network.Setup over every one of the 8! permutations of B(3),
-// for worker counts 1, 2, and GOMAXPROCS with the fan-out forced all
-// the way down (cutoff 2).
+// to core.Network.SetupInto over every one of the 8! permutations of
+// B(3), for worker counts 1, 2, and GOMAXPROCS with the smallest
+// cutoff asked for (2, raised to 128).
 func TestDifferentialExhaustiveN8(t *testing.T) {
 	b := core.New(3)
 	for _, w := range workerCounts() {
 		r := New(b, Config{Workers: w, SerialCutoff: 2})
 		count := 0
 		perm.ForEach(8, func(p perm.Perm) bool {
-			seq := b.Setup(p)
+			seq := serialWords(b, p)
 			par, err := r.Setup(p)
 			if err != nil {
 				t.Fatalf("workers=%d %v: %v", w, p, err)
@@ -65,8 +76,9 @@ func TestDifferentialExhaustiveN8(t *testing.T) {
 
 // TestDifferentialRandomSweep sweeps seeded random permutations at
 // N=16..1024 across worker counts and cutoffs, including a cutoff
-// larger than N (the all-serial schedule) and the smallest legal
-// cutoff (maximum fan-out).
+// larger than N (the all-serial schedule) and cutoffs below the
+// 128-line floor (maximum fan-out: every block of 256 lines or more
+// may fork).
 func TestDifferentialRandomSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(421))
 	for n := 4; n <= 10; n++ {
@@ -77,7 +89,7 @@ func TestDifferentialRandomSweep(t *testing.T) {
 				r := New(b, Config{Workers: w, SerialCutoff: cutoff})
 				for trial := 0; trial < 8; trial++ {
 					p := perm.Random(N, rng)
-					seq := b.Setup(p)
+					seq := serialWords(b, p)
 					par, err := r.Setup(p)
 					if err != nil {
 						t.Fatalf("n=%d workers=%d cutoff=%d: %v", n, w, cutoff, err)
@@ -89,19 +101,36 @@ func TestDifferentialRandomSweep(t *testing.T) {
 	}
 }
 
-// TestSetupIntoReusesStates: a dirty caller-owned states buffer must be
-// fully overwritten.
-func TestSetupIntoReusesStates(t *testing.T) {
-	b := core.New(6)
-	r := New(b, Config{Workers: 2, SerialCutoff: 8})
+// TestSetupIntoReusesWords: a caller-owned buffer with every bit set
+// must be fully overwritten, at a size that forks (N=1024) and one
+// that does not (N=64).
+func TestSetupIntoReusesWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(422))
-	st := b.NewStates()
-	for trial := 0; trial < 10; trial++ {
-		p := perm.Random(64, rng)
-		if err := r.SetupInto(p, st); err != nil {
-			t.Fatal(err)
+	for _, n := range []int{6, 10} {
+		b := core.New(n)
+		r := New(b, Config{Workers: 2, SerialCutoff: 8})
+		words := make([]uint64, b.Stages()*b.StageWords())
+		for trial := 0; trial < 10; trial++ {
+			for i := range words {
+				words[i] = ^uint64(0)
+			}
+			p := perm.Random(b.N(), rng)
+			if err := r.SetupInto(p, words); err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, serialWords(b, p), words, "reused words")
 		}
-		assertIdentical(t, b.Setup(p), st, "reused states")
+	}
+}
+
+// TestSerialCutoffFloor: a cutoff below 128 lines is raised to 128,
+// the smallest block that owns whole setting words; larger ones stay.
+func TestSerialCutoffFloor(t *testing.T) {
+	b := core.New(10)
+	for cutoff, want := range map[int]int{0: DefaultSerialCutoff, 2: 128, 64: 128, 128: 128, 512: 512} {
+		if got := New(b, Config{SerialCutoff: cutoff}).cutoff; got != want {
+			t.Errorf("SerialCutoff %d: effective cutoff %d, want %d", cutoff, got, want)
+		}
 	}
 }
 
@@ -118,24 +147,21 @@ func TestSetupErrors(t *testing.T) {
 		"negative":     {-1, 1, 2, 3, 4, 5, 6, 7},
 		"nil":          nil,
 	} {
-		st, err := r.Setup(bad)
+		words, err := r.Setup(bad)
 		if err == nil {
 			t.Errorf("%s: Setup accepted invalid input %v", name, bad)
 		}
-		if st != nil {
-			t.Errorf("%s: Setup returned states alongside an error", name)
+		if words != nil {
+			t.Errorf("%s: Setup returned a setting alongside an error", name)
 		}
 	}
-	// SetupInto must also reject a malformed states buffer.
-	if err := r.SetupInto(perm.Identity(8), make(core.States, 2)); err == nil {
-		t.Error("SetupInto accepted a states buffer with the wrong stage count")
-	}
-	if err := r.SetupInto(perm.Identity(8), make(core.States, b.Stages())); err == nil {
-		t.Error("SetupInto accepted a states buffer with empty stages")
+	// SetupInto must also reject a buffer too short for the setting.
+	if err := r.SetupInto(perm.Identity(8), make([]uint64, b.Stages()-1)); err == nil {
+		t.Error("SetupInto accepted a buffer one word short")
 	}
 }
 
-// TestRealizes: parallel-setup states must actually route the
+// TestRealizes: parallel-setup words must actually route the
 // permutation at gate level, not just match the serial bits.
 func TestRealizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(424))
@@ -144,11 +170,11 @@ func TestRealizes(t *testing.T) {
 		r := New(b, Config{SerialCutoff: 4})
 		for trial := 0; trial < 10; trial++ {
 			p := perm.Random(1<<uint(n), rng)
-			st, err := r.Setup(p)
+			words, err := r.Setup(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !b.ExternalRoute(p, st).OK() {
+			if !realizes(b, p, words) {
 				t.Fatalf("n=%d: parallel setup failed to realize %v", n, p)
 			}
 		}
@@ -156,7 +182,7 @@ func TestRealizes(t *testing.T) {
 }
 
 // TestConcurrentSetups: one Router shared by many goroutines must keep
-// every call's states independent (the scratch pools must not leak
+// every call's setting independent (the scratch pools must not leak
 // state across concurrent calls). Run under -race in CI.
 func TestConcurrentSetups(t *testing.T) {
 	b := core.New(8)
@@ -171,12 +197,12 @@ func TestConcurrentSetups(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for trial := 0; trial < 20; trial++ {
 				p := perm.Random(256, rng)
-				st, err := r.Setup(p)
+				words, err := r.Setup(p)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if !b.ExternalRoute(p, st).OK() {
+				if !realizes(b, p, words) {
 					errs <- errMisroute
 					return
 				}
