@@ -530,7 +530,7 @@ func BenchmarkE27_Faults(b *testing.B) {
 	})
 	b.Run("faulty-selfroute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			net.RouteWithFaults(d, faults)
+			net.RouteWithFaults(d, faults, nil)
 		}
 	})
 }

@@ -1,9 +1,9 @@
-// Package batcher implements Batcher's bitonic sorting network, the
-// self-routing-but-expensive baseline of the paper's Section I: it
-// realizes all N! permutations with no setup at all (routing by sorting
-// on destination tags) but pays O(log^2 N) delay and O(N log^2 N)
-// comparators, versus the self-routing Benes network's O(log N) delay
-// and O(N log N) switches for the class F.
+// Package batcher implements Batcher's sorting networks, bitonic and
+// odd-even merge: the self-routing-but-expensive baseline of the
+// paper's Section I. They realize all N! permutations with no setup at
+// all (routing by sorting on destination tags) but pay O(log^2 N)
+// delay and O(N log^2 N) comparators, versus the self-routing Benes
+// network's O(log N) delay and O(N log N) switches for the class F.
 package batcher
 
 import (
@@ -18,9 +18,10 @@ type Comparator struct {
 	Low, High int
 }
 
-// Network is a bitonic sorting network on N = 2^n lines, built as
-// log N merge phases; phase p (1-based) consists of p compare-exchange
-// stages, for n(n+1)/2 stages total.
+// Network is a comparator network on N = 2^n lines: Batcher's bitonic
+// sorter (New) or his odd-even merge sorter (NewOddEven). Both are
+// built as log N merge phases; phase p (1-based) consists of p
+// compare-exchange stages, for n(n+1)/2 stages total.
 type Network struct {
 	n      int
 	size   int
@@ -65,8 +66,9 @@ func (b *Network) LogN() int { return b.n }
 // Stages returns the number of compare-exchange stages, n(n+1)/2.
 func (b *Network) Stages() int { return len(b.stages) }
 
-// ComparatorCount returns the total number of comparators,
-// N/2 * n(n+1)/2.
+// ComparatorCount returns the total number of comparators: N/2 ·
+// n(n+1)/2 for the bitonic sorter, (n^2-n+4)·2^(n-2) - 1 for the
+// odd-even merge sorter.
 func (b *Network) ComparatorCount() int {
 	c := 0
 	for _, s := range b.stages {

@@ -1,11 +1,5 @@
 package batcher
 
-import (
-	"fmt"
-
-	"repro/internal/perm"
-)
-
 // Batcher's other classic construction: the odd-even merge sorting
 // network. Same O(log^2 N) depth as the bitonic sorter but measurably
 // fewer comparators — (n^2 - n + 4)·2^(n-2) - 1 for N = 2^n — which is
@@ -13,19 +7,12 @@ import (
 // Section I comparison can cite the cheapest known self-routing
 // all-permutation network of the time.
 
-// OddEven is an odd-even merge sorting network on N = 2^n lines.
-type OddEven struct {
-	n      int
-	size   int
-	stages [][]Comparator
-}
-
-// NewOddEven constructs the network for 2^n lines.
-func NewOddEven(n int) *OddEven {
+// NewOddEven constructs the odd-even merge sorter for 2^n lines.
+func NewOddEven(n int) *Network {
 	if n < 1 {
 		panic("batcher: NewOddEven requires n >= 1")
 	}
-	oe := &OddEven{n: n, size: 1 << uint(n)}
+	oe := &Network{n: n, size: 1 << uint(n)}
 	// Iterative Batcher odd-even merge construction: p is the sorted
 	// block size being merged, k the comparison distance within the
 	// merge phase.
@@ -43,81 +30,4 @@ func NewOddEven(n int) *OddEven {
 		}
 	}
 	return oe
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// N returns the number of lines.
-func (oe *OddEven) N() int { return oe.size }
-
-// Stages returns the comparator depth, n(n+1)/2.
-func (oe *OddEven) Stages() int { return len(oe.stages) }
-
-// GateDelay returns the delay in comparator traversals.
-func (oe *OddEven) GateDelay() int { return len(oe.stages) }
-
-// ComparatorCount returns the total comparators: (n^2-n+4)·2^(n-2) - 1.
-func (oe *OddEven) ComparatorCount() int {
-	c := 0
-	for _, s := range oe.stages {
-		c += len(s)
-	}
-	return c
-}
-
-// SwitchCount reports comparators on the binary-switch scale.
-func (oe *OddEven) SwitchCount() int { return oe.ComparatorCount() }
-
-// Sort returns the keys in ascending order line by line.
-func (oe *OddEven) Sort(keys []int) []int {
-	if len(keys) != oe.size {
-		panic(fmt.Sprintf("batcher: %d keys on %d lines", len(keys), oe.size))
-	}
-	cur := append([]int(nil), keys...)
-	for _, stage := range oe.stages {
-		for _, c := range stage {
-			if cur[c.Low] > cur[c.High] {
-				cur[c.Low], cur[c.High] = cur[c.High], cur[c.Low]
-			}
-		}
-	}
-	return cur
-}
-
-// Route performs the permutation d by sorting destination tags.
-func (oe *OddEven) Route(d perm.Perm) perm.Perm {
-	if len(d) != oe.size {
-		panic(fmt.Sprintf("batcher: permutation length %d != N %d", len(d), oe.size))
-	}
-	type sig struct{ tag, src int }
-	cur := make([]sig, oe.size)
-	for i, t := range d {
-		cur[i] = sig{tag: t, src: i}
-	}
-	for _, stage := range oe.stages {
-		for _, c := range stage {
-			if cur[c.Low].tag > cur[c.High].tag {
-				cur[c.Low], cur[c.High] = cur[c.High], cur[c.Low]
-			}
-		}
-	}
-	realized := make(perm.Perm, oe.size)
-	for y, s := range cur {
-		realized[s.src] = y
-	}
-	return realized
-}
-
-// Realizes reports whether routing-by-sorting performs d; true for
-// every valid permutation.
-func (oe *OddEven) Realizes(d perm.Perm) bool {
-	if !d.Valid() {
-		return false
-	}
-	return oe.Route(d).Equal(d)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bits"
 	"repro/internal/perm"
 )
 
@@ -38,9 +37,6 @@ const (
 // stage, each in [0, n). The paper's network is recovered with
 // schedule[s] = min(s, 2n-2-s) and UpperInput.
 func (b *Network) RouteWithSchedule(d perm.Perm, schedule []int, src ControlSource) *Result {
-	if len(d) != b.size {
-		panic("core: RouteWithSchedule: permutation length mismatch")
-	}
 	if len(schedule) != b.stages {
 		panic(fmt.Sprintf("core: RouteWithSchedule: schedule has %d entries, want %d", len(schedule), b.stages))
 	}
@@ -49,58 +45,7 @@ func (b *Network) RouteWithSchedule(d perm.Perm, schedule []int, src ControlSour
 			panic("core: RouteWithSchedule: control bit out of range")
 		}
 	}
-	res := &Result{
-		Mode:     SelfRouting,
-		States:   b.NewStates(),
-		Realized: make(perm.Perm, b.size),
-		TagTrace: make([][]int, b.stages+1),
-	}
-	tags := append([]int(nil), d...)
-	srcIdx := make([]int, b.size)
-	for i := range srcIdx {
-		srcIdx[i] = i
-	}
-	res.TagTrace[0] = append([]int(nil), tags...)
-	nextTags := make([]int, b.size)
-	nextSrc := make([]int, b.size)
-	for s := 0; s < b.stages; s++ {
-		cb := schedule[s]
-		for i := 0; i < b.size/2; i++ {
-			var crossed bool
-			switch src {
-			case UpperInput:
-				crossed = bits.Bit(tags[2*i], cb) == 1
-			case LowerInput:
-				crossed = bits.Bit(tags[2*i+1], cb) == 1
-			case LowerInputInverted:
-				crossed = bits.Bit(tags[2*i+1], cb) == 0
-			}
-			res.States[s][i] = crossed
-			if crossed {
-				tags[2*i], tags[2*i+1] = tags[2*i+1], tags[2*i]
-				srcIdx[2*i], srcIdx[2*i+1] = srcIdx[2*i+1], srcIdx[2*i]
-			}
-		}
-		if s < b.stages-1 {
-			for y := 0; y < b.size; y++ {
-				to := b.link[s][y]
-				nextTags[to] = tags[y]
-				nextSrc[to] = srcIdx[y]
-			}
-			tags, nextTags = nextTags, tags
-			srcIdx, nextSrc = nextSrc, srcIdx
-		}
-		res.TagTrace[s+1] = append([]int(nil), tags...)
-	}
-	for out := 0; out < b.size; out++ {
-		res.Realized[srcIdx[out]] = out
-	}
-	for i, dest := range d {
-		if res.Realized[i] != dest {
-			res.Misrouted = append(res.Misrouted, i)
-		}
-	}
-	return res
+	return b.route(d, rule{schedule: schedule, src: src}, nil, nil)
 }
 
 // PaperSchedule returns Fig. 3's control-bit schedule:

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bits"
+	"repro/internal/perm"
 )
 
 // Network is a wired Benes network B(n). The wiring is immutable after
@@ -48,6 +49,9 @@ type Network struct {
 	// from an output (the only well-defined direction once broadcast
 	// states fan a single input out to both switch outputs).
 	linkInv [][]int
+	// ident is the identity on N lines, the link out of the last stage:
+	// its output lines are the network's.
+	ident []int
 }
 
 // last is the network New built most recently. The wiring is
@@ -94,6 +98,7 @@ func New(n int) *Network {
 			b.linkInv[s][x] = y
 		}
 	}
+	b.ident = perm.Identity(size)
 	last.Store(b)
 	return b
 }

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/perm"
+import (
+	"fmt"
+
+	"repro/internal/perm"
+)
 
 // Fault models a binary switch stuck in one state — the classic Benes
 // fault-tolerance scenario. The network's redundancy (every permutation
@@ -15,15 +19,43 @@ type Fault struct {
 }
 
 // RouteWithFaults self-routes d but overrides the faulty switches with
-// their stuck states, reporting the damage. Of two faults on one
+// their stuck states, reporting the damage, and tells hits (when
+// non-nil) of every fault hit (see HitRecorder). Of two faults on one
 // switch the later holds. It panics on a fault out of range.
-func (b *Network) RouteWithFaults(d perm.Perm, faults []Fault) *Result {
+func (b *Network) RouteWithFaults(d perm.Perm, faults []Fault, hits HitRecorder) *Result {
 	for _, f := range faults {
 		if err := b.CheckFault(f); err != nil {
 			panic(err)
 		}
 	}
-	return b.route(d, SelfRouting, nil, faults)
+	return b.route(d, rule{}, faults, hits)
+}
+
+// CheckFault validates f's coordinates against b's geometry, returning
+// an error instead of the panic the routing paths reserve for program
+// bugs — the form runtime fault injection (operator input) needs.
+func (b *Network) CheckFault(f Fault) error {
+	if f.Stage < 0 || f.Stage >= b.stages {
+		return fmt.Errorf("core: fault stage %d out of range [0,%d)", f.Stage, b.stages)
+	}
+	if f.Switch < 0 || f.Switch >= b.size/2 {
+		return fmt.Errorf("core: fault switch %d out of range [0,%d)", f.Switch, b.size/2)
+	}
+	return nil
+}
+
+// EnumerateFaults returns every single stuck-switch fault of b: both
+// stuck states for each of the SwitchCount() switches — the candidate
+// space a single-fault diagnosis must discriminate.
+func (b *Network) EnumerateFaults() []Fault {
+	out := make([]Fault, 0, 2*b.stages*(b.size/2))
+	for s := 0; s < b.stages; s++ {
+		for i := 0; i < b.size/2; i++ {
+			out = append(out, Fault{Stage: s, Switch: i, StuckCrossed: false})
+			out = append(out, Fault{Stage: s, Switch: i, StuckCrossed: true})
+		}
+	}
+	return out
 }
 
 type faultKey struct{ stage, sw int }

@@ -139,7 +139,7 @@ func TestRouteWithFaultsDamage(t *testing.T) {
 			Switch:       rng.Intn(b.N() / 2),
 			StuckCrossed: rng.Intn(2) == 1,
 		}
-		res := b.RouteWithFaults(d, []Fault{f})
+		res := b.RouteWithFaults(d, []Fault{f}, nil)
 		wanted := clean.States[f.Stage][f.Switch]
 		if wanted == f.StuckCrossed {
 			if !res.OK() {
@@ -171,7 +171,7 @@ func TestRouteWithFaultsNoFaults(t *testing.T) {
 	b := New(4)
 	d := perm.BitReversal(4)
 	a := b.SelfRoute(d)
-	c := b.RouteWithFaults(d, nil)
+	c := b.RouteWithFaults(d, nil, nil)
 	if !a.Realized.Equal(c.Realized) {
 		t.Fatal("RouteWithFaults(nil) differs from SelfRoute")
 	}
@@ -185,7 +185,7 @@ func TestFaultValidation(t *testing.T) {
 			t.Fatal("expected panic for out-of-range fault")
 		}
 	}()
-	b.RouteWithFaults(perm.Identity(8), []Fault{{Stage: 99, Switch: 0}})
+	b.RouteWithFaults(perm.Identity(8), []Fault{{Stage: 99, Switch: 0}}, nil)
 }
 
 // TestSetupAvoidingRejectsBadFault: an out-of-range fault panics with

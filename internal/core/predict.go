@@ -1,114 +1,42 @@
 package core
 
-import (
-	"fmt"
+import "repro/internal/perm"
 
-	"repro/internal/perm"
-)
-
-// CheckFault validates f's coordinates against b's geometry, returning
-// an error instead of the panic the routing paths reserve for program
-// bugs — the form runtime fault injection (operator input) needs.
-func (b *Network) CheckFault(f Fault) error {
-	if f.Stage < 0 || f.Stage >= b.stages {
-		return fmt.Errorf("core: fault stage %d out of range [0,%d)", f.Stage, b.stages)
-	}
-	if f.Switch < 0 || f.Switch >= b.size/2 {
-		return fmt.Errorf("core: fault switch %d out of range [0,%d)", f.Switch, b.size/2)
-	}
-	return nil
-}
-
-// EnumerateFaults returns every single stuck-switch fault of b: both
-// stuck states for each of the SwitchCount() switches — the candidate
-// space a single-fault diagnosis must discriminate.
-func (b *Network) EnumerateFaults() []Fault {
-	out := make([]Fault, 0, 2*b.stages*(b.size/2))
-	for s := 0; s < b.stages; s++ {
-		for i := 0; i < b.size/2; i++ {
-			out = append(out, Fault{Stage: s, Switch: i, StuckCrossed: false})
-			out = append(out, Fault{Stage: s, Switch: i, StuckCrossed: true})
-		}
-	}
-	return out
-}
-
-// FaultRouter predicts realized permutations of faulty self-routing
-// passes without the tracing and per-call allocation of
-// RouteWithFaults. One router amortizes its scratch across calls, so a
-// diagnosis sweep over thousands of fault candidates stays
-// allocation-free; it is not safe for concurrent use — clone one per
+// FaultRouter holds the scratch of the synchronous routing pass, so a
+// diagnosis sweep over thousands of fault candidates predicts without
+// allocating. It is not safe for concurrent use: make one per
 // goroutine with NewFaultRouter.
 type FaultRouter struct {
-	net  *Network
-	tags []int
-	src  []int
-	next []int // shared bounce buffer for the inter-stage rewire
-	nsrc []int
+	net           *Network
+	tags, src     []int // the tags on a stage's input lines, and their inputs
+	next, nextSrc []int // the same at the next stage's
 }
 
 // NewFaultRouter returns a router with scratch sized for b.
 func (b *Network) NewFaultRouter() *FaultRouter {
 	return &FaultRouter{
-		net:  b,
-		tags: make([]int, b.size),
-		src:  make([]int, b.size),
-		next: make([]int, b.size),
-		nsrc: make([]int, b.size),
+		net:     b,
+		tags:    make([]int, b.size),
+		src:     make([]int, b.size),
+		next:    make([]int, b.size),
+		nextSrc: make([]int, b.size),
 	}
 }
 
-// Realized self-routes d with the listed switches frozen in their stuck
-// states and writes the realized permutation into dst (allocated when
-// nil): dst[i] is the output that input i's tag actually reached. It is
-// the prediction half of external fault diagnosis — identical switch
-// logic to RouteWithFaults, none of its reporting. Fault coordinates
-// must be in range (see CheckFault); len(faults) is expected to be tiny
-// (diagnosis hypotheses hold one or two), and the fault check is a
-// linear scan per switch.
-func (fr *FaultRouter) Realized(d perm.Perm, faults []Fault, dst perm.Perm) perm.Perm {
-	b := fr.net
-	if len(d) != b.size {
+// Realized predicts a faulty self-routing pass: it self-routes d on
+// fr's scratch with the listed switches stuck, tells hits (when
+// non-nil) of every fault hit, and writes the realized permutation into
+// dst (allocated when nil): dst[i] is the output input i's tag reached.
+// It is RouteWithFaults without the states, the trace and the
+// allocation: the prediction half of external fault diagnosis. Fault
+// coordinates must be in range (see CheckFault).
+func (fr *FaultRouter) Realized(d perm.Perm, faults []Fault, hits HitRecorder, dst perm.Perm) perm.Perm {
+	if len(d) != fr.net.size {
 		panic("core: FaultRouter.Realized size mismatch")
 	}
 	if dst == nil {
-		dst = make(perm.Perm, b.size)
+		dst = make(perm.Perm, fr.net.size)
 	}
-	tags, src, next, nsrc := fr.tags, fr.src, fr.next, fr.nsrc
-	copy(tags, d)
-	for i := range src {
-		src[i] = i
-	}
-	for s := 0; s < b.stages; s++ {
-		cb := uint(b.ControlBit(s))
-		for i := 0; i < b.size/2; i++ {
-			crossed := tags[2*i]>>cb&1 == 1
-			for _, f := range faults {
-				if f.Stage == s && f.Switch == i {
-					crossed = f.StuckCrossed
-				}
-			}
-			if crossed {
-				tags[2*i], tags[2*i+1] = tags[2*i+1], tags[2*i]
-				src[2*i], src[2*i+1] = src[2*i+1], src[2*i]
-			}
-		}
-		if s < b.stages-1 {
-			lk := b.link[s]
-			for y := 0; y < b.size; y++ {
-				to := lk[y]
-				next[to] = tags[y]
-				nsrc[to] = src[y]
-			}
-			tags, next = next, tags
-			src, nsrc = nsrc, src
-		}
-	}
-	for out := 0; out < b.size; out++ {
-		dst[src[out]] = out
-	}
-	// The swaps above may have left the persistent scratch aliased the
-	// other way round; restore the field identities for the next call.
-	fr.tags, fr.src, fr.next, fr.nsrc = tags, src, next, nsrc
+	fr.pass(d, &rule{}, faults, hits, nil, dst)
 	return dst
 }

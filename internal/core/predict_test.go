@@ -10,7 +10,8 @@ import (
 // TestFaultRouterMatchesRouteWithFaults cross-validates the lean
 // prediction primitive against the tracing reference implementation:
 // over random permutations and random fault sets of size 0..2, both
-// must realize the identical permutation.
+// must realize the identical permutation, and the tag the trace shows
+// on each output must be the destination of the input realized there.
 func TestFaultRouterMatchesRouteWithFaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for n := 2; n <= 4; n++ {
@@ -27,11 +28,18 @@ func TestFaultRouterMatchesRouteWithFaults(t *testing.T) {
 					StuckCrossed: rng.Intn(2) == 1,
 				}
 			}
-			want := b.RouteWithFaults(d, faults).Realized
-			got := fr.Realized(d, faults, dst)
+			ref := b.RouteWithFaults(d, faults, nil)
+			want := ref.Realized
+			got := fr.Realized(d, faults, nil, dst)
 			if !got.Equal(want) {
 				t.Fatalf("n=%d faults=%+v d=%v: FaultRouter %v, RouteWithFaults %v",
 					n, faults, d, got, want)
+			}
+			for i, out := range want {
+				if tag := ref.TagTrace[b.Stages()][out]; tag != d[i] {
+					t.Fatalf("n=%d faults=%+v d=%v: input %d realized at output %d, which shows tag %d",
+						n, faults, d, i, out, tag)
+				}
 			}
 		}
 	}
@@ -47,8 +55,8 @@ func TestFaultRouterScratchRestored(t *testing.T) {
 	fault := []Fault{{Stage: 2, Switch: 1, StuckCrossed: true}}
 	for trial := 0; trial < 50; trial++ {
 		d := perm.Random(b.N(), rng)
-		got := shared.Realized(d, fault, nil)
-		want := b.NewFaultRouter().Realized(d, fault, nil)
+		got := shared.Realized(d, fault, nil, nil)
+		want := b.NewFaultRouter().Realized(d, fault, nil, nil)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: shared router diverged: %v vs %v", trial, got, want)
 		}
@@ -63,7 +71,7 @@ func TestFaultRouterAllocFree(t *testing.T) {
 	d := perm.Random(b.N(), rand.New(rand.NewSource(5)))
 	dst := make(perm.Perm, b.N())
 	faults := []Fault{{Stage: 1, Switch: 3, StuckCrossed: false}}
-	if avg := testing.AllocsPerRun(100, func() { fr.Realized(d, faults, dst) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { fr.Realized(d, faults, nil, dst) }); avg != 0 {
 		t.Fatalf("Realized allocates %.1f objects per call, want 0", avg)
 	}
 }
@@ -104,5 +112,19 @@ func TestEnumerateFaults(t *testing.T) {
 			t.Fatalf("duplicate fault %+v", f)
 		}
 		seen[f] = true
+	}
+}
+
+// BenchmarkFaultRouterRealized times one diagnosis prediction: a
+// random permutation at N=256 with one stuck switch, on reused scratch.
+func BenchmarkFaultRouterRealized(b *testing.B) {
+	net := New(8)
+	fr := net.NewFaultRouter()
+	d := perm.Random(net.N(), rand.New(rand.NewSource(6)))
+	dst := make(perm.Perm, net.N())
+	faults := []Fault{{Stage: 7, Switch: 40, StuckCrossed: true}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		fr.Realized(d, faults, nil, dst)
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bits"
 	"repro/internal/perm"
 )
 
@@ -53,72 +52,20 @@ type Result struct {
 // destination.
 func (r *Result) OK() bool { return len(r.Misrouted) == 0 }
 
-// route is the synchronous stage-by-stage evaluator shared by all modes.
-// ext is consulted only in External mode. A switch in faults holds its
-// stuck state whatever the mode decided: a switch reads only its own
-// lines, so each decided stage is corrected, at no cost per switch.
-func (b *Network) route(d perm.Perm, mode Mode, ext States, faults []Fault) *Result {
+// route runs one pass (pass.go) on fresh scratch and reports it in
+// full: the states it set, the tag trace, the realized permutation and
+// the misrouted inputs.
+func (b *Network) route(d perm.Perm, r rule, faults []Fault, hits HitRecorder) *Result {
 	if len(d) != b.size {
 		panic(fmt.Sprintf("core: permutation length %d does not match network size %d", len(d), b.size))
 	}
 	res := &Result{
-		Mode:     mode,
+		Mode:     r.mode,
 		States:   b.NewStates(),
 		Realized: make(perm.Perm, b.size),
 		TagTrace: make([][]int, b.stages+1),
 	}
-	tags := append([]int(nil), d...)
-	src := make([]int, b.size)
-	for i := range src {
-		src[i] = i
-	}
-	res.TagTrace[0] = append([]int(nil), tags...)
-
-	nextTags := make([]int, b.size)
-	nextSrc := make([]int, b.size)
-	for s := 0; s < b.stages; s++ {
-		cb := b.ControlBit(s)
-		for i := 0; i < b.size/2; i++ {
-			var crossed bool
-			switch mode {
-			case SelfRouting:
-				crossed = bits.Bit(tags[2*i], cb) == 1
-			case OmegaForced:
-				if s <= b.n-2 {
-					crossed = false
-				} else {
-					crossed = bits.Bit(tags[2*i], cb) == 1
-				}
-			case External:
-				crossed = ext[s][i]
-			}
-			res.States[s][i] = crossed
-			if crossed {
-				tags[2*i], tags[2*i+1] = tags[2*i+1], tags[2*i]
-				src[2*i], src[2*i+1] = src[2*i+1], src[2*i]
-			}
-		}
-		for _, f := range faults {
-			if i := f.Switch; f.Stage == s && res.States[s][i] != f.StuckCrossed {
-				res.States[s][i] = f.StuckCrossed
-				tags[2*i], tags[2*i+1] = tags[2*i+1], tags[2*i]
-				src[2*i], src[2*i+1] = src[2*i+1], src[2*i]
-			}
-		}
-		if s < b.stages-1 {
-			for y := 0; y < b.size; y++ {
-				to := b.link[s][y]
-				nextTags[to] = tags[y]
-				nextSrc[to] = src[y]
-			}
-			tags, nextTags = nextTags, tags
-			src, nextSrc = nextSrc, src
-		}
-		res.TagTrace[s+1] = append([]int(nil), tags...)
-	}
-	for out := 0; out < b.size; out++ {
-		res.Realized[src[out]] = out
-	}
+	b.NewFaultRouter().pass(d, &r, faults, hits, res, res.Realized)
 	for i, dest := range d {
 		if res.Realized[i] != dest {
 			res.Misrouted = append(res.Misrouted, i)
@@ -136,7 +83,7 @@ func (b *Network) route(d perm.Perm, mode Mode, ext States, faults []Fault) *Res
 // stage. Serving paths that only need the verdict and the states use
 // SelfRouteInto.
 func (b *Network) SelfRoute(d perm.Perm) *Result {
-	return b.route(d, SelfRouting, nil, nil)
+	return b.route(d, rule{}, nil, nil)
 }
 
 // SelfRouteInto is the serving-path kernel of SelfRoute: it applies the
@@ -199,7 +146,7 @@ func (b *Network) SelfRouteInto(d perm.Perm, words []uint64, sc *SetupScratch) b
 // OmegaRoute routes d with the omega bit asserted: stages 0..n-2 forced
 // straight, the final n stages self-routing.
 func (b *Network) OmegaRoute(d perm.Perm) *Result {
-	return b.route(d, OmegaForced, nil, nil)
+	return b.route(d, rule{mode: OmegaForced}, nil, nil)
 }
 
 // ExternalRoute routes d with self-setting disabled, using the supplied
@@ -213,7 +160,7 @@ func (b *Network) ExternalRoute(d perm.Perm, st States) *Result {
 			panic("core: external states have wrong stage width")
 		}
 	}
-	return b.route(d, External, st, nil)
+	return b.route(d, rule{mode: External, ext: st}, nil, nil)
 }
 
 // Realizes reports whether the self-routing scheme performs d, i.e.

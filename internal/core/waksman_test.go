@@ -87,7 +87,7 @@ func TestWaksmanBreaksSelfRouting(t *testing.T) {
 		perm.ForEach(1<<uint(n), func(p perm.Perm) bool {
 			if perm.InF(p) {
 				fCount++
-				if b.RouteWithFaults(p, fixed).OK() {
+				if b.RouteWithFaults(p, fixed, nil).OK() {
 					fixedCount++
 				}
 			}

@@ -399,7 +399,7 @@ func (s *session) probe(q int) error {
 	kept := s.surv[:0]
 	eliminated := int64(0)
 	for _, ci := range s.surv {
-		s.fr.Realized(d, s.cands[ci].Faults, s.pred)
+		s.fr.Realized(d, s.cands[ci].Faults, nil, s.pred)
 		if s.pred.Equal(got) {
 			kept = append(kept, ci)
 		} else {
@@ -418,7 +418,7 @@ func (s *session) probe(q int) error {
 // probe d (FNV-1a over the outputs) — enough to partition survivors
 // without materializing each prediction.
 func (s *session) predictHash(ci int, d perm.Perm) uint64 {
-	s.fr.Realized(d, s.cands[ci].Faults, s.pred)
+	s.fr.Realized(d, s.cands[ci].Faults, nil, s.pred)
 	h := uint64(14695981039346656037)
 	for _, v := range s.pred {
 		h ^= uint64(v)
@@ -456,7 +456,7 @@ func (s *session) expandPairs() {
 			c := Candidate{Faults: []core.Fault{fa, fb}}
 			miss := 0
 			for _, ob := range s.obs {
-				s.fr.Realized(ob.Probe, c.Faults, s.pred)
+				s.fr.Realized(ob.Probe, c.Faults, nil, s.pred)
 				if !s.pred.Equal(ob.Realized) {
 					miss++
 				}

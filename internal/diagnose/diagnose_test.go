@@ -60,7 +60,7 @@ func TestPoolSeparatesAllSingleFaults(t *testing.T) {
 			}
 			var sb strings.Builder
 			for _, d := range pool {
-				fr.Realized(d, fs, pred)
+				fr.Realized(d, fs, nil, pred)
 				sb.WriteString(pred.String())
 			}
 			if other, dup := sigs[sb.String()]; dup {

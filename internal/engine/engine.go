@@ -216,10 +216,12 @@ func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
 }
 
 // ProbeRoute is the diagnosis oracle hook: it self-routes d through
-// the gate-level switch logic — tags decide every state, faults and
-// all — and returns the realized permutation, exactly what package
-// diagnose's probe contract asks of healthy hardware. It deliberately
-// bypasses the serving path twice over:
+// the gate-level switch logic with the listed switches stuck — tags
+// decide every other state — records each fault hit (core.HitRecorder)
+// into the engine's recorder, and returns the realized permutation,
+// exactly what package diagnose's probe contract asks of the hardware.
+// Faults out of range are errors. It deliberately bypasses the serving
+// path twice over:
 //
 //   - no LRU: probes are one-shot, often adversarial permutations a
 //     diagnosis session will never repeat; letting them into the cache
@@ -229,7 +231,7 @@ func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
 //     d *correctly*, which is the wrong contract — a probe must report
 //     what the self-setting switches actually do with d's tags, even
 //     (especially) when that misroutes.
-func (e *Engine[T]) ProbeRoute(d perm.Perm) (perm.Perm, error) {
+func (e *Engine[T]) ProbeRoute(d perm.Perm, faults []core.Fault) (perm.Perm, error) {
 	if len(d) != e.net.N() {
 		e.met.Errors.Add(1)
 		return nil, fmt.Errorf("engine: probe size %d does not match N=%d", len(d), e.net.N())
@@ -237,6 +239,12 @@ func (e *Engine[T]) ProbeRoute(d perm.Perm) (perm.Perm, error) {
 	if err := d.Validate(); err != nil {
 		e.met.Errors.Add(1)
 		return nil, err
+	}
+	for _, f := range faults {
+		if err := e.net.CheckFault(f); err != nil {
+			e.met.Errors.Add(1)
+			return nil, err
+		}
 	}
 	e.mu.RLock()
 	closed := e.closed
@@ -246,7 +254,7 @@ func (e *Engine[T]) ProbeRoute(d perm.Perm) (perm.Perm, error) {
 		return nil, ErrClosed
 	}
 	e.met.Probes.Add(1)
-	return e.net.SelfRoute(d).Realized, nil
+	return e.net.NewFaultRouter().Realized(d, faults, e.rec, nil), nil
 }
 
 // Close stops accepting requests and returns once every in-flight

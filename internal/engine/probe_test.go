@@ -2,8 +2,11 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/perm"
 )
 
@@ -25,7 +28,7 @@ func TestProbeRouteGateFaithful(t *testing.T) {
 		} else {
 			d = perm.Random(e.Network().N(), rng)
 		}
-		got, err := e.ProbeRoute(d)
+		got, err := e.ProbeRoute(d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +50,7 @@ func TestProbeRouteBypassesCache(t *testing.T) {
 	defer e.Close()
 	d := perm.Random(e.Network().N(), rand.New(rand.NewSource(11)))
 	for i := 0; i < 3; i++ {
-		if _, err := e.ProbeRoute(d); err != nil {
+		if _, err := e.ProbeRoute(d, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,14 +80,48 @@ func TestProbeRouteErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ProbeRoute(perm.Identity(4)); err == nil {
+	if _, err := e.ProbeRoute(perm.Identity(4), nil); err == nil {
 		t.Fatal("want size error")
 	}
-	if _, err := e.ProbeRoute(perm.Perm{0, 0, 1, 2, 3, 4, 5, 6}); err == nil {
+	if _, err := e.ProbeRoute(perm.Perm{0, 0, 1, 2, 3, 4, 5, 6}, nil); err == nil {
 		t.Fatal("want validation error")
 	}
+	if _, err := e.ProbeRoute(perm.Identity(8), []core.Fault{{Stage: 5, Switch: 0}}); err == nil {
+		t.Fatal("want fault range error")
+	}
+	if s := e.Stats(); s.Errors != 3 || s.Probes != 0 {
+		t.Fatalf("errors %d, probes %d after three rejected probes, want 3 and 0", s.Errors, s.Probes)
+	}
 	e.Close()
-	if _, err := e.ProbeRoute(perm.Identity(8)); err != ErrClosed {
+	if _, err := e.ProbeRoute(perm.Identity(8), nil); err != ErrClosed {
 		t.Fatalf("want ErrClosed, got %v", err)
+	}
+}
+
+// TestProbeRouteBytes bounds a probe of a damaged B(8) with a recorder
+// attached at 12 KB: one pass's scratch (four N-int lines) and the
+// realized permutation, with no states or tag trace.
+func TestProbeRouteBytes(t *testing.T) {
+	const logN, probes = 8, 200
+	net := core.New(logN)
+	e, err := New[int](Config{LogN: logN, Recorder: netsim.NewRecorder(net, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	d := perm.Random(net.N(), rand.New(rand.NewSource(12)))
+	faults := []core.Fault{{Stage: 3, Switch: 17, StuckCrossed: true}}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < probes; i++ {
+		if _, err := e.ProbeRoute(d, faults); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	per := (m1.TotalAlloc - m0.TotalAlloc) / probes
+	t.Logf("probe at N=%d: %d B allocated", net.N(), per)
+	if per > 12<<10 {
+		t.Fatalf("a probe allocates %d B, budget 12 KB", per)
 	}
 }

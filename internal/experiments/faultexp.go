@@ -45,7 +45,7 @@ func runE27(w io.Writer) {
 				Switch:       rng.Intn(b.N() / 2),
 				StuckCrossed: rng.Intn(2) == 1,
 			}
-			res := b.RouteWithFaults(d, []core.Fault{f})
+			res := b.RouteWithFaults(d, []core.Fault{f}, nil)
 			switch {
 			case clean.States[f.Stage][f.Switch] == f.StuckCrossed:
 				harmless++

@@ -42,7 +42,7 @@ func runE29(w io.Writer) {
 		const fTrials = 100
 		for trial := 0; trial < fTrials; trial++ {
 			p := perm.RandomF(n, rng)
-			if b.RouteWithFaults(p, fixed).OK() {
+			if b.RouteWithFaults(p, fixed, nil).OK() {
 				fSurvive++
 			}
 		}

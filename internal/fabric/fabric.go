@@ -439,15 +439,13 @@ func (f *Fabric[T]) InjectFaults(id int, faults []core.Fault) error {
 // ProbePlane runs one diagnosis probe through plane id and returns the
 // realized permutation — the fabric's Oracle hook for package diagnose
 // (wrap it in a diagnose.OracleFunc). The pass moves no payload and
-// touches no VOQ: a damaged plane answers from core.RouteWithFaults
-// over its injected faults, recording a fault hit for each stuck switch
-// the probe's tags wanted the other way; a healthy one answers from its
-// engine's ProbeRoute. Both bypass the plan cache and the looping
-// fallback, so the observation reflects the self-setting switch logic
-// alone. Probing works on
-// planes that are out of rotation — that is the point: diagnosis
-// localizes the stuck switch while production traffic routes around
-// the plane.
+// touches no VOQ: the plane's engine answers from ProbeRoute over the
+// plane's injected faults (none on a healthy plane), recording each
+// fault hit in the plane recorder. It bypasses the plan cache and the
+// looping fallback, so the observation reflects the self-setting switch
+// logic alone. Probing works on planes that are out of rotation — that
+// is the point: diagnosis localizes the stuck switch while production
+// traffic routes around the plane.
 func (f *Fabric[T]) ProbePlane(id int, d perm.Perm) (perm.Perm, error) {
 	if id < 0 || id >= len(f.planes) {
 		return nil, fmt.Errorf("fabric: no plane %d", id)

@@ -93,39 +93,17 @@ func (p *plane) serve(work func() error) error {
 	return nil
 }
 
-// probe answers one diagnosis probe on this plane: load d's tags, let
-// the switches set themselves, report where every tag landed. On a
-// damaged plane the pass is core.RouteWithFaults over the injected
-// faults — the realized permutation then bears the fault's misroute
-// fingerprint — and every stuck switch whose upper-input tag wanted
-// the other state counts one fault hit in the plane recorder. On a
-// healthy plane it is the engine's gate-faithful ProbeRoute. Either way
-// the serving path's plan cache and looping fallback are bypassed: a
-// probe reports what the self-setting hardware does, not what a
-// corrected setup would do.
+// probe answers one diagnosis probe on this plane: its engine's
+// ProbeRoute over the injected faults, so a damaged plane's realized
+// permutation bears the faults' misroute fingerprint and its recorder
+// counts their hits. The serving path's plan cache and looping
+// fallback are bypassed: a probe reports what the self-setting
+// hardware does, not what a corrected setup would do.
 func (p *plane) probe(d perm.Perm) (perm.Perm, error) {
 	p.mu.Lock()
 	faults := p.faults
 	p.mu.Unlock()
-	if len(faults) == 0 {
-		return p.eng.ProbeRoute(d)
-	}
-	net := p.eng.Network()
-	if len(d) != net.N() {
-		return nil, fmt.Errorf("fabric: probe size %d does not match N=%d", len(d), net.N())
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	res := net.RouteWithFaults(d, faults)
-	rec := p.eng.Recorder()
-	for _, f := range faults {
-		upper := res.TagTrace[f.Stage][2*f.Switch]
-		if wantCrossed := upper>>uint(net.ControlBit(f.Stage))&1 == 1; wantCrossed != f.StuckCrossed {
-			rec.FaultHit(f.Stage, f.Switch)
-		}
-	}
-	return res.Realized, nil
+	return p.eng.ProbeRoute(d, faults)
 }
 
 func (p *plane) close() { p.eng.Close() }

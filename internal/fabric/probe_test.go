@@ -78,7 +78,7 @@ func TestProbePlaneFaulty(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := net.RouteWithFaults(d, fault).Realized; !got.Equal(want) {
+					if want := net.RouteWithFaults(d, fault, nil).Realized; !got.Equal(want) {
 						t.Fatalf("fault %+v: probe %v realized %v, core says %v", fault[0], d, got, want)
 					}
 					if want, _ := sim.Probe(d); !got.Equal(want) {
@@ -117,6 +117,44 @@ func TestProbePlaneFaulty(t *testing.T) {
 	}
 	if tot := f.PlaneRecorder(0).StageTotals(0); tot.FaultHits != 0 {
 		t.Fatalf("healthy plane 0 recorded fault hits: %+v", tot)
+	}
+}
+
+// TestProbePlaneDuplicateFaultHits: a fault list that names one switch
+// twice counts the fault hits netsim's hardware view counts. The later
+// fault holds, and a probe hits it once when the tags decided the other
+// state. The identity's tag 2 sets stage 0's switch 1 straight.
+func TestProbePlaneDuplicateFaultHits(t *testing.T) {
+	const logN = 3
+	net := core.New(logN)
+	id := perm.Identity(net.N())
+	for _, c := range []struct {
+		faults []core.Fault
+		hits   int64
+	}{
+		{[]core.Fault{{Stage: 0, Switch: 1, StuckCrossed: true}, {Stage: 0, Switch: 1}}, 0},
+		{[]core.Fault{{Stage: 0, Switch: 1, StuckCrossed: true}, {Stage: 0, Switch: 1, StuckCrossed: true}}, 1},
+	} {
+		f, err := New[int](Config{LogN: logN, Planes: 2, Record: true}, func(Packet[int]) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.InjectFaults(1, c.faults); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.ProbePlane(1, id); err != nil {
+			t.Fatal(err)
+		}
+		hw := netsim.NewWithFaults(net, c.faults)
+		hwRec := netsim.NewRecorder(net, 1)
+		hw.SetRecorder(hwRec)
+		hw.RouteOne(id)
+		got := f.PlaneRecorder(1).Snapshot().Counts[0].FaultHits
+		want := hwRec.Snapshot().Counts[0].FaultHits
+		if got[1] != c.hits || want[1] != c.hits {
+			t.Errorf("faults %+v: plane counted %d hits, netsim %d, want %d", c.faults, got[1], want[1], c.hits)
+		}
+		f.Close()
 	}
 }
 

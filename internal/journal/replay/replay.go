@@ -113,8 +113,8 @@ type replayer struct {
 	sc      *core.SetupScratch // the setup kernels' working memory
 	comp    *mcast.Compiler
 	words   []uint64  // the current record's packed setting or copy-network plan
-	ports   []int     // per record: a frame's partial matching or mapping, or route's lines
-	dest    perm.Perm // per frame record: its completed permutation
+	ports   []int     // per record: a frame's partial matching or mapping, a round's outputs, or route's lines
+	dest    perm.Perm // per record: a frame's completed permutation, or the sources a mapping's walk found
 	taken   []bool    // per frame record: the completion's claimed outputs
 	rep     *Report
 	counts  [journal.KindMax]uint64
@@ -333,7 +333,7 @@ func (r *replayer) replayMcastRound(rec *journal.Record) {
 		r.diverge(rec, fmt.Sprintf("invalid mapping: %v", err))
 		return
 	}
-	var outs []int
+	outs := r.ports[:0]
 	for out, src := range m {
 		if src >= 0 {
 			outs = append(outs, out)
@@ -344,13 +344,14 @@ func (r *replayer) replayMcastRound(rec *journal.Record) {
 
 // replayMapping recompiles one mapping through the copy network and
 // audits the digest of (walked source, output) over outs, each output
-// followed back through the packed plan.
+// followed back through the packed plan. outs are distinct outputs, so
+// at most N.
 func (r *replayer) replayMapping(rec *journal.Record, m mcast.Mapping, outs []int) {
 	if err := r.comp.CompilePacked(m, r.words); err != nil {
 		r.diverge(rec, fmt.Sprintf("mapping no longer compiles: %v", err))
 		return
 	}
-	srcs := make([]int, len(outs))
+	srcs := r.dest[:len(outs)]
 	mcast.Walk(r.net, r.words, outs, srcs, nil, nil)
 	h := journal.NewHash64()
 	for k, out := range outs {

@@ -362,12 +362,14 @@ func TestWindowStreamsLikeRun(t *testing.T) {
 }
 
 // TestReplayBytes bounds what Window allocates per record at N=256 for
-// each of three record kinds: a looping route and an F(n) route under
-// 256 B, and a 16-packet frame under 4 KB. Replay sets each permutation
-// up with the serving kernels into one reused setting on one reused
-// scratch, packs it into one reused word slice and walks it back into
-// one reused line vector, and checks a route's vector without an N-int
-// scratch, so a route record costs about its decoded Record.
+// each of five record kinds, all under 256 B: a looping route, an F(n)
+// route, a 16-packet frame, a 16-copy multicast frame and a 64-output
+// multicast round. Replay sets each permutation up with the serving
+// kernels into one reused setting on one reused scratch and walks it
+// back into one reused line vector, compiles each mapping into one
+// reused plan and walks its outputs into reused buffers, and checks a
+// route's vector without an N-int scratch, so a record costs about its
+// decoded Record.
 func TestReplayBytes(t *testing.T) {
 	const (
 		logN    = 8
@@ -391,6 +393,25 @@ func TestReplayBytes(t *testing.T) {
 		{"frame", 256, func(w *journal.Writer) {
 			srcs, dsts := rng.Perm(n)[:16], rng.Perm(n)[:16]
 			w.Frame(0, srcs, dsts, journal.DigestPairs(srcs, dsts))
+		}},
+		{"mcast-frame", 256, func(w *journal.Writer) {
+			// 16 copies: four sources, four outputs each.
+			srcs, outs := make([]int, 16), rng.Perm(n)[:16]
+			for k := range srcs {
+				srcs[k] = k / 4
+			}
+			w.McastFrame(0, srcs, outs, journal.DigestPairs(srcs, outs))
+		}},
+		{"mcast-round", 256, func(w *journal.Writer) {
+			// 64 assigned outputs fed by 16 sources.
+			m := make([]int, n)
+			for out := range m {
+				m[out] = fabric.Idle
+			}
+			for _, out := range rng.Perm(n)[:64] {
+				m[out] = rng.Intn(16)
+			}
+			w.McastRound(0, m, journal.DigestMapping(m))
 		}},
 	} {
 		t.Run(kind.name, func(t *testing.T) {

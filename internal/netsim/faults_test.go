@@ -28,7 +28,7 @@ func TestFaultyAgreesWithCore(t *testing.T) {
 				}
 			}
 			d := perm.Random(net.N(), rng)
-			want := net.RouteWithFaults(d, faults)
+			want := net.RouteWithFaults(d, faults, nil)
 			got, _ := NewWithFaults(net, faults).RouteOne(d)
 			if !got.Realized.Equal(want.Realized) {
 				t.Fatalf("n=%d faults=%v d=%v: concurrent realized %v, core %v",

@@ -5,11 +5,14 @@
 // and forwards signals without any global clock. Streams of vectors
 // flow through in pipelined fashion (Section IV): a switch finishes
 // vector k on its wires before vector k+1 arrives on the same wires,
-// because channels preserve order.
+// because channels preserve order. Every message counts the switches it
+// crosses, so each output's arrival time is observed, not computed from
+// the stage count.
 //
 // The engine is validated against the synchronous evaluator of package
 // core: identical topology (core.Network.Wiring), identical switch
-// logic, so identical realized permutations and switch states.
+// logic and overrides (omega bit, external setting, stuck switches),
+// so identical realized permutations, switch states and fault hits.
 package netsim
 
 import (
@@ -22,14 +25,20 @@ import (
 
 // Msg is one tagged datum on a wire.
 type Msg struct {
-	Tag int // destination tag, routed on
-	Src int // originating input terminal
+	Tag  int // destination tag, routed on
+	Src  int // originating input terminal
+	Hops int // switches crossed so far
 }
 
 // VectorResult reports the outcome for one routed vector.
 type VectorResult struct {
 	Realized  perm.Perm // Realized[i] = output reached by input i
 	Misrouted []int     // inputs whose tag did not reach its output
+	// ArrivalTime[y] is the logical time the signal on output y arrived
+	// at: the switches it crossed, one unit of self-timed delay each.
+	// Every output arrives at GateDelay() = 2 log N - 1, the paper's
+	// transmission delay.
+	ArrivalTime []int
 }
 
 // OK reports whether the vector's permutation was realized.
@@ -41,6 +50,7 @@ type Engine struct {
 	stuck map[switchID]bool // injected faults: switch -> frozen state
 	rec   *Recorder         // gate-level flight recorder; nil = disabled
 	omega bool              // omega bit asserted: stages 0..n-2 forced straight
+	ext   core.States       // external setting; nil = switches self-set
 }
 
 // SetRecorder enables full gate-level accounting: every switch records
@@ -55,6 +65,23 @@ func (e *Engine) SetRecorder(r *Recorder) { e.rec = r }
 // safe to call concurrently with Run.
 func (e *Engine) SetOmega(on bool) { e.omega = on }
 
+// SetExternal loads an external setting (Section I): with st non-nil,
+// every switch takes its state from st instead of its control bit, and
+// the omega bit is ignored; nil restores self-setting. A stuck switch
+// still holds its stuck state. It panics unless st has one row of N/2
+// states per stage. Not safe to call concurrently with Run.
+func (e *Engine) SetExternal(st core.States) {
+	if st != nil && len(st) != e.net.Stages() {
+		panic("netsim: external states have wrong stage count")
+	}
+	for _, row := range st {
+		if len(row) != e.net.SwitchesPerStage() {
+			panic("netsim: external states have wrong stage width")
+		}
+	}
+	e.ext = st
+}
+
 type switchID struct{ stage, sw int }
 
 // New wraps a core network for concurrent execution.
@@ -66,8 +93,10 @@ func New(net *core.Network) *Engine {
 // in their stuck states: the per-switch goroutines ignore the control
 // bit and forward according to the fault, so vectors that need the
 // other state misroute — the concurrent analogue of
-// core.RouteWithFaults. Like RouteWithFaults, it panics with
-// core.CheckFault's error on a fault out of range.
+// core.RouteWithFaults. Of two faults on one switch the later holds,
+// and a recorder counts one fault hit per vector whose decided state
+// differs from it (core.HitRecorder's rule). Like RouteWithFaults, it
+// panics with core.CheckFault's error on a fault out of range.
 func NewWithFaults(net *core.Network, faults []core.Fault) *Engine {
 	e := &Engine{net: net, stuck: make(map[switchID]bool, len(faults))}
 	for _, f := range faults {
@@ -81,9 +110,10 @@ func NewWithFaults(net *core.Network, faults []core.Fault) *Engine {
 
 // Run streams the given destination-tag vectors through the network,
 // one goroutine per switch, and returns one result per vector, in input
-// order. All vectors self-route; Run also returns the switch states
-// decided for the first vector so callers can compare against the
-// synchronous engine.
+// order. Every vector routes under the engine's settings (self-routing
+// unless SetOmega or SetExternal says otherwise, stuck switches
+// included); Run also returns the switch states set for the first
+// vector so callers can compare against the synchronous engine.
 func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 	N := e.net.N()
 	stages := e.net.Stages()
@@ -111,7 +141,11 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 	var wg sync.WaitGroup
 	for s := 0; s < stages; s++ {
 		cb := e.net.ControlBit(s)
-		forced := e.omega && s <= e.net.LogN()-2
+		var ext []bool
+		if e.ext != nil {
+			ext = e.ext[s]
+		}
+		forced := ext == nil && e.omega && s <= e.net.LogN()-2
 		for i := 0; i < N/2; i++ {
 			frozen, isStuck := e.stuck[switchID{s, i}]
 			wg.Add(1)
@@ -127,11 +161,18 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 				prev := false // power-on state: straight
 				for k := 0; k < depth; k++ {
 					// The switch decides from the upper input's control
-					// bit and forwards it immediately — self-timing. A
-					// forced switch (omega bit) ignores the bit and stays
-					// straight; a stuck switch cannot decide at all.
+					// bit and forwards it immediately — self-timing. An
+					// external setting overrides the bit, a forced switch
+					// (omega bit) stays straight, and a stuck switch cannot
+					// decide at all.
 					u := <-upIn
-					desired := !forced && bits.Bit(u.Tag, cb) == 1
+					var desired bool
+					switch {
+					case ext != nil:
+						desired = ext[i]
+					case !forced:
+						desired = bits.Bit(u.Tag, cb) == 1
+					}
 					crossed := desired
 					if isStuck {
 						crossed = frozen
@@ -152,12 +193,14 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 					if k == 0 {
 						firstStates[s][i] = crossed
 					}
+					u.Hops++
 					if crossed {
 						loOut <- u
 					} else {
 						upOut <- u
 					}
 					l := <-loIn
+					l.Hops++
 					rec.Traverse(s, i)
 					if crossed {
 						upOut <- l
@@ -181,11 +224,14 @@ func (e *Engine) Run(vectors []perm.Perm) ([]VectorResult, core.States) {
 	results := make([]VectorResult, depth)
 	for k := range results {
 		realized := make(perm.Perm, N)
+		arrival := make([]int, N)
 		for y := 0; y < N; y++ {
 			m := <-wires[stages][y]
 			realized[m.Src] = y
+			arrival[y] = m.Hops
 		}
 		results[k].Realized = realized
+		results[k].ArrivalTime = arrival
 		for i, dest := range vectors[k] {
 			if realized[i] != dest {
 				results[k].Misrouted = append(results[k].Misrouted, i)

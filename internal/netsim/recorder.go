@@ -163,16 +163,6 @@ func (r *Recorder) FaultHit(stage, sw int) {
 	r.at(stage, sw, kindFaultHits).Add(1)
 }
 
-// Bcast counts one broadcast-state transition at switch (stage, sw):
-// the switch entered or left an upper/lower broadcast setting between
-// consecutive vectors.
-func (r *Recorder) Bcast(stage, sw int) {
-	if r == nil {
-		return
-	}
-	r.at(stage, sw, kindBcast).Add(1)
-}
-
 // MaskWords returns the length of a packed state bitmask for this
 // recorder's geometry (0 on nil): one word block per stage.
 func (r *Recorder) MaskWords() int {

@@ -179,7 +179,7 @@ func TestRecorderFaultHits(t *testing.T) {
 	// Identity wants switch (0,0) straight: the stuck-crossed state is a
 	// hit (whether or not downstream self-routing absorbs the swap).
 	id := perm.Identity(1 << n)
-	ref := net.RouteWithFaults(id, []core.Fault{fault})
+	ref := net.RouteWithFaults(id, []core.Fault{fault}, nil)
 	res, _ := eng.RouteOne(id)
 	if !res.Realized.Equal(ref.Realized) {
 		t.Fatalf("faulted realized %v, want %v (core.RouteWithFaults)", res.Realized, ref.Realized)
@@ -369,10 +369,10 @@ func TestRecorderMatchesReference(t *testing.T) {
 			}
 			r.RecordFrame(pack(st), paths)
 			m.apply(st, none)
-		default: // single-switch calls
+		default: // single-switch calls (broadcast flips come only from RecordMcastFlips)
 			s, i := rng.Intn(stages), rng.Intn(switches)
-			calls := []func(int, int){r.Traverse, r.Flip, r.Forced, r.FaultHit, r.Bcast}
-			kind := rng.Intn(recKinds)
+			calls := []func(int, int){r.Traverse, r.Flip, r.Forced, r.FaultHit}
+			kind := rng.Intn(len(calls))
 			calls[kind](s, i)
 			m.c[s][i][kind]++
 		}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -18,7 +19,7 @@ func TestTimedArrivalIsGateDelay(t *testing.T) {
 		net := core.New(n)
 		e := New(net)
 		d := perm.Random(1<<uint(n), rng)
-		res := e.RouteTimed(d, core.SelfRouting, nil)
+		res, _ := e.RouteOne(d)
 		for y, at := range res.ArrivalTime {
 			if at != net.GateDelay() {
 				t.Fatalf("n=%d: output %d arrived at t=%d, want %d", n, y, at, net.GateDelay())
@@ -27,8 +28,8 @@ func TestTimedArrivalIsGateDelay(t *testing.T) {
 	}
 }
 
-// TestTimedMatchesSyncAllModes: the timed concurrent engine agrees with
-// the synchronous evaluator in every mode.
+// TestTimedMatchesSyncAllModes: the concurrent engine agrees with the
+// synchronous evaluator in every mode.
 func TestTimedMatchesSyncAllModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(262))
 	for trial := 0; trial < 60; trial++ {
@@ -38,20 +39,24 @@ func TestTimedMatchesSyncAllModes(t *testing.T) {
 		d := perm.Random(1<<uint(n), rng)
 
 		selfSync := net.SelfRoute(d)
-		selfConc := e.RouteTimed(d, core.SelfRouting, nil)
+		selfConc, _ := e.RouteOne(d)
 		if !selfConc.Realized.Equal(selfSync.Realized) {
 			t.Fatalf("n=%d: self-routing mismatch", n)
 		}
 
 		omSync := net.OmegaRoute(d)
-		omConc := e.RouteTimed(d, core.OmegaForced, nil)
+		e.SetOmega(true)
+		omConc, _ := e.RouteOne(d)
+		e.SetOmega(false)
 		if !omConc.Realized.Equal(omSync.Realized) {
 			t.Fatalf("n=%d: omega-forced mismatch", n)
 		}
 
 		st := net.Setup(d)
 		extSync := net.ExternalRoute(d, st)
-		extConc := e.RouteTimed(d, core.External, st)
+		e.SetExternal(st)
+		extConc, _ := e.RouteOne(d)
+		e.SetExternal(nil)
 		if !extConc.Realized.Equal(extSync.Realized) {
 			t.Fatalf("n=%d: external mismatch", n)
 		}
@@ -66,17 +71,19 @@ func TestTimedMatchesSyncAllModes(t *testing.T) {
 func TestTimedOmegaMode(t *testing.T) {
 	n := 5
 	e := New(core.New(n))
+	e.SetOmega(true)
 	d := perm.CyclicShift(n, 7)
-	if !e.RouteTimed(d, core.OmegaForced, nil).OK() {
+	if res, _ := e.RouteOne(d); !res.OK() {
 		t.Fatal("omega-forced concurrent routing failed")
 	}
 	// Fig. 5's witness: fails plain, works with the bit — concurrently.
 	e2 := New(core.New(2))
 	w := perm.Perm{1, 3, 2, 0}
-	if e2.RouteTimed(w, core.SelfRouting, nil).OK() {
+	if res, _ := e2.RouteOne(w); res.OK() {
 		t.Fatal("witness should fail plain self-routing")
 	}
-	if !e2.RouteTimed(w, core.OmegaForced, nil).OK() {
+	e2.SetOmega(true)
+	if res, _ := e2.RouteOne(w); !res.OK() {
 		t.Fatal("witness should route with the omega bit")
 	}
 }
@@ -84,17 +91,18 @@ func TestTimedOmegaMode(t *testing.T) {
 func TestTimedMaxArrival(t *testing.T) {
 	net := core.New(4)
 	e := New(net)
-	res := e.RouteTimed(perm.BitReversal(4), core.SelfRouting, nil)
-	if res.MaxArrival() != net.GateDelay() {
-		t.Fatalf("max arrival %d, want %d", res.MaxArrival(), net.GateDelay())
+	res, _ := e.RouteOne(perm.BitReversal(4))
+	if top := slices.Max(res.ArrivalTime); top != net.GateDelay() {
+		t.Fatalf("max arrival %d, want %d", top, net.GateDelay())
 	}
 }
 
 func TestTimedValidation(t *testing.T) {
 	e := New(core.New(3))
 	for _, bad := range []func(){
-		func() { e.RouteTimed(perm.Identity(4), core.SelfRouting, nil) },
-		func() { e.RouteTimed(perm.Identity(8), core.External, make(core.States, 2)) },
+		func() { e.RouteOne(perm.Identity(4)) },
+		func() { e.SetExternal(make(core.States, 2)) },
+		func() { e.SetExternal(core.States{nil, nil, nil, nil, nil}) },
 	} {
 		func() {
 			defer func() {
