@@ -271,32 +271,54 @@ func (s *server) handleSend(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// Each accepted packet carries the request trace and one reference
-	// to it; a rejected packet returns its reference immediately (never
-	// the last — the middleware still holds the handler's).
+	accepted, rejected, code, ok := s.admit(w, r, len(pkts),
+		func(int) int { return 1 },
+		func(k int, tr *obs.Trace) error {
+			return s.fab.Send(fabric.Packet[int]{Src: pkts[k].Src, Dst: pkts[k].Dst, Trace: tr})
+		})
+	if ok {
+		s.writeJSON(w, code, sendResponse{Accepted: accepted, Rejected: rejected})
+	}
+}
+
+// admit offers units 0..units-1 to the fabric in order, the admission
+// loop of /send and packet-mode /multicast. Unit k carries copies(k)
+// references to the request trace, taken before offer sends it: the
+// fabric delivers, and the deliver callback releases, every copy
+// separately. A unit that backpressure or a closing fabric turns away
+// counts as rejected and returns its references at once (never the
+// last: the middleware still holds the handler's); any other error
+// returns them and answers 400, and ok is false. Otherwise the admit
+// span is folded into the trace and code is 429 when nothing was
+// accepted, 200 else.
+func (s *server) admit(w http.ResponseWriter, r *http.Request, units int, copies func(k int) int,
+	offer func(k int, tr *obs.Trace) error) (accepted, rejected, code int, ok bool) {
 	tr := obs.FromContext(r.Context())
-	admit := time.Now()
-	var resp sendResponse
-	for _, p := range pkts {
-		tr.Ref()
-		switch err := s.fab.Send(fabric.Packet[int]{Src: p.Src, Dst: p.Dst, Trace: tr}); err {
-		case nil:
-			resp.Accepted++
-		case fabric.ErrBackpressure, fabric.ErrClosed:
-			tr.Release()
-			resp.Rejected++
-		default:
-			tr.Release()
-			s.httpError(w, http.StatusBadRequest, err.Error())
-			return
+	start := time.Now()
+	for k := range units {
+		c := copies(k)
+		for range c {
+			tr.Ref()
 		}
+		err := offer(k, tr)
+		if err == nil {
+			accepted++
+			continue
+		}
+		for range c {
+			tr.Release()
+		}
+		if err != fabric.ErrBackpressure && err != fabric.ErrClosed {
+			s.httpError(w, http.StatusBadRequest, err.Error())
+			return 0, 0, 0, false
+		}
+		rejected++
 	}
-	tr.Span("admit", admit, fmt.Sprintf("%d accepted, %d rejected", resp.Accepted, resp.Rejected))
-	code := http.StatusOK
-	if resp.Accepted == 0 {
-		code = http.StatusTooManyRequests
+	tr.Span("admit", start, fmt.Sprintf("%d accepted, %d rejected", accepted, rejected))
+	if accepted == 0 {
+		return accepted, rejected, http.StatusTooManyRequests, true
 	}
-	s.writeJSON(w, code, resp)
+	return accepted, rejected, http.StatusOK, true
 }
 
 // checkPackets rejects a /send batch holding a packet outside [0, n),
@@ -393,37 +415,15 @@ func (s *server) handleMulticast(w http.ResponseWriter, r *http.Request) {
 			s.httpError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		tr := obs.FromContext(r.Context())
-		admit := time.Now()
-		var resp multicastResponse
-		for _, e := range req.Entries {
-			// One reference per copy: the fabric delivers (and the
-			// deliver callback releases) each destination separately.
-			for range e.Dsts {
-				tr.Ref()
-			}
-			switch err := s.fab.SendMulticast(fabric.MulticastPacket[int]{Src: e.Src, Dsts: e.Dsts, Payload: e.Src, Trace: tr}); err {
-			case nil:
-				resp.Accepted++
-			case fabric.ErrBackpressure, fabric.ErrClosed:
-				for range e.Dsts {
-					tr.Release()
-				}
-				resp.Rejected++
-			default:
-				for range e.Dsts {
-					tr.Release()
-				}
-				s.httpError(w, http.StatusBadRequest, err.Error())
-				return
-			}
+		accepted, rejected, code, ok := s.admit(w, r, len(req.Entries),
+			func(k int) int { return len(req.Entries[k].Dsts) },
+			func(k int, tr *obs.Trace) error {
+				e := req.Entries[k]
+				return s.fab.SendMulticast(fabric.MulticastPacket[int]{Src: e.Src, Dsts: e.Dsts, Payload: e.Src, Trace: tr})
+			})
+		if ok {
+			s.writeJSON(w, code, multicastResponse{Accepted: accepted, Rejected: rejected})
 		}
-		tr.Span("admit", admit, fmt.Sprintf("%d accepted, %d rejected", resp.Accepted, resp.Rejected))
-		code := http.StatusOK
-		if resp.Accepted == 0 {
-			code = http.StatusTooManyRequests
-		}
-		s.writeJSON(w, code, resp)
 		return
 	}
 	m := req.Map

@@ -2,9 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/experiments.golden from RunAll's output")
 
 func TestRegistryComplete(t *testing.T) {
 	all := All()
@@ -57,9 +64,7 @@ func TestFind(t *testing.T) {
 // TestRunAllProducesExpectedEvidence runs every experiment and asserts
 // the key quantitative shapes appear in the output.
 func TestRunAllProducesExpectedEvidence(t *testing.T) {
-	var buf bytes.Buffer
-	RunAll(&buf)
-	out := buf.String()
+	out := runAllOutput()
 	for _, want := range []string{
 		// E1: the structural counts for n=10.
 		"10  1024  19",
@@ -103,6 +108,70 @@ func TestRunAllProducesExpectedEvidence(t *testing.T) {
 			if strings.Contains(line, "false") {
 				t.Errorf("verification row failed: %q", line)
 			}
+		}
+	}
+}
+
+// runAll holds one RunAll pass shared by the tests that read its report.
+var runAll struct {
+	sync.Once
+	out string
+}
+
+func runAllOutput() string {
+	runAll.Do(func() {
+		var buf bytes.Buffer
+		RunAll(&buf)
+		runAll.out = buf.String()
+	})
+	return runAll.out
+}
+
+var (
+	durationRe = regexp.MustCompile(`[0-9]+(\.[0-9]+)?(ns|µs|ms|s)\b`)
+	spacesRe   = regexp.MustCompile(` +`)
+	dashesRe   = regexp.MustCompile(`-+`)
+)
+
+// maskReport drops what varies from run to run: measured durations, and
+// the column widths and rule lengths that follow them.
+func maskReport(out string) string {
+	out = durationRe.ReplaceAllString(out, "<dur>")
+	out = spacesRe.ReplaceAllString(out, " ")
+	return dashesRe.ReplaceAllString(out, "-")
+}
+
+// TestExperimentsGolden pins every experiment's report, timings masked,
+// to testdata/experiments.golden; run with -update to regenerate it.
+func TestExperimentsGolden(t *testing.T) {
+	got := maskReport(runAllOutput())
+	golden := filepath.Join("testdata", "experiments.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("report differs from %s at line %d:\n got: %q\nwant: %q\n(run with -update if the change is intended)", golden, i+1, g, w)
 		}
 	}
 }

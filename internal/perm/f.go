@@ -45,37 +45,35 @@ func InF(p Perm) bool {
 	if !p.Valid() || !bits.IsPow2(len(p)) {
 		return false
 	}
-	return inFTags(p, bits.Log2(len(p)))
+	return fViolation(p, bits.Log2(len(p))) == ""
 }
 
-// inFTags applies Theorem 1 to a stream of full destination tags whose
-// low `level` bits address within the current subnetwork. The caller
-// guarantees tags is a permutation when the low bits are considered;
-// recursion re-checks at each level.
-func inFTags(tags []int, level int) bool {
+// fViolation applies Theorem 1 to a stream of full destination tags
+// whose low `level` bits address within the current subnetwork. It
+// returns "" when the stream is realizable, and otherwise the u/l path,
+// below the current subnetwork, of the first subnetwork whose input
+// stream is not a permutation: U and L with bit 0 dropped (the paper's
+// (U_i)_{n-1:1}) must both be permutations of (0, ..., half-1) on the
+// low level-1 bits, and so on down. B(1) is a single switch realizing
+// both permutations of two elements, so level 1 always succeeds.
+func fViolation(tags []int, level int) string {
 	if level <= 1 {
-		// B(1) is a single switch; both permutations of two elements are
-		// realizable (F(1) contains all of S_2). tags being a valid
-		// 1-bit permutation was checked by the caller.
-		return true
+		return ""
 	}
-	half := len(tags) / 2
-	upper := make([]int, half)
-	lower := make([]int, half)
-	for i := 0; i < half; i++ {
-		if bits.Bit(tags[2*i], 0) == 0 {
-			upper[i], lower[i] = tags[2*i], tags[2*i+1]
-		} else {
-			upper[i], lower[i] = tags[2*i+1], tags[2*i]
-		}
+	upper, lower := SplitUL(tags)
+	if !subPermValid(upper, level) {
+		return "u"
 	}
-	// Theorem 1: U and L with bit 0 dropped (the paper's (U_i)_{n-1:1})
-	// must both be permutations of (0, ..., half-1) on the low level-1
-	// bits.
-	if !subPermValid(upper, level) || !subPermValid(lower, level) {
-		return false
+	if !subPermValid(lower, level) {
+		return "l"
 	}
-	return inFTags(shiftTags(upper), level-1) && inFTags(shiftTags(lower), level-1)
+	if v := fViolation(shiftTags(upper), level-1); v != "" {
+		return "u" + v
+	}
+	if v := fViolation(shiftTags(lower), level-1); v != "" {
+		return "l" + v
+	}
+	return ""
 }
 
 // subPermValid checks that dropping bit 0 of each tag yields a
@@ -116,31 +114,13 @@ func FWitness(p Perm) (ok bool, detail string) {
 	if !bits.IsPow2(len(p)) {
 		return false, "length is not a power of two"
 	}
-	return fWitness(p, bits.Log2(len(p)), "B")
-}
-
-func fWitness(tags []int, level int, path string) (bool, string) {
-	if level <= 1 {
+	path := fViolation(p, bits.Log2(len(p)))
+	if path == "" {
 		return true, ""
 	}
-	half := len(tags) / 2
-	upper := make([]int, half)
-	lower := make([]int, half)
-	for i := 0; i < half; i++ {
-		if bits.Bit(tags[2*i], 0) == 0 {
-			upper[i], lower[i] = tags[2*i], tags[2*i+1]
-		} else {
-			upper[i], lower[i] = tags[2*i+1], tags[2*i]
-		}
+	stream := "upper"
+	if path[len(path)-1] == 'l' {
+		stream = "lower"
 	}
-	if !subPermValid(upper, level) {
-		return false, "upper stream into " + path + "u is not a permutation (Theorem 1 violated)"
-	}
-	if !subPermValid(lower, level) {
-		return false, "lower stream into " + path + "l is not a permutation (Theorem 1 violated)"
-	}
-	if ok, d := fWitness(shiftTags(upper), level-1, path+"u"); !ok {
-		return false, d
-	}
-	return fWitness(shiftTags(lower), level-1, path+"l")
+	return false, stream + " stream into B" + path + " is not a permutation (Theorem 1 violated)"
 }

@@ -25,67 +25,51 @@ import (
 // IsOmega reports whether p is an omega permutation: realizable by the
 // self-routing omega network without conflicts. It runs in O(N log N).
 func IsOmega(p Perm) bool {
-	if !p.Valid() {
-		return false
-	}
-	N := len(p)
-	if N == 1 {
-		return true
-	}
-	if !bits.IsPow2(N) {
-		return false
-	}
-	n := bits.Log2(N)
-	// For each window b, the pair (low b bits of i, high n-b bits of
-	// D_i) must be distinct across all i. Encode the pair as one integer
-	// and count occupancy.
-	occupied := make([]bool, N)
-	for b := 1; b <= n-1; b++ {
-		for i := range occupied {
-			occupied[i] = false
-		}
-		for i, d := range p {
-			low := i & ((1 << uint(b)) - 1)
-			high := d >> uint(b)
-			key := high<<uint(b) | low
-			if occupied[key] {
-				return false
-			}
-			occupied[key] = true
-		}
-	}
-	return true
+	reason, _, _, b := windowScan(p, false)
+	return reason == "" && b == 0
 }
 
 // IsInverseOmega reports whether p is an inverse-omega permutation:
 // realizable by an omega network run backwards. Equivalently,
 // p.Inverse() is in Omega(n).
 func IsInverseOmega(p Perm) bool {
+	reason, _, _, b := windowScan(p, true)
+	return reason == "" && b == 0
+}
+
+// windowScan checks p against the window condition. It returns the
+// reason p is outside both classes when p is not a permutation of a
+// power-of-two size; otherwise the first clash, scanning windows
+// b = 1..n-1 and inputs in order: inputs j < i whose pairs (low b bits
+// of i, high n-b bits of D_i) coincide in window b, or b = 0 when none
+// do. With inverse set, i and D_i swap roles (the inverse-omega
+// condition).
+func windowScan(p Perm, inverse bool) (reason string, j, i, b int) {
 	if !p.Valid() {
-		return false
+		return "not a permutation", 0, 0, 0
 	}
-	N := len(p)
-	if N == 1 {
-		return true
+	if !bits.IsPow2(len(p)) {
+		return "length is not a power of two", 0, 0, 0
 	}
-	if !bits.IsPow2(N) {
-		return false
-	}
-	n := bits.Log2(N)
-	occupied := make([]bool, N)
+	n := bits.Log2(len(p))
+	// The pair is encoded as one integer key; holder[key] is the input
+	// that took it in the current window.
+	holder := make([]int, len(p))
 	for b := 1; b <= n-1; b++ {
-		for i := range occupied {
-			occupied[i] = false
+		for k := range holder {
+			holder[k] = -1
 		}
 		for i, d := range p {
-			low := d & ((1 << uint(b)) - 1)
-			high := i >> uint(b)
-			key := high<<uint(b) | low
-			if occupied[key] {
-				return false
+			lo, hi := i, d
+			if inverse {
+				lo, hi = d, i
 			}
-			occupied[key] = true
+			key := hi>>uint(b)<<uint(b) | lo&(1<<uint(b)-1)
+			if j := holder[key]; j >= 0 {
+				return "", j, i, b
+			}
+			holder[key] = i
 		}
 	}
-	return true
+	return "", 0, 0, 0
 }

@@ -15,35 +15,17 @@ import (
 // that share their low b bits while their destinations share the high
 // n-b bits — the pair that would collide in the omega network.
 func OmegaWitness(p Perm) (ok bool, detail string) {
-	if !p.Valid() {
-		return false, "not a permutation"
-	}
-	N := len(p)
-	if N == 1 {
+	reason, j, i, b := windowScan(p, false)
+	switch {
+	case reason != "":
+		return false, reason
+	case b == 0:
 		return true, ""
 	}
-	if !bits.IsPow2(N) {
-		return false, "length is not a power of two"
-	}
-	n := bits.Log2(N)
-	holder := make([]int, N)
-	for b := 1; b <= n-1; b++ {
-		for i := range holder {
-			holder[i] = -1
-		}
-		for i, d := range p {
-			low := i & ((1 << uint(b)) - 1)
-			high := d >> uint(b)
-			key := high<<uint(b) | low
-			if j := holder[key]; j >= 0 {
-				return false, fmt.Sprintf(
-					"inputs %d and %d share low %d bit(s) but destinations %d and %d share bits %d..%d — they collide at omega stage %d",
-					j, i, b, p[j], d, b, n-1, n-1-b)
-			}
-			holder[key] = i
-		}
-	}
-	return true, ""
+	n := bits.Log2(len(p))
+	return false, fmt.Sprintf(
+		"inputs %d and %d share low %d bit(s) but destinations %d and %d share bits %d..%d — they collide at omega stage %d",
+		j, i, b, p[j], p[i], b, n-1, n-1-b)
 }
 
 // InverseOmegaWitness is the mirrored diagnostic for the inverse-omega

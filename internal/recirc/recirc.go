@@ -16,13 +16,17 @@
 //
 // Every mode self-routes from destination tags with the paper's rule:
 // a switch crosses iff the control bit of its UPPER input's tag is 1.
+// Each mode is a PSC program (simd.PSCProgram, simd.PSCOmegaProgram,
+// simd.PSCInverseOmegaProgram) run on a simd.Machine and reread as
+// hardware passes: an exchange is one column traversal, a shuffle or an
+// unshuffle one wire trip.
 package recirc
 
 import (
 	"fmt"
 
-	"repro/internal/bits"
 	"repro/internal/perm"
+	"repro/internal/simd"
 )
 
 // Network is the single-column recirculating fabric.
@@ -73,58 +77,21 @@ func (res *Result) Passes() int { return res.Exchanges + res.WireTrips }
 // OK reports whether the permutation was realized.
 func (res *Result) OK() bool { return len(res.Misrouted) == 0 }
 
-// state is the recirculating register contents.
-type state struct {
-	tags []int
-	src  []int
-	n    int
-}
-
-func newState(d perm.Perm, n int) *state {
-	s := &state{tags: append([]int(nil), d...), src: make([]int, len(d)), n: n}
-	for i := range s.src {
-		s.src[i] = i
+// route runs prog on the column's register file, panicking unless d is
+// a permutation of N lines, and counts its passes by opcode.
+func (r *Network) route(d perm.Perm, prog simd.Program) *Result {
+	if len(d) != r.size {
+		panic(fmt.Sprintf("recirc: permutation length %d != N %d", len(d), r.size))
 	}
-	return s
-}
-
-// exchange runs the switch column once, deciding each switch from bit
-// cb of its upper input's tag.
-func (s *state) exchange(cb int) {
-	for i := 0; i < len(s.tags); i += 2 {
-		if bits.Bit(s.tags[i], cb) == 1 {
-			s.tags[i], s.tags[i+1] = s.tags[i+1], s.tags[i]
-			s.src[i], s.src[i+1] = s.src[i+1], s.src[i]
+	m := simd.NewMachine(d)
+	m.Run(prog)
+	res := &Result{Realized: m.Realized()}
+	for _, in := range prog {
+		if in.Op == simd.OpExchangeTag {
+			res.Exchanges++
+		} else {
+			res.WireTrips++
 		}
-	}
-}
-
-// shuffle recirculates through the shuffle wiring.
-func (s *state) shuffle() {
-	nt := make([]int, len(s.tags))
-	ns := make([]int, len(s.src))
-	for i := range s.tags {
-		to := bits.RotLeft(i, s.n)
-		nt[to], ns[to] = s.tags[i], s.src[i]
-	}
-	s.tags, s.src = nt, ns
-}
-
-// unshuffle recirculates through the reverse wiring.
-func (s *state) unshuffle() {
-	nt := make([]int, len(s.tags))
-	ns := make([]int, len(s.src))
-	for i := range s.tags {
-		to := bits.RotRight(i, s.n)
-		nt[to], ns[to] = s.tags[i], s.src[i]
-	}
-	s.tags, s.src = nt, ns
-}
-
-func (s *state) result(d perm.Perm, exchanges, wireTrips int) *Result {
-	res := &Result{Realized: make(perm.Perm, len(d)), Exchanges: exchanges, WireTrips: wireTrips}
-	for line, src := range s.src {
-		res.Realized[src] = line
 	}
 	for i, dest := range d {
 		if res.Realized[i] != dest {
@@ -134,54 +101,17 @@ func (s *state) result(d perm.Perm, exchanges, wireTrips int) *Result {
 	return res
 }
 
-func (r *Network) check(d perm.Perm) {
-	if len(d) != r.size {
-		panic(fmt.Sprintf("recirc: permutation length %d != N %d", len(d), r.size))
-	}
-}
-
 // RouteF runs the full F schedule: exchange(bit b)+unshuffle for
 // b = 0..n-2, exchange(bit n-1), then shuffle+exchange(bit b) for
 // b = n-2..0. It realizes exactly F(n) in 4 log N - 3 passes.
-func (r *Network) RouteF(d perm.Perm) *Result {
-	r.check(d)
-	s := newState(d, r.n)
-	ex, wt := 0, 0
-	for b := 0; b <= r.n-2; b++ {
-		s.exchange(b)
-		s.unshuffle()
-		ex, wt = ex+1, wt+1
-	}
-	s.exchange(r.n - 1)
-	ex++
-	for b := r.n - 2; b >= 0; b-- {
-		s.shuffle()
-		s.exchange(b)
-		ex, wt = ex+1, wt+1
-	}
-	return s.result(d, ex, wt)
-}
+func (r *Network) RouteF(d perm.Perm) *Result { return r.route(d, simd.PSCProgram(r.n)) }
 
 // RouteOmega runs n passes of shuffle+exchange(bit n-1-k): the
 // recirculating omega network. Realizes exactly Omega(n).
-func (r *Network) RouteOmega(d perm.Perm) *Result {
-	r.check(d)
-	s := newState(d, r.n)
-	for k := 0; k < r.n; k++ {
-		s.shuffle()
-		s.exchange(r.n - 1 - k)
-	}
-	return s.result(d, r.n, r.n)
-}
+func (r *Network) RouteOmega(d perm.Perm) *Result { return r.route(d, simd.PSCOmegaProgram(r.n)) }
 
 // RouteInverseOmega runs n passes of exchange(bit k)+unshuffle: the
 // omega network backwards. Realizes exactly the inverse-omega class.
 func (r *Network) RouteInverseOmega(d perm.Perm) *Result {
-	r.check(d)
-	s := newState(d, r.n)
-	for k := 0; k < r.n; k++ {
-		s.exchange(k)
-		s.unshuffle()
-	}
-	return s.result(d, r.n, r.n)
+	return r.route(d, simd.PSCInverseOmegaProgram(r.n))
 }

@@ -109,12 +109,30 @@ func TestRealizedAlwaysBijection(t *testing.T) {
 	}
 }
 
+// TestCheckPanics: a vector of the wrong length, or one that is not a
+// permutation, is rejected by every mode.
 func TestCheckPanics(t *testing.T) {
-	r := New(3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on size mismatch")
+	for _, c := range []struct {
+		n int
+		d perm.Perm
+	}{
+		{3, perm.Identity(4)},
+		{2, perm.Perm{0, 0, 1, 1}},
+	} {
+		r := New(c.n)
+		for name, route := range map[string]func(perm.Perm) *Result{
+			"F":             r.RouteF,
+			"omega":         r.RouteOmega,
+			"inverse-omega": r.RouteInverseOmega,
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s mode accepted %v at n=%d", name, c.d, c.n)
+					}
+				}()
+				route(c.d)
+			}()
 		}
-	}()
-	r.RouteF(perm.Identity(4))
+	}
 }

@@ -6,13 +6,14 @@
 // headline counts (2 log N - 1 for CCC, 4 log N - 3 for PSC,
 // 7 sqrt(N) - 8 for MCC) are reproduced exactly. A bitonic-sort-based
 // permutation (the best known arbitrary-permutation method, O(log^2 N)
-// routes) is provided as the baseline.
+// routes) is provided as the baseline. Every algorithm is a Program, and
+// Machine.Exec (program.go) runs them all; MCCDetailed replays
+// CCCProgram hop by hop as the reference for the MCC's cost.
 package simd
 
 import (
 	"fmt"
 
-	"repro/internal/bits"
 	"repro/internal/perm"
 )
 
@@ -20,65 +21,34 @@ import (
 // (R(i), D(i)): R is the datum (initialized to the PE index so the
 // realized permutation can be read back) and D its destination address.
 // PE(i) is connected to PE(i^(b)) for every bit b.
-type CCC struct {
-	n    int
-	size int
-	r    []int
-	d    []int
-
-	routes       int
-	exchangeCost int // unit routes per masked interchange (1 or 2)
-	skipped      int // iterations skipped by shortcuts
-}
+type CCC struct{ cube }
 
 // NewCCC prepares a CCC holding destination tags dest. exchangeCost is
 // the unit-route cost of one masked interchange: 1 when record and tag
 // fit one word (the paper's 2 log N - 1 total), 2 otherwise
 // (4 log N - 2).
 func NewCCC(dest perm.Perm, exchangeCost int) *CCC {
-	if err := dest.Validate(); err != nil {
-		panic("simd: NewCCC: " + err.Error())
-	}
 	if exchangeCost != 1 && exchangeCost != 2 {
 		panic("simd: exchangeCost must be 1 or 2")
 	}
-	size := len(dest)
-	c := &CCC{
-		n:            bits.Log2(size),
-		size:         size,
-		r:            make([]int, size),
-		d:            append([]int(nil), dest...),
-		exchangeCost: exchangeCost,
-	}
-	for i := range c.r {
-		c.r[i] = i
-	}
-	return c
+	return &CCC{cube{Machine: newMachine("NewCCC", dest, unitCost(exchangeCost))}}
 }
 
-// N returns the number of PEs.
-func (c *CCC) N() int { return c.size }
-
-// Routes returns the unit routes consumed so far.
-func (c *CCC) Routes() int { return c.routes }
+// cube is a machine running CCCProgram: the CCC and the MCC differ only
+// in what an interchange costs.
+type cube struct {
+	*Machine
+	skipped int // iterations skipped by shortcuts
+}
 
 // Skipped returns the number of loop iterations skipped by shortcuts.
-func (c *CCC) Skipped() int { return c.skipped }
+func (c *cube) Skipped() int { return c.skipped }
 
 // Step performs one iteration of the paper's loop across cube dimension
 // b: the masked interchange
 //
 //	(R(i^(b)), D(i^(b))) <-> (R(i), D(i)),  (i)_b = 0 and (D(i))_b = 1.
-func (c *CCC) Step(b int) {
-	for i := 0; i < c.size; i++ {
-		if bits.Bit(i, b) == 0 && bits.Bit(c.d[i], b) == 1 {
-			j := bits.Flip(i, b)
-			c.r[i], c.r[j] = c.r[j], c.r[i]
-			c.d[i], c.d[j] = c.d[j], c.d[i]
-		}
-	}
-	c.routes += c.exchangeCost
-}
+func (c *cube) Step(b int) { c.Exec(Instr{Op: OpExchangeDim, Arg: b}) }
 
 // BitSequence returns the paper's iteration order for B(n) simulation:
 // b = 0, 1, ..., n-2, n-1, n-2, ..., 0 (2n-1 iterations, mirroring the
@@ -94,43 +64,34 @@ func BitSequence(n int) []int {
 	return seq
 }
 
-// Permute runs the full 2 log N - 1 iteration loop.
-func (c *CCC) Permute() {
-	for _, b := range BitSequence(c.n) {
-		c.Step(b)
-	}
-}
+// Permute runs the full 2 log N - 1 iteration loop: 2 log N - 1 unit
+// routes on the one-word CCC, 7 sqrt(N) - 8 on the MCC.
+func (c *cube) Permute() { c.Run(CCCProgram(c.n)) }
 
 // PermuteSkipping runs the loop but skips iterations whose bit is marked
 // in skip; skipped iterations cost no routes.
-func (c *CCC) PermuteSkipping(skip func(b int) bool) {
-	for _, b := range BitSequence(c.n) {
-		if skip(b) {
+func (c *cube) PermuteSkipping(skip func(b int) bool) {
+	for _, in := range CCCProgram(c.n) {
+		if skip(in.Arg) {
 			c.skipped++
 			continue
 		}
-		c.Step(b)
+		c.Exec(in)
 	}
 }
 
 // PermuteOmega exploits the Section III shortcut for Omega permutations:
 // the first n-1 iterations (the Benes stages forced straight by the
 // omega bit) are skipped entirely.
-func (c *CCC) PermuteOmega() {
-	seq := BitSequence(c.n)
-	for _, b := range seq[c.n-1:] {
-		c.Step(b)
-	}
+func (c *cube) PermuteOmega() {
+	c.Run(CCCProgram(c.n)[c.n-1:])
 	c.skipped += c.n - 1
 }
 
 // PermuteInverseOmega skips the *last* n-1 iterations, the shortcut for
 // inverse-omega permutations.
-func (c *CCC) PermuteInverseOmega() {
-	seq := BitSequence(c.n)
-	for _, b := range seq[:c.n] {
-		c.Step(b)
-	}
+func (c *cube) PermuteInverseOmega() {
+	c.Run(CCCProgram(c.n)[:c.n])
 	c.skipped += c.n - 1
 }
 
@@ -138,37 +99,13 @@ func (c *CCC) PermuteInverseOmega() {
 // A_j = +j: such a bit never needs routing across dimension j
 // (Section III). spec must describe the same permutation as the
 // destination tags.
-func (c *CCC) PermuteBPC(spec perm.BPC) {
+func (c *cube) PermuteBPC(spec perm.BPC) {
 	if len(spec) != c.n {
 		panic("simd: BPC spec size mismatch")
 	}
 	c.PermuteSkipping(func(b int) bool {
 		return spec[b].Pos == b && !spec[b].Comp
 	})
-}
-
-// Realized reads back the permutation actually performed:
-// Realized()[i] is the PE where the record starting at PE i now sits.
-func (c *CCC) Realized() perm.Perm {
-	out := make(perm.Perm, c.size)
-	for pe, rec := range c.r {
-		out[rec] = pe
-	}
-	return out
-}
-
-// Dest returns the current destination tags (diagnostics and the Fig. 6
-// trace).
-func (c *CCC) Dest() []int { return append([]int(nil), c.d...) }
-
-// OK reports whether every record reached its destination.
-func (c *CCC) OK() bool {
-	for pe, want := range c.d {
-		if want != pe {
-			return false
-		}
-	}
-	return true
 }
 
 // Fig6Trace reruns the algorithm for dest recording the D(i) column

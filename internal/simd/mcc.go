@@ -1,9 +1,6 @@
 package simd
 
-import (
-	"repro/internal/bits"
-	"repro/internal/perm"
-)
+import "repro/internal/perm"
 
 // MCC simulates a sqrt(N) x sqrt(N) mesh-connected computer holding PEs
 // in row-major order. The permutation algorithm is the CCC loop with
@@ -13,119 +10,38 @@ import (
 // PEs 2^k apart costs 2*2^k unit routes (each record travels the
 // distance, in opposite directions). The full loop therefore costs
 // exactly 7 sqrt(N) - 8 unit routes (Section III).
-type MCC struct {
-	n    int // log2 N; must be even
-	m    int // log2 sqrt(N)
-	size int
-	r    []int
-	d    []int
-
-	routes  int
-	skipped int
-}
+type MCC struct{ cube }
 
 // NewMCC prepares an MCC holding destination tags dest; the tag count
 // must be an even power of two (a square mesh).
 func NewMCC(dest perm.Perm) *MCC {
-	if err := dest.Validate(); err != nil {
-		panic("simd: NewMCC: " + err.Error())
-	}
-	size := len(dest)
-	n := bits.Log2(size)
-	if n%2 != 0 {
-		panic("simd: NewMCC requires a square mesh (even log N)")
-	}
-	mc := &MCC{
-		n:    n,
-		m:    n / 2,
-		size: size,
-		r:    make([]int, size),
-		d:    append([]int(nil), dest...),
-	}
-	for i := range mc.r {
-		mc.r[i] = i
-	}
-	return mc
+	return &MCC{cube{Machine: newMesh("NewMCC", dest)}}
 }
 
-// N returns the number of PEs.
-func (mc *MCC) N() int { return mc.size }
+// newMesh loads dest into a machine charging mesh distance for every
+// instruction across a cube dimension (MCC.StepCost).
+func newMesh(caller string, dest perm.Perm) *Machine {
+	m := newMachine(caller, dest, nil)
+	half := meshLog(caller, m.n)
+	m.cost = func(in Instr) int { return 2 << uint(in.Arg%half) }
+	return m
+}
+
+// meshLog returns log2 sqrt(N) for a mesh of 2^n PEs, panicking in
+// caller's name unless the mesh is square.
+func meshLog(caller string, n int) int {
+	if n%2 != 0 {
+		panic("simd: " + caller + " requires a square mesh (even log N)")
+	}
+	return n / 2
+}
 
 // Side returns sqrt(N), the mesh dimension.
-func (mc *MCC) Side() int { return 1 << uint(mc.m) }
-
-// Routes returns the unit routes consumed so far.
-func (mc *MCC) Routes() int { return mc.routes }
-
-// Skipped returns the iterations skipped by shortcuts.
-func (mc *MCC) Skipped() int { return mc.skipped }
+func (mc *MCC) Side() int { return 1 << uint(mc.n/2) }
 
 // StepCost returns the unit-route cost of the dimension-b interchange:
 // twice the mesh distance 2^(b mod log sqrt(N)).
-func (mc *MCC) StepCost(b int) int {
-	return 2 * (1 << uint(b%mc.m))
-}
-
-// Step performs the dimension-b masked interchange, charged at mesh
-// distance.
-func (mc *MCC) Step(b int) {
-	for i := 0; i < mc.size; i++ {
-		if bits.Bit(i, b) == 0 && bits.Bit(mc.d[i], b) == 1 {
-			j := bits.Flip(i, b)
-			mc.r[i], mc.r[j] = mc.r[j], mc.r[i]
-			mc.d[i], mc.d[j] = mc.d[j], mc.d[i]
-		}
-	}
-	mc.routes += mc.StepCost(b)
-}
-
-// Permute runs the full loop: 7 sqrt(N) - 8 unit routes.
-func (mc *MCC) Permute() {
-	for _, b := range BitSequence(mc.n) {
-		mc.Step(b)
-	}
-}
-
-// PermuteSkipping runs the loop skipping marked dimensions (the BPC
-// A_j = +j shortcut; skipped iterations are free).
-func (mc *MCC) PermuteSkipping(skip func(b int) bool) {
-	for _, b := range BitSequence(mc.n) {
-		if skip(b) {
-			mc.skipped++
-			continue
-		}
-		mc.Step(b)
-	}
-}
-
-// PermuteBPC skips every dimension fixed by the spec.
-func (mc *MCC) PermuteBPC(spec perm.BPC) {
-	if len(spec) != mc.n {
-		panic("simd: BPC spec size mismatch")
-	}
-	mc.PermuteSkipping(func(b int) bool {
-		return spec[b].Pos == b && !spec[b].Comp
-	})
-}
-
-// Realized reads back the performed permutation.
-func (mc *MCC) Realized() perm.Perm {
-	out := make(perm.Perm, mc.size)
-	for pe, rec := range mc.r {
-		out[rec] = pe
-	}
-	return out
-}
-
-// OK reports whether every record reached its destination.
-func (mc *MCC) OK() bool {
-	for pe, want := range mc.d {
-		if want != pe {
-			return false
-		}
-	}
-	return true
-}
+func (mc *MCC) StepCost(b int) int { return mc.cost(Instr{Op: OpExchangeDim, Arg: b}) }
 
 // FullLoopCost returns the closed-form route count of Permute for a
 // mesh of 2^n PEs: 7 sqrt(N) - 8.

@@ -92,6 +92,24 @@ func TestMCCBPCShortcut(t *testing.T) {
 	}
 }
 
+// TestSortRejectsNonPermutations: both bitonic baselines refuse a tag
+// vector that repeats a destination instead of sorting it.
+func TestSortRejectsNonPermutations(t *testing.T) {
+	for name, sort := range map[string]func(perm.Perm){
+		"SortCCC": func(d perm.Perm) { SortCCC(d, 1) },
+		"SortMCC": func(d perm.Perm) { SortMCC(d) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a non-permutation", name)
+				}
+			}()
+			sort(perm.Perm{0, 0, 1, 1})
+		}()
+	}
+}
+
 func TestMCCRejectsOddLog(t *testing.T) {
 	defer func() {
 		if recover() == nil {

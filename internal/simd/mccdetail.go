@@ -13,47 +13,23 @@ import (
 // reaches the same final state with the same route count as MCC, and a
 // movement hook lets tests verify no record ever teleports.
 type MCCDetailed struct {
-	n    int
+	regs
 	m    int // log2 sqrt(N)
-	size int
 	side int
-	r    []int
-	d    []int
 
-	routes int
 	// onMove, when set, observes every physical transfer (from, to).
 	onMove func(from, to int)
 }
 
 // NewMCCDetailed prepares the machine; requires a square mesh.
 func NewMCCDetailed(dest perm.Perm) *MCCDetailed {
-	if err := dest.Validate(); err != nil {
-		panic("simd: NewMCCDetailed: " + err.Error())
-	}
-	n := bits.Log2(len(dest))
-	if n%2 != 0 {
-		panic("simd: NewMCCDetailed requires a square mesh")
-	}
-	mc := &MCCDetailed{
-		n:    n,
-		m:    n / 2,
-		size: len(dest),
-		side: 1 << uint(n/2),
-		r:    make([]int, len(dest)),
-		d:    append([]int(nil), dest...),
-	}
-	for i := range mc.r {
-		mc.r[i] = i
-	}
-	return mc
+	g := newRegs("NewMCCDetailed", dest)
+	m := meshLog("NewMCCDetailed", g.n)
+	return &MCCDetailed{regs: g, m: m, side: 1 << uint(m)}
 }
 
 // OnMove installs a hook observing every neighbour transfer.
 func (mc *MCCDetailed) OnMove(f func(from, to int)) { mc.onMove = f }
-
-// Routes returns unit routes consumed (one per neighbour transfer
-// phase, SIMD-lockstep across all transiting records).
-func (mc *MCCDetailed) Routes() int { return mc.routes }
 
 // Step performs the dimension-b masked interchange by physical
 // store-and-forward: the masked records travel +unit for 2^(b mod m)
@@ -67,80 +43,48 @@ func (mc *MCCDetailed) Step(b int) {
 	dist := 1 << uint(b%mc.m)
 	delta := unit * dist // displacement between partners, = 2^b in index terms
 
+	// ride carries the records at PEs from dist hops of step each, one
+	// unit route a hop, and returns them keyed by where they arrive.
 	type rec struct{ r, d int }
-	// Collect the travelling records.
-	var sources []int
+	ride := func(from []int, step int) map[int]rec {
+		transit := make(map[int]rec, len(from))
+		for _, i := range from {
+			transit[i] = rec{mc.r[i], mc.d[i]}
+		}
+		for hop := 0; hop < dist; hop++ {
+			next := make(map[int]rec, len(transit))
+			for pos, rv := range transit {
+				if mc.onMove != nil {
+					mc.onMove(pos, pos+step)
+				}
+				next[pos+step] = rv
+			}
+			transit = next
+			mc.routes++
+		}
+		return transit
+	}
+	// The masked records ride +unit lanes, then their partners ride
+	// -unit lanes back; both deposit once the last hop lands.
+	var sources, partners []int
 	for i := 0; i < mc.size; i++ {
 		if bits.Bit(i, b) == 0 && bits.Bit(mc.d[i], b) == 1 {
-			sources = append(sources, i)
+			sources, partners = append(sources, i), append(partners, i+delta)
 		}
 	}
-	// Phase one: masked records ride +unit lanes for dist steps.
-	transit := make(map[int]rec, len(sources))
-	for _, i := range sources {
-		transit[i] = rec{mc.r[i], mc.d[i]}
-	}
-	for step := 0; step < dist; step++ {
-		next := make(map[int]rec, len(transit))
-		for pos, rv := range transit {
-			if mc.onMove != nil {
-				mc.onMove(pos, pos+unit)
-			}
-			next[pos+unit] = rv
+	fwd, back := ride(sources, unit), ride(partners, -unit)
+	for _, arrived := range []map[int]rec{fwd, back} {
+		for pos, rv := range arrived {
+			mc.r[pos], mc.d[pos] = rv.r, rv.d
 		}
-		transit = next
-		mc.routes++
-	}
-	arrivedFwd := transit
-
-	// Phase two: the partners ride -unit lanes back.
-	transit = make(map[int]rec, len(sources))
-	for _, i := range sources {
-		j := i + delta
-		transit[j] = rec{mc.r[j], mc.d[j]}
-	}
-	for step := 0; step < dist; step++ {
-		next := make(map[int]rec, len(transit))
-		for pos, rv := range transit {
-			if mc.onMove != nil {
-				mc.onMove(pos, pos-unit)
-			}
-			next[pos-unit] = rv
-		}
-		transit = next
-		mc.routes++
-	}
-	// Deposit both directions.
-	for pos, rv := range arrivedFwd {
-		mc.r[pos], mc.d[pos] = rv.r, rv.d
-	}
-	for pos, rv := range transit {
-		mc.r[pos], mc.d[pos] = rv.r, rv.d
 	}
 }
 
-// Permute runs the full Benes bit sequence: 7 sqrt(N) - 8 unit routes.
+// Permute runs CCCProgram hop by hop: 7 sqrt(N) - 8 unit routes, one
+// per neighbour transfer phase, SIMD-lockstep across all transiting
+// records.
 func (mc *MCCDetailed) Permute() {
-	for _, b := range BitSequence(mc.n) {
-		mc.Step(b)
+	for _, in := range CCCProgram(mc.n) {
+		mc.Step(in.Arg)
 	}
-}
-
-// Realized reads back the performed permutation.
-func (mc *MCCDetailed) Realized() perm.Perm {
-	out := make(perm.Perm, mc.size)
-	for pe, rec := range mc.r {
-		out[rec] = pe
-	}
-	return out
-}
-
-// OK reports whether every record reached its destination.
-func (mc *MCCDetailed) OK() bool {
-	for pe, want := range mc.d {
-		if want != pe {
-			return false
-		}
-	}
-	return true
 }

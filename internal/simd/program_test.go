@@ -19,6 +19,12 @@ func TestProgramLengths(t *testing.T) {
 		if got := PSCOmegaProgram(n).UnitRoutes(); got != 2*n {
 			t.Errorf("n=%d: PSC omega program %d instrs, want %d", n, got, 2*n)
 		}
+		if got := PSCInverseOmegaProgram(n).UnitRoutes(); got != 2*n {
+			t.Errorf("n=%d: PSC inverse-omega program %d instrs, want %d", n, got, 2*n)
+		}
+		if got := BitonicProgram(n).UnitRoutes(); got != n*(n+1)/2 {
+			t.Errorf("n=%d: bitonic program %d instrs, want %d", n, got, n*(n+1)/2)
+		}
 	}
 }
 
@@ -94,5 +100,23 @@ func TestMachineValidation(t *testing.T) {
 			}()
 			bad()
 		}()
+	}
+}
+
+// TestBitonicProgram: the compare-exchanges sort every tag vector on
+// the one-route machine, realizing it whether or not it is in F.
+func TestBitonicProgram(t *testing.T) {
+	if got, want := BitonicProgram(2).String(), "CMPX.dim 0 dir 1\nCMPX.dim 1 dir 2\nCMPX.dim 0 dir 2"; got != want {
+		t.Fatalf("listing:\n%s\nwant:\n%s", got, want)
+	}
+	rng := rand.New(rand.NewSource(292))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(8)
+		d := perm.Random(1<<uint(n), rng)
+		m := NewMachine(d)
+		m.Run(BitonicProgram(n))
+		if !m.OK() || !m.Realized().Equal(d) || m.Routes() != n*(n+1)/2 {
+			t.Fatalf("n=%d: bitonic program on %v: ok=%v realized %v routes %d", n, d, m.OK(), m.Realized(), m.Routes())
+		}
 	}
 }

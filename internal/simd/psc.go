@@ -1,152 +1,25 @@
 package simd
 
-import (
-	"repro/internal/bits"
-	"repro/internal/perm"
-)
+import "repro/internal/perm"
 
 // PSC simulates an N-PE perfect-shuffle computer. PE(i) is connected to
 // PE(i^(0)) (exchange), PE(shuffle(i)) and PE(unshuffle(i)). The
 // Section III algorithm simulates the Benes network using only those
-// three connections, in 4 log N - 3 unit routes.
-type PSC struct {
-	n    int
-	size int
-	r    []int
-	d    []int
-
-	routes int
-	// rot tracks the net left-rotation applied to PE indices by
-	// shuffles so far; used only for internal assertions.
-	rot int
-}
+// three connections, in 4 log N - 3 unit routes; every exchange,
+// shuffle and unshuffle is one unit route.
+type PSC struct{ *Machine }
 
 // NewPSC prepares a PSC holding destination tags dest; R(i) is
 // initialized to i.
-func NewPSC(dest perm.Perm) *PSC {
-	if err := dest.Validate(); err != nil {
-		panic("simd: NewPSC: " + err.Error())
-	}
-	size := len(dest)
-	p := &PSC{
-		n:    bits.Log2(size),
-		size: size,
-		r:    make([]int, size),
-		d:    append([]int(nil), dest...),
-	}
-	for i := range p.r {
-		p.r[i] = i
-	}
-	return p
-}
+func NewPSC(dest perm.Perm) *PSC { return &PSC{newMachine("NewPSC", dest, unitCost(1))} }
 
-// N returns the number of PEs.
-func (p *PSC) N() int { return p.size }
+// Permute runs PSCProgram: 4 log N - 3 unit routes.
+func (p *PSC) Permute() { p.Run(PSCProgram(p.n)) }
 
-// Routes returns the unit routes consumed so far.
-func (p *PSC) Routes() int { return p.routes }
+// PermuteOmega runs PSCOmegaProgram, the Section III shortcut for
+// Omega permutations: 2 log N unit routes.
+func (p *PSC) PermuteOmega() { p.Run(PSCOmegaProgram(p.n)) }
 
-// Exchange performs the masked exchange: records move between PE(i) and
-// PE(i^(0)) when (i)_0 = 0 and bit `tagBit` of D(i) is 1. One unit
-// route.
-func (p *PSC) Exchange(tagBit int) {
-	for i := 0; i < p.size; i += 2 {
-		if bits.Bit(p.d[i], tagBit) == 1 {
-			p.r[i], p.r[i+1] = p.r[i+1], p.r[i]
-			p.d[i], p.d[i+1] = p.d[i+1], p.d[i]
-		}
-	}
-	p.routes++
-}
-
-// Shuffle routes every record along the shuffle connection:
-// (R, D) of PE(i) moves to PE(shuffle(i)). One unit route.
-func (p *PSC) Shuffle() {
-	nr := make([]int, p.size)
-	nd := make([]int, p.size)
-	for i := 0; i < p.size; i++ {
-		to := bits.RotLeft(i, p.n)
-		nr[to], nd[to] = p.r[i], p.d[i]
-	}
-	p.r, p.d = nr, nd
-	p.rot = (p.rot + 1) % p.n
-	p.routes++
-}
-
-// Unshuffle routes every record along the unshuffle connection. One
-// unit route.
-func (p *PSC) Unshuffle() {
-	nr := make([]int, p.size)
-	nd := make([]int, p.size)
-	for i := 0; i < p.size; i++ {
-		to := bits.RotRight(i, p.n)
-		nr[to], nd[to] = p.r[i], p.d[i]
-	}
-	p.r, p.d = nr, nd
-	p.rot = (p.rot + p.n - 1) % p.n
-	p.routes++
-}
-
-// Permute runs the Section III PSC algorithm:
-//
-//	for b := 0 to n-2 { EXCHANGE(bit b); UNSHUFFLE }
-//	EXCHANGE(bit n-1)
-//	for b := n-2 down to 0 { SHUFFLE; EXCHANGE(bit b) }
-//
-// for a total of 4 log N - 3 unit routes.
-func (p *PSC) Permute() {
-	for b := 0; b <= p.n-2; b++ {
-		p.Exchange(b)
-		p.Unshuffle()
-	}
-	p.Exchange(p.n - 1)
-	for b := p.n - 2; b >= 0; b-- {
-		p.Shuffle()
-		p.Exchange(b)
-	}
-}
-
-// PermuteOmega is the Section III shortcut for Omega permutations: the
-// first loop's n-1 exchanges would all be disabled (Benes stages forced
-// straight) and its n-1 unshuffles collapse to a single shuffle, giving
-// 2 log N unit routes in total.
-func (p *PSC) PermuteOmega() {
-	p.Shuffle() // equivalent to n-1 unshuffles
-	p.Exchange(p.n - 1)
-	for b := p.n - 2; b >= 0; b-- {
-		p.Shuffle()
-		p.Exchange(b)
-	}
-}
-
-// PermuteInverseOmega is the mirror shortcut for inverse-omega
-// permutations: the trailing loop collapses to a single unshuffle,
-// 2 log N unit routes in total.
-func (p *PSC) PermuteInverseOmega() {
-	for b := 0; b <= p.n-2; b++ {
-		p.Exchange(b)
-		p.Unshuffle()
-	}
-	p.Exchange(p.n - 1)
-	p.Unshuffle() // equivalent to n-1 shuffles
-}
-
-// Realized reads back the performed permutation: Realized()[i] is the
-// PE where the record starting at PE i now sits.
-func (p *PSC) Realized() perm.Perm {
-	out := make(perm.Perm, p.size)
-	for pe, rec := range p.r {
-		out[rec] = pe
-	}
-	return out
-}
-
-// OK reports whether every record reached its destination tag's PE.
-func (p *PSC) OK() bool {
-	for pe, want := range p.d {
-		if want != pe {
-			return false
-		}
-	}
-	return true
-}
+// PermuteInverseOmega runs PSCInverseOmegaProgram, the mirror shortcut
+// for inverse-omega permutations: 2 log N unit routes.
+func (p *PSC) PermuteInverseOmega() { p.Run(PSCInverseOmegaProgram(p.n)) }

@@ -118,21 +118,26 @@ func TestPSCLargeF(t *testing.T) {
 }
 
 func TestPSCRotationsReturnHome(t *testing.T) {
-	// Shuffles and unshuffles must net to zero rotation over a full run
-	// so PE indices mean what they meant at the start.
-	p := NewPSC(perm.Identity(64))
-	p.Permute()
-	if p.rot != 0 {
-		t.Fatalf("net rotation %d after full run", p.rot)
-	}
-	q := NewPSC(perm.CyclicShift(6, 1))
-	q.PermuteOmega()
-	if q.rot != 0 {
-		t.Fatalf("net rotation %d after omega run", q.rot)
-	}
-	r := NewPSC(perm.CyclicShift(6, 1))
-	r.PermuteInverseOmega()
-	if r.rot != 0 {
-		t.Fatalf("net rotation %d after inverse-omega run", r.rot)
+	// Shuffles and unshuffles must net to zero rotation (mod log N) over
+	// a full run so PE indices mean what they meant at the start.
+	for n := 1; n <= 10; n++ {
+		for name, prog := range map[string]Program{
+			"full":          PSCProgram(n),
+			"omega":         PSCOmegaProgram(n),
+			"inverse-omega": PSCInverseOmegaProgram(n),
+		} {
+			rot := 0
+			for _, in := range prog {
+				switch in.Op {
+				case OpShuffle:
+					rot++
+				case OpUnshuffle:
+					rot--
+				}
+			}
+			if rot%n != 0 {
+				t.Fatalf("n=%d: net rotation %d after %s run", n, rot, name)
+			}
+		}
 	}
 }

@@ -1,16 +1,14 @@
 package simd
 
-import (
-	"repro/internal/bits"
-	"repro/internal/perm"
-)
+import "repro/internal/perm"
 
 // This file implements the arbitrary-permutation baseline of
 // Section III: sorting the records (R(i), D(i)) on the key D with
-// Batcher's bitonic sort. On a CCC or PSC this takes O(log^2 N) routing
-// steps; on an MCC, O(sqrt(N)) with a larger constant than the
-// F-routing algorithm. The self-routing simulation beats it by a
-// log N factor on the cube whenever the permutation is in F.
+// Batcher's bitonic sort (BitonicProgram). On a CCC or PSC this takes
+// O(log^2 N) routing steps; on an MCC, O(sqrt(N)) with a larger
+// constant than the F-routing algorithm. The self-routing simulation
+// beats it by a log N factor on the cube whenever the permutation is
+// in F.
 
 // SortCCC permutes dest's records on a cube-connected computer by
 // bitonic sort. Each compare-exchange stage moves records across one
@@ -18,46 +16,7 @@ import (
 // record must make a round trip, 1 in the optimistic one-word model).
 // It returns the total unit routes used: n(n+1)/2 * exchangeCost.
 func SortCCC(dest perm.Perm, exchangeCost int) (realized perm.Perm, routes int) {
-	if err := dest.Validate(); err != nil {
-		panic("simd: SortCCC: " + err.Error())
-	}
-	size := len(dest)
-	n := bits.Log2(size)
-	r := make([]int, size)
-	d := append([]int(nil), dest...)
-	for i := range r {
-		r[i] = i
-	}
-	// Bitonic sort on the hypercube: merge size k doubling, comparison
-	// distance j halving; PE pairs differ in bit log2(j), so every
-	// compare-exchange is a single-dimension route.
-	for k := 2; k <= size; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			for i := 0; i < size; i++ {
-				l := i ^ j
-				if l <= i {
-					continue
-				}
-				ascending := i&k == 0
-				if (d[i] > d[l]) == ascending {
-					d[i], d[l] = d[l], d[i]
-					r[i], r[l] = r[l], r[i]
-				}
-			}
-			routes += exchangeCost
-		}
-	}
-	realized = make(perm.Perm, size)
-	for pe, rec := range r {
-		realized[rec] = pe
-	}
-	for pe, want := range d {
-		if want != pe {
-			panic("simd: SortCCC failed to sort")
-		}
-	}
-	_ = n
-	return realized, routes
+	return bitonicSort(newMachine("SortCCC", dest, unitCost(exchangeCost)))
 }
 
 // SortRoutesCCC returns the closed-form unit-route count of SortCCC:
@@ -70,37 +29,13 @@ func SortRoutesCCC(n, exchangeCost int) int {
 // schedule, charging mesh distance for every stage: a stage with
 // comparison distance 2^b costs 2*2^(b mod log sqrt(N)) unit routes.
 func SortMCC(dest perm.Perm) (realized perm.Perm, routes int) {
-	size := len(dest)
-	n := bits.Log2(size)
-	if n%2 != 0 {
-		panic("simd: SortMCC requires a square mesh")
+	return bitonicSort(newMesh("SortMCC", dest))
+}
+
+func bitonicSort(m *Machine) (perm.Perm, int) {
+	m.Run(BitonicProgram(m.n))
+	if !m.OK() {
+		panic("simd: bitonic sort failed to sort")
 	}
-	m := n / 2
-	r := make([]int, size)
-	d := append([]int(nil), dest...)
-	for i := range r {
-		r[i] = i
-	}
-	for k := 2; k <= size; k <<= 1 {
-		for j := k >> 1; j > 0; j >>= 1 {
-			for i := 0; i < size; i++ {
-				l := i ^ j
-				if l <= i {
-					continue
-				}
-				ascending := i&k == 0
-				if (d[i] > d[l]) == ascending {
-					d[i], d[l] = d[l], d[i]
-					r[i], r[l] = r[l], r[i]
-				}
-			}
-			b := bits.Log2(j)
-			routes += 2 * (1 << uint(b%m))
-		}
-	}
-	realized = make(perm.Perm, size)
-	for pe, rec := range r {
-		realized[rec] = pe
-	}
-	return realized, routes
+	return m.Realized(), m.Routes()
 }
