@@ -35,7 +35,8 @@ type fabricBooks struct {
 // /multicast (round or packet mode, as the body says) or /fabric/stats
 // on a fresh newMux server at N=8 with two planes, as benesd runs it
 // (recorder on, tail drop at depth 2). The request must not panic and
-// must answer with a documented status: 200, 400, 404, 405, 429 or 503.
+// must answer with a documented status: 200, 400, 404, 405, 429 or 503,
+// or 413 for exactly the POST /route bodies over routeBodyLimit.
 // Once the fabric drains, /fabric/stats must show nothing queued and
 // nothing lost, and every accepted packet delivered once per copy: a
 // multicast packet counts once in accepted and once per copy in
@@ -66,6 +67,9 @@ func FuzzServeMux(f *testing.F) {
 		{0, 3, `{}`},
 		{1, 1, `{"src":0,"dst":1}`},
 		{2, 2, `not json`},
+		// At routeBodyLimit(8) bytes, then one over.
+		{0, 0, `{"dest":[0,4,2,6,1,5,3,7]}` + strings.Repeat(" ", routeBodyLimit(8)-26)},
+		{0, 0, `{"dest":[0,4,2,6,1,5,3,7]}` + strings.Repeat(" ", routeBodyLimit(8)-25)},
 	} {
 		f.Add(s.method, s.path, s.body)
 	}
@@ -91,9 +95,13 @@ func FuzzServeMux(f *testing.F) {
 		mux.ServeHTTP(rec, httptest.NewRequest(m, p, strings.NewReader(body)))
 		switch rec.Code {
 		case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusMethodNotAllowed,
-			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusRequestEntityTooLarge:
 		default:
 			t.Fatalf("%s %s %q answered %d: %s", m, p, body, rec.Code, rec.Body)
+		}
+		over := m == http.MethodPost && p == "/route" && len(body) > routeBodyLimit(8)
+		if (rec.Code == http.StatusRequestEntityTooLarge) != over {
+			t.Fatalf("%s %s with a %d-byte body (bound %d) answered %d", m, p, len(body), routeBodyLimit(8), rec.Code)
 		}
 
 		fab.Close()

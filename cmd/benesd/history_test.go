@@ -72,3 +72,43 @@ func TestHistoryBytes(t *testing.T) {
 		})
 	}
 }
+
+// TestIdleHeap bounds the live heap benesd's serving stack holds before
+// any traffic, built as main builds it at -n 10 with the other flags at
+// their defaults (flight recorder, 2 planes, collective service,
+// metrics registry, /debug/history ring, mux) and measured after a GC.
+// The shared B(10) wiring is built first and not counted. Recorder
+// cells and frame servers are allocated by the first traffic that
+// uses them, so none is counted either.
+func TestIdleHeap(t *testing.T) {
+	const (
+		logN   = 10
+		budget = 1 << 20
+	)
+	core.New(logN)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	eng, err := engine.New[int](engine.Config{LogN: logN, CacheCapacity: engine.DefaultCacheCapacity, Recorder: netsim.NewRecorder(core.New(logN), 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ring := obs.NewTraceRing(64, 0)
+	fab, err := fabric.New[int](fabric.Config{LogN: logN, Planes: 2, VOQDepth: fabric.DefaultVOQDepth, Record: true}, newTracedDeliver(ring))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fab.Close()
+	col := collective.New[int](fab, collective.Options{})
+	o := newObsState(eng, fab, col, nil, ring, 120, time.Second, testLogger())
+	mux := newMux(eng, fab, col, o, nil)
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	rise := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+	t.Logf("N=%d: idle stack keeps %d KB live", 1<<logN, rise>>10)
+	if rise > budget {
+		t.Fatalf("idle stack keeps %d KB live, budget %d KB", rise>>10, budget>>10)
+	}
+	runtime.KeepAlive(mux)
+}

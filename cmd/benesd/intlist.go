@@ -45,30 +45,40 @@ func intRows(ls []intList) [][]int {
 // minus sign and at most 18 digits with no leading zero. ok is false
 // for any other input.
 func parseInts(data []byte) (v []int, ok bool) {
-	i := skipSpace(data, 0)
-	if i == len(data) || data[i] != '[' {
+	v, i, ok := parseIntsAt(make([]int, 0, bytes.Count(data, []byte{','})+1), data, 0)
+	if !ok || skipSpace(data, i) != len(data) {
 		return nil, false
 	}
-	v = make([]int, 0, bytes.Count(data, []byte{','})+1)
+	return v, true
+}
+
+// parseIntsAt skips whitespace from data[i], parses the integer array
+// that opens there as parseInts does, appends its elements to v, and
+// returns the index just past its ']'. ok is false when no such array
+// opens there.
+func parseIntsAt(v []int, data []byte, i int) (_ []int, _ int, ok bool) {
+	if i = skipSpace(data, i); i == len(data) || data[i] != '[' {
+		return v, i, false
+	}
 	if i = skipSpace(data, i+1); i < len(data) && data[i] == ']' {
-		return v, skipSpace(data, i+1) == len(data)
+		return v, i + 1, true
 	}
 	for {
 		var x int
 		if x, i, ok = parseInt(data, i); !ok {
-			return nil, false
+			return v, i, false
 		}
 		v = append(v, x)
 		if i = skipSpace(data, i); i == len(data) {
-			return nil, false
+			return v, i, false
 		}
 		switch data[i] {
 		case ',':
 			i = skipSpace(data, i+1)
 		case ']':
-			return v, skipSpace(data, i+1) == len(data)
+			return v, i + 1, true
 		default:
-			return nil, false
+			return v, i, false
 		}
 	}
 }

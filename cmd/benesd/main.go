@@ -8,7 +8,8 @@
 //
 //	POST /route    {"dest":[...], "data":[...]} -> routed payload
 //	               ("data" optional; defaults to the identity payload
-//	               0..N-1, so the response shows where each input went)
+//	               0..N-1, so the response shows where each input went).
+//	               A body over 4096 + 64·N bytes gets 413, undecoded.
 //	POST /send     {"src":3, "dst":9} or {"packets":[{"src":..,"dst":..},...]}
 //	               -> per-packet accepted/rejected counts; packets ride
 //	               the VOQ → frame scheduler → plane path
@@ -126,6 +127,11 @@ type server struct {
 	// jrn is the hash-chained traffic journal behind /debug/journal and
 	// /debug/replay; nil when benesd runs without -journal.
 	jrn *journal.Journal
+	// identity is the payload 0..N-1 of a /route request without data,
+	// shared by every such request and never written.
+	identity []int
+	// routeLimit is routeBodyLimit(N), the longest /route body served.
+	routeLimit int
 }
 
 // obsState bundles the process-wide observability surface: the metric
@@ -204,26 +210,6 @@ type routeResponse struct {
 	Data     []int  `json:"data"`
 	Kind     string `json:"kind"`
 	CacheHit bool   `json:"cache_hit"`
-}
-
-func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	var req routeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, fmt.Sprintf("bad JSON: %v", err))
-		return
-	}
-	if req.Data == nil {
-		req.Data = make([]int, len(req.Dest))
-		for i := range req.Data {
-			req.Data[i] = i
-		}
-	}
-	resp := s.eng.Route(perm.Perm(req.Dest), req.Data)
-	if resp.Err != nil {
-		s.httpError(w, http.StatusBadRequest, resp.Err.Error())
-		return
-	}
-	s.writeJSON(w, http.StatusOK, routeResponse{Data: resp.Data, Kind: resp.Kind.String(), CacheHit: resp.CacheHit})
 }
 
 type sendPacket struct {
@@ -887,7 +873,8 @@ func (s *server) writeJSON(w http.ResponseWriter, code int, v any) {
 // middleware; jr (nil when journaling is off) backs /debug/journal and
 // /debug/replay.
 func newMux(eng *engine.Engine[int], fab *fabric.Fabric[int], col *collective.Service[int], o *obsState, jr *journal.Journal) *http.ServeMux {
-	s := &server{eng: eng, fab: fab, col: col, obs: o, log: o.log, jrn: jr}
+	n := eng.Network().N()
+	s := &server{eng: eng, fab: fab, col: col, obs: o, log: o.log, jrn: jr, identity: perm.Identity(n), routeLimit: routeBodyLimit(n)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /route", s.handleRoute)
 	mux.HandleFunc("POST /send", s.traced("/send", s.handleSend))

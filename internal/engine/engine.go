@@ -178,7 +178,21 @@ func (e *Engine[T]) LadderRecorder() *netsim.Recorder { return e.ladRec }
 // skipped and Response.Data is nil. Collective rounds route this way,
 // because their layer moves the chunks itself. A non-nil data must
 // hold N elements.
+//
+// Route is RouteInto with a fresh output slice.
 func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
+	return e.RouteInto(dest, data, nil)
+}
+
+// RouteInto is Route writing the routed payload into out, so a caller
+// that reuses out allocates nothing per request on a cache hit.
+// Response.Data is out (nil, as with Route, when data is nil). A nil
+// out asks for a fresh slice; a non-nil out must hold N elements and
+// share no memory with data (perm.ApplyInto panics on a wrong length),
+// and is left as it was when the request fails. The engine keeps no
+// reference to dest, data or out after RouteInto returns: a plan and a
+// journal record hold copies.
+func (e *Engine[T]) RouteInto(dest perm.Perm, data, out []T) Response[T] {
 	if len(dest) != e.net.N() || (data != nil && len(data) != e.net.N()) {
 		e.met.Errors.Add(1)
 		return Response[T]{Err: fmt.Errorf("engine: request size (dest %d, data %d) does not match N=%d",
@@ -198,10 +212,14 @@ func (e *Engine[T]) Route(dest perm.Perm, data []T) Response[T] {
 	}
 	// From here on dest is the plan's permutation: a hit compared the
 	// two in full, and a miss validated dest and built the plan from it.
-	var out []T
-	if data != nil {
+	if data == nil {
+		out = nil
+	} else {
 		t0 := time.Now()
-		out = perm.Apply(dest, data)
+		if out == nil {
+			out = make([]T, len(data))
+		}
+		perm.ApplyInto(dest, data, out)
 		e.met.Apply.Observe(time.Since(t0))
 	}
 	// One full-vector pass: a vector count plus a word-compare flip

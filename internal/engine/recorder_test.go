@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -77,7 +78,8 @@ func TestEngineRecorderFullVectors(t *testing.T) {
 // TestEngineWarmRouteAllocs is the allocation guard: the warm-cache
 // serving path — cached plan, payload apply, recorded pass — must stay
 // at 1 allocation per request, the routed output slice, with gate-level
-// accounting enabled. The flight recorder's RecordVector is a locked word sweep
+// accounting enabled, and at none when RouteInto reuses the caller's
+// output slice. The flight recorder's RecordVector is a locked word sweep
 // that ripple-carries changed words into preallocated bit-planes; if
 // it (or anything else on the warm path) starts allocating, this fails
 // before a benchmark ever notices.
@@ -100,5 +102,18 @@ func TestEngineWarmRouteAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("warm Route allocates %.1f objects/op with accounting enabled, budget is 1", allocs)
+	}
+
+	out := make([]int, len(data))
+	allocs = testing.AllocsPerRun(200, func() {
+		if resp := eng.RouteInto(d, data, out); resp.Err != nil || &resp.Data[0] != &out[0] {
+			t.Fatalf("RouteInto: %v, data not written into out", resp.Err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("warm RouteInto allocates %.1f objects/op into a reused slice, budget is 0", allocs)
+	}
+	if want := perm.Apply(d, data); !reflect.DeepEqual(out, want) {
+		t.Fatalf("RouteInto wrote %v, want %v", out, want)
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -176,12 +177,29 @@ func TestExperimentsGolden(t *testing.T) {
 	}
 }
 
-// TestEachExperimentNonEmpty: every experiment writes something.
+// TestEachExperimentNonEmpty: every experiment writes something. It
+// reads the shared RunAll pass: each experiment's header appears exactly
+// once, and its section, up to the next experiment's header and less
+// the newline RunAll ends it with, is not empty.
 func TestEachExperimentNonEmpty(t *testing.T) {
-	for _, e := range All() {
-		var buf bytes.Buffer
-		e.Run(&buf)
-		if buf.Len() == 0 {
+	out := runAllOutput()
+	all := All()
+	header := func(e Experiment) string {
+		return fmt.Sprintf("=== %s (%s): %s ===\n", e.ID, e.Paper, e.Title)
+	}
+	for k, e := range all {
+		h := header(e)
+		if n := strings.Count(out, h); n != 1 {
+			t.Errorf("%s: header appears %d times in the RunAll report, want 1", e.ID, n)
+			continue
+		}
+		section := out[strings.Index(out, h)+len(h):]
+		if k+1 < len(all) {
+			if end := strings.Index(section, header(all[k+1])); end >= 0 {
+				section = section[:end]
+			}
+		}
+		if strings.TrimSuffix(section, "\n") == "" {
 			t.Errorf("%s produced no output", e.ID)
 		}
 	}

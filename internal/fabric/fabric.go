@@ -197,6 +197,10 @@ type Fabric[T any] struct {
 	met       metrics
 	jrn       *journal.Writer
 
+	// routers holds each plane's router state: routers[i] belongs to
+	// plane i's router goroutine.
+	routers []routerServers
+
 	deliver      func(Packet[T])
 	deliverBatch func(plane int, pkts []Packet[T])
 
@@ -239,6 +243,7 @@ func newFabric[T any](cfg Config, deliver func(Packet[T]), deliverBatch func(int
 		planeSeed:    make([]uint64, cfg.Planes),
 		frames:       make([]chan *frame[T], cfg.Planes),
 		freelist:     make([]chan *frame[T], cfg.Planes),
+		routers:      make([]routerServers, cfg.Planes),
 		deliver:      deliver,
 		deliverBatch: deliverBatch,
 		jrn:          cfg.Journal,
@@ -264,22 +269,53 @@ func newFabric[T any](cfg Config, deliver func(Packet[T]), deliverBatch func(int
 		// the scheduler is building and the one the router is serving.
 		f.freelist[i] = make(chan *frame[T], handoffDepth+2)
 	}
-	// Everything the goroutines start with is allocated here, so New
-	// returns with the fabric's idle memory in place: the scheduler's
-	// first frame and each router's frame servers.
+	// The scheduler's first frame is allocated here, so New returns
+	// with the fabric's idle memory in place. A router's frame servers
+	// are not idle memory: each is built by the router's first frame of
+	// its kind on its plane (see routerServers), so an idle fabric, and
+	// a failover target no frame has failed over to, holds none.
 	for i := range f.planes {
 		f.freelist[i] <- newFrame[T](n)
-		servers := make([]*engine.FrameServer[int], len(f.planes))
-		mservers := make([]*engine.McastFrameServer[int], len(f.planes))
-		for j, p := range f.planes {
-			servers[j] = p.eng.NewFrameServer()
-			mservers[j] = p.eng.NewMcastFrameServer()
-		}
+		f.routers[i] = newRouterServers(f.planes)
 		f.wg.Add(2)
 		go f.scheduler(i)
-		go f.router(i, servers, mservers)
+		go f.router(i)
 	}
 	return f, nil
+}
+
+// routerServers is one router's frame servers, one of each kind per
+// plane it has served a frame on: the home plane, and each plane a
+// frame failed over to. A server is built on first use, in the
+// router's goroutine, and kept for the router's life.
+type routerServers struct {
+	planes []*plane
+	fs     []*engine.FrameServer[int]
+	ms     []*engine.McastFrameServer[int]
+}
+
+func newRouterServers(planes []*plane) routerServers {
+	return routerServers{
+		planes: planes,
+		fs:     make([]*engine.FrameServer[int], len(planes)),
+		ms:     make([]*engine.McastFrameServer[int], len(planes)),
+	}
+}
+
+// frame returns the unicast frame server for plane j.
+func (r *routerServers) frame(j int) *engine.FrameServer[int] {
+	if r.fs[j] == nil {
+		r.fs[j] = r.planes[j].eng.NewFrameServer()
+	}
+	return r.fs[j]
+}
+
+// mcast returns the mapping frame server for plane j.
+func (r *routerServers) mcast(j int) *engine.McastFrameServer[int] {
+	if r.ms[j] == nil {
+		r.ms[j] = r.planes[j].eng.NewMcastFrameServer()
+	}
+	return r.ms[j]
 }
 
 // N returns the number of ports per plane.
@@ -569,13 +605,13 @@ func (f *Fabric[T]) handoff(i int, fr *frame[T]) {
 }
 
 // router serves plane i's frames synchronously through per-plane
-// FrameServers (its own, plus one per failover target), so the frame
-// hot path never crosses a goroutine boundary after the scheduler
-// handoff.
-func (f *Fabric[T]) router(i int, servers []*engine.FrameServer[int], mservers []*engine.McastFrameServer[int]) {
+// frame servers (its own plane's, plus one per plane a frame failed
+// over to, each built on first use: routerServers), so the frame hot
+// path never crosses a goroutine boundary after the scheduler handoff.
+func (f *Fabric[T]) router(i int) {
 	defer f.wg.Done()
 	for fr := range f.frames[i] {
-		f.dispatch(i, servers, mservers, fr)
+		f.dispatch(i, &f.routers[i], fr)
 		f.putFrame(i, fr)
 	}
 }
@@ -606,7 +642,7 @@ func (f *Fabric[T]) failover(start int, failovers *obs.Counter, work func(p *pla
 // carrying multicast copies through its McastFrameServer, and its
 // books also track the fan-out. Delivery is coalesced: one
 // deliverBatch call (or a tight deliver loop) per frame.
-func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], mservers []*engine.McastFrameServer[int], fr *frame[T]) {
+func (f *Fabric[T]) dispatch(home int, rs *routerServers, fr *frame[T]) {
 	start := time.Now()
 	var (
 		p   *plane
@@ -617,9 +653,9 @@ func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], mserv
 		// not of a plane: compile it on the home plane's server before
 		// the walk, so such a frame takes no plane out of rotation. A
 		// plane further along the walk compiles it on its own server.
-		if err = mservers[home].Prepare(fr.outSrc); err == nil {
+		if err = rs.mcast(home).Prepare(fr.outSrc); err == nil {
 			p, err = f.failover(home, &f.met.Failovers, func(p *plane) error {
-				ms := mservers[p.id]
+				ms := rs.mcast(p.id)
 				if p.id != home {
 					if err := ms.Prepare(fr.outSrc); err != nil {
 						return err
@@ -630,7 +666,7 @@ func (f *Fabric[T]) dispatch(home int, servers []*engine.FrameServer[int], mserv
 		}
 	} else {
 		p, err = f.failover(home, &f.met.Failovers, func(p *plane) error {
-			return servers[p.id].Serve(fr.dest, fr.srcs)
+			return rs.frame(p.id).Serve(fr.dest, fr.srcs)
 		})
 	}
 	if err != nil {

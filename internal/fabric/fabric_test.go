@@ -214,6 +214,81 @@ func TestFabricPlaneFailover(t *testing.T) {
 	}
 }
 
+// TestFrameServersBuiltOnFirstUse checks that a router builds a frame
+// server only for a plane it serves a frame on, and only of the frame's
+// kind: an idle fabric holds none, a unicast frame builds its home
+// plane's unicast server alone, and a frame that fails over from a
+// plane out of rotation builds the target plane's.
+func TestFrameServersBuiltOnFirstUse(t *testing.T) {
+	var (
+		parked  = make(chan struct{})
+		release = make(chan struct{})
+		first   sync.Once
+	)
+	delivered := atomic.Int64{}
+	batch := func(plane int, pkts []Packet[int]) {
+		if plane == 0 {
+			first.Do(func() {
+				close(parked)
+				<-release
+			})
+		}
+		delivered.Add(int64(len(pkts)))
+	}
+	f, err := NewBatched[int](Config{LogN: 3, Planes: 2}, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// built lists which of router i's servers exist, unicast then
+	// multicast, per plane.
+	built := func(i int) [2][2]bool {
+		rs := &f.routers[i]
+		return [2][2]bool{{rs.fs[0] != nil, rs.fs[1] != nil}, {rs.ms[0] != nil, rs.ms[1] != nil}}
+	}
+	none := [2][2]bool{}
+	for i := range f.routers {
+		if got := built(i); got != none {
+			t.Fatalf("idle router %d holds servers %v", i, got)
+		}
+	}
+	src, dst := 0, 0
+	for p, _ := f.PlaneFor(src, dst); p != 0; p, _ = f.PlaneFor(src, dst) {
+		dst++
+	}
+	if err := f.Send(Packet[int]{Src: src, Dst: dst}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		close(release)
+		f.Close()
+		t.Fatal("plane 0 delivered no frame")
+	}
+	if got, want := built(0), [2][2]bool{{true, false}}; got != want {
+		t.Errorf("after one unicast frame on plane 0, router 0 holds %v, want %v", got, want)
+	}
+	// A second packet waits on plane 0 while its router is parked; the
+	// plane then leaves the rotation, so that frame fails over to plane 1.
+	if err := f.Send(Packet[int]{Src: src, Dst: dst}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.FailPlane(0); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	f.Close()
+	if got, want := built(0), [2][2]bool{{true, true}}; got != want {
+		t.Errorf("after a failover to plane 1, router 0 holds %v, want %v", got, want)
+	}
+	if got := built(1); got != none {
+		t.Errorf("router 1 served no frame but holds %v", got)
+	}
+	if s := f.Stats(); s.Failovers != 1 || delivered.Load() != 2 {
+		t.Errorf("failovers %d, delivered %d; want 1 and 2", s.Failovers, delivered.Load())
+	}
+}
+
 // TestFabricRepairRestoresPlane heals an injected fault and checks the
 // plane rejoins the rotation.
 func TestFabricRepairRestoresPlane(t *testing.T) {

@@ -409,12 +409,7 @@ func TestMcastFrameThatDoesNotCompile(t *testing.T) {
 	}
 	defer f.Close()
 	n := f.N()
-	servers := make([]*engine.FrameServer[int], len(f.planes))
-	mservers := make([]*engine.McastFrameServer[int], len(f.planes))
-	for j, p := range f.planes {
-		servers[j] = p.eng.NewFrameServer()
-		mservers[j] = p.eng.NewMcastFrameServer()
-	}
+	rs := newRouterServers(f.planes)
 	fr := newFrame[int](n)
 	for out := range fr.outSrc {
 		fr.outSrc[out] = Idle
@@ -424,7 +419,7 @@ func TestMcastFrameThatDoesNotCompile(t *testing.T) {
 	fr.pkts = append(fr.pkts, Packet[int]{Src: 1, Dst: 2})
 	fr.srcs = append(fr.srcs, 1)
 	fr.dsts = append(fr.dsts, 2)
-	f.dispatch(0, servers, mservers, fr)
+	f.dispatch(0, &rs, fr)
 
 	s := f.Stats()
 	if s.Lost != 1 || s.Delivered != 0 || s.Failovers != 0 {

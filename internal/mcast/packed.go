@@ -47,12 +47,12 @@ func Walk(net *core.Network, words []uint64, outs, srcs []int, rec, lad *netsim.
 	srcs = srcs[:len(outs)]
 	copy(srcs, outs)
 	netsim.WalkBack(net, perm, srcs, rec, nil)
-	w, n := net.StageWords(), net.LogN()
+	w, n, tr := net.StageWords(), net.LogN(), lad.Traversals()
 	for j := n - 1; j >= 0; j-- {
 		loRow, hiRow := lo[j*w:(j+1)*w], hi[j*w:(j+1)*w]
 		for k, y := range srcs {
 			sw := y >> 1
-			lad.Traverse(j, sw)
+			tr.Add(j, sw)
 			// The state's low bit crosses a binary switch; on a
 			// broadcast switch it names the input both outputs copy.
 			i, b := sw>>6, uint(sw)&63

@@ -33,16 +33,20 @@ import (
 // ripple carry up the planes. A switch whose pending count reaches
 // 2^planeBits spills it into its int64 cell, one cell per (switch,
 // kind) for the whole recorder, and a reader's count is cell plus
-// decoded planes. One mutex orders the previous-state update, the
-// plane adds and the spills against each other and against readers,
-// so counts are exact and a snapshot never splits a vector record.
-// Single-switch calls (Traverse, Flip, ...) skip the planes and the
-// lock: they are atomic adds on the same cells.
+// decoded planes. Each kind's cells are one array, created by the
+// kind's first count (a spill or a single-switch add), so a kind that
+// never counts costs no memory: route-only traffic counts flips alone,
+// and a recorder's other kinds read zero. One mutex orders the
+// previous-state update, the plane adds and the spills against each
+// other and against readers, so counts are exact and a snapshot never
+// splits a vector record. Single-switch calls (Traverse, Flip, ...)
+// skip the planes and the lock: they are atomic adds on the same
+// cells.
 //
 // A nil *Recorder is the disabled state: every method no-ops after a
 // nil check, so the hot path pays nothing when accounting is off.
 
-// counter kinds, interleaved per switch in the cell array.
+// counter kinds, each with its own cell array.
 const (
 	kindTraversed = iota // tags through the switch (beyond full-vector passes)
 	kindFlips            // state transitions between consecutive vectors
@@ -65,9 +69,11 @@ type Recorder struct {
 	switches int // N/2
 	words    int // uint64 words per stage in a state bitmask
 
-	// c holds one cell per (switch, kind): atomic because single-switch
-	// calls add to it without taking mu.
-	c []atomic.Int64
+	// cells holds one array per counter kind, one cell per switch,
+	// stage-major, nil until the kind's first count (see kindCells).
+	// The cells are atomic because single-switch calls add to them
+	// without taking mu.
+	cells [recKinds]atomic.Pointer[[]atomic.Int64]
 
 	mu sync.Mutex
 	// full counts full-permutation vectors; each contributes two
@@ -97,17 +103,15 @@ func NewRecorder(net *core.Network, shards int) *Recorder {
 // four-state switches, a geometry no *core.Network describes.
 func NewRecorderGeom(stages, switches int) *Recorder {
 	words := (switches + 63) / 64
-	r := &Recorder{
+	return &Recorder{
 		stages:   stages,
 		switches: switches,
 		words:    words,
-		c:        make([]atomic.Int64, stages*switches*recKinds),
 		prev:     make([]uint64, stages*words),
 		prevHi:   make([]uint64, stages*words),
 		flipPl:   make([]uint64, stages*words*planeBits),
 		travPl:   make([]uint64, stages*words*planeBits),
 	}
-	return r
 }
 
 // Stages returns the recorded stage count, 2 log N - 1 (0 on nil).
@@ -126,8 +130,24 @@ func (r *Recorder) SwitchesPerStage() int {
 	return r.switches
 }
 
-func (r *Recorder) at(stage, sw, kind int) *atomic.Int64 {
-	return &r.c[(stage*r.switches+sw)*recKinds+kind]
+// kindCells returns kind's cell array for a count, creating it on the
+// kind's first one.
+func (r *Recorder) kindCells(kind int) []atomic.Int64 {
+	if c := r.cells[kind].Load(); c != nil {
+		return *c
+	}
+	return r.newCells(kind)
+}
+
+// newCells installs kind's cell array. First counts that race agree on
+// one array: a writer that loses the install counts into the winner's,
+// so no count lands in an array readers never see.
+func (r *Recorder) newCells(kind int) []atomic.Int64 {
+	c := make([]atomic.Int64, r.stages*r.switches)
+	if r.cells[kind].CompareAndSwap(nil, &c) {
+		return c
+	}
+	return *r.cells[kind].Load()
 }
 
 // Traverse counts one tag through switch (stage, sw).
@@ -135,7 +155,32 @@ func (r *Recorder) Traverse(stage, sw int) {
 	if r == nil {
 		return
 	}
-	r.at(stage, sw, kindTraversed).Add(1)
+	r.kindCells(kindTraversed)[stage*r.switches+sw].Add(1)
+}
+
+// Traversals is a recorder's traversal cells, loaded once by a walk
+// that counts a traversal per hop, so the hops skip the first-count
+// check Traverse makes. The zero Traversals, a nil recorder's, counts
+// nothing.
+type Traversals struct {
+	c        []atomic.Int64
+	switches int
+}
+
+// Traversals returns r's traversal counter, creating the kind's cells
+// if no traversal has been counted yet. Zero on a nil recorder.
+func (r *Recorder) Traversals() Traversals {
+	if r == nil {
+		return Traversals{}
+	}
+	return Traversals{c: r.kindCells(kindTraversed), switches: r.switches}
+}
+
+// Add counts one tag through switch (stage, sw), as Traverse does.
+func (t Traversals) Add(stage, sw int) {
+	if t.c != nil {
+		t.c[stage*t.switches+sw].Add(1)
+	}
 }
 
 // Flip counts one state transition at switch (stage, sw).
@@ -143,7 +188,7 @@ func (r *Recorder) Flip(stage, sw int) {
 	if r == nil {
 		return
 	}
-	r.at(stage, sw, kindFlips).Add(1)
+	r.kindCells(kindFlips)[stage*r.switches+sw].Add(1)
 }
 
 // Forced counts one omega-bit forced setting at switch (stage, sw).
@@ -151,7 +196,7 @@ func (r *Recorder) Forced(stage, sw int) {
 	if r == nil {
 		return
 	}
-	r.at(stage, sw, kindForced).Add(1)
+	r.kindCells(kindForced)[stage*r.switches+sw].Add(1)
 }
 
 // FaultHit counts one vector that demanded the opposite of switch
@@ -160,7 +205,7 @@ func (r *Recorder) FaultHit(stage, sw int) {
 	if r == nil {
 		return
 	}
-	r.at(stage, sw, kindFaultHits).Add(1)
+	r.kindCells(kindFaultHits)[stage*r.switches+sw].Add(1)
 }
 
 // MaskWords returns the length of a packed state bitmask for this
@@ -188,11 +233,14 @@ func (r *Recorder) addWord(planes []uint64, i int, inc uint64, kind int) {
 }
 
 // addCells adds n to the kind cell of every switch set in mask word i.
+// An empty set leaves the kind's cells as they are, created or not.
 func (r *Recorder) addCells(i int, set uint64, kind int, n int64) {
-	stage, base := i/r.words, i%r.words*64
-	for set != 0 {
-		r.at(stage, base+bits.TrailingZeros64(set), kind).Add(n)
-		set &= set - 1
+	if set == 0 {
+		return
+	}
+	c := r.kindCells(kind)[i/r.words*r.switches+i%r.words*64:]
+	for ; set != 0; set &= set - 1 {
+		c[bits.TrailingZeros64(set)].Add(n)
 	}
 }
 
@@ -331,13 +379,36 @@ type StageTotals struct {
 	Bcast     int64 `json:"bcast_flips"`
 }
 
-// kindRow loads one counter kind's cells for every switch of one stage
-// into dst.
-func (r *Recorder) kindRow(stage, kind int, dst []int64) {
-	base := stage * r.switches
-	for i := range dst {
-		dst[i] = r.c[(base+i)*recKinds+kind].Load()
+// stageCells returns one stage's cells of kind, nil before the kind's
+// first count.
+func (r *Recorder) stageCells(stage, kind int) []atomic.Int64 {
+	c := r.cells[kind].Load()
+	if c == nil {
+		return nil
 	}
+	return (*c)[stage*r.switches : (stage+1)*r.switches]
+}
+
+// kindRow loads one counter kind's cells for every switch of one stage
+// into dst: zeros before the kind's first count.
+func (r *Recorder) kindRow(stage, kind int, dst []int64) {
+	c := r.stageCells(stage, kind)
+	if c == nil {
+		clear(dst)
+		return
+	}
+	for i := range dst {
+		dst[i] = c[i].Load()
+	}
+}
+
+// kindTotal sums one counter kind's cells across one stage.
+func (r *Recorder) kindTotal(stage, kind int) int64 {
+	c, total := r.stageCells(stage, kind), int64(0)
+	for i := range c {
+		total += c[i].Load()
+	}
+	return total
 }
 
 // addPlaneRow adds the pending plane counts of one stage to row. The
@@ -394,20 +465,15 @@ func (r *Recorder) StageTotals(stage int) StageTotals {
 	if stage < 0 || stage >= r.stages {
 		panic(fmt.Sprintf("netsim: stage %d out of range [0,%d)", stage, r.stages))
 	}
-	var t StageTotals
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := stage * r.switches; i < (stage+1)*r.switches; i++ {
-		c := r.c[i*recKinds : (i+1)*recKinds]
-		t.Traversed += c[kindTraversed].Load()
-		t.Flips += c[kindFlips].Load()
-		t.Forced += c[kindForced].Load()
-		t.FaultHits += c[kindFaultHits].Load()
-		t.Bcast += c[kindBcast].Load()
+	return StageTotals{
+		Traversed: r.kindTotal(stage, kindTraversed) + r.planeTotal(r.travPl, stage) + 2*r.full*int64(r.switches),
+		Flips:     r.kindTotal(stage, kindFlips) + r.planeTotal(r.flipPl, stage),
+		Forced:    r.kindTotal(stage, kindForced),
+		FaultHits: r.kindTotal(stage, kindFaultHits),
+		Bcast:     r.kindTotal(stage, kindBcast),
 	}
-	t.Traversed += r.planeTotal(r.travPl, stage) + 2*r.full*int64(r.switches)
-	t.Flips += r.planeTotal(r.flipPl, stage)
-	return t
 }
 
 // StageCounts is the full per-switch view of one stage.

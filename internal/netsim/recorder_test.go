@@ -529,3 +529,98 @@ func TestRecorderReadersMonotonic(t *testing.T) {
 		prev = snap
 	}
 }
+
+// TestRecorderFirstCountRace races each kind's first count on fresh
+// recorders, many times over: single-switch adds (Flip, Forced,
+// Traverse and Traversals.Add) from several goroutines against a vector
+// record whose spill is the first write to its kind's cells (a flip
+// vector, a frame's traversals). No count may be lost: every switch
+// must read its spill plus every single add it received.
+func TestRecorderFirstCountRace(t *testing.T) {
+	net := core.New(3) // N=8: 5 stages of 4 switches
+	const adders, adds = 4, 60
+	stages, switches := net.Stages(), net.SwitchesPerStage()
+	for round := 0; round < 40; round++ {
+		flips, trav := NewRecorder(net, 1), NewRecorder(net, 1)
+		zero, ones := make([]uint64, flips.MaskWords()), make([]uint64, flips.MaskWords())
+		for i := range ones {
+			ones[i] = 1<<switches - 1
+		}
+		// Bring every switch's pending flips and traversals to one record
+		// short of a spill: 255 flips, and 127 frames of two tags.
+		for k := 0; k < 255; k++ {
+			if k%2 == 0 {
+				flips.RecordFlips(ones)
+			} else {
+				flips.RecordFlips(zero)
+			}
+		}
+		paths := trav.NewPaths()
+		for s := 0; s < stages; s++ {
+			for i := 0; i < switches; i++ {
+				paths.Mark(s, i)
+				paths.Mark(s, i)
+			}
+		}
+		for k := 0; k < 127; k++ {
+			trav.RecordFrame(zero, paths)
+		}
+
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2 + adders)
+		go func() {
+			defer wg.Done()
+			<-start
+			flips.RecordFlips(zero)
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			trav.RecordFrame(zero, paths)
+		}()
+		for a := 0; a < adders; a++ {
+			go func(a int) {
+				defer wg.Done()
+				<-start
+				tr := trav.Traversals()
+				for k := 0; k < adds; k++ {
+					s, i := k%stages, (k+a)%switches
+					flips.Flip(s, i)
+					flips.Forced(s, i)
+					if a%2 == 0 {
+						trav.Traverse(s, i)
+					} else {
+						tr.Add(s, i)
+					}
+				}
+			}(a)
+		}
+		close(start)
+		wg.Wait()
+
+		single := make([][]int64, stages)
+		for s := range single {
+			single[s] = make([]int64, switches)
+		}
+		for a := 0; a < adders; a++ {
+			for k := 0; k < adds; k++ {
+				single[k%stages][(k+a)%switches]++
+			}
+		}
+		fs, ts := flips.Snapshot(), trav.Snapshot()
+		for s := 0; s < stages; s++ {
+			for i := 0; i < switches; i++ {
+				if got, want := fs.Counts[s].Flips[i], 256+single[s][i]; got != want {
+					t.Fatalf("round %d: switch (%d,%d) flips %d, want %d", round, s, i, got, want)
+				}
+				if got, want := fs.Counts[s].Forced[i], single[s][i]; got != want {
+					t.Fatalf("round %d: switch (%d,%d) forced %d, want %d", round, s, i, got, want)
+				}
+				if got, want := ts.Counts[s].Traversed[i], 256+single[s][i]; got != want {
+					t.Fatalf("round %d: switch (%d,%d) traversed %d, want %d", round, s, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -18,7 +18,7 @@ import "repro/internal/core"
 // loop without the counting, whose inlined code would otherwise take
 // registers from the plain walk.
 func WalkBack(net *core.Network, st []uint64, lines []int, rec *Recorder, p *Paths) {
-	w := net.StageWords()
+	w, tr := net.StageWords(), rec.Traversals()
 	for s := net.Stages() - 1; s >= 0; s-- {
 		row := st[s*w : (s+1)*w]
 		var inv []int // nil at stage 0, whose inputs are the network's
@@ -32,7 +32,7 @@ func WalkBack(net *core.Network, st []uint64, lines []int, rec *Recorder, p *Pat
 			continue
 		}
 		for k, y := range lines {
-			rec.Traverse(s, y>>1)
+			tr.Add(s, y>>1)
 			p.Mark(s, y>>1)
 			lines[k] = hop(row, inv, y)
 		}

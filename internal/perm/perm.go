@@ -147,7 +147,15 @@ func Apply[T any](p Perm, data []T) []T {
 	if len(p) != len(data) {
 		panic("perm: Apply length mismatch")
 	}
-	out := make([]T, len(data))
+	return ApplyInto(p, data, make([]T, len(data)))
+}
+
+// ApplyInto is Apply writing into out, which must have len(p) elements
+// and share no memory with data. It returns out.
+func ApplyInto[T any](p Perm, data, out []T) []T {
+	if len(p) != len(data) || len(out) != len(data) {
+		panic("perm: ApplyInto length mismatch")
+	}
 	for i, d := range p {
 		out[d] = data[i]
 	}

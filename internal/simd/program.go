@@ -141,10 +141,12 @@ func BitonicProgram(n int) Program {
 // regs is the register file of every Section III machine: PE(i) holds
 // the record R(i), initialized to i so the realized permutation can be
 // read back, and its destination tag D(i); routes counts the unit
-// routes spent moving them.
+// routes spent moving them. sr and sd are a spare record/tag pair a
+// wire trip writes into before trading it for r and d.
 type regs struct {
 	n, size int
 	r, d    []int
+	sr, sd  []int
 	routes  int
 }
 
@@ -154,7 +156,8 @@ func newRegs(caller string, dest perm.Perm) regs {
 	if err := dest.Validate(); err != nil {
 		panic("simd: " + caller + ": " + err.Error())
 	}
-	g := regs{n: bits.Log2(len(dest)), size: len(dest), r: make([]int, len(dest)), d: append([]int(nil), dest...)}
+	g := regs{n: bits.Log2(len(dest)), size: len(dest), r: make([]int, len(dest)), d: append([]int(nil), dest...),
+		sr: make([]int, len(dest)), sd: make([]int, len(dest))}
 	for i := range g.r {
 		g.r[i] = i
 	}
@@ -228,7 +231,7 @@ func (m *Machine) Exec(in Instr) {
 	case OpShuffle, OpUnshuffle:
 		// The shuffle wire takes PE(i) to PE(shuffle(i)); the unshuffle
 		// wire runs it backwards.
-		r, d := make([]int, m.size), make([]int, m.size)
+		r, d := m.sr, m.sd
 		for i := range m.r {
 			from, to := i, bits.RotLeft(i, m.n)
 			if in.Op == OpUnshuffle {
@@ -236,7 +239,7 @@ func (m *Machine) Exec(in Instr) {
 			}
 			r[to], d[to] = m.r[from], m.d[from]
 		}
-		m.r, m.d = r, d
+		m.r, m.d, m.sr, m.sd = r, d, m.r, m.d
 	default:
 		panic("simd: unknown instruction")
 	}

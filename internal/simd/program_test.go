@@ -120,3 +120,21 @@ func TestBitonicProgram(t *testing.T) {
 		}
 	}
 }
+
+// TestWireTripAllocs: a shuffle or unshuffle moves the records into the
+// register file's spare pair, so a wire trip allocates nothing, and a
+// shuffle then an unshuffle restores every PE's record and tag.
+func TestWireTripAllocs(t *testing.T) {
+	d := perm.Random(1024, rand.New(rand.NewSource(5)))
+	m := NewMachine(d)
+	for _, op := range []Op{OpShuffle, OpUnshuffle} {
+		if allocs := testing.AllocsPerRun(100, func() { m.Exec(Instr{Op: op}) }); allocs != 0 {
+			t.Errorf("%v allocates %.1f objects per Exec, want 0", Instr{Op: op}, allocs)
+		}
+	}
+	m.Exec(Instr{Op: OpShuffle})
+	m.Exec(Instr{Op: OpUnshuffle})
+	if !m.Realized().Equal(perm.Identity(1024)) || !perm.Perm(m.Dest()).Equal(d) {
+		t.Fatal("a shuffle then an unshuffle did not restore the register file")
+	}
+}
